@@ -3,8 +3,9 @@
 
 Prints one row per alpha with the worst relative eigenvalue error of the
 shooting route and the finite-difference route (wall-extrapolated for
-attractive alpha).  This is the calibration experiment behind the
-default grids and tolerances.
+attractive alpha), the seconds each route took and the number of
+integrator passes the shooting route made.  This is the calibration
+experiment behind the default grids and tolerances.
 
 Usage: python scripts/oracle_sweep.py [--n-max 4] [--alphas -0.24 -0.1 0.5 2.0]
 """
@@ -15,16 +16,8 @@ import time
 from dataclasses import dataclass
 
 from singosc.model import Domain, indicial_roots
-from singosc.oracle import (
-    GridSpec,
-    compare,
-    fd_eigen,
-    fd_eigen_extrapolated,
-    shoot_spectrum,
-)
+from singosc.oracle import compare, fd_spectrum, shoot_spectrum
 from singosc.spectrum import spectrum_table
-
-DENSE_CUTOFFS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -35,23 +28,24 @@ class SweepConfig:
 
 
 def run(cfg: SweepConfig) -> None:
-    print(f"{'alpha':>8}  {'beta_plus':>10}  {'shoot err':>10}  {'fd err':>10}  {'fd resid':>10}  {'sec':>6}")
+    print(
+        f"{'alpha':>8}  {'beta_plus':>10}  {'shoot err':>10}  {'fd err':>10}  "
+        f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'passes':>6}"
+    )
     for alpha in cfg.alphas:
-        t0 = time.perf_counter()
         table = spectrum_table(alpha, cfg.n_max, Domain.HALF_LINE)
+        t0 = time.perf_counter()
         shoot = shoot_spectrum(alpha, cfg.n_max, rtol=cfg.shoot_rtol)
-        beta = indicial_roots(alpha).beta_plus
-        if alpha >= 0:
-            fd = fd_eigen(alpha, GridSpec(n_points=24000), k=cfg.n_max + 1)
-        else:
-            cutoffs = DENSE_CUTOFFS if beta < -0.35 else (1e-2, 1e-3, 1e-4)
-            fd = fd_eigen_extrapolated(alpha, k=cfg.n_max + 1, cutoffs=cutoffs)
+        t1 = time.perf_counter()
+        fd = fd_spectrum(alpha, cfg.n_max + 1)
+        t2 = time.perf_counter()
         rs = compare(table, shoot, tol=1e-4)
         rf = compare(table, fd, tol=5e-3)
-        dt = time.perf_counter() - t0
+        beta = indicial_roots(alpha).beta_plus
         print(
             f"{alpha:>8.3f}  {beta:>10.5f}  {rs.max_rel_error:>10.2e}  "
-            f"{rf.max_rel_error:>10.2e}  {fd.residual_estimate:>10.2e}  {dt:>6.2f}"
+            f"{rf.max_rel_error:>10.2e}  {fd.residual_estimate:>10.2e}  "
+            f"{t1 - t0:>7.2f}  {t2 - t1:>6.2f}  {shoot.passes:>6d}"
         )
 
 

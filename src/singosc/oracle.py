@@ -4,9 +4,12 @@ Two routes that share nothing with the closed-form solution beyond the
 local indicial exponent: (a) finite-difference diagonalization of
 -psi'' + (x^2 + alpha/x^2) psi = mu psi on a truncated uniform grid with
 Dirichlet walls, eigenvalues by LAPACK Sturm-sequence bisection, and (b)
-shooting with an adaptive embedded Runge-Kutta integrator seeded by a
-Frobenius series at a small x0, bisecting the energy on the interior
-node count.
+shooting with an adaptive embedded Runge-Kutta-Fehlberg integrator seeded
+by a Frobenius series at a small x0.  The shooting route counts sign
+changes of psi for a whole batch of energies in one integrator pass; the
+count is monotone in the energy, so one scan pass brackets every level
+and a few multisection passes (each splitting every bracket into
+_KSECTION parts at once) narrow the brackets to the tolerance.
 
 Convention fixed here: the matrix eigenvalue mu equals 2 eps, i.e.
 eps = mu / 2, because the dimensionless ODE is
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -43,6 +46,23 @@ from .spectrum import SpectrumTable
 _RENORM_LIMIT = 1e100
 _H_MAX = 0.25
 _H_MIN = 1e-12
+# energies per bracket in a narrowing pass of shoot_spectrum: a 0.5-wide
+# scan bracket reaches the default eps_tol = 1e-6 in 3 passes
+_KSECTION = 128
+
+# Fehlberg 4(5) tableau: stage nodes, stage rows, 5th-order weights, and
+# 5th- minus 4th-order weights (the local error estimate)
+_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_RKF_A = (
+    np.empty(0),
+    np.array([1 / 4]),
+    np.array([3 / 32, 9 / 32]),
+    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
+    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
+    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
+)
+_RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+_RKF_ERR = _RKF_B5 - np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 
 
 class OracleMethod(enum.Enum):
@@ -75,6 +95,7 @@ class OracleResult:
     method: OracleMethod
     grid: GridSpec
     residual_estimate: float
+    passes: int = 0  # integrator passes a shooting run made
 
 
 @dataclass(frozen=True)
@@ -187,17 +208,33 @@ def fd_eigen_extrapolated(
     )
 
 
-def _frobenius_coeffs(alpha: float, eps_arr: np.ndarray, n_terms: int) -> np.ndarray:
-    # psi = sum_j a_j x^(beta+1+2j); substituting into the ODE gives
+def fd_spectrum(alpha: float, k: int) -> OracleResult:
+    """Lowest k levels by finite differences with the default grid policy.
+
+    Repulsive and free alpha use one 24000-point grid on [1e-3, 12];
+    attractive alpha uses the wall extrapolation over cutoffs
+    (1e-2, 1e-3, 1e-4), or the denser five-cutoff ladder when
+    beta_plus < -0.35, where the wall shift decays slowly.
+    """
+    if alpha >= 0:
+        return fd_eigen(alpha, GridSpec(n_points=24000), k=k)
+    beta = _require_subcritical(alpha)
+    cutoffs = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4) if beta < -0.35 else (1e-2, 1e-3, 1e-4)
+    return fd_eigen_extrapolated(alpha, k=k, cutoffs=cutoffs)
+
+
+def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float, n_terms: int) -> np.ndarray:
+    """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), one column per energy."""
+    # substituting into the ODE gives
     # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1
     beta = indicial_roots(alpha).beta_plus
-    m = eps_arr.shape[0]
-    a = np.zeros((n_terms, m))
+    a = np.zeros((n_terms, eps_arr.shape[0]))
     a[0] = 1.0
     for j in range(1, n_terms):
         prev2 = a[j - 2] if j >= 2 else 0.0
         a[j] = (prev2 - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
-    return a
+    exps = beta + 1.0 + 2.0 * np.arange(n_terms)
+    return np.stack([x0**exps @ a, (exps * x0 ** (exps - 1.0)) @ a])
 
 
 def frobenius_start(
@@ -208,19 +245,13 @@ def frobenius_start(
     Uses only the local indicial exponent beta_plus, so the start stays
     independent of the global closed-form solution.
     """
-    beta = _require_subcritical(alpha)
+    _require_subcritical(alpha)
     if not x0 > 0:
         raise ParameterError("x0 must be positive")
     if n_terms < 1:
         raise ParameterError("n_terms must be >= 1")
-    a = _frobenius_coeffs(alpha, np.array([eps_energy]), n_terms)[:, 0]
-    psi = 0.0
-    dpsi = 0.0
-    for j in range(n_terms - 1, -1, -1):
-        e = beta + 1.0 + 2.0 * j
-        psi += a[j] * x0**e
-        dpsi += a[j] * e * x0 ** (e - 1.0)
-    return psi, dpsi
+    psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0, n_terms)[:, 0]
+    return float(psi), float(dpsi)
 
 
 def _rkf45_count_nodes(
@@ -233,84 +264,42 @@ def _rkf45_count_nodes(
 ) -> np.ndarray:
     """Integrate the batch outward and count sign changes of psi.
 
-    All batch members advance in lockstep; the step controller obeys the
-    worst member.  Counting may be restricted to x <= x_stop_count to
-    exclude the far tail where the growing solution contaminates the
-    decaying one.
+    The state stacks psi (row 0) and psi' (row 1) of every batch member
+    into one (2, m) array, advanced by the Fehlberg tableau.  All members
+    step in lockstep; the step controller obeys the worst member.
+    Counting may be restricted to x <= x_stop_count to exclude the far
+    tail where the growing solution contaminates the decaying one.
     """
-    beta = indicial_roots(alpha).beta_plus
     m = eps_arr.shape[0]
-    a = _frobenius_coeffs(alpha, eps_arr, 10)
-    exps = beta + 1.0 + 2.0 * np.arange(10)
-    psi = (a * (x0 ** exps)[:, None]).sum(axis=0)
-    phi = (a * (exps * x0 ** (exps - 1.0))[:, None]).sum(axis=0)
-
-    def rhs(x: float, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return q, (x * x + alpha / (x * x) - 2.0 * eps_arr) * p
-
+    y = _frobenius_series(alpha, eps_arr, x0, 10)
+    two_eps = 2.0 * eps_arr
+    stages = np.zeros((len(_RKF_C), 2, m))
+    flat = stages.reshape(len(_RKF_C), 2 * m)  # view: one row per stage
     counts = np.zeros(m, dtype=int)
-    sign = np.where(psi >= 0, 1, -1)
+    sign = np.where(y[0] >= 0, 1.0, -1.0)
     x = x0
     h = min(x0, 1e-3)
     while x < x_max:
         h = min(h, x_max - x)
-        k1p, k1q = rhs(x, psi, phi)
-        k2p, k2q = rhs(x + h / 4, psi + h * k1p / 4, phi + h * k1q / 4)
-        k3p, k3q = rhs(
-            x + 3 * h / 8,
-            psi + h * (3 * k1p + 9 * k2p) / 32,
-            phi + h * (3 * k1q + 9 * k2q) / 32,
-        )
-        k4p, k4q = rhs(
-            x + 12 * h / 13,
-            psi + h * (1932 * k1p - 7200 * k2p + 7296 * k3p) / 2197,
-            phi + h * (1932 * k1q - 7200 * k2q + 7296 * k3q) / 2197,
-        )
-        k5p, k5q = rhs(
-            x + h,
-            psi + h * (439 / 216 * k1p - 8 * k2p + 3680 / 513 * k3p - 845 / 4104 * k4p),
-            phi + h * (439 / 216 * k1q - 8 * k2q + 3680 / 513 * k3q - 845 / 4104 * k4q),
-        )
-        k6p, k6q = rhs(
-            x + h / 2,
-            psi
-            + h
-            * (
-                -8 / 27 * k1p
-                + 2 * k2p
-                - 3544 / 2565 * k3p
-                + 1859 / 4104 * k4p
-                - 11 / 40 * k5p
-            ),
-            phi
-            + h
-            * (
-                -8 / 27 * k1q
-                + 2 * k2q
-                - 3544 / 2565 * k3q
-                + 1859 / 4104 * k4q
-                - 11 / 40 * k5q
-            ),
-        )
-        p5 = psi + h * (16 / 135 * k1p + 6656 / 12825 * k3p + 28561 / 56430 * k4p - 9 / 50 * k5p + 2 / 55 * k6p)
-        q5 = phi + h * (16 / 135 * k1q + 6656 / 12825 * k3q + 28561 / 56430 * k4q - 9 / 50 * k5q + 2 / 55 * k6q)
-        p4 = psi + h * (25 / 216 * k1p + 1408 / 2565 * k3p + 2197 / 4104 * k4p - 1 / 5 * k5p)
-        q4 = phi + h * (25 / 216 * k1q + 1408 / 2565 * k3q + 2197 / 4104 * k4q - 1 / 5 * k5q)
-        scale = 1e-300 + rtol * np.maximum(np.abs(p5), np.abs(q5))
-        err = np.max(np.maximum(np.abs(p5 - p4), np.abs(q5 - q4)) / scale)
+        for i, (c, row) in enumerate(zip(_RKF_C, _RKF_A)):
+            s = y + ((h * row) @ flat[:i]).reshape(2, m) if i else y
+            xs = x + c * h
+            stages[i, 0] = s[1]
+            np.multiply(xs * xs + alpha / (xs * xs) - two_eps, s[0], out=stages[i, 1])
+        y5 = y + ((h * _RKF_B5) @ flat).reshape(2, m)
+        err_abs = np.abs(((h * _RKF_ERR) @ flat).reshape(2, m)).max(axis=0)
+        mag = np.abs(y5).max(axis=0)
+        err = np.max(err_abs / (1e-300 + rtol * mag))
         if err <= 1.0 or h <= _H_MIN:
             x += h
-            psi, phi = p5, q5
+            y = y5
             if x_stop_count is None or x <= x_stop_count:
-                new_sign = np.where(psi > 0, 1, np.where(psi < 0, -1, sign))
-                counts += new_sign * sign < 0
-                sign = new_sign
-            mag = np.maximum(np.abs(psi), np.abs(phi))
+                flip = y[0] * sign < 0
+                counts += flip
+                sign = np.where(flip, -sign, sign)
             big = mag > _RENORM_LIMIT
             if np.any(big):
-                factor = np.where(big, 1.0 / mag, 1.0)
-                psi = psi * factor
-                phi = phi * factor
+                y = y * np.where(big, 1.0 / mag, 1.0)
         if h <= _H_MIN and err > 1.0:
             raise NonConvergence("integrator step size collapsed")
         h = min(_H_MAX, h * min(4.0, max(0.1, 0.9 * err ** (-0.2) if err > 0 else 4.0)))
@@ -325,53 +314,62 @@ def shoot_spectrum(
     rtol: float = 1e-7,
     eps_tol: float = 1e-6,
 ) -> OracleResult:
-    """Shooting eigenvalues for n = 0 .. n_max in one batched bisection.
+    """Shooting eigenvalues for n = 0 .. n_max by batched multisection.
 
     The total sign-change count along [x0, x_max] (including the tail
-    flip of the growing contamination) equals the number of eigenvalues
-    below eps, so bisecting it to a width <= eps_tol pins each level.
+    flip of the growing contamination) is the number of eigenvalues below
+    eps.  One scan pass counts it on a 0.5-spaced grid (levels are 2
+    apart) up to eps = 2 n_max + 20, doubling the window until the count
+    reaches n_max + 1; past eps = x_max^2 the outer turning point leaves
+    the box, so the scan gives up there.  Each narrowing pass splits every
+    bracket into _KSECTION parts in one batch (multisection, the k-way
+    Barth-Martin-Wilkinson bisection) and keeps the part where the count
+    first exceeds n, until all brackets are at most eps_tol wide or too
+    narrow to split in floating point.
     """
     _require_subcritical(alpha)
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
     targets = np.arange(n_max + 1)
-    lo = np.full(n_max + 1, np.nan)
-    hi = np.full(n_max + 1, np.nan)
-    # chunked scan in steps of 0.5: spacing is 2, so no level is skipped
-    prev_eps = None
-    prev_count = None
-    scan_limit = 2.0 * n_max + 20.0
-    grid_lo = 0.25
-    while np.any(np.isnan(hi)) and grid_lo <= scan_limit:
-        grid = np.arange(grid_lo, min(grid_lo + 14.0, scan_limit + 0.25), 0.5)
-        counts = _rkf45_count_nodes(alpha, grid, x0, x_max, rtol)
-        eps_seq = grid
-        count_seq = counts
-        if prev_eps is not None:
-            eps_seq = np.concatenate(([prev_eps], grid))
-            count_seq = np.concatenate(([prev_count], counts))
-        for i in range(len(eps_seq) - 1):
-            reached = (count_seq[i] <= targets) & (count_seq[i + 1] >= targets + 1)
-            newly = reached & np.isnan(hi)
-            lo[newly] = eps_seq[i]
-            hi[newly] = eps_seq[i + 1]
-        prev_eps = eps_seq[-1]
-        prev_count = count_seq[-1]
-        grid_lo = grid[-1] + 0.5
-    if np.any(np.isnan(hi)):
-        missing = targets[np.isnan(hi)]
-        raise BracketError(
-            f"no bracket for levels {missing.tolist()} in eps <= {scan_limit}"
-        )
-    while np.max(hi - lo) > eps_tol:
-        mid = 0.5 * (lo + hi)
-        counts = _rkf45_count_nodes(alpha, mid, x0, x_max, rtol)
-        above = counts >= targets + 1
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    passes = 0
+    eps = np.empty(0)
+    counts = np.empty(0, dtype=int)
+    cap = x_max**2
+    top = min(2.0 * n_max + 20.0, cap)
+    while True:
+        grid = np.arange(eps[-1] + 0.5 if eps.size else 0.25, top + 0.25, 0.5)
+        eps = np.concatenate((eps, grid))
+        counts = np.concatenate((counts, _rkf45_count_nodes(alpha, grid, x0, x_max, rtol)))
+        passes += 1
+        if counts[-1] > n_max or top >= cap:
+            break
+        top = min(2.0 * top, cap)
+    above = counts > targets[:, None]
+    first = above.argmax(axis=1)
+    missing = targets[~above.any(axis=1) | (first == 0)]
+    if missing.size:
+        raise BracketError(f"no bracket for levels {missing.tolist()} in eps <= {top}")
+    lo = eps[first - 1]
+    hi = eps[first]
+    split = np.arange(1, _KSECTION) / _KSECTION
+    width = np.inf
+    # stops at eps_tol, or where the float spacing of eps stops the splitting
+    while eps_tol < np.max(hi - lo) < width:
+        width = np.max(hi - lo)
+        inner = lo[:, None] + (hi - lo)[:, None] * split
+        counts = _rkf45_count_nodes(alpha, inner.ravel(), x0, x_max, rtol)
+        passes += 1
+        above = counts.reshape(inner.shape) > targets[:, None]
+        # the count at hi exceeds n by construction: a True column for it
+        first = 1 + np.pad(above, ((0, 0), (0, 1)), constant_values=True).argmax(axis=1)
+        grid = np.column_stack((lo, inner, hi))
+        lo = grid[targets, first - 1]
+        hi = grid[targets, first]
     eigenvalues = tuple(float(v) for v in 0.5 * (lo + hi))
     grid = GridSpec(x_min=x0, x_max=x_max, n_points=4000)
-    return OracleResult(eigenvalues, OracleMethod.SHOOTING, grid, float(np.max(hi - lo)) / 2.0)
+    return OracleResult(
+        eigenvalues, OracleMethod.SHOOTING, grid, float(np.max(hi - lo)) / 2.0, passes
+    )
 
 
 def shoot_eigen(
@@ -384,9 +382,7 @@ def shoot_eigen(
 ) -> OracleResult:
     """Single shooting eigenvalue with n_target interior nodes."""
     full = shoot_spectrum(alpha, n_target, x0=x0, x_max=x_max, rtol=rtol, eps_tol=eps_tol)
-    return OracleResult(
-        (full.eigenvalues[n_target],), OracleMethod.SHOOTING, full.grid, full.residual_estimate
-    )
+    return replace(full, eigenvalues=(full.eigenvalues[n_target],))
 
 
 def count_nodes_at(

@@ -140,15 +140,6 @@ def suite_orthonormality(
     return rep
 
 
-def _fd_for(alpha: float, k: int) -> oracle.OracleResult:
-    if alpha >= 0:
-        return oracle.fd_eigen(alpha, oracle.GridSpec(n_points=24000), k=k)
-    beta = indicial_roots(alpha).beta_plus
-    # slowly decaying wall shift needs the denser cutoff ladder
-    cutoffs = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4) if beta < -0.35 else (1e-2, 1e-3, 1e-4)
-    return oracle.fd_eigen_extrapolated(alpha, k=k, cutoffs=cutoffs)
-
-
 def suite_oracle(
     alphas: tuple[float, ...] = (0.5, 2.0),
     n_max: int = 3,
@@ -167,7 +158,7 @@ def suite_oracle(
             f"max rel err {r1.max_rel_error:.2e}",
             f"<= {tol_shoot:.0e}",
         )
-        fd = _fd_for(alpha, n_max + 1)
+        fd = oracle.fd_spectrum(alpha, n_max + 1)
         r2 = oracle.compare(table, fd, tol_fd)
         rep.add(
             f"finite-difference alpha={alpha}",

@@ -36,14 +36,7 @@ def oracle_runs():
     for alpha in ORACLE_ALPHAS:
         table = spectrum.spectrum_table(alpha, N_MAX, Domain.HALF_LINE)
         shoot = oracle.shoot_spectrum(alpha, N_MAX)
-        if alpha >= 0:
-            fd = oracle.fd_eigen(alpha, oracle.GridSpec(n_points=24000), k=N_MAX + 1)
-        else:
-            beta = indicial_roots(alpha).beta_plus
-            cutoffs = (
-                (1e-2, 3e-3, 1e-3, 3e-4, 1e-4) if beta < -0.35 else (1e-2, 1e-3, 1e-4)
-            )
-            fd = oracle.fd_eigen_extrapolated(alpha, k=N_MAX + 1, cutoffs=cutoffs)
+        fd = oracle.fd_spectrum(alpha, N_MAX + 1)
         runs[alpha] = (table, shoot, fd)
     elapsed = time.perf_counter() - t0
     return runs, elapsed

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from singosc.errors import ParameterError, ShapeMismatch, SupercriticalError
+from singosc.errors import BracketError, ParameterError, ShapeMismatch, SupercriticalError
 from singosc.model import Domain
 from singosc.oracle import (
     GridSpec,
+    _rkf45_count_nodes,
     OracleMethod,
     compare,
     count_nodes_at,
@@ -124,8 +125,44 @@ class TestShooting:
         with pytest.raises(SupercriticalError):
             shoot_spectrum(-0.5, 1)
 
+    @pytest.mark.parametrize("n_max", [1, 4, 8])
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.1, 0.0, 2.0, 7.5])
+    def test_multisection_passes_and_accuracy(self, alpha, n_max):
+        res = shoot_spectrum(alpha, n_max)
+        # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
+        t = spectrum_table(alpha, n_max, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
+        assert res.passes <= 5
+        assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
+        assert res.residual_estimate <= 1e-6 / 2
+
+    def test_scan_window_grows_for_large_alpha(self):
+        # eps_3 = 27.0 lies above the first scan window, eps <= 26
+        res = shoot_spectrum(400.0, 3)
+        t = spectrum_table(400.0, 3, Domain.HALF_LINE)
+        assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        res = shoot_spectrum(2.0, 0, eps_tol=0.0)
+        assert res.eigenvalues[0] == pytest.approx(2.5, abs=5e-6)
+        assert res.residual_estimate < 1e-14
+
+    def test_scan_stops_at_x_max_squared(self):
+        with pytest.raises(BracketError, match="eps <= 16.0"):
+            shoot_spectrum(0.0, 10, x_max=4.0)
+
 
 class TestNodeCounts:
+    @pytest.mark.parametrize("alpha", [-0.2, 2.0, 7.5])
+    def test_total_count_is_levels_below(self, alpha):
+        # with the tail flip counted, the count is the number of levels
+        # below eps; energies stay 0.05 away from every level
+        t = spectrum_table(alpha, 12, Domain.HALF_LINE)
+        levels = np.array(t.distinct_levels())
+        eps = np.linspace(0.3, 24.0, 200)
+        eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
+        counts = _rkf45_count_nodes(alpha, eps, 1e-3, 12.0, 1e-7)
+        np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_counts_match_quantum_number(self, alpha):
         t = spectrum_table(alpha, 4, Domain.HALF_LINE)
