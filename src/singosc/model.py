@@ -88,10 +88,6 @@ class OscillatorSpec:
         """E = eps * energy_scale, with eps the dimensionless energy."""
         return self.hbar * self.omega
 
-    def k_squared(self, energy: float) -> float:
-        """k^2 = 2 m E / hbar^2 for a physical energy E."""
-        return 2.0 * self.mass * energy / self.hbar**2
-
     def eps_from_energy(self, energy: float) -> float:
         return energy / self.energy_scale
 
@@ -136,8 +132,11 @@ def indicial_roots(alpha: float) -> IndicialRoots:
 
     For alpha >= -1/4 both roots are real: beta = -1/2 +- sqrt(1/4+alpha).
     For alpha < -1/4 the pair is complex with real part -1/2; that status
-    is reported through complex_pair, not an exception.
+    is reported through complex_pair, not an exception.  A non-finite
+    alpha raises ParameterError; every admissibility check starts here.
     """
+    if not math.isfinite(alpha):
+        raise ParameterError("alpha must be finite")
     disc = 0.25 + alpha
     if disc < 0:
         return IndicialRoots(-0.5, -0.5, True, math.sqrt(-disc))

@@ -180,7 +180,8 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
 
     int_0^inf psi1 psi2 dx = (A1 A2 / 2) int_0^inf y^w e^-y L_n1 L_n2 dy
     with w = (beta1 + beta2 + 1)/2, so n1+n2+1 nodes integrate the
-    polynomial part exactly.
+    polynomial part exactly.  Raises ParameterError when the weighted
+    sum overflows (L_n^2 at the outer nodes, from n = 124).
     """
     from .specfun import laguerre
 
@@ -189,8 +190,15 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
         raise DomainMismatch("Gauss-Laguerre path is defined for half-line states")
     w = (s1.beta + s2.beta + 1.0) / 2.0
     nodes, weights = scipy.special.roots_genlaguerre(s1.n + s2.n + 1, w)
-    vals = laguerre(s1.n, s1.beta + 0.5, nodes) * laguerre(s2.n, s2.beta + 0.5, nodes)
-    return 0.5 * s1.norm_const * s2.norm_const * float(np.dot(weights, vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = laguerre(s1.n, s1.beta + 0.5, nodes) * laguerre(s2.n, s2.beta + 0.5, nodes)
+        total = float(np.dot(weights, vals))
+    if not np.isfinite(total):
+        raise ParameterError(
+            f"Gauss-Laguerre sum for n = {s1.n}, {s2.n} is not finite: "
+            "L_n overflows at the outer nodes"
+        )
+    return 0.5 * s1.norm_const * s2.norm_const * total
 
 
 def connection_residual(

@@ -92,10 +92,14 @@ def gamma_fn(z: float) -> float:
 def kummer_m(a: float, b: float, y: float, ctl: SeriesControl | None = None) -> float:
     """Kummer confluent hypergeometric M(a, b, y) by direct series.
 
-    Terms follow t_{j+1} = t_j (a+j) y / ((b+j)(j+1)) starting from t_0 = 1.
-    The sum stops once two consecutive terms fall below rel_tol * |sum|
-    (two, not one, to survive a near-vanishing (a+j) factor mid-series).
-    For a = -n the series terminates exactly after the j = n term.
+    Terms follow t_{j+1} = t_j r_j, r_j = (a+j) y / ((b+j)(j+1)), from
+    t_0 = 1.  The sum stops once two consecutive terms fall below
+    rel_tol * |sum| (two, not one, to survive a near-vanishing (a+j)
+    factor mid-series), counting only terms past which the series
+    shrinks for good: |r_j| < 1, j + 1 > y and b + j > 0 keep every later
+    |r_k| below 1.  Smallness alone is no signal: a tiny a makes the
+    first terms tiny while later ones still grow by up to e^y.  For
+    a = -n the series terminates exactly after the j = n term.
     """
     if ctl is None:
         ctl = SeriesControl()
@@ -107,9 +111,13 @@ def kummer_m(a: float, b: float, y: float, ctl: SeriesControl | None = None) -> 
     total = 1.0
     small_run = 0
     for j in range(ctl.max_terms):
-        term *= (a + j) * y / ((b + j) * (j + 1))
+        ratio = (a + j) * y / ((b + j) * (j + 1))
+        term *= ratio
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if term == 0.0:
+            return total
+        shrinking = abs(ratio) < 1.0 and j + 1 > y and b + j > 0
+        if shrinking and abs(term) <= ctl.rel_tol * abs(total):
             small_run += 1
             if small_run >= 2:
                 return total
@@ -135,40 +143,60 @@ def kummer_m_asymptotic(a: float, b: float, y: float) -> float:
     return ratio * math.exp(y) * y ** (a - b)
 
 
+def as_operand(x):
+    """(x, True) with x a Python float for a 0-d input (float, int,
+    np.float64, 0-d array); (float ndarray, False) otherwise.
+
+    The closed-form evaluators run one expression on either kind; plain
+    floats skip the per-call numpy wrapping that dominates scalar calls
+    under an adaptive integrator, with bit-identical arithmetic.
+    """
+    if isinstance(x, (float, int)):
+        return float(x), True
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return float(arr), True
+    return arr, False
+
+
+def _check_degree(n: int) -> int:
+    if n < 0 or n != int(n):
+        raise ParameterError("n must be a non-negative integer")
+    return int(n)
+
+
 def laguerre(n: int, a: float, y):
     """Generalized Laguerre polynomial L_n^(a)(y), a > -1.
 
     Three-term recurrence (j+1) L_{j+1} = (2j+1+a-y) L_j - (j+a) L_{j-1}.
-    Accepts scalar or ndarray y.
+    Accepts scalar or ndarray y; a 0-d y gives a Python float.
     """
-    if n < 0 or n != int(n):
-        raise ParameterError("n must be a non-negative integer")
+    n = _check_degree(n)
     if not a > -1:
         raise ParameterError("Laguerre order parameter must satisfy a > -1")
-    n = int(n)
-    y_arr = np.asarray(y, dtype=float)
-    prev = np.ones_like(y_arr)
+    a = float(a)
+    y, scalar = as_operand(y)
+    prev = 1.0 if scalar else np.ones_like(y)
     if n == 0:
-        return float(prev) if np.ndim(y) == 0 else prev
-    cur = 1.0 + a - y_arr
+        return prev
+    cur = 1.0 + a - y
     for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 + a - y_arr) * cur - (j + a) * prev) / (j + 1)
-    return float(cur) if np.ndim(y) == 0 else cur
+        prev, cur = cur, ((2 * j + 1 + a - y) * cur - (j + a) * prev) / (j + 1)
+    return cur
 
 
 def hermite(n: int, xi):
     """Hermite polynomial H_n(xi) via H_{j+1} = 2 xi H_j - 2 j H_{j-1}.
 
-    Accepts scalar or ndarray xi.  Satisfies H_n(-xi) = (-1)^n H_n(xi).
+    Accepts scalar or ndarray xi; a 0-d xi gives a Python float.
+    Satisfies H_n(-xi) = (-1)^n H_n(xi).
     """
-    if n < 0 or n != int(n):
-        raise ParameterError("n must be a non-negative integer")
-    n = int(n)
-    x_arr = np.asarray(xi, dtype=float)
-    prev = np.ones_like(x_arr)
+    n = _check_degree(n)
+    xi, scalar = as_operand(xi)
+    prev = 1.0 if scalar else np.ones_like(xi)
     if n == 0:
-        return float(prev) if np.ndim(xi) == 0 else prev
-    cur = 2.0 * x_arr
+        return prev
+    cur = 2.0 * xi
     for j in range(1, n):
-        prev, cur = cur, 2.0 * x_arr * cur - 2.0 * j * prev
-    return float(cur) if np.ndim(xi) == 0 else cur
+        prev, cur = cur, 2.0 * xi * cur - 2.0 * j * prev
+    return cur

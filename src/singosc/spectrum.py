@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InadmissibleError, ParameterError, SupercriticalError
 from .model import Domain, Parity, admissible_betas
 from .quad import X_MAX, QuadControl, integrate_adaptive
-from .specfun import laguerre
+from .specfun import as_operand, laguerre
 
 _BRANCH_TOL = 1e-9
 
@@ -106,17 +106,23 @@ class EigenState:
         tail = np.power(x, self.beta + 2.0) * (ln + 2.0 * l1)
         return self.norm_const * gauss * (lead * ln - tail)
 
+    def _profile_arg(self, x):
+        """(x, the argument of the half-line profile, whether x is 0-d)."""
+        x, scalar = as_operand(x)
+        if self.domain is Domain.FULL_LINE:
+            return x, abs(x), scalar
+        if x < 0 if scalar else np.any(x < 0):
+            raise ParameterError("half-line state evaluated at x < 0")
+        return x, x, scalar
+
     def psi(self, x):
-        """Wavefunction value; scalar or ndarray argument."""
-        x_arr = np.asarray(x, dtype=float)
-        if self.domain is Domain.HALF_LINE:
-            if np.any(x_arr < 0):
-                raise ParameterError("half-line state evaluated at x < 0")
-            out = self._base_psi(x_arr)
-        else:
-            base = self._base_psi(np.abs(x_arr))
-            out = base if self.parity is Parity.EVEN else np.sign(x_arr) * base
-        return float(out) if np.ndim(x) == 0 else out
+        """Wavefunction value; scalar or ndarray argument (a 0-d x gives a
+        Python float, equal bit for bit to the ndarray element)."""
+        x, r, scalar = self._profile_arg(x)
+        out = self._base_psi(r)
+        if self.parity is Parity.ODD:
+            out = ((x > 0) - (x < 0) if scalar else np.sign(x)) * out
+        return float(out) if scalar else out
 
     def dpsi(self, x):
         """Analytic derivative psi'(x), using dL_n^(a)/dy = -L_{n-1}^(a+1).
@@ -125,18 +131,11 @@ class EigenState:
         constant, or +inf depending on beta); for -1/2 < beta < 0 the
         derivative genuinely diverges there.
         """
-        x_arr = np.asarray(x, dtype=float)
-        if self.domain is Domain.HALF_LINE:
-            if np.any(x_arr < 0):
-                raise ParameterError("half-line state evaluated at x < 0")
-            out = self._base_dpsi(x_arr)
-        else:
-            base = self._base_dpsi(np.abs(x_arr))
-            if self.parity is Parity.EVEN:
-                out = np.where(x_arr < 0, -base, base)
-            else:
-                out = base
-        return float(out) if np.ndim(x) == 0 else out
+        x, r, scalar = self._profile_arg(x)
+        out = self._base_dpsi(r)
+        if self.parity is Parity.EVEN:
+            out = (-out if x < 0 else out) if scalar else np.where(x < 0, -out, out)
+        return float(out) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,15 @@ class TestExitCodes:
         assert rc == 2
         assert "alpha <= -1/4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["spectrum", "radial", "wavefunction"])
+    def test_nonfinite_alpha_is_exit_1(self, capsys, command, value):
+        rc = main([command, f"--alpha={value}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "alpha must be finite" in captured.err
+        assert captured.out == ""
+
     def test_usage_error_is_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--alpha", "not-a-number"])

@@ -54,6 +54,14 @@ class TestIndicialRoots:
         assert not r.complex_pair
         assert r.beta_plus == r.beta_minus == -0.5
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        # one gate: admissible_betas and the oracle's check both go through here
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            indicial_roots(alpha)
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            admissible_betas(alpha)
+
 
 class TestAdmissibleBetas:
     def test_free_case_has_both_branches(self):

@@ -1,13 +1,14 @@
 """Quadrature layer: adaptive integrals, principal values, overlaps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singosc.errors import DepthExceeded, DomainMismatch, PVDivergent
+from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from singosc.model import Domain
 from singosc.quad import (
     IntegrabilityClass,
@@ -115,6 +116,15 @@ class TestOverlap:
                 a = overlap(s1, s2)
                 g = overlap_halfline_gauss(s1, s2)
                 assert a == pytest.approx(g, abs=5e-11)
+
+    def test_gauss_route_raises_when_laguerre_overflows(self):
+        # L_150^2 at the outer nodes (y ~ 1200) overflows to inf, and
+        # inf * 0 weights would give NaN
+        s = halfline_state(1.3, 150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                overlap_halfline_gauss(s, s)
 
     def test_gauss_route_rejects_fullline(self):
         even, odd = fullline_states(0.5, 0)

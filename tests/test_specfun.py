@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singosc.errors import ParameterError, PoleError
@@ -63,6 +63,8 @@ class TestKummer:
         st.floats(min_value=0.3, max_value=8.0),
         st.floats(min_value=0.0, max_value=30.0),
     )
+    # a tiny a makes the first terms small while later ones still grow
+    @example(9.815143769555652e-19, 0.3125, 21.0)
     @settings(max_examples=200)
     def test_against_scipy(self, a, b, y):
         ref = float(sps.hyp1f1(a, b, y))
@@ -76,6 +78,17 @@ class TestKummer:
                 binom = math.gamma(n + a + 1) / (math.gamma(n + 1) * math.gamma(a + 1))
                 lhs = binom * kummer_m(-n, a + 1, y)
                 assert lhs == pytest.approx(laguerre(n, a, y), rel=1e-12)
+
+    def test_small_leading_terms_before_growth(self):
+        # |r_0|, |r_1| < 1 and tiny t_1, t_2, then ratios above 1 up to j ~ 60
+        a, b, y = 1e-18, 100.0, 160.0
+        assert kummer_m(a, b, y) == pytest.approx(float(sps.hyp1f1(a, b, y)), rel=1e-14, abs=0)
+
+    def test_terminating_series_beyond_term_budget(self):
+        # a = -2: the series ends after three terms, whatever y
+        y, b = 1000.0, 0.5
+        want = 1.0 - 2.0 * y / b + y * y / (b * (b + 1.0))
+        assert kummer_m(-2.0, b, y, SeriesControl(max_terms=10)) == pytest.approx(want, rel=1e-14)
 
     def test_b_pole_rejected(self):
         with pytest.raises(ParameterError):
@@ -175,6 +188,54 @@ class TestHermite:
         x = np.linspace(-2, 2, 9)
         out = hermite(6, x)
         assert out.shape == x.shape
+
+
+ZERO_D_INPUTS = (
+    pytest.param(lambda v: v, id="float"),
+    pytest.param(np.float64, id="np.float64"),
+    pytest.param(lambda v: int(round(v)), id="int"),
+    pytest.param(np.array, id="0-d array"),
+)
+
+
+class TestScalarPath:
+    """A 0-d argument runs the array recurrence on a Python float: same
+    values bit for bit, returned as a Python float."""
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=-0.99, max_value=8.5),
+        st.lists(st.floats(min_value=0.0, max_value=80.0), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150)
+    def test_laguerre_scalar_equals_array(self, n, a, ys):
+        ys = [0.0, *ys]
+        whole = laguerre(n, a, np.array(ys))
+        for y, v in zip(ys, whole):
+            assert laguerre(n, a, y) == v
+
+    @given(
+        st.integers(min_value=0, max_value=25),
+        st.lists(st.floats(min_value=-9.0, max_value=9.0), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150)
+    def test_hermite_scalar_equals_array(self, n, xs):
+        xs = [0.0, *xs]
+        whole = hermite(n, np.array(xs))
+        for x, v in zip(xs, whole):
+            assert hermite(n, x) == v
+
+    @pytest.mark.parametrize("wrap", ZERO_D_INPUTS)
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_zero_d_inputs_return_float(self, wrap, n):
+        assert type(laguerre(n, 0.3, wrap(2.0))) is float
+        assert type(hermite(n, wrap(-2.0))) is float
+        assert laguerre(n, 0.3, wrap(2.0)) == laguerre(n, 0.3, np.array([2.0]))[0]
+
+    def test_array_inputs_stay_arrays(self):
+        for n in (0, 3):
+            assert laguerre(n, 0.3, [1.0, 2.0]).shape == (2,)
+            assert hermite(n, np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestLaguerreHermiteBridge:

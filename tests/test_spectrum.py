@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,73 @@ class TestHalflineState:
             assert s.dpsi(x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
         # even profile: flat at the origin
         assert s.dpsi(0.0) == 0.0
+
+
+def _states(alpha, n):
+    """Every state at (alpha, n): half-line (both branches at alpha = 0)
+    and the full-line even/odd pair."""
+    if alpha == 0:
+        half = [halfline_state(0.0, n, beta_branch=b) for b in (-1.0, 0.0)]
+    else:
+        half = [halfline_state(alpha, n)]
+    return half + fullline_states(alpha, n)
+
+
+class TestScalarPath:
+    """psi and dpsi of a 0-d x run the array expression on a Python float:
+    the same values bit for bit, returned as a Python float."""
+
+    @given(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-0.25, max_value=8.0, exclude_min=True),
+        ),
+        st.integers(0, 12),
+        st.lists(st.floats(min_value=0.0, max_value=9.0), min_size=1, max_size=10),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_scalar_equals_array(self, alpha, n, xs):
+        pos = [0.0, *xs]
+        for s in _states(alpha, n):
+            grid = pos if s.domain is Domain.HALF_LINE else pos + [-x for x in pos]
+            arr = np.array(grid)
+            for f, whole in ((s.psi, s.psi(arr)), (s.dpsi, s.dpsi(arr))):
+                for x, v in zip(grid, whole):
+                    assert f(x) == v
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda v: v, np.float64, lambda v: int(round(v)), np.array],
+        ids=["float", "np.float64", "int", "0-d array"],
+    )
+    def test_zero_d_inputs_return_float(self, wrap):
+        for s in _states(0.7, 3):
+            for x in (2.0, -2.0) if s.domain is Domain.FULL_LINE else (2.0,):
+                assert type(s.psi(wrap(x))) is float
+                assert type(s.dpsi(wrap(x))) is float
+                assert s.psi(wrap(x)) == s.psi(np.array([x]))[0]
+
+    @pytest.mark.parametrize("x", [-0.5, np.float64(-0.5), -1, np.array(-0.5), np.array([0.5, -1e-300])])
+    def test_halfline_rejects_negative_x(self, x):
+        s = halfline_state(0.7, 2)
+        with pytest.raises(ParameterError):
+            s.psi(x)
+        with pytest.raises(ParameterError):
+            s.dpsi(x)
+
+    @pytest.mark.parametrize("alpha", [-0.2, -0.1, -0.01])
+    def test_dpsi_diverges_at_origin_for_negative_beta(self, alpha):
+        # -1/2 < beta < 0: psi' ~ (beta+1) x^beta, the x -> 0+ limit is +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 3):
+                half = halfline_state(alpha, n)
+                even, odd = fullline_states(alpha, n)
+                assert half.beta < 0
+                assert half.dpsi(0.0) == math.inf
+                assert even.dpsi(0.0) == math.inf
+                assert odd.dpsi(0.0) == math.inf
+                assert np.all(half.dpsi(np.array([0.0, 0.0])) == math.inf)
 
 
 class TestFulllineStates:
