@@ -10,12 +10,12 @@ against the closed-form energy.
 Usage: python scripts/convergence_study.py [--alpha -0.2] [--cutoffs ...]
 """
 
-import argparse
 import math
 import sys
 
+from singosc.cli import Parser
 from singosc.model import indicial_roots
-from singosc.oracle import GridSpec, fd_eigen, fd_eigen_extrapolated
+from singosc.oracle import GridSpec, fd_eigen, fd_eigen_extrapolated, wall_points
 from singosc.spectrum import halfline_state
 
 
@@ -28,8 +28,8 @@ def run(alpha: float, cutoffs: tuple[float, ...]) -> None:
     print(f"{'cutoff':>10}  {'raw eps0':>16}  {'raw error':>12}  {'local p':>8}")
     prev = None
     for e0 in cutoffs:
-        n = int(min(max(4000, 2.0 * 12.0 / e0), 400_000))
-        raw = fd_eigen(alpha, GridSpec(x_min=e0, n_points=n), k=1).eigenvalues[0]
+        grid = GridSpec(x_min=e0, n_points=wall_points(e0))
+        raw = fd_eigen(alpha, grid, k=1).eigenvalues[0]
         err = raw - exact
         local = ""
         if prev is not None:
@@ -45,7 +45,7 @@ def run(alpha: float, cutoffs: tuple[float, ...]) -> None:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--alpha", type=float, default=-0.2)
     ap.add_argument("--cutoffs", type=float, nargs="+",
                     default=[1e-2, 3e-3, 1e-3, 3e-4, 1e-4])

@@ -4,15 +4,14 @@
 Usage: python scripts/emit_figures.py [--outdir figures] [--alpha-points 200]
 """
 
-import argparse
 import pathlib
 import sys
 
-from singosc.cli import main as cli_main
+from singosc.cli import Parser, main as cli_main
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--outdir", default="figures")
     ap.add_argument("--alpha-points", type=int, default=200)
     args = ap.parse_args(argv)

@@ -10,11 +10,11 @@ experiment behind the default grids and tolerances.
 Usage: python scripts/oracle_sweep.py [--n-max 4] [--alphas -0.24 -0.1 0.5 2.0]
 """
 
-import argparse
 import sys
 import time
 from dataclasses import dataclass
 
+from singosc.cli import Parser
 from singosc.model import Domain, indicial_roots
 from singosc.oracle import compare, fd_spectrum, shoot_spectrum
 from singosc.spectrum import spectrum_table
@@ -50,7 +50,7 @@ def run(cfg: SweepConfig) -> None:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--alphas", type=float, nargs="+",
                     default=list(SweepConfig.alphas))
     ap.add_argument("--n-max", type=int, default=SweepConfig.n_max)

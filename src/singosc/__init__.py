@@ -25,6 +25,7 @@ from .model import (
     OriginBehavior,
     OscillatorSpec,
     Parity,
+    admissible_beta,
     admissible_betas,
     classify_boundary,
     indicial_roots,

@@ -42,13 +42,22 @@ class OutputFormat:
     path: str | None = None
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here reserves 2 for
-    supercritical alpha, so remap usage problems to exit 1."""
+class Parser(argparse.ArgumentParser):
+    """argparse with two changes: usage errors exit 1 (the contract here
+    reserves 2 for supercritical alpha), and any argument float() accepts
+    is a value, not an option, so `--alpha -1e-3` and `--alpha -inf` parse
+    (argparse alone only takes plain decimals such as -0.3)."""
 
     def error(self, message: str) -> None:  # noqa: D401 (argparse override)
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _fmt(value: object) -> object:
@@ -78,10 +87,11 @@ def emit_rows(
             writer.writerow({k: _fmt(v) for k, v in row.items()})
         _write_text(buf.getvalue(), fmt.path)
     else:
-        payload: dict = {"rows": rows}
-        if meta:
-            payload.update(meta)
-        _write_text(json.dumps(payload, indent=2) + "\n", fmt.path)
+        _write_json({"rows": rows, **(meta or {})}, fmt.path)
+
+
+def _write_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 def _alpha_sweep(points: int) -> np.ndarray:
@@ -114,14 +124,20 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     domain = Domain(args.domain)
     branch = _branch_for(args.alpha, domain, args.beta_branch)
     table = spectrum_table(args.alpha, args.n_max, domain, branch)
-    rows = table.rows()
     fields = ["alpha", "domain", "n", "parity", "beta", "eps", "degeneracy"]
+    return _emit_levels(args, table.rows(), fields, table.spacing)
+
+
+def _emit_levels(
+    args: argparse.Namespace, rows: list[dict], fields: list[str], spacing: float
+) -> int:
+    """Write spectrum rows, with an `energy` column when units are given."""
     if _has_units(args):
         scale = _spec_from(args, args.alpha).energy_scale
         for row in rows:
             row["energy"] = row["eps"] * scale
         fields.append("energy")
-    emit_rows(rows, fields, _output_format(args), {"spacing": table.spacing})
+    emit_rows(rows, fields, _output_format(args), {"spacing": spacing})
     return 0
 
 
@@ -276,8 +292,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = verify_mod.run_suites(names, alpha=args.alpha, tol=args.tol)
     ok = all(r.passed for r in reports)
     if args.format == "json":
-        payload = {"passed": ok, "suites": [r.to_dict() for r in reports]}
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_json({"passed": ok, "suites": [r.to_dict() for r in reports]}, args.out)
     else:
         lines = []
         for rep in reports:
@@ -294,22 +309,12 @@ def cmd_radial(args: argparse.Namespace) -> int:
     alpha_eff = map_radial(args.alpha, args.l)
     branch = _branch_for(alpha_eff, Domain.HALF_LINE, args.beta_branch)
     table = spectrum_table(alpha_eff, args.n_max, Domain.HALF_LINE, branch)
-    rows = []
-    for row in table.rows():
-        row = dict(row)
+    rows = table.rows()
+    for row in rows:
         del row["domain"]
-        row["l"] = args.l
-        row["alpha_eff"] = alpha_eff
-        row["alpha"] = args.alpha
-        rows.append(row)
+        row.update(l=args.l, alpha_eff=alpha_eff, alpha=args.alpha)
     fields = ["alpha", "l", "alpha_eff", "n", "parity", "beta", "eps", "degeneracy"]
-    if _has_units(args):
-        scale = _spec_from(args, args.alpha).energy_scale
-        for row in rows:
-            row["energy"] = row["eps"] * scale
-        fields.append("energy")
-    emit_rows(rows, fields, _output_format(args), {"spacing": table.spacing})
-    return 0
+    return _emit_levels(args, rows, fields, table.spacing)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -320,8 +325,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hbar", type=float, default=1.0)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="singosc", description=__doc__)
+def build_parser() -> Parser:
+    parser = Parser(prog="singosc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[], help="bound-state table for one alpha")

@@ -21,12 +21,12 @@ class ParameterError(SingOscError):
     """Arguments outside the mathematical domain of an operation."""
 
 
-class SupercriticalError(SingOscError):
-    """alpha <= -1/4: no admissible bound-state family exists (fall to the center)."""
-
-
 class InadmissibleError(SingOscError):
     """An (alpha, beta) pair that violates the hermiticity admissibility criterion."""
+
+
+class SupercriticalError(InadmissibleError):
+    """alpha <= -1/4: no admissible bound-state family exists (fall to the center)."""
 
 
 class SingularPointError(SingOscError):

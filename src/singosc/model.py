@@ -5,8 +5,8 @@ x = 0 a solution behaves like x^(beta+1) with beta(beta+1) = alpha.  The
 admissible exponents are the ones keeping the Hamiltonian Hermitian:
 beta > -1/2, plus beta = -1 in the regular case alpha = 0.  For
 alpha <= -1/4 the indicial roots are complex or marginal and the family
-of bound states disappears (fall to the center); that regime is rejected
-everywhere.
+of bound states disappears (fall to the center).  admissible_beta is the
+one gate every state and oracle passes through.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleError, ParameterError, SingularPointError
+from .errors import InadmissibleError, ParameterError, SingularPointError, SupercriticalError
 
 # Strict admissibility bound: alpha must exceed this for any bound state.
 ALPHA_CRITICAL = -0.25
@@ -161,6 +161,29 @@ def admissible_betas(alpha: float) -> BetaSolution:
     return BetaSolution(roots.beta_plus, roots.beta_minus, (roots.beta_plus,), False)
 
 
+def admissible_beta(alpha: float, beta: float | None = None) -> float:
+    """The admissibility gate: the exponent a bound state at alpha uses.
+
+    A non-finite alpha raises ParameterError and alpha <= -1/4 raises
+    SupercriticalError.  With no beta requested the result is beta_plus
+    (0 at alpha = 0, the vanishing-at-origin branch); a requested beta
+    must lie within BETA_MATCH_TOL of an admissible root, which is then
+    returned exactly, or InadmissibleError is raised.
+    """
+    sol = admissible_betas(alpha)
+    if sol.supercritical:
+        raise SupercriticalError(
+            f"alpha = {alpha} is supercritical (alpha <= -1/4): no bound states"
+        )
+    if beta is None:
+        return sol.beta_plus
+    for root in sol.admissible:
+        if abs(beta - root) <= BETA_MATCH_TOL:
+            return root
+    allowed = " or ".join(str(root) for root in sol.admissible)
+    raise InadmissibleError(f"alpha = {alpha} admits only beta = {allowed}, got {beta}")
+
+
 def classify_boundary(alpha: float, beta: float) -> BoundaryClass:
     """Limiting (psi, psi') behavior at the origin for an admissible pair.
 
@@ -168,17 +191,8 @@ def classify_boundary(alpha: float, beta: float) -> BoundaryClass:
     branch).  psi' ~ (beta+1) x^beta: zero for beta > 0, a finite constant
     for beta = 0, and divergent for -1/2 < beta < 0 (attractive alpha).
     """
-    sol = admissible_betas(alpha)
-    if sol.supercritical:
-        raise InadmissibleError(
-            f"alpha = {alpha} is supercritical; no admissible exponents"
-        )
-    if not any(abs(beta - b) <= BETA_MATCH_TOL for b in sol.admissible):
-        raise InadmissibleError(
-            f"beta = {beta} is not admissible for alpha = {alpha}; "
-            f"admissible set is {sol.admissible}"
-        )
-    if alpha == 0 and abs(beta + 1.0) <= BETA_MATCH_TOL:
+    beta = admissible_beta(alpha, beta)
+    if beta == -1.0:
         return BoundaryClass(OriginBehavior.FINITE_NONZERO, OriginBehavior.ZERO)
     if alpha == 0:
         return BoundaryClass(OriginBehavior.ZERO, OriginBehavior.FINITE_NONZERO)

@@ -38,9 +38,8 @@ from .errors import (
     NonConvergence,
     ParameterError,
     ShapeMismatch,
-    SupercriticalError,
 )
-from .model import Domain, indicial_roots
+from .model import Domain, admissible_beta
 from .spectrum import SpectrumTable
 
 _RENORM_LIMIT = 1e100
@@ -111,15 +110,6 @@ class CompareReport:
     note: str = ""
 
 
-def _require_subcritical(alpha: float) -> float:
-    roots = indicial_roots(alpha)
-    if roots.complex_pair or alpha <= -0.25:
-        raise SupercriticalError(
-            f"alpha = {alpha} is supercritical (alpha <= -1/4): no bound states"
-        )
-    return roots.beta_plus
-
-
 def _fd_eigenvalues(alpha: float, grid: GridSpec, k: int) -> np.ndarray:
     # interior nodes of a uniform grid with Dirichlet walls at both ends
     h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
@@ -148,7 +138,7 @@ def fd_eigen(alpha: float, grid: GridSpec | None = None, k: int = 1) -> OracleRe
     operator at half resolution (second-order scheme, so the coarse/fine
     gap overestimates the fine-grid error by about 3x).
     """
-    _require_subcritical(alpha)
+    admissible_beta(alpha)
     if grid is None:
         grid = GridSpec()
     if k < 1:
@@ -158,6 +148,12 @@ def fd_eigen(alpha: float, grid: GridSpec | None = None, k: int = 1) -> OracleRe
     coarse = _fd_eigenvalues(alpha, coarse_grid, k)
     residual = float(np.max(np.abs(fine - coarse)) / 3.0)
     return OracleResult(tuple(float(v) for v in fine), OracleMethod.FINITE_DIFFERENCE, grid, residual)
+
+
+def wall_points(e0: float, x_max: float = 12.0) -> int:
+    """Grid size that resolves the wall layer of width ~e0 at the inner
+    cutoff: n ~ 2 x_max / e0, at least 4000 and at most 400k."""
+    return int(min(max(4000, 2.0 * x_max / e0), 400_000))
 
 
 def fd_eigen_extrapolated(
@@ -172,19 +168,16 @@ def fd_eigen_extrapolated(
     Solves on each cutoff e0 in `cutoffs` and removes the Dirichlet-wall
     shift by the exact polynomial fit eps(e0) = eps* + sum_k C_k t^k with
     t = e0^(2 beta + 1), one term per cutoff.  Grid sizes default to
-    n ~ 2 x_max / e0 (the wall layer has width ~e0 and must stay
-    resolved), capped at 400k; override with points_per_cutoff.  Slowly
+    wall_points(e0, x_max); override with points_per_cutoff.  Slowly
     decaying wall shifts (beta near -1/2) need more, smaller cutoffs,
     e.g. (1e-2, 3e-3, 1e-3, 3e-4, 1e-4).
     """
-    beta = _require_subcritical(alpha)
+    beta = admissible_beta(alpha)
     m = len(cutoffs)
     if m < 2:
         raise ParameterError("extrapolation needs at least two cutoffs")
     if points_per_cutoff is None:
-        points_per_cutoff = tuple(
-            int(min(max(4000, 2.0 * x_max / e0), 400_000)) for e0 in cutoffs
-        )
+        points_per_cutoff = tuple(wall_points(e0, x_max) for e0 in cutoffs)
     p = 2.0 * beta + 1.0
     t = np.array([e0**p for e0 in cutoffs])
     levels = np.empty((m, k))
@@ -218,7 +211,7 @@ def fd_spectrum(alpha: float, k: int) -> OracleResult:
     """
     if alpha >= 0:
         return fd_eigen(alpha, GridSpec(n_points=24000), k=k)
-    beta = _require_subcritical(alpha)
+    beta = admissible_beta(alpha)
     cutoffs = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4) if beta < -0.35 else (1e-2, 1e-3, 1e-4)
     return fd_eigen_extrapolated(alpha, k=k, cutoffs=cutoffs)
 
@@ -227,7 +220,7 @@ def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float, n_terms: int
     """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), one column per energy."""
     # substituting into the ODE gives
     # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1
-    beta = indicial_roots(alpha).beta_plus
+    beta = admissible_beta(alpha)
     a = np.zeros((n_terms, eps_arr.shape[0]))
     a[0] = 1.0
     for j in range(1, n_terms):
@@ -245,7 +238,7 @@ def frobenius_start(
     Uses only the local indicial exponent beta_plus, so the start stays
     independent of the global closed-form solution.
     """
-    _require_subcritical(alpha)
+    admissible_beta(alpha)
     if not x0 > 0:
         raise ParameterError("x0 must be positive")
     if n_terms < 1:
@@ -327,7 +320,7 @@ def shoot_spectrum(
     first exceeds n, until all brackets are at most eps_tol wide or too
     narrow to split in floating point.
     """
-    _require_subcritical(alpha)
+    admissible_beta(alpha)
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
     targets = np.arange(n_max + 1)

@@ -15,20 +15,15 @@ supplies the even (intruder) levels 2n + 1/2 interleaving the odd
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleError, ParameterError, SupercriticalError
-from .model import Domain, Parity, admissible_betas
+from .errors import ParameterError
+from .model import Domain, Parity, admissible_beta
 from .quad import X_MAX, QuadControl, integrate_adaptive
 from .specfun import as_operand, laguerre
-
-_BRANCH_TOL = 1e-9
 
 
 class _Divergent:
@@ -171,54 +166,10 @@ class SpectrumTable:
             for s in self.states
         ]
 
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "domain", "n", "parity", "beta", "eps", "degeneracy"])
-        for r in self.rows():
-            writer.writerow(
-                [
-                    format(r["alpha"], ".17g"),
-                    r["domain"],
-                    r["n"],
-                    r["parity"],
-                    format(r["beta"], ".17g"),
-                    format(r["eps"], ".17g"),
-                    r["degeneracy"],
-                ]
-            )
-        return buf.getvalue()
-
-    def json_text(self) -> str:
-        return json.dumps({"spacing": self.spacing, "rows": self.rows()}, indent=2)
-
 
 def _check_n(n: int) -> None:
     if n < 0 or n != int(n):
         raise ParameterError("quantum number n must be a non-negative integer")
-
-
-def _resolve_beta(alpha: float, beta_branch: float | None) -> float:
-    sol = admissible_betas(alpha)
-    if sol.supercritical:
-        raise SupercriticalError(
-            f"alpha = {alpha} is supercritical (alpha <= -1/4): no bound states"
-        )
-    if alpha == 0:
-        if beta_branch is None:
-            raise ParameterError(
-                "alpha = 0 has two admissible branches; pass beta_branch=-1 "
-                "(even) or beta_branch=0 (odd)"
-            )
-        for b in sol.admissible:
-            if abs(beta_branch - b) <= _BRANCH_TOL:
-                return b
-        raise InadmissibleError(f"beta = {beta_branch} not in admissible set {sol.admissible}")
-    if beta_branch is not None and abs(beta_branch - sol.beta_plus) > _BRANCH_TOL:
-        raise InadmissibleError(
-            f"alpha = {alpha} admits only beta = {sol.beta_plus}, got {beta_branch}"
-        )
-    return sol.beta_plus
 
 
 def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> EigenState:
@@ -228,7 +179,12 @@ def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> Ei
     -1 (regular even family) or 0 (Dirichlet family).
     """
     _check_n(n)
-    beta = _resolve_beta(alpha, beta_branch)
+    if alpha == 0 and beta_branch is None:
+        raise ParameterError(
+            "alpha = 0 has two admissible branches; pass beta_branch=-1 "
+            "(even) or beta_branch=0 (odd)"
+        )
+    beta = admissible_beta(alpha, beta_branch)
     return EigenState(
         n=int(n),
         beta=beta,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import oracle, quad, spectrum
 from .errors import SupercriticalError
-from .model import Domain, Parity, admissible_betas, indicial_roots
+from .model import ALPHA_CRITICAL, Domain, Parity, admissible_betas, indicial_roots
 
 SUITE_NAMES = ("hermiticity", "orthonormality", "oracle", "degeneracy", "perturbation")
 
@@ -65,7 +65,7 @@ def suite_hermiticity() -> SuiteReport:
         f"min |2 beta_minus| = {worst:.3f} (all < -1 classed non-integrable)",
         "NonIntegrable everywhere",
     )
-    flags_ok = all(admissible_betas(a).supercritical for a in (-0.25, -0.26, -1.0, -5.0))
+    flags_ok = all(admissible_betas(a).supercritical for a in (ALPHA_CRITICAL, -0.26, -1.0, -5.0))
     flags_ok &= not any(
         admissible_betas(a).supercritical for a in (-0.249, -0.1, 0.0, 1.0)
     )
@@ -73,11 +73,11 @@ def suite_hermiticity() -> SuiteReport:
         "supercritical flag boundary",
         flags_ok,
         "flag true exactly for alpha <= -1/4 on samples",
-        "alpha <= -0.25",
+        f"alpha <= {ALPHA_CRITICAL}",
     )
     raised = 0
     probes = 0
-    for alpha in (-0.25, -0.3):
+    for alpha in (ALPHA_CRITICAL, -0.3):
         for entry in (
             lambda a: spectrum.halfline_state(a, 0),
             lambda a: spectrum.fullline_states(a, 0),

@@ -38,16 +38,34 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["spectrum", "radial", "wavefunction"])
     def test_nonfinite_alpha_is_exit_1(self, capsys, command, value):
-        rc = main([command, f"--alpha={value}"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "alpha must be finite" in captured.err
-        assert captured.out == ""
+        for argv in ([command, f"--alpha={value}"], [command, "--alpha", value]):
+            rc = main(argv)
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert "alpha must be finite" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [
+            ("spectrum", "--alpha", "-1e-3"),
+            ("spectrum", "--alpha", "-1E-3"),
+            ("spectrum", "--alpha", "-.001"),
+            ("radial", "--alpha", "-2e-1"),
+            ("wavefunction --alpha 0.5 --domain full --parity odd", "--xi-min", "-1e0"),
+        ],
+    )
+    def test_negative_exponent_form_is_a_value(self, capsys, command, option, value):
+        assert main([*command.split(), f"{option}={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert main([*command.split(), option, value]) == 0
+        assert capsys.readouterr().out == joined != ""
 
     def test_usage_error_is_exit_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--alpha", "not-a-number"])
-        assert exc.value.code == 1
+        for value in ("not-a-number", "-not-a-number"):
+            with pytest.raises(SystemExit) as exc:
+                main(["spectrum", "--alpha", value])
+            assert exc.value.code == 1
 
     def test_unknown_command_is_exit_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singosc.errors import InadmissibleError, ParameterError, SingularPointError
+from singosc import oracle, spectrum
+from singosc.errors import (
+    InadmissibleError,
+    ParameterError,
+    SingularPointError,
+    SupercriticalError,
+)
 from singosc.model import (
     ALPHA_CRITICAL,
     Domain,
     OriginBehavior,
     OscillatorSpec,
     Parity,
+    admissible_beta,
     admissible_betas,
     classify_boundary,
     indicial_roots,
@@ -88,6 +95,62 @@ class TestAdmissibleBetas:
         sol = admissible_betas(alpha)
         assert sol.supercritical
         assert sol.admissible == ()
+
+
+# the nine supercritical entry points of acceptance criterion 7, plus
+# classify_boundary: every one goes through admissible_beta
+GATED_ENTRY_POINTS = {
+    "halfline_state": lambda a: spectrum.halfline_state(a, 0),
+    "fullline_states": lambda a: spectrum.fullline_states(a, 0),
+    "spectrum_table_half": lambda a: spectrum.spectrum_table(a, 1, Domain.HALF_LINE),
+    "spectrum_table_full": lambda a: spectrum.spectrum_table(a, 1, Domain.FULL_LINE),
+    "fd_eigen": lambda a: oracle.fd_eigen(a, k=1),
+    "fd_eigen_extrapolated": lambda a: oracle.fd_eigen_extrapolated(a, k=1),
+    "shoot_spectrum": lambda a: oracle.shoot_spectrum(a, 0),
+    "shoot_eigen": lambda a: oracle.shoot_eigen(a, 0),
+    "frobenius_start": lambda a: oracle.frobenius_start(a, 1.0, 1e-3),
+    "classify_boundary": lambda a: classify_boundary(a, -0.5),
+}
+
+
+class TestAdmissibleBeta:
+    def test_default_is_beta_plus(self):
+        assert admissible_beta(2.0) == 1.0
+        assert admissible_beta(-0.1875) == -0.25
+        assert admissible_beta(0.0) == 0.0  # the vanishing-at-origin branch
+
+    def test_requested_root_is_returned_exactly(self):
+        assert admissible_beta(2.0, 1.0 + 5e-10) == 1.0
+        assert admissible_beta(0.0, -1.0 - 5e-10) == -1.0
+        assert admissible_beta(0.0, 0.0) == 0.0
+
+    def test_mismatch_wording(self):
+        beta_plus = indicial_roots(0.5).beta_plus
+        with pytest.raises(InadmissibleError) as exc:
+            admissible_beta(0.5, -1.0)
+        assert str(exc.value) == f"alpha = 0.5 admits only beta = {beta_plus}, got -1.0"
+        assert not isinstance(exc.value, SupercriticalError)
+        with pytest.raises(InadmissibleError, match=r"only beta = -1.0 or 0.0, got 0.5$"):
+            admissible_beta(0.0, 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha(self, alpha):
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            admissible_beta(alpha)
+
+    @pytest.mark.parametrize("alpha", [ALPHA_CRITICAL, -0.3])
+    @pytest.mark.parametrize("entry", sorted(GATED_ENTRY_POINTS))
+    def test_supercritical_message_is_shared(self, entry, alpha):
+        with pytest.raises(SupercriticalError) as exc:
+            GATED_ENTRY_POINTS[entry](alpha)
+        assert str(exc.value) == (
+            f"alpha = {alpha} is supercritical (alpha <= -1/4): no bound states"
+        )
+
+    def test_supercritical_is_inadmissible(self):
+        with pytest.raises(SupercriticalError) as exc:
+            classify_boundary(-0.3, -0.5)
+        assert isinstance(exc.value, InadmissibleError)
 
 
 class TestClassifyBoundary:

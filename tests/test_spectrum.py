@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singosc.cli import OutputFormat, OutputKind, emit_rows
 from singosc.errors import InadmissibleError, ParameterError, SupercriticalError
 from singosc.model import Domain, Parity, indicial_roots
 from singosc.spectrum import (
@@ -106,8 +107,9 @@ class TestHalflineState:
         )
 
     def test_branch_rejected_away_from_zero(self):
-        with pytest.raises(InadmissibleError):
+        with pytest.raises(InadmissibleError) as exc:
             halfline_state(0.5, 0, beta_branch=-1.0)
+        assert not isinstance(exc.value, SupercriticalError)
 
     def test_supercritical_rejected(self):
         with pytest.raises(SupercriticalError):
@@ -246,9 +248,11 @@ class TestSpectrumTable:
         assert all(d == 1 for d in t.degeneracy)
         assert t.spacing == 1.0
 
-    def test_csv_round_trip(self):
+    # cli.emit_rows is the one serializer for spectrum tables
+    def test_csv_round_trip(self, capsys):
         t = spectrum_table(0.7, 3, Domain.HALF_LINE)
-        text = t.csv_text()
+        emit_rows(t.rows(), list(t.rows()[0]), OutputFormat(OutputKind.CSV))
+        text = capsys.readouterr().out
         assert "\r" not in text
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == len(t.rows())
@@ -257,11 +261,18 @@ class TestSpectrumTable:
             assert float(parsed["beta"]) == raw["beta"]
             assert int(parsed["n"]) == raw["n"]
 
-    def test_json_payload(self):
+    def test_json_payload(self, capsys):
         t = spectrum_table(0.7, 2, Domain.FULL_LINE)
-        doc = json.loads(t.json_text())
+        emit_rows(t.rows(), [], OutputFormat(OutputKind.JSON), {"spacing": t.spacing})
+        text = capsys.readouterr().out
+        doc = json.loads(text)
         assert doc["spacing"] == 2.0
         assert len(doc["rows"]) == 6
+        # the layout the CLI writes: rows before spacing, indent 2, one "\n"
+        assert list(doc) == ["rows", "spacing"]
+        assert text == json.dumps({"rows": t.rows(), "spacing": 2.0}, indent=2) + "\n"
+        assert text.startswith('{\n  "rows": [\n    {\n      "alpha": 0.7,')
+        assert text.endswith('\n  "spacing": 2.0\n}\n')
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ParameterError):
