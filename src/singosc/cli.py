@@ -78,13 +78,14 @@ def emit_rows(
     rows: list[dict], fieldnames: list[str], fmt: OutputFormat, meta: dict | None = None
 ) -> None:
     """Serialize rows as CSV (header, '\\n' endings, 17 significant digits)
-    or JSON, to stdout or to fmt.path."""
+    or JSON, to stdout or to fmt.path.  The CSV formats one column at a
+    time and writes the bytes csv.DictWriter would."""
     if fmt.kind is OutputKind.CSV:
+        cols = [list(map(_fmt, [row[f] for row in rows])) for f in fieldnames]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(zip(*cols))
         _write_text(buf.getvalue(), fmt.path)
     else:
         _write_json({"rows": rows, **(meta or {})}, fmt.path)

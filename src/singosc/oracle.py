@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BracketError,
@@ -111,6 +110,9 @@ class CompareReport:
 
 
 def _fd_eigenvalues(alpha: float, grid: GridSpec, k: int) -> np.ndarray:
+    # scipy.linalg loads here, not at import: the analytic CLI never needs it
+    import scipy.linalg
+
     # interior nodes of a uniform grid with Dirichlet walls at both ends
     h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
     x = grid.x_min + h * np.arange(1, grid.n_points + 1)
@@ -178,6 +180,10 @@ def fd_eigen_extrapolated(
         raise ParameterError("extrapolation needs at least two cutoffs")
     if points_per_cutoff is None:
         points_per_cutoff = tuple(wall_points(e0, x_max) for e0 in cutoffs)
+    elif len(points_per_cutoff) != m:
+        raise ParameterError(
+            f"points_per_cutoff has {len(points_per_cutoff)} entries for {m} cutoffs"
+        )
     p = 2.0 * beta + 1.0
     t = np.array([e0**p for e0 in cutoffs])
     levels = np.empty((m, k))

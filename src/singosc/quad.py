@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from .model import Domain, Parity
@@ -62,6 +60,8 @@ def integrate_adaptive(
     extrapolation of the underlying rule.  max_depth scales the
     subinterval budget.  Infinite limits are replaced by +-X_MAX.
     """
+    import scipy.integrate  # loaded on first use, not with the package
+
     if ctl is None:
         ctl = QuadControl()
     a = max(a, -X_MAX) if a == -np.inf else a
@@ -183,6 +183,8 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     polynomial part exactly.  Raises ParameterError when the weighted
     sum overflows (L_n^2 at the outer nodes, from n = 124).
     """
+    import scipy.special
+
     from .specfun import laguerre
 
     _check_compatible(s1, s2)

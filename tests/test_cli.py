@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV/JSON contracts, figure data shapes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from singosc.cli import build_parser, main
+from singosc.cli import OutputFormat, build_parser, emit_rows, main
 from singosc.model import Domain
 from singosc.spectrum import spectrum_table
 
@@ -287,3 +290,112 @@ class TestParser:
         actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
         names = set(actions[0].choices)
         assert names == {"spectrum", "wavefunction", "figure", "verify", "radial"}
+
+
+def _scipy_after(code):
+    """Run code in a fresh interpreter and return the scipy modules it loaded."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _run_module(*argv):
+    """Source that runs `python -m singosc ARGV` and asserts it exits 0."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['singosc', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('singosc', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+
+
+class TestLazyScipy:
+    """scipy loads only inside the oracle and quadrature calls that use it."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_after("import singosc") == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--alpha", "0.5"),
+            ("radial", "--alpha", "0.5", "--l", "1"),
+            ("wavefunction", "--alpha", "-0.2", "--domain", "full", "--parity", "odd"),
+            ("figure", "4", "--alpha-points", "5"),
+        ],
+    )
+    def test_analytic_commands_load_no_scipy(self, argv):
+        assert _scipy_after(_run_module(*argv)) == []
+
+    def test_oracle_suite_loads_linalg_when_called(self):
+        loaded = _scipy_after(_run_module("verify", "--suite", "oracle", "--alpha", "2"))
+        assert "scipy.linalg" in loaded
+
+    def test_overlaps_load_integrate_and_special_when_called(self):
+        code = (
+            "from singosc.quad import overlap, overlap_halfline_gauss\n"
+            "from singosc.spectrum import halfline_state\n"
+            "s = halfline_state(0.5, 2)\n"
+            "assert abs(overlap(s, s) - 1.0) < 1e-9\n"
+            "assert abs(overlap_halfline_gauss(s, s) - 1.0) < 1e-12\n"
+        )
+        loaded = _scipy_after(code)
+        assert {"scipy.integrate", "scipy.special"} <= set(loaded)
+
+
+def _dictwriter_csv(rows, fields):
+    """Reference CSV: one formatted dict and one csv.DictWriter call per row."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: format(v, ".17g") if isinstance(v, float) else v for k, v in row.items()})
+    return buf.getvalue()
+
+
+def _emit_csv(rows, fields):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit_rows(rows, fields, OutputFormat())
+    return out.getvalue()
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+    st.integers(),
+    st.sampled_from(["n=3", "beta=-1", "even", "half"]),
+)
+
+
+@st.composite
+def _tables(draw):
+    fields = draw(st.lists(st.sampled_from(["alpha", "n", "label", "eps", "x"]),
+                           min_size=1, max_size=5, unique=True))
+    # rows may hold their keys in another order than the header, as radial's do
+    keys = draw(st.permutations(fields))
+    rows = draw(st.lists(st.fixed_dictionaries({f: _CELLS for f in keys}), max_size=20))
+    return rows, fields
+
+
+class TestEmitRowsBytes:
+    @settings(max_examples=200)
+    @given(_tables())
+    @example(([{"eps": -0.0, "n": 3}, {"eps": 5e-324, "n": -1}], ["eps", "n"]))
+    def test_csv_equals_dictwriter(self, table):
+        rows, fields = table
+        assert _emit_csv(rows, fields) == _dictwriter_csv(rows, fields)
+
+    @pytest.mark.parametrize("fields", [["label"], ["label", "eps"]])
+    @pytest.mark.parametrize(
+        "label", ["a,b", 'say "hi"', '"', ",", "two\nlines", "cr\rhere", "", " lead"]
+    )
+    def test_text_needing_quotes(self, label, fields):
+        rows = [{"label": label, "eps": 1.5}, {"label": "even", "eps": -0.0}]
+        rows = [{f: row[f] for f in fields} for row in rows]
+        assert _emit_csv(rows, fields) == _dictwriter_csv(rows, fields)

@@ -88,6 +88,15 @@ class TestWallExtrapolation:
         with pytest.raises(ParameterError):
             fd_eigen_extrapolated(-0.2, k=1, cutoffs=(1e-3,))
 
+    @pytest.mark.parametrize("points", [(4000, 24000), (4000, 24000, 240000, 240000)])
+    def test_points_per_cutoff_must_match_cutoffs(self, points):
+        # a short list used to drop the last cutoff and fit an
+        # uninitialised row: eps0 = -0.97 against the closed form 1.2236
+        with pytest.raises(ParameterError, match="points_per_cutoff has"):
+            fd_eigen_extrapolated(
+                -0.2, cutoffs=(1e-2, 1e-3, 1e-4), points_per_cutoff=points
+            )
+
     def test_supercritical_rejected(self):
         with pytest.raises(SupercriticalError):
             fd_eigen_extrapolated(-0.26, k=1)
