@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Study the Dirichlet-wall shift of finite-difference eigenvalues.
 
-For attractive alpha the grid starts at an inner cutoff e0 > 0 and the
-wall pushes every eigenvalue up by ~ C e0^(2 beta + 1).  This script
-tabulates the raw ground-state eigenvalue per cutoff, the measured local
-decay exponent, and the polynomial-in-t extrapolation (t = e0^(2 beta+1))
-against the closed-form energy.
+For attractive alpha the log grid s = ln x starts at an inner cutoff
+e0 = e^(s_min) > 0 and the wall pushes every eigenvalue up by
+~ C e0^(2 beta + 1).  This script tabulates the ground-state eigenvalue
+of the log grid at each cutoff (step-extrapolated, not wall-extrapolated),
+the measured local decay exponent, and the polynomial-in-t extrapolation
+(t = e0^(2 beta+1)) against the closed-form energy.
 
 Usage: python scripts/convergence_study.py [--alpha -0.2] [--cutoffs ...]
 """
@@ -15,7 +16,7 @@ import sys
 
 from singosc.cli import Parser
 from singosc.model import indicial_roots
-from singosc.oracle import GridSpec, fd_eigen, fd_eigen_extrapolated, wall_points
+from singosc.oracle import fd_eigen, fd_eigen_extrapolated, log_grid
 from singosc.spectrum import halfline_state
 
 
@@ -28,8 +29,7 @@ def run(alpha: float, cutoffs: tuple[float, ...]) -> None:
     print(f"{'cutoff':>10}  {'raw eps0':>16}  {'raw error':>12}  {'local p':>8}")
     prev = None
     for e0 in cutoffs:
-        grid = GridSpec(x_min=e0, n_points=wall_points(e0))
-        raw = fd_eigen(alpha, grid, k=1).eigenvalues[0]
+        raw = fd_eigen(alpha, log_grid(e0), k=1).eigenvalues[0]
         err = raw - exact
         local = ""
         if prev is not None:

@@ -2,10 +2,11 @@
 """Sweep alpha and grade both numerical oracles against the closed form.
 
 Prints one row per alpha with the worst relative eigenvalue error of the
-shooting route and the finite-difference route (wall-extrapolated for
-attractive alpha), the seconds each route took and the number of
-integrator passes the shooting route made.  This is the calibration
-experiment behind the default grids and tolerances.
+shooting route and the finite-difference route (wall-extrapolated near
+alpha = -1/4), the seconds each route took, the matrix rows the
+finite-difference route diagonalized and the number of integrator passes
+the shooting route made.  This is the calibration experiment behind the
+default grids and tolerances.
 
 Usage: python scripts/oracle_sweep.py [--n-max 4] [--alphas -0.24 -0.1 0.5 2.0]
 """
@@ -30,7 +31,7 @@ class SweepConfig:
 def run(cfg: SweepConfig) -> None:
     print(
         f"{'alpha':>8}  {'beta_plus':>10}  {'shoot err':>10}  {'fd err':>10}  "
-        f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'passes':>6}"
+        f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'fd rows':>7}  {'passes':>6}"
     )
     for alpha in cfg.alphas:
         table = spectrum_table(alpha, cfg.n_max, Domain.HALF_LINE)
@@ -45,7 +46,7 @@ def run(cfg: SweepConfig) -> None:
         print(
             f"{alpha:>8.3f}  {beta:>10.5f}  {rs.max_rel_error:>10.2e}  "
             f"{rf.max_rel_error:>10.2e}  {fd.residual_estimate:>10.2e}  "
-            f"{t1 - t0:>7.2f}  {t2 - t1:>6.2f}  {shoot.passes:>6d}"
+            f"{t1 - t0:>7.2f}  {t2 - t1:>6.2f}  {fd.rows:>7d}  {shoot.passes:>6d}"
         )
 
 

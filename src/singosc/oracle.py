@@ -1,26 +1,28 @@
 """Independent numerical eigenvalue oracles.
 
 Two routes that share nothing with the closed-form solution beyond the
-local indicial exponent: (a) finite-difference diagonalization of
--psi'' + (x^2 + alpha/x^2) psi = mu psi on a truncated uniform grid with
-Dirichlet walls, eigenvalues by LAPACK Sturm-sequence bisection, and (b)
-shooting with an adaptive embedded Runge-Kutta-Fehlberg integrator seeded
-by a Frobenius series at a small x0.  The shooting route counts sign
-changes of psi for a whole batch of energies in one integrator pass; the
-count is monotone in the energy, so one scan pass brackets every level
-and a few multisection passes (each splitting every bracket into
-_KSECTION parts at once) narrow the brackets to the tolerance.
+local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).
 
-Convention fixed here: the matrix eigenvalue mu equals 2 eps, i.e.
-eps = mu / 2, because the dimensionless ODE is
-psi'' + (2 eps - x^2 - alpha/x^2) psi = 0.  Asserted by the alpha = 0
+(a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
+-psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
+mu e^(2s) u, so the wall layer at the inner cutoff e0, e0 wide in x, is a
+few steps wide in s.  Scaled by e^-s on both sides this is a graded
+tridiagonal matrix, solved by LAPACK Sturm bisection to an explicit
+absolute tolerance (bisection is accurate on graded matrices, Barlow &
+Demmel 1990; its default tolerance, eps |T|, is not); Richardson
+extrapolation in the step removes the h^2 error.  The wall shifts the
+levels by less than 3 t eps, t = e0^(2 nu), so fd_spectrum puts e0 where
+t = e^-20; only near alpha = -1/4, where that e0 is below e^-150, does it
+fit the levels of three cutoffs as a polynomial in t.  (b) Shooting with
+an adaptive Runge-Kutta-Fehlberg integrator seeded by a Frobenius series
+at a small x0 counts sign changes of psi for a batch of energies in one
+pass; the count is monotone in the energy, so one scan pass brackets
+every level and a few multisection passes (each splitting every bracket
+into _KSECTION parts at once) narrow the brackets to the tolerance.
+
+The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
+psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
 ground state eps = 1.5 in the test suite.
-
-For -1/4 < alpha < 0 the Dirichlet wall at the inner cutoff e0 shifts
-eigenvalues by a power law ~ e0^(2 beta + 1); fd_eigen_extrapolated
-removes it by fitting eps(e0) = eps* + C t + D t^2 in t = e0^(2 beta+1)
-over a cutoff sequence.  The wall layer must stay resolved, so the grid
-density scales with 1/e0 there.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    NonConvergence,
-    ParameterError,
-    ShapeMismatch,
-)
+from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
 from .model import Domain, admissible_beta
 from .spectrum import SpectrumTable
 
@@ -47,6 +43,13 @@ _H_MIN = 1e-12
 # energies per bracket in a narrowing pass of shoot_spectrum: a 0.5-wide
 # scan bracket reaches the default eps_tol = 1e-6 in 3 passes
 _KSECTION = 128
+# finite differences: the step in s = ln x; the absolute bisection
+# tolerance; -ln t at fd_spectrum's one cutoff; the wall-fit cutoffs down
+# to e^-150 (the squared off-diagonal, ~e^(-4 s_min), must stay finite);
+# the sum of |fit weights at t = 0| past which the t are too close to use
+_H_LOG, _STEBZ_TOL, _WALL_LOG_T = 0.02, 1e-13, 20.0
+_WALL_CUTOFFS = (math.exp(-50.0), math.exp(-100.0), math.exp(-150.0))
+_MAX_WEIGHT = 1e3
 
 # Fehlberg 4(5) tableau: stage nodes, stage rows, 5th-order weights, and
 # 5th- minus 4th-order weights (the local error estimate)
@@ -72,7 +75,8 @@ class OracleMethod(enum.Enum):
 class GridSpec:
     """Truncated domain [x_min, x_max] and point budget.
 
-    x_min doubles as the inner cutoff e0; for the shooting oracle
+    x_min doubles as the inner cutoff e0; finite differences put n_points
+    interior nodes on a uniform grid in ln x, and for the shooting oracle
     n_points is nominal (the integrator chooses its own steps).
     """
 
@@ -94,6 +98,7 @@ class OracleResult:
     grid: GridSpec
     residual_estimate: float
     passes: int = 0  # integrator passes a shooting run made
+    rows: int = 0  # matrix rows a finite-difference run diagonalized
 
 
 @dataclass(frozen=True)
@@ -109,117 +114,109 @@ class CompareReport:
     note: str = ""
 
 
-def _fd_eigenvalues(alpha: float, grid: GridSpec, k: int) -> np.ndarray:
+def _fd_eigenvalues(alpha: float, grid: GridSpec, n: int, k: int) -> np.ndarray:
     # scipy.linalg loads here, not at import: the analytic CLI never needs it
     import scipy.linalg
 
-    # interior nodes of a uniform grid with Dirichlet walls at both ends
-    h = (grid.x_max - grid.x_min) / (grid.n_points + 1)
-    x = grid.x_min + h * np.arange(1, grid.n_points + 1)
-    diag = 2.0 / h**2 + x**2
-    if alpha != 0:
-        diag = diag + alpha / x**2
-    off = np.full(grid.n_points - 1, -1.0 / h**2)
+    # n interior nodes of a uniform s-grid on [ln x_min, ln x_max], Dirichlet
+    # ends; -u'' + (nu^2 + e^4s) u = mu e^2s u scaled by e^-s on both sides
+    h = math.log(grid.x_max / grid.x_min) / (n + 1)
+    s = math.log(grid.x_min) + h * np.arange(1, n + 1)
+    diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
+    off = -np.exp(-(s[:-1] + s[1:])) / h**2
     try:
         mu = scipy.linalg.eigvalsh_tridiagonal(
-            diag,
-            off,
-            select="i",
-            select_range=(0, k - 1),
-            lapack_driver="stebz",
+            diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz", tol=_STEBZ_TOL
         )
     except Exception as exc:  # LAPACK info != 0 surfaces as LinAlgError
         raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
     return mu / 2.0
 
 
-def fd_eigen(alpha: float, grid: GridSpec | None = None, k: int = 1) -> OracleResult:
-    """Lowest k eigenvalues by finite differences on a fixed grid.
-
-    The residual estimate is a Richardson comparison against the same
-    operator at half resolution (second-order scheme, so the coarse/fine
-    gap overestimates the fine-grid error by about 3x).
-    """
-    admissible_beta(alpha)
-    if grid is None:
-        grid = GridSpec()
+def _richardson(alpha: float, grid: GridSpec, k: int) -> tuple[np.ndarray, float, int]:
+    """Levels of `grid` and of about twice its step, combined to cancel the
+    h^2 error; the fine grid's error, which bounds the combination's; rows."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    fine = _fd_eigenvalues(alpha, grid, k)
-    coarse_grid = GridSpec(grid.x_min, grid.x_max, max(100, grid.n_points // 2))
-    coarse = _fd_eigenvalues(alpha, coarse_grid, k)
-    residual = float(np.max(np.abs(fine - coarse)) / 3.0)
-    return OracleResult(tuple(float(v) for v in fine), OracleMethod.FINITE_DIFFERENCE, grid, residual)
+    n, m = grid.n_points, (grid.n_points + 1) // 2 - 1
+    fine = _fd_eigenvalues(alpha, grid, n, k)
+    shift = (fine - _fd_eigenvalues(alpha, grid, m, k)) / (((n + 1) / (m + 1)) ** 2 - 1)
+    return fine + shift, float(np.max(np.abs(shift))), n + m
 
 
-def wall_points(e0: float, x_max: float = 12.0) -> int:
-    """Grid size that resolves the wall layer of width ~e0 at the inner
-    cutoff: n ~ 2 x_max / e0, at least 4000 and at most 400k."""
-    return int(min(max(4000, 2.0 * x_max / e0), 400_000))
+def _fd_result(levels: np.ndarray, residual: float, rows: int, grid: GridSpec) -> OracleResult:
+    if not residual < np.min(np.abs(levels)):  # also catches a NaN residual
+        raise ConvergenceError(f"finite-difference residual {residual:.3g} exceeds a level")
+    levels = tuple(float(v) for v in levels)
+    return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, grid, residual, rows=rows)
+
+
+def log_grid(e0: float, x_max: float = 12.0) -> GridSpec:
+    """Grid from the cutoff e0 to x_max with a step of about _H_LOG in ln x."""
+    box = GridSpec(e0, x_max)  # checks e0 before the log
+    return replace(box, n_points=max(100, math.ceil(math.log(x_max / e0) / _H_LOG)))
+
+
+def fd_eigen(alpha: float, grid: GridSpec | None = None, k: int = 1) -> OracleResult:
+    """Lowest k eigenvalues by finite differences on one log grid: x_min is
+    the inner cutoff e0, n_points the number of interior s-nodes.  The
+    residual estimate bounds the step error of the Richardson-extrapolated
+    levels only; the wall shifts them by up to about 3 t eps, t = e0^(2 nu).
+    """
+    admissible_beta(alpha)
+    grid = grid or GridSpec()
+    return _fd_result(*_richardson(alpha, grid, k), grid)
+
+
+def _weights_at_zero(t: np.ndarray) -> np.ndarray:
+    # w @ p(t) = p(0) for every polynomial p of degree < len(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = t[:, None] / (t[:, None] - t[None, :])
+    np.fill_diagonal(ratio, 1.0)
+    return np.prod(ratio, axis=0)
 
 
 def fd_eigen_extrapolated(
-    alpha: float,
-    k: int = 1,
-    cutoffs: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    x_max: float = 12.0,
-    points_per_cutoff: tuple[int, ...] | None = None,
+    alpha: float, k: int = 1, cutoffs: tuple[float, ...] = _WALL_CUTOFFS, x_max: float = 12.0
 ) -> OracleResult:
-    """Inner-cutoff-extrapolated finite-difference eigenvalues.
+    """Finite-difference levels extrapolated to the inner cutoff e0 = 0.
 
-    Solves on each cutoff e0 in `cutoffs` and removes the Dirichlet-wall
-    shift by the exact polynomial fit eps(e0) = eps* + sum_k C_k t^k with
-    t = e0^(2 beta + 1), one term per cutoff.  Grid sizes default to
-    wall_points(e0, x_max); override with points_per_cutoff.  Slowly
-    decaying wall shifts (beta near -1/2) need more, smaller cutoffs,
-    e.g. (1e-2, 3e-3, 1e-3, 3e-4, 1e-4).
+    Takes fd_eigen's levels on log_grid(e0) for each e0 in `cutoffs` and
+    removes the Dirichlet-wall shift by the exact polynomial fit
+    eps(e0) = eps* + sum_k C_k t^k, t = e0^(2 nu), one term per cutoff.
+    The residual estimate is the change from the fit without the first
+    cutoff plus the grids' own error.  Raises ConvergenceError when the
+    fit's weights at t = 0 sum in magnitude past _MAX_WEIGHT (the t are
+    too close together, as when nu -> 0) or the residual reaches a level.
     """
     beta = admissible_beta(alpha)
-    m = len(cutoffs)
-    if m < 2:
+    if len(cutoffs) < 2:
         raise ParameterError("extrapolation needs at least two cutoffs")
-    if points_per_cutoff is None:
-        points_per_cutoff = tuple(wall_points(e0, x_max) for e0 in cutoffs)
-    elif len(points_per_cutoff) != m:
-        raise ParameterError(
-            f"points_per_cutoff has {len(points_per_cutoff)} entries for {m} cutoffs"
-        )
-    p = 2.0 * beta + 1.0
-    t = np.array([e0**p for e0 in cutoffs])
-    levels = np.empty((m, k))
-    grids = []
-    for i, (e0, npts) in enumerate(zip(cutoffs, points_per_cutoff)):
-        g = GridSpec(x_min=e0, x_max=x_max, n_points=npts)
-        grids.append(g)
-        levels[i] = _fd_eigenvalues(alpha, g, k)
-    vander = np.vander(t, m, increasing=True)  # columns 1, t, t^2, ...
-    coeff = np.linalg.solve(vander, levels)  # first row is eps*
-    extrapolated = coeff[0]
-    # order-of-extrapolation discrepancy: redo the fit with one term and
-    # one cutoff fewer (dropping the largest) and compare
-    lower = np.linalg.solve(np.vander(t[1:], m - 1, increasing=True), levels[1:])
-    residual = float(np.max(np.abs(extrapolated - lower[0])))
-    return OracleResult(
-        tuple(float(v) for v in extrapolated),
-        OracleMethod.FINITE_DIFFERENCE,
-        grids[-1],
-        residual,
-    )
+    grids = [log_grid(e0, x_max) for e0 in cutoffs]
+    t = np.array(cutoffs, dtype=float) ** (2.0 * beta + 1.0)
+    weights = _weights_at_zero(t)
+    if not np.sum(np.abs(weights)) <= _MAX_WEIGHT:
+        raise ConvergenceError(f"wall fit ill-conditioned at t = {t}")
+    levels, errors, rows = zip(*(_richardson(alpha, g, k) for g in grids))
+    extrapolated = weights @ np.array(levels)
+    lower = _weights_at_zero(t[1:]) @ np.array(levels[1:])
+    residual = float(np.max(np.abs(extrapolated - lower))) + max(errors)
+    return _fd_result(extrapolated, residual, sum(rows), grids[-1])
 
 
 def fd_spectrum(alpha: float, k: int) -> OracleResult:
     """Lowest k levels by finite differences with the default grid policy.
 
-    Repulsive and free alpha use one 24000-point grid on [1e-3, 12];
-    attractive alpha uses the wall extrapolation over cutoffs
-    (1e-2, 1e-3, 1e-4), or the denser five-cutoff ladder when
-    beta_plus < -0.35, where the wall shift decays slowly.
+    One log grid (fd_eigen) from e0 = e^(-10/nu), where the wall term
+    t = e0^(2 nu) is e^-20, to x_max = 12.  Below nu = 1/15 (alpha <
+    -0.2456) that e0 lies past e^-150, and the wall fit of
+    fd_eigen_extrapolated at e0 = e^-50, e^-100, e^-150 takes over.
+    Either way at most about 23k matrix rows.
     """
-    if alpha >= 0:
-        return fd_eigen(alpha, GridSpec(n_points=24000), k=k)
-    beta = admissible_beta(alpha)
-    cutoffs = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4) if beta < -0.35 else (1e-2, 1e-3, 1e-4)
-    return fd_eigen_extrapolated(alpha, k=k, cutoffs=cutoffs)
+    s_min = -_WALL_LOG_T / (2.0 * admissible_beta(alpha) + 1.0)
+    if s_min < math.log(_WALL_CUTOFFS[-1]):
+        return fd_eigen_extrapolated(alpha, k)
+    return fd_eigen(alpha, log_grid(math.exp(s_min)), k)
 
 
 def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float, n_terms: int) -> np.ndarray:
@@ -429,3 +426,4 @@ def compare(analytic: SpectrumTable, oracle: OracleResult, tol: float) -> Compar
         passed=passed,
         note=note.strip(),
     )
+

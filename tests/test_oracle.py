@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from singosc.errors import BracketError, ParameterError, ShapeMismatch, SupercriticalError
+from singosc import spectrum
+from singosc.errors import (
+    BracketError,
+    ConvergenceError,
+    ParameterError,
+    ShapeMismatch,
+    SupercriticalError,
+)
 from singosc.model import Domain
 from singosc.oracle import (
     GridSpec,
@@ -13,6 +20,7 @@ from singosc.oracle import (
     count_nodes_at,
     fd_eigen,
     fd_eigen_extrapolated,
+    fd_spectrum,
     frobenius_start,
     shoot_eigen,
     shoot_spectrum,
@@ -65,6 +73,41 @@ class TestFiniteDifference:
         with pytest.raises(SupercriticalError):
             fd_eigen(-0.3, k=1)
 
+    def test_unresolved_grid_raises(self):
+        # 100 nodes cannot hold 30 levels: the step error passes the levels
+        with pytest.raises(ConvergenceError, match="exceeds a level"):
+            fd_eigen(-0.2, GridSpec(n_points=100), k=30)
+
+
+FD_ALPHAS = (-0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
+
+
+class TestFdSpectrum:
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    @pytest.mark.parametrize("alpha", FD_ALPHAS)
+    def test_accuracy_residual_and_rows(self, alpha, k):
+        res = fd_spectrum(alpha, k)
+        # the oracle's wall takes beta_plus, the branch 0 at alpha = 0
+        t = spectrum_table(alpha, k - 1, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
+        want = np.array(t.distinct_levels())
+        err = np.abs(np.array(res.eigenvalues) - want)
+        assert res.method is OracleMethod.FINITE_DIFFERENCE
+        assert np.max(err / want) <= 5e-3
+        assert np.max(err) <= res.residual_estimate
+        assert res.rows <= 25_000
+
+    def test_oracles_do_not_call_the_closed_form(self, monkeypatch):
+        want = {a: spectrum_table(a, 2, Domain.HALF_LINE).distinct_levels() for a in (-0.2, 2.0)}
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("an oracle called the closed form")
+
+        monkeypatch.setattr(spectrum, "spectrum_table", closed_form)
+        monkeypatch.setattr(spectrum, "halfline_state", closed_form)
+        for alpha, levels in want.items():
+            assert fd_spectrum(alpha, 3).eigenvalues == pytest.approx(levels, rel=1e-4)
+            assert shoot_spectrum(alpha, 2).eigenvalues == pytest.approx(levels, abs=5e-6)
+
 
 class TestWallExtrapolation:
     def test_attractive_alpha(self):
@@ -88,14 +131,17 @@ class TestWallExtrapolation:
         with pytest.raises(ParameterError):
             fd_eigen_extrapolated(-0.2, k=1, cutoffs=(1e-3,))
 
-    @pytest.mark.parametrize("points", [(4000, 24000), (4000, 24000, 240000, 240000)])
-    def test_points_per_cutoff_must_match_cutoffs(self, points):
-        # a short list used to drop the last cutoff and fit an
-        # uninitialised row: eps0 = -0.97 against the closed form 1.2236
-        with pytest.raises(ParameterError, match="points_per_cutoff has"):
-            fd_eigen_extrapolated(
-                -0.2, cutoffs=(1e-2, 1e-3, 1e-4), points_per_cutoff=points
-            )
+    def test_cutoffs_too_close_in_t_raise(self):
+        # nu = 3.2e-4: t = e0^(2 nu) is 0.97, 0.94, 0.91 at e0 = e^-50,
+        # e^-100, e^-150, and the fit once returned 9046 for eps0 = 1.0003
+        with pytest.raises(ConvergenceError, match="ill-conditioned"):
+            fd_eigen_extrapolated(-0.2499999)
+
+    def test_residual_reaching_the_level_raises(self):
+        # nu = 0.01 and cutoffs 1e-2, 1e-3: t = 0.91, 0.87, a linear fit
+        # far outside its data
+        with pytest.raises(ConvergenceError, match="exceeds a level"):
+            fd_eigen_extrapolated(-0.2499, cutoffs=(1e-2, 1e-3))
 
     def test_supercritical_rejected(self):
         with pytest.raises(SupercriticalError):
