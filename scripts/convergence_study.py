@@ -16,7 +16,7 @@ import sys
 
 from singosc.cli import Parser
 from singosc.model import indicial_roots
-from singosc.oracle import fd_eigen, fd_eigen_extrapolated, log_grid
+from singosc.oracle import _richardson, fd_eigen_extrapolated
 from singosc.spectrum import halfline_state
 
 
@@ -24,12 +24,13 @@ def run(alpha: float, cutoffs: tuple[float, ...]) -> None:
     beta = indicial_roots(alpha).beta_plus
     p = 2.0 * beta + 1.0
     exact = halfline_state(alpha, 0).energy_eps
+    res = fd_eigen_extrapolated(alpha, k=1, cutoffs=cutoffs)  # checks the cutoffs
     print(f"alpha = {alpha}, beta_plus = {beta:.6f}, wall exponent 2b+1 = {p:.4f}")
     print(f"exact eps0 = {exact:.12f}")
     print(f"{'cutoff':>10}  {'raw eps0':>16}  {'raw error':>12}  {'local p':>8}")
     prev = None
     for e0 in cutoffs:
-        raw = fd_eigen(alpha, log_grid(e0), k=1).eigenvalues[0]
+        raw = float(_richardson(alpha, e0, 1)[0][0])
         err = raw - exact
         local = ""
         if prev is not None:
@@ -38,7 +39,6 @@ def run(alpha: float, cutoffs: tuple[float, ...]) -> None:
                 local = f"{math.log(err_prev / err) / math.log(e_prev / e0):8.4f}"
         print(f"{e0:>10.1e}  {raw:>16.12f}  {err:>12.3e}  {local:>8}")
         prev = (e0, err)
-    res = fd_eigen_extrapolated(alpha, k=1, cutoffs=cutoffs)
     ex = res.eigenvalues[0]
     print(f"extrapolated eps0 = {ex:.12f}  (error {ex - exact:+.3e}, "
           f"residual estimate {res.residual_estimate:.1e})")

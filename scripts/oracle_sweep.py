@@ -13,7 +13,6 @@ Usage: python scripts/oracle_sweep.py [--n-max 4] [--alphas -0.24 -0.1 0.5 2.0]
 
 import sys
 import time
-from dataclasses import dataclass
 
 from singosc.cli import Parser
 from singosc.model import Domain, indicial_roots
@@ -21,24 +20,17 @@ from singosc.oracle import compare, fd_spectrum, shoot_spectrum
 from singosc.spectrum import spectrum_table
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    alphas: tuple[float, ...] = (-0.24, -0.1, 0.5, 2.0)
-    n_max: int = 4
-    shoot_rtol: float = 1e-7
-
-
-def run(cfg: SweepConfig) -> None:
+def run(alphas: tuple[float, ...], n_max: int) -> None:
     print(
         f"{'alpha':>8}  {'beta_plus':>10}  {'shoot err':>10}  {'fd err':>10}  "
         f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'fd rows':>7}  {'passes':>6}"
     )
-    for alpha in cfg.alphas:
-        table = spectrum_table(alpha, cfg.n_max, Domain.HALF_LINE)
+    for alpha in alphas:
+        table = spectrum_table(alpha, n_max, Domain.HALF_LINE)
         t0 = time.perf_counter()
-        shoot = shoot_spectrum(alpha, cfg.n_max, rtol=cfg.shoot_rtol)
+        shoot = shoot_spectrum(alpha, n_max)
         t1 = time.perf_counter()
-        fd = fd_spectrum(alpha, cfg.n_max + 1)
+        fd = fd_spectrum(alpha, n_max + 1)
         t2 = time.perf_counter()
         rs = compare(table, shoot, tol=1e-4)
         rf = compare(table, fd, tol=5e-3)
@@ -53,10 +45,10 @@ def run(cfg: SweepConfig) -> None:
 def main(argv=None) -> int:
     ap = Parser(description=__doc__)
     ap.add_argument("--alphas", type=float, nargs="+",
-                    default=list(SweepConfig.alphas))
-    ap.add_argument("--n-max", type=int, default=SweepConfig.n_max)
+                    default=[-0.24, -0.1, 0.5, 2.0])
+    ap.add_argument("--n-max", type=int, default=4)
     args = ap.parse_args(argv)
-    run(SweepConfig(alphas=tuple(args.alphas), n_max=args.n_max))
+    run(tuple(args.alphas), args.n_max)
     return 0
 
 

@@ -34,7 +34,6 @@ from .model import (
 )
 from .oracle import (
     CompareReport,
-    GridSpec,
     OracleMethod,
     OracleResult,
     compare,

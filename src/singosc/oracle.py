@@ -1,24 +1,27 @@
 """Independent numerical eigenvalue oracles.
 
 Two routes that share nothing with the closed-form solution beyond the
-local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).
+local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Both
+truncate the half-line at the one outer box x = _X_MAX.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
 mu e^(2s) u, so the wall layer at the inner cutoff e0, e0 wide in x, is a
-few steps wide in s.  Scaled by e^-s on both sides this is a graded
-tridiagonal matrix, solved by LAPACK Sturm bisection to an explicit
-absolute tolerance (bisection is accurate on graded matrices, Barlow &
-Demmel 1990; its default tolerance, eps |T|, is not); Richardson
+few steps wide in s.  The cutoff fixes the grid: _richardson puts a step
+of about _H_LOG on [ln e0, ln _X_MAX].  Scaled by e^-s on both sides this
+is a graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
+explicit absolute tolerance (bisection is accurate on graded matrices,
+Barlow & Demmel 1990; its default tolerance, eps |T|, is not); Richardson
 extrapolation in the step removes the h^2 error.  The wall shifts the
-levels by less than 3 t eps, t = e0^(2 nu), so fd_spectrum puts e0 where
-t = e^-20; only near alpha = -1/4, where that e0 is below e^-150, does it
-fit the levels of three cutoffs as a polynomial in t.  (b) Shooting with
-an adaptive Runge-Kutta-Fehlberg integrator seeded by a Frobenius series
-at a small x0 counts sign changes of psi for a batch of energies in one
-pass; the count is monotone in the energy, so one scan pass brackets
-every level and a few multisection passes (each splitting every bracket
-into _KSECTION parts at once) narrow the brackets to the tolerance.
+levels by less than 3 t eps, t = e0^(2 nu), a bound fd_eigen adds to its
+residual; fd_spectrum puts e0 where t = e^-20, and only near alpha =
+-1/4, where that e0 is below e^-150, fits the levels of three cutoffs as
+a polynomial in t.  (b) Shooting with an adaptive Runge-Kutta-Fehlberg
+integrator seeded by a Frobenius series at _X0 counts sign changes of psi
+for a batch of energies in one pass; the count is monotone in the
+energy, so one scan pass brackets every level and a few multisection
+passes (each splitting every bracket into _KSECTION parts at once)
+narrow the brackets to the tolerance.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -37,6 +40,10 @@ from .errors import BracketError, ConvergenceError, NonConvergence, ParameterErr
 from .model import Domain, admissible_beta
 from .spectrum import SpectrumTable
 
+# the outer box of both oracles; shooting's Frobenius start point and
+# terms, and the relative local error its step controller allows
+_X_MAX = 12.0
+_X0, _N_TERMS, _RTOL = 1e-3, 12, 1e-7
 _RENORM_LIMIT = 1e100
 _H_MAX = 0.25
 _H_MIN = 1e-12
@@ -72,30 +79,9 @@ class OracleMethod(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Truncated domain [x_min, x_max] and point budget.
-
-    x_min doubles as the inner cutoff e0; finite differences put n_points
-    interior nodes on a uniform grid in ln x, and for the shooting oracle
-    n_points is nominal (the integrator chooses its own steps).
-    """
-
-    x_min: float = 1e-3
-    x_max: float = 12.0
-    n_points: int = 4000
-
-    def __post_init__(self) -> None:
-        if not 0 < self.x_min < self.x_max:
-            raise ParameterError("need 0 < x_min < x_max")
-        if self.n_points < 100:
-            raise ParameterError("n_points must be >= 100")
-
-
-@dataclass(frozen=True)
 class OracleResult:
     eigenvalues: tuple[float, ...]
     method: OracleMethod
-    grid: GridSpec
     residual_estimate: float
     passes: int = 0  # integrator passes a shooting run made
     rows: int = 0  # matrix rows a finite-difference run diagonalized
@@ -114,14 +100,14 @@ class CompareReport:
     note: str = ""
 
 
-def _fd_eigenvalues(alpha: float, grid: GridSpec, n: int, k: int) -> np.ndarray:
+def _fd_eigenvalues(alpha: float, e0: float, n: int, k: int) -> np.ndarray:
     # scipy.linalg loads here, not at import: the analytic CLI never needs it
     import scipy.linalg
 
-    # n interior nodes of a uniform s-grid on [ln x_min, ln x_max], Dirichlet
+    # n interior nodes of a uniform s-grid on [ln e0, ln _X_MAX], Dirichlet
     # ends; -u'' + (nu^2 + e^4s) u = mu e^2s u scaled by e^-s on both sides
-    h = math.log(grid.x_max / grid.x_min) / (n + 1)
-    s = math.log(grid.x_min) + h * np.arange(1, n + 1)
+    h = math.log(_X_MAX / e0) / (n + 1)
+    s = math.log(e0) + h * np.arange(1, n + 1)
     diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
     off = -np.exp(-(s[:-1] + s[1:])) / h**2
     try:
@@ -133,39 +119,42 @@ def _fd_eigenvalues(alpha: float, grid: GridSpec, n: int, k: int) -> np.ndarray:
     return mu / 2.0
 
 
-def _richardson(alpha: float, grid: GridSpec, k: int) -> tuple[np.ndarray, float, int]:
-    """Levels of `grid` and of about twice its step, combined to cancel the
-    h^2 error; the fine grid's error, which bounds the combination's; rows."""
+def _richardson(alpha: float, e0: float, k: int) -> tuple[np.ndarray, float, int]:
+    """Levels of the log grid from e0 to _X_MAX with a step of about _H_LOG
+    and of the grid of about twice its step, combined to cancel the h^2
+    error; the fine grid's error, which bounds the combination's; rows."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    n, m = grid.n_points, (grid.n_points + 1) // 2 - 1
-    fine = _fd_eigenvalues(alpha, grid, n, k)
-    shift = (fine - _fd_eigenvalues(alpha, grid, m, k)) / (((n + 1) / (m + 1)) ** 2 - 1)
+    n = max(100, math.ceil(math.log(_X_MAX / e0) / _H_LOG))
+    m = (n + 1) // 2 - 1
+    fine = _fd_eigenvalues(alpha, e0, n, k)
+    shift = (fine - _fd_eigenvalues(alpha, e0, m, k)) / (((n + 1) / (m + 1)) ** 2 - 1)
     return fine + shift, float(np.max(np.abs(shift))), n + m
 
 
-def _fd_result(levels: np.ndarray, residual: float, rows: int, grid: GridSpec) -> OracleResult:
+def _check_cutoffs(cutoffs: tuple[float, ...]) -> None:
+    if not all(0 < e0 < _X_MAX for e0 in cutoffs):  # also catches a NaN e0
+        raise ParameterError(f"every inner cutoff e0 needs 0 < e0 < {_X_MAX}, got {cutoffs}")
+
+
+def _fd_result(levels: np.ndarray, residual: float, rows: int) -> OracleResult:
     if not residual < np.min(np.abs(levels)):  # also catches a NaN residual
         raise ConvergenceError(f"finite-difference residual {residual:.3g} exceeds a level")
     levels = tuple(float(v) for v in levels)
-    return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, grid, residual, rows=rows)
+    return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, residual, rows=rows)
 
 
-def log_grid(e0: float, x_max: float = 12.0) -> GridSpec:
-    """Grid from the cutoff e0 to x_max with a step of about _H_LOG in ln x."""
-    box = GridSpec(e0, x_max)  # checks e0 before the log
-    return replace(box, n_points=max(100, math.ceil(math.log(x_max / e0) / _H_LOG)))
-
-
-def fd_eigen(alpha: float, grid: GridSpec | None = None, k: int = 1) -> OracleResult:
-    """Lowest k eigenvalues by finite differences on one log grid: x_min is
-    the inner cutoff e0, n_points the number of interior s-nodes.  The
-    residual estimate bounds the step error of the Richardson-extrapolated
-    levels only; the wall shifts them by up to about 3 t eps, t = e0^(2 nu).
+def fd_eigen(alpha: float, e0: float = 1e-3, k: int = 1) -> OracleResult:
+    """Lowest k eigenvalues by finite differences on the log grid from the
+    inner cutoff e0 to the box edge.  The residual estimate is the step
+    error of the Richardson-extrapolated levels plus the wall bound
+    3 t max|eps|, t = e0^(2 nu); ConvergenceError when it reaches a level.
     """
-    admissible_beta(alpha)
-    grid = grid or GridSpec()
-    return _fd_result(*_richardson(alpha, grid, k), grid)
+    beta = admissible_beta(alpha)
+    _check_cutoffs((e0,))
+    levels, residual, rows = _richardson(alpha, e0, k)
+    wall = 3.0 * e0 ** (2.0 * beta + 1.0) * float(np.max(np.abs(levels)))
+    return _fd_result(levels, residual + wall, rows)
 
 
 def _weights_at_zero(t: np.ndarray) -> np.ndarray:
@@ -177,13 +166,14 @@ def _weights_at_zero(t: np.ndarray) -> np.ndarray:
 
 
 def fd_eigen_extrapolated(
-    alpha: float, k: int = 1, cutoffs: tuple[float, ...] = _WALL_CUTOFFS, x_max: float = 12.0
+    alpha: float, k: int = 1, cutoffs: tuple[float, ...] = _WALL_CUTOFFS
 ) -> OracleResult:
     """Finite-difference levels extrapolated to the inner cutoff e0 = 0.
 
-    Takes fd_eigen's levels on log_grid(e0) for each e0 in `cutoffs` and
-    removes the Dirichlet-wall shift by the exact polynomial fit
-    eps(e0) = eps* + sum_k C_k t^k, t = e0^(2 nu), one term per cutoff.
+    Takes the step-extrapolated levels of the log grid (_richardson) for
+    each e0 in `cutoffs` and removes the Dirichlet-wall shift by the exact
+    polynomial fit eps(e0) = eps* + sum_k C_k t^k, t = e0^(2 nu), one term
+    per cutoff.
     The residual estimate is the change from the fit without the first
     cutoff plus the grids' own error.  Raises ConvergenceError when the
     fit's weights at t = 0 sum in magnitude past _MAX_WEIGHT (the t are
@@ -192,50 +182,49 @@ def fd_eigen_extrapolated(
     beta = admissible_beta(alpha)
     if len(cutoffs) < 2:
         raise ParameterError("extrapolation needs at least two cutoffs")
-    grids = [log_grid(e0, x_max) for e0 in cutoffs]
+    _check_cutoffs(cutoffs)
     t = np.array(cutoffs, dtype=float) ** (2.0 * beta + 1.0)
     weights = _weights_at_zero(t)
     if not np.sum(np.abs(weights)) <= _MAX_WEIGHT:
         raise ConvergenceError(f"wall fit ill-conditioned at t = {t}")
-    levels, errors, rows = zip(*(_richardson(alpha, g, k) for g in grids))
+    levels, errors, rows = zip(*(_richardson(alpha, e0, k) for e0 in cutoffs))
     extrapolated = weights @ np.array(levels)
     lower = _weights_at_zero(t[1:]) @ np.array(levels[1:])
     residual = float(np.max(np.abs(extrapolated - lower))) + max(errors)
-    return _fd_result(extrapolated, residual, sum(rows), grids[-1])
+    return _fd_result(extrapolated, residual, sum(rows))
 
 
 def fd_spectrum(alpha: float, k: int) -> OracleResult:
     """Lowest k levels by finite differences with the default grid policy.
 
     One log grid (fd_eigen) from e0 = e^(-10/nu), where the wall term
-    t = e0^(2 nu) is e^-20, to x_max = 12.  Below nu = 1/15 (alpha <
-    -0.2456) that e0 lies past e^-150, and the wall fit of
+    t = e0^(2 nu) is e^-20, to the box edge _X_MAX.  Below nu = 1/15
+    (alpha < -0.2456) that e0 lies past e^-150, and the wall fit of
     fd_eigen_extrapolated at e0 = e^-50, e^-100, e^-150 takes over.
     Either way at most about 23k matrix rows.
     """
     s_min = -_WALL_LOG_T / (2.0 * admissible_beta(alpha) + 1.0)
     if s_min < math.log(_WALL_CUTOFFS[-1]):
         return fd_eigen_extrapolated(alpha, k)
-    return fd_eigen(alpha, log_grid(math.exp(s_min)), k)
+    return fd_eigen(alpha, math.exp(s_min), k)
 
 
-def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float, n_terms: int) -> np.ndarray:
-    """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), one column per energy."""
+def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float) -> np.ndarray:
+    """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), j < _N_TERMS,
+    one column per energy."""
     # substituting into the ODE gives
     # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1
     beta = admissible_beta(alpha)
-    a = np.zeros((n_terms, eps_arr.shape[0]))
+    a = np.zeros((_N_TERMS, eps_arr.shape[0]))
     a[0] = 1.0
-    for j in range(1, n_terms):
+    for j in range(1, _N_TERMS):
         prev2 = a[j - 2] if j >= 2 else 0.0
         a[j] = (prev2 - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
-    exps = beta + 1.0 + 2.0 * np.arange(n_terms)
+    exps = beta + 1.0 + 2.0 * np.arange(_N_TERMS)
     return np.stack([x0**exps @ a, (exps * x0 ** (exps - 1.0)) @ a])
 
 
-def frobenius_start(
-    alpha: float, eps_energy: float, x0: float, n_terms: int = 12
-) -> tuple[float, float]:
+def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, float]:
     """Series values (psi, psi') at a small x0 > 0 for energy eps_energy.
 
     Uses only the local indicial exponent beta_plus, so the start stays
@@ -244,21 +233,14 @@ def frobenius_start(
     admissible_beta(alpha)
     if not x0 > 0:
         raise ParameterError("x0 must be positive")
-    if n_terms < 1:
-        raise ParameterError("n_terms must be >= 1")
-    psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0, n_terms)[:, 0]
+    psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0)[:, 0]
     return float(psi), float(dpsi)
 
 
 def _rkf45_count_nodes(
-    alpha: float,
-    eps_arr: np.ndarray,
-    x0: float,
-    x_max: float,
-    rtol: float,
-    x_stop_count: float | None = None,
+    alpha: float, eps_arr: np.ndarray, x_stop_count: float | None = None
 ) -> np.ndarray:
-    """Integrate the batch outward and count sign changes of psi.
+    """Integrate the batch outward from _X0 to _X_MAX, counting sign changes of psi.
 
     The state stacks psi (row 0) and psi' (row 1) of every batch member
     into one (2, m) array, advanced by the Fehlberg tableau.  All members
@@ -267,16 +249,16 @@ def _rkf45_count_nodes(
     tail where the growing solution contaminates the decaying one.
     """
     m = eps_arr.shape[0]
-    y = _frobenius_series(alpha, eps_arr, x0, 10)
+    y = _frobenius_series(alpha, eps_arr, _X0)
     two_eps = 2.0 * eps_arr
     stages = np.zeros((len(_RKF_C), 2, m))
     flat = stages.reshape(len(_RKF_C), 2 * m)  # view: one row per stage
     counts = np.zeros(m, dtype=int)
     sign = np.where(y[0] >= 0, 1.0, -1.0)
-    x = x0
-    h = min(x0, 1e-3)
-    while x < x_max:
-        h = min(h, x_max - x)
+    x = _X0
+    h = _X0
+    while x < _X_MAX:
+        h = min(h, _X_MAX - x)
         for i, (c, row) in enumerate(zip(_RKF_C, _RKF_A)):
             s = y + ((h * row) @ flat[:i]).reshape(2, m) if i else y
             xs = x + c * h
@@ -285,7 +267,7 @@ def _rkf45_count_nodes(
         y5 = y + ((h * _RKF_B5) @ flat).reshape(2, m)
         err_abs = np.abs(((h * _RKF_ERR) @ flat).reshape(2, m)).max(axis=0)
         mag = np.abs(y5).max(axis=0)
-        err = np.max(err_abs / (1e-300 + rtol * mag))
+        err = np.max(err_abs / (1e-300 + _RTOL * mag))
         if err <= 1.0 or h <= _H_MIN:
             x += h
             y = y5
@@ -302,26 +284,19 @@ def _rkf45_count_nodes(
     return counts
 
 
-def shoot_spectrum(
-    alpha: float,
-    n_max: int,
-    x0: float = 1e-3,
-    x_max: float = 12.0,
-    rtol: float = 1e-7,
-    eps_tol: float = 1e-6,
-) -> OracleResult:
+def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleResult:
     """Shooting eigenvalues for n = 0 .. n_max by batched multisection.
 
-    The total sign-change count along [x0, x_max] (including the tail
+    The total sign-change count along [_X0, _X_MAX] (including the tail
     flip of the growing contamination) is the number of eigenvalues below
     eps.  One scan pass counts it on a 0.5-spaced grid (levels are 2
     apart) up to eps = 2 n_max + 20, doubling the window until the count
-    reaches n_max + 1; past eps = x_max^2 the outer turning point leaves
-    the box, so the scan gives up there.  Each narrowing pass splits every
-    bracket into _KSECTION parts in one batch (multisection, the k-way
-    Barth-Martin-Wilkinson bisection) and keeps the part where the count
-    first exceeds n, until all brackets are at most eps_tol wide or too
-    narrow to split in floating point.
+    reaches n_max + 1; past eps = _X_MAX^2 the outer turning point leaves
+    the box, so the scan gives up there with BracketError.  Each narrowing
+    pass splits every bracket into _KSECTION parts in one batch
+    (multisection, the k-way Barth-Martin-Wilkinson bisection) and keeps
+    the part where the count first exceeds n, until all brackets are at
+    most eps_tol wide or too narrow to split in floating point.
     """
     admissible_beta(alpha)
     if n_max < 0:
@@ -330,12 +305,12 @@ def shoot_spectrum(
     passes = 0
     eps = np.empty(0)
     counts = np.empty(0, dtype=int)
-    cap = x_max**2
+    cap = _X_MAX**2
     top = min(2.0 * n_max + 20.0, cap)
     while True:
         grid = np.arange(eps[-1] + 0.5 if eps.size else 0.25, top + 0.25, 0.5)
         eps = np.concatenate((eps, grid))
-        counts = np.concatenate((counts, _rkf45_count_nodes(alpha, grid, x0, x_max, rtol)))
+        counts = np.concatenate((counts, _rkf45_count_nodes(alpha, grid)))
         passes += 1
         if counts[-1] > n_max or top >= cap:
             break
@@ -353,7 +328,7 @@ def shoot_spectrum(
     while eps_tol < np.max(hi - lo) < width:
         width = np.max(hi - lo)
         inner = lo[:, None] + (hi - lo)[:, None] * split
-        counts = _rkf45_count_nodes(alpha, inner.ravel(), x0, x_max, rtol)
+        counts = _rkf45_count_nodes(alpha, inner.ravel())
         passes += 1
         above = counts.reshape(inner.shape) > targets[:, None]
         # the count at hi exceeds n by construction: a True column for it
@@ -362,41 +337,24 @@ def shoot_spectrum(
         lo = grid[targets, first - 1]
         hi = grid[targets, first]
     eigenvalues = tuple(float(v) for v in 0.5 * (lo + hi))
-    grid = GridSpec(x_min=x0, x_max=x_max, n_points=4000)
-    return OracleResult(
-        eigenvalues, OracleMethod.SHOOTING, grid, float(np.max(hi - lo)) / 2.0, passes
-    )
+    return OracleResult(eigenvalues, OracleMethod.SHOOTING, float(np.max(hi - lo)) / 2.0, passes)
 
 
-def shoot_eigen(
-    alpha: float,
-    n_target: int,
-    x0: float = 1e-3,
-    x_max: float = 12.0,
-    rtol: float = 1e-7,
-    eps_tol: float = 1e-6,
-) -> OracleResult:
+def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
     """Single shooting eigenvalue with n_target interior nodes."""
-    full = shoot_spectrum(alpha, n_target, x0=x0, x_max=x_max, rtol=rtol, eps_tol=eps_tol)
+    full = shoot_spectrum(alpha, n_target)
     return replace(full, eigenvalues=(full.eigenvalues[n_target],))
 
 
-def count_nodes_at(
-    alpha: float,
-    eps: float,
-    x0: float = 1e-3,
-    x_max: float = 12.0,
-    rtol: float = 1e-7,
-    exclude_tail: bool = True,
-) -> int:
+def count_nodes_at(alpha: float, eps: float) -> int:
     """Interior sign changes of the shot solution at a fixed energy.
 
-    With exclude_tail the count stops past the outer turning point
-    (plus margin), where only the exponential contamination could flip
-    the sign; that makes it the true node count of the bound state.
+    The count stops 2 past the outer turning point sqrt(2 eps), beyond
+    which only the growing contamination could flip the sign, so it is
+    the true node count of the bound state.
     """
-    stop = math.sqrt(max(2.0 * eps, 1.0)) + 2.0 if exclude_tail else None
-    return int(_rkf45_count_nodes(alpha, np.array([eps]), x0, x_max, rtol, stop)[0])
+    stop = math.sqrt(max(2.0 * eps, 1.0)) + 2.0
+    return int(_rkf45_count_nodes(alpha, np.array([eps]), stop)[0])
 
 
 def compare(analytic: SpectrumTable, oracle: OracleResult, tol: float) -> CompareReport:

@@ -1,5 +1,7 @@
 """Independent eigenvalue routes: finite differences, shooting, node counts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from singosc.errors import (
 )
 from singosc.model import Domain
 from singosc.oracle import (
-    GridSpec,
     _rkf45_count_nodes,
     OracleMethod,
     compare,
@@ -28,42 +29,38 @@ from singosc.oracle import (
 from singosc.spectrum import spectrum_table
 
 
-class TestGridSpec:
-    def test_defaults_valid(self):
-        g = GridSpec()
-        assert 0 < g.x_min < g.x_max
-        assert g.n_points >= 10
+FD_ALPHAS = (-0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"x_min": 0.0},
-            {"x_min": -1e-3},
-            {"x_max": 1e-4},
-            {"n_points": 5},
-        ],
-    )
-    def test_validation(self, kwargs):
+
+class TestCutoffValidation:
+    # the inner cutoff must lie inside the box (0, 12)
+    @pytest.mark.parametrize("e0", [0.0, -1e-3, 12.0, 100.0, math.nan])
+    def test_fd_eigen(self, e0):
         with pytest.raises(ParameterError):
-            GridSpec(**kwargs)
+            fd_eigen(-0.2, e0)
+
+    @pytest.mark.parametrize("e0", [0.0, -1e-3, 12.0, 100.0, math.nan])
+    def test_fd_eigen_extrapolated(self, e0):
+        with pytest.raises(ParameterError):
+            fd_eigen_extrapolated(-0.2, cutoffs=(1e-2, e0))
 
 
 class TestFiniteDifference:
     def test_pure_oscillator(self):
-        res = fd_eigen(0.0, GridSpec(x_min=1e-4, n_points=24000), k=3)
+        res = fd_eigen(0.0, 1e-4, k=3)
         want = np.array([1.5, 3.5, 5.5])
         rel = np.abs(res.eigenvalues - want) / want
-        assert rel.max() < 2e-3  # Dirichlet wall at x_min limits the accuracy
+        assert rel.max() < 2e-3  # Dirichlet wall at e0 limits the accuracy
         assert res.method is OracleMethod.FINITE_DIFFERENCE
 
     def test_repulsive_alpha(self):
-        res = fd_eigen(2.0, GridSpec(n_points=24000), k=3)
+        res = fd_eigen(2.0, 1e-3, k=3)
         want = np.array([2.5, 4.5, 6.5])
         rel = np.abs(res.eigenvalues - want) / want
         assert rel.max() < 1e-4
 
     def test_residual_estimate_bounds_error(self):
-        res = fd_eigen(0.5, GridSpec(n_points=8000), k=2)
+        res = fd_eigen(0.5, 1e-3, k=2)
         want = np.array([1.8660254037844386, 3.8660254037844386])
         err = np.abs(res.eigenvalues - want).max()
         assert res.residual_estimate > 0
@@ -74,12 +71,28 @@ class TestFiniteDifference:
             fd_eigen(-0.3, k=1)
 
     def test_unresolved_grid_raises(self):
-        # 100 nodes cannot hold 30 levels: the step error passes the levels
+        # 470 nodes from e0 = 1e-3 to 12 cannot hold 30 levels: the step
+        # error passes the levels
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            fd_eigen(-0.2, GridSpec(n_points=100), k=30)
+            fd_eigen(-0.2, 1e-3, k=30)
 
+    def test_wall_shift_near_critical_raises(self):
+        # nu = 0.01: t = e0^(2 nu) = 0.87 at e0 = 1e-3, so the wall bound
+        # 3 t eps passes the level (the wall lifts eps_0 = 1.01 to 1.15)
+        with pytest.raises(ConvergenceError, match="exceeds a level"):
+            fd_eigen(-0.2499)
 
-FD_ALPHAS = (-0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    @pytest.mark.parametrize("e0", [1e-1, 1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("alpha", FD_ALPHAS)
+    def test_residual_bounds_error_with_the_wall(self, alpha, e0, k):
+        t = spectrum_table(alpha, k - 1, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
+        want = np.array(t.distinct_levels())
+        try:
+            res = fd_eigen(alpha, e0, k)
+        except ConvergenceError:
+            return
+        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
 
 
 class TestFdSpectrum:
@@ -202,8 +215,9 @@ class TestShooting:
         assert res.residual_estimate < 1e-14
 
     def test_scan_stops_at_x_max_squared(self):
-        with pytest.raises(BracketError, match="eps <= 16.0"):
-            shoot_spectrum(0.0, 10, x_max=4.0)
+        # the scan gives up at the box's cap eps = 12^2, below eps_72 = 145.5
+        with pytest.raises(BracketError, match="eps <= 144.0"):
+            shoot_spectrum(0.0, 72)
 
 
 class TestNodeCounts:
@@ -215,7 +229,7 @@ class TestNodeCounts:
         levels = np.array(t.distinct_levels())
         eps = np.linspace(0.3, 24.0, 200)
         eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
-        counts = _rkf45_count_nodes(alpha, eps, 1e-3, 12.0, 1e-7)
+        counts = _rkf45_count_nodes(alpha, eps)
         np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])

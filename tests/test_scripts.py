@@ -30,6 +30,17 @@ class TestConvergenceStudy:
         assert study.main(["--alpha", "-2e-1", *argv]) == 0
         assert capsys.readouterr().out == text
 
+    def test_near_critical_alpha_default_cutoffs(self, capsys):
+        # the raw levels at coarse cutoffs are tabulated even where the
+        # wall shift (3 t eps = 1.48 at e0 = 1e-2) passes the level
+        study = load_script("convergence_study")
+        assert study.main(["--alpha", "-0.24"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[3:8]] == [
+            "1.0e-02", "3.0e-03", "1.0e-03", "3.0e-04", "1.0e-04"
+        ]
+        assert lines[-1].startswith("extrapolated eps0 = ")
+
     def test_repulsive_alpha_is_usage_error(self):
         study = load_script("convergence_study")
         with pytest.raises(SystemExit) as exc:
