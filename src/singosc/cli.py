@@ -13,8 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,17 +27,6 @@ ALPHA_SWEEP_HI = 0.25
 ALPHA_SWEEP_POINTS = 200
 
 _BRANCH_FLAG = {"minus1": -1.0, "zero": 0.0, None: None}
-
-
-class OutputKind(Enum):
-    CSV = "csv"
-    JSON = "json"
-
-
-@dataclass(frozen=True)
-class OutputFormat:
-    kind: OutputKind = OutputKind.CSV
-    path: str | None = None
 
 
 class Parser(argparse.ArgumentParser):
@@ -75,20 +62,27 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def emit_rows(
-    rows: list[dict], fieldnames: list[str], fmt: OutputFormat, meta: dict | None = None
+    columns: dict[str, list],
+    fields: list[str],
+    fmt: str,
+    path: str | None,
+    meta: dict | None = None,
 ) -> None:
-    """Serialize rows as CSV (header, '\\n' endings, 17 significant digits)
-    or JSON, to stdout or to fmt.path.  The CSV formats one column at a
-    time and writes the bytes csv.DictWriter would."""
-    if fmt.kind is OutputKind.CSV:
-        cols = [list(map(_fmt, [row[f] for row in rows])) for f in fieldnames]
+    """Serialize named, equally long columns to stdout or to path.
+
+    fmt "csv": the columns in `fields` order under a header, '\\n' endings,
+    floats to 17 significant digits (the bytes csv.DictWriter would write).
+    fmt "json": {"rows": [...], **meta}, each row keyed in the order of
+    `columns`."""
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(zip(*cols))
-        _write_text(buf.getvalue(), fmt.path)
+        writer.writerow(fields)
+        writer.writerows(zip(*(map(_fmt, columns[f]) for f in fields)))
+        _write_text(buf.getvalue(), path)
     else:
-        _write_json({"rows": rows, **(meta or {})}, fmt.path)
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        _write_json({"rows": rows, **(meta or {})}, path)
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -96,12 +90,10 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _alpha_sweep(points: int) -> np.ndarray:
+    if points < 0:
+        raise SingOscError("--alpha-points must be >= 0")
     # uniform on (lo, hi]: drop the open left endpoint
     return np.linspace(ALPHA_SWEEP_LO, ALPHA_SWEEP_HI, points + 1)[1:]
-
-
-def _output_format(args: argparse.Namespace) -> OutputFormat:
-    return OutputFormat(OutputKind(args.format), args.out)
 
 
 def _spec_from(args: argparse.Namespace, alpha: float) -> OscillatorSpec:
@@ -125,20 +117,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     domain = Domain(args.domain)
     branch = _branch_for(args.alpha, domain, args.beta_branch)
     table = spectrum_table(args.alpha, args.n_max, domain, branch)
-    fields = ["alpha", "domain", "n", "parity", "beta", "eps", "degeneracy"]
-    return _emit_levels(args, table.rows(), fields, table.spacing)
+    columns = table.columns()
+    return _emit_levels(args, columns, list(columns), table.spacing)
 
 
 def _emit_levels(
-    args: argparse.Namespace, rows: list[dict], fields: list[str], spacing: float
+    args: argparse.Namespace, columns: dict[str, list], fields: list[str], spacing: float
 ) -> int:
-    """Write spectrum rows, with an `energy` column when units are given."""
+    """Write spectrum columns, with an `energy` column when units are given."""
     if _has_units(args):
         scale = _spec_from(args, args.alpha).energy_scale
-        for row in rows:
-            row["energy"] = row["eps"] * scale
+        columns["energy"] = [eps * scale for eps in columns["eps"]]
         fields.append("energy")
-    emit_rows(rows, fields, _output_format(args), {"spacing": spacing})
+    emit_rows(columns, fields, args.format, args.out, {"spacing": spacing})
     return 0
 
 
@@ -148,6 +139,8 @@ def _xi_grid(args: argparse.Namespace, domain: Domain) -> np.ndarray:
     n = args.xi_points if args.xi_points is not None else 601
     if n < 2:
         raise SingOscError("--xi-points must be at least 2")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise SingOscError("--xi-min and --xi-max must be finite")
     if hi <= lo:
         raise SingOscError("--xi-max must exceed --xi-min")
     return np.linspace(lo, hi, n)
@@ -167,18 +160,14 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         state = even if want is Parity.EVEN else odd
     xi = _xi_grid(args, domain)
     psi = state.psi(xi)
-    rows = []
-    length = _spec_from(args, args.alpha).length_scale if _has_units(args) else None
-    for x, p in zip(xi.tolist(), np.asarray(psi).tolist()):
-        row = {"xi": x, "psi": p, "rho": p * p}
-        if length is not None:
-            row["x"] = x * length
-        rows.append(row)
-    fields = ["xi", "psi", "rho"] + (["x"] if length is not None else [])
+    columns = {"xi": xi.tolist(), "psi": psi.tolist(), "rho": (psi * psi).tolist()}
+    if _has_units(args):
+        columns["x"] = (xi * _spec_from(args, args.alpha).length_scale).tolist()
     emit_rows(
-        rows,
-        fields,
-        _output_format(args),
+        columns,
+        list(columns),
+        args.format,
+        args.out,
         {
             "alpha": args.alpha,
             "n": args.n,
@@ -190,101 +179,70 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_potential() -> tuple[list[dict], list[str]]:
-    rows = []
-    x = np.linspace(0.02, 3.0, 150)
+def _level_columns(rows: list[tuple]) -> dict[str, list]:
+    """Level-diagram columns from rows of cells in the order of `fields`;
+    every diagram has its alpha = 0 markers, so rows is not empty."""
+    fields = ("kind", "alpha", "n", "label", "eps", "degeneracy")
+    return dict(zip(fields, map(list, zip(*rows))))
+
+
+def _figure_potential() -> dict[str, list]:
+    x = np.linspace(0.02, 3.0, 150).tolist()
+    columns = {"alpha": [], "x": [], "V": []}
     for alpha in (-0.2, 0.0, 0.2):
         spec = OscillatorSpec(alpha=alpha)
-        for xi in x.tolist():
-            rows.append({"alpha": alpha, "x": xi, "V": potential_value(spec, xi)})
-    return rows, ["alpha", "x", "V"]
+        columns["alpha"] += [alpha] * len(x)
+        columns["x"] += x
+        columns["V"] += [potential_value(spec, xi) for xi in x]
+    return columns
 
 
-def _figure_levels_halfline(points: int) -> tuple[list[dict], list[str]]:
+def _figure_levels_halfline(points: int) -> dict[str, list]:
     rows = []
     for alpha in _alpha_sweep(points).tolist():
-        table = spectrum_table(alpha, 4, Domain.HALF_LINE)
-        for state in table.states:
-            rows.append(
-                {
-                    "kind": "curve",
-                    "alpha": alpha,
-                    "n": state.n,
-                    "label": f"n={state.n}",
-                    "eps": state.energy_eps,
-                    "degeneracy": 1,
-                }
-            )
+        for state in spectrum_table(alpha, 4, Domain.HALF_LINE).states:
+            rows.append(("curve", alpha, state.n, f"n={state.n}", state.energy_eps, 1))
     for branch, label in ((-1.0, "beta=-1"), (0.0, "beta=0")):
         for n in range(5):
-            state = halfline_state(0.0, n, branch)
-            rows.append(
-                {
-                    "kind": "marker",
-                    "alpha": 0.0,
-                    "n": n,
-                    "label": label,
-                    "eps": state.energy_eps,
-                    "degeneracy": 1,
-                }
-            )
-    return rows, ["kind", "alpha", "n", "label", "eps", "degeneracy"]
+            rows.append(("marker", 0.0, n, label, halfline_state(0.0, n, branch).energy_eps, 1))
+    return _level_columns(rows)
 
 
-def _figure_ground_states() -> tuple[list[dict], list[str]]:
-    rows = []
+def _figure_ground_states() -> dict[str, list]:
     xi = np.linspace(0.0, 4.0, 401)
+    columns = {"alpha": [], "xi": [], "psi": [], "rho": []}
     for alpha in (-0.249, -0.2, 0.2, 3.0):
-        state = halfline_state(alpha, 0)
-        psi = np.asarray(state.psi(xi))
-        for x, p in zip(xi.tolist(), psi.tolist()):
-            rows.append({"alpha": alpha, "xi": x, "psi": p, "rho": p * p})
-    return rows, ["alpha", "xi", "psi", "rho"]
+        psi = halfline_state(alpha, 0).psi(xi)
+        columns["alpha"] += [alpha] * len(xi)
+        columns["xi"] += xi.tolist()
+        columns["psi"] += psi.tolist()
+        columns["rho"] += (psi * psi).tolist()
+    return columns
 
 
-def _figure_levels_fullline(points: int) -> tuple[list[dict], list[str]]:
+def _figure_levels_fullline(points: int) -> dict[str, list]:
     rows = []
     for alpha in _alpha_sweep(points).tolist():
         # sweep grid never hits alpha = 0 exactly, so every level is a
         # degenerate even/odd pair drawn as one curve
         for n in range(5):
-            even = fullline_states(alpha, n)[0]
-            rows.append(
-                {
-                    "kind": "curve",
-                    "alpha": alpha,
-                    "n": n,
-                    "label": f"n={n}",
-                    "eps": even.energy_eps,
-                    "degeneracy": 2,
-                }
-            )
-    table = spectrum_table(0.0, 4, Domain.FULL_LINE)
-    for state in table.states:
-        rows.append(
-            {
-                "kind": "marker",
-                "alpha": 0.0,
-                "n": state.n,
-                "label": state.parity.value,
-                "eps": state.energy_eps,
-                "degeneracy": 1,
-            }
-        )
-    return rows, ["kind", "alpha", "n", "label", "eps", "degeneracy"]
+            rows.append(("curve", alpha, n, f"n={n}", fullline_states(alpha, n)[0].energy_eps, 2))
+    for state in spectrum_table(0.0, 4, Domain.FULL_LINE).states:
+        rows.append(("marker", 0.0, state.n, state.parity.value, state.energy_eps, 1))
+    return _level_columns(rows)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     points = args.alpha_points
     if args.id == 1:
-        rows, fields = _figure_potential()
+        columns = _figure_potential()
     elif args.id == 2:
-        rows, fields = _figure_levels_halfline(points)
+        columns = _figure_levels_halfline(points)
     elif args.id == 3:
-        rows, fields = _figure_ground_states()
+        columns = _figure_ground_states()
     else:
-        rows, fields = _figure_levels_fullline(points)
-    emit_rows(rows, fields, _output_format(args), {"figure": args.id})
+        columns = _figure_levels_fullline(points)
+    emit_rows(columns, list(columns), args.format, args.out, {"figure": args.id})
     return 0
 
 
@@ -310,12 +268,13 @@ def cmd_radial(args: argparse.Namespace) -> int:
     alpha_eff = map_radial(args.alpha, args.l)
     branch = _branch_for(alpha_eff, Domain.HALF_LINE, args.beta_branch)
     table = spectrum_table(alpha_eff, args.n_max, Domain.HALF_LINE, branch)
-    rows = table.rows()
-    for row in rows:
-        del row["domain"]
-        row.update(l=args.l, alpha_eff=alpha_eff, alpha=args.alpha)
+    columns = table.columns()
+    del columns["domain"]
+    k = len(table.states)
+    # alpha keeps its place in the JSON rows; l and alpha_eff follow degeneracy
+    columns.update(l=[args.l] * k, alpha_eff=[alpha_eff] * k, alpha=[args.alpha] * k)
     fields = ["alpha", "l", "alpha_eff", "n", "parity", "beta", "eps", "degeneracy"]
-    return _emit_levels(args, rows, fields, table.spacing)
+    return _emit_levels(args, columns, fields, table.spacing)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -384,12 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SupercriticalError as exc:
-        print(f"singosc: error: {exc}", file=sys.stderr)
-        return 2
     except SingOscError as exc:
         print(f"singosc: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SupercriticalError) else 1
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed stdout; suppress the
         # shutdown flush as well

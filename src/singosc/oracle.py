@@ -41,7 +41,8 @@ from .model import Domain, admissible_beta
 from .spectrum import SpectrumTable
 
 # the outer box of both oracles; shooting's Frobenius start point and
-# terms, and the relative local error its step controller allows
+# terms, and the relative local error its step controller allows (and the
+# Frobenius series' last term may reach)
 _X_MAX = 12.0
 _X0, _N_TERMS, _RTOL = 1e-3, 12, 1e-7
 _RENORM_LIMIT = 1e100
@@ -221,14 +222,21 @@ def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float) -> np.ndarra
         prev2 = a[j - 2] if j >= 2 else 0.0
         a[j] = (prev2 - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
     exps = beta + 1.0 + 2.0 * np.arange(_N_TERMS)
-    return np.stack([x0**exps @ a, (exps * x0 ** (exps - 1.0)) @ a])
+    powers = (x0**exps, exps * x0 ** (exps - 1.0))
+    series = np.stack([p @ a for p in powers])
+    # the truncated series is only as good as its last term is small
+    last = np.outer([p[-1] for p in powers], a[-1])
+    if np.any(np.abs(last) > _RTOL * np.abs(series)):
+        raise ParameterError(f"x0 = {x0} is too far out for the {_N_TERMS}-term Frobenius series")
+    return series
 
 
 def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, float]:
     """Series values (psi, psi') at a small x0 > 0 for energy eps_energy.
 
     Uses only the local indicial exponent beta_plus, so the start stays
-    independent of the global closed-form solution.
+    independent of the global closed-form solution.  Raises ParameterError
+    where x0 is too large for the truncated series to converge.
     """
     admissible_beta(alpha)
     if not x0 > 0:

@@ -150,21 +150,19 @@ class SpectrumTable:
                 levels.append(s.energy_eps)
         return tuple(levels)
 
-    def rows(self) -> list[dict]:
-        levels = self.distinct_levels()
-        mult = dict(zip(levels, self.degeneracy))
-        return [
-            {
-                "alpha": self.alpha,
-                "domain": self.domain.value,
-                "n": s.n,
-                "parity": s.parity.value,
-                "beta": s.beta,
-                "eps": s.energy_eps,
-                "degeneracy": mult[s.energy_eps],
-            }
-            for s in self.states
-        ]
+    def columns(self) -> dict[str, list]:
+        """The level table as named columns, one entry per state."""
+        mult = dict(zip(self.distinct_levels(), self.degeneracy))
+        states = self.states
+        return {
+            "alpha": [self.alpha] * len(states),
+            "domain": [self.domain.value] * len(states),
+            "n": [s.n for s in states],
+            "parity": [s.parity.value for s in states],
+            "beta": [s.beta for s in states],
+            "eps": [s.energy_eps for s in states],
+            "degeneracy": [mult[s.energy_eps] for s in states],
+        }
 
 
 def _check_n(n: int) -> None:

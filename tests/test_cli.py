@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singosc.cli import OutputFormat, build_parser, emit_rows, main
-from singosc.model import Domain
+from singosc.cli import build_parser, emit_rows, main
+from singosc.model import Domain, OscillatorSpec
 from singosc.spectrum import spectrum_table
 
 
@@ -117,11 +117,13 @@ class TestSpectrumCommand:
     def test_csv_round_trips_to_full_precision(self, tmp_path):
         rc, text = run_cli(["spectrum", "--alpha", "0.7", "--n-max", "3"], tmp_path)
         assert rc == 0
-        want = spectrum_table(0.7, 3, Domain.HALF_LINE).rows()
-        for parsed, raw in zip(parse_csv(text), want):
-            assert float(parsed["eps"]) == raw["eps"]
-            assert float(parsed["beta"]) == raw["beta"]
-            assert float(parsed["alpha"]) == raw["alpha"]
+        want = spectrum_table(0.7, 3, Domain.HALF_LINE).columns()
+        parsed = parse_csv(text)
+        assert len(parsed) == len(want["eps"])
+        for row, eps, beta, alpha in zip(parsed, want["eps"], want["beta"], want["alpha"]):
+            assert float(row["eps"]) == eps
+            assert float(row["beta"]) == beta
+            assert float(row["alpha"]) == alpha
 
     def test_free_fullline_parity_labels(self, tmp_path):
         rc, text = run_cli(
@@ -190,6 +192,22 @@ class TestWavefunctionCommand:
         rc = main(["wavefunction", "--alpha", "0.5", "--xi-min", "2", "--xi-max", "1"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--xi-max", "nan"],
+            ["--xi-min", "nan"],
+            ["--xi-max", "inf"],
+            ["--domain", "full", "--parity", "odd", "--xi-min", "-inf"],
+        ],
+    )
+    def test_nonfinite_grid_is_exit_1(self, capsys, grid):
+        assert main(["wavefunction", "--alpha", "0.5", *grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("singosc: error:")
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_units_append_x_column(self, tmp_path):
         rc, text = run_cli(
             ["wavefunction", "--alpha", "0.5", "--xi-points", "11", "--mass", "4"],
@@ -199,6 +217,23 @@ class TestWavefunctionCommand:
         assert "x" in rows[0]
         # lam = 4, length scale 1/2
         assert float(rows[-1]["x"]) == pytest.approx(float(rows[-1]["xi"]) / 2.0)
+
+    def test_json_units_meta_and_x_column(self, tmp_path):
+        argv = ["wavefunction", "--alpha", "0.5", "--n", "1", "--xi-points", "21",
+                "--mass", "2"]
+        rc, text = run_cli(argv, tmp_path, fmt="json")
+        assert rc == 0
+        doc = json.loads(text)
+        assert list(doc) == ["rows", "alpha", "n", "parity", "beta", "eps"]
+        assert (doc["alpha"], doc["n"], doc["parity"]) == (0.5, 1, "none")
+        assert doc["eps"] == pytest.approx(2.0 + doc["beta"] + 1.5)
+        rows = doc["rows"]
+        assert len(rows) == 21
+        assert all(list(r) == ["xi", "psi", "rho", "x"] for r in rows)
+        # lam = 2, length scale 2^(-1/2)
+        length = OscillatorSpec(alpha=0.5, mass=2.0).length_scale
+        assert length == pytest.approx(2.0**-0.5)
+        assert [r["x"] for r in rows] == [r["xi"] * length for r in rows]
 
 
 class TestFigureCommands:
@@ -229,6 +264,22 @@ class TestFigureCommands:
             sub = [r for r in rows if float(r["alpha"]) == a]
             assert len(sub) == 401
             assert float(sub[0]["psi"]) == 0.0
+
+    def test_zero_alpha_points_writes_only_markers(self, tmp_path):
+        for fig in ("2", "4"):
+            rc, text = run_cli(["figure", fig, "--alpha-points", "0"], tmp_path)
+            assert rc == 0
+            rows = parse_csv(text)
+            assert len(rows) == 10
+            assert {r["kind"] for r in rows} == {"marker"}
+
+    @pytest.mark.parametrize("fig", ["2", "4"])
+    @pytest.mark.parametrize("points", ["-5", "-1"])
+    def test_negative_alpha_points_is_exit_1(self, capsys, fig, points):
+        assert main(["figure", fig, "--alpha-points", points]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "singosc: error: --alpha-points must be >= 0\n"
+        assert captured.out == ""
 
     def test_figure4_degenerate_curves_and_markers(self, tmp_path):
         rc, text = run_cli(["figure", "4", "--alpha-points", "12"], tmp_path)
@@ -276,6 +327,22 @@ class TestRadialCommand:
     def test_supercritical_effective_alpha(self, capsys):
         rc = main(["radial", "--alpha", "-0.5", "--l", "0"])
         assert rc == 2
+
+    def test_json_key_order_and_csv_header(self, tmp_path):
+        argv = ["radial", "--alpha", "0.3", "--l", "2", "--n-max", "1"]
+        rc, text = run_cli(argv, tmp_path, fmt="json")
+        assert rc == 0
+        rows = json.loads(text)["rows"]
+        assert [list(r) for r in rows] == [
+            ["alpha", "n", "parity", "beta", "eps", "degeneracy", "l", "alpha_eff"]
+        ] * 2
+        assert rows[0]["alpha"] == 0.3 and rows[0]["alpha_eff"] == pytest.approx(6.3)
+        rc, text = run_cli([*argv, "--omega", "2"], tmp_path, fmt="json")
+        assert list(json.loads(text)["rows"][0])[-1] == "energy"
+        rc, text = run_cli(argv, tmp_path)
+        assert text.splitlines()[0] == "alpha,l,alpha_eff,n,parity,beta,eps,degeneracy"
+        rc, text = run_cli([*argv, "--omega", "2"], tmp_path)
+        assert text.splitlines()[0].endswith(",degeneracy,energy")
 
     def test_centrifugal_rescues_supercritical_alpha(self, tmp_path):
         rc, text = run_cli(["radial", "--alpha", "-0.3", "--l", "1", "--n-max", "0"],
@@ -360,8 +427,11 @@ def _dictwriter_csv(rows, fields):
 
 
 def _emit_csv(rows, fields):
+    """emit_rows on the rows turned into columns, keyed in the rows' own
+    order (every field when there are no rows)."""
+    keys = list(rows[0]) if rows else fields
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        emit_rows(rows, fields, OutputFormat())
+        emit_rows({f: [r[f] for r in rows] for f in keys}, fields, "csv", None)
     return out.getvalue()
 
 

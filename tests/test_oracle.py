@@ -173,6 +173,15 @@ class TestFrobeniusStart:
         with pytest.raises(SupercriticalError):
             frobenius_start(-0.25, 1.0, 1e-3)
 
+    def test_truncated_series_rejected(self):
+        # the ground state at alpha = 0.5 is x^(beta+1) e^(-x^2/2) up to a
+        # constant; the 12 terms still give it at x0 = 1, not at 2 or 5
+        psi, _ = frobenius_start(0.5, 1.8660254037844386, 1.0)
+        assert psi == pytest.approx(math.exp(-0.5), rel=1e-10)
+        for x0 in (2.0, 5.0):
+            with pytest.raises(ParameterError, match="Frobenius series"):
+                frobenius_start(0.5, 1.8660254037844386, x0)
+
 
 class TestShooting:
     def test_single_level(self):

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from singosc.cli import main as cli_main
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -59,3 +61,16 @@ class TestOracleSweep:
         assert float(fields[2]) < 1e-4  # shooting error
         assert float(fields[3]) < 5e-3  # finite-difference error
         assert 3 <= int(fields[-1]) <= 5  # shooting passes
+
+
+class TestEmitFigures:
+    def test_files_equal_figure_command_output(self, tmp_path, capsys):
+        emit = load_script("emit_figures")
+        assert emit.main(["--alpha-points", "5", "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {tmp_path / f'figure{k}.csv'}" for k in (1, 2, 3, 4)
+        ]
+        for k in (1, 2, 3, 4):
+            assert cli_main(["figure", str(k), "--alpha-points", "5"]) == 0
+            want = capsys.readouterr().out.encode("utf-8")
+            assert (tmp_path / f"figure{k}.csv").read_bytes() == want

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singosc.cli import OutputFormat, OutputKind, emit_rows
+from singosc.cli import emit_rows
 from singosc.errors import InadmissibleError, ParameterError, SupercriticalError
 from singosc.model import Domain, Parity, indicial_roots
 from singosc.spectrum import (
@@ -251,26 +251,33 @@ class TestSpectrumTable:
     # cli.emit_rows is the one serializer for spectrum tables
     def test_csv_round_trip(self, capsys):
         t = spectrum_table(0.7, 3, Domain.HALF_LINE)
-        emit_rows(t.rows(), list(t.rows()[0]), OutputFormat(OutputKind.CSV))
+        cols = t.columns()
+        emit_rows(cols, list(cols), "csv", None)
         text = capsys.readouterr().out
         assert "\r" not in text
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == len(t.rows())
-        for parsed, raw in zip(rows, t.rows()):
-            assert float(parsed["eps"]) == raw["eps"]
-            assert float(parsed["beta"]) == raw["beta"]
-            assert int(parsed["n"]) == raw["n"]
+        assert list(rows[0]) == list(cols)
+        assert len(rows) == len(t.states)
+        for parsed, eps, beta, n in zip(rows, cols["eps"], cols["beta"], cols["n"]):
+            assert float(parsed["eps"]) == eps
+            assert float(parsed["beta"]) == beta
+            assert int(parsed["n"]) == n
 
     def test_json_payload(self, capsys):
         t = spectrum_table(0.7, 2, Domain.FULL_LINE)
-        emit_rows(t.rows(), [], OutputFormat(OutputKind.JSON), {"spacing": t.spacing})
+        emit_rows(t.columns(), [], "json", None, {"spacing": t.spacing})
         text = capsys.readouterr().out
         doc = json.loads(text)
         assert doc["spacing"] == 2.0
         assert len(doc["rows"]) == 6
         # the layout the CLI writes: rows before spacing, indent 2, one "\n"
         assert list(doc) == ["rows", "spacing"]
-        assert text == json.dumps({"rows": t.rows(), "spacing": 2.0}, indent=2) + "\n"
+        want = [
+            {"alpha": 0.7, "domain": "full", "n": s.n, "parity": s.parity.value,
+             "beta": s.beta, "eps": s.energy_eps, "degeneracy": 2}
+            for s in t.states
+        ]
+        assert text == json.dumps({"rows": want, "spacing": 2.0}, indent=2) + "\n"
         assert text.startswith('{\n  "rows": [\n    {\n      "alpha": 0.7,')
         assert text.endswith('\n  "spacing": 2.0\n}\n')
 
