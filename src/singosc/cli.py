@@ -126,8 +126,8 @@ def _emit_levels(
 ) -> int:
     """Write spectrum columns, with an `energy` column when units are given."""
     if _has_units(args):
-        scale = _spec_from(args, args.alpha).energy_scale
-        columns["energy"] = [eps * scale for eps in columns["eps"]]
+        spec = _spec_from(args, args.alpha)
+        columns["energy"] = [spec.energy_from_eps(eps) for eps in columns["eps"]]
         fields.append("energy")
     emit_rows(columns, fields, args.format, args.out, {"spacing": spacing})
     return 0

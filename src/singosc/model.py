@@ -66,12 +66,17 @@ class OscillatorSpec:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.mass > 0:
-            raise ParameterError("mass must be positive")
-        if not self.omega > 0:
-            raise ParameterError("omega must be positive")
-        if not self.hbar > 0:
-            raise ParameterError("hbar must be positive")
+        for name in ("mass", "omega", "hbar"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and positive")
+        # the products can still overflow or underflow: lambda = 0 would
+        # divide by zero in length_scale, inf would give x = 0 everywhere
+        if not 0 < self.lam < math.inf:
+            raise ParameterError(
+                f"lambda = m omega / hbar = {self.lam} must be finite and positive"
+            )
+        if not 0 < self.energy_scale < math.inf:
+            raise ParameterError(f"hbar omega = {self.energy_scale} must be finite and positive")
 
     @property
     def lam(self) -> float:
@@ -92,7 +97,10 @@ class OscillatorSpec:
         return energy / self.energy_scale
 
     def energy_from_eps(self, eps: float) -> float:
-        return eps * self.energy_scale
+        energy = eps * self.energy_scale
+        if not math.isfinite(energy):
+            raise ParameterError(f"energy eps * hbar omega = {eps} * {self.energy_scale} overflows")
+        return energy
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,16 @@ integrand in this package is bounded by e^(-x^2) tails, below 1e-62
 there.  Half-line inner products also ship a Gauss-Laguerre path in the
 y = x^2 variable, exact for the polynomial integrands of the bound
 states; the adaptive x-space route is the general fallback and the
-cross-check.
+cross-check.  QUADPACK only ever bisects [0, X_MAX], so the nodes of
+every pair in a Gram matrix come from one shared set: the adaptive route
+evaluates each state once per node and reuses the value for every
+partner.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -29,6 +33,10 @@ X_MAX = 12.0
 
 # Principal value: number of epsilon halvings before giving up.
 _PV_MAX_HALVINGS = 48
+
+# psi values of each state at the quadrature nodes, {x: psi(x)}; an entry
+# lives as long as its state, and equal states share one table.
+_PSI_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -165,14 +173,29 @@ def overlap(s1: EigenState, s2: EigenState, ctl: QuadControl | None = None) -> f
     Cross-parity full-line overlaps are 0 exactly (odd integrand on a
     symmetric domain); same-parity ones fold to twice the positive
     half-axis, which also moves the x = 0 singular behavior to an
-    endpoint where the quadrature handles it.
+    endpoint where the quadrature handles it.  Each state's psi is
+    evaluated once per node: the value is kept for as long as the state
+    lives and reused by every later overlap with that state.
     """
     _check_compatible(s1, s2)
-    if s1.domain is Domain.FULL_LINE:
-        if s1.parity is not s2.parity:
-            return 0.0
-        return 2.0 * integrate_adaptive(lambda x: s1.psi(x) * s2.psi(x), 0.0, X_MAX, ctl)
-    return integrate_adaptive(lambda x: s1.psi(x) * s2.psi(x), 0.0, X_MAX, ctl)
+    full = s1.domain is Domain.FULL_LINE
+    if full and s1.parity is not s2.parity:
+        return 0.0
+    psi1, psi2 = s1.psi, s2.psi
+    t1 = _PSI_TABLES.setdefault(s1, {})
+    t2 = _PSI_TABLES.setdefault(s2, {})
+
+    def integrand(x: float) -> float:
+        v1 = t1.get(x)
+        if v1 is None:
+            v1 = t1[x] = psi1(x)
+        v2 = t2.get(x)
+        if v2 is None:
+            v2 = t2[x] = psi2(x)
+        return v1 * v2
+
+    value = integrate_adaptive(integrand, 0.0, X_MAX, ctl)
+    return 2.0 * value if full else value
 
 
 def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:

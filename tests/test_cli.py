@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -64,6 +66,30 @@ class TestExitCodes:
         assert main([*command.split(), option, value]) == 0
         assert capsys.readouterr().out == joined != ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --alpha 1 --n-max 0 --omega inf",
+            "wavefunction --alpha 1 --xi-points 3 --mass inf",
+            "radial --alpha 1 --hbar nan",
+            # lambda = m omega / hbar underflows to 0
+            "wavefunction --alpha 1 --mass 1e-300 --omega 1e-300 --hbar 1e300",
+            # lambda overflows to inf
+            "wavefunction --alpha 1 --mass 1e300 --omega 1e300",
+            # hbar omega overflows while lambda stays finite
+            "spectrum --alpha 1 --mass 1e-300 --omega 1e300 --hbar 1e300",
+            # hbar omega is finite but eps * hbar omega is not
+            "spectrum --alpha 1 --omega 1e308",
+        ],
+    )
+    def test_unrepresentable_units_are_exit_1(self, capsys, argv):
+        rc = main(argv.split())
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("singosc: error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_usage_error_is_exit_1(self):
         for value in ("not-a-number", "-not-a-number"):
             with pytest.raises(SystemExit) as exc:
@@ -99,6 +125,41 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "alpha <= -1/4" in proc.stderr
+
+
+_UNIT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]),
+    st.floats(),
+)
+
+
+def _numeric_cells(text):
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        for cell in row:
+            try:
+                yield float(cell)
+            except ValueError:
+                pass  # a label such as `half` or `even`
+
+
+class TestUnitOptions:
+    @given(st.sampled_from(["spectrum", "wavefunction"]), _UNIT_VALUES, _UNIT_VALUES, _UNIT_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_output_or_typed_error(self, command, mass, omega, hbar):
+        units = {"mass": mass, "omega": omega, "hbar": hbar}
+        argv = [command, "--alpha", "1", *(f"--{k}={v!r}" for k, v in units.items())]
+        if command == "wavefunction":
+            argv += ["--xi-points", "5"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            cells = list(_numeric_cells(out.getvalue()))
+            assert cells and all(math.isfinite(v) for v in cells)
+        else:
+            assert rc == 1
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"singosc: error: \S[^\n]*\n", err.getvalue())
 
 
 class TestSpectrumCommand:

@@ -210,7 +210,7 @@ class TestOscillatorSpec:
             e, rel=1e-12, abs=1e-12
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_rejects_nonpositive_parameters(self, bad):
         with pytest.raises(ParameterError):
             OscillatorSpec(alpha=0.0, mass=bad)
@@ -218,6 +218,26 @@ class TestOscillatorSpec:
             OscillatorSpec(alpha=0.0, omega=bad)
         with pytest.raises(ParameterError):
             OscillatorSpec(alpha=0.0, hbar=bad)
+
+
+    @pytest.mark.parametrize(
+        "units",
+        [
+            {"mass": 1e-300, "omega": 1e-300, "hbar": 1e300},  # lambda = 0
+            {"mass": 1e300, "omega": 1e300},  # lambda = inf
+            {"mass": 1e-300, "omega": 1e300, "hbar": 1e300},  # hbar omega = inf
+            {"omega": 1e-200, "hbar": 1e-200},  # hbar omega = 0
+        ],
+    )
+    def test_rejects_unrepresentable_scales(self, units):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            OscillatorSpec(alpha=0.0, **units)
+
+    def test_energy_overflow_raises(self):
+        spec = OscillatorSpec(alpha=0.0, omega=1e308)
+        assert spec.energy_from_eps(1.5) == 1.5e308
+        with pytest.raises(ParameterError, match="overflows"):
+            spec.energy_from_eps(2.5)
 
 
 class TestPotential:

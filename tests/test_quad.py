@@ -1,7 +1,9 @@
 """Quadrature layer: adaptive integrals, principal values, overlaps."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from singosc.model import Domain
 from singosc.quad import (
+    X_MAX,
     IntegrabilityClass,
     QuadControl,
     cauchy_pv,
@@ -20,7 +23,7 @@ from singosc.quad import (
     overlap,
     overlap_halfline_gauss,
 )
-from singosc.spectrum import fullline_states, halfline_state
+from singosc.spectrum import EigenState, fullline_states, halfline_state
 
 
 class TestIntegrateAdaptive:
@@ -130,6 +133,60 @@ class TestOverlap:
         even, odd = fullline_states(0.5, 0)
         with pytest.raises(DomainMismatch):
             overlap_halfline_gauss(even, odd)
+
+
+def _counting_psi(monkeypatch):
+    """Patch EigenState.psi on the class; returns the list of
+    (id(state), x) of every real evaluation."""
+    seen = []
+    inner = EigenState.psi
+
+    def psi(self, x):
+        seen.append((id(self), x))
+        return inner(self, x)
+
+    monkeypatch.setattr(EigenState, "psi", psi)
+    return seen
+
+
+class TestOverlapTables:
+    """Each state's psi is tabulated at the quadrature nodes and shared by
+    every overlap with that state; the values must not move by an ulp."""
+
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.0, 0.5, 7.9])
+    def test_bit_identical_to_uncached_integral(self, alpha):
+        branches = (-1.0, 0.0) if alpha == 0 else (None,)
+        half = [halfline_state(alpha, n, b) for b in branches for n in range(6)]
+        full = [s for n in range(6) for s in fullline_states(alpha, n)]
+        for states, factor in ((half, 1.0), (full, 2.0)):
+            for i, s1 in enumerate(states):
+                for s2 in states[i:]:
+                    if s1.parity is not s2.parity:
+                        continue
+                    ref = integrate_adaptive(lambda x: s1.psi(x) * s2.psi(x), 0.0, X_MAX)
+                    assert overlap(s1, s2) == factor * ref, (s1.n, s1.beta, s2.n, s2.beta)
+
+    def test_each_state_evaluated_once_per_node(self, monkeypatch):
+        seen = _counting_psi(monkeypatch)
+        states = [halfline_state(3.3, n) for n in range(12)]
+        for i, s1 in enumerate(states):
+            for s2 in states[i:]:
+                overlap(s1, s2)
+        assert len(seen) > 0
+        assert len(set(seen)) == len(seen)
+
+    def test_table_does_not_keep_the_state_alive(self, monkeypatch):
+        s = halfline_state(1.7, 3)
+        overlap(s, s)
+        ref = weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
+        # the table went with the state: an equal new state evaluates again
+        seen = _counting_psi(monkeypatch)
+        s = halfline_state(1.7, 3)
+        overlap(s, s)
+        assert len(seen) > 0
 
 
 class TestConnectionResidual:
