@@ -1,8 +1,10 @@
 """Independent numerical eigenvalue oracles.
 
 Two routes that share nothing with the closed-form solution beyond the
-local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Both
-truncate the half-line at the one outer box x = _X_MAX.
+local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Finite
+differences truncate the half-line at x = _X_MAX; shooting stops a few
+decay lengths past the outer turning point of its own top energy, never
+past _X_MAX.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -17,11 +19,14 @@ levels by less than 3 t eps, t = e0^(2 nu), a bound fd_eigen adds to its
 residual; fd_spectrum puts e0 where t = e^-20, and only near alpha =
 -1/4, where that e0 is below e^-150, fits the levels of three cutoffs as
 a polynomial in t.  (b) Shooting with an adaptive Runge-Kutta-Fehlberg
-integrator seeded by a Frobenius series at _X0 counts sign changes of psi
-for a batch of energies in one pass; the count is monotone in the
-energy, so one scan pass brackets every level and a few multisection
-passes (each splitting every bracket into _KSECTION parts at once)
-narrow the brackets to the tolerance.
+integrator seeded by a Frobenius series near the origin counts sign
+changes of psi for a batch of energies in one pass; the count is
+monotone in the energy, so one scan pass brackets every level and a few
+multisection passes (each splitting every bracket into _KSECTION parts at
+once) narrow the brackets to the tolerance.  Each pass integrates to
+_box of the top energy in its batch, the outer turning point
+sqrt(eps + sqrt(eps^2 - alpha)) plus _BOX_MARGIN: past it a bound state
+only decays, and relative error control would chase the growing tail.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -40,11 +45,17 @@ from .errors import BracketError, ConvergenceError, NonConvergence, ParameterErr
 from .model import Domain, admissible_beta
 from .spectrum import SpectrumTable
 
-# the outer box of both oracles; shooting's Frobenius start point and
+# the outer box of finite differences and the cap of shooting's _box;
+# shooting's Frobenius start point floor and its scale in sqrt(beta + 1),
 # terms, and the relative local error its step controller allows (and the
 # Frobenius series' last term may reach)
 _X_MAX = 12.0
-_X0, _N_TERMS, _RTOL = 1e-3, 12, 1e-7
+_X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
+# distance past the outer turning point that shooting integrates to: 3
+# keeps the narrowed levels within about 2e-7 relative (1.7 gave 2.6e-7); node
+# counts at a level stop at 2, because at 3 the growing tail of a level
+# near alpha = -1/4 flips the sign once more
+_BOX_MARGIN, _COUNT_MARGIN = 3.0, 2.0
 _RENORM_LIMIT = 1e100
 _H_MAX = 0.25
 _H_MIN = 1e-12
@@ -85,6 +96,8 @@ class OracleResult:
     method: OracleMethod
     residual_estimate: float
     passes: int = 0  # integrator passes a shooting run made
+    steps_accepted: int = 0  # RKF45 steps over those passes
+    steps_rejected: int = 0
     rows: int = 0  # matrix rows a finite-difference run diagonalized
 
 
@@ -245,28 +258,41 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
     return float(psi), float(dpsi)
 
 
-def _rkf45_count_nodes(
-    alpha: float, eps_arr: np.ndarray, x_stop_count: float | None = None
-) -> np.ndarray:
-    """Integrate the batch outward from _X0 to _X_MAX, counting sign changes of psi.
+def _box(alpha: float, eps: float, margin: float = _BOX_MARGIN) -> float:
+    """Where shooting at energies up to eps stops: margin past the outer
+    turning point sqrt(eps + sqrt(eps^2 - alpha)) of x^2/2 + alpha/(2 x^2),
+    at most _X_MAX.  Below the well's bottom, eps < sqrt(alpha), where no
+    level lies, the inner root counts as 0."""
+    turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
+    return min(_X_MAX, math.sqrt(max(turn, 0.0)) + margin)
 
-    The state stacks psi (row 0) and psi' (row 1) of every batch member
-    into one (2, m) array, advanced by the Fehlberg tableau.  All members
-    step in lockstep; the step controller obeys the worst member.
-    Counting may be restricted to x <= x_stop_count to exclude the far
-    tail where the growing solution contaminates the decaying one.
+
+def _rkf45_count_nodes(
+    alpha: float, eps_arr: np.ndarray, x_max: float
+) -> tuple[np.ndarray, int, int]:
+    """Integrate the batch outward to x_max, counting sign changes of psi;
+    also the accepted and the rejected steps.
+
+    The Frobenius start is at x0 = max(_X0, _X0_SCALE sqrt(beta + 1)): the
+    series converges farther out as beta grows.  The state stacks psi
+    (row 0) and psi' (row 1) of every batch member into one (2, m) array,
+    advanced by the Fehlberg tableau.  All members step in lockstep; the
+    step controller obeys the worst member.  Raises NonConvergence when
+    the error estimate or the state is not finite (a NaN, infinite or
+    overflowing energy), or when the step size collapses.
     """
     m = eps_arr.shape[0]
-    y = _frobenius_series(alpha, eps_arr, _X0)
+    x = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
+    y = _frobenius_series(alpha, eps_arr, x)
     two_eps = 2.0 * eps_arr
     stages = np.zeros((len(_RKF_C), 2, m))
     flat = stages.reshape(len(_RKF_C), 2 * m)  # view: one row per stage
     counts = np.zeros(m, dtype=int)
     sign = np.where(y[0] >= 0, 1.0, -1.0)
-    x = _X0
-    h = _X0
-    while x < _X_MAX:
-        h = min(h, _X_MAX - x)
+    h = x
+    accepted = rejected = 0
+    while x < x_max:
+        h = min(h, x_max - x)
         for i, (c, row) in enumerate(zip(_RKF_C, _RKF_A)):
             s = y + ((h * row) @ flat[:i]).reshape(2, m) if i else y
             xs = x + c * h
@@ -275,51 +301,64 @@ def _rkf45_count_nodes(
         y5 = y + ((h * _RKF_B5) @ flat).reshape(2, m)
         err_abs = np.abs(((h * _RKF_ERR) @ flat).reshape(2, m)).max(axis=0)
         mag = np.abs(y5).max(axis=0)
-        err = np.max(err_abs / (1e-300 + _RTOL * mag))
+        err = float(np.max(err_abs / (1e-300 + _RTOL * mag)))
+        peak = float(mag.max())
+        if not (math.isfinite(err) and math.isfinite(peak)):
+            raise NonConvergence(f"integrator state is not finite at x = {x:.6g}")
         if err <= 1.0 or h <= _H_MIN:
+            accepted += 1
             x += h
             y = y5
-            if x_stop_count is None or x <= x_stop_count:
-                flip = y[0] * sign < 0
-                counts += flip
-                sign = np.where(flip, -sign, sign)
-            big = mag > _RENORM_LIMIT
-            if np.any(big):
-                y = y * np.where(big, 1.0 / mag, 1.0)
+            flip = y[0] * sign < 0
+            counts += flip
+            sign = np.where(flip, -sign, sign)
+            if peak > _RENORM_LIMIT:
+                y = y * np.where(mag > _RENORM_LIMIT, 1.0 / mag, 1.0)
+        else:
+            rejected += 1
         if h <= _H_MIN and err > 1.0:
             raise NonConvergence("integrator step size collapsed")
         h = min(_H_MAX, h * min(4.0, max(0.1, 0.9 * err ** (-0.2) if err > 0 else 4.0)))
-    return counts
+    return counts, accepted, rejected
 
 
 def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleResult:
     """Shooting eigenvalues for n = 0 .. n_max by batched multisection.
 
-    The total sign-change count along [_X0, _X_MAX] (including the tail
-    flip of the growing contamination) is the number of eigenvalues below
-    eps.  One scan pass counts it on a 0.5-spaced grid (levels are 2
-    apart) up to eps = 2 n_max + 20, doubling the window until the count
-    reaches n_max + 1; past eps = _X_MAX^2 the outer turning point leaves
-    the box, so the scan gives up there with BracketError.  Each narrowing
-    pass splits every bracket into _KSECTION parts in one batch
-    (multisection, the k-way Barth-Martin-Wilkinson bisection) and keeps
-    the part where the count first exceeds n, until all brackets are at
-    most eps_tol wide or too narrow to split in floating point.
+    The total sign-change count along [x0, _box] (including the tail flip
+    of the growing contamination) is the number of eigenvalues below eps.
+    One scan pass counts it on a 0.5-spaced grid (levels are 2 apart) up
+    to eps = 2 n_max + 4, doubling the window until the count exceeds
+    n_max; past eps = _X_MAX^2 the outer turning point leaves the box, so
+    the scan gives up there with BracketError.  Each narrowing pass splits
+    every bracket into _KSECTION parts in one batch (multisection, the
+    k-way Barth-Martin-Wilkinson bisection) and keeps the part where the
+    count first exceeds n, until all brackets are at most eps_tol wide or
+    too narrow to split in floating point.  Every pass integrates to _box
+    of the top energy of its own batch: the scan window's top, or the top
+    bracket's upper end.
     """
     admissible_beta(alpha)
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
+    if not 0.0 <= eps_tol < math.inf:
+        raise ParameterError(f"eps_tol must be finite and >= 0, got {eps_tol}")
     targets = np.arange(n_max + 1)
-    passes = 0
+    steps: list[tuple[int, int]] = []  # (accepted, rejected) per pass
+
+    def count(batch: np.ndarray, top: float) -> np.ndarray:
+        counts, accepted, rejected = _rkf45_count_nodes(alpha, batch, _box(alpha, top))
+        steps.append((accepted, rejected))
+        return counts
+
     eps = np.empty(0)
     counts = np.empty(0, dtype=int)
     cap = _X_MAX**2
-    top = min(2.0 * n_max + 20.0, cap)
+    top = min(2.0 * n_max + 4.0, cap)
     while True:
         grid = np.arange(eps[-1] + 0.5 if eps.size else 0.25, top + 0.25, 0.5)
         eps = np.concatenate((eps, grid))
-        counts = np.concatenate((counts, _rkf45_count_nodes(alpha, grid)))
-        passes += 1
+        counts = np.concatenate((counts, count(grid, top)))
         if counts[-1] > n_max or top >= cap:
             break
         top = min(2.0 * top, cap)
@@ -336,8 +375,7 @@ def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleRes
     while eps_tol < np.max(hi - lo) < width:
         width = np.max(hi - lo)
         inner = lo[:, None] + (hi - lo)[:, None] * split
-        counts = _rkf45_count_nodes(alpha, inner.ravel())
-        passes += 1
+        counts = count(inner.ravel(), float(np.max(hi)))
         above = counts.reshape(inner.shape) > targets[:, None]
         # the count at hi exceeds n by construction: a True column for it
         first = 1 + np.pad(above, ((0, 0), (0, 1)), constant_values=True).argmax(axis=1)
@@ -345,7 +383,10 @@ def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleRes
         lo = grid[targets, first - 1]
         hi = grid[targets, first]
     eigenvalues = tuple(float(v) for v in 0.5 * (lo + hi))
-    return OracleResult(eigenvalues, OracleMethod.SHOOTING, float(np.max(hi - lo)) / 2.0, passes)
+    accepted, rejected = map(sum, zip(*steps))
+    residual = float(np.max(hi - lo)) / 2.0
+    passes = len(steps)
+    return OracleResult(eigenvalues, OracleMethod.SHOOTING, residual, passes, accepted, rejected)
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
@@ -357,12 +398,12 @@ def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
 def count_nodes_at(alpha: float, eps: float) -> int:
     """Interior sign changes of the shot solution at a fixed energy.
 
-    The count stops 2 past the outer turning point sqrt(2 eps), beyond
-    which only the growing contamination could flip the sign, so it is
-    the true node count of the bound state.
+    The integration stops _COUNT_MARGIN past the outer turning point
+    (_box), before the growing contamination could flip the sign, so at a
+    level the count is the true node count of the bound state.
     """
-    stop = math.sqrt(max(2.0 * eps, 1.0)) + 2.0
-    return int(_rkf45_count_nodes(alpha, np.array([eps]), stop)[0])
+    counts, _, _ = _rkf45_count_nodes(alpha, np.array([eps]), _box(alpha, eps, _COUNT_MARGIN))
+    return int(counts[0])
 
 
 def compare(analytic: SpectrumTable, oracle: OracleResult, tol: float) -> CompareReport:

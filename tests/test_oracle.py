@@ -9,12 +9,15 @@ from singosc import spectrum
 from singosc.errors import (
     BracketError,
     ConvergenceError,
+    NonConvergence,
     ParameterError,
     ShapeMismatch,
     SupercriticalError,
 )
 from singosc.model import Domain
 from singosc.oracle import (
+    _X_MAX,
+    _box,
     _rkf45_count_nodes,
     OracleMethod,
     compare,
@@ -203,14 +206,19 @@ class TestShooting:
             shoot_spectrum(-0.5, 1)
 
     @pytest.mark.parametrize("n_max", [1, 4, 8])
-    @pytest.mark.parametrize("alpha", [-0.2499, -0.1, 0.0, 2.0, 7.5])
+    @pytest.mark.parametrize(
+        "alpha", [-0.2499, -0.2, -0.1, -0.01, 0.0, 1e-4, 0.5, 2.0, 3.3, 7.5, 8.0]
+    )
     def test_multisection_passes_and_accuracy(self, alpha, n_max):
+        # eps_8 lies above the first scan window, eps <= 20, from alpha = 7.3
+        # on, so 7.5 and 8.0 at n_max = 8 take the doubled window
         res = shoot_spectrum(alpha, n_max)
         # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
         t = spectrum_table(alpha, n_max, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
         assert res.passes <= 5
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
         assert res.residual_estimate <= 1e-6 / 2
+        assert 0 <= res.steps_rejected < res.steps_accepted
 
     def test_scan_window_grows_for_large_alpha(self):
         # eps_3 = 27.0 lies above the first scan window, eps <= 26
@@ -222,6 +230,11 @@ class TestShooting:
         res = shoot_spectrum(2.0, 0, eps_tol=0.0)
         assert res.eigenvalues[0] == pytest.approx(2.5, abs=5e-6)
         assert res.residual_estimate < 1e-14
+
+    @pytest.mark.parametrize("eps_tol", [math.nan, math.inf, -1e-6])
+    def test_tolerance_must_be_finite_and_nonnegative(self, eps_tol):
+        with pytest.raises(ParameterError, match="eps_tol"):
+            shoot_spectrum(2.0, 2, eps_tol=eps_tol)
 
     def test_scan_stops_at_x_max_squared(self):
         # the scan gives up at the box's cap eps = 12^2, below eps_72 = 145.5
@@ -238,14 +251,38 @@ class TestNodeCounts:
         levels = np.array(t.distinct_levels())
         eps = np.linspace(0.3, 24.0, 200)
         eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
-        counts = _rkf45_count_nodes(alpha, eps)
+        counts, _, _ = _rkf45_count_nodes(alpha, eps, _box(alpha, eps.max()))
         np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
 
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 2.0, 7.5, 400.0])
     def test_counts_match_quantum_number(self, alpha):
-        t = spectrum_table(alpha, 4, Domain.HALF_LINE)
+        # counting to the turning point plus 3 would see the growing tail
+        # flip the sign of levels near alpha = -1/4
+        t = spectrum_table(alpha, 12, Domain.HALF_LINE)
         for n, eps in enumerate(t.distinct_levels()):
             assert count_nodes_at(alpha, eps) == n
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
+    def test_nonfinite_energy_raises(self, eps):
+        with pytest.raises(NonConvergence, match="not finite"):
+            count_nodes_at(2.0, eps)
+
+    def test_box_stops_before_x_max(self):
+        # at alpha = 2 the top energy 20 turns at x = 6.3; the pass to 9.3
+        # skips the steps that chase the growing tail out to 12
+        eps = np.arange(0.25, 20.0, 0.5)
+        box = _box(2.0, 20.0)
+        assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
+        to_box, accepted, _ = _rkf45_count_nodes(2.0, eps, box)
+        to_cap, accepted_cap, _ = _rkf45_count_nodes(2.0, eps, _X_MAX)
+        np.testing.assert_array_equal(to_box, to_cap)
+        assert accepted < accepted_cap
+
+    def test_box_never_passes_x_max(self):
+        assert _box(0.0, 144.0) == _X_MAX
+        # below the well's bottom, eps < sqrt(alpha), the inner root counts as 0
+        assert _box(400.0, 10.0) == pytest.approx(math.sqrt(10.0) + 3.0)
 
 
 class TestCompare:
