@@ -38,7 +38,7 @@ class DepthExceeded(SingOscError):
 
 
 class PVDivergent(SingOscError):
-    """Symmetric principal-value partial sums fail the Cauchy-sequence test."""
+    """A principal value whose integral folded about the pole does not converge."""
 
 
 class DomainMismatch(SingOscError):

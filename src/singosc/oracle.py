@@ -249,12 +249,18 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
 
     Uses only the local indicial exponent beta_plus, so the start stays
     independent of the global closed-form solution.  Raises ParameterError
-    where x0 is too large for the truncated series to converge.
+    where x0 is too large for the truncated series to converge, or where
+    the energy or the series is not finite.
     """
     admissible_beta(alpha)
     if not x0 > 0:
         raise ParameterError("x0 must be positive")
-    psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0)[:, 0]
+    if not math.isfinite(eps_energy):
+        raise ParameterError(f"energy must be finite, got {eps_energy}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0)[:, 0]
+    if not (math.isfinite(psi) and math.isfinite(dpsi)):
+        raise ParameterError(f"Frobenius series at x0 = {x0}, eps = {eps_energy} is not finite")
     return float(psi), float(dpsi)
 
 

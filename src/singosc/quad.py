@@ -2,6 +2,12 @@
 near-origin integrability classification, state overlaps, and the
 derivative connection-formula residual at the origin.
 
+Every integral is one QUADPACK call, and any failure QUADPACK reports
+(or a non-finite value) raises DepthExceeded.  A principal value is
+folded about its pole into one ordinary integral of f(c+t) + f(c-t);
+when that integral fails the singularity is not odd and PVDivergent is
+raised.
+
 Infinite limits are truncated at X_MAX = 12 (natural units): every
 integrand in this package is bounded by e^(-x^2) tails, below 1e-62
 there.  Half-line inner products also ship a Gauss-Laguerre path in the
@@ -16,6 +22,7 @@ partner.
 from __future__ import annotations
 
 import enum
+import math
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -23,16 +30,13 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
-from .model import Domain, Parity
+from .model import Domain
 
 if TYPE_CHECKING:
     from .spectrum import EigenState
 
 # Truncation point for infinite integration limits (natural units).
 X_MAX = 12.0
-
-# Principal value: number of epsilon halvings before giving up.
-_PV_MAX_HALVINGS = 48
 
 # psi values of each state at the quadrature nodes, {x: psi(x)}; an entry
 # lives as long as its state, and equal states share one table.
@@ -66,7 +70,10 @@ def integrate_adaptive(
 
     Endpoint algebraic singularities are handled by the epsilon-algorithm
     extrapolation of the underlying rule.  max_depth scales the
-    subinterval budget.  Infinite limits are replaced by +-X_MAX.
+    subinterval budget.  Infinite limits are replaced by +-X_MAX.  Raises
+    DepthExceeded whenever QUADPACK reports a failure (budget spent,
+    roundoff, a divergent or slowly convergent integral) or the value is
+    not finite.
     """
     import scipy.integrate  # loaded on first use, not with the package
 
@@ -83,11 +90,11 @@ def integrate_adaptive(
         limit=max(10, 5 * ctl.max_depth),
         full_output=1,
     )
-    value, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > max(ctl.abs_tol, ctl.rel_tol * abs(value)):
+    value = out[0]
+    if len(out) > 3 or not math.isfinite(value):
+        reason = out[3] if len(out) > 3 else "the value is not finite"
         raise DepthExceeded(
-            f"quadrature on [{a}, {b}] stalled: estimate {value}, "
-            f"error {abserr}: {out[3]}"
+            f"quadrature on [{a}, {b}] failed: estimate {value}, error {out[1]}: {reason}"
         )
     return value
 
@@ -101,56 +108,26 @@ def cauchy_pv(
 ) -> float:
     """Cauchy principal value of f over [a, b] with singular point c.
 
-    Computes S_k = int_a^{c-eps_k} + int_{c+eps_k}^b on the sequence
-    eps_k = 2^-k eps_0 and declares convergence when three successive
-    partial sums agree within abs_tol.  Growing differences (ratio >= 1.5
-    three times in a row) signal an even non-integrable singularity and
-    raise PVDivergent.
+    Folds the symmetric part about the pole: with d = min(c - a, b - c),
+    PV int_{c-d}^{c+d} f = int_0^d [f(c+t) + f(c-t)] dt, an ordinary
+    integral that cancels the odd part of the singularity (Davis &
+    Rabinowitz, Methods of Numerical Integration).  The one-sided rest of
+    [a, b] is added as a plain integral.  Raises PVDivergent when the
+    folded integral fails, as for an even singularity like 1/x^2.
     """
-    if ctl is None:
-        ctl = QuadControl()
     if not a < c < b:
-        raise ValueError("need a < c < b")
-    shell_ctl = QuadControl(
-        abs_tol=min(ctl.abs_tol, 1e-13),
-        rel_tol=min(ctl.rel_tol, 1e-13),
-        max_depth=ctl.max_depth,
-    )
-    eps = min(c - a, b - c) / 2.0
-    total = integrate_adaptive(f, a, c - eps, shell_ctl) + integrate_adaptive(
-        f, c + eps, b, shell_ctl
-    )
-    prev_diff = None
-    small_run = 0
-    grow_run = 0
-    for _ in range(_PV_MAX_HALVINGS):
-        half = eps / 2.0
-        shell = integrate_adaptive(f, c - eps, c - half, shell_ctl) + integrate_adaptive(
-            f, c + half, c + eps, shell_ctl
-        )
-        total += shell
-        eps = half
-        diff = abs(shell)
-        if diff < ctl.abs_tol:
-            small_run += 1
-            grow_run = 0
-            if small_run >= 2:
-                return total
-        else:
-            small_run = 0
-            if prev_diff is not None and diff >= 1.5 * prev_diff and diff > 10 * ctl.abs_tol:
-                grow_run += 1
-                if grow_run >= 3:
-                    raise PVDivergent(
-                        f"partial sums diverge near x = {c} "
-                        f"(last shell contribution {shell})"
-                    )
-            else:
-                grow_run = 0
-        prev_diff = diff
-    raise PVDivergent(
-        f"no Cauchy convergence after {_PV_MAX_HALVINGS} halvings near x = {c}"
-    )
+        raise ParameterError(f"need a < c < b, got a = {a}, c = {c}, b = {b}")
+    left, right = c - a, b - c
+    d = min(left, right)
+    try:
+        value = integrate_adaptive(lambda t: f(c + t) + f(c - t), 0.0, d, ctl)
+    except DepthExceeded as exc:
+        raise PVDivergent(f"principal value at x = {c} diverges: {exc}") from exc
+    if left > d:
+        value += integrate_adaptive(f, a, c - d, ctl)
+    if right > d:
+        value += integrate_adaptive(f, c + d, b, ctl)
+    return value
 
 
 def integrability_class(p: float) -> IntegrabilityClass:
@@ -231,17 +208,18 @@ def connection_residual(
 ) -> float:
     """Residual of the derivative connection formula at the origin.
 
-    r(eps) = [psi'(eps) - psi'(-eps)] - alpha * int_{-eps}^{+eps} psi/x^2 dx,
-    the integral taken as a principal value for odd states and as an
-    ordinary (improper) integral for even ones.  r(eps) -> 0 as eps -> 0
-    for admissible states; for alpha = 0 the singular term is absent and
-    the residual is identically 0.  The even-state integral only exists
-    for alpha > 0 (psi ~ |x|^(beta+1) with beta > 0 there).
+    r(eps) = [psi'(eps) - psi'(-eps)] - alpha * PV int_{-eps}^{+eps} psi/x^2 dx.
+    r(eps) -> 0 as eps -> 0 for admissible states; for alpha = 0 the
+    singular term is absent and the residual is identically 0.  The fold
+    of cauchy_pv gives exactly 0 for an odd state and twice the half-line
+    integral for an even one; that integral only exists for alpha > 0
+    (psi ~ |x|^(beta+1) with beta > 0 there), and for alpha < 0 it raises
+    PVDivergent.
     """
     if state.domain is not Domain.FULL_LINE:
         raise DomainMismatch("connection formula applies to full-line states")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     if state.alpha == 0:
         return 0.0
     jump = state.dpsi(eps) - state.dpsi(-eps)
@@ -249,8 +227,4 @@ def connection_residual(
     def g(x: float) -> float:
         return state.psi(x) / x**2
 
-    if state.parity is Parity.ODD:
-        integral = cauchy_pv(g, -eps, eps, 0.0, ctl)
-    else:
-        integral = 2.0 * integrate_adaptive(g, 0.0, eps, ctl)
-    return jump - state.alpha * integral
+    return jump - state.alpha * cauchy_pv(g, -eps, eps, 0.0, ctl)

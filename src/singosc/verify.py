@@ -15,8 +15,6 @@ from . import oracle, quad, spectrum
 from .errors import SupercriticalError
 from .model import ALPHA_CRITICAL, Domain, Parity, admissible_betas, indicial_roots
 
-SUITE_NAMES = ("hermiticity", "orthonormality", "oracle", "degeneracy", "perturbation")
-
 
 @dataclass(frozen=True)
 class Check:
@@ -225,29 +223,31 @@ def suite_perturbation() -> SuiteReport:
     return rep
 
 
+SUITES = {
+    "hermiticity": suite_hermiticity,
+    "orthonormality": suite_orthonormality,
+    "oracle": suite_oracle,
+    "degeneracy": suite_degeneracy,
+    "perturbation": suite_perturbation,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suites(
     names: tuple[str, ...],
     alpha: float | None = None,
     tol: float | None = None,
 ) -> list[SuiteReport]:
     """Run the named suites; alpha/tol override the oracle suite only."""
+    overrides = {}
+    if alpha is not None:
+        overrides["alphas"] = (alpha,)
+    if tol is not None:
+        overrides["tol_shoot"] = tol
     reports = []
     for name in names:
-        if name == "hermiticity":
-            reports.append(suite_hermiticity())
-        elif name == "orthonormality":
-            reports.append(suite_orthonormality())
-        elif name == "oracle":
-            kwargs = {}
-            if alpha is not None:
-                kwargs["alphas"] = (alpha,)
-            if tol is not None:
-                kwargs["tol_shoot"] = tol
-            reports.append(suite_oracle(**kwargs))
-        elif name == "degeneracy":
-            reports.append(suite_degeneracy())
-        elif name == "perturbation":
-            reports.append(suite_perturbation())
-        else:
+        suite = SUITES.get(name)
+        if suite is None:
             raise ValueError(f"unknown suite {name!r}")
+        reports.append(suite(**overrides) if name == "oracle" else suite())
     return reports

@@ -1,6 +1,7 @@
 """Independent eigenvalue routes: finite differences, shooting, node counts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestFrobeniusStart:
         for x0 in (2.0, 5.0):
             with pytest.raises(ParameterError, match="Frobenius series"):
                 frobenius_start(0.5, 1.8660254037844386, x0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 1e300])
+    def test_nonfinite_energy_rejected(self, eps):
+        # a NaN or overflowing series must not come back as (nan, nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                frobenius_start(2.0, eps, 1e-3)
 
 
 class TestShooting:

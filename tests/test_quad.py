@@ -38,9 +38,22 @@ class TestIntegrateAdaptive:
     def test_polynomial(self):
         assert integrate_adaptive(lambda x: 3 * x * x, 0.0, 2.0) == pytest.approx(8.0)
 
-    def test_nonintegrable_raises(self):
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: 1.0 / x,
+            lambda x: x**-2,
+            lambda x: x**-1.5,
+            lambda x: math.nan,
+            lambda x: math.inf,
+        ],
+        ids=["inv_x", "inv_x2", "x_pow_-1.5", "nan", "inf"],
+    )
+    def test_nonintegrable_raises(self, f):
+        # QUADPACK extrapolates x^-2 and x^-1.5 to the finite values -1 and
+        # -2 with a small error estimate, but flags them divergent
         with pytest.raises(DepthExceeded):
-            integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
+            integrate_adaptive(f, 0.0, 1.0)
 
 
 class TestCauchyPV:
@@ -58,6 +71,21 @@ class TestCauchyPV:
     def test_even_divergence_detected(self):
         with pytest.raises(PVDivergent):
             cauchy_pv(lambda x: 1.0 / (x * x), -1.0, 1.0, 0.0)
+        with pytest.raises(PVDivergent):
+            cauchy_pv(lambda x: 1.0 / abs(x), -1.0, 1.0, 0.0)
+
+    def test_integrable_even_singularity(self):
+        # |x|^-1/2 is integrable, so its principal value is the plain integral
+        val = cauchy_pv(lambda x: abs(x) ** -0.5, -1.0, 1.0, 0.0)
+        assert val == pytest.approx(4.0, rel=1e-10)
+
+    def test_exponential_integral(self):
+        # PV int_{-1}^{2} e^x/x dx = Ei(2) - Ei(-1)
+        import scipy.special
+
+        val = cauchy_pv(lambda x: math.exp(x) / x, -1.0, 2.0, 0.0)
+        expected = scipy.special.expi(2.0) - scipy.special.expi(-1.0)
+        assert val == pytest.approx(expected, rel=1e-12)
 
     @given(st.floats(min_value=0.3, max_value=3.0))
     @settings(max_examples=30, deadline=None)
@@ -67,7 +95,7 @@ class TestCauchyPV:
         assert val == pytest.approx(2 * half_width**3 / 3, rel=1e-9)
 
     def test_requires_interior_pole(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             cauchy_pv(lambda x: 1.0 / x, 0.5, 1.0, 0.0)
 
 
@@ -209,6 +237,14 @@ class TestConnectionResidual:
         _, odd = fullline_states(alpha, 0)
         assert connection_residual(odd, 0.1) == 0.0
 
+    @pytest.mark.parametrize("alpha", [-0.2, -0.1])
+    def test_even_state_diverges_for_attractive_alpha(self, alpha):
+        # psi ~ |x|^(beta+1) with beta < 0: psi/x^2 is not integrable at 0
+        even, odd = fullline_states(alpha, 0)
+        with pytest.raises(PVDivergent):
+            connection_residual(even, 0.1)
+        assert connection_residual(odd, 0.1) == 0.0
+
     def test_free_case_is_zero(self):
         even, odd = fullline_states(0.0, 1)
         assert connection_residual(even, 0.1) == 0.0
@@ -220,8 +256,9 @@ class TestConnectionResidual:
 
     def test_bad_window_rejected(self):
         even, _ = fullline_states(0.5, 0)
-        with pytest.raises(ValueError):
-            connection_residual(even, 0.0)
+        for eps in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                connection_residual(even, eps)
 
 
 class TestQuadControl:
