@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .quad import (
     IntegrabilityClass,
-    QuadControl,
     X_MAX,
     cauchy_pv,
     connection_residual,
@@ -56,7 +55,6 @@ from .quad import (
     overlap_halfline_gauss,
 )
 from .specfun import (
-    SeriesControl,
     gamma_fn,
     hermite,
     kummer_m,

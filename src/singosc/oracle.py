@@ -2,15 +2,15 @@
 
 Two routes that share nothing with the closed-form solution beyond the
 local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Finite
-differences truncate the half-line at x = _X_MAX; shooting stops a few
-decay lengths past the outer turning point of its own top energy, never
-past _X_MAX.
+differences truncate the half-line at x = X_MAX = 12, the box quad
+integrates bound states over; shooting stops a few decay lengths past
+the outer turning point of its own top energy, never past X_MAX.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
 mu e^(2s) u, so the wall layer at the inner cutoff e0, e0 wide in x, is a
 few steps wide in s.  The cutoff fixes the grid: _richardson puts a step
-of about _H_LOG on [ln e0, ln _X_MAX].  Scaled by e^-s on both sides this
+of about _H_LOG on [ln e0, ln X_MAX].  Scaled by e^-s on both sides this
 is a graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
 explicit absolute tolerance (bisection is accurate on graded matrices,
 Barlow & Demmel 1990; its default tolerance, eps |T|, is not); Richardson
@@ -43,13 +43,13 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
 from .model import Domain, admissible_beta
+from .quad import X_MAX
 from .spectrum import SpectrumTable
 
-# the outer box of finite differences and the cap of shooting's _box;
-# shooting's Frobenius start point floor and its scale in sqrt(beta + 1),
-# terms, and the relative local error its step controller allows (and the
-# Frobenius series' last term may reach)
-_X_MAX = 12.0
+# X_MAX is the outer box of finite differences and the cap of shooting's
+# _box.  Shooting's Frobenius start point floor and its scale in
+# sqrt(beta + 1), terms, and the relative local error its step controller
+# allows (and the Frobenius series' last term may reach):
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 # distance past the outer turning point that shooting integrates to: 3
 # keeps the narrowed levels within about 2e-7 relative (1.7 gave 2.6e-7); node
@@ -118,9 +118,9 @@ def _fd_eigenvalues(alpha: float, e0: float, n: int, k: int) -> np.ndarray:
     # scipy.linalg loads here, not at import: the analytic CLI never needs it
     import scipy.linalg
 
-    # n interior nodes of a uniform s-grid on [ln e0, ln _X_MAX], Dirichlet
+    # n interior nodes of a uniform s-grid on [ln e0, ln X_MAX], Dirichlet
     # ends; -u'' + (nu^2 + e^4s) u = mu e^2s u scaled by e^-s on both sides
-    h = math.log(_X_MAX / e0) / (n + 1)
+    h = math.log(X_MAX / e0) / (n + 1)
     s = math.log(e0) + h * np.arange(1, n + 1)
     diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
     off = -np.exp(-(s[:-1] + s[1:])) / h**2
@@ -134,12 +134,12 @@ def _fd_eigenvalues(alpha: float, e0: float, n: int, k: int) -> np.ndarray:
 
 
 def _richardson(alpha: float, e0: float, k: int) -> tuple[np.ndarray, float, int]:
-    """Levels of the log grid from e0 to _X_MAX with a step of about _H_LOG
+    """Levels of the log grid from e0 to X_MAX with a step of about _H_LOG
     and of the grid of about twice its step, combined to cancel the h^2
     error; the fine grid's error, which bounds the combination's; rows."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    n = max(100, math.ceil(math.log(_X_MAX / e0) / _H_LOG))
+    n = max(100, math.ceil(math.log(X_MAX / e0) / _H_LOG))
     m = (n + 1) // 2 - 1
     fine = _fd_eigenvalues(alpha, e0, n, k)
     shift = (fine - _fd_eigenvalues(alpha, e0, m, k)) / (((n + 1) / (m + 1)) ** 2 - 1)
@@ -147,8 +147,8 @@ def _richardson(alpha: float, e0: float, k: int) -> tuple[np.ndarray, float, int
 
 
 def _check_cutoffs(cutoffs: tuple[float, ...]) -> None:
-    if not all(0 < e0 < _X_MAX for e0 in cutoffs):  # also catches a NaN e0
-        raise ParameterError(f"every inner cutoff e0 needs 0 < e0 < {_X_MAX}, got {cutoffs}")
+    if not all(0 < e0 < X_MAX for e0 in cutoffs):  # also catches a NaN e0
+        raise ParameterError(f"every inner cutoff e0 needs 0 < e0 < {X_MAX}, got {cutoffs}")
 
 
 def _fd_result(levels: np.ndarray, residual: float, rows: int) -> OracleResult:
@@ -212,7 +212,7 @@ def fd_spectrum(alpha: float, k: int) -> OracleResult:
     """Lowest k levels by finite differences with the default grid policy.
 
     One log grid (fd_eigen) from e0 = e^(-10/nu), where the wall term
-    t = e0^(2 nu) is e^-20, to the box edge _X_MAX.  Below nu = 1/15
+    t = e0^(2 nu) is e^-20, to the box edge X_MAX.  Below nu = 1/15
     (alpha < -0.2456) that e0 lies past e^-150, and the wall fit of
     fd_eigen_extrapolated at e0 = e^-50, e^-100, e^-150 takes over.
     Either way at most about 23k matrix rows.
@@ -267,10 +267,10 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
 def _box(alpha: float, eps: float, margin: float = _BOX_MARGIN) -> float:
     """Where shooting at energies up to eps stops: margin past the outer
     turning point sqrt(eps + sqrt(eps^2 - alpha)) of x^2/2 + alpha/(2 x^2),
-    at most _X_MAX.  Below the well's bottom, eps < sqrt(alpha), where no
+    at most X_MAX.  Below the well's bottom, eps < sqrt(alpha), where no
     level lies, the inner root counts as 0."""
     turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
-    return min(_X_MAX, math.sqrt(max(turn, 0.0)) + margin)
+    return min(X_MAX, math.sqrt(max(turn, 0.0)) + margin)
 
 
 def _rkf45_count_nodes(
@@ -335,7 +335,7 @@ def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleRes
     of the growing contamination) is the number of eigenvalues below eps.
     One scan pass counts it on a 0.5-spaced grid (levels are 2 apart) up
     to eps = 2 n_max + 4, doubling the window until the count exceeds
-    n_max; past eps = _X_MAX^2 the outer turning point leaves the box, so
+    n_max; past eps = X_MAX^2 the outer turning point leaves the box, so
     the scan gives up there with BracketError.  Each narrowing pass splits
     every bracket into _KSECTION parts in one batch (multisection, the
     k-way Barth-Martin-Wilkinson bisection) and keeps the part where the
@@ -359,7 +359,7 @@ def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleRes
 
     eps = np.empty(0)
     counts = np.empty(0, dtype=int)
-    cap = _X_MAX**2
+    cap = X_MAX**2
     top = min(2.0 * n_max + 4.0, cap)
     while True:
         grid = np.arange(eps[-1] + 0.5 if eps.size else 0.25, top + 0.25, 0.5)

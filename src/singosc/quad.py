@@ -8,15 +8,17 @@ folded about its pole into one ordinary integral of f(c+t) + f(c-t);
 when that integral fails the singularity is not odd and PVDivergent is
 raised.
 
-Infinite limits are truncated at X_MAX = 12 (natural units): every
-integrand in this package is bounded by e^(-x^2) tails, below 1e-62
-there.  Half-line inner products also ship a Gauss-Laguerre path in the
-y = x^2 variable, exact for the polynomial integrands of the bound
-states; the adaptive x-space route is the general fallback and the
-cross-check.  QUADPACK only ever bisects [0, X_MAX], so the nodes of
-every pair in a Gram matrix come from one shared set: the adaptive route
-evaluates each state once per node and reuses the value for every
-partner.
+QUADPACK always runs with epsabs = epsrel = 1e-10 and 200 subintervals,
+and an infinite limit goes to it as such.  Overlaps of bound states
+integrate to X_MAX = 12 (natural units) instead: their e^(-x^2) tails are
+below 1e-62 there, and a finite interval costs fewer evaluations than a
+mapped infinite one.  Half-line inner products also ship a
+Gauss-Laguerre path in the y = x^2 variable, exact for the polynomial
+integrands of the bound states; the adaptive x-space route is the
+general fallback and the cross-check.  QUADPACK only ever bisects
+[0, X_MAX], so the nodes of every pair in a Gram matrix come from one
+shared set: the adaptive route evaluates each state once per node and
+reuses the value for every partner.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 import weakref
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -35,27 +36,15 @@ from .model import Domain
 if TYPE_CHECKING:
     from .spectrum import EigenState
 
-# Truncation point for infinite integration limits (natural units).
+# Outer end of bound-state integrals (natural units), shared with the
+# finite-difference box of the oracles.
 X_MAX = 12.0
+# QUADPACK's absolute and relative tolerance, and its subinterval budget
+_QUAD_TOL, _QUAD_LIMIT = 1e-10, 200
 
 # psi values of each state at the quadrature nodes, {x: psi(x)}; an entry
 # lives as long as its state, and equal states share one table.
 _PSI_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-@dataclass(frozen=True)
-class QuadControl:
-    """Accuracy targets and refinement budget for adaptive quadrature."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 40
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ParameterError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ParameterError("max_depth must be >= 1")
 
 
 class IntegrabilityClass(enum.Enum):
@@ -63,32 +52,19 @@ class IntegrabilityClass(enum.Enum):
     NON_INTEGRABLE = "non_integrable"
 
 
-def integrate_adaptive(
-    f: Callable[[float], float], a: float, b: float, ctl: QuadControl | None = None
-) -> float:
-    """Adaptive quadrature of f on [a, b] (QAGS with endpoint extrapolation).
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive quadrature of f on [a, b] (QAGS with endpoint extrapolation,
+    QAGI on an infinite interval).
 
     Endpoint algebraic singularities are handled by the epsilon-algorithm
-    extrapolation of the underlying rule.  max_depth scales the
-    subinterval budget.  Infinite limits are replaced by +-X_MAX.  Raises
-    DepthExceeded whenever QUADPACK reports a failure (budget spent,
-    roundoff, a divergent or slowly convergent integral) or the value is
-    not finite.
+    extrapolation of the underlying rule.  Raises DepthExceeded whenever
+    QUADPACK reports a failure (budget spent, roundoff, a divergent or
+    slowly convergent integral) or the value is not finite.
     """
     import scipy.integrate  # loaded on first use, not with the package
 
-    if ctl is None:
-        ctl = QuadControl()
-    a = max(a, -X_MAX) if a == -np.inf else a
-    b = min(b, X_MAX) if b == np.inf else b
     out = scipy.integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=ctl.abs_tol,
-        epsrel=ctl.rel_tol,
-        limit=max(10, 5 * ctl.max_depth),
-        full_output=1,
+        f, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT, full_output=1
     )
     value = out[0]
     if len(out) > 3 or not math.isfinite(value):
@@ -99,13 +75,7 @@ def integrate_adaptive(
     return value
 
 
-def cauchy_pv(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    c: float,
-    ctl: QuadControl | None = None,
-) -> float:
+def cauchy_pv(f: Callable[[float], float], a: float, b: float, c: float) -> float:
     """Cauchy principal value of f over [a, b] with singular point c.
 
     Folds the symmetric part about the pole: with d = min(c - a, b - c),
@@ -120,13 +90,13 @@ def cauchy_pv(
     left, right = c - a, b - c
     d = min(left, right)
     try:
-        value = integrate_adaptive(lambda t: f(c + t) + f(c - t), 0.0, d, ctl)
+        value = integrate_adaptive(lambda t: f(c + t) + f(c - t), 0.0, d)
     except DepthExceeded as exc:
         raise PVDivergent(f"principal value at x = {c} diverges: {exc}") from exc
     if left > d:
-        value += integrate_adaptive(f, a, c - d, ctl)
+        value += integrate_adaptive(f, a, c - d)
     if right > d:
-        value += integrate_adaptive(f, c + d, b, ctl)
+        value += integrate_adaptive(f, c + d, b)
     return value
 
 
@@ -144,7 +114,7 @@ def _check_compatible(s1: EigenState, s2: EigenState) -> None:
         raise DomainMismatch(f"alpha differs: {s1.alpha} vs {s2.alpha}")
 
 
-def overlap(s1: EigenState, s2: EigenState, ctl: QuadControl | None = None) -> float:
+def overlap(s1: EigenState, s2: EigenState) -> float:
     """Inner product <s1|s2> by adaptive quadrature.
 
     Cross-parity full-line overlaps are 0 exactly (odd integrand on a
@@ -171,7 +141,7 @@ def overlap(s1: EigenState, s2: EigenState, ctl: QuadControl | None = None) -> f
             v2 = t2[x] = psi2(x)
         return v1 * v2
 
-    value = integrate_adaptive(integrand, 0.0, X_MAX, ctl)
+    value = integrate_adaptive(integrand, 0.0, X_MAX)
     return 2.0 * value if full else value
 
 
@@ -203,9 +173,7 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     return 0.5 * s1.norm_const * s2.norm_const * total
 
 
-def connection_residual(
-    state: EigenState, eps: float, ctl: QuadControl | None = None
-) -> float:
+def connection_residual(state: EigenState, eps: float) -> float:
     """Residual of the derivative connection formula at the origin.
 
     r(eps) = [psi'(eps) - psi'(-eps)] - alpha * PV int_{-eps}^{+eps} psi/x^2 dx.
@@ -227,4 +195,4 @@ def connection_residual(
     def g(x: float) -> float:
         return state.psi(x) / x**2
 
-    return jump - state.alpha * cauchy_pv(g, -eps, eps, 0.0, ctl)
+    return jump - state.alpha * cauchy_pv(g, -eps, eps, 0.0)

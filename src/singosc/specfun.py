@@ -10,7 +10,6 @@ controlled up to n of order 50.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +18,9 @@ from .errors import NonConvergence, ParameterError, PoleError
 # Tolerance inside which an argument counts as sitting on a pole of Gamma.
 POLE_TOL = 1e-12
 
-# Lanczos approximation, g=7, 9 coefficients.  Relative error below 1e-13
-# on the real axis away from poles, comfortably inside the 1e-12 target
-# for |z| <= 30.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping policy for direct series evaluation."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ParameterError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ParameterError("max_terms must be >= 1")
+# Relative size of the two last terms at which the Kummer series stops,
+# and its term budget before the terms start shrinking for good at j = y
+_SERIES_TOL, _SERIES_TERMS = 1e-15, 500
 
 
 def _near_nonpositive_integer(z: float, tol: float = POLE_TOL) -> bool:
@@ -57,73 +30,61 @@ def _near_nonpositive_integer(z: float, tol: float = POLE_TOL) -> bool:
     return m <= 0 and abs(z - m) <= tol
 
 
-def _sinpi(z: float) -> float:
-    # sin(pi z) with argument reduction about the nearest integer, so the
-    # reflection formula keeps full precision next to the poles.
-    m = round(z)
-    s = math.sin(math.pi * (z - m))
-    return -s if m % 2 else s
-
-
-def _lanczos_gamma(z: float) -> float:
-    # valid for z >= 0.5
-    zm1 = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zm1 + 0.5) * math.exp(-t) * acc
-
-
 def gamma_fn(z: float) -> float:
     """Gamma(z) for real z away from the poles at 0, -1, -2, ...
 
-    Raises PoleError when z is within 1e-12 of a non-positive integer.
+    Raises PoleError when z is within 1e-12 of a non-positive integer and
+    ParameterError when z is not finite or Gamma(z) overflows (z > 171.624).
     """
     z = float(z)
+    if not math.isfinite(z):
+        raise ParameterError(f"Gamma needs a finite argument, got {z}")
     if _near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
-    if z >= 0.5:
-        return _lanczos_gamma(z)
-    # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    return math.pi / (_sinpi(z) * _lanczos_gamma(1.0 - z))
+    try:
+        return math.gamma(z)
+    except OverflowError as exc:
+        raise ParameterError(f"Gamma({z}) overflows") from exc
 
 
-def kummer_m(a: float, b: float, y: float, ctl: SeriesControl | None = None) -> float:
+def kummer_m(a: float, b: float, y: float) -> float:
     """Kummer confluent hypergeometric M(a, b, y) by direct series.
 
     Terms follow t_{j+1} = t_j r_j, r_j = (a+j) y / ((b+j)(j+1)), from
     t_0 = 1.  The sum stops once two consecutive terms fall below
-    rel_tol * |sum| (two, not one, to survive a near-vanishing (a+j)
-    factor mid-series), counting only terms past which the series
-    shrinks for good: |r_j| < 1, j + 1 > y and b + j > 0 keep every later
-    |r_k| below 1.  Smallness alone is no signal: a tiny a makes the
-    first terms tiny while later ones still grow by up to e^y.  For
-    a = -n the series terminates exactly after the j = n term.
+    1e-15 |sum| (two, not one, to survive a near-vanishing (a+j) factor
+    mid-series), counting only terms past which the series shrinks for
+    good: |r_j| < 1, j + 1 > y and b + j > 0 keep every later |r_k| below
+    1.  Smallness alone is no signal: a tiny a makes the first terms tiny
+    while later ones still grow by up to e^y.  So the term budget is 500
+    past y.  For a = -n the series terminates exactly after the j = n
+    term.  Raises NonConvergence when the sum is not finite (from about
+    y = 710, where e^y overflows) or the budget runs out.
     """
-    if ctl is None:
-        ctl = SeriesControl()
     if _near_nonpositive_integer(b):
         raise ParameterError(f"b = {b} is a pole of Gamma(b)")
-    if y < 0:
-        raise ParameterError("series evaluation requires y >= 0")
+    if not 0 <= y < math.inf:  # also catches a NaN y
+        raise ParameterError(f"series evaluation requires finite y >= 0, got {y}")
     term = 1.0
     total = 1.0
     small_run = 0
-    for j in range(ctl.max_terms):
+    max_terms = _SERIES_TERMS + math.ceil(y)
+    for j in range(max_terms):
         ratio = (a + j) * y / ((b + j) * (j + 1))
         term *= ratio
         total += term
+        if not math.isfinite(total):
+            raise NonConvergence(f"M({a},{b},{y}) is not finite after {j + 1} terms")
         if term == 0.0:
             return total
         shrinking = abs(ratio) < 1.0 and j + 1 > y and b + j > 0
-        if shrinking and abs(term) <= ctl.rel_tol * abs(total):
+        if shrinking and abs(term) <= _SERIES_TOL * abs(total):
             small_run += 1
             if small_run >= 2:
                 return total
         else:
             small_run = 0
-    raise NonConvergence(f"M({a},{b},{y}) did not converge in {ctl.max_terms} terms")
+    raise NonConvergence(f"M({a},{b},{y}) did not converge in {max_terms} terms")
 
 
 def kummer_m_asymptotic(a: float, b: float, y: float) -> float:

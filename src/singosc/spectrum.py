@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
-from .quad import X_MAX, QuadControl, integrate_adaptive
+from .quad import X_MAX, integrate_adaptive
 from .specfun import as_operand, laguerre
 
 
@@ -41,6 +41,11 @@ class _Divergent:
 
 
 DIVERGENT = _Divergent()
+
+# Largest quantum number accepted: `singosc spectrum --domain full` up to
+# it takes about 2 s, and far beyond it a table or a Laguerre recurrence
+# would run without end.
+N_MAX = 100_000
 
 
 def energy(n: int, beta: float) -> float:
@@ -166,8 +171,8 @@ class SpectrumTable:
 
 
 def _check_n(n: int) -> None:
-    if n < 0 or n != int(n):
-        raise ParameterError("quantum number n must be a non-negative integer")
+    if not 0 <= n <= N_MAX or n != int(n):  # also catches a NaN or infinite n
+        raise ParameterError(f"quantum number n must be an integer in [0, {N_MAX}], got {n}")
 
 
 def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> EigenState:
@@ -233,8 +238,7 @@ def spectrum_table(
     Half-line tables at alpha = 0 need an explicit beta_branch; the
     full-line table always contains both branches there.
     """
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
+    _check_n(n_max)
     if domain is Domain.HALF_LINE:
         states = [halfline_state(alpha, n, beta_branch) for n in range(n_max + 1)]
     else:
@@ -292,4 +296,4 @@ def perturbation_first_order(n: int, parity: Parity):
         return v * v / (2.0 * x * x)
 
     # x^2 cancels against psi^2 ~ x^2 near 0; integrand is regular
-    return integrate_adaptive(integrand, 0.0, X_MAX, QuadControl(abs_tol=1e-12, rel_tol=1e-12))
+    return integrate_adaptive(integrand, 0.0, X_MAX)

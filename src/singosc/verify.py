@@ -105,12 +105,11 @@ def suite_hermiticity() -> SuiteReport:
     return rep
 
 
-def suite_orthonormality(
-    alphas: tuple[float, ...] = (-0.2, 0.0, 0.5, 2.0), tol: float = 1e-8
-) -> SuiteReport:
+def suite_orthonormality() -> SuiteReport:
     """Gram matrices of the first 6 half-line states and norm constants."""
     rep = SuiteReport("orthonormality")
-    for alpha in alphas:
+    tol = 1e-8
+    for alpha in (-0.2, 0.0, 0.5, 2.0):
         branch = 0.0 if alpha == 0 else None
         states = [spectrum.halfline_state(alpha, n, branch) for n in range(6)]
         worst = 0.0
@@ -144,10 +143,10 @@ def suite_oracle(
     alphas: tuple[float, ...] = (0.5, 2.0),
     n_max: int = 3,
     tol_shoot: float = 1e-4,
-    tol_fd: float = 5e-3,
 ) -> SuiteReport:
     """Shooting and finite-difference eigenvalues vs the closed form."""
     rep = SuiteReport("oracle")
+    tol_fd = 5e-3
     for alpha in alphas:
         table = spectrum.spectrum_table(alpha, n_max, Domain.HALF_LINE)
         shoot = oracle.shoot_spectrum(alpha, n_max)
@@ -169,10 +168,10 @@ def suite_oracle(
     return rep
 
 
-def suite_degeneracy(alphas: tuple[float, ...] = (0.2, 0.5, 2.0)) -> SuiteReport:
+def suite_degeneracy() -> SuiteReport:
     """Exact double degeneracy for alpha != 0; simple levels at alpha = 0."""
     rep = SuiteReport("degeneracy")
-    for alpha in alphas:
+    for alpha in (0.2, 0.5, 2.0):
         gaps = []
         for n in range(5):
             even, odd = spectrum.fullline_states(alpha, n)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from singosc.cli import build_parser, emit_rows, main
 from singosc.model import Domain, OscillatorSpec
-from singosc.spectrum import spectrum_table
+from singosc.spectrum import N_MAX, spectrum_table
 
 
 def run_cli(args, tmp_path=None, fmt="csv"):
@@ -105,6 +105,16 @@ class TestExitCodes:
         rc = main(["wavefunction", "--alpha", "0.5", "--domain", "full"])
         assert rc == 1
         assert "parity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", str(N_MAX + 1), "100000000000000000000"])
+    @pytest.mark.parametrize("option", ["spectrum --n-max", "wavefunction --n"])
+    def test_quantum_number_out_of_range_is_exit_1(self, capsys, option, value):
+        command, flag = option.split()
+        assert main([command, "--alpha", "1", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("singosc: error:")
+        assert "quantum number n" in captured.err
+        assert captured.out == ""
 
     def test_subprocess_entry_point(self):
         proc = subprocess.run(

@@ -17,7 +17,6 @@ from singosc.errors import (
 )
 from singosc.model import Domain
 from singosc.oracle import (
-    _X_MAX,
     _box,
     _rkf45_count_nodes,
     OracleMethod,
@@ -30,6 +29,7 @@ from singosc.oracle import (
     shoot_eigen,
     shoot_spectrum,
 )
+from singosc.quad import X_MAX
 from singosc.spectrum import spectrum_table
 
 
@@ -284,12 +284,12 @@ class TestNodeCounts:
         box = _box(2.0, 20.0)
         assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
         to_box, accepted, _ = _rkf45_count_nodes(2.0, eps, box)
-        to_cap, accepted_cap, _ = _rkf45_count_nodes(2.0, eps, _X_MAX)
+        to_cap, accepted_cap, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
         np.testing.assert_array_equal(to_box, to_cap)
         assert accepted < accepted_cap
 
     def test_box_never_passes_x_max(self):
-        assert _box(0.0, 144.0) == _X_MAX
+        assert _box(0.0, 144.0) == X_MAX
         # below the well's bottom, eps < sqrt(alpha), the inner root counts as 0
         assert _box(400.0, 10.0) == pytest.approx(math.sqrt(10.0) + 3.0)
 

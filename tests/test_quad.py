@@ -15,7 +15,6 @@ from singosc.model import Domain
 from singosc.quad import (
     X_MAX,
     IntegrabilityClass,
-    QuadControl,
     cauchy_pv,
     connection_residual,
     integrability_class,
@@ -34,6 +33,11 @@ class TestIntegrateAdaptive:
     def test_gaussian_over_line(self):
         val = integrate_adaptive(lambda x: math.exp(-x * x), -np.inf, np.inf)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
+    def test_infinite_limits_go_to_quadpack(self):
+        # a slow 1/x^2 tail: truncating at X_MAX would give 2.975
+        val = integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), -np.inf, np.inf)
+        assert val == pytest.approx(math.pi, rel=1e-9)
 
     def test_polynomial(self):
         assert integrate_adaptive(lambda x: 3 * x * x, 0.0, 2.0) == pytest.approx(8.0)
@@ -93,6 +97,12 @@ class TestCauchyPV:
         val = cauchy_pv(lambda x: x**3 / x, -half_width, half_width, 0.0)
         # x^3/x = x^2 is regular; PV must agree with the plain integral
         assert val == pytest.approx(2 * half_width**3 / 3, rel=1e-9)
+
+    def test_divergent_infinite_tail_raises(self):
+        # the fold over [-1, 1] is 0; the rest, int_{-inf}^{-1} dx/x, diverges
+        # (truncated at X_MAX it would return -ln 12)
+        with pytest.raises(DepthExceeded):
+            cauchy_pv(lambda x: 1.0 / x, -np.inf, 1.0, 0.0)
 
     def test_requires_interior_pole(self):
         with pytest.raises(ParameterError):
@@ -259,17 +269,3 @@ class TestConnectionResidual:
         for eps in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 connection_residual(even, eps)
-
-
-class TestQuadControl:
-    def test_defaults(self):
-        ctl = QuadControl()
-        assert ctl.rel_tol > 0 and ctl.abs_tol > 0 and ctl.max_depth >= 1
-
-    def test_validation(self):
-        from singosc.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            QuadControl(rel_tol=-1.0)
-        with pytest.raises(ParameterError):
-            QuadControl(max_depth=0)
