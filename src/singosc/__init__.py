@@ -39,7 +39,6 @@ from .oracle import (
     compare,
     fd_eigen,
     fd_eigen_extrapolated,
-    fd_spectrum,
     frobenius_start,
     shoot_eigen,
     shoot_spectrum,

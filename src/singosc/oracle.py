@@ -8,25 +8,25 @@ the outer turning point of its own top energy, never past X_MAX.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
-mu e^(2s) u, so the wall layer at the inner cutoff e0, e0 wide in x, is a
-few steps wide in s.  The cutoff fixes the grid: _richardson puts a step
-of about _H_LOG on [ln e0, ln X_MAX].  Scaled by e^-s on both sides this
+mu e^(2s) u.  Near x = 0 the regular solution is u ~ e^(nu s), so the
+inner end s_min = _S_MIN carries the Frobenius condition u' = nu u, which
+moves the levels by about e^(2 s_min) relative (less as nu grows); one
+grid from s_min to ln X_MAX with a step of about _H_LOG then serves every
+alpha.  Scaled by the square root of the mass weights on both sides this
 is a graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
 explicit absolute tolerance (bisection is accurate on graded matrices,
 Barlow & Demmel 1990; its default tolerance, eps |T|, is not); Richardson
-extrapolation in the step removes the h^2 error.  The wall shifts the
-levels by less than 3 t eps, t = e0^(2 nu), a bound fd_eigen adds to its
-residual; fd_spectrum puts e0 where t = e^-20, and only near alpha =
--1/4, where that e0 is below e^-150, fits the levels of three cutoffs as
-a polynomial in t.  (b) Shooting with an adaptive Runge-Kutta-Fehlberg
-integrator seeded by a Frobenius series near the origin counts sign
-changes of psi for a batch of energies in one pass; the count is
-monotone in the energy, so one scan pass brackets every level and a few
-multisection passes (each splitting every bracket into _KSECTION parts at
-once) narrow the brackets to the tolerance.  Each pass integrates to
-_box of the top energy in its batch, the outer turning point
-sqrt(eps + sqrt(eps^2 - alpha)) plus _BOX_MARGIN: past it a bound state
-only decays, and relative error control would chase the growing tail.
+extrapolation in the step removes the h^2 error.
+
+(b) Shooting with an adaptive Runge-Kutta-Fehlberg integrator seeded by
+a Frobenius series near the origin counts sign changes of psi for a batch
+of energies in one pass; the count is monotone in the energy, so one scan
+pass brackets every level and a few multisection passes (each splitting
+every bracket into _KSECTION parts at once) narrow the brackets to the
+tolerance.  Each pass integrates to _box of the top energy in its batch,
+the outer turning point sqrt(eps + sqrt(eps^2 - alpha)) plus _BOX_MARGIN:
+past it a bound state only decays, and relative error control would
+chase the growing tail.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
 from .model import Domain, admissible_beta
 from .quad import X_MAX
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, _check_n
 
 # X_MAX is the outer box of finite differences and the cap of shooting's
 # _box.  Shooting's Frobenius start point floor and its scale in
@@ -63,12 +63,9 @@ _H_MIN = 1e-12
 # scan bracket reaches the default eps_tol = 1e-6 in 3 passes
 _KSECTION = 128
 # finite differences: the step in s = ln x; the absolute bisection
-# tolerance; -ln t at fd_spectrum's one cutoff; the wall-fit cutoffs down
-# to e^-150 (the squared off-diagonal, ~e^(-4 s_min), must stay finite);
-# the sum of |fit weights at t = 0| past which the t are too close to use
-_H_LOG, _STEBZ_TOL, _WALL_LOG_T = 0.02, 1e-13, 20.0
-_WALL_CUTOFFS = (math.exp(-50.0), math.exp(-100.0), math.exp(-150.0))
-_MAX_WEIGHT = 1e3
+# tolerance; the inner end of the log grid (scripts/convergence_study.py
+# tabulates the levels against it)
+_H_LOG, _STEBZ_TOL, _S_MIN = 0.02, 1e-13, -15.0
 
 # Fehlberg 4(5) tableau: stage nodes, stage rows, 5th-order weights, and
 # 5th- minus 4th-order weights (the local error estimate)
@@ -114,41 +111,46 @@ class CompareReport:
     note: str = ""
 
 
-def _fd_eigenvalues(alpha: float, e0: float, n: int, k: int) -> np.ndarray:
+def _fd_eigenvalues(alpha: float, s_min: float, n: int, k: int) -> np.ndarray:
     # scipy.linalg loads here, not at import: the analytic CLI never needs it
     import scipy.linalg
 
-    # n interior nodes of a uniform s-grid on [ln e0, ln X_MAX], Dirichlet
-    # ends; -u'' + (nu^2 + e^4s) u = mu e^2s u scaled by e^-s on both sides
-    h = math.log(X_MAX / e0) / (n + 1)
-    s = math.log(e0) + h * np.arange(1, n + 1)
+    # nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at ln X_MAX;
+    # the Frobenius condition u' = nu u at s_0 gives the ghost node
+    # u_-1 = u_1 - 2 h nu u_0, and halving row 0 keeps the matrix
+    # symmetric; -u'' + (nu^2 + e^4s) u = mu e^2s u is then scaled by the
+    # inverse square root of the mass weights (1/2, 1, ..., 1) e^2s
+    nu = admissible_beta(alpha) + 0.5
+    h = (math.log(X_MAX) - s_min) / (n + 1)
+    s = s_min + h * np.arange(n + 1)
     diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
+    diag[0] += 2.0 * nu / h * math.exp(-2.0 * s_min)
     off = -np.exp(-(s[:-1] + s[1:])) / h**2
+    off[0] *= math.sqrt(2.0)
     try:
         mu = scipy.linalg.eigvalsh_tridiagonal(
             diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz", tol=_STEBZ_TOL
         )
-    except Exception as exc:  # LAPACK info != 0 surfaces as LinAlgError
+    except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
         raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
     return mu / 2.0
 
 
-def _richardson(alpha: float, e0: float, k: int) -> tuple[np.ndarray, float, int]:
-    """Levels of the log grid from e0 to X_MAX with a step of about _H_LOG
-    and of the grid of about twice its step, combined to cancel the h^2
-    error; the fine grid's error, which bounds the combination's; rows."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    n = max(100, math.ceil(math.log(X_MAX / e0) / _H_LOG))
+def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, int]:
+    """Levels of the log grid from s_min to ln X_MAX with a step of about
+    _H_LOG and of the grid of twice its step, combined to cancel the h^2
+    error; the residual estimate, the fine grid's error (which bounds the
+    combination's) plus 3 e^(2 s_min) max|eps| for the inner end; rows.
+    Raises ParameterError unless 1 <= k <= the coarse grid's rows."""
+    n = math.ceil((math.log(X_MAX) - s_min) / _H_LOG)
     m = (n + 1) // 2 - 1
-    fine = _fd_eigenvalues(alpha, e0, n, k)
-    shift = (fine - _fd_eigenvalues(alpha, e0, m, k)) / (((n + 1) / (m + 1)) ** 2 - 1)
-    return fine + shift, float(np.max(np.abs(shift))), n + m
-
-
-def _check_cutoffs(cutoffs: tuple[float, ...]) -> None:
-    if not all(0 < e0 < X_MAX for e0 in cutoffs):  # also catches a NaN e0
-        raise ParameterError(f"every inner cutoff e0 needs 0 < e0 < {X_MAX}, got {cutoffs}")
+    if not 1 <= k <= m + 1 or k != int(k):  # also catches a NaN k
+        raise ParameterError(f"k must be an integer in [1, {m + 1}], got {k}")
+    fine = _fd_eigenvalues(alpha, s_min, n, int(k))
+    shift = (fine - _fd_eigenvalues(alpha, s_min, m, int(k))) / (((n + 1) / (m + 1)) ** 2 - 1)
+    levels = fine + shift
+    inner = 3.0 * math.exp(2.0 * s_min) * float(np.max(np.abs(levels)))
+    return levels, float(np.max(np.abs(shift))) + inner, n + m + 2
 
 
 def _fd_result(levels: np.ndarray, residual: float, rows: int) -> OracleResult:
@@ -158,69 +160,17 @@ def _fd_result(levels: np.ndarray, residual: float, rows: int) -> OracleResult:
     return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, residual, rows=rows)
 
 
-def fd_eigen(alpha: float, e0: float = 1e-3, k: int = 1) -> OracleResult:
-    """Lowest k eigenvalues by finite differences on the log grid from the
-    inner cutoff e0 to the box edge.  The residual estimate is the step
-    error of the Richardson-extrapolated levels plus the wall bound
-    3 t max|eps|, t = e0^(2 nu); ConvergenceError when it reaches a level.
+def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
+    """Lowest k eigenvalues by finite differences on the one log grid from
+    s_min = _S_MIN to the box edge, with the Frobenius condition at s_min:
+    the same grid for every alpha.  The residual estimate bounds the
+    error (_richardson); ConvergenceError when it reaches a level.
     """
-    beta = admissible_beta(alpha)
-    _check_cutoffs((e0,))
-    levels, residual, rows = _richardson(alpha, e0, k)
-    wall = 3.0 * e0 ** (2.0 * beta + 1.0) * float(np.max(np.abs(levels)))
-    return _fd_result(levels, residual + wall, rows)
+    return _fd_result(*_richardson(alpha, _S_MIN, k))
 
 
-def _weights_at_zero(t: np.ndarray) -> np.ndarray:
-    # w @ p(t) = p(0) for every polynomial p of degree < len(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = t[:, None] / (t[:, None] - t[None, :])
-    np.fill_diagonal(ratio, 1.0)
-    return np.prod(ratio, axis=0)
-
-
-def fd_eigen_extrapolated(
-    alpha: float, k: int = 1, cutoffs: tuple[float, ...] = _WALL_CUTOFFS
-) -> OracleResult:
-    """Finite-difference levels extrapolated to the inner cutoff e0 = 0.
-
-    Takes the step-extrapolated levels of the log grid (_richardson) for
-    each e0 in `cutoffs` and removes the Dirichlet-wall shift by the exact
-    polynomial fit eps(e0) = eps* + sum_k C_k t^k, t = e0^(2 nu), one term
-    per cutoff.
-    The residual estimate is the change from the fit without the first
-    cutoff plus the grids' own error.  Raises ConvergenceError when the
-    fit's weights at t = 0 sum in magnitude past _MAX_WEIGHT (the t are
-    too close together, as when nu -> 0) or the residual reaches a level.
-    """
-    beta = admissible_beta(alpha)
-    if len(cutoffs) < 2:
-        raise ParameterError("extrapolation needs at least two cutoffs")
-    _check_cutoffs(cutoffs)
-    t = np.array(cutoffs, dtype=float) ** (2.0 * beta + 1.0)
-    weights = _weights_at_zero(t)
-    if not np.sum(np.abs(weights)) <= _MAX_WEIGHT:
-        raise ConvergenceError(f"wall fit ill-conditioned at t = {t}")
-    levels, errors, rows = zip(*(_richardson(alpha, e0, k) for e0 in cutoffs))
-    extrapolated = weights @ np.array(levels)
-    lower = _weights_at_zero(t[1:]) @ np.array(levels[1:])
-    residual = float(np.max(np.abs(extrapolated - lower))) + max(errors)
-    return _fd_result(extrapolated, residual, sum(rows))
-
-
-def fd_spectrum(alpha: float, k: int) -> OracleResult:
-    """Lowest k levels by finite differences with the default grid policy.
-
-    One log grid (fd_eigen) from e0 = e^(-10/nu), where the wall term
-    t = e0^(2 nu) is e^-20, to the box edge X_MAX.  Below nu = 1/15
-    (alpha < -0.2456) that e0 lies past e^-150, and the wall fit of
-    fd_eigen_extrapolated at e0 = e^-50, e^-100, e^-150 takes over.
-    Either way at most about 23k matrix rows.
-    """
-    s_min = -_WALL_LOG_T / (2.0 * admissible_beta(alpha) + 1.0)
-    if s_min < math.log(_WALL_CUTOFFS[-1]):
-        return fd_eigen_extrapolated(alpha, k)
-    return fd_eigen(alpha, math.exp(s_min), k)
+# a second name: perfbench/tracing.py and acceptance criterion 7 look it up
+fd_eigen_extrapolated = fd_eigen
 
 
 def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float) -> np.ndarray:
@@ -345,8 +295,8 @@ def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleRes
     bracket's upper end.
     """
     admissible_beta(alpha)
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
+    _check_n(n_max)
+    n_max = int(n_max)
     if not 0.0 <= eps_tol < math.inf:
         raise ParameterError(f"eps_tol must be finite and >= 0, got {eps_tol}")
     targets = np.arange(n_max + 1)
@@ -427,7 +377,7 @@ def compare(analytic: SpectrumTable, oracle: OracleResult, tol: float) -> Compar
         note = f"level counts differ: analytic {len(a_levels)}, oracle {len(o_levels)}; "
     if not passed and analytic.alpha == 0 and analytic.domain is Domain.FULL_LINE:
         note += (
-            "oracle enforces psi(0) = 0 (Dirichlet wall), so the even-parity "
+            "oracle takes the branch beta = 0, psi(0) = 0, so the even-parity "
             "alpha = 0 levels are invisible to it"
         )
     return CompareReport(

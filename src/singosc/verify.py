@@ -157,7 +157,7 @@ def suite_oracle(
             f"max rel err {r1.max_rel_error:.2e}",
             f"<= {tol_shoot:.0e}",
         )
-        fd = oracle.fd_spectrum(alpha, n_max + 1)
+        fd = oracle.fd_eigen(alpha, n_max + 1)
         r2 = oracle.compare(table, fd, tol_fd)
         rep.add(
             f"finite-difference alpha={alpha}",

@@ -36,7 +36,7 @@ def oracle_runs():
     for alpha in ORACLE_ALPHAS:
         table = spectrum.spectrum_table(alpha, N_MAX, Domain.HALF_LINE)
         shoot = oracle.shoot_spectrum(alpha, N_MAX)
-        fd = oracle.fd_spectrum(alpha, N_MAX + 1)
+        fd = oracle.fd_eigen(alpha, N_MAX + 1)
         runs[alpha] = (table, shoot, fd)
     elapsed = time.perf_counter() - t0
     return runs, elapsed

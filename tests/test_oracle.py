@@ -18,53 +18,41 @@ from singosc.errors import (
 from singosc.model import Domain
 from singosc.oracle import (
     _box,
+    _fd_result,
+    _richardson,
     _rkf45_count_nodes,
     OracleMethod,
     compare,
     count_nodes_at,
     fd_eigen,
     fd_eigen_extrapolated,
-    fd_spectrum,
     frobenius_start,
     shoot_eigen,
     shoot_spectrum,
 )
 from singosc.quad import X_MAX
-from singosc.spectrum import spectrum_table
+from singosc.spectrum import N_MAX, spectrum_table
 
 
-FD_ALPHAS = (-0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
-
-
-class TestCutoffValidation:
-    # the inner cutoff must lie inside the box (0, 12)
-    @pytest.mark.parametrize("e0", [0.0, -1e-3, 12.0, 100.0, math.nan])
-    def test_fd_eigen(self, e0):
-        with pytest.raises(ParameterError):
-            fd_eigen(-0.2, e0)
-
-    @pytest.mark.parametrize("e0", [0.0, -1e-3, 12.0, 100.0, math.nan])
-    def test_fd_eigen_extrapolated(self, e0):
-        with pytest.raises(ParameterError):
-            fd_eigen_extrapolated(-0.2, cutoffs=(1e-2, e0))
+FD_ALPHAS = (-0.2499999, -0.24999975, -0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
 
 
 class TestFiniteDifference:
     def test_pure_oscillator(self):
-        res = fd_eigen(0.0, 1e-4, k=3)
+        res = fd_eigen(0.0, k=3)
         want = np.array([1.5, 3.5, 5.5])
         rel = np.abs(res.eigenvalues - want) / want
-        assert rel.max() < 2e-3  # Dirichlet wall at e0 limits the accuracy
+        assert rel.max() < 1e-4
         assert res.method is OracleMethod.FINITE_DIFFERENCE
 
     def test_repulsive_alpha(self):
-        res = fd_eigen(2.0, 1e-3, k=3)
+        res = fd_eigen(2.0, k=3)
         want = np.array([2.5, 4.5, 6.5])
         rel = np.abs(res.eigenvalues - want) / want
         assert rel.max() < 1e-4
 
     def test_residual_estimate_bounds_error(self):
-        res = fd_eigen(0.5, 1e-3, k=2)
+        res = fd_eigen(0.5, k=2)
         want = np.array([1.8660254037844386, 3.8660254037844386])
         err = np.abs(res.eigenvalues - want).max()
         assert res.residual_estimate > 0
@@ -75,27 +63,21 @@ class TestFiniteDifference:
             fd_eigen(-0.3, k=1)
 
     def test_unresolved_grid_raises(self):
-        # 470 nodes from e0 = 1e-3 to 12 cannot hold 30 levels: the step
-        # error passes the levels
+        # the one grid's step near x = 12 (0.24 in x) cannot hold 30
+        # levels: the step error passes the levels
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            fd_eigen(-0.2, 1e-3, k=30)
-
-    def test_wall_shift_near_critical_raises(self):
-        # nu = 0.01: t = e0^(2 nu) = 0.87 at e0 = 1e-3, so the wall bound
-        # 3 t eps passes the level (the wall lifts eps_0 = 1.01 to 1.15)
-        with pytest.raises(ConvergenceError, match="exceeds a level"):
-            fd_eigen(-0.2499)
+            fd_eigen(-0.2, k=30)
 
     @pytest.mark.parametrize("k", [1, 5, 9])
     @pytest.mark.parametrize("e0", [1e-1, 1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("alpha", FD_ALPHAS)
     def test_residual_bounds_error_with_the_wall(self, alpha, e0, k):
+        # the grid's inner end at x = e0 instead of e^-15: the residual's
+        # term 3 e0^2 max|eps| bounds what the Frobenius condition there
+        # misses (at e0 = 0.1 the ground level is 1% high as nu -> 0)
         t = spectrum_table(alpha, k - 1, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
         want = np.array(t.distinct_levels())
-        try:
-            res = fd_eigen(alpha, e0, k)
-        except ConvergenceError:
-            return
+        res = _fd_result(*_richardson(alpha, math.log(e0), k))
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
 
 
@@ -103,15 +85,18 @@ class TestFdSpectrum:
     @pytest.mark.parametrize("k", [1, 5, 9])
     @pytest.mark.parametrize("alpha", FD_ALPHAS)
     def test_accuracy_residual_and_rows(self, alpha, k):
-        res = fd_spectrum(alpha, k)
-        # the oracle's wall takes beta_plus, the branch 0 at alpha = 0
+        res = fd_eigen(alpha, k)
+        # the oracle's inner condition takes beta_plus, the branch 0 at alpha = 0
         t = spectrum_table(alpha, k - 1, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
         want = np.array(t.distinct_levels())
         err = np.abs(np.array(res.eigenvalues) - want)
         assert res.method is OracleMethod.FINITE_DIFFERENCE
         assert np.max(err / want) <= 5e-3
         assert np.max(err) <= res.residual_estimate
-        assert res.rows <= 25_000
+        assert res.rows <= 1_500
+
+    def test_one_grid_for_every_alpha(self):
+        assert len({fd_eigen(alpha, k).rows for alpha in FD_ALPHAS for k in (1, 9)}) == 1
 
     def test_oracles_do_not_call_the_closed_form(self, monkeypatch):
         want = {a: spectrum_table(a, 2, Domain.HALF_LINE).distinct_levels() for a in (-0.2, 2.0)}
@@ -122,11 +107,16 @@ class TestFdSpectrum:
         monkeypatch.setattr(spectrum, "spectrum_table", closed_form)
         monkeypatch.setattr(spectrum, "halfline_state", closed_form)
         for alpha, levels in want.items():
-            assert fd_spectrum(alpha, 3).eigenvalues == pytest.approx(levels, rel=1e-4)
+            assert fd_eigen(alpha, 3).eigenvalues == pytest.approx(levels, rel=1e-4)
             assert shoot_spectrum(alpha, 2).eigenvalues == pytest.approx(levels, abs=5e-6)
 
 
 class TestWallExtrapolation:
+    # fd_eigen_extrapolated, the name of the former inner-cutoff fit, is
+    # kept for callers that look it up; it is the one grid now
+    def test_is_the_one_oracle(self):
+        assert fd_eigen_extrapolated is fd_eigen
+
     def test_attractive_alpha(self):
         res = fd_eigen_extrapolated(-0.2, k=3)
         t = spectrum_table(-0.2, 2, Domain.HALF_LINE)
@@ -134,35 +124,26 @@ class TestWallExtrapolation:
         rel = np.abs(res.eigenvalues - want) / want
         assert rel.max() < 5e-3
 
-    def test_slow_wall_exponent_needs_denser_ladder(self):
-        # beta close to -1/2: the wall shift decays like eps0^(2 beta + 1)
-        res = fd_eigen_extrapolated(
-            -0.24, k=2, cutoffs=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-        )
-        t = spectrum_table(-0.24, 1, Domain.HALF_LINE)
-        want = np.array(t.distinct_levels())
-        rel = np.abs(res.eigenvalues - want) / want
-        assert rel.max() < 5e-3
-
-    def test_cutoff_schedule_validation(self):
-        with pytest.raises(ParameterError):
-            fd_eigen_extrapolated(-0.2, k=1, cutoffs=(1e-3,))
-
-    def test_cutoffs_too_close_in_t_raise(self):
-        # nu = 3.2e-4: t = e0^(2 nu) is 0.97, 0.94, 0.91 at e0 = e^-50,
-        # e^-100, e^-150, and the fit once returned 9046 for eps0 = 1.0003
-        with pytest.raises(ConvergenceError, match="ill-conditioned"):
-            fd_eigen_extrapolated(-0.2499999)
-
-    def test_residual_reaching_the_level_raises(self):
-        # nu = 0.01 and cutoffs 1e-2, 1e-3: t = 0.91, 0.87, a linear fit
-        # far outside its data
-        with pytest.raises(ConvergenceError, match="exceeds a level"):
-            fd_eigen_extrapolated(-0.2499, cutoffs=(1e-2, 1e-3))
-
     def test_supercritical_rejected(self):
         with pytest.raises(SupercriticalError):
             fd_eigen_extrapolated(-0.26, k=1)
+
+
+class TestLevelCounts:
+    # a level count is an integer the oracle can hold, or a ParameterError
+    @pytest.mark.parametrize("n_max", [-1, 2.5, N_MAX + 1, 10**20, math.nan])
+    def test_shooting_n_max(self, n_max):
+        with pytest.raises(ParameterError):
+            shoot_spectrum(2.0, n_max)
+
+    @pytest.mark.parametrize("k", [0, 2.5, 5000, math.nan])
+    def test_fd_k(self, k):
+        # the coarse grid of the Richardson pair holds 438 levels
+        with pytest.raises(ParameterError):
+            fd_eigen(2.0, k)
+
+    def test_integral_float_count_is_an_integer(self):
+        assert shoot_spectrum(2.0, 2.0).eigenvalues == shoot_spectrum(2.0, 2).eigenvalues
 
 
 class TestFrobeniusStart:

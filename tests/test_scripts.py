@@ -20,33 +20,45 @@ def load_script(name):
 class TestConvergenceStudy:
     def test_two_cutoffs(self, capsys):
         study = load_script("convergence_study")
-        argv = ["--cutoffs", "1e-2", "1e-3"]
+        argv = ["--s-min", "-3", "-4"]
         assert study.main(["--alpha", "-0.2", *argv]) == 0
         text = capsys.readouterr().out
         lines = text.splitlines()
         assert lines[0].startswith("alpha = -0.2, beta_plus = -0.276393")
-        # one row per cutoff between the header and the extrapolated line
-        assert [line.split()[0] for line in lines[3:5]] == ["1.0e-02", "1.0e-03"]
-        assert lines[-1].startswith("extrapolated eps0 = ")
+        # one row per inner cutoff s_min between the header and the one-grid line
+        assert [line.split()[0] for line in lines[3:5]] == ["-3.00", "-4.00"]
+        assert lines[-1].startswith("one grid (s_min = -15) eps0 = ")
         # the exponent form of a negative value parses as the same alpha
         assert study.main(["--alpha", "-2e-1", *argv]) == 0
         assert capsys.readouterr().out == text
 
     def test_near_critical_alpha_default_cutoffs(self, capsys):
-        # the raw levels at coarse cutoffs are tabulated even where the
-        # wall shift (3 t eps = 1.48 at e0 = 1e-2) passes the level
+        # nu = 3.2e-4: the inner cutoff x = e^(s_min) moves the ground
+        # level by about e^(2 s_min), so the local slope is 2
         study = load_script("convergence_study")
-        assert study.main(["--alpha", "-0.24"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in lines[3:8]] == [
-            "1.0e-02", "3.0e-03", "1.0e-03", "3.0e-04", "1.0e-04"
-        ]
-        assert lines[-1].startswith("extrapolated eps0 = ")
+        assert study.main(["--alpha", "-0.2499999"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:8]
+        assert [row.split()[0] for row in rows] == ["-3.00", "-4.00", "-5.00", "-6.00", "-7.00"]
+        assert [float(row.split()[3]) for row in rows[1:]] == pytest.approx([2.0] * 4, abs=0.01)
 
-    def test_repulsive_alpha_is_usage_error(self):
+    def test_repulsive_alpha(self, capsys):
+        study = load_script("convergence_study")
+        assert study.main(["--alpha", "0.5", "--s-min", "-4"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("alpha = 0.5, beta_plus = 0.366025")
+
+    @pytest.mark.parametrize("alpha, code", [("-0.25", 2), ("nan", 1)])
+    def test_inadmissible_alpha_exit_code(self, alpha, code):
+        # the singosc CLI's codes: 2 for supercritical alpha, 1 otherwise
         study = load_script("convergence_study")
         with pytest.raises(SystemExit) as exc:
-            study.main(["--alpha", "0.5"])
+            study.main(["--alpha", alpha])
+        assert exc.value.code == code
+
+    @pytest.mark.parametrize("s_min", ["1", "-200", "nan"])
+    def test_inner_end_out_of_range_is_usage_error(self, s_min):
+        study = load_script("convergence_study")
+        with pytest.raises(SystemExit) as exc:
+            study.main(["--s-min", s_min])
         assert exc.value.code == 1
 
 
