@@ -28,8 +28,7 @@ _S_MIN_RANGE = (-150.0, 0.0)
 
 
 def run(alpha: float, s_mins: tuple[float, ...]) -> None:
-    # the oracle takes beta_plus, the branch 0 at alpha = 0
-    state = halfline_state(alpha, 0, 0.0 if alpha == 0 else None)
+    state = halfline_state(alpha, 0)  # beta_plus, as the oracle takes
     exact = state.energy_eps
     print(f"alpha = {alpha}, beta_plus = {state.beta:.6f}, nu = {state.beta + 0.5:.6f}")
     print(f"exact eps0 = {exact:.12f}")

@@ -14,6 +14,10 @@ Usage: python scripts/oracle_sweep.py [--n-max 4] [--alphas -0.24 -0.1 0.5 2.0]
 import sys
 import time
 
+# singosc loads scipy.linalg on the first finite-difference call; loading it
+# here keeps the import out of the first alpha's `fd s` timing
+import scipy.linalg  # noqa: F401
+
 from singosc.cli import Parser
 from singosc.model import Domain, indicial_roots
 from singosc.oracle import compare, fd_eigen, shoot_spectrum

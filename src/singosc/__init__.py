@@ -18,7 +18,6 @@ from .errors import (
     SupercriticalError,
 )
 from .model import (
-    BetaSolution,
     BoundaryClass,
     Domain,
     IndicialRoots,

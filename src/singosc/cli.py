@@ -25,6 +25,8 @@ from .spectrum import fullline_states, halfline_state, spectrum_table
 ALPHA_SWEEP_LO = -0.249
 ALPHA_SWEEP_HI = 0.25
 ALPHA_SWEEP_POINTS = 200
+# largest --xi-points and --alpha-points, checked before any grid is built
+MAX_POINTS = 100_000
 
 _BRANCH_FLAG = {"minus1": -1.0, "zero": 0.0, None: None}
 
@@ -92,6 +94,8 @@ def _write_json(payload: dict, path: str | None) -> None:
 def _alpha_sweep(points: int) -> np.ndarray:
     if points < 0:
         raise SingOscError("--alpha-points must be >= 0")
+    if points > MAX_POINTS:
+        raise SingOscError(f"--alpha-points must be at most {MAX_POINTS}")
     # uniform on (lo, hi]: drop the open left endpoint
     return np.linspace(ALPHA_SWEEP_LO, ALPHA_SWEEP_HI, points + 1)[1:]
 
@@ -106,17 +110,9 @@ def _has_units(args: argparse.Namespace) -> bool:
     return (args.mass, args.omega, args.hbar) != (1.0, 1.0, 1.0)
 
 
-def _branch_for(alpha: float, domain: Domain, flag: str | None) -> float | None:
-    branch = _BRANCH_FLAG[flag]
-    if alpha == 0.0 and domain is Domain.HALF_LINE and branch is None:
-        return 0.0  # vanishing-at-origin branch unless asked otherwise
-    return branch
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    domain = Domain(args.domain)
-    branch = _branch_for(args.alpha, domain, args.beta_branch)
-    table = spectrum_table(args.alpha, args.n_max, domain, branch)
+    branch = _BRANCH_FLAG[args.beta_branch]
+    table = spectrum_table(args.alpha, args.n_max, Domain(args.domain), branch)
     columns = table.columns()
     return _emit_levels(args, columns, list(columns), table.spacing)
 
@@ -139,6 +135,8 @@ def _xi_grid(args: argparse.Namespace, domain: Domain) -> np.ndarray:
     n = args.xi_points if args.xi_points is not None else 601
     if n < 2:
         raise SingOscError("--xi-points must be at least 2")
+    if n > MAX_POINTS:
+        raise SingOscError(f"--xi-points must be at most {MAX_POINTS}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise SingOscError("--xi-min and --xi-max must be finite")
     if hi <= lo:
@@ -149,12 +147,14 @@ def _xi_grid(args: argparse.Namespace, domain: Domain) -> np.ndarray:
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     domain = Domain(args.domain)
     if domain is Domain.HALF_LINE:
-        state = halfline_state(
-            args.alpha, args.n, _branch_for(args.alpha, domain, args.beta_branch)
-        )
+        if args.parity is not None:
+            raise SingOscError("--parity applies to --domain full only")
+        state = halfline_state(args.alpha, args.n, _BRANCH_FLAG[args.beta_branch])
     else:
         if args.parity is None:
             raise SingOscError("--parity is required for --domain full")
+        if args.beta_branch is not None:
+            raise SingOscError("--beta-branch applies to --domain half only")
         want = Parity(args.parity)
         even, odd = fullline_states(args.alpha, args.n)
         state = even if want is Parity.EVEN else odd
@@ -266,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_radial(args: argparse.Namespace) -> int:
     alpha_eff = map_radial(args.alpha, args.l)
-    branch = _branch_for(alpha_eff, Domain.HALF_LINE, args.beta_branch)
+    branch = _BRANCH_FLAG[args.beta_branch]
     table = spectrum_table(alpha_eff, args.n_max, Domain.HALF_LINE, branch)
     columns = table.columns()
     del columns["domain"]
@@ -277,12 +277,12 @@ def cmd_radial(args: argparse.Namespace) -> int:
     return _emit_levels(args, columns, fields, table.spacing)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, units: bool = True) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    if units:  # figure data are in natural units only
+        for name in ("mass", "omega", "hbar"):
+            p.add_argument(f"--{name}", type=float, default=1.0)
 
 
 def build_parser() -> Parser:
@@ -314,7 +314,7 @@ def build_parser() -> Parser:
     p.add_argument("id", type=int, choices=[1, 2, 3, 4])
     p.add_argument("--alpha-points", type=int, default=ALPHA_SWEEP_POINTS,
                    help="sweep resolution on (-0.249, 0.25]")
-    _add_common(p)
+    _add_common(p, units=False)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="run numerical verification suites")

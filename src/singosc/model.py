@@ -5,14 +5,17 @@ x = 0 a solution behaves like x^(beta+1) with beta(beta+1) = alpha.  The
 admissible exponents are the ones keeping the Hamiltonian Hermitian:
 beta > -1/2, plus beta = -1 in the regular case alpha = 0.  For
 alpha <= -1/4 the indicial roots are complex or marginal and the family
-of bound states disappears (fall to the center).  admissible_beta is the
-one gate every state and oracle passes through.
+of bound states disappears (fall to the center).  indicial_roots gives
+the roots and the admissible set in one record; admissible_beta is the
+one gate every state and oracle passes through, and the only place that
+picks a branch (beta_plus unless asked, so beta = 0 at alpha = 0).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,26 +108,19 @@ class OscillatorSpec:
 
 @dataclass(frozen=True)
 class IndicialRoots:
-    """Roots of beta(beta+1) = alpha; complex_pair flags alpha < -1/4."""
+    """Roots of beta(beta+1) = alpha (complex_pair flags alpha < -1/4)
+    and the admissible ones: none when supercritical (alpha <= -1/4),
+    both branches (-1, 0) at alpha = 0, otherwise just beta_plus."""
 
     beta_plus: float
     beta_minus: float
     complex_pair: bool
     imag: float = 0.0
+    admissible: tuple[float, ...] = ()
 
-
-@dataclass(frozen=True)
-class BetaSolution:
-    """Admissible exponent set for one alpha.
-
-    admissible is empty exactly when supercritical (alpha <= -1/4); for
-    alpha = 0 it holds both branches (-1 and 0), otherwise just beta_plus.
-    """
-
-    beta_plus: float
-    beta_minus: float
-    admissible: tuple[float, ...]
-    supercritical: bool
+    @property
+    def supercritical(self) -> bool:
+        return not self.admissible
 
 
 @dataclass(frozen=True)
@@ -136,12 +132,14 @@ class BoundaryClass:
 
 
 def indicial_roots(alpha: float) -> IndicialRoots:
-    """Solve the indicial equation beta(beta+1) = alpha.
+    """Solve beta(beta+1) = alpha and apply the hermiticity criterion.
 
     For alpha >= -1/4 both roots are real: beta = -1/2 +- sqrt(1/4+alpha).
     For alpha < -1/4 the pair is complex with real part -1/2; that status
-    is reported through complex_pair, not an exception.  A non-finite
-    alpha raises ParameterError; every admissibility check starts here.
+    is reported through complex_pair, not an exception.  The criterion
+    admits beta > -1/2, plus beta = -1 at alpha = 0 (two families), so the
+    marginal double root at alpha = -1/4 (the logarithmic case) is out.
+    A non-finite alpha raises ParameterError; every check starts here.
     """
     if not math.isfinite(alpha):
         raise ParameterError("alpha must be finite")
@@ -149,24 +147,12 @@ def indicial_roots(alpha: float) -> IndicialRoots:
     if disc < 0:
         return IndicialRoots(-0.5, -0.5, True, math.sqrt(-disc))
     root = math.sqrt(disc)
-    return IndicialRoots(-0.5 + root, -0.5 - root, False)
+    plus, minus = -0.5 + root, -0.5 - root
+    admissible = () if alpha <= ALPHA_CRITICAL else (minus, plus) if alpha == 0 else (plus,)
+    return IndicialRoots(plus, minus, False, admissible=admissible)
 
 
-def admissible_betas(alpha: float) -> BetaSolution:
-    """Apply the hermiticity criterion to the indicial roots.
-
-    alpha > -1/4, alpha != 0: only beta_plus survives.  alpha = 0: both
-    beta = -1 and beta = 0 are admissible (two distinct families).
-    alpha <= -1/4: supercritical, nothing is admissible; the marginal
-    double root at alpha = -1/4 (the logarithmic case) is excluded
-    because the criterion is the strict inequality beta > -1/2.
-    """
-    roots = indicial_roots(alpha)
-    if roots.complex_pair or alpha <= ALPHA_CRITICAL:
-        return BetaSolution(roots.beta_plus, roots.beta_minus, (), True)
-    if alpha == 0:
-        return BetaSolution(0.0, -1.0, (-1.0, 0.0), False)
-    return BetaSolution(roots.beta_plus, roots.beta_minus, (roots.beta_plus,), False)
+admissible_betas = indicial_roots  # second name, kept for existing callers
 
 
 def admissible_beta(alpha: float, beta: float | None = None) -> float:
@@ -178,17 +164,17 @@ def admissible_beta(alpha: float, beta: float | None = None) -> float:
     must lie within BETA_MATCH_TOL of an admissible root, which is then
     returned exactly, or InadmissibleError is raised.
     """
-    sol = admissible_betas(alpha)
-    if sol.supercritical:
+    roots = indicial_roots(alpha)
+    if roots.supercritical:
         raise SupercriticalError(
             f"alpha = {alpha} is supercritical (alpha <= -1/4): no bound states"
         )
     if beta is None:
-        return sol.beta_plus
-    for root in sol.admissible:
+        return roots.beta_plus
+    for root in roots.admissible:
         if abs(beta - root) <= BETA_MATCH_TOL:
             return root
-    allowed = " or ".join(str(root) for root in sol.admissible)
+    allowed = " or ".join(str(root) for root in roots.admissible)
     raise InadmissibleError(f"alpha = {alpha} admits only beta = {allowed}, got {beta}")
 
 
@@ -228,6 +214,9 @@ def potential_value(spec: OscillatorSpec, x):
 
 def map_radial(alpha: float, l: int) -> float:
     """Effective coupling for the 3D radial problem: alpha + l(l+1)."""
-    if l < 0 or l != int(l):
+    if not 0 <= l < math.inf or l != int(l):  # also catches a NaN
         raise ParameterError("orbital quantum number l must be a non-negative integer")
-    return alpha + l * (l + 1)
+    centrifugal = l * (l + 1)
+    if centrifugal > sys.float_info.max:  # an int this large cannot become a float
+        raise ParameterError("orbital quantum number l is too large: l(l+1) overflows a float")
+    return alpha + centrifugal

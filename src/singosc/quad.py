@@ -182,12 +182,13 @@ def connection_residual(state: EigenState, eps: float) -> float:
     of cauchy_pv gives exactly 0 for an odd state and twice the half-line
     integral for an even one; that integral only exists for alpha > 0
     (psi ~ |x|^(beta+1) with beta > 0 there), and for alpha < 0 it raises
-    PVDivergent.
+    PVDivergent.  The window is 0 < eps <= X_MAX: past the box the states
+    are below 1e-62, so r(eps) equals r(X_MAX) there.
     """
     if state.domain is not Domain.FULL_LINE:
         raise DomainMismatch("connection formula applies to full-line states")
-    if not 0 < eps < np.inf:
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
+    if not 0 < eps <= X_MAX:
+        raise ParameterError(f"eps must lie in (0, X_MAX = {X_MAX}], got {eps}")
     if state.alpha == 0:
         return 0.0
     jump = state.dpsi(eps) - state.dpsi(-eps)

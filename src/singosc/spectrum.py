@@ -178,15 +178,11 @@ def _check_n(n: int) -> None:
 def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> EigenState:
     """Normalized half-line bound state (alpha, n).
 
-    For alpha = 0 the caller must pick the branch explicitly: beta_branch
-    -1 (regular even family) or 0 (Dirichlet family).
+    With no beta_branch the state takes the gate's beta_plus, which at
+    alpha = 0 is the vanishing-at-origin branch 0; beta_branch=-1 gives
+    the regular, finite-at-origin family there.
     """
     _check_n(n)
-    if alpha == 0 and beta_branch is None:
-        raise ParameterError(
-            "alpha = 0 has two admissible branches; pass beta_branch=-1 "
-            "(even) or beta_branch=0 (odd)"
-        )
     beta = admissible_beta(alpha, beta_branch)
     return EigenState(
         n=int(n),
@@ -235,10 +231,12 @@ def spectrum_table(
 ) -> SpectrumTable:
     """Sorted spectrum up to quantum number n_max with degeneracies.
 
-    Half-line tables at alpha = 0 need an explicit beta_branch; the
-    full-line table always contains both branches there.
+    beta_branch picks the half-line branch as in halfline_state; the
+    full-line table holds both branches at alpha = 0 and takes none.
     """
     _check_n(n_max)
+    if domain is Domain.FULL_LINE and beta_branch is not None:
+        raise ParameterError("a beta branch applies to half-line tables only")
     if domain is Domain.HALF_LINE:
         states = [halfline_state(alpha, n, beta_branch) for n in range(n_max + 1)]
     else:

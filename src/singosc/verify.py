@@ -13,7 +13,7 @@ import numpy as np
 
 from . import oracle, quad, spectrum
 from .errors import SupercriticalError
-from .model import ALPHA_CRITICAL, Domain, Parity, admissible_betas, indicial_roots
+from .model import ALPHA_CRITICAL, Domain, Parity, indicial_roots
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ def suite_hermiticity() -> SuiteReport:
         f"min |2 beta_minus| = {worst:.3f} (all < -1 classed non-integrable)",
         "NonIntegrable everywhere",
     )
-    flags_ok = all(admissible_betas(a).supercritical for a in (ALPHA_CRITICAL, -0.26, -1.0, -5.0))
-    flags_ok &= not any(
-        admissible_betas(a).supercritical for a in (-0.249, -0.1, 0.0, 1.0)
-    )
+    flags_ok = all(indicial_roots(a).supercritical for a in (ALPHA_CRITICAL, -0.26, -1.0, -5.0))
+    flags_ok &= not any(indicial_roots(a).supercritical for a in (-0.249, -0.1, 0.0, 1.0))
     rep.add(
         "supercritical flag boundary",
         flags_ok,
@@ -95,7 +93,7 @@ def suite_hermiticity() -> SuiteReport:
         f"{raised}/{probes} raised",
         "all",
     )
-    betas = [admissible_betas(float(a)).beta_plus for a in np.linspace(-0.249, 10.0, 60)]
+    betas = [indicial_roots(float(a)).beta_plus for a in np.linspace(-0.249, 10.0, 60)]
     rep.add(
         "beta_plus strictly increasing",
         bool(np.all(np.diff(betas) > 0)),
@@ -110,8 +108,7 @@ def suite_orthonormality() -> SuiteReport:
     rep = SuiteReport("orthonormality")
     tol = 1e-8
     for alpha in (-0.2, 0.0, 0.5, 2.0):
-        branch = 0.0 if alpha == 0 else None
-        states = [spectrum.halfline_state(alpha, n, branch) for n in range(6)]
+        states = [spectrum.halfline_state(alpha, n) for n in range(6)]
         worst = 0.0
         norms2 = []
         for i in range(6):

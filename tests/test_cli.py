@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singosc.cli import build_parser, emit_rows, main
+from singosc.cli import MAX_POINTS, build_parser, emit_rows, main
 from singosc.model import Domain, OscillatorSpec
 from singosc.spectrum import N_MAX, spectrum_table
 
@@ -106,6 +106,53 @@ class TestExitCodes:
         assert rc == 1
         assert "parity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("wavefunction --alpha 1 --xi-points 100000000000000000000",
+             f"--xi-points must be at most {MAX_POINTS}"),
+            ("figure 2 --alpha-points 100000000000000000000",
+             f"--alpha-points must be at most {MAX_POINTS}"),
+            ("radial --alpha 1 --l 1" + "0" * 160, "l(l+1) overflows a float"),
+        ],
+    )
+    def test_oversized_count_is_exit_1(self, capsys, argv, message):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"singosc: error: \S[^\n]*\n", captured.err)
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_largest_point_count_is_accepted(self, tmp_path):
+        argv = ["wavefunction", "--alpha", "1", "--xi-points", str(MAX_POINTS)]
+        rc, text = run_cli(argv, tmp_path)
+        assert rc == 0 and len(text.splitlines()) == MAX_POINTS + 1
+
+    @pytest.mark.parametrize("unit", ["--mass", "--omega", "--hbar"])
+    def test_figure_takes_no_unit_options(self, unit):
+        # figure data are in natural units, so a unit option would change nothing
+        for value in ("2", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["figure", "1", unit, value])
+            assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            ("spectrum --alpha 0.5 --domain full --beta-branch minus1", "branch"),
+            ("spectrum --alpha 0 --domain full --beta-branch zero", "branch"),
+            ("wavefunction --alpha 0.5 --domain half --parity odd", "--parity"),
+            ("wavefunction --alpha 0 --parity even", "--parity"),
+            ("wavefunction --alpha 0.5 --domain full --parity odd --beta-branch zero",
+             "--beta-branch"),
+        ],
+    )
+    def test_option_of_the_other_domain_is_exit_1(self, capsys, argv, option):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("singosc: error:") and option in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["-1", str(N_MAX + 1), "100000000000000000000"])
     @pytest.mark.parametrize("option", ["spectrum --n-max", "wavefunction --n"])
     def test_quantum_number_out_of_range_is_exit_1(self, capsys, option, value):
@@ -168,6 +215,54 @@ class TestUnitOptions:
             assert cells and all(math.isfinite(v) for v in cells)
         else:
             assert rc == 1
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"singosc: error: \S[^\n]*\n", err.getvalue())
+
+
+def _count(small, cap):
+    """Small counts, negative ones included, and counts past the cap."""
+    return st.one_of(st.integers(-3, small), st.integers(cap + 1, 10**30))
+
+
+_ARGV = st.one_of(
+    st.builds(
+        lambda alpha, n_max, domain: ["spectrum", f"--alpha={alpha!r}", "--n-max", str(n_max),
+                                      "--domain", domain],
+        st.floats(), _count(30, N_MAX), st.sampled_from(["half", "full"]),
+    ),
+    st.builds(
+        lambda alpha, l, n_max: ["radial", f"--alpha={alpha!r}", "--l", str(l),
+                                 "--n-max", str(n_max)],
+        st.floats(), st.one_of(st.integers(-3, 30), st.integers(10**150, 10**200)),
+        _count(30, N_MAX),
+    ),
+    st.builds(
+        lambda fig, points: ["figure", str(fig), "--alpha-points", str(points)],
+        st.integers(1, 4), _count(30, MAX_POINTS),
+    ),
+    st.builds(
+        lambda points: ["wavefunction", "--alpha", "1", "--xi-points", str(points)],
+        _count(60, MAX_POINTS),
+    ),
+)
+
+
+class TestInputDomain:
+    """Couplings and counts: finite output or one typed error line."""
+
+    @given(_ARGV)
+    @settings(max_examples=300, deadline=None)
+    @example(["radial", "--alpha=1e308", "--l", str(10**154)])
+    @example(["spectrum", "--alpha=1e308", "--n-max", "3", "--domain", "full"])
+    def test_finite_output_or_typed_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            cells = list(_numeric_cells(out.getvalue()))
+            assert cells and all(math.isfinite(v) for v in cells)
+        else:
+            assert rc in (1, 2)
             assert out.getvalue() == ""
             assert re.fullmatch(r"singosc: error: \S[^\n]*\n", err.getvalue())
 
@@ -372,6 +467,15 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["passed"] is True
         assert doc["suites"][0]["suite"] == "perturbation"
+
+    def test_oracle_suite_at_alpha_zero(self, capsys):
+        # both oracles compute beta_plus = 0, the library's default branch
+        assert main(["verify", "--suite", "oracle", "--alpha", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "suite oracle: PASS" and lines[-1] == "overall: PASS"
+        assert [line.split(":")[0] for line in lines[1:3]] == [
+            "  PASS shooting alpha=0.0", "  PASS finite-difference alpha=0.0"
+        ]
 
     def test_degeneracy_suite_text(self, capsys):
         rc = main(["verify", "--suite", "degeneracy"])

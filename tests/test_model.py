@@ -71,6 +71,13 @@ class TestIndicialRoots:
 
 
 class TestAdmissibleBetas:
+    def test_one_record(self):
+        # admissible_betas is a second name of indicial_roots, whose record
+        # carries the admissible set next to both roots
+        assert admissible_betas is indicial_roots
+        r = indicial_roots(2.0)
+        assert (r.beta_plus, r.beta_minus, r.admissible) == (1.0, -2.0, (1.0,))
+
     def test_free_case_has_both_branches(self):
         sol = admissible_betas(0.0)
         assert sol.admissible == (-1.0, 0.0)
@@ -270,8 +277,17 @@ class TestRadialMap:
         assert map_radial(alpha, l) == pytest.approx(want, rel=1e-15)
 
     def test_rejects_negative_l(self):
-        with pytest.raises(ParameterError):
-            map_radial(0.0, -1)
+        for l in (-1, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="non-negative integer"):
+                map_radial(0.0, l)
+
+    def test_rejects_l_whose_square_overflows(self):
+        # an int l(l+1) past the float range cannot be added to alpha
+        for l in (10**160, 1e200):
+            with pytest.raises(ParameterError, match="overflows"):
+                map_radial(1.0, l)
+        assert map_radial(1.0, 10**150) == 1.0 + 10**300
+        assert map_radial(1.0, 10**150) == 1.0 + 10**300
 
 
 class TestEnums:

@@ -75,7 +75,7 @@ class TestFiniteDifference:
         # the grid's inner end at x = e0 instead of e^-15: the residual's
         # term 3 e0^2 max|eps| bounds what the Frobenius condition there
         # misses (at e0 = 0.1 the ground level is 1% high as nu -> 0)
-        t = spectrum_table(alpha, k - 1, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
+        t = spectrum_table(alpha, k - 1, Domain.HALF_LINE)
         want = np.array(t.distinct_levels())
         res = _fd_result(*_richardson(alpha, math.log(e0), k))
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
@@ -87,7 +87,7 @@ class TestFdSpectrum:
     def test_accuracy_residual_and_rows(self, alpha, k):
         res = fd_eigen(alpha, k)
         # the oracle's inner condition takes beta_plus, the branch 0 at alpha = 0
-        t = spectrum_table(alpha, k - 1, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
+        t = spectrum_table(alpha, k - 1, Domain.HALF_LINE)
         want = np.array(t.distinct_levels())
         err = np.abs(np.array(res.eigenvalues) - want)
         assert res.method is OracleMethod.FINITE_DIFFERENCE
@@ -204,7 +204,7 @@ class TestShooting:
         # on, so 7.5 and 8.0 at n_max = 8 take the doubled window
         res = shoot_spectrum(alpha, n_max)
         # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
-        t = spectrum_table(alpha, n_max, Domain.HALF_LINE, 0.0 if alpha == 0 else None)
+        t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
         assert res.passes <= 5
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
         assert res.residual_estimate <= 1e-6 / 2

@@ -266,6 +266,9 @@ class TestConnectionResidual:
 
     def test_bad_window_rejected(self):
         even, _ = fullline_states(0.5, 0)
-        for eps in (0.0, -0.1, math.nan, math.inf):
+        # past X_MAX the states are below 1e-62, so r(X_MAX) is the widest
+        # window, and x**2 overflows from 1e155 on
+        for eps in (0.0, -0.1, math.nan, math.inf, np.nextafter(X_MAX, np.inf), 1e200):
             with pytest.raises(ParameterError):
                 connection_residual(even, eps)
+        assert math.isfinite(connection_residual(even, X_MAX))

@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +75,24 @@ class TestOracleSweep:
         assert float(fields[2]) < 1e-4  # shooting error
         assert float(fields[3]) < 5e-3  # finite-difference error
         assert 3 <= int(fields[-1]) <= 5  # shooting passes
+
+    def test_scipy_loaded_before_the_timed_loop(self):
+        # an import inside the first `fd s` timing would charge it to one
+        # alpha; a fresh interpreter shows which calls start with it loaded
+        path = str(SCRIPTS / "oracle_sweep.py")
+        probe = (
+            "import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('sweep', {path!r})\n"
+            "sweep = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(sweep)\n"
+            "seen, fd = [], sweep.fd_eigen\n"
+            "sweep.fd_eigen = lambda *a: seen.append('scipy.linalg' in sys.modules) or fd(*a)\n"
+            "sweep.main(['--alphas', '0.5', '2.0', '--n-max', '0'])\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[True, True]"
 
 
 class TestEmitFigures:

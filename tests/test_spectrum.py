@@ -92,9 +92,10 @@ class TestHalflineState:
         with pytest.raises(ParameterError):
             s.dpsi(np.array([-1.0, 1.0]))
 
-    def test_zero_branch_requires_choice_at_alpha_zero(self):
-        with pytest.raises(ParameterError):
-            halfline_state(0.0, 0)
+    def test_alpha_zero_defaults_to_branch_zero(self):
+        # the gate's default beta_plus, the alpha -> 0 limit of beta_plus
+        for n in (0, 1, 7):
+            assert halfline_state(0.0, n) == halfline_state(0.0, n, beta_branch=0.0)
 
     def test_alpha_zero_branches(self):
         odd_like = halfline_state(0.0, 0, beta_branch=0.0)
@@ -280,6 +281,12 @@ class TestSpectrumTable:
         assert text == json.dumps({"rows": want, "spacing": 2.0}, indent=2) + "\n"
         assert text.startswith('{\n  "rows": [\n    {\n      "alpha": 0.7,')
         assert text.endswith('\n  "spacing": 2.0\n}\n')
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_branch_rejected_on_full_line(self, alpha):
+        # the full-line table holds both alpha = 0 branches and picks none
+        with pytest.raises(ParameterError, match="half-line"):
+            spectrum_table(alpha, 1, Domain.FULL_LINE, beta_branch=0.0)
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ParameterError):
