@@ -47,6 +47,7 @@ from .quad import (
     X_MAX,
     cauchy_pv,
     connection_residual,
+    gram,
     integrability_class,
     integrate_adaptive,
     overlap,
@@ -63,7 +64,6 @@ from .spectrum import (
     DIVERGENT,
     EigenState,
     SpectrumTable,
-    density_current,
     energy,
     fullline_states,
     halfline_state,

@@ -96,9 +96,6 @@ class OscillatorSpec:
         """E = eps * energy_scale, with eps the dimensionless energy."""
         return self.hbar * self.omega
 
-    def eps_from_energy(self, energy: float) -> float:
-        return energy / self.energy_scale
-
     def energy_from_eps(self, eps: float) -> float:
         energy = eps * self.energy_scale
         if not math.isfinite(energy):
@@ -108,14 +105,13 @@ class OscillatorSpec:
 
 @dataclass(frozen=True)
 class IndicialRoots:
-    """Roots of beta(beta+1) = alpha (complex_pair flags alpha < -1/4)
-    and the admissible ones: none when supercritical (alpha <= -1/4),
-    both branches (-1, 0) at alpha = 0, otherwise just beta_plus."""
+    """Roots of beta(beta+1) = alpha (their real part -1/2 when the pair
+    is complex, alpha < -1/4) and the admissible ones: none when
+    supercritical (alpha <= -1/4), both branches (-1, 0) at alpha = 0,
+    otherwise just beta_plus."""
 
     beta_plus: float
     beta_minus: float
-    complex_pair: bool
-    imag: float = 0.0
     admissible: tuple[float, ...] = ()
 
     @property
@@ -135,21 +131,22 @@ def indicial_roots(alpha: float) -> IndicialRoots:
     """Solve beta(beta+1) = alpha and apply the hermiticity criterion.
 
     For alpha >= -1/4 both roots are real: beta = -1/2 +- sqrt(1/4+alpha).
-    For alpha < -1/4 the pair is complex with real part -1/2; that status
-    is reported through complex_pair, not an exception.  The criterion
-    admits beta > -1/2, plus beta = -1 at alpha = 0 (two families), so the
-    marginal double root at alpha = -1/4 (the logarithmic case) is out.
+    For alpha < -1/4 the pair is complex with real part -1/2, which both
+    fields hold, and the record is supercritical, not an exception.  The
+    criterion admits beta > -1/2, plus beta = -1 at alpha = 0 (two
+    families), so the marginal double root at alpha = -1/4 (the
+    logarithmic case) is out.
     A non-finite alpha raises ParameterError; every check starts here.
     """
     if not math.isfinite(alpha):
         raise ParameterError("alpha must be finite")
     disc = 0.25 + alpha
     if disc < 0:
-        return IndicialRoots(-0.5, -0.5, True, math.sqrt(-disc))
+        return IndicialRoots(-0.5, -0.5)
     root = math.sqrt(disc)
     plus, minus = -0.5 + root, -0.5 - root
     admissible = () if alpha <= ALPHA_CRITICAL else (minus, plus) if alpha == 0 else (plus,)
-    return IndicialRoots(plus, minus, False, admissible=admissible)
+    return IndicialRoots(plus, minus, admissible)
 
 
 admissible_betas = indicial_roots  # second name, kept for existing callers

@@ -52,10 +52,8 @@ from .spectrum import SpectrumTable, _check_n
 # allows (and the Frobenius series' last term may reach):
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 # distance past the outer turning point that shooting integrates to: 3
-# keeps the narrowed levels within about 2e-7 relative (1.7 gave 2.6e-7); node
-# counts at a level stop at 2, because at 3 the growing tail of a level
-# near alpha = -1/4 flips the sign once more
-_BOX_MARGIN, _COUNT_MARGIN = 3.0, 2.0
+# keeps the narrowed levels within about 2e-7 relative (1.7 gave 2.6e-7)
+_BOX_MARGIN = 3.0
 _RENORM_LIMIT = 1e100
 _H_MAX = 0.25
 _H_MIN = 1e-12
@@ -214,13 +212,13 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
     return float(psi), float(dpsi)
 
 
-def _box(alpha: float, eps: float, margin: float = _BOX_MARGIN) -> float:
-    """Where shooting at energies up to eps stops: margin past the outer
+def _box(alpha: float, eps: float) -> float:
+    """Where shooting at energies up to eps stops: _BOX_MARGIN past the outer
     turning point sqrt(eps + sqrt(eps^2 - alpha)) of x^2/2 + alpha/(2 x^2),
     at most X_MAX.  Below the well's bottom, eps < sqrt(alpha), where no
     level lies, the inner root counts as 0."""
     turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
-    return min(X_MAX, math.sqrt(max(turn, 0.0)) + margin)
+    return min(X_MAX, math.sqrt(max(turn, 0.0)) + _BOX_MARGIN)
 
 
 def _rkf45_count_nodes(
@@ -349,17 +347,6 @@ def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
     """Single shooting eigenvalue with n_target interior nodes."""
     full = shoot_spectrum(alpha, n_target)
     return replace(full, eigenvalues=(full.eigenvalues[n_target],))
-
-
-def count_nodes_at(alpha: float, eps: float) -> int:
-    """Interior sign changes of the shot solution at a fixed energy.
-
-    The integration stops _COUNT_MARGIN past the outer turning point
-    (_box), before the growing contamination could flip the sign, so at a
-    level the count is the true node count of the bound state.
-    """
-    counts, _, _ = _rkf45_count_nodes(alpha, np.array([eps]), _box(alpha, eps, _COUNT_MARGIN))
-    return int(counts[0])
 
 
 def compare(analytic: SpectrumTable, oracle: OracleResult, tol: float) -> CompareReport:

@@ -260,19 +260,6 @@ def spectrum_table(
     )
 
 
-def density_current(state: EigenState, x):
-    """Probability density and current (rho, J) at x.
-
-    Stationary bound states are real, so J = (hbar/m) Im(psi* psi') is
-    identically zero; it is returned explicitly to make that checkable.
-    """
-    rho = np.asarray(state.psi(x), dtype=float) ** 2
-    j = np.zeros_like(rho)
-    if np.ndim(x) == 0:
-        return float(rho), float(j)
-    return rho, j
-
-
 def perturbation_first_order(n: int, parity: Parity):
     """First-order energy slope <psi_n| 1/(2 x^2) |psi_n> at alpha = 0.
 

@@ -534,11 +534,12 @@ class TestParser:
         assert names == {"spectrum", "wavefunction", "figure", "verify", "radial"}
 
 
-def _scipy_after(code):
-    """Run code in a fresh interpreter and return the scipy modules it loaded."""
+def _loaded_after(code, package="scipy"):
+    """Run code in a fresh interpreter and return the modules of package
+    (the package itself and its submodules) that it loaded."""
     probe = (
         f"{code}\nimport sys\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(*sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -561,7 +562,7 @@ class TestLazyScipy:
     """scipy loads only inside the oracle and quadrature calls that use it."""
 
     def test_import_loads_no_scipy(self):
-        assert _scipy_after("import singosc") == []
+        assert _loaded_after("import singosc") == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -573,22 +574,46 @@ class TestLazyScipy:
         ],
     )
     def test_analytic_commands_load_no_scipy(self, argv):
-        assert _scipy_after(_run_module(*argv)) == []
+        assert _loaded_after(_run_module(*argv)) == []
 
     def test_oracle_suite_loads_linalg_when_called(self):
-        loaded = _scipy_after(_run_module("verify", "--suite", "oracle", "--alpha", "2"))
+        loaded = _loaded_after(_run_module("verify", "--suite", "oracle", "--alpha", "2"))
         assert "scipy.linalg" in loaded
 
-    def test_overlaps_load_integrate_and_special_when_called(self):
+    def test_quadrature_loads_integrate_and_special_when_called(self):
+        # the Gauss-Legendre overlap needs no scipy; the Gauss-Laguerre
+        # route and adaptive integrals load what they use
+        def after(call):
+            return _loaded_after(
+                "from singosc import quad, spectrum\n"
+                "s = spectrum.halfline_state(0.5, 2)\n"
+                f"assert abs({call} - 1.0) < 1e-12\n"
+            )
+
+        assert after("quad.overlap(s, s)") == []
+        loaded = after("quad.overlap_halfline_gauss(s, s)")
+        assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+        assert "scipy.integrate" in after("quad.integrate_adaptive(lambda x: 2.0 * x, 0.0, 1.0)")
+
+
+class TestLazyQuadratureRule:
+    """The overlaps' Gauss-Legendre rule, and numpy.polynomial behind it,
+    are built on the first Gram matrix, not on import or an analytic call."""
+
+    def test_import_loads_no_rule(self):
+        assert _loaded_after("import singosc", "numpy.polynomial") == []
+
+    def test_spectrum_command_loads_no_rule(self):
+        code = _run_module("spectrum", "--alpha", "0.5")
+        assert _loaded_after(code, "numpy.polynomial") == []
+
+    def test_first_overlap_builds_the_rule(self):
         code = (
-            "from singosc.quad import overlap, overlap_halfline_gauss\n"
-            "from singosc.spectrum import halfline_state\n"
-            "s = halfline_state(0.5, 2)\n"
-            "assert abs(overlap(s, s) - 1.0) < 1e-9\n"
-            "assert abs(overlap_halfline_gauss(s, s) - 1.0) < 1e-12\n"
+            "from singosc import quad, spectrum\n"
+            "s = spectrum.halfline_state(0.5, 2)\n"
+            "quad.overlap(s, s)\n"
         )
-        loaded = _scipy_after(code)
-        assert {"scipy.integrate", "scipy.special"} <= set(loaded)
+        assert "numpy.polynomial.legendre" in _loaded_after(code, "numpy.polynomial")
 
 
 def _dictwriter_csv(rows, fields):

@@ -1,9 +1,7 @@
 """Quadrature layer: adaptive integrals, principal values, overlaps."""
 
-import gc
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from singosc.quad import (
     IntegrabilityClass,
     cauchy_pv,
     connection_residual,
+    gram,
     integrability_class,
     integrate_adaptive,
     overlap,
@@ -187,44 +186,73 @@ def _counting_psi(monkeypatch):
     return seen
 
 
-class TestOverlapTables:
-    """Each state's psi is tabulated at the quadrature nodes and shared by
-    every overlap with that state; the values must not move by an ulp."""
+GRAM_ALPHAS = [-0.2499, -0.2, 0.0, 0.5, 7.9]
 
-    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.0, 0.5, 7.9])
-    def test_bit_identical_to_uncached_integral(self, alpha):
-        branches = (-1.0, 0.0) if alpha == 0 else (None,)
-        half = [halfline_state(alpha, n, b) for b in branches for n in range(6)]
-        full = [s for n in range(6) for s in fullline_states(alpha, n)]
-        for states, factor in ((half, 1.0), (full, 2.0)):
+
+def _gram_families(alpha):
+    """(states, fold factor): the first 12 half-line states of each branch,
+    and the 12 full-line states with n < 6."""
+    branches = (-1.0, 0.0) if alpha == 0 else (None,)
+    half = [([halfline_state(alpha, n, b) for n in range(12)], 1.0) for b in branches]
+    return half + [([s for n in range(6) for s in fullline_states(alpha, n)], 2.0)]
+
+
+class TestGram:
+    """The composite Gauss-Legendre rule behind every overlap: one array
+    psi call per state, and entries that do not depend on the other
+    states of the matrix."""
+
+    @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
+    def test_entries_equal_overlap_bit_for_bit(self, alpha):
+        for states, _ in _gram_families(alpha):
+            g = gram(states)
+            np.testing.assert_array_equal(g, g.T)
             for i, s1 in enumerate(states):
-                for s2 in states[i:]:
+                for j, s2 in enumerate(states):
+                    assert g[i, j] == overlap(s1, s2), (i, j)
+
+    @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
+    def test_entries_match_adaptive_quadrature(self, alpha):
+        for states, factor in _gram_families(alpha):
+            g = gram(states)
+            for i, s1 in enumerate(states):
+                for j in range(i, len(states)):
+                    s2 = states[j]
                     if s1.parity is not s2.parity:
+                        assert g[i, j] == 0.0
                         continue
                     ref = integrate_adaptive(lambda x: s1.psi(x) * s2.psi(x), 0.0, X_MAX)
-                    assert overlap(s1, s2) == factor * ref, (s1.n, s1.beta, s2.n, s2.beta)
+                    assert abs(g[i, j] - factor * ref) <= 1e-12, (i, j)
 
-    def test_each_state_evaluated_once_per_node(self, monkeypatch):
+    def test_one_psi_call_per_state(self, monkeypatch):
         seen = _counting_psi(monkeypatch)
         states = [halfline_state(3.3, n) for n in range(12)]
-        for i, s1 in enumerate(states):
-            for s2 in states[i:]:
-                overlap(s1, s2)
-        assert len(seen) > 0
-        assert len(set(seen)) == len(seen)
+        gram(states)
+        assert [i for i, _ in seen] == [id(s) for s in states]
+        seen.clear()
+        overlap(states[4], states[4])
+        assert len(seen) == 1
 
-    def test_table_does_not_keep_the_state_alive(self, monkeypatch):
-        s = halfline_state(1.7, 3)
-        overlap(s, s)
-        ref = weakref.ref(s)
-        del s
-        gc.collect()
-        assert ref() is None
-        # the table went with the state: an equal new state evaluates again
-        seen = _counting_psi(monkeypatch)
-        s = halfline_state(1.7, 3)
-        overlap(s, s)
-        assert len(seen) > 0
+    def test_gap_past_the_bound_raises(self):
+        # psi_40 oscillates too fast for 10 points per 0.5-wide panel: the
+        # two rules differ by 1.7e-6
+        s = halfline_state(0.5, 40)
+        with pytest.raises(DepthExceeded, match="differ by"):
+            overlap(s, s)
+
+    @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 7.9])
+    def test_twenty_states_pass_the_gap_check(self, alpha):
+        g = gram([halfline_state(alpha, n) for n in range(20)])
+        assert np.max(np.abs(g - np.eye(20))) <= 1e-13
+
+    def test_needs_compatible_states(self):
+        even, _ = fullline_states(0.5, 1)
+        with pytest.raises(DomainMismatch):
+            gram([halfline_state(0.5, 0), even])
+        with pytest.raises(DomainMismatch):
+            gram([halfline_state(0.5, 0), halfline_state(0.7, 0)])
+        with pytest.raises(ParameterError):
+            gram([])
 
 
 class TestConnectionResidual:

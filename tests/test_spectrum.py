@@ -300,17 +300,6 @@ class TestSpectrumTable:
         assert np.all(np.abs(gaps - 2.0) < 1e-12)
 
 
-class TestDensityCurrent:
-    def test_density_is_psi_squared_and_current_vanishes(self):
-        from singosc.spectrum import density_current
-
-        s = halfline_state(0.5, 1)
-        x = np.linspace(0.1, 3.0, 11)
-        rho, j = density_current(s, x)
-        assert np.allclose(rho, np.asarray(s.psi(x)) ** 2, rtol=1e-14)
-        assert np.all(j == 0.0)
-
-
 class TestPerturbation:
     def test_odd_slope_is_unity(self):
         slope = perturbation_first_order(0, Parity.ODD)
