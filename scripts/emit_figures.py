@@ -19,10 +19,9 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for fig in (1, 2, 3, 4):
         out = outdir / f"figure{fig}.csv"
-        rc = cli_main(
-            ["figure", str(fig), "--alpha-points", str(args.alpha_points),
-             "--out", str(out)]
-        )
+        # only the level diagrams 2 and 4 sweep alpha
+        sweep = ["--alpha-points", str(args.alpha_points)] if fig in (2, 4) else []
+        rc = cli_main(["figure", str(fig), *sweep, "--out", str(out)])
         if rc != 0:
             return rc
         print(f"wrote {out}")

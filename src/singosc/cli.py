@@ -234,6 +234,10 @@ def _figure_levels_fullline(points: int) -> dict[str, list]:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     points = args.alpha_points
+    if args.id in (1, 3) and points is not None:
+        raise SingOscError("--alpha-points applies to figures 2 and 4 only")
+    if points is None:
+        points = ALPHA_SWEEP_POINTS
     if args.id == 1:
         columns = _figure_potential()
     elif args.id == 2:
@@ -247,6 +251,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite not in ("oracle", "all") and (args.alpha, args.tol) != (None, None):
+        raise SingOscError("--alpha and --tol apply to --suite oracle and all only")
     names = verify_mod.SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = verify_mod.run_suites(names, alpha=args.alpha, tol=args.tol)
     ok = all(r.passed for r in reports)
@@ -312,17 +318,20 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("figure", help="data behind the level/profile diagrams")
     p.add_argument("id", type=int, choices=[1, 2, 3, 4])
-    p.add_argument("--alpha-points", type=int, default=ALPHA_SWEEP_POINTS,
-                   help="sweep resolution on (-0.249, 0.25]")
+    p.add_argument("--alpha-points", type=int, default=None,
+                   help="figures 2 and 4: sweep resolution on (-0.249, 0.25] "
+                        f"(default {ALPHA_SWEEP_POINTS})")
     _add_common(p, units=False)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="run numerical verification suites")
     p.add_argument("--suite", choices=["all", *verify_mod.SUITE_NAMES], default="all")
     p.add_argument("--alpha", type=float, default=None,
-                   help="override the oracle-suite alpha sample")
+                   help="suites oracle and all: the one alpha sampled by the "
+                        "oracle suite (default 0.5 and 2)")
     p.add_argument("--tol", type=float, default=None,
-                   help="override the oracle-suite shooting tolerance")
+                   help="suites oracle and all: the oracle suite's shooting "
+                        "tolerance, finite and > 0 (default 1e-4)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -1,27 +1,33 @@
 """Integration utilities: adaptive quadrature, Cauchy principal value,
-near-origin integrability classification, Gram matrices and overlaps of
-states, and the derivative connection-formula residual at the origin.
+near-origin integrability classification, Gram matrices, matrix elements
+and overlaps of states, and the derivative connection-formula residual
+at the origin.
 
 Every adaptive integral is one QUADPACK call, and any failure QUADPACK
-reports (or a non-finite value) raises DepthExceeded.  A principal value
-is folded about its pole into one ordinary integral of f(c+t) + f(c-t);
-when that integral fails the singularity is not odd and PVDivergent is
-raised.  QUADPACK always runs with epsabs = epsrel = 1e-10 and 200
-subintervals, and an infinite limit goes to it as such.
+reports (or a non-finite value) raises DepthExceeded.  Of the
+closed-form quantities only the principal value in connection_residual
+still goes through QUADPACK; otherwise integrate_adaptive serves as an
+independent reference for the rule below.  A principal value is folded
+about its pole into one ordinary integral of f(c+t) + f(c-t); when that
+integral fails the singularity is not odd and PVDivergent is raised.
+QUADPACK always runs with epsabs = epsrel = 1e-10 and 200 subintervals,
+and an infinite limit goes to it as such.
 
-Overlaps of bound states integrate to X_MAX = 12 (natural units), where
-the e^(-x^2) tails of the low states are below 1e-62.  They use one
-fixed composite Gauss-Legendre rule on [0, X_MAX] instead of QUADPACK.
-Toward the origin the panels are geometric, [r^(k+1), r^k] with r = 0.15
-below x = 1 (the innermost one reaching 0), which resolves the endpoint
-power x^(2 beta + 2) of psi1 psi2 at an exponential rate (hp grading,
-Schwab, p- and hp-Finite Element Methods, 1998); from 1 to X_MAX they
-are 0.5 wide.  Each panel carries 20 points, and a 10-point copy of the
-same panels estimates the error: a Gram matrix whose two values differ
-by more than 1e-8 in some entry raises DepthExceeded.  The gap does not
-see the tail past X_MAX, but the 10-point rule fails first: at
-alpha = 0.5 the check raises from n = 21, and the tail left out reaches
-1e-9 only at n = 25.  A Gram matrix evaluates each state once, in one
+Overlaps and matrix elements <psi_i|w|psi_j> of bound states, with w
+an even multiplication operator such as 1/(2 x^2), integrate to
+X_MAX = 12 (natural units), where the e^(-x^2) tails of the low states
+are below 1e-62.  They use one fixed composite Gauss-Legendre rule on
+[0, X_MAX] instead of QUADPACK.  Toward the origin the panels are
+geometric, [r^(k+1), r^k] with r = 0.15 below x = 1 (the innermost one
+reaching 0), which resolves the endpoint power x^(2 beta + 2) of
+psi1 psi2 (x^(2 beta) with w = 1/x^2) at an exponential rate (hp
+grading, Schwab, p- and hp-Finite Element Methods, 1998); from 1 to
+X_MAX they are 0.5 wide.  Each panel carries 20 points, and a 10-point
+copy of the same panels estimates the error: a Gram matrix whose two
+values differ by more than 1e-8 in some entry raises DepthExceeded.
+The gap does not see the tail past X_MAX, but the 10-point rule fails
+first: at alpha = 0.5 the check raises from n = 21, and the tail left
+out reaches 1e-9 only at n = 25.  A Gram matrix evaluates each state once, in one
 array call on all nodes of both rules.  Half-line inner products also
 ship a Gauss-Laguerre path in the y = x^2 variable, exact for the
 polynomial integrands of the bound states; it is the independent second
@@ -147,24 +153,33 @@ def _gram_rule() -> tuple[np.ndarray, np.ndarray, int]:
     return nodes, weights, _Q_FINE * len(lo)
 
 
-def gram(states: Sequence[EigenState]) -> np.ndarray:
-    """Gram matrix G[i, j] = <states[i]|states[j]> on the composite
+def gram(
+    states: Sequence[EigenState],
+    weight: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Matrix G[i, j] = <states[i]| w |states[j]> of the multiplication
+    operator w(x) (the Gram matrix when weight is None) on the composite
     Gauss-Legendre rule.
 
     Each state is evaluated once, in one array call on the nodes of both
-    rules.  Entry (i, j) sums (psi_i psi_j)(x_k) w_k in one fixed order,
-    so it does not depend on the other states: it equals
-    overlap(states[i], states[j]) bit for bit, and G is symmetric.  On
-    the full line cross-parity entries are 0 exactly (odd integrand on a
-    symmetric domain) and same-parity ones are twice the positive
-    half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
-    differ by more than 1e-8 in some entry, or a value is not finite.
+    rules; w is evaluated once, on the same positive nodes, and
+    multiplies the rule's weights.  On the full line w must be even.
+    Entry (i, j) sums psi_i psi_j w times the rule's weight over the
+    nodes in one fixed order, so it does not depend on the other states:
+    with no weight it equals overlap(states[i], states[j]) bit for bit,
+    and G is symmetric.  On the full line cross-parity entries are 0
+    exactly (odd integrand on a symmetric domain) and same-parity ones
+    are twice the positive half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
+    differ by more than 1e-8 in some entry, as for a w psi_i psi_j that
+    is not integrable at the origin, or a value is not finite.
     """
     if not states:
         raise ParameterError("a Gram matrix needs at least one state")
     for s in states[1:]:
         _check_compatible(states[0], s)
     nodes, weights, split = _gram_rule()
+    if weight is not None:
+        weights = weights * weight(nodes)
     psi = np.array([s.psi(nodes) for s in states])
     fine, coarse = np.empty((2, len(states), len(states)))
     for i, row in enumerate(psi):  # one row at a time: memory stays N x nodes

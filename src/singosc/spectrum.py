@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
-from .quad import X_MAX, integrate_adaptive
+from .quad import gram
 from .specfun import as_operand, laguerre
 
 
@@ -263,11 +263,12 @@ def spectrum_table(
 def perturbation_first_order(n: int, parity: Parity):
     """First-order energy slope <psi_n| 1/(2 x^2) |psi_n> at alpha = 0.
 
-    Finite for odd states (their psi vanishes linearly at the origin);
-    returns the DIVERGENT sentinel for even states, whose psi(0) != 0
-    makes the integrand non-integrable.  For the odd ground state the
-    slope is exactly 1, matching d eps / d alpha = d beta_plus / d alpha
-    at alpha = 0.
+    Finite for odd states (their psi vanishes linearly at the origin, so
+    psi^2 / x^2 is regular there) and taken as one weighted entry of
+    quad.gram on the half-line beta = 0 state; returns the DIVERGENT
+    sentinel for even states, whose psi(0) != 0 makes the integrand
+    non-integrable.  For every odd state the slope is exactly 1, matching
+    d eps / d alpha = d beta_plus / d alpha at alpha = 0.
     """
     _check_n(n)
     if parity is Parity.EVEN:
@@ -275,10 +276,4 @@ def perturbation_first_order(n: int, parity: Parity):
     if parity is not Parity.ODD:
         raise ParameterError("perturbation diagnostic needs parity Even or Odd")
     state = halfline_state(0.0, n, beta_branch=0.0)
-
-    def integrand(x: float) -> float:
-        v = state.psi(x)
-        return v * v / (2.0 * x * x)
-
-    # x^2 cancels against psi^2 ~ x^2 near 0; integrand is regular
-    return integrate_adaptive(integrand, 0.0, X_MAX)
+    return float(gram((state,), lambda x: 0.5 / (x * x))[0, 0])

@@ -7,12 +7,13 @@ PASS/FAIL per check with the measured number and its bound, so the CLI
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import oracle, quad, spectrum
-from .errors import SupercriticalError
+from .errors import ParameterError, SupercriticalError
 from .model import ALPHA_CRITICAL, Domain, Parity, indicial_roots
 
 
@@ -135,7 +136,14 @@ def suite_oracle(
     n_max: int = 3,
     tol_shoot: float = 1e-4,
 ) -> SuiteReport:
-    """Shooting and finite-difference eigenvalues vs the closed form."""
+    """Shooting and finite-difference eigenvalues vs the closed form.
+
+    Raises ParameterError unless tol_shoot is finite and > 0: the
+    shooting check cannot pass a NaN bound and cannot fail an infinite
+    one.
+    """
+    if not 0 < tol_shoot < math.inf:
+        raise ParameterError(f"the shooting tolerance must be finite and > 0, got {tol_shoot}")
     rep = SuiteReport("oracle")
     tol_fd = 5e-3
     for alpha in alphas:

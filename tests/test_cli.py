@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singosc.cli import MAX_POINTS, build_parser, emit_rows, main
+from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, build_parser, emit_rows, main
 from singosc.model import Domain, OscillatorSpec
 from singosc.spectrum import N_MAX, spectrum_table
 
@@ -447,6 +447,19 @@ class TestFigureCommands:
         assert captured.err == "singosc: error: --alpha-points must be >= 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fig", ["1", "3"])
+    @pytest.mark.parametrize("points", ["5", "-4"])
+    def test_alpha_points_rejected_without_a_sweep(self, capsys, fig, points):
+        assert main(["figure", fig, "--alpha-points", points]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "singosc: error: --alpha-points applies to figures 2 and 4 only\n"
+        assert captured.out == ""
+
+    def test_default_sweep_points(self, tmp_path):
+        rc, text = run_cli(["figure", "4"], tmp_path)
+        curves = [r for r in parse_csv(text) if r["kind"] == "curve"]
+        assert rc == 0 and len(curves) == ALPHA_SWEEP_POINTS * 5
+
     def test_figure4_degenerate_curves_and_markers(self, tmp_path):
         rc, text = run_cli(["figure", "4", "--alpha-points", "12"], tmp_path)
         rows = parse_csv(text)
@@ -481,6 +494,25 @@ class TestVerifyCommand:
         rc = main(["verify", "--suite", "degeneracy"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        assert main(["verify", "--suite", "oracle", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("singosc: error: the shooting tolerance")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "suite", ["hermiticity", "orthonormality", "degeneracy", "perturbation"]
+    )
+    @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--tol", "1"]])
+    def test_oracle_flags_rejected_by_other_suites(self, capsys, suite, flags):
+        assert main(["verify", "--suite", suite, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "singosc: error: --alpha and --tol apply to --suite oracle and all only\n"
+        )
+        assert captured.out == ""
 
 
 class TestRadialCommand:
@@ -579,6 +611,14 @@ class TestLazyScipy:
     def test_oracle_suite_loads_linalg_when_called(self):
         loaded = _loaded_after(_run_module("verify", "--suite", "oracle", "--alpha", "2"))
         assert "scipy.linalg" in loaded
+
+    def test_verify_all_loads_linalg_only(self):
+        loaded = _loaded_after(_run_module("verify", "--suite", "all"))
+        assert "scipy.linalg" in loaded
+        assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
+
+    def test_perturbation_suite_loads_no_scipy(self):
+        assert _loaded_after(_run_module("verify", "--suite", "perturbation")) == []
 
     def test_quadrature_loads_integrate_and_special_when_called(self):
         # the Gauss-Legendre overlap needs no scipy; the Gauss-Laguerre

@@ -255,6 +255,56 @@ class TestGram:
             gram([])
 
 
+def _inverse_square(x):
+    return 1.0 / (x * x)
+
+
+class TestWeightedGram:
+    """gram(states, w): the matrix of the multiplication operator w on the
+    same rule, fold and gap check as the Gram matrix."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 2.0, 7.9])
+    def test_hellmann_feynman(self, alpha):
+        # d eps / d alpha = <1/(2 x^2)> and d eps / d alpha = 1/(2 beta + 1),
+        # so (beta + 1/2) <1/x^2> = 1 for every n; at alpha = 0 the branch
+        # is beta = 0
+        for n in range(12):
+            s = halfline_state(alpha, n)
+            mean = gram((s,), _inverse_square)[0, 0]
+            assert abs((s.beta + 0.5) * mean - 1.0) <= 1e-12, n
+
+    def test_full_line_is_symmetric_and_folds_parity(self):
+        states = [s for n in range(3) for s in fullline_states(0.5, n)]
+        g = gram(states, _inverse_square)
+        np.testing.assert_array_equal(g, g.T)
+        for i, s1 in enumerate(states):
+            for j, s2 in enumerate(states):
+                if s1.parity is not s2.parity:
+                    assert g[i, j] == 0.0, (i, j)
+        # the diagonal is twice the half-axis of the 1/sqrt(2)-scaled state
+        half = gram((halfline_state(0.5, 0),), _inverse_square)[0, 0]
+        assert g[0, 0] == pytest.approx(half, rel=1e-13)
+
+    def test_unit_weight_is_the_gram_matrix(self):
+        states = [halfline_state(0.5, n) for n in range(6)]
+        np.testing.assert_array_equal(gram(states, np.ones_like), gram(states))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            # psi^2 / x^2 ~ x^(2 beta), beta = -0.276: the two rules differ
+            # by 8.8e-8
+            halfline_state(-0.2, 0),
+            # psi(0) != 0: psi^2 / x^2 is not integrable, the gap is 3e21
+            fullline_states(0.0, 0)[0],
+        ],
+        ids=["alpha=-0.2", "alpha=0 even"],
+    )
+    def test_refuses_what_it_cannot_resolve(self, state):
+        with pytest.raises(DepthExceeded, match="differ by"):
+            gram((state,), lambda x: 0.5 / (x * x))
+
+
 class TestConnectionResidual:
     """Derivative jump of the even extension vs alpha times the principal
     value of psi/x^2: residual vanishes as the window shrinks."""
