@@ -20,13 +20,18 @@ extrapolation in the step removes the h^2 error.
 
 (b) Shooting with an adaptive Runge-Kutta-Fehlberg integrator seeded by
 a Frobenius series near the origin counts sign changes of psi for a batch
-of energies in one pass; the count is monotone in the energy, so one scan
-pass brackets every level and a few multisection passes (each splitting
-every bracket into _KSECTION parts at once) narrow the brackets to the
-tolerance.  Each pass integrates to _box of the top energy in its batch,
-the outer turning point sqrt(eps + sqrt(eps^2 - alpha)) plus _BOX_MARGIN:
-past it a bound state only decays, and relative error control would
-chase the growing tail.
+of energies in one pass and keeps psi at the pass's end, the box-edge
+value: on the series' common normalization it is analytic in the energy
+and vanishes at the box levels (a miss-distance function, Pryce 1993).
+One scan pass over a lattice _D_EPS apart brackets every level by the
+node count, which is monotone in the energy; a cubic through the
+box-edge values of 4 neighbouring energies, solved by Newton, places
+each level, and one confirming pass of the node count at the root
+-+ _EPS_TOL / 2 turns it into a guaranteed bracket.  Each pass
+integrates to _box of the top energy in its batch, the outer turning
+point sqrt(eps + sqrt(eps^2 - alpha)) plus _BOX_MARGIN: past it a bound
+state only decays, and relative error control would chase the growing
+tail.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,14 +58,18 @@ from .spectrum import SpectrumTable, _check_n
 # allows (and the Frobenius series' last term may reach):
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 # distance past the outer turning point that shooting integrates to: 3
-# keeps the narrowed levels within about 2e-7 relative (1.7 gave 2.6e-7)
+# keeps the levels of the box within about 2e-7 relative (1.7 gave 2.6e-7)
 _BOX_MARGIN = 3.0
 _RENORM_LIMIT = 1e100
 _H_MAX = 0.25
 _H_MIN = 1e-12
-# energies per bracket in a narrowing pass of shoot_spectrum: a 0.5-wide
-# scan bracket reaches the default eps_tol = 1e-6 in 3 passes
-_KSECTION = 128
+# shoot_spectrum: the energy step of its scan lattice (a cubic through 4
+# box-edge values 0.02 apart places the levels within about 3e-7
+# relative, 0.05 apart within 6e-6), the width of the bracket its
+# confirming pass checks, and Newton steps on each cubic
+_D_EPS, _EPS_TOL, _NEWTON_STEPS = 0.02, 1e-6, 8
+# the monomial coefficients of the cubic through values at t = 0, 1, 2, 3
+_CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
 # finite differences: the step in s = ln x; the absolute bisection
 # tolerance; the inner end of the log grid (scripts/convergence_study.py
 # tabulates the levels against it)
@@ -94,6 +104,7 @@ class OracleResult:
     steps_accepted: int = 0  # RKF45 steps over those passes
     steps_rejected: int = 0
     rows: int = 0  # matrix rows a finite-difference run diagonalized
+    seconds: float = 0.0  # wall time of the run
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,9 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     the same grid for every alpha.  The residual estimate bounds the
     error (_richardson); ConvergenceError when it reaches a level.
     """
-    return _fd_result(*_richardson(alpha, _S_MIN, k))
+    t0 = time.perf_counter()
+    res = _fd_result(*_richardson(alpha, _S_MIN, k))
+    return replace(res, seconds=time.perf_counter() - t0)
 
 
 # a second name: perfbench/tracing.py and acceptance criterion 7 look it up
@@ -223,9 +236,10 @@ def _box(alpha: float, eps: float) -> float:
 
 def _rkf45_count_nodes(
     alpha: float, eps_arr: np.ndarray, x_max: float
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Integrate the batch outward to x_max, counting sign changes of psi;
-    also the accepted and the rejected steps.
+    also psi(x_max), the log of the factor each member was scaled down by
+    on the way, and the accepted and the rejected steps.
 
     The Frobenius start is at x0 = max(_X0, _X0_SCALE sqrt(beta + 1)): the
     series converges farther out as beta grows.  The state stacks psi
@@ -242,6 +256,7 @@ def _rkf45_count_nodes(
     stages = np.zeros((len(_RKF_C), 2, m))
     flat = stages.reshape(len(_RKF_C), 2 * m)  # view: one row per stage
     counts = np.zeros(m, dtype=int)
+    log_scale = np.zeros(m)
     sign = np.where(y[0] >= 0, 1.0, -1.0)
     h = x
     accepted = rejected = 0
@@ -267,80 +282,107 @@ def _rkf45_count_nodes(
             counts += flip
             sign = np.where(flip, -sign, sign)
             if peak > _RENORM_LIMIT:
-                y = y * np.where(mag > _RENORM_LIMIT, 1.0 / mag, 1.0)
+                big = mag > _RENORM_LIMIT
+                y = y * np.where(big, 1.0 / mag, 1.0)
+                log_scale += np.where(big, np.log(mag), 0.0)
         else:
             rejected += 1
         if h <= _H_MIN and err > 1.0:
             raise NonConvergence("integrator step size collapsed")
         h = min(_H_MAX, h * min(4.0, max(0.1, 0.9 * err ** (-0.2) if err > 0 else 4.0)))
-    return counts, accepted, rejected
+    return counts, y[0], log_scale, accepted, rejected
 
 
-def shoot_spectrum(alpha: float, n_max: int, eps_tol: float = 1e-6) -> OracleResult:
-    """Shooting eigenvalues for n = 0 .. n_max by batched multisection.
+def _cubic_roots(
+    eps: np.ndarray, psi: np.ndarray, log_scale: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Zeros of the box-edge value F, one per row, each between eps[:, j - 1]
+    and eps[:, j], where F changes sign: Newton on the cubic through the
+    4 equally spaced energies of each row (shape (levels, 4)), started at
+    the secant root and kept inside the bracket."""
+    # F = sign psi e^(ln|psi| + log_scale) on the members' common start
+    # normalization a_0 = 1, scaled by its largest magnitude in each row
+    with np.errstate(divide="ignore"):
+        log_f = np.log(np.abs(psi)) + log_scale
+    f = np.sign(psi) * np.exp(log_f - log_f.max(axis=1, keepdims=True))
+    coef = f @ _CUBIC.T  # c_0 + c_1 t + c_2 t^2 + c_3 t^3, eps = eps[:, 0] + _D_EPS t
+    rows = np.arange(j.size)
+    fa, fb = f[rows, j - 1], f[rows, j]
+    t = j - 1 + fa / (fa - fb)
+    for _ in range(_NEWTON_STEPS):
+        p = ((coef[:, 3] * t + coef[:, 2]) * t + coef[:, 1]) * t + coef[:, 0]
+        dp = (3.0 * coef[:, 3] * t + 2.0 * coef[:, 2]) * t + coef[:, 1]
+        t = np.clip(t - p / dp, j - 1, j)
+    return eps[:, 0] + _D_EPS * t
+
+
+def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
+    """Shooting eigenvalues for n = 0 .. n_max: the zeros of the box-edge
+    value psi(_box), bracketed by the node count and confirmed by it.
 
     The total sign-change count along [x0, _box] (including the tail flip
-    of the growing contamination) is the number of eigenvalues below eps.
-    One scan pass counts it on a 0.5-spaced grid (levels are 2 apart) up
-    to eps = 2 n_max + 4, doubling the window until the count exceeds
-    n_max; past eps = X_MAX^2 the outer turning point leaves the box, so
-    the scan gives up there with BracketError.  Each narrowing pass splits
-    every bracket into _KSECTION parts in one batch (multisection, the
-    k-way Barth-Martin-Wilkinson bisection) and keeps the part where the
-    count first exceeds n, until all brackets are at most eps_tol wide or
-    too narrow to split in floating point.  Every pass integrates to _box
-    of the top energy of its own batch: the scan window's top, or the top
-    bracket's upper end.
+    of the growing contamination) is the number of eigenvalues below eps,
+    and the sign of psi(_box) is (-1)^count.  The scan pass integrates a
+    lattice of energies _D_EPS apart from the well's bottom,
+    max(0.25, sqrt(alpha)), up to eps = 2 n_max + 4; the window doubles
+    until the count exceeds n_max, and a window wholly below the well's
+    bottom holds no level and is not integrated.  Past eps = X_MAX^2
+    the outer turning point leaves the box, so the scan gives up there
+    with BracketError.  Level n lies where the count first exceeds n; a
+    cubic through the box-edge values of the 4 lattice energies around
+    it, solved by Newton, places it.  The confirming pass counts nodes at
+    each root -+ _EPS_TOL / 2: counts n and n + 1 make a guaranteed
+    bracket, anything else raises NonConvergence.  Each pass integrates
+    to _box of the top energy of its own batch.
     """
+    t0 = time.perf_counter()
     admissible_beta(alpha)
     _check_n(n_max)
     n_max = int(n_max)
-    if not 0.0 <= eps_tol < math.inf:
-        raise ParameterError(f"eps_tol must be finite and >= 0, got {eps_tol}")
     targets = np.arange(n_max + 1)
     steps: list[tuple[int, int]] = []  # (accepted, rejected) per pass
 
-    def count(batch: np.ndarray, top: float) -> np.ndarray:
-        counts, accepted, rejected = _rkf45_count_nodes(alpha, batch, _box(alpha, top))
+    def shoot(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        counts, psi, log_scale, accepted, rejected = _rkf45_count_nodes(
+            alpha, batch, _box(alpha, float(batch.max()))
+        )
         steps.append((accepted, rejected))
-        return counts
+        return counts, psi, log_scale
 
-    eps = np.empty(0)
-    counts = np.empty(0, dtype=int)
+    # a grown window is integrated again from the start, so the box-edge
+    # values around every level come from one pass, to one box
+    start = max(0.25, math.sqrt(max(alpha, 0.0)))
     cap = X_MAX**2
     top = min(2.0 * n_max + 4.0, cap)
+    counts = np.zeros(1, dtype=int)  # until a window is integrated
     while True:
-        grid = np.arange(eps[-1] + 0.5 if eps.size else 0.25, top + 0.25, 0.5)
-        eps = np.concatenate((eps, grid))
-        counts = np.concatenate((counts, count(grid, top)))
+        eps = start + _D_EPS * np.arange(math.ceil((top - start) / _D_EPS) + 1)
+        if eps.size >= 4:  # else the window lies below the well's bottom
+            counts, psi, log_scale = shoot(eps)
         if counts[-1] > n_max or top >= cap:
             break
         top = min(2.0 * top, cap)
     above = counts > targets[:, None]
-    first = above.argmax(axis=1)
-    missing = targets[~above.any(axis=1) | (first == 0)]
+    j = above.argmax(axis=1)
+    missing = targets[~above.any(axis=1) | (j == 0)]
     if missing.size:
         raise BracketError(f"no bracket for levels {missing.tolist()} in eps <= {top}")
-    lo = eps[first - 1]
-    hi = eps[first]
-    split = np.arange(1, _KSECTION) / _KSECTION
-    width = np.inf
-    # stops at eps_tol, or where the float spacing of eps stops the splitting
-    while eps_tol < np.max(hi - lo) < width:
-        width = np.max(hi - lo)
-        inner = lo[:, None] + (hi - lo)[:, None] * split
-        counts = count(inner.ravel(), float(np.max(hi)))
-        above = counts.reshape(inner.shape) > targets[:, None]
-        # the count at hi exceeds n by construction: a True column for it
-        first = 1 + np.pad(above, ((0, 0), (0, 1)), constant_values=True).argmax(axis=1)
-        grid = np.column_stack((lo, inner, hi))
-        lo = grid[targets, first - 1]
-        hi = grid[targets, first]
-    eigenvalues = tuple(float(v) for v in 0.5 * (lo + hi))
+    # the 4 lattice energies around each level, as centred as the window allows
+    first = np.minimum(np.maximum(j - 2, 0), eps.size - 4)
+    stencil = first[:, None] + np.arange(4)
+    roots = _cubic_roots(eps[stencil], psi[stencil], log_scale[stencil], j - first)
+    half = _EPS_TOL / 2.0
+    counts = shoot(np.concatenate((roots - half, roots + half)))[0].reshape(2, -1)
+    wrong = targets[(counts[0] != targets) | (counts[1] != targets + 1)]
+    if wrong.size:
+        raise NonConvergence(
+            f"node counts at eps -+ {half:g} do not bracket levels {wrong.tolist()}"
+        )
     accepted, rejected = map(sum, zip(*steps))
-    residual = float(np.max(hi - lo)) / 2.0
-    passes = len(steps)
-    return OracleResult(eigenvalues, OracleMethod.SHOOTING, residual, passes, accepted, rejected)
+    return OracleResult(
+        tuple(float(v) for v in roots), OracleMethod.SHOOTING, half, len(steps),
+        accepted, rejected, seconds=time.perf_counter() - t0,
+    )
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import oracle, quad, spectrum
 from .errors import ParameterError, SupercriticalError
-from .model import ALPHA_CRITICAL, Domain, Parity, indicial_roots
+from .model import ALPHA_CRITICAL, Domain, Parity, admissible_beta, indicial_roots
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,13 @@ def suite_orthonormality() -> SuiteReport:
     return rep
 
 
+def _check_tol_shoot(tol_shoot: float) -> None:
+    """The shooting check cannot pass a NaN bound and cannot fail an
+    infinite one: ParameterError unless tol_shoot is finite and > 0."""
+    if not 0 < tol_shoot < math.inf:
+        raise ParameterError(f"the shooting tolerance must be finite and > 0, got {tol_shoot}")
+
+
 def suite_oracle(
     alphas: tuple[float, ...] = (0.5, 2.0),
     n_max: int = 3,
@@ -138,12 +145,10 @@ def suite_oracle(
 ) -> SuiteReport:
     """Shooting and finite-difference eigenvalues vs the closed form.
 
-    Raises ParameterError unless tol_shoot is finite and > 0: the
-    shooting check cannot pass a NaN bound and cannot fail an infinite
-    one.
+    Raises ParameterError unless tol_shoot is finite and > 0
+    (_check_tol_shoot).
     """
-    if not 0 < tol_shoot < math.inf:
-        raise ParameterError(f"the shooting tolerance must be finite and > 0, got {tol_shoot}")
+    _check_tol_shoot(tol_shoot)
     rep = SuiteReport("oracle")
     tol_fd = 5e-3
     for alpha in alphas:
@@ -236,11 +241,15 @@ def run_suites(
     alpha: float | None = None,
     tol: float | None = None,
 ) -> list[SuiteReport]:
-    """Run the named suites; alpha/tol override the oracle suite only."""
+    """Run the named suites; alpha/tol override the oracle suite only.
+    alpha (admissible_beta) and tol (_check_tol_shoot) are checked before
+    any suite runs."""
     overrides = {}
     if alpha is not None:
+        admissible_beta(alpha)
         overrides["alphas"] = (alpha,)
     if tol is not None:
+        _check_tol_shoot(tol)
         overrides["tol_shoot"] = tol
     reports = []
     for name in names:

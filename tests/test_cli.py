@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from singosc import verify
 from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, build_parser, emit_rows, main
 from singosc.model import Domain, OscillatorSpec
 from singosc.spectrum import N_MAX, spectrum_table
@@ -501,6 +502,22 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("singosc: error: the shooting tolerance")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [(["--tol", "nan"], 1), (["--tol", "0"], 1), (["--alpha", "nan"], 1),
+         (["--alpha", "-1"], 2)],
+    )
+    def test_bad_oracle_flags_rejected_before_any_suite(self, monkeypatch, capsys, flags, code):
+        # --suite all would run hermiticity and orthonormality before the
+        # oracle suite; a bad --tol or --alpha must stop it before them
+        called = []
+        for name in verify.SUITE_NAMES:
+            monkeypatch.setitem(verify.SUITES, name, lambda *a, name=name, **k: called.append(name))
+        assert main(["verify", "--suite", "all", *flags]) == code
+        assert called == []
+        captured = capsys.readouterr()
+        assert captured.err.startswith("singosc: error: ") and captured.out == ""
 
     @pytest.mark.parametrize(
         "suite", ["hermiticity", "orthonormality", "degeneracy", "perturbation"]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from singosc import spectrum
+from singosc import oracle, spectrum
 from singosc.errors import (
     BracketError,
     ConvergenceError,
@@ -93,6 +93,7 @@ class TestFdSpectrum:
         assert np.max(err / want) <= 5e-3
         assert np.max(err) <= res.residual_estimate
         assert res.rows <= 1_500
+        assert res.seconds > 0
 
     def test_one_grid_for_every_alpha(self):
         assert len({fd_eigen(alpha, k).rows for alpha in FD_ALPHAS for k in (1, 9)}) == 1
@@ -199,15 +200,34 @@ class TestShooting:
         "alpha", [-0.2499, -0.2, -0.1, -0.01, 0.0, 1e-4, 0.5, 2.0, 3.3, 7.5, 8.0]
     )
     def test_multisection_passes_and_accuracy(self, alpha, n_max):
-        # eps_8 lies above the first scan window, eps <= 20, from alpha = 7.3
-        # on, so 7.5 and 8.0 at n_max = 8 take the doubled window
+        # (the name predates the root-finding scan) one scan pass and one
+        # confirming pass: at alpha <= 8 the first window, eps <= 2 n_max + 4,
+        # holds every level
         res = shoot_spectrum(alpha, n_max)
         # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
         t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
-        assert res.passes <= 5
+        assert res.passes == 2
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
         assert res.residual_estimate <= 1e-6 / 2
         assert 0 <= res.steps_rejected < res.steps_accepted
+        assert res.seconds > 0
+
+    @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 7.9])
+    def test_node_counts_bracket_each_level(self, alpha):
+        # counted to X_MAX, not to the confirming pass's own box: each level
+        # lies within the residual estimate of the returned eigenvalue
+        res = shoot_spectrum(alpha, 8)
+        eps = np.array(res.eigenvalues)
+        r = res.residual_estimate
+        counts, *_ = _rkf45_count_nodes(alpha, np.concatenate((eps - r, eps + r)), X_MAX)
+        np.testing.assert_array_equal(counts, [*range(9), *range(1, 10)])
+
+    def test_coarse_lattice_fails_the_confirming_pass(self, monkeypatch):
+        # a cubic through box-edge values 0.25 apart misses the levels by
+        # more than the confirmed bracket: an error, not a wrong level
+        monkeypatch.setattr(oracle, "_D_EPS", 0.25)
+        with pytest.raises(NonConvergence, match="do not bracket levels"):
+            shoot_spectrum(2.0, 8)
 
     def test_scan_window_grows_for_large_alpha(self):
         # eps_3 = 27.0 lies above the first scan window, eps <= 26
@@ -215,15 +235,14 @@ class TestShooting:
         t = spectrum_table(400.0, 3, Domain.HALF_LINE)
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
 
-    def test_tolerance_below_float_spacing_terminates(self):
-        res = shoot_spectrum(2.0, 0, eps_tol=0.0)
-        assert res.eigenvalues[0] == pytest.approx(2.5, abs=5e-6)
-        assert res.residual_estimate < 1e-14
-
-    @pytest.mark.parametrize("eps_tol", [math.nan, math.inf, -1e-6])
-    def test_tolerance_must_be_finite_and_nonnegative(self, eps_tol):
-        with pytest.raises(ParameterError, match="eps_tol"):
-            shoot_spectrum(2.0, 2, eps_tol=eps_tol)
+    def test_windows_below_the_well_bottom_are_skipped(self, monkeypatch):
+        # at alpha = 1e5 the well's bottom sqrt(alpha) = 316 lies above the
+        # box's cap eps = 144: no window holds a level, none is integrated
+        calls = []
+        monkeypatch.setattr(oracle, "_rkf45_count_nodes", lambda *a: calls.append(a))
+        with pytest.raises(BracketError, match=r"levels \[0, 1, 2, 3\] in eps <= 144.0"):
+            shoot_spectrum(1e5, 3)
+        assert calls == []
 
     def test_scan_stops_at_x_max_squared(self):
         # the scan gives up at the box's cap eps = 12^2, below eps_72 = 145.5
@@ -240,8 +259,21 @@ class TestNodeCounts:
         levels = np.array(t.distinct_levels())
         eps = np.linspace(0.3, 24.0, 200)
         eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
-        counts, _, _ = _rkf45_count_nodes(alpha, eps, _box(alpha, eps.max()))
+        counts, psi, _, _, _ = _rkf45_count_nodes(alpha, eps, _box(alpha, eps.max()))
         np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
+        # the box-edge value changes sign with every counted node
+        np.testing.assert_array_equal(np.sign(psi), (-1.0) ** counts)
+
+    def test_log_scale_carries_the_renormalization(self, monkeypatch):
+        # scaling a member down rescales only its state: the step sequence
+        # and psi(x_max) e^(log_scale) stay the same
+        eps = np.linspace(0.3, 20.0, 40)
+        _, psi, log_scale, accepted, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
+        monkeypatch.setattr(oracle, "_RENORM_LIMIT", 1e3)
+        _, psi_r, log_scale_r, accepted_r, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
+        assert np.all(log_scale == 0.0) and np.all(log_scale_r > 0.0)
+        assert accepted_r == accepted
+        np.testing.assert_allclose(psi_r * np.exp(log_scale_r), psi, rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
@@ -255,8 +287,8 @@ class TestNodeCounts:
         eps = np.arange(0.25, 20.0, 0.5)
         box = _box(2.0, 20.0)
         assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
-        to_box, accepted, _ = _rkf45_count_nodes(2.0, eps, box)
-        to_cap, accepted_cap, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
+        to_box, _, _, accepted, _ = _rkf45_count_nodes(2.0, eps, box)
+        to_cap, _, _, accepted_cap, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
         np.testing.assert_array_equal(to_box, to_cap)
         assert accepted < accepted_cap
 

@@ -59,8 +59,11 @@ class TestGamma:
 
 def _hyp1f1(a, b, y):
     """Reference M(a, b, y) from mpmath at 40 digits."""
+    # an exact zero such as M(-1, 1, 1) = 1 - 1 cancels every bit, and
+    # mpmath raises for it unless a sum that cancels past zeroprec bits
+    # may return 0
     with mpmath.workdps(40):
-        return float(mpmath.hyp1f1(a, b, y))
+        return float(mpmath.hyp1f1(a, b, y, zeroprec=1000))
 
 
 class TestKummer:
@@ -84,6 +87,8 @@ class TestKummer:
     @example(9.815143769555652e-19, 0.3125, 21.0)
     # scipy.special.hyp1f1 gives -0.72234 here; the value is -0.69634
     @example(-2.5, 0.9999999999998099, 2.0)
+    # M(-1, 1, 1) = 0 exactly: the reference must return 0, not raise
+    @example(-1.0, 1.0, 1.0)
     @settings(max_examples=200)
     def test_against_scipy(self, a, b, y):
         # the reference is mpmath: scipy's hyp1f1 is wrong near b = 1
