@@ -187,13 +187,12 @@ def _level_columns(rows: list[tuple]) -> dict[str, list]:
 
 
 def _figure_potential() -> dict[str, list]:
-    x = np.linspace(0.02, 3.0, 150).tolist()
+    x = np.linspace(0.02, 3.0, 150)
     columns = {"alpha": [], "x": [], "V": []}
     for alpha in (-0.2, 0.0, 0.2):
-        spec = OscillatorSpec(alpha=alpha)
         columns["alpha"] += [alpha] * len(x)
-        columns["x"] += x
-        columns["V"] += [potential_value(spec, xi) for xi in x]
+        columns["x"] += x.tolist()
+        columns["V"] += potential_value(OscillatorSpec(alpha=alpha), x).tolist()
     return columns
 
 

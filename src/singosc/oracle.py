@@ -24,14 +24,14 @@ of energies in one pass and keeps psi at the pass's end, the box-edge
 value: on the series' common normalization it is analytic in the energy
 and vanishes at the box levels (a miss-distance function, Pryce 1993).
 One scan pass over a lattice _D_EPS apart brackets every level by the
-node count, which is monotone in the energy; a cubic through the
-box-edge values of 4 neighbouring energies, solved by Newton, places
-each level, and one confirming pass of the node count at the root
--+ _EPS_TOL / 2 turns it into a guaranteed bracket.  Each pass
-integrates to _box of the top energy in its batch, the outer turning
-point sqrt(eps + sqrt(eps^2 - alpha)) plus _BOX_MARGIN: past it a bound
-state only decays, and relative error control would chase the growing
-tail.
+node count, which is monotone in the energy, in one window from the
+well's bottom up to at most V(X_MAX); a cubic through the box-edge values
+of 4 neighbouring energies, solved by Newton, places each level, and one
+confirming pass of the node count at the root -+ _EPS_TOL / 2 turns it
+into a guaranteed bracket.  Each pass integrates to _box of the top
+energy in its batch, the outer turning point sqrt(eps + sqrt(eps^2 -
+alpha)) plus _BOX_MARGIN: past it a bound state only decays, and relative
+error control would chase the growing tail.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -324,11 +324,12 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     of the growing contamination) is the number of eigenvalues below eps,
     and the sign of psi(_box) is (-1)^count.  The scan pass integrates a
     lattice of energies _D_EPS apart from the well's bottom,
-    max(0.25, sqrt(alpha)), up to eps = 2 n_max + 4; the window doubles
-    until the count exceeds n_max, and a window wholly below the well's
-    bottom holds no level and is not integrated.  Past eps = X_MAX^2
-    the outer turning point leaves the box, so the scan gives up there
-    with BracketError.  Level n lies where the count first exceeds n; a
+    max(0.25, sqrt(alpha)), up to 2 n_max + 2 above it (level n lies at
+    most 2n + 1.31 above it), but no higher than V(X_MAX), past which the
+    outer turning point leaves the box.  A level outside this one window
+    raises BracketError, as does a window of fewer than 4 energies, which
+    is not integrated; a well whose bottom alpha^(1/4) lies past X_MAX
+    has none.  Level n lies where the count first exceeds n; a
     cubic through the box-edge values of the 4 lattice energies around
     it, solved by Newton, places it.  The confirming pass counts nodes at
     each root -+ _EPS_TOL / 2: counts n and n + 1 make a guaranteed
@@ -349,24 +350,21 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
         steps.append((accepted, rejected))
         return counts, psi, log_scale
 
-    # a grown window is integrated again from the start, so the box-edge
-    # values around every level come from one pass, to one box
+    # one window from the well's bottom, as wide as the requested levels
+    # need, up to V(X_MAX), where the top energy's outer turning point
+    # reaches the box edge; a bottom past it, alpha^(1/4) > X_MAX, leaves none
     start = max(0.25, math.sqrt(max(alpha, 0.0)))
-    cap = X_MAX**2
-    top = min(2.0 * n_max + 4.0, cap)
-    counts = np.zeros(1, dtype=int)  # until a window is integrated
-    while True:
-        eps = start + _D_EPS * np.arange(math.ceil((top - start) / _D_EPS) + 1)
-        if eps.size >= 4:  # else the window lies below the well's bottom
-            counts, psi, log_scale = shoot(eps)
-        if counts[-1] > n_max or top >= cap:
-            break
-        top = min(2.0 * top, cap)
+    edge = X_MAX * X_MAX
+    top = min(start + 2.0 * n_max + 2.0, (edge + alpha / edge) / 2.0) if start <= edge else start
+    eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
+    if eps.size < 4:
+        raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
+    counts, psi, log_scale = shoot(eps)
     above = counts > targets[:, None]
     j = above.argmax(axis=1)
     missing = targets[~above.any(axis=1) | (j == 0)]
     if missing.size:
-        raise BracketError(f"no bracket for levels {missing.tolist()} in eps <= {top}")
+        raise BracketError(f"no bracket for levels {missing.tolist()} in eps <= {top:.4g}")
     # the 4 lattice energies around each level, as centred as the window allows
     first = np.minimum(np.maximum(j - 2, 0), eps.size - 4)
     stencil = first[:, None] + np.arange(4)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from singosc import verify
 from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, build_parser, emit_rows, main
-from singosc.model import Domain, OscillatorSpec
+from singosc.model import Domain, OscillatorSpec, potential_value
 from singosc.spectrum import N_MAX, spectrum_table
 
 
@@ -410,6 +410,15 @@ class TestFigureCommands:
         hit = [r for r in rows if float(r["alpha"]) == 0.0 and float(r["x"]) == 1.0]
         assert len(hit) == 1
         assert float(hit[0]["V"]) == pytest.approx(0.5)
+
+    def test_figure1_potential_column_is_pointwise_potential_value(self, tmp_path):
+        # the V column is written to 17 digits, so it reads back bit for bit
+        rc, text = run_cli(["figure", "1"], tmp_path)
+        rows = parse_csv(text)
+        assert len(rows) == 3 * 150
+        for r in rows:
+            want = potential_value(OscillatorSpec(alpha=float(r["alpha"])), float(r["x"]))
+            assert float(r["V"]) == want
 
     def test_figure2_structure(self, tmp_path):
         rc, text = run_cli(["figure", "2", "--alpha-points", "16"], tmp_path)

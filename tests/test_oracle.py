@@ -201,8 +201,7 @@ class TestShooting:
     )
     def test_multisection_passes_and_accuracy(self, alpha, n_max):
         # (the name predates the root-finding scan) one scan pass and one
-        # confirming pass: at alpha <= 8 the first window, eps <= 2 n_max + 4,
-        # holds every level
+        # confirming pass
         res = shoot_spectrum(alpha, n_max)
         # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
         t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
@@ -230,24 +229,50 @@ class TestShooting:
             shoot_spectrum(2.0, 8)
 
     def test_scan_window_grows_for_large_alpha(self):
-        # eps_3 = 27.0 lies above the first scan window, eps <= 26
+        # (the name predates the one window) the window starts at the
+        # well's bottom, eps = 20, and holds eps_3 = 27.0 below its top, 28
         res = shoot_spectrum(400.0, 3)
         t = spectrum_table(400.0, 3, Domain.HALF_LINE)
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
 
     def test_windows_below_the_well_bottom_are_skipped(self, monkeypatch):
-        # at alpha = 1e5 the well's bottom sqrt(alpha) = 316 lies above the
-        # box's cap eps = 144: no window holds a level, none is integrated
+        # at alpha = 1e5 the well's bottom x = alpha^(1/4) = 17.8 lies past
+        # X_MAX: the window is empty and nothing is integrated
         calls = []
         monkeypatch.setattr(oracle, "_rkf45_count_nodes", lambda *a: calls.append(a))
-        with pytest.raises(BracketError, match=r"levels \[0, 1, 2, 3\] in eps <= 144.0"):
+        with pytest.raises(BracketError, match=r"levels \[0, 1, 2, 3\] in eps <= 316.2"):
             shoot_spectrum(1e5, 3)
         assert calls == []
 
-    def test_scan_stops_at_x_max_squared(self):
-        # the scan gives up at the box's cap eps = 12^2, below eps_72 = 145.5
-        with pytest.raises(BracketError, match="eps <= 144.0"):
+    def test_scan_stops_at_the_potential_at_x_max(self):
+        # the scan gives up at V(X_MAX) = 72, below eps_72 = 145.5
+        with pytest.raises(BracketError, match="eps <= 72$"):
             shoot_spectrum(0.0, 72)
+
+    @pytest.mark.parametrize("alpha, n_max", [(8.8, 3), (50.0, 3), (1000.0, 8)])
+    def test_one_window_at_large_alpha(self, alpha, n_max):
+        # the window reaches 2 n_max + 2 past the well's bottom, which
+        # clears level n_max by at least 0.69: no pass is repeated
+        res = shoot_spectrum(alpha, n_max)
+        t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
+        assert res.passes == 2
+        assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), rel=1e-6)
+
+    def test_levels_whose_turning_point_leaves_the_box_raise(self):
+        # eps_36 = 73.5 turns at x = 12.1 > X_MAX; a box clamped at X_MAX
+        # would place it 7.7e-3 off with a residual estimate of 5e-7
+        with pytest.raises(BracketError, match=r"levels \[36\] in eps <= 72$"):
+            shoot_spectrum(0.0, 36)
+
+    @pytest.mark.parametrize("alpha", [20000.0, 20736.0])
+    def test_window_of_fewer_than_four_energies_is_not_integrated(self, alpha, monkeypatch):
+        # V(X_MAX) - sqrt(alpha) = (X_MAX^2 - sqrt(alpha))^2 / (2 X_MAX^2)
+        # is 0.023 and 0: too narrow for one cubic
+        calls = []
+        monkeypatch.setattr(oracle, "_rkf45_count_nodes", lambda *a: calls.append(a))
+        with pytest.raises(BracketError, match=r"levels \[0\]"):
+            shoot_spectrum(alpha, 0)
+        assert calls == []
 
 
 class TestNodeCounts:
