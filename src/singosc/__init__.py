@@ -46,7 +46,6 @@ from .quad import (
     IntegrabilityClass,
     X_MAX,
     cauchy_pv,
-    connection_residual,
     gram,
     integrability_class,
     integrate_adaptive,

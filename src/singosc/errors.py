@@ -46,7 +46,8 @@ class DomainMismatch(SingOscError):
 
 
 class ConvergenceError(SingOscError):
-    """Eigenvalue bisection failed to collapse its interval."""
+    """A finite-difference level cannot be trusted: Sturm bisection failed,
+    the residual estimate reaches a level, or the box truncates the top level."""
 
 
 class BracketError(SingOscError):

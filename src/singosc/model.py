@@ -39,14 +39,6 @@ class Parity(enum.Enum):
     ODD = "odd"
     NONE = "none"  # half-line states carry no parity label
 
-    @property
-    def sign(self) -> int:
-        if self is Parity.EVEN:
-            return 1
-        if self is Parity.ODD:
-            return -1
-        raise ParameterError("half-line states have no parity sign")
-
 
 class OriginBehavior(enum.Enum):
     ZERO = "zero"

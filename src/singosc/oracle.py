@@ -173,10 +173,14 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     """Lowest k eigenvalues by finite differences on the one log grid from
     s_min = _S_MIN to the box edge, with the Frobenius condition at s_min:
     the same grid for every alpha.  The residual estimate bounds the
-    error (_richardson); ConvergenceError when it reaches a level.
+    error (_richardson); ConvergenceError when it reaches a level, or when
+    the top level turns past X_MAX, where the box truncates it unseen.
     """
     t0 = time.perf_counter()
     res = _fd_result(*_richardson(alpha, _S_MIN, k))
+    top = max(res.eigenvalues)
+    if not _turning_point(alpha, top) <= X_MAX:
+        raise ConvergenceError(f"finite-difference level {top:.6g} turns past X_MAX = {X_MAX:g}")
     return replace(res, seconds=time.perf_counter() - t0)
 
 
@@ -225,13 +229,17 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
     return float(psi), float(dpsi)
 
 
-def _box(alpha: float, eps: float) -> float:
-    """Where shooting at energies up to eps stops: _BOX_MARGIN past the outer
-    turning point sqrt(eps + sqrt(eps^2 - alpha)) of x^2/2 + alpha/(2 x^2),
-    at most X_MAX.  Below the well's bottom, eps < sqrt(alpha), where no
-    level lies, the inner root counts as 0."""
+def _turning_point(alpha: float, eps: float) -> float:
+    """Outer turning point sqrt(eps + sqrt(eps^2 - alpha)) of x^2/2 + alpha/(2 x^2).
+    Below the well's bottom, eps < sqrt(alpha), the inner root counts as 0."""
     turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
-    return min(X_MAX, math.sqrt(max(turn, 0.0)) + _BOX_MARGIN)
+    return math.sqrt(max(turn, 0.0))
+
+
+def _box(alpha: float, eps: float) -> float:
+    """Where shooting at energies up to eps stops: _BOX_MARGIN past the
+    outer turning point, at most X_MAX."""
+    return min(X_MAX, _turning_point(alpha, eps) + _BOX_MARGIN)
 
 
 def _rkf45_count_nodes(

@@ -1,17 +1,15 @@
 """Integration utilities: adaptive quadrature, Cauchy principal value,
 near-origin integrability classification, Gram matrices, matrix elements
-and overlaps of states, and the derivative connection-formula residual
-at the origin.
+and overlaps of states.
 
 Every adaptive integral is one QUADPACK call, and any failure QUADPACK
-reports (or a non-finite value) raises DepthExceeded.  Of the
-closed-form quantities only the principal value in connection_residual
-still goes through QUADPACK; otherwise integrate_adaptive serves as an
-independent reference for the rule below.  A principal value is folded
-about its pole into one ordinary integral of f(c+t) + f(c-t); when that
-integral fails the singularity is not odd and PVDivergent is raised.
-QUADPACK always runs with epsabs = epsrel = 1e-10 and 200 subintervals,
-and an infinite limit goes to it as such.
+reports (or a non-finite value) raises DepthExceeded.  QUADPACK serves
+only cauchy_pv and the tests' independent references for the rule
+below; no closed-form quantity goes through it.  A principal value is
+folded about its pole into one ordinary integral of f(c+t) + f(c-t);
+when that integral fails the singularity is not odd and PVDivergent is
+raised.  QUADPACK always runs with epsabs = epsrel = 1e-10 and 200
+subintervals, and an infinite limit goes to it as such.
 
 Overlaps and matrix elements <psi_i|w|psi_j> of bound states, with w
 an even multiplication operator such as 1/(2 x^2), integrate to
@@ -241,29 +239,3 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
             "L_n overflows at the outer nodes"
         )
     return 0.5 * s1.norm_const * s2.norm_const * total
-
-
-def connection_residual(state: EigenState, eps: float) -> float:
-    """Residual of the derivative connection formula at the origin.
-
-    r(eps) = [psi'(eps) - psi'(-eps)] - alpha * PV int_{-eps}^{+eps} psi/x^2 dx.
-    r(eps) -> 0 as eps -> 0 for admissible states; for alpha = 0 the
-    singular term is absent and the residual is identically 0.  The fold
-    of cauchy_pv gives exactly 0 for an odd state and twice the half-line
-    integral for an even one; that integral only exists for alpha > 0
-    (psi ~ |x|^(beta+1) with beta > 0 there), and for alpha < 0 it raises
-    PVDivergent.  The window is 0 < eps <= X_MAX: past the box the states
-    are below 1e-62, so r(eps) equals r(X_MAX) there.
-    """
-    if state.domain is not Domain.FULL_LINE:
-        raise DomainMismatch("connection formula applies to full-line states")
-    if not 0 < eps <= X_MAX:
-        raise ParameterError(f"eps must lie in (0, X_MAX = {X_MAX}], got {eps}")
-    if state.alpha == 0:
-        return 0.0
-    jump = state.dpsi(eps) - state.dpsi(-eps)
-
-    def g(x: float) -> float:
-        return state.psi(x) / x**2
-
-    return jump - state.alpha * cauchy_pv(g, -eps, eps, 0.0)

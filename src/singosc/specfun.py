@@ -23,11 +23,11 @@ POLE_TOL = 1e-12
 _SERIES_TOL, _SERIES_TERMS = 1e-15, 500
 
 
-def _near_nonpositive_integer(z: float, tol: float = POLE_TOL) -> bool:
+def _near_nonpositive_integer(z: float) -> bool:
     if z > 0.5:
         return False
     m = round(z)
-    return m <= 0 and abs(z - m) <= tol
+    return m <= 0 and abs(z - m) <= POLE_TOL
 
 
 def gamma_fn(z: float) -> float:
@@ -110,7 +110,8 @@ def as_operand(x):
 
     The closed-form evaluators run one expression on either kind; plain
     floats skip the per-call numpy wrapping that dominates scalar calls
-    under an adaptive integrator, with bit-identical arithmetic.
+    under the adaptive integrator of the tests' QUADPACK references, with
+    bit-identical arithmetic.
     """
     if isinstance(x, (float, int)):
         return float(x), True

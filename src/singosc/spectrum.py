@@ -49,9 +49,14 @@ N_MAX = 100_000
 
 
 def energy(n: int, beta: float) -> float:
-    """Dimensionless eigenvalue eps = 2n + beta + 3/2."""
+    """Dimensionless eigenvalue eps = 2n + beta + 3/2.  Raises ParameterError
+    where doubles do not separate it from the levels n -+ 1: from eps = 2^54
+    on, where they lie 4 apart, and where rounding merges two near 2^53."""
     _check_n(n)
-    return 2.0 * n + beta + 1.5
+    below, eps, above = (2.0 * m + beta + 1.5 for m in (n - 1, n, n + 1))
+    if not (math.ulp(eps) <= 2.0 and below < eps < above):  # also catches a NaN
+        raise ParameterError(f"eps = {eps:.17g}: doubles do not separate level {n} from n -+ 1")
+    return eps
 
 
 def normalization_constant(n: int, beta: float) -> float:
@@ -81,60 +86,26 @@ class EigenState:
     domain: Domain
     alpha: float
 
-    def _base_psi(self, x):
-        # half-line profile at x >= 0; norm_const already carries the
-        # 1/sqrt(2) for full-line states
-        y = x * x
-        return (
-            self.norm_const
-            * np.power(x, self.beta + 1.0)
-            * np.exp(-0.5 * y)
-            * laguerre(self.n, self.beta + 0.5, y)
-        )
-
-    def _base_dpsi(self, x):
-        y = x * x
-        ln = laguerre(self.n, self.beta + 0.5, y)
-        l1 = laguerre(self.n - 1, self.beta + 1.5, y) if self.n >= 1 else 0.0
-        gauss = np.exp(-0.5 * y)
-        if self.beta == -1.0:
-            # the (beta+1) x^beta term vanishes identically; writing it
-            # out would produce 0 * inf at the origin
-            return self.norm_const * gauss * x * (-ln - 2.0 * l1)
-        with np.errstate(divide="ignore"):
-            lead = (self.beta + 1.0) * np.power(x, self.beta)
-        tail = np.power(x, self.beta + 2.0) * (ln + 2.0 * l1)
-        return self.norm_const * gauss * (lead * ln - tail)
-
-    def _profile_arg(self, x):
-        """(x, the argument of the half-line profile, whether x is 0-d)."""
-        x, scalar = as_operand(x)
-        if self.domain is Domain.FULL_LINE:
-            return x, abs(x), scalar
-        if x < 0 if scalar else np.any(x < 0):
-            raise ParameterError("half-line state evaluated at x < 0")
-        return x, x, scalar
-
     def psi(self, x):
         """Wavefunction value; scalar or ndarray argument (a 0-d x gives a
         Python float, equal bit for bit to the ndarray element)."""
-        x, r, scalar = self._profile_arg(x)
-        out = self._base_psi(r)
+        x, scalar = as_operand(x)
+        if self.domain is Domain.FULL_LINE:
+            r = abs(x)
+        elif x < 0 if scalar else np.any(x < 0):
+            raise ParameterError("half-line state evaluated at x < 0")
+        else:
+            r = x
+        # the half-line profile; norm_const carries the 1/sqrt(2) of full-line states
+        y = r * r
+        out = (
+            self.norm_const
+            * np.power(r, self.beta + 1.0)
+            * np.exp(-0.5 * y)
+            * laguerre(self.n, self.beta + 0.5, y)
+        )
         if self.parity is Parity.ODD:
             out = ((x > 0) - (x < 0) if scalar else np.sign(x)) * out
-        return float(out) if scalar else out
-
-    def dpsi(self, x):
-        """Analytic derivative psi'(x), using dL_n^(a)/dy = -L_{n-1}^(a+1).
-
-        At x = 0 the value returned is the x -> 0+ limit (0, a finite
-        constant, or +inf depending on beta); for -1/2 < beta < 0 the
-        derivative genuinely diverges there.
-        """
-        x, r, scalar = self._profile_arg(x)
-        out = self._base_dpsi(r)
-        if self.parity is Parity.EVEN:
-            out = (-out if x < 0 else out) if scalar else np.where(x < 0, -out, out)
         return float(out) if scalar else out
 
 

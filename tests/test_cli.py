@@ -255,6 +255,8 @@ class TestInputDomain:
     @settings(max_examples=300, deadline=None)
     @example(["radial", "--alpha=1e308", "--l", str(10**154)])
     @example(["spectrum", "--alpha=1e308", "--n-max", "3", "--domain", "full"])
+    @example(["spectrum", "--alpha=3e32", "--n-max", "3", "--domain", "half"])
+    @example(["spectrum", "--alpha=3e32", "--n-max", "3", "--domain", "full"])
     def test_finite_output_or_typed_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -262,10 +264,30 @@ class TestInputDomain:
         if rc == 0:
             cells = list(_numeric_cells(out.getvalue()))
             assert cells and all(math.isfinite(v) for v in cells)
+            if argv[0] in ("spectrum", "radial"):
+                # radial tables carry no domain column: they are half-line
+                for row in parse_csv(out.getvalue()):
+                    pair = row.get("domain") == "full" and float(row["alpha"]) != 0
+                    assert int(row["degeneracy"]) == (2 if pair else 1)
         else:
             assert rc in (1, 2)
             assert out.getvalue() == ""
             assert re.fullmatch(r"singosc: error: \S[^\n]*\n", err.getvalue())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --alpha 1e33 --n-max 3",
+            "spectrum --alpha 1e33 --domain full --n-max 1",
+            "radial --alpha 0 --l 100000000000000000 --n-max 2",
+        ],
+    )
+    def test_levels_doubles_cannot_separate_exit_1(self, argv, capsys):
+        # from eps = 2^54 on, 2n + beta + 3/2 would print n and n + 1 as one level
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"singosc: error: \S[^\n]*do not separate[^\n]*\n", captured.err)
 
 
 class TestSpectrumCommand:

@@ -18,7 +18,6 @@ from singosc.model import (
     Domain,
     OriginBehavior,
     OscillatorSpec,
-    Parity,
     admissible_beta,
     admissible_betas,
     classify_boundary,
@@ -272,10 +271,6 @@ class TestRadialMap:
 
 
 class TestEnums:
-    def test_parity_signs(self):
-        assert Parity.EVEN.sign == 1
-        assert Parity.ODD.sign == -1
-
     def test_domain_values(self):
         assert Domain("half") is Domain.HALF_LINE
         assert Domain("full") is Domain.FULL_LINE

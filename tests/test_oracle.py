@@ -61,6 +61,19 @@ class TestFiniteDifference:
         with pytest.raises(SupercriticalError):
             fd_eigen(-0.3, k=1)
 
+    @pytest.mark.parametrize("alpha, k", [(1e5, 2), (2e4, 1), (1e6, 2)])
+    def test_levels_the_box_truncates_raise(self, alpha, k):
+        # the top level turns past X_MAX: the box pushes it up (441.7 and
+        # 455.8 for 317.2 and 319.2 at alpha = 1e5) by more than the residual
+        with pytest.raises(ConvergenceError, match="turns past X_MAX"):
+            fd_eigen(alpha, k)
+
+    def test_levels_inside_the_box_return(self):
+        # eps_7 = 46.6 at alpha = 1000 turns at x = 9.0
+        res = fd_eigen(1000.0, 8)
+        want = np.array(spectrum_table(1000.0, 7, Domain.HALF_LINE).distinct_levels())
+        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
+
     def test_unresolved_grid_raises(self):
         # the one grid's step near x = 12 (0.24 in x) cannot hold 30
         # levels: the step error passes the levels
@@ -199,9 +212,8 @@ class TestShooting:
     @pytest.mark.parametrize(
         "alpha", [-0.2499, -0.2, -0.1, -0.01, 0.0, 1e-4, 0.5, 2.0, 3.3, 7.5, 8.0]
     )
-    def test_multisection_passes_and_accuracy(self, alpha, n_max):
-        # (the name predates the root-finding scan) one scan pass and one
-        # confirming pass
+    def test_two_passes_and_accuracy(self, alpha, n_max):
+        # one scan pass and one confirming pass
         res = shoot_spectrum(alpha, n_max)
         # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
         t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
@@ -228,9 +240,9 @@ class TestShooting:
         with pytest.raises(NonConvergence, match="do not bracket levels"):
             shoot_spectrum(2.0, 8)
 
-    def test_scan_window_grows_for_large_alpha(self):
-        # (the name predates the one window) the window starts at the
-        # well's bottom, eps = 20, and holds eps_3 = 27.0 below its top, 28
+    def test_window_starts_at_the_well_bottom(self):
+        # the window starts at the well's bottom, eps = 20, and holds
+        # eps_3 = 27.0 below its top, 28
         res = shoot_spectrum(400.0, 3)
         t = spectrum_table(400.0, 3, Domain.HALF_LINE)
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)

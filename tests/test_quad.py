@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
-from singosc.model import Domain
 from singosc.quad import (
     X_MAX,
     IntegrabilityClass,
     cauchy_pv,
-    connection_residual,
     gram,
     integrability_class,
     integrate_adaptive,
@@ -303,50 +301,3 @@ class TestWeightedGram:
     def test_refuses_what_it_cannot_resolve(self, state):
         with pytest.raises(DepthExceeded, match="differ by"):
             gram((state,), lambda x: 0.5 / (x * x))
-
-
-class TestConnectionResidual:
-    """Derivative jump of the even extension vs alpha times the principal
-    value of psi/x^2: residual vanishes as the window shrinks."""
-
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
-    def test_even_state_matches_at_leading_order(self, alpha):
-        even, _ = fullline_states(alpha, 0)
-        ratios = []
-        for eps in (0.2, 0.1, 0.05):
-            r = connection_residual(even, eps)
-            jump = even.dpsi(eps) - even.dpsi(-eps)
-            ratios.append(abs(r / jump))
-        assert ratios[0] > ratios[1] > ratios[2]
-        assert ratios[2] < 5e-3
-
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
-    def test_odd_state_trivial(self, alpha):
-        _, odd = fullline_states(alpha, 0)
-        assert connection_residual(odd, 0.1) == 0.0
-
-    @pytest.mark.parametrize("alpha", [-0.2, -0.1])
-    def test_even_state_diverges_for_attractive_alpha(self, alpha):
-        # psi ~ |x|^(beta+1) with beta < 0: psi/x^2 is not integrable at 0
-        even, odd = fullline_states(alpha, 0)
-        with pytest.raises(PVDivergent):
-            connection_residual(even, 0.1)
-        assert connection_residual(odd, 0.1) == 0.0
-
-    def test_free_case_is_zero(self):
-        even, odd = fullline_states(0.0, 1)
-        assert connection_residual(even, 0.1) == 0.0
-        assert connection_residual(odd, 0.1) == 0.0
-
-    def test_halfline_rejected(self):
-        with pytest.raises(DomainMismatch):
-            connection_residual(halfline_state(0.5, 0), 0.1)
-
-    def test_bad_window_rejected(self):
-        even, _ = fullline_states(0.5, 0)
-        # past X_MAX the states are below 1e-62, so r(X_MAX) is the widest
-        # window, and x**2 overflows from 1e155 on
-        for eps in (0.0, -0.1, math.nan, math.inf, np.nextafter(X_MAX, np.inf), 1e200):
-            with pytest.raises(ParameterError):
-                connection_residual(even, eps)
-        assert math.isfinite(connection_residual(even, X_MAX))

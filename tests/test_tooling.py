@@ -1,8 +1,11 @@
 """Names and examples that live outside the package: the benchmark's tracer
 names package functions by attribute, and every one must still exist, or a
 traced benchmark run fails only when it starts; every README CLI example
-must still run."""
+must still run.  Two static checks catch what a deletion leaves behind: an
+import the module no longer uses, and a private module-level name that
+nothing references."""
 
+import ast
 import importlib.util
 import pathlib
 import re
@@ -14,6 +17,7 @@ from singosc.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "singosc"
 
 
 def load_tracing():
@@ -48,3 +52,68 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `--out` examples write here
     assert cli_main(shlex.split(line, comments=True)[1:]) == 0, capsys.readouterr().err
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def loaded_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and type(n.ctx) is ast.Load}
+
+
+def imported_names(tree):
+    """The names a module's import statements bind, anywhere in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and assignment targets named _x."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def references(paths):
+    """Every name loaded, read as an attribute or imported by name."""
+    refs = set()
+    for path in paths:
+        tree = parse(path)
+        refs |= loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(a.name for a in node.names)
+    return refs
+
+
+# __init__ imports only to re-export
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = parse(path)
+    assert sorted(set(imported_names(tree)) - loaded_names(tree)) == []
+
+
+def test_every_private_name_is_referenced():
+    refs = references(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    unreferenced = [
+        f"{path.name}:{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in private_definitions(parse(path))
+        if name not in refs
+    ]
+    assert unreferenced == []
