@@ -18,20 +18,21 @@ explicit absolute tolerance (bisection is accurate on graded matrices,
 Barlow & Demmel 1990; its default tolerance, eps |T|, is not); Richardson
 extrapolation in the step removes the h^2 error.
 
-(b) Shooting with an adaptive Runge-Kutta-Fehlberg integrator seeded by
-a Frobenius series near the origin counts sign changes of psi for a batch
-of energies in one pass and keeps psi at the pass's end, the box-edge
-value: on the series' common normalization it is analytic in the energy
-and vanishes at the box levels (a miss-distance function, Pryce 1993).
-One scan pass over a lattice _D_EPS apart brackets every level by the
-node count, which is monotone in the energy, in one window from the
-well's bottom up to at most V(X_MAX); a cubic through the box-edge values
-of 4 neighbouring energies, solved by Newton, places each level, and one
+(b) Shooting seeded by a Frobenius series near the origin steps a batch
+of energies over one fixed grid with the 4th-order Magnus propagator of
+the linear ODE (Iserles & Norsett 1999), built for every step and energy
+in one array expression, with no step controller.  It counts sign
+changes of psi and keeps psi at the pass's end, the box-edge value: on
+the series' common normalization it is analytic in the energy and
+vanishes at the box levels (a miss-distance function, Pryce 1993).  One
+scan pass over a lattice _D_EPS apart brackets every level by the node
+count, which is monotone in the energy, in one window from the well's
+bottom up to at most V(X_MAX); a cubic through the box-edge values of 4
+neighbouring energies, solved by Newton, places each level, and one
 confirming pass of the node count at the root -+ _EPS_TOL / 2 turns it
 into a guaranteed bracket.  Each pass integrates to _box of the top
 energy in its batch, the outer turning point sqrt(eps + sqrt(eps^2 -
-alpha)) plus _BOX_MARGIN: past it a bound state only decays, and relative
-error control would chase the growing tail.
+alpha)) plus _BOX_MARGIN: past it a bound state only decays.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -54,15 +55,21 @@ from .spectrum import SpectrumTable, _check_n
 
 # X_MAX is the outer box of finite differences and the cap of shooting's
 # _box.  Shooting's Frobenius start point floor and its scale in
-# sqrt(beta + 1), terms, and the relative local error its step controller
-# allows (and the Frobenius series' last term may reach):
+# sqrt(beta + 1), terms, and the relative size the series' last term may
+# reach:
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 # distance past the outer turning point that shooting integrates to: 3
 # keeps the levels of the box within about 2e-7 relative (1.7 gave 2.6e-7)
 _BOX_MARGIN = 3.0
 _RENORM_LIMIT = 1e100
-_H_MAX = 0.25
-_H_MIN = 1e-12
+# shooting's grid: steps of _GRADE x near the origin, _H from x = _H /
+# _GRADE on (over 68 sweep inputs the levels move by at most 0.11 of the
+# residual estimate against a grid 5 times finer); the steps one array
+# expression builds propagators for; the Taylor polynomial sinh(k)/k =
+# sum_j k^2j / (2j + 1)!, j <= 6, leaves out 1e-17 up to k^2 = _TAYLOR_MAX
+_GRADE, _H, _CHUNK, _TAYLOR_MAX = 0.02, 0.02, 32, 0.2
+_SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # as fractions of a step
 # shoot_spectrum: the energy step of its scan lattice (a cubic through 4
 # box-edge values 0.02 apart places the levels within about 3e-7
 # relative, 0.05 apart within 6e-6), the width of the bracket its
@@ -74,20 +81,6 @@ _CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
 # tolerance; the inner end of the log grid (scripts/convergence_study.py
 # tabulates the levels against it)
 _H_LOG, _STEBZ_TOL, _S_MIN = 0.02, 1e-13, -15.0
-
-# Fehlberg 4(5) tableau: stage nodes, stage rows, 5th-order weights, and
-# 5th- minus 4th-order weights (the local error estimate)
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_A = (
-    np.empty(0),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-)
-_RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RKF_ERR = _RKF_B5 - np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 
 
 class OracleMethod(enum.Enum):
@@ -101,8 +94,7 @@ class OracleResult:
     method: OracleMethod
     residual_estimate: float
     passes: int = 0  # integrator passes a shooting run made
-    steps_accepted: int = 0  # RKF45 steps over those passes
-    steps_rejected: int = 0
+    steps: int = 0  # grid steps over those passes
     rows: int = 0  # matrix rows a finite-difference run diagonalized
     seconds: float = 0.0  # wall time of the run
 
@@ -242,63 +234,80 @@ def _box(alpha: float, eps: float) -> float:
     return min(X_MAX, _turning_point(alpha, eps) + _BOX_MARGIN)
 
 
-def _rkf45_count_nodes(
-    alpha: float, eps_arr: np.ndarray, x_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Integrate the batch outward to x_max, counting sign changes of psi;
-    also psi(x_max), the log of the factor each member was scaled down by
-    on the way, and the accepted and the rejected steps.
+def _grid(alpha: float, x_max: float) -> np.ndarray:
+    """Shooting's grid from the Frobenius start x0 = max(_X0, _X0_SCALE
+    sqrt(beta + 1)), where the series converges farther out as beta grows,
+    to x_max: steps of _GRADE x until that reaches _H, then steps of _H."""
+    x0 = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
+    graded = math.ceil(math.log(_H / (_GRADE * x0)) / math.log1p(_GRADE))
+    x = x0 * (1.0 + _GRADE) ** np.arange(max(graded, 0) + 1)
+    x = np.concatenate((x, x[-1] + _H * np.arange(1.0, math.ceil((x_max - x[-1]) / _H))))
+    return np.append(x[x < x_max], x_max)
 
-    The Frobenius start is at x0 = max(_X0, _X0_SCALE sqrt(beta + 1)): the
-    series converges farther out as beta grows.  The state stacks psi
-    (row 0) and psi' (row 1) of every batch member into one (2, m) array,
-    advanced by the Fehlberg tableau.  All members step in lockstep; the
-    step controller obeys the worst member.  Raises NonConvergence when
-    the error estimate or the state is not finite (a NaN, infinite or
-    overflowing energy), or when the step size collapses.
+
+def _cosh_sinhc(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosh sqrt(z) and sinh sqrt(z) / sqrt(z), elementwise (cos and sin of
+    sqrt(-z) where z < 0): a Taylor polynomial in z and a square root where
+    |z| <= _TAYLOR_MAX, no other transcendental; the closed form elsewhere."""
+    s = z * _SINHC[0]
+    for coef in _SINHC[1:-1]:
+        s += coef
+        s *= z
+    s += 1.0
+    # cosh^2 - z sinhc^2 = 1, and the cosine is positive while z > -(pi/2)^2
+    c = np.sqrt(1.0 + z * s * s)
+    big = np.abs(z) > _TAYLOR_MAX
+    if big.any():
+        r = np.sqrt(np.abs(z[big]))
+        c[big] = np.where(z[big] > 0, np.cosh(r), np.cos(r))
+        s[big] = np.where(z[big] > 0, np.sinh(r), np.sin(r)) / r
+    return c, s
+
+
+def _magnus_count_nodes(
+    alpha: float, eps_arr: np.ndarray, x_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Step the batch on _grid out to x_max, counting sign changes of psi;
+    also psi(x_max), the log of the factor each member was scaled down by
+    on the way, and the grid steps.
+
+    y = (psi, psi') obeys y' = [[0, 1], [q, 0]] y, q = x^2 + alpha/x^2 -
+    2 eps.  The 4th-order Magnus step (Iserles & Norsett 1999), q_1 and
+    q_2 at its two Gauss points, is exp(Omega) = cosh(kappa) I +
+    sinh(kappa)/kappa Omega, Omega = [[d, h], [c, -d]] with d = sqrt(3)/12
+    h^2 (q_1 - q_2), c = h (q_1 + q_2)/2 and Omega^2 = kappa^2 I = (d^2 +
+    h c) I.  A member past _RENORM_LIMIT is scaled down; a state that is
+    not finite (a NaN, infinite or overflowing energy) raises NonConvergence.
     """
-    m = eps_arr.shape[0]
-    x = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
-    y = _frobenius_series(alpha, eps_arr, x)
-    two_eps = 2.0 * eps_arr
-    stages = np.zeros((len(_RKF_C), 2, m))
-    flat = stages.reshape(len(_RKF_C), 2 * m)  # view: one row per stage
-    counts = np.zeros(m, dtype=int)
-    log_scale = np.zeros(m)
-    sign = np.where(y[0] >= 0, 1.0, -1.0)
-    h = x
-    accepted = rejected = 0
-    while x < x_max:
-        h = min(h, x_max - x)
-        for i, (c, row) in enumerate(zip(_RKF_C, _RKF_A)):
-            s = y + ((h * row) @ flat[:i]).reshape(2, m) if i else y
-            xs = x + c * h
-            stages[i, 0] = s[1]
-            np.multiply(xs * xs + alpha / (xs * xs) - two_eps, s[0], out=stages[i, 1])
-        y5 = y + ((h * _RKF_B5) @ flat).reshape(2, m)
-        err_abs = np.abs(((h * _RKF_ERR) @ flat).reshape(2, m)).max(axis=0)
-        mag = np.abs(y5).max(axis=0)
-        err = float(np.max(err_abs / (1e-300 + _RTOL * mag)))
-        peak = float(mag.max())
-        if not (math.isfinite(err) and math.isfinite(peak)):
-            raise NonConvergence(f"integrator state is not finite at x = {x:.6g}")
-        if err <= 1.0 or h <= _H_MIN:
-            accepted += 1
-            x += h
-            y = y5
-            flip = y[0] * sign < 0
-            counts += flip
-            sign = np.where(flip, -sign, sign)
-            if peak > _RENORM_LIMIT:
+    x = _grid(alpha, x_max)
+    h = np.diff(x)
+    g = x[:-1, None] + h[:, None] * _GAUSS
+    v = g * g + alpha / (g * g)
+    d = math.sqrt(3.0) / 12.0 * h * h * (v[:, 0] - v[:, 1])
+    hv = h * (v[:, 0] + v[:, 1]) / 2.0
+    ys = np.empty((x.size, 2, eps_arr.size))  # the state after every step
+    ys[0] = _frobenius_series(alpha, eps_arr, x[0])
+    log_scale = np.zeros(eps_arr.size)
+    for k0 in range(0, h.size, _CHUNK):
+        rows = slice(k0, k0 + _CHUNK)
+        c = hv[rows, None] - np.multiply.outer(2.0 * h[rows], eps_arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # the state check raises
+            cosh, sinhc = _cosh_sinhc(c * h[rows, None] + (d[rows] ** 2)[:, None])
+        sd = sinhc * d[rows, None]
+        prop = np.stack((cosh + sd, sinhc * h[rows, None], sinhc * c, cosh - sd), axis=1)
+        for k, step in enumerate(prop.reshape(-1, 2, 2, c.shape[1]), k0 + 1):
+            y = np.einsum("ijm,jm->im", step, ys[k - 1], out=ys[k])
+            # the sum of squares is a cheap bound on every member's peak
+            if not np.vdot(y, y) <= _RENORM_LIMIT**2:
+                if not np.all(np.isfinite(y)):
+                    raise NonConvergence(f"integrator state is not finite at x = {x[k]:.6g}")
+                mag = np.abs(y).max(axis=0)
                 big = mag > _RENORM_LIMIT
-                y = y * np.where(big, 1.0 / mag, 1.0)
+                y *= np.where(big, 1.0 / mag, 1.0)
                 log_scale += np.where(big, np.log(mag), 0.0)
-        else:
-            rejected += 1
-        if h <= _H_MIN and err > 1.0:
-            raise NonConvergence("integrator step size collapsed")
-        h = min(_H_MAX, h * min(4.0, max(0.1, 0.9 * err ** (-0.2) if err > 0 else 4.0)))
-    return counts, y[0], log_scale, accepted, rejected
+    sign = np.signbit(ys[:, 0])
+    counts = np.count_nonzero(sign[1:] != sign[:-1], axis=0)
+    return counts, ys[-1, 0].copy(), log_scale, h.size
 
 
 def _cubic_roots(
@@ -337,11 +346,11 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     outer turning point leaves the box.  A level outside this one window
     raises BracketError, as does a window of fewer than 4 energies, which
     is not integrated; a well whose bottom alpha^(1/4) lies past X_MAX
-    has none.  Level n lies where the count first exceeds n; a
-    cubic through the box-edge values of the 4 lattice energies around
-    it, solved by Newton, places it.  The confirming pass counts nodes at
-    each root -+ _EPS_TOL / 2: counts n and n + 1 make a guaranteed
-    bracket, anything else raises NonConvergence.  Each pass integrates
+    has none.  Level n lies where the count first exceeds n; a cubic
+    through the box-edge values of the 4 lattice energies around it,
+    solved by Newton, places it.  The confirming pass counts nodes at each
+    root -+ _EPS_TOL / 2: counts n and n + 1 make a guaranteed bracket,
+    anything else raises NonConvergence.  Each pass integrates on _grid
     to _box of the top energy of its own batch.
     """
     t0 = time.perf_counter()
@@ -349,14 +358,6 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     _check_n(n_max)
     n_max = int(n_max)
     targets = np.arange(n_max + 1)
-    steps: list[tuple[int, int]] = []  # (accepted, rejected) per pass
-
-    def shoot(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts, psi, log_scale, accepted, rejected = _rkf45_count_nodes(
-            alpha, batch, _box(alpha, float(batch.max()))
-        )
-        steps.append((accepted, rejected))
-        return counts, psi, log_scale
 
     # one window from the well's bottom, as wide as the requested levels
     # need, up to V(X_MAX), where the top energy's outer turning point
@@ -367,7 +368,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
     if eps.size < 4:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
-    counts, psi, log_scale = shoot(eps)
+    counts, psi, log_scale, steps = _magnus_count_nodes(alpha, eps, _box(alpha, eps[-1]))
     above = counts > targets[:, None]
     j = above.argmax(axis=1)
     missing = targets[~above.any(axis=1) | (j == 0)]
@@ -378,17 +379,16 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     stencil = first[:, None] + np.arange(4)
     roots = _cubic_roots(eps[stencil], psi[stencil], log_scale[stencil], j - first)
     half = _EPS_TOL / 2.0
-    counts = shoot(np.concatenate((roots - half, roots + half)))[0].reshape(2, -1)
-    wrong = targets[(counts[0] != targets) | (counts[1] != targets + 1)]
+    edges = np.concatenate((roots - half, roots + half))
+    counts, _, _, confirm = _magnus_count_nodes(alpha, edges, _box(alpha, float(edges.max())))
+    below, over = counts.reshape(2, -1)
+    wrong = targets[(below != targets) | (over != targets + 1)]
     if wrong.size:
-        raise NonConvergence(
-            f"node counts at eps -+ {half:g} do not bracket levels {wrong.tolist()}"
-        )
-    accepted, rejected = map(sum, zip(*steps))
-    return OracleResult(
-        tuple(float(v) for v in roots), OracleMethod.SHOOTING, half, len(steps),
-        accepted, rejected, seconds=time.perf_counter() - t0,
-    )
+        msg = f"node counts at eps -+ {half:g} do not bracket levels {wrong.tolist()}"
+        raise NonConvergence(msg)
+    levels = tuple(float(v) for v in roots)
+    seconds = time.perf_counter() - t0
+    return OracleResult(levels, OracleMethod.SHOOTING, half, 2, steps + confirm, seconds=seconds)
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:

@@ -213,6 +213,18 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     return float(gram((s1, s2))[0, 1])
 
 
+@functools.lru_cache(maxsize=64)
+def _laguerre_rule(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the count-point generalized
+    Gauss-Laguerre rule for y^w e^-y: every pair of one Gram matrix shares
+    w, so each count is computed once."""
+    import scipy.special
+
+    nodes, weights = scipy.special.roots_genlaguerre(count, w)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     """Half-line inner product via y = x^2 and generalized Gauss-Laguerre.
 
@@ -221,15 +233,12 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     polynomial part exactly.  Raises ParameterError when the weighted
     sum overflows (L_n^2 at the outer nodes, from n = 124).
     """
-    import scipy.special
-
     from .specfun import laguerre
 
     _check_compatible(s1, s2)
     if s1.domain is not Domain.HALF_LINE:
         raise DomainMismatch("Gauss-Laguerre path is defined for half-line states")
-    w = (s1.beta + s2.beta + 1.0) / 2.0
-    nodes, weights = scipy.special.roots_genlaguerre(s1.n + s2.n + 1, w)
+    nodes, weights = _laguerre_rule(s1.n + s2.n + 1, (s1.beta + s2.beta + 1.0) / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = laguerre(s1.n, s1.beta + 0.5, nodes) * laguerre(s2.n, s2.beta + 0.5, nodes)
         total = float(np.dot(weights, vals))

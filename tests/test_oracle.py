@@ -15,12 +15,14 @@ from singosc.errors import (
     ShapeMismatch,
     SupercriticalError,
 )
-from singosc.model import Domain
+from singosc.model import Domain, admissible_beta
 from singosc.oracle import (
     _box,
+    _cosh_sinhc,
     _fd_result,
+    _grid,
+    _magnus_count_nodes,
     _richardson,
-    _rkf45_count_nodes,
     OracleMethod,
     compare,
     fd_eigen,
@@ -220,8 +222,17 @@ class TestShooting:
         assert res.passes == 2
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
         assert res.residual_estimate <= 1e-6 / 2
-        assert 0 <= res.steps_rejected < res.steps_accepted
+        assert res.steps > 0
         assert res.seconds > 0
+
+    @pytest.mark.parametrize("n_max", [4, 8])
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.1, 0.0, 1e-4, 2.72, 6.08, 7.9])
+    def test_error_is_well_inside_the_residual_estimate(self, alpha, n_max):
+        # with no step controller the fixed grid must leave margin: the
+        # worst over 71 sweep inputs was 0.37 of the confirmed bracket
+        res = shoot_spectrum(alpha, n_max)
+        want = np.array(spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels())
+        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= 0.6 * res.residual_estimate
 
     @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 7.9])
     def test_node_counts_bracket_each_level(self, alpha):
@@ -230,7 +241,7 @@ class TestShooting:
         res = shoot_spectrum(alpha, 8)
         eps = np.array(res.eigenvalues)
         r = res.residual_estimate
-        counts, *_ = _rkf45_count_nodes(alpha, np.concatenate((eps - r, eps + r)), X_MAX)
+        counts, *_ = _magnus_count_nodes(alpha, np.concatenate((eps - r, eps + r)), X_MAX)
         np.testing.assert_array_equal(counts, [*range(9), *range(1, 10)])
 
     def test_coarse_lattice_fails_the_confirming_pass(self, monkeypatch):
@@ -251,7 +262,7 @@ class TestShooting:
         # at alpha = 1e5 the well's bottom x = alpha^(1/4) = 17.8 lies past
         # X_MAX: the window is empty and nothing is integrated
         calls = []
-        monkeypatch.setattr(oracle, "_rkf45_count_nodes", lambda *a: calls.append(a))
+        monkeypatch.setattr(oracle, "_magnus_count_nodes", lambda *a: calls.append(a))
         with pytest.raises(BracketError, match=r"levels \[0, 1, 2, 3\] in eps <= 316.2"):
             shoot_spectrum(1e5, 3)
         assert calls == []
@@ -281,7 +292,7 @@ class TestShooting:
         # V(X_MAX) - sqrt(alpha) = (X_MAX^2 - sqrt(alpha))^2 / (2 X_MAX^2)
         # is 0.023 and 0: too narrow for one cubic
         calls = []
-        monkeypatch.setattr(oracle, "_rkf45_count_nodes", lambda *a: calls.append(a))
+        monkeypatch.setattr(oracle, "_magnus_count_nodes", lambda *a: calls.append(a))
         with pytest.raises(BracketError, match=r"levels \[0\]"):
             shoot_spectrum(alpha, 0)
         assert calls == []
@@ -296,27 +307,28 @@ class TestNodeCounts:
         levels = np.array(t.distinct_levels())
         eps = np.linspace(0.3, 24.0, 200)
         eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
-        counts, psi, _, _, _ = _rkf45_count_nodes(alpha, eps, _box(alpha, eps.max()))
+        counts, psi, _, _ = _magnus_count_nodes(alpha, eps, _box(alpha, eps.max()))
         np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
         # the box-edge value changes sign with every counted node
         np.testing.assert_array_equal(np.sign(psi), (-1.0) ** counts)
 
     def test_log_scale_carries_the_renormalization(self, monkeypatch):
-        # scaling a member down rescales only its state: the step sequence
+        # scaling a member down rescales only its state: the node counts
         # and psi(x_max) e^(log_scale) stay the same
         eps = np.linspace(0.3, 20.0, 40)
-        _, psi, log_scale, accepted, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
+        counts, psi, log_scale, steps = _magnus_count_nodes(2.0, eps, X_MAX)
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", 1e3)
-        _, psi_r, log_scale_r, accepted_r, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
+        counts_r, psi_r, log_scale_r, steps_r = _magnus_count_nodes(2.0, eps, X_MAX)
         assert np.all(log_scale == 0.0) and np.all(log_scale_r > 0.0)
-        assert accepted_r == accepted
+        assert steps_r == steps
+        np.testing.assert_array_equal(counts_r, counts)
         np.testing.assert_allclose(psi_r * np.exp(log_scale_r), psi, rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
     def test_nonfinite_energy_raises(self, eps):
         with pytest.raises(NonConvergence, match="not finite"):
-            _rkf45_count_nodes(2.0, np.array([eps]), _box(2.0, eps))
+            _magnus_count_nodes(2.0, np.array([eps]), _box(2.0, eps))
 
     def test_box_stops_before_x_max(self):
         # at alpha = 2 the top energy 20 turns at x = 6.3; the pass to 9.3
@@ -324,15 +336,60 @@ class TestNodeCounts:
         eps = np.arange(0.25, 20.0, 0.5)
         box = _box(2.0, 20.0)
         assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
-        to_box, _, _, accepted, _ = _rkf45_count_nodes(2.0, eps, box)
-        to_cap, _, _, accepted_cap, _ = _rkf45_count_nodes(2.0, eps, X_MAX)
+        to_box, _, _, steps = _magnus_count_nodes(2.0, eps, box)
+        to_cap, _, _, steps_cap = _magnus_count_nodes(2.0, eps, X_MAX)
         np.testing.assert_array_equal(to_box, to_cap)
-        assert accepted < accepted_cap
+        assert steps < steps_cap
+
+    @pytest.mark.parametrize("alpha, x_max", [(2.0, 9.3), (0.0, X_MAX), (1000.0, 5.0)])
+    def test_grid_is_graded_then_uniform(self, alpha, x_max):
+        x = _grid(alpha, x_max)
+        h = np.diff(x)
+        assert x[0] == max(oracle._X0, oracle._X0_SCALE * math.sqrt(admissible_beta(alpha) + 1))
+        assert x[-1] == x_max and np.all(h > 0)
+        np.testing.assert_allclose(h[:-1], np.minimum(oracle._GRADE * x[:-2], oracle._H), rtol=1e-9)
 
     def test_box_never_passes_x_max(self):
         assert _box(0.0, 144.0) == X_MAX
         # below the well's bottom, eps < sqrt(alpha), the inner root counts as 0
         assert _box(400.0, 10.0) == pytest.approx(math.sqrt(10.0) + 3.0)
+
+
+class TestMagnusPropagator:
+    # no local error control is left: the grid's error is checked by
+    # refining it and by the two ways a step's propagator is evaluated
+    @pytest.mark.parametrize("alpha, n_max", [(-0.2, 4), (2.0, 4)])
+    def test_levels_converge_as_h_to_the_fourth(self, alpha, n_max, monkeypatch):
+        levels, grade, h = [], oracle._GRADE, oracle._H
+        for refine in (1, 2, 4):
+            monkeypatch.setattr(oracle, "_GRADE", grade / refine)
+            monkeypatch.setattr(oracle, "_H", h / refine)
+            levels.append(np.array(shoot_spectrum(alpha, n_max).eigenvalues))
+        coarse, fine = levels[0] - levels[1], levels[1] - levels[2]
+        assert np.max(np.abs(coarse)) > 1e-9  # well above rounding
+        np.testing.assert_allclose(coarse / fine, 16.0, rtol=0.1)
+
+    def test_taylor_and_closed_form_agree_at_the_switch(self, monkeypatch):
+        z = oracle._TAYLOR_MAX * np.array([-1.0, -0.9, 0.9, 1.0])
+        taylor = _cosh_sinhc(z)
+        monkeypatch.setattr(oracle, "_TAYLOR_MAX", 0.0)
+        closed = _cosh_sinhc(z)
+        np.testing.assert_allclose(taylor, closed, rtol=2e-15, atol=0)
+        assert closed[0][0] == math.cos(math.sqrt(-z[0]))
+
+    def test_large_alpha_takes_the_closed_form(self, monkeypatch):
+        # the graded steps near the origin reach kappa^2 = _GRADE^2 alpha
+        # = 0.4 at alpha = 1000, whose levels test_one_window_at_large_alpha
+        # pins at rel 1e-6
+        largest = []
+
+        def spy(z):
+            largest.append(float(np.max(z)))
+            return _cosh_sinhc(z)
+
+        monkeypatch.setattr(oracle, "_cosh_sinhc", spy)
+        shoot_spectrum(1000.0, 8)
+        assert max(largest) > oracle._TAYLOR_MAX
 
 
 class TestCompare:

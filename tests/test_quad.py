@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singosc import quad
 from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from singosc.quad import (
     X_MAX,
@@ -154,6 +155,20 @@ class TestOverlap:
                 a = overlap(s1, s2)
                 g = overlap_halfline_gauss(s1, s2)
                 assert a == pytest.approx(g, abs=5e-11)
+
+    def test_gauss_route_caches_its_rule_bit_for_bit(self):
+        import scipy.special
+
+        quad._laguerre_rule.cache_clear()
+        s1, s2 = halfline_state(0.5, 2), halfline_state(0.5, 3)
+        cold = overlap_halfline_gauss(s1, s2)
+        assert overlap_halfline_gauss(s1, s2) == cold
+        assert quad._laguerre_rule.cache_info().hits == 1
+        nodes, weights = quad._laguerre_rule(6, s1.beta + 0.5)
+        fresh = scipy.special.roots_genlaguerre(6, s1.beta + 0.5)
+        np.testing.assert_array_equal(nodes, fresh[0])
+        np.testing.assert_array_equal(weights, fresh[1])
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
     def test_gauss_route_raises_when_laguerre_overflows(self):
         # L_150^2 at the outer nodes (y ~ 1200) overflows to inf, and
