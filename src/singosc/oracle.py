@@ -27,12 +27,12 @@ the series' common normalization it is analytic in the energy and
 vanishes at the box levels (a miss-distance function, Pryce 1993).  One
 scan pass over a lattice _D_EPS apart brackets every level by the node
 count, which is monotone in the energy, in one window from the well's
-bottom up to at most V(X_MAX); a cubic through the box-edge values of 4
-neighbouring energies, solved by Newton, places each level, and one
-confirming pass of the node count at the root -+ _EPS_TOL / 2 turns it
-into a guaranteed bracket.  Each pass integrates to _box of the top
-energy in its batch, the outer turning point sqrt(eps + sqrt(eps^2 -
-alpha)) plus _BOX_MARGIN: past it a bound state only decays.
+bottom up to at most V(X_MAX); the degree-7 polynomial through the
+box-edge values of 8 neighbouring energies, solved by Newton, places each
+level, and one confirming pass of the node count at the root -+
+_EPS_TOL / 2 turns it into a guaranteed bracket.  Each pass integrates
+to _box of the top energy in its batch, the outer turning point sqrt(eps
++ sqrt(eps^2 - alpha)) plus _BOX_MARGIN: past it a bound state only decays.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -70,13 +70,14 @@ _RENORM_LIMIT = 1e100
 _GRADE, _H, _CHUNK, _TAYLOR_MAX = 0.02, 0.02, 32, 0.2
 _SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # as fractions of a step
-# shoot_spectrum: the energy step of its scan lattice (a cubic through 4
-# box-edge values 0.02 apart places the levels within about 3e-7
-# relative, 0.05 apart within 6e-6), the width of the bracket its
-# confirming pass checks, and Newton steps on each cubic
-_D_EPS, _EPS_TOL, _NEWTON_STEPS = 0.02, 1e-6, 8
-# the monomial coefficients of the cubic through values at t = 0, 1, 2, 3
-_CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
+# shoot_spectrum: the energy step of its scan lattice (the degree-7
+# polynomial through 8 box-edge values 0.1 apart places the levels within
+# 2e-8 of a lattice 0.01 apart; 0.15 apart fails the confirming pass at
+# alpha = 300, a cubic 0.05 apart at alpha = 2), the width of the bracket
+# its confirming pass checks, and Newton steps on each polynomial
+_D_EPS, _EPS_TOL, _NEWTON_STEPS = 0.1, 1e-6, 8
+# the monomial coefficients of the polynomial through values at t = 0 .. 7
+_POLYNOMIAL = np.linalg.inv(np.vander(np.arange(8.0), increasing=True))
 # finite differences: the step in s = ln x; the absolute bisection
 # tolerance; the inner end of the log grid (scripts/convergence_study.py
 # tabulates the levels against it)
@@ -310,25 +311,27 @@ def _magnus_count_nodes(
     return counts, ys[-1, 0].copy(), log_scale, h.size
 
 
-def _cubic_roots(
+def _polynomial_roots(
     eps: np.ndarray, psi: np.ndarray, log_scale: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
     """Zeros of the box-edge value F, one per row, each between eps[:, j - 1]
-    and eps[:, j], where F changes sign: Newton on the cubic through the
-    4 equally spaced energies of each row (shape (levels, 4)), started at
-    the secant root and kept inside the bracket."""
+    and eps[:, j], where F changes sign: Newton on the polynomial through
+    the 8 equally spaced energies of each row (shape (levels, 8)), started
+    at the secant root and kept inside the bracket."""
     # F = sign psi e^(ln|psi| + log_scale) on the members' common start
     # normalization a_0 = 1, scaled by its largest magnitude in each row
     with np.errstate(divide="ignore"):
         log_f = np.log(np.abs(psi)) + log_scale
     f = np.sign(psi) * np.exp(log_f - log_f.max(axis=1, keepdims=True))
-    coef = f @ _CUBIC.T  # c_0 + c_1 t + c_2 t^2 + c_3 t^3, eps = eps[:, 0] + _D_EPS t
+    coef = f @ _POLYNOMIAL.T  # sum_k c_k t^k, eps = eps[:, 0] + _D_EPS t
     rows = np.arange(j.size)
     fa, fb = f[rows, j - 1], f[rows, j]
     t = j - 1 + fa / (fa - fb)
     for _ in range(_NEWTON_STEPS):
-        p = ((coef[:, 3] * t + coef[:, 2]) * t + coef[:, 1]) * t + coef[:, 0]
-        dp = (3.0 * coef[:, 3] * t + 2.0 * coef[:, 2]) * t + coef[:, 1]
+        p, dp = coef[:, -1], 0.0
+        for c in coef[:, -2::-1].T:  # Horner for p and its derivative
+            dp = dp * t + p
+            p = p * t + c
         t = np.clip(t - p / dp, j - 1, j)
     return eps[:, 0] + _D_EPS * t
 
@@ -344,14 +347,14 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     max(0.25, sqrt(alpha)), up to 2 n_max + 2 above it (level n lies at
     most 2n + 1.31 above it), but no higher than V(X_MAX), past which the
     outer turning point leaves the box.  A level outside this one window
-    raises BracketError, as does a window of fewer than 4 energies, which
+    raises BracketError, as does a window of fewer than 8 energies, which
     is not integrated; a well whose bottom alpha^(1/4) lies past X_MAX
-    has none.  Level n lies where the count first exceeds n; a cubic
-    through the box-edge values of the 4 lattice energies around it,
-    solved by Newton, places it.  The confirming pass counts nodes at each
-    root -+ _EPS_TOL / 2: counts n and n + 1 make a guaranteed bracket,
-    anything else raises NonConvergence.  Each pass integrates on _grid
-    to _box of the top energy of its own batch.
+    has none.  Level n lies where the count first exceeds n; the degree-7
+    polynomial through the box-edge values of the 8 lattice energies
+    around it, solved by Newton, places it.  The confirming pass counts
+    nodes at each root -+ _EPS_TOL / 2: counts n and n + 1 make a
+    guaranteed bracket, anything else raises NonConvergence.  Each pass
+    integrates on _grid to _box of the top energy of its own batch.
     """
     t0 = time.perf_counter()
     admissible_beta(alpha)
@@ -366,7 +369,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     edge = X_MAX * X_MAX
     top = min(start + 2.0 * n_max + 2.0, (edge + alpha / edge) / 2.0) if start <= edge else start
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
-    if eps.size < 4:
+    if eps.size < 8:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
     counts, psi, log_scale, steps = _magnus_count_nodes(alpha, eps, _box(alpha, eps[-1]))
     above = counts > targets[:, None]
@@ -374,10 +377,10 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     missing = targets[~above.any(axis=1) | (j == 0)]
     if missing.size:
         raise BracketError(f"no bracket for levels {missing.tolist()} in eps <= {top:.4g}")
-    # the 4 lattice energies around each level, as centred as the window allows
-    first = np.minimum(np.maximum(j - 2, 0), eps.size - 4)
-    stencil = first[:, None] + np.arange(4)
-    roots = _cubic_roots(eps[stencil], psi[stencil], log_scale[stencil], j - first)
+    # the 8 lattice energies around each level, as centred as the window allows
+    first = np.clip(j - 4, 0, eps.size - 8)
+    stencil = first[:, None] + np.arange(8)
+    roots = _polynomial_roots(eps[stencil], psi[stencil], log_scale[stencil], j - first)
     half = _EPS_TOL / 2.0
     edges = np.concatenate((roots - half, roots + half))
     counts, _, _, confirm = _magnus_count_nodes(alpha, edges, _box(alpha, float(edges.max())))

@@ -229,7 +229,7 @@ class TestShooting:
     @pytest.mark.parametrize("alpha", [-0.2499, -0.1, 0.0, 1e-4, 2.72, 6.08, 7.9])
     def test_error_is_well_inside_the_residual_estimate(self, alpha, n_max):
         # with no step controller the fixed grid must leave margin: the
-        # worst over 71 sweep inputs was 0.37 of the confirmed bracket
+        # worst over 71 sweep inputs was 0.11 of the confirmed bracket
         res = shoot_spectrum(alpha, n_max)
         want = np.array(spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels())
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= 0.6 * res.residual_estimate
@@ -244,9 +244,36 @@ class TestShooting:
         counts, *_ = _magnus_count_nodes(alpha, np.concatenate((eps - r, eps + r)), X_MAX)
         np.testing.assert_array_equal(counts, [*range(9), *range(1, 10)])
 
+    @pytest.mark.parametrize("alpha", [-0.2499, 0.0, 0.5, 2.0, 7.9, 100.0, 1000.0])
+    def test_interpolation_leaves_margin(self, alpha, monkeypatch):
+        # the polynomial through 8 box-edge values _D_EPS apart places the
+        # levels where a lattice 0.01 apart does, within 0.03 of the
+        # residual estimate: the confirming pass keeps a wide margin
+        res = shoot_spectrum(alpha, 8)
+        monkeypatch.setattr(oracle, "_D_EPS", 0.01)
+        fine = shoot_spectrum(alpha, 8)
+        gap = np.max(np.abs(np.array(res.eigenvalues) - fine.eigenvalues))
+        assert gap <= 0.1 * res.residual_estimate
+
+    def test_scan_integrates_a_coarse_lattice(self, monkeypatch):
+        # the scan batch spans 2 n_max + 2 = 18 at _D_EPS = 0.1: 181
+        # energies; the confirming batch is the 9 roots -+ _EPS_TOL / 2
+        sizes = []
+        count_nodes = oracle._magnus_count_nodes
+
+        def spy(alpha, eps_arr, x_max):
+            sizes.append(eps_arr.size)
+            return count_nodes(alpha, eps_arr, x_max)
+
+        monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
+        shoot_spectrum(2.0, 8)
+        assert len(sizes) == 2
+        assert sizes[0] <= 200 and sizes[1] == 18
+
     def test_coarse_lattice_fails_the_confirming_pass(self, monkeypatch):
-        # a cubic through box-edge values 0.25 apart misses the levels by
-        # more than the confirmed bracket: an error, not a wrong level
+        # the 8-point polynomial through box-edge values 0.25 apart misses
+        # the levels by more than the confirmed bracket: an error, not a
+        # wrong level
         monkeypatch.setattr(oracle, "_D_EPS", 0.25)
         with pytest.raises(NonConvergence, match="do not bracket levels"):
             shoot_spectrum(2.0, 8)
@@ -288,9 +315,9 @@ class TestShooting:
             shoot_spectrum(0.0, 36)
 
     @pytest.mark.parametrize("alpha", [20000.0, 20736.0])
-    def test_window_of_fewer_than_four_energies_is_not_integrated(self, alpha, monkeypatch):
+    def test_window_of_fewer_than_eight_energies_is_not_integrated(self, alpha, monkeypatch):
         # V(X_MAX) - sqrt(alpha) = (X_MAX^2 - sqrt(alpha))^2 / (2 X_MAX^2)
-        # is 0.023 and 0: too narrow for one cubic
+        # is 0.023 and 0: too narrow for one 8-energy stencil
         calls = []
         monkeypatch.setattr(oracle, "_magnus_count_nodes", lambda *a: calls.append(a))
         with pytest.raises(BracketError, match=r"levels \[0\]"):
