@@ -104,61 +104,42 @@ def kummer_m_asymptotic(a: float, b: float, y: float) -> float:
     return ratio * math.exp(y) * y ** (a - b)
 
 
-def as_operand(x):
-    """(x, True) with x a Python float for a 0-d input (float, int,
-    np.float64, 0-d array); (float ndarray, False) otherwise.
-
-    The closed-form evaluators run one expression on either kind; plain
-    floats skip the per-call numpy wrapping that dominates scalar calls
-    under the adaptive integrator of the tests' QUADPACK references, with
-    bit-identical arithmetic.
-    """
-    if isinstance(x, (float, int)):
-        return float(x), True
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return float(arr), True
-    return arr, False
-
-
 def _check_degree(n: int) -> int:
-    if n < 0 or n != int(n):
-        raise ParameterError("n must be a non-negative integer")
+    if not 0 <= n < math.inf or n != int(n):  # also catches a NaN or infinite n
+        raise ParameterError(f"n must be a non-negative integer, got {n}")
     return int(n)
 
 
 def laguerre(n: int, a: float, y):
     """Generalized Laguerre polynomial L_n^(a)(y), a > -1.
 
-    Three-term recurrence (j+1) L_{j+1} = (2j+1+a-y) L_j - (j+a) L_{j-1}.
-    Accepts scalar or ndarray y; a 0-d y gives a Python float.
+    Three-term recurrence (j+1) L_{j+1} = (2j+1+a-y) L_j - (j+a) L_{j-1},
+    one array expression for any y; a 0-d y gives a Python float.
     """
     n = _check_degree(n)
     if not a > -1:
         raise ParameterError("Laguerre order parameter must satisfy a > -1")
     a = float(a)
-    y, scalar = as_operand(y)
-    prev = 1.0 if scalar else np.ones_like(y)
+    y = np.asarray(y, dtype=float)
     if n == 0:
-        return prev
-    cur = 1.0 + a - y
+        return 1.0 if y.ndim == 0 else np.ones_like(y)
+    prev, cur = 1.0, 1.0 + a - y
     for j in range(1, n):
         prev, cur = cur, ((2 * j + 1 + a - y) * cur - (j + a) * prev) / (j + 1)
-    return cur
+    return float(cur) if cur.ndim == 0 else cur
 
 
 def hermite(n: int, xi):
     """Hermite polynomial H_n(xi) via H_{j+1} = 2 xi H_j - 2 j H_{j-1}.
 
-    Accepts scalar or ndarray xi; a 0-d xi gives a Python float.
+    One array expression for any xi; a 0-d xi gives a Python float.
     Satisfies H_n(-xi) = (-1)^n H_n(xi).
     """
     n = _check_degree(n)
-    xi, scalar = as_operand(xi)
-    prev = 1.0 if scalar else np.ones_like(xi)
+    xi = np.asarray(xi, dtype=float)
     if n == 0:
-        return prev
-    cur = 2.0 * xi
+        return 1.0 if xi.ndim == 0 else np.ones_like(xi)
+    prev, cur = 1.0, 2.0 * xi
     for j in range(1, n):
         prev, cur = cur, 2.0 * xi * cur - 2.0 * j * prev
-    return cur
+    return float(cur) if cur.ndim == 0 else cur

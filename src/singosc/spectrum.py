@@ -16,6 +16,7 @@ supplies the even (intruder) levels 2n + 1/2 interleaving the odd
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
 from .quad import gram
-from .specfun import as_operand, laguerre
+from .specfun import laguerre
 
 
 class _Divergent:
@@ -87,12 +88,12 @@ class EigenState:
     alpha: float
 
     def psi(self, x):
-        """Wavefunction value; scalar or ndarray argument (a 0-d x gives a
-        Python float, equal bit for bit to the ndarray element)."""
-        x, scalar = as_operand(x)
+        """Wavefunction value, one array expression for any x; a 0-d x gives
+        a Python float, equal bit for bit to the ndarray element."""
+        x = np.asarray(x, dtype=float)
         if self.domain is Domain.FULL_LINE:
-            r = abs(x)
-        elif x < 0 if scalar else np.any(x < 0):
+            r = np.abs(x)
+        elif np.any(x < 0):
             raise ParameterError("half-line state evaluated at x < 0")
         else:
             r = x
@@ -105,8 +106,8 @@ class EigenState:
             * laguerre(self.n, self.beta + 0.5, y)
         )
         if self.parity is Parity.ODD:
-            out = ((x > 0) - (x < 0) if scalar else np.sign(x)) * out
-        return float(out) if scalar else out
+            out = np.sign(x) * out
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,7 @@ class SpectrumTable:
     spacing: float
 
     def distinct_levels(self) -> tuple[float, ...]:
-        levels: list[float] = []
-        for s in self.states:
-            if not levels or s.energy_eps != levels[-1]:
-                levels.append(s.energy_eps)
-        return tuple(levels)
+        return tuple(dict.fromkeys(s.energy_eps for s in self.states))
 
     def columns(self) -> dict[str, list]:
         """The level table as named columns, one entry per state."""
@@ -213,14 +210,7 @@ def spectrum_table(
     else:
         states = [s for n in range(n_max + 1) for s in fullline_states(alpha, n)]
     states.sort(key=lambda s: (s.energy_eps, s.parity.value))
-    degeneracy: list[int] = []
-    levels: list[float] = []
-    for s in states:
-        if levels and s.energy_eps == levels[-1]:
-            degeneracy[-1] += 1
-        else:
-            levels.append(s.energy_eps)
-            degeneracy.append(1)
+    degeneracy = Counter(s.energy_eps for s in states).values()
     spacing = 1.0 if (domain is Domain.FULL_LINE and alpha == 0) else 2.0
     return SpectrumTable(
         alpha=alpha,

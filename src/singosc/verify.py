@@ -242,8 +242,11 @@ def run_suites(
     tol: float | None = None,
 ) -> list[SuiteReport]:
     """Run the named suites; alpha/tol override the oracle suite only.
-    alpha (admissible_beta) and tol (_check_tol_shoot) are checked before
-    any suite runs."""
+    The names, alpha (admissible_beta) and tol (_check_tol_shoot) are
+    checked before any suite runs."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ParameterError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
     overrides = {}
     if alpha is not None:
         admissible_beta(alpha)
@@ -253,8 +256,6 @@ def run_suites(
         overrides["tol_shoot"] = tol
     reports = []
     for name in names:
-        suite = SUITES.get(name)
-        if suite is None:
-            raise ValueError(f"unknown suite {name!r}")
+        suite = SUITES[name]
         reports.append(suite(**overrides) if name == "oracle" else suite())
     return reports

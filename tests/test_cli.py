@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singosc import verify
+from singosc import oracle, verify
 from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, build_parser, emit_rows, main
+from singosc.errors import ParameterError
 from singosc.model import Domain, OscillatorSpec, potential_value
 from singosc.spectrum import N_MAX, spectrum_table
 
@@ -549,6 +550,18 @@ class TestVerifyCommand:
         assert called == []
         captured = capsys.readouterr()
         assert captured.err.startswith("singosc: error: ") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "names", [("nope",), ("oracle", "nope")], ids=["alone", "after-oracle"]
+    )
+    def test_unknown_suite_rejected_before_any_suite(self, monkeypatch, names):
+        # argparse keeps --suite to its choices; only a library caller can
+        # name an unknown suite, and the oracle suite must not run first
+        called = []
+        monkeypatch.setattr(oracle, "shoot_spectrum", lambda *a, **k: called.append(a))
+        with pytest.raises(ParameterError, match="nope"):
+            verify.run_suites(names)
+        assert called == []
 
     @pytest.mark.parametrize(
         "suite", ["hermiticity", "orthonormality", "degeneracy", "perturbation"]

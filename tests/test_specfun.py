@@ -160,6 +160,10 @@ class TestKummerAsymptotic:
             kummer_m_asymptotic(-1.0, 1.9, 10.0)
 
 
+# a negative, fractional or non-finite polynomial degree
+BAD_DEGREES = (-1, 2.5, math.nan, math.inf, -math.inf)
+
+
 class TestLaguerre:
     @given(
         st.integers(min_value=0, max_value=12),
@@ -186,9 +190,10 @@ class TestLaguerre:
     def test_scalar_returns_float(self):
         assert isinstance(laguerre(4, -0.5, 1.3), float)
 
-    def test_rejects_negative_degree(self):
+    @pytest.mark.parametrize("n", BAD_DEGREES)
+    def test_rejects_negative_degree(self, n):
         with pytest.raises(ParameterError):
-            laguerre(-1, 0.5, 1.0)
+            laguerre(n, 0.5, 1.0)
 
 
 class TestHermite:
@@ -215,6 +220,11 @@ class TestHermite:
         out = hermite(6, x)
         assert out.shape == x.shape
 
+    @pytest.mark.parametrize("n", BAD_DEGREES)
+    def test_rejects_bad_degree(self, n):
+        with pytest.raises(ParameterError):
+            hermite(n, 1.0)
+
 
 ZERO_D_INPUTS = (
     pytest.param(lambda v: v, id="float"),
@@ -225,7 +235,7 @@ ZERO_D_INPUTS = (
 
 
 class TestScalarPath:
-    """A 0-d argument runs the array recurrence on a Python float: same
+    """A 0-d argument runs the same array recurrence as an array: same
     values bit for bit, returned as a Python float."""
 
     @given(

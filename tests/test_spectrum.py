@@ -149,7 +149,7 @@ def _states(alpha, n):
 
 
 class TestScalarPath:
-    """psi of a 0-d x runs the array expression on a Python float:
+    """psi of a 0-d x runs the same array expression as an array:
     the same values bit for bit, returned as a Python float."""
 
     @given(
