@@ -4,8 +4,8 @@
 Prints one row per alpha with the worst relative eigenvalue error of the
 shooting route and the finite-difference route (one log grid for every
 alpha), the seconds each route took (`OracleResult.seconds`), the matrix
-rows the finite-difference route diagonalized and the number of
-integrator passes the shooting route made.  This is the calibration
+rows the finite-difference route diagonalized and the grid steps the
+shooting route took over its two passes.  This is the calibration
 experiment behind the default grids and tolerances.
 
 Usage: python scripts/oracle_sweep.py [--n-max 4] [--alphas -0.24 -0.1 0.5 2.0]
@@ -26,7 +26,7 @@ from singosc.spectrum import spectrum_table
 def run(alphas: tuple[float, ...], n_max: int) -> None:
     print(
         f"{'alpha':>8}  {'beta_plus':>10}  {'shoot err':>10}  {'fd err':>10}  "
-        f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'fd rows':>7}  {'passes':>6}"
+        f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'fd rows':>7}  {'steps':>6}"
     )
     for alpha in alphas:
         table = spectrum_table(alpha, n_max, Domain.HALF_LINE)
@@ -38,7 +38,7 @@ def run(alphas: tuple[float, ...], n_max: int) -> None:
         print(
             f"{alpha:>8.3f}  {beta:>10.5f}  {rs.max_rel_error:>10.2e}  "
             f"{rf.max_rel_error:>10.2e}  {fd.residual_estimate:>10.2e}  "
-            f"{shoot.seconds:>7.2f}  {fd.seconds:>6.2f}  {fd.rows:>7d}  {shoot.passes:>6d}"
+            f"{shoot.seconds:>7.2f}  {fd.seconds:>6.2f}  {fd.rows:>7d}  {shoot.steps:>6d}"
         )
 
 

@@ -4,7 +4,7 @@ Two routes that share nothing with the closed-form solution beyond the
 local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Finite
 differences truncate the half-line at x = X_MAX = 12, the box quad
 integrates bound states over; shooting stops a few decay lengths past
-the outer turning point of its own top energy, never past X_MAX.
+the outer turning point of its own top energy, wherever that lies.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -27,7 +27,7 @@ the series' common normalization it is analytic in the energy and
 vanishes at the box levels (a miss-distance function, Pryce 1993).  One
 scan pass over a lattice _D_EPS apart brackets every level by the node
 count, which is monotone in the energy, in one window from the well's
-bottom up to at most V(X_MAX); the degree-7 polynomial through the
+bottom up to 2 n_max + 2 above it; the degree-7 polynomial through the
 box-edge values of 8 neighbouring energies, solved by Newton, places each
 level, and one confirming pass of the node count at the root -+
 _EPS_TOL / 2 turns it into a guaranteed bracket.  Each pass integrates
@@ -53,10 +53,9 @@ from .model import Domain, admissible_beta
 from .quad import X_MAX
 from .spectrum import SpectrumTable, _check_n
 
-# X_MAX is the outer box of finite differences and the cap of shooting's
-# _box.  Shooting's Frobenius start point floor and its scale in
-# sqrt(beta + 1), terms, and the relative size the series' last term may
-# reach:
+# X_MAX is the outer box of finite differences.  Shooting's Frobenius
+# start point floor and its scale in sqrt(beta + 1), terms, and the
+# relative size the series' last term may reach:
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 # distance past the outer turning point that shooting integrates to: 3
 # keeps the levels of the box within about 2e-7 relative (1.7 gave 2.6e-7)
@@ -94,8 +93,7 @@ class OracleResult:
     eigenvalues: tuple[float, ...]
     method: OracleMethod
     residual_estimate: float
-    passes: int = 0  # integrator passes a shooting run made
-    steps: int = 0  # grid steps over those passes
+    steps: int = 0  # grid steps over a shooting run's two passes
     rows: int = 0  # matrix rows a finite-difference run diagonalized
     seconds: float = 0.0  # wall time of the run
 
@@ -183,22 +181,26 @@ fd_eigen_extrapolated = fd_eigen
 
 def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float) -> np.ndarray:
     """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), j < _N_TERMS,
-    one column per energy."""
+    one column per energy.  ParameterError unless every value is finite and
+    every last term within _RTOL of its sum (a NaN or huge energy, an x0 too far out)."""
     # substituting into the ODE gives
     # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1
     beta = admissible_beta(alpha)
     a = np.zeros((_N_TERMS, eps_arr.shape[0]))
     a[0] = 1.0
-    for j in range(1, _N_TERMS):
-        prev2 = a[j - 2] if j >= 2 else 0.0
-        a[j] = (prev2 - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
-    exps = beta + 1.0 + 2.0 * np.arange(_N_TERMS)
-    powers = (x0**exps, exps * x0 ** (exps - 1.0))
-    series = np.stack([p @ a for p in powers])
-    # the truncated series is only as good as its last term is small
-    last = np.outer([p[-1] for p in powers], a[-1])
-    if np.any(np.abs(last) > _RTOL * np.abs(series)):
-        raise ParameterError(f"x0 = {x0} is too far out for the {_N_TERMS}-term Frobenius series")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        for j in range(1, _N_TERMS):
+            prev2 = a[j - 2] if j >= 2 else 0.0
+            a[j] = (prev2 - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
+        exps = beta + 1.0 + 2.0 * np.arange(_N_TERMS)
+        powers = (x0**exps, exps * x0 ** (exps - 1.0))
+        series = np.stack([p @ a for p in powers])
+        # the truncated series is only as good as its last term is small
+        last = np.outer([p[-1] for p in powers], a[-1])
+        ok = np.all(np.isfinite(series)) and np.all(np.abs(last) <= _RTOL * np.abs(series))
+    if not ok:
+        msg = f"the {_N_TERMS}-term Frobenius series at x0 = {x0:.6g} does not converge"
+        raise ParameterError(msg)
     return series
 
 
@@ -208,17 +210,12 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
     Uses only the local indicial exponent beta_plus, so the start stays
     independent of the global closed-form solution.  Raises ParameterError
     where x0 is too large for the truncated series to converge, or where
-    the energy or the series is not finite.
+    the energy or the series is not finite (_frobenius_series).
     """
     admissible_beta(alpha)
     if not x0 > 0:
         raise ParameterError("x0 must be positive")
-    if not math.isfinite(eps_energy):
-        raise ParameterError(f"energy must be finite, got {eps_energy}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0)[:, 0]
-    if not (math.isfinite(psi) and math.isfinite(dpsi)):
-        raise ParameterError(f"Frobenius series at x0 = {x0}, eps = {eps_energy} is not finite")
+    psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0)[:, 0]
     return float(psi), float(dpsi)
 
 
@@ -231,15 +228,13 @@ def _turning_point(alpha: float, eps: float) -> float:
 
 def _box(alpha: float, eps: float) -> float:
     """Where shooting at energies up to eps stops: _BOX_MARGIN past the
-    outer turning point, at most X_MAX."""
-    return min(X_MAX, _turning_point(alpha, eps) + _BOX_MARGIN)
+    outer turning point, past which a bound state only decays."""
+    return _turning_point(alpha, eps) + _BOX_MARGIN
 
 
-def _grid(alpha: float, x_max: float) -> np.ndarray:
-    """Shooting's grid from the Frobenius start x0 = max(_X0, _X0_SCALE
-    sqrt(beta + 1)), where the series converges farther out as beta grows,
-    to x_max: steps of _GRADE x until that reaches _H, then steps of _H."""
-    x0 = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
+def _grid(x0: float, x_max: float) -> np.ndarray:
+    """Shooting's grid from the Frobenius start x0 to x_max: steps of
+    _GRADE x until that reaches _H, then steps of _H."""
     graded = math.ceil(math.log(_H / (_GRADE * x0)) / math.log1p(_GRADE))
     x = x0 * (1.0 + _GRADE) ** np.arange(max(graded, 0) + 1)
     x = np.concatenate((x, x[-1] + _H * np.arange(1.0, math.ceil((x_max - x[-1]) / _H))))
@@ -270,7 +265,8 @@ def _magnus_count_nodes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step the batch on _grid out to x_max, counting sign changes of psi;
     also psi(x_max), the log of the factor each member was scaled down by
-    on the way, and the grid steps.
+    on the way, and the grid steps.  The series at the Frobenius start
+    x0 = max(_X0, _X0_SCALE sqrt(beta + 1)) is checked before _grid runs.
 
     y = (psi, psi') obeys y' = [[0, 1], [q, 0]] y, q = x^2 + alpha/x^2 -
     2 eps.  The 4th-order Magnus step (Iserles & Norsett 1999), q_1 and
@@ -278,16 +274,18 @@ def _magnus_count_nodes(
     sinh(kappa)/kappa Omega, Omega = [[d, h], [c, -d]] with d = sqrt(3)/12
     h^2 (q_1 - q_2), c = h (q_1 + q_2)/2 and Omega^2 = kappa^2 I = (d^2 +
     h c) I.  A member past _RENORM_LIMIT is scaled down; a state that is
-    not finite (a NaN, infinite or overflowing energy) raises NonConvergence.
+    not finite raises NonConvergence.
     """
-    x = _grid(alpha, x_max)
+    x0 = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
+    start = _frobenius_series(alpha, eps_arr, x0)
+    x = _grid(x0, x_max)
     h = np.diff(x)
     g = x[:-1, None] + h[:, None] * _GAUSS
     v = g * g + alpha / (g * g)
     d = math.sqrt(3.0) / 12.0 * h * h * (v[:, 0] - v[:, 1])
     hv = h * (v[:, 0] + v[:, 1]) / 2.0
     ys = np.empty((x.size, 2, eps_arr.size))  # the state after every step
-    ys[0] = _frobenius_series(alpha, eps_arr, x[0])
+    ys[0] = start
     log_scale = np.zeros(eps_arr.size)
     for k0 in range(0, h.size, _CHUNK):
         rows = slice(k0, k0 + _CHUNK)
@@ -345,16 +343,15 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     and the sign of psi(_box) is (-1)^count.  The scan pass integrates a
     lattice of energies _D_EPS apart from the well's bottom,
     max(0.25, sqrt(alpha)), up to 2 n_max + 2 above it (level n lies at
-    most 2n + 1.31 above it), but no higher than V(X_MAX), past which the
-    outer turning point leaves the box.  A level outside this one window
-    raises BracketError, as does a window of fewer than 8 energies, which
-    is not integrated; a well whose bottom alpha^(1/4) lies past X_MAX
-    has none.  Level n lies where the count first exceeds n; the degree-7
-    polynomial through the box-edge values of the 8 lattice energies
-    around it, solved by Newton, places it.  The confirming pass counts
-    nodes at each root -+ _EPS_TOL / 2: counts n and n + 1 make a
-    guaranteed bracket, anything else raises NonConvergence.  Each pass
-    integrates on _grid to _box of the top energy of its own batch.
+    most 2n + 1.31 above it).  A level outside this one window raises
+    BracketError, as does a window of fewer than 8 energies (where doubles
+    merge the lattice), which is not integrated.  Level n lies where the
+    count first exceeds n; the degree-7 polynomial through the box-edge
+    values of the 8 lattice energies around it, solved by Newton, places
+    it.  The confirming pass counts nodes at each root -+ _EPS_TOL / 2:
+    counts n and n + 1 make a guaranteed bracket, anything else raises
+    NonConvergence.  Each pass integrates on _grid to _box of the top
+    energy of its own batch; from alpha ~ 1e6 its start raises ParameterError.
     """
     t0 = time.perf_counter()
     admissible_beta(alpha)
@@ -362,12 +359,9 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     n_max = int(n_max)
     targets = np.arange(n_max + 1)
 
-    # one window from the well's bottom, as wide as the requested levels
-    # need, up to V(X_MAX), where the top energy's outer turning point
-    # reaches the box edge; a bottom past it, alpha^(1/4) > X_MAX, leaves none
+    # one window from the well's bottom, as wide as the requested levels need
     start = max(0.25, math.sqrt(max(alpha, 0.0)))
-    edge = X_MAX * X_MAX
-    top = min(start + 2.0 * n_max + 2.0, (edge + alpha / edge) / 2.0) if start <= edge else start
+    top = start + 2.0 * n_max + 2.0
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
     if eps.size < 8:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
@@ -391,7 +385,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
         raise NonConvergence(msg)
     levels = tuple(float(v) for v in roots)
     seconds = time.perf_counter() - t0
-    return OracleResult(levels, OracleMethod.SHOOTING, half, 2, steps + confirm, seconds=seconds)
+    return OracleResult(levels, OracleMethod.SHOOTING, half, steps + confirm, seconds=seconds)
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:

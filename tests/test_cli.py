@@ -575,6 +575,25 @@ class TestVerifyCommand:
         )
         assert captured.out == ""
 
+    @given(st.floats())
+    @settings(max_examples=100, deadline=None)
+    @example(8000.0)
+    @example(1e5)
+    @example(1e30)
+    def test_oracle_suite_at_any_alpha_reports_or_errs(self, alpha):
+        # a report that passes (exit 0) or fails (exit 1), or no report
+        # and one typed error line (exit 1, or 2 at alpha <= -1/4)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--suite", "oracle", f"--alpha={alpha!r}"])
+        text = out.getvalue()
+        if rc == 0 or (rc == 1 and text):
+            assert text.startswith("suite oracle: ") and err.getvalue() == ""
+            assert text.endswith("overall: PASS\n" if rc == 0 else "overall: FAIL\n")
+        else:
+            assert rc in (1, 2) and text == ""
+            assert re.fullmatch(r"singosc: error: \S[^\n]*\n", err.getvalue())
+
 
 class TestRadialCommand:
     def test_swave_matches_plain_spectrum(self, tmp_path):

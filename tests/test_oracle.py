@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singosc import oracle, spectrum
 from singosc.errors import (
@@ -13,6 +15,7 @@ from singosc.errors import (
     NonConvergence,
     ParameterError,
     ShapeMismatch,
+    SingOscError,
     SupercriticalError,
 )
 from singosc.model import Domain, admissible_beta
@@ -33,6 +36,26 @@ from singosc.oracle import (
 )
 from singosc.quad import X_MAX
 from singosc.spectrum import N_MAX, spectrum_table
+
+
+def record_passes(monkeypatch):
+    """The batch size of every pass shoot_spectrum integrates, in order."""
+    sizes = []
+    count_nodes = oracle._magnus_count_nodes
+
+    def spy(alpha, eps_arr, x_max):
+        sizes.append(eps_arr.size)
+        return count_nodes(alpha, eps_arr, x_max)
+
+    monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
+    return sizes
+
+
+def max_error_over_residual(alpha, n_max, res):
+    """Worst |level - closed form| of a shooting result over its residual
+    estimate; the closed form is the reference only, never a seed."""
+    want = np.array(spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels())
+    return np.max(np.abs(np.array(res.eigenvalues) - want)) / res.residual_estimate
 
 
 FD_ALPHAS = (-0.2499999, -0.24999975, -0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
@@ -214,12 +237,13 @@ class TestShooting:
     @pytest.mark.parametrize(
         "alpha", [-0.2499, -0.2, -0.1, -0.01, 0.0, 1e-4, 0.5, 2.0, 3.3, 7.5, 8.0]
     )
-    def test_two_passes_and_accuracy(self, alpha, n_max):
+    def test_two_passes_and_accuracy(self, alpha, n_max, monkeypatch):
         # one scan pass and one confirming pass
+        passes = record_passes(monkeypatch)
         res = shoot_spectrum(alpha, n_max)
         # the oracle's Frobenius start takes beta_plus, the branch 0 at alpha = 0
         t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
-        assert res.passes == 2
+        assert len(passes) == 2
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
         assert res.residual_estimate <= 1e-6 / 2
         assert res.steps > 0
@@ -231,8 +255,7 @@ class TestShooting:
         # with no step controller the fixed grid must leave margin: the
         # worst over 71 sweep inputs was 0.11 of the confirmed bracket
         res = shoot_spectrum(alpha, n_max)
-        want = np.array(spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels())
-        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= 0.6 * res.residual_estimate
+        assert max_error_over_residual(alpha, n_max, res) <= 0.6
 
     @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 7.9])
     def test_node_counts_bracket_each_level(self, alpha):
@@ -258,14 +281,7 @@ class TestShooting:
     def test_scan_integrates_a_coarse_lattice(self, monkeypatch):
         # the scan batch spans 2 n_max + 2 = 18 at _D_EPS = 0.1: 181
         # energies; the confirming batch is the 9 roots -+ _EPS_TOL / 2
-        sizes = []
-        count_nodes = oracle._magnus_count_nodes
-
-        def spy(alpha, eps_arr, x_max):
-            sizes.append(eps_arr.size)
-            return count_nodes(alpha, eps_arr, x_max)
-
-        monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
+        sizes = record_passes(monkeypatch)
         shoot_spectrum(2.0, 8)
         assert len(sizes) == 2
         assert sizes[0] <= 200 and sizes[1] == 18
@@ -285,43 +301,55 @@ class TestShooting:
         t = spectrum_table(400.0, 3, Domain.HALF_LINE)
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
 
-    def test_windows_below_the_well_bottom_are_skipped(self, monkeypatch):
-        # at alpha = 1e5 the well's bottom x = alpha^(1/4) = 17.8 lies past
-        # X_MAX: the window is empty and nothing is integrated
-        calls = []
-        monkeypatch.setattr(oracle, "_magnus_count_nodes", lambda *a: calls.append(a))
-        with pytest.raises(BracketError, match=r"levels \[0, 1, 2, 3\] in eps <= 316.2"):
-            shoot_spectrum(1e5, 3)
-        assert calls == []
+    @pytest.mark.parametrize(
+        "alpha, n_max", [(0.0, 30), (0.0, 35), (0.0, 72), (1e4, 3), (1e5, 3), (15231.232, 0)]
+    )
+    def test_levels_past_the_gram_box_lie_within_the_residual_estimate(self, alpha, n_max):
+        # each pass integrates to its own top energy's turning point plus 3,
+        # past quad.X_MAX = 12: eps_72 = 145.5 turns at 17.1, and at
+        # alpha = 1e5 the well's bottom alpha^(1/4) = 17.8 lies past it
+        res = shoot_spectrum(alpha, n_max)
+        assert _box(alpha, max(res.eigenvalues)) > X_MAX
+        assert max_error_over_residual(alpha, n_max, res) <= 1.0
 
-    def test_scan_stops_at_the_potential_at_x_max(self):
-        # the scan gives up at V(X_MAX) = 72, below eps_72 = 145.5
-        with pytest.raises(BracketError, match="eps <= 72$"):
-            shoot_spectrum(0.0, 72)
+    @given(st.floats(-0.25, 3e5, exclude_min=True), st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    @example(3e5, 8)
+    def test_levels_lie_within_the_residual_estimate_or_raise(self, alpha, n_max):
+        try:
+            res = shoot_spectrum(alpha, n_max)
+        except SingOscError:
+            return
+        assert max_error_over_residual(alpha, n_max, res) <= 1.0
+
+    @pytest.mark.parametrize("alpha", [2e6, 1e20, 1e30])
+    def test_huge_alpha_fails_the_series_before_any_grid(self, alpha, monkeypatch):
+        # x0 = 0.05 sqrt(beta + 1) lies too far out for the 12-term series;
+        # the check runs before a grid out to the turning point is built
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(oracle, "_grid", no_grid)
+        with pytest.raises(ParameterError, match="Frobenius series"):
+            shoot_spectrum(alpha, 3)
 
     @pytest.mark.parametrize("alpha, n_max", [(8.8, 3), (50.0, 3), (1000.0, 8)])
-    def test_one_window_at_large_alpha(self, alpha, n_max):
+    def test_one_window_at_large_alpha(self, alpha, n_max, monkeypatch):
         # the window reaches 2 n_max + 2 past the well's bottom, which
         # clears level n_max by at least 0.69: no pass is repeated
+        passes = record_passes(monkeypatch)
         res = shoot_spectrum(alpha, n_max)
         t = spectrum_table(alpha, n_max, Domain.HALF_LINE)
-        assert res.passes == 2
+        assert len(passes) == 2
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), rel=1e-6)
 
-    def test_levels_whose_turning_point_leaves_the_box_raise(self):
-        # eps_36 = 73.5 turns at x = 12.1 > X_MAX; a box clamped at X_MAX
-        # would place it 7.7e-3 off with a residual estimate of 5e-7
-        with pytest.raises(BracketError, match=r"levels \[36\] in eps <= 72$"):
-            shoot_spectrum(0.0, 36)
-
-    @pytest.mark.parametrize("alpha", [20000.0, 20736.0])
-    def test_window_of_fewer_than_eight_energies_is_not_integrated(self, alpha, monkeypatch):
-        # V(X_MAX) - sqrt(alpha) = (X_MAX^2 - sqrt(alpha))^2 / (2 X_MAX^2)
-        # is 0.023 and 0: too narrow for one 8-energy stencil
+    def test_window_of_fewer_than_eight_energies_is_not_integrated(self, monkeypatch):
+        # from the well's bottom sqrt(alpha) = 1e17 on, doubles lie 16 apart:
+        # the window's top 1e17 + 2 rounds to its bottom, one energy
         calls = []
         monkeypatch.setattr(oracle, "_magnus_count_nodes", lambda *a: calls.append(a))
         with pytest.raises(BracketError, match=r"levels \[0\]"):
-            shoot_spectrum(alpha, 0)
+            shoot_spectrum(1e34, 0)
         assert calls == []
 
 
@@ -351,11 +379,23 @@ class TestNodeCounts:
         np.testing.assert_array_equal(counts_r, counts)
         np.testing.assert_allclose(psi_r * np.exp(log_scale_r), psi, rtol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
     def test_nonfinite_energy_raises(self, eps):
+        # the series check at the start turns the energy away, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="Frobenius series"):
+                _magnus_count_nodes(2.0, np.array([1.0, eps]), 9.0)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_nonfinite_state_raises(self, monkeypatch):
+        # every start the series check passes keeps the state finite; one
+        # that is not finite still stops the pass at the state check
+        monkeypatch.setattr(
+            oracle, "_frobenius_series", lambda alpha, eps_arr, x0: np.full((2, eps_arr.size), np.inf)
+        )
         with pytest.raises(NonConvergence, match="not finite"):
-            _magnus_count_nodes(2.0, np.array([eps]), _box(2.0, eps))
+            _magnus_count_nodes(2.0, np.array([1.0, 3.0]), _box(2.0, 3.0))
 
     def test_box_stops_before_x_max(self):
         # at alpha = 2 the top energy 20 turns at x = 6.3; the pass to 9.3
@@ -370,14 +410,16 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("alpha, x_max", [(2.0, 9.3), (0.0, X_MAX), (1000.0, 5.0)])
     def test_grid_is_graded_then_uniform(self, alpha, x_max):
-        x = _grid(alpha, x_max)
+        x0 = max(oracle._X0, oracle._X0_SCALE * math.sqrt(admissible_beta(alpha) + 1))
+        x = _grid(x0, x_max)
         h = np.diff(x)
-        assert x[0] == max(oracle._X0, oracle._X0_SCALE * math.sqrt(admissible_beta(alpha) + 1))
+        assert x[0] == x0
         assert x[-1] == x_max and np.all(h > 0)
         np.testing.assert_allclose(h[:-1], np.minimum(oracle._GRADE * x[:-2], oracle._H), rtol=1e-9)
 
-    def test_box_never_passes_x_max(self):
-        assert _box(0.0, 144.0) == X_MAX
+    def test_box_is_the_turning_point_plus_the_margin(self):
+        # with no cap: eps = 144 turns at sqrt(288) = 17.0, past quad.X_MAX
+        assert _box(0.0, 144.0) == math.sqrt(288.0) + 3.0
         # below the well's bottom, eps < sqrt(alpha), the inner root counts as 0
         assert _box(400.0, 10.0) == pytest.approx(math.sqrt(10.0) + 3.0)
 

@@ -74,7 +74,7 @@ class TestOracleSweep:
         assert float(fields[0]) == 0.5
         assert float(fields[2]) < 1e-4  # shooting error
         assert float(fields[3]) < 5e-3  # finite-difference error
-        assert int(fields[-1]) == 2  # shooting passes: one scan, one confirmation
+        assert int(fields[-1]) == sweep.shoot_spectrum(0.5, 1).steps  # over both passes
 
     def test_scipy_loaded_before_the_timed_loop(self):
         # an import inside the first `fd s` timing would charge it to one
