@@ -343,13 +343,15 @@ class TestShooting:
         assert len(passes) == 2
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), rel=1e-6)
 
-    def test_window_of_fewer_than_eight_energies_is_not_integrated(self, monkeypatch):
-        # from the well's bottom sqrt(alpha) = 1e17 on, doubles lie 16 apart:
-        # the window's top 1e17 + 2 rounds to its bottom, one energy
+    @pytest.mark.parametrize("alpha", [20000.0, 20736.0])
+    def test_window_of_fewer_than_eight_energies_is_not_integrated(self, alpha, monkeypatch):
+        # the well's bottom sqrt(alpha * 1e30) lies in [2^56, 2^57), where
+        # doubles are 16 apart: the window's top, 2 above it, rounds to it,
+        # leaving one energy
         calls = []
         monkeypatch.setattr(oracle, "_magnus_count_nodes", lambda *a: calls.append(a))
         with pytest.raises(BracketError, match=r"levels \[0\]"):
-            shoot_spectrum(1e34, 0)
+            shoot_spectrum(alpha * 1e30, 0)
         assert calls == []
 
 
