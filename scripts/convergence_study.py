@@ -9,8 +9,9 @@ tabulates the step-extrapolated ground level of the grid at each s_min,
 its error against the closed-form energy and the local slope
 ln(err_1 / err_2) / (s_1 - s_2) between neighbouring rows (about 2 near
 alpha = -1/4, until the step error of about 1e-8 takes over), then the
-level of the one grid fd_eigen uses.  This is the calibration behind
-its inner end.
+level fd_eigen returns from s_min = _S_MIN.  This is the calibration
+behind its inner end; the outer end and the step follow the window of
+the requested levels, as shooting's box does.
 
 Usage: python scripts/convergence_study.py [--alpha -0.2] [--s-min -3 -4 ...]
 """

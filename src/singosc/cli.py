@@ -159,8 +159,13 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         even, odd = fullline_states(args.alpha, args.n)
         state = even if want is Parity.EVEN else odd
     xi = _xi_grid(args, domain)
-    psi = state.psi(xi)
-    columns = {"xi": xi.tolist(), "psi": psi.tolist(), "rho": (psi * psi).tolist()}
+    with np.errstate(all="ignore"):  # a cell that is not finite raises below
+        psi = state.psi(xi)
+        rho = psi * psi
+    bad = ~np.isfinite(rho)  # wherever psi is not finite, nor is rho
+    if bad.any():
+        raise SingOscError(f"psi is not finite at xi = {xi[bad][0]:.6g}: a factor of it overflows")
+    columns = {"xi": xi.tolist(), "psi": psi.tolist(), "rho": rho.tolist()}
     if _has_units(args):
         columns["x"] = (xi * _spec_from(args, args.alpha).length_scale).tolist()
     emit_rows(

@@ -47,7 +47,8 @@ class DomainMismatch(SingOscError):
 
 class ConvergenceError(SingOscError):
     """A finite-difference level cannot be trusted: Sturm bisection failed,
-    the residual estimate reaches a level, or the box truncates the top level."""
+    the residual estimate reaches a level, or the top level lies above the
+    window whose box the grid ends at."""
 
 
 class BracketError(SingOscError):

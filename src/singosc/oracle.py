@@ -1,19 +1,19 @@
 """Independent numerical eigenvalue oracles.
 
 Two routes that share nothing with the closed-form solution beyond the
-local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Finite
-differences truncate the half-line at x = X_MAX = 12, the box quad
-integrates bound states over; shooting stops a few decay lengths past
-the outer turning point of its own top energy, wherever that lies.
+local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Both
+take one window of energies the requested levels lie in (_window) and
+stop a few decay lengths past the outer turning point of its top (_box).
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
 mu e^(2s) u.  Near x = 0 the regular solution is u ~ e^(nu s), so the
 inner end s_min = _S_MIN carries the Frobenius condition u' = nu u, which
-moves the levels by about e^(2 s_min) relative (less as nu grows); one
-grid from s_min to ln X_MAX with a step of about _H_LOG then serves every
-alpha.  Scaled by the square root of the mass weights on both sides this
-is a graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
+moves the levels by about e^(2 s_min) relative (less as nu grows).  The
+grid runs to ln _box in steps of min(_H_LOG, _PHASE / kappa), where kappa
+= sqrt(top^2 - nu^2) is the top's largest wavenumber in s (Pryce 1993).
+Scaled by the square root of the mass weights on both sides this is a
+graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
 explicit absolute tolerance (bisection is accurate on graded matrices,
 Barlow & Demmel 1990; its default tolerance, eps |T|, is not); Richardson
 extrapolation in the step removes the h^2 error.
@@ -26,13 +26,11 @@ changes of psi and keeps psi at the pass's end, the box-edge value: on
 the series' common normalization it is analytic in the energy and
 vanishes at the box levels (a miss-distance function, Pryce 1993).  One
 scan pass over a lattice _D_EPS apart brackets every level by the node
-count, which is monotone in the energy, in one window from the well's
-bottom up to 2 n_max + 2 above it; the degree-7 polynomial through the
-box-edge values of 8 neighbouring energies, solved by Newton, places each
-level, and one confirming pass of the node count at the root -+
-_EPS_TOL / 2 turns it into a guaranteed bracket.  Each pass integrates
-to _box of the top energy in its batch, the outer turning point sqrt(eps
-+ sqrt(eps^2 - alpha)) plus _BOX_MARGIN: past it a bound state only decays.
+count, which is monotone in the energy, over the window; the degree-7
+polynomial through the box-edge values of 8 neighbouring energies,
+solved by Newton, places each level, and one confirming pass of the node
+count at the root -+ _EPS_TOL / 2 turns it into a guaranteed bracket.
+Each pass integrates to _box of the top energy in its batch.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -50,15 +48,13 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
 from .model import Domain, admissible_beta
-from .quad import X_MAX
 from .spectrum import SpectrumTable, _check_n
 
-# X_MAX is the outer box of finite differences.  Shooting's Frobenius
-# start point floor and its scale in sqrt(beta + 1), terms, and the
-# relative size the series' last term may reach:
+# Shooting's Frobenius start point floor and its scale in sqrt(beta + 1),
+# terms, and the relative size the series' last term may reach:
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
-# distance past the outer turning point that shooting integrates to: 3
-# keeps the levels of the box within about 2e-7 relative (1.7 gave 2.6e-7)
+# distance past the outer turning point that both oracles integrate to: 3
+# keeps the shooting levels within about 2e-7 relative (1.7 gave 2.6e-7)
 _BOX_MARGIN = 3.0
 _RENORM_LIMIT = 1e100
 # shooting's grid: steps of _GRADE x near the origin, _H from x = _H /
@@ -77,10 +73,11 @@ _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # as fractions of a
 _D_EPS, _EPS_TOL, _NEWTON_STEPS = 0.1, 1e-6, 8
 # the monomial coefficients of the polynomial through values at t = 0 .. 7
 _POLYNOMIAL = np.linalg.inv(np.vander(np.arange(8.0), increasing=True))
-# finite differences: the step in s = ln x; the absolute bisection
-# tolerance; the inner end of the log grid (scripts/convergence_study.py
-# tabulates the levels against it)
-_H_LOG, _STEBZ_TOL, _S_MIN = 0.02, 1e-13, -15.0
+# finite differences: the longest step in s = ln x, the radians of the
+# top level's oscillation a step may span, the absolute bisection tolerance,
+# the inner end of the log grid (scripts/convergence_study.py tabulates the
+# levels against it) and the most rows of the fine grid
+_H_LOG, _PHASE, _STEBZ_TOL, _S_MIN, _MAX_ROWS = 0.02, 0.42, 1e-13, -15.0, 30_000
 
 
 class OracleMethod(enum.Enum):
@@ -111,17 +108,17 @@ class CompareReport:
     note: str = ""
 
 
-def _fd_eigenvalues(alpha: float, s_min: float, n: int, k: int) -> np.ndarray:
+def _fd_eigenvalues(alpha: float, s_min: float, s_max: float, n: int, k: int) -> np.ndarray:
     # scipy.linalg loads here, not at import: the analytic CLI never needs it
     import scipy.linalg
 
-    # nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at ln X_MAX;
+    # nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at s_max;
     # the Frobenius condition u' = nu u at s_0 gives the ghost node
     # u_-1 = u_1 - 2 h nu u_0, and halving row 0 keeps the matrix
     # symmetric; -u'' + (nu^2 + e^4s) u = mu e^2s u is then scaled by the
     # inverse square root of the mass weights (1/2, 1, ..., 1) e^2s
     nu = admissible_beta(alpha) + 0.5
-    h = (math.log(X_MAX) - s_min) / (n + 1)
+    h = (s_max - s_min) / (n + 1)
     s = s_min + h * np.arange(n + 1)
     diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
     diag[0] += 2.0 * nu / h * math.exp(-2.0 * s_min)
@@ -136,42 +133,50 @@ def _fd_eigenvalues(alpha: float, s_min: float, n: int, k: int) -> np.ndarray:
     return mu / 2.0
 
 
-def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, int]:
-    """Levels of the log grid from s_min to ln X_MAX with a step of about
-    _H_LOG and of the grid of twice its step, combined to cancel the h^2
+def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, int, float]:
+    """Levels of the log grid from s_min to ln _box(top) of the k levels'
+    window and of the grid of twice its step, combined to cancel the h^2
     error; the residual estimate, the fine grid's error (which bounds the
-    combination's) plus 3 e^(2 s_min) max|eps| for the inner end; rows.
-    Raises ParameterError unless 1 <= k <= the coarse grid's rows."""
-    n = math.ceil((math.log(X_MAX) - s_min) / _H_LOG)
+    combination's) plus 3 e^(2 s_min) max|eps| for the inner end; rows; top.
+    ParameterError unless k is an integer >= 1, the window's top passes nu
+    and the grid fits _MAX_ROWS."""
+    admissible_beta(alpha)
+    if not 1 <= k <= _MAX_ROWS or k != int(k):  # also catches a NaN k
+        raise ParameterError(f"k must be an integer in [1, {_MAX_ROWS}], got {k}")
+    top = _window(alpha, int(k) - 1)[1]
+    s_max = math.log(_box(alpha, top))
+    kappa = math.sqrt(max(top * top - alpha - 0.25, 0.0))
+    if not kappa > 0:  # from alpha ~ 1e32, where doubles merge the window's ends
+        raise ParameterError(f"the window of {k} levels at alpha = {alpha:g} ends below nu")
+    n = (s_max - s_min) * max(1.0 / _H_LOG, kappa / _PHASE)
+    if not n + 1 <= _MAX_ROWS:
+        raise ParameterError(f"{k} levels at alpha = {alpha:g} need over {_MAX_ROWS} grid rows")
+    n = math.ceil(n)
     m = (n + 1) // 2 - 1
-    if not 1 <= k <= m + 1 or k != int(k):  # also catches a NaN k
-        raise ParameterError(f"k must be an integer in [1, {m + 1}], got {k}")
-    fine = _fd_eigenvalues(alpha, s_min, n, int(k))
-    shift = (fine - _fd_eigenvalues(alpha, s_min, m, int(k))) / (((n + 1) / (m + 1)) ** 2 - 1)
+    fine, coarse = (_fd_eigenvalues(alpha, s_min, s_max, j, int(k)) for j in (n, m))
+    shift = (fine - coarse) / (((n + 1) / (m + 1)) ** 2 - 1)
     levels = fine + shift
     inner = 3.0 * math.exp(2.0 * s_min) * float(np.max(np.abs(levels)))
-    return levels, float(np.max(np.abs(shift))) + inner, n + m + 2
+    return levels, float(np.max(np.abs(shift))) + inner, n + m + 2, top
 
 
-def _fd_result(levels: np.ndarray, residual: float, rows: int) -> OracleResult:
+def _fd_result(levels: np.ndarray, residual: float, rows: int, top: float) -> OracleResult:
     if not residual < np.min(np.abs(levels)):  # also catches a NaN residual
         raise ConvergenceError(f"finite-difference residual {residual:.3g} exceeds a level")
+    if not np.max(levels) <= top:  # the box, built for the window, truncates it
+        raise ConvergenceError(f"finite-difference level {np.max(levels):.6g} lies above {top:.6g}")
     levels = tuple(float(v) for v in levels)
     return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, residual, rows=rows)
 
 
 def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
-    """Lowest k eigenvalues by finite differences on the one log grid from
-    s_min = _S_MIN to the box edge, with the Frobenius condition at s_min:
-    the same grid for every alpha.  The residual estimate bounds the
-    error (_richardson); ConvergenceError when it reaches a level, or when
-    the top level turns past X_MAX, where the box truncates it unseen.
-    """
+    """Lowest k eigenvalues by finite differences on the log grid from
+    s_min = _S_MIN, with the Frobenius condition there, to _box of their
+    _window.  The residual estimate bounds the error (_richardson);
+    ConvergenceError when it reaches a level or the top level lies above
+    the window, where the box truncates it."""
     t0 = time.perf_counter()
     res = _fd_result(*_richardson(alpha, _S_MIN, k))
-    top = max(res.eigenvalues)
-    if not _turning_point(alpha, top) <= X_MAX:
-        raise ConvergenceError(f"finite-difference level {top:.6g} turns past X_MAX = {X_MAX:g}")
     return replace(res, seconds=time.perf_counter() - t0)
 
 
@@ -219,17 +224,19 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
     return float(psi), float(dpsi)
 
 
-def _turning_point(alpha: float, eps: float) -> float:
-    """Outer turning point sqrt(eps + sqrt(eps^2 - alpha)) of x^2/2 + alpha/(2 x^2).
-    Below the well's bottom, eps < sqrt(alpha), the inner root counts as 0."""
-    turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
-    return math.sqrt(max(turn, 0.0))
+def _window(alpha: float, n_max: int) -> tuple[float, float]:
+    """Energies from the well's bottom, max(0.25, sqrt(alpha)), to 2 n_max +
+    2 above it: level n lies at most 2n + 1.31 above it."""
+    start = max(0.25, math.sqrt(max(alpha, 0.0)))
+    return start, start + 2.0 * n_max + 2.0
 
 
 def _box(alpha: float, eps: float) -> float:
-    """Where shooting at energies up to eps stops: _BOX_MARGIN past the
-    outer turning point, past which a bound state only decays."""
-    return _turning_point(alpha, eps) + _BOX_MARGIN
+    """Where both oracles stop for levels up to eps: _BOX_MARGIN past the outer
+    turning point sqrt(eps + sqrt(eps^2 - alpha)), past which a bound state
+    only decays (below the well's bottom the inner root counts as 0)."""
+    turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
+    return math.sqrt(max(turn, 0.0)) + _BOX_MARGIN
 
 
 def _grid(x0: float, x_max: float) -> np.ndarray:
@@ -284,8 +291,9 @@ def _magnus_count_nodes(
     v = g * g + alpha / (g * g)
     d = math.sqrt(3.0) / 12.0 * h * h * (v[:, 0] - v[:, 1])
     hv = h * (v[:, 0] + v[:, 1]) / 2.0
-    ys = np.empty((x.size, 2, eps_arr.size))  # the state after every step
+    ys = np.empty((_CHUNK + 1, 2, eps_arr.size))  # a chunk's states, after the one it starts from
     ys[0] = start
+    counts = np.zeros(eps_arr.size, dtype=np.intp)
     log_scale = np.zeros(eps_arr.size)
     for k0 in range(0, h.size, _CHUNK):
         rows = slice(k0, k0 + _CHUNK)
@@ -294,19 +302,20 @@ def _magnus_count_nodes(
             cosh, sinhc = _cosh_sinhc(c * h[rows, None] + (d[rows] ** 2)[:, None])
         sd = sinhc * d[rows, None]
         prop = np.stack((cosh + sd, sinhc * h[rows, None], sinhc * c, cosh - sd), axis=1)
-        for k, step in enumerate(prop.reshape(-1, 2, 2, c.shape[1]), k0 + 1):
+        for k, step in enumerate(prop.reshape(-1, 2, 2, c.shape[1]), 1):
             y = np.einsum("ijm,jm->im", step, ys[k - 1], out=ys[k])
             # the sum of squares is a cheap bound on every member's peak
             if not np.vdot(y, y) <= _RENORM_LIMIT**2:
                 if not np.all(np.isfinite(y)):
-                    raise NonConvergence(f"integrator state is not finite at x = {x[k]:.6g}")
+                    raise NonConvergence(f"integrator state is not finite at x = {x[k0 + k]:.6g}")
                 mag = np.abs(y).max(axis=0)
                 big = mag > _RENORM_LIMIT
                 y *= np.where(big, 1.0 / mag, 1.0)
                 log_scale += np.where(big, np.log(mag), 0.0)
-    sign = np.signbit(ys[:, 0])
-    counts = np.count_nonzero(sign[1:] != sign[:-1], axis=0)
-    return counts, ys[-1, 0].copy(), log_scale, h.size
+        sign = np.signbit(ys[: k + 1, 0])
+        counts += np.count_nonzero(sign[1:] != sign[:-1], axis=0)
+        ys[0] = ys[k]
+    return counts, ys[0, 0].copy(), log_scale, h.size
 
 
 def _polynomial_roots(
@@ -341,9 +350,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     The total sign-change count along [x0, _box] (including the tail flip
     of the growing contamination) is the number of eigenvalues below eps,
     and the sign of psi(_box) is (-1)^count.  The scan pass integrates a
-    lattice of energies _D_EPS apart from the well's bottom,
-    max(0.25, sqrt(alpha)), up to 2 n_max + 2 above it (level n lies at
-    most 2n + 1.31 above it).  A level outside this one window raises
+    lattice of energies _D_EPS apart over _window.  A level outside it raises
     BracketError, as does a window of fewer than 8 energies (where doubles
     merge the lattice), which is not integrated.  Level n lies where the
     count first exceeds n; the degree-7 polynomial through the box-edge
@@ -359,9 +366,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     n_max = int(n_max)
     targets = np.arange(n_max + 1)
 
-    # one window from the well's bottom, as wide as the requested levels need
-    start = max(0.25, math.sqrt(max(alpha, 0.0)))
-    top = start + 2.0 * n_max + 2.0
+    start, top = _window(alpha, n_max)
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
     if eps.size < 8:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")

@@ -15,9 +15,10 @@ Overlaps and matrix elements <psi_i|w|psi_j> of bound states, with w
 an even multiplication operator such as 1/(2 x^2), integrate to
 X_MAX = 12 (natural units), where the e^(-x^2) tails of the low states
 are below 1e-62.  They use one fixed composite Gauss-Legendre rule on
-[0, X_MAX] instead of QUADPACK.  Toward the origin the panels are
-geometric, [r^(k+1), r^k] with r = 0.15 below x = 1 (the innermost one
-reaching 0), which resolves the endpoint power x^(2 beta + 2) of
+[0, X_MAX] instead of QUADPACK; X_MAX is this rule's box only, the
+oracles take theirs from their own levels.  Toward the origin the panels
+are geometric, [r^(k+1), r^k] with r = 0.15 below x = 1 (the innermost
+one reaching 0), which resolves the endpoint power x^(2 beta + 2) of
 psi1 psi2 (x^(2 beta) with w = 1/x^2) at an exponential rate (hp
 grading, Schwab, p- and hp-Finite Element Methods, 1998); from 1 to
 X_MAX they are 0.5 wide.  Each panel carries 20 points, and a 10-point
@@ -47,8 +48,8 @@ from .model import Domain, Parity
 if TYPE_CHECKING:
     from .spectrum import EigenState
 
-# Outer end of bound-state integrals (natural units), shared with the
-# finite-difference box of the oracles.
+# Outer end of the Gram rule's bound-state integrals (natural units); the
+# oracles take their boxes from their own levels.
 X_MAX = 12.0
 # QUADPACK's absolute and relative tolerance, and its subinterval budget
 _QUAD_TOL, _QUAD_LIMIT = 1e-10, 200

@@ -133,13 +133,17 @@ def hermite(n: int, xi):
     """Hermite polynomial H_n(xi) via H_{j+1} = 2 xi H_j - 2 j H_{j-1}.
 
     One array expression for any xi; a 0-d xi gives a Python float.
-    Satisfies H_n(-xi) = (-1)^n H_n(xi).
+    Satisfies H_n(-xi) = (-1)^n H_n(xi).  Raises ParameterError where a
+    value is not finite: the recurrence overflows, or xi is not finite.
     """
     n = _check_degree(n)
     xi = np.asarray(xi, dtype=float)
     if n == 0:
         return 1.0 if xi.ndim == 0 else np.ones_like(xi)
-    prev, cur = 1.0, 2.0 * xi
-    for j in range(1, n):
-        prev, cur = cur, 2.0 * xi * cur - 2.0 * j * prev
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        prev, cur = 1.0, 2.0 * xi
+        for j in range(1, n):
+            prev, cur = cur, 2.0 * xi * cur - 2.0 * j * prev
+    if not np.all(np.isfinite(cur)):
+        raise ParameterError(f"H_{n}(xi) is not finite: xi is not, or the recurrence overflows")
     return float(cur) if cur.ndim == 0 else cur

@@ -243,8 +243,9 @@ _ARGV = st.one_of(
         st.integers(1, 4), _count(30, MAX_POINTS),
     ),
     st.builds(
-        lambda points: ["wavefunction", "--alpha", "1", "--xi-points", str(points)],
-        _count(60, MAX_POINTS),
+        lambda alpha, xi_max, points: ["wavefunction", f"--alpha={alpha!r}",
+                                       f"--xi-max={xi_max!r}", "--xi-points", str(points)],
+        st.floats(-1.0, 1e6), st.floats(-1.0, 1e200), _count(60, MAX_POINTS),
     ),
 )
 
@@ -258,6 +259,9 @@ class TestInputDomain:
     @example(["spectrum", "--alpha=1e308", "--n-max", "3", "--domain", "full"])
     @example(["spectrum", "--alpha=3e32", "--n-max", "3", "--domain", "half"])
     @example(["spectrum", "--alpha=3e32", "--n-max", "3", "--domain", "full"])
+    # psi is NaN at xi = 10 .. 40, where x^(beta+1) overflows, and far out
+    @example(["wavefunction", "--alpha=1000000.0", "--xi-max=40.0", "--xi-points", "5"])
+    @example(["wavefunction", "--alpha=1.0", "--xi-max=1e200", "--xi-points", "3"])
     def test_finite_output_or_typed_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -381,6 +385,20 @@ class TestWavefunctionCommand:
     def test_bad_grid_is_exit_1(self, capsys):
         rc = main(["wavefunction", "--alpha", "0.5", "--xi-min", "2", "--xi-max", "1"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv, xi",
+        [("--alpha 1e6 --xi-points 5 --xi-max 40", "10"),
+         ("--alpha 1 --xi-points 3 --xi-max 1e200", "5e+199")],
+    )
+    def test_psi_that_is_not_finite_is_exit_1(self, argv, xi, capsys):
+        # x^(beta+1) overflows before e^(-x^2/2) brings it back: no NaN row
+        # is printed, and no numpy warning
+        assert main(["wavefunction", *argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = f"singosc: error: psi is not finite at xi = {xi}: a factor of it overflows\n"
+        assert captured.err == want
 
     @pytest.mark.parametrize(
         "grid",
@@ -522,6 +540,22 @@ class TestVerifyCommand:
         assert [line.split(":")[0] for line in lines[1:3]] == [
             "  PASS shooting alpha=0.0", "  PASS finite-difference alpha=0.0"
         ]
+
+    @pytest.mark.parametrize("alpha", ["1e4", "1e5"])
+    def test_oracle_suite_passes_past_the_gram_box(self, alpha, capsys):
+        # both oracles take their box from their own window: past
+        # quad.X_MAX = 12, where finite differences failed before
+        assert main(["verify", "--suite", "oracle", "--alpha", alpha]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:3]] == ["PASS", "PASS"]
+        assert lines[-1] == "overall: PASS"
+
+    def test_oracle_suite_at_huge_alpha_exits_1(self, capsys):
+        # shooting's Frobenius series does not converge at x0 = 1.6e6
+        assert main(["verify", "--suite", "oracle", "--alpha", "1e30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"singosc: error: [^\n]*Frobenius series[^\n]*\n", captured.err)
 
     def test_degeneracy_suite_text(self, capsys):
         rc = main(["verify", "--suite", "degeneracy"])

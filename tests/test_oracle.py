@@ -1,6 +1,7 @@
 """Independent eigenvalue routes: finite differences, shooting, node counts."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,8 +53,8 @@ def record_passes(monkeypatch):
 
 
 def max_error_over_residual(alpha, n_max, res):
-    """Worst |level - closed form| of a shooting result over its residual
-    estimate; the closed form is the reference only, never a seed."""
+    """Worst |level - closed form| of an oracle's levels 0 .. n_max over its
+    residual estimate; the closed form is the reference only, never a seed."""
     want = np.array(spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels())
     return np.max(np.abs(np.array(res.eigenvalues) - want)) / res.residual_estimate
 
@@ -86,24 +87,72 @@ class TestFiniteDifference:
         with pytest.raises(SupercriticalError):
             fd_eigen(-0.3, k=1)
 
-    @pytest.mark.parametrize("alpha, k", [(1e5, 2), (2e4, 1), (1e6, 2)])
-    def test_levels_the_box_truncates_raise(self, alpha, k):
-        # the top level turns past X_MAX: the box pushes it up (441.7 and
-        # 455.8 for 317.2 and 319.2 at alpha = 1e5) by more than the residual
-        with pytest.raises(ConvergenceError, match="turns past X_MAX"):
+    @pytest.mark.parametrize("alpha, k", [(1e5, 2), (2e4, 1), (1e6, 2), (2.0, 5)])
+    def test_top_level_above_the_window_raises(self, alpha, k, monkeypatch):
+        # a window 1.5 lower: level n_max, at least 2 n_max + 0.75 above its
+        # bottom, lies above its top, and the box truncates it
+        window = oracle._window
+
+        def lowered(alpha, n_max):
+            start, top = window(alpha, n_max)
+            return start, top - 1.5
+
+        monkeypatch.setattr(oracle, "_window", lowered)
+        with pytest.raises(ConvergenceError, match="lies above"):
             fd_eigen(alpha, k)
 
     def test_levels_inside_the_box_return(self):
         # eps_7 = 46.6 at alpha = 1000 turns at x = 9.0
         res = fd_eigen(1000.0, 8)
-        want = np.array(spectrum_table(1000.0, 7, Domain.HALF_LINE).distinct_levels())
-        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
+        assert max_error_over_residual(1000.0, 7, res) <= 1.0
 
-    def test_unresolved_grid_raises(self):
-        # the one grid's step near x = 12 (0.24 in x) cannot hold 30
-        # levels: the step error passes the levels
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(1.2e4, 1), (1.5e4, 1), (1e4, 4), (1e5, 4), (1e6, 4), (0.0, 30), (45.96, 41)],
+    )
+    def test_levels_past_the_gram_box_lie_within_the_residual_estimate(self, alpha, k):
+        # the box follows the window's top, past quad.X_MAX = 12, and the
+        # step follows its wavenumber: at alpha = 1.5e4 the box at 12 left
+        # the ground level 27 residuals high, and at k = 41 a step of 0.02
+        # left a residual above the levels
+        res = fd_eigen(alpha, k)
+        assert _box(alpha, max(res.eigenvalues)) > X_MAX
+        assert max_error_over_residual(alpha, k - 1, res) <= 0.1
+
+    @given(st.floats(-0.25, 1e6, exclude_min=True), st.integers(1, 20))
+    @settings(max_examples=15, deadline=None)  # 600 random draws kept within 0.024
+    @example(1e6, 20)
+    @example(-0.2499999, 20)
+    def test_levels_lie_within_the_residual_estimate_or_raise(self, alpha, k):
+        try:
+            res = fd_eigen(alpha, k)
+        except SingOscError:
+            return
+        assert max_error_over_residual(alpha, k - 1, res) <= 1.0
+
+    def test_residual_past_a_level_raises(self):
+        # the inner end at x = 1: its term 3 e^(2 s_min) max|eps| passes the
+        # ground level
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            fd_eigen(-0.2, k=30)
+            _fd_result(*_richardson(2.0, 0.0, 3))
+
+    def test_step_follows_the_top_levels_wavenumber(self, monkeypatch):
+        # the sweep's windows (kappa <= 21) keep the step _H_LOG; at k = 41
+        # no step spans more than _PHASE radians of the top level
+        steps = []
+        solve = oracle._fd_eigenvalues
+
+        def spy(alpha, s_min, s_max, n, k):
+            steps.append((s_max - s_min) / (n + 1))
+            return solve(alpha, s_min, s_max, n, k)
+
+        monkeypatch.setattr(oracle, "_fd_eigenvalues", spy)
+        fd_eigen(2.0, 9)
+        assert 0.99 * oracle._H_LOG < steps[0] <= oracle._H_LOG
+        steps.clear()
+        fd_eigen(2.0, 41)
+        top = oracle._window(2.0, 40)[1]
+        assert steps[0] * math.sqrt(top**2 - 2.25) <= oracle._PHASE
 
     @pytest.mark.parametrize("k", [1, 5, 9])
     @pytest.mark.parametrize("e0", [1e-1, 1e-2, 1e-3, 1e-4])
@@ -132,9 +181,6 @@ class TestFdSpectrum:
         assert np.max(err) <= res.residual_estimate
         assert res.rows <= 1_500
         assert res.seconds > 0
-
-    def test_one_grid_for_every_alpha(self):
-        assert len({fd_eigen(alpha, k).rows for alpha in FD_ALPHAS for k in (1, 9)}) == 1
 
     def test_oracles_do_not_call_the_closed_form(self, monkeypatch):
         want = {a: spectrum_table(a, 2, Domain.HALF_LINE).distinct_levels() for a in (-0.2, 2.0)}
@@ -176,9 +222,40 @@ class TestLevelCounts:
 
     @pytest.mark.parametrize("k", [0, 2.5, 5000, math.nan])
     def test_fd_k(self, k):
-        # the coarse grid of the Richardson pair holds 438 levels
+        # k = 5000 needs a fine grid of about 476 000 rows, past _MAX_ROWS
         with pytest.raises(ParameterError):
             fd_eigen(2.0, k)
+
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(2.0, 5000), (2.0, 10**20), (2.0, math.inf), (1e12, 1), (1e34, 1), (1e300, 1),
+         (1.7976931348623157e308, 3)],
+    )
+    def test_fd_grid_out_of_reach_raises_before_any_matrix(self, alpha, k, monkeypatch):
+        # past _MAX_ROWS, or a window whose top doubles round down to its
+        # bottom (from alpha ~ 1e32, where a matrix entry alpha e^30 may
+        # also overflow): a typed error, with no matrix built
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(oracle, "_fd_eigenvalues", no_matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                fd_eigen(alpha, k)
+
+    def test_fd_grid_up_to_the_cap_is_solved(self, monkeypatch):
+        # k = 300 at alpha = 2 fits (26 677 fine rows) and is solved; the
+        # solve is stubbed, at about 2 s it is too slow for the suite
+        rows = []
+
+        def stub(alpha, s_min, s_max, n, k):
+            rows.append(n + 1)
+            return np.arange(1.0, k + 1.0)
+
+        monkeypatch.setattr(oracle, "_fd_eigenvalues", stub)
+        fd_eigen(2.0, 300)
+        assert max(rows) <= oracle._MAX_ROWS
 
     def test_integral_float_count_is_an_integer(self):
         assert shoot_spectrum(2.0, 2.0).eigenvalues == shoot_spectrum(2.0, 2).eigenvalues
@@ -380,6 +457,19 @@ class TestNodeCounts:
         assert steps_r == steps
         np.testing.assert_array_equal(counts_r, counts)
         np.testing.assert_allclose(psi_r * np.exp(log_scale_r), psi, rtol=1e-12)
+
+    def test_sign_changes_are_counted_chunk_by_chunk(self):
+        # only one chunk of states is kept: 3 000 energies over 1 477 steps
+        # peaked at 83 MB while the state after every step was kept
+        eps = np.linspace(0.3, 300.0, 3000)
+        tracemalloc.start()
+        try:
+            counts, _, _, steps = _magnus_count_nodes(0.0, eps, _box(0.0, 300.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 1477 and counts[-1] == 150
+        assert peak <= 16e6
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
     def test_nonfinite_energy_raises(self, eps):

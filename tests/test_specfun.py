@@ -1,6 +1,7 @@
 """Special-function kernels vs stdlib/scipy references and exact identities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -224,6 +225,24 @@ class TestHermite:
     def test_rejects_bad_degree(self, n):
         with pytest.raises(ParameterError):
             hermite(n, 1.0)
+
+    @pytest.mark.parametrize(
+        "n, xi", [(5, 1e200), (200, 100.0), (1, 1e308), (3, math.inf), (2, math.nan)]
+    )
+    def test_overflow_raises(self, n, xi):
+        # 2 xi H_j - 2 j H_(j-1) reaches inf - inf, or H_n passes the
+        # largest double: a typed error, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                hermite(n, xi)
+            with pytest.raises(ParameterError, match="not finite"):
+                hermite(n, np.array([0.5, xi]))
+
+    def test_largest_finite_values_return(self):
+        # H_5(xi) = 32 xi^5 + ..., 3.2e306 at xi = 1e61
+        assert hermite(5, 1e61) == pytest.approx(3.2e306, rel=1e-12)
+        assert hermite(5, -1e61) == -hermite(5, 1e61)
 
 
 ZERO_D_INPUTS = (

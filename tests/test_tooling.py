@@ -117,3 +117,20 @@ def test_every_private_name_is_referenced():
         if name not in refs
     ]
     assert unreferenced == []
+
+
+def modules_imported_from(tree):
+    """The package modules a module imports from, `from .quad import X` and
+    `from . import quad` alike."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (None, "singosc"):
+                yield from (a.name for a in node.names)
+            else:
+                yield node.module.rpartition(".")[2]
+
+
+def test_oracle_imports_nothing_from_quad():
+    # both oracles take their box from their own window of levels;
+    # quad.X_MAX is only the Gram rule's box
+    assert "quad" not in set(modules_imported_from(parse(PACKAGE / "oracle.py")))
