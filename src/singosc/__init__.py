@@ -44,11 +44,9 @@ from .oracle import (
 )
 from .quad import (
     IntegrabilityClass,
-    X_MAX,
     cauchy_pv,
     gram,
     integrability_class,
-    integrate_adaptive,
     overlap,
     overlap_halfline_gauss,
 )

@@ -3,7 +3,8 @@
 Two routes that share nothing with the closed-form solution beyond the
 local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Both
 take one window of energies the requested levels lie in (_window) and
-stop a few decay lengths past the outer turning point of its top (_box).
+stop a few decay lengths past the outer turning point of its top
+(model._box, the box quad's Gram rule takes too).
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -47,15 +48,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
-from .model import Domain, admissible_beta
+from .model import Domain, _box, admissible_beta
 from .spectrum import SpectrumTable, _check_n
 
 # Shooting's Frobenius start point floor and its scale in sqrt(beta + 1),
 # terms, and the relative size the series' last term may reach:
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
-# distance past the outer turning point that both oracles integrate to: 3
-# keeps the shooting levels within about 2e-7 relative (1.7 gave 2.6e-7)
-_BOX_MARGIN = 3.0
 _RENORM_LIMIT = 1e100
 # shooting's grid: steps of _GRADE x near the origin, _H from x = _H /
 # _GRADE on (over 68 sweep inputs the levels move by at most 0.11 of the
@@ -229,14 +227,6 @@ def _window(alpha: float, n_max: int) -> tuple[float, float]:
     2 above it: level n lies at most 2n + 1.31 above it."""
     start = max(0.25, math.sqrt(max(alpha, 0.0)))
     return start, start + 2.0 * n_max + 2.0
-
-
-def _box(alpha: float, eps: float) -> float:
-    """Where both oracles stop for levels up to eps: _BOX_MARGIN past the outer
-    turning point sqrt(eps + sqrt(eps^2 - alpha)), past which a bound state
-    only decays (below the well's bottom the inner root counts as 0)."""
-    turn = eps + math.sqrt(max(eps * eps - alpha, 0.0))
-    return math.sqrt(max(turn, 0.0)) + _BOX_MARGIN
 
 
 def _grid(x0: float, x_max: float) -> np.ndarray:

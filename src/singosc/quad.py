@@ -1,36 +1,35 @@
-"""Integration utilities: adaptive quadrature, Cauchy principal value,
-near-origin integrability classification, Gram matrices, matrix elements
-and overlaps of states.
+"""Integration utilities: Cauchy principal value, near-origin
+integrability classification, Gram matrices, matrix elements and
+overlaps of states.
 
-Every adaptive integral is one QUADPACK call, and any failure QUADPACK
-reports (or a non-finite value) raises DepthExceeded.  QUADPACK serves
-only cauchy_pv and the tests' independent references for the rule
-below; no closed-form quantity goes through it.  A principal value is
-folded about its pole into one ordinary integral of f(c+t) + f(c-t);
-when that integral fails the singularity is not odd and PVDivergent is
-raised.  QUADPACK always runs with epsabs = epsrel = 1e-10 and 200
-subintervals, and an infinite limit goes to it as such.
+A principal value is folded about its pole into one ordinary integral of
+f(c+t) + f(c-t); when that integral fails the singularity is not odd and
+PVDivergent is raised.  It and the one-sided rest are QUADPACK calls
+(_integrate_adaptive), always with epsabs = epsrel = 1e-10 and 200
+subintervals; an infinite limit goes to QUADPACK as such, and any failure
+it reports (or a non-finite value) raises DepthExceeded.  QUADPACK serves
+only cauchy_pv; no closed-form quantity goes through it.
 
-Overlaps and matrix elements <psi_i|w|psi_j> of bound states, with w
-an even multiplication operator such as 1/(2 x^2), integrate to
-X_MAX = 12 (natural units), where the e^(-x^2) tails of the low states
-are below 1e-62.  They use one fixed composite Gauss-Legendre rule on
-[0, X_MAX] instead of QUADPACK; X_MAX is this rule's box only, the
-oracles take theirs from their own levels.  Toward the origin the panels
-are geometric, [r^(k+1), r^k] with r = 0.15 below x = 1 (the innermost
-one reaching 0), which resolves the endpoint power x^(2 beta + 2) of
-psi1 psi2 (x^(2 beta) with w = 1/x^2) at an exponential rate (hp
-grading, Schwab, p- and hp-Finite Element Methods, 1998); from 1 to
-X_MAX they are 0.5 wide.  Each panel carries 20 points, and a 10-point
-copy of the same panels estimates the error: a Gram matrix whose two
-values differ by more than 1e-8 in some entry raises DepthExceeded.
-The gap does not see the tail past X_MAX, but the 10-point rule fails
-first: at alpha = 0.5 the check raises from n = 21, and the tail left
-out reaches 1e-9 only at n = 25.  A Gram matrix evaluates each state once, in one
-array call on all nodes of both rules.  Half-line inner products also
-ship a Gauss-Laguerre path in the y = x^2 variable, exact for the
-polynomial integrands of the bound states; it is the independent second
-route.
+Overlaps and matrix elements <psi_i|w|psi_j> of bound states, with w an
+even multiplication operator such as 1/(2 x^2), use one composite
+Gauss-Legendre rule whose box and panels follow the batch's top state,
+the one of largest energy eps_top.  The rule ends at model._box(alpha,
+eps_top) + 3, the oracles' box and 3 more (natural units), rounded up to
+a whole panel.  Its panels are h = 0.5 / m wide, m = max(1, ceil(k / 9))
+with k = sqrt(2 eps_top) the top state's largest wavenumber, so no panel
+spans more than 4.5 radians of it; every eps_top <= 40.5 keeps h = 0.5.
+Toward the origin the first panel [0, h] is split geometrically,
+[h r^(j+1), h r^j] with r = 0.15 (the innermost one reaching 0), which
+resolves the endpoint power x^(2 beta + 2) of psi1 psi2 (x^(2 beta) with
+w = 1/x^2) at an exponential rate (hp grading, Schwab, p- and hp-Finite
+Element Methods, 1998).  Each panel carries 20 points, and a 10-point
+copy of the same panels estimates the error: a matrix whose two values
+differ by more than 1e-8 in some entry raises DepthExceeded, and so does
+a top state whose rule would need more than 10 000 panels.  A Gram
+matrix evaluates each state once, in one array call on all nodes of both
+rules.  Half-line inner products also ship a Gauss-Laguerre path in the
+y = x^2 variable, exact for the polynomial integrands of the bound
+states; it is the independent second route.
 """
 
 from __future__ import annotations
@@ -43,22 +42,21 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
-from .model import Domain, Parity
+from .model import Domain, Parity, _box
 
 if TYPE_CHECKING:
     from .spectrum import EigenState
 
-# Outer end of the Gram rule's bound-state integrals (natural units); the
-# oracles take their boxes from their own levels.
-X_MAX = 12.0
 # QUADPACK's absolute and relative tolerance, and its subinterval budget
 _QUAD_TOL, _QUAD_LIMIT = 1e-10, 200
 
-# The composite Gauss-Legendre rule of overlaps: geometric panels
-# [r^(k+1), r^k] on (0, 1], the innermost [0, r^(levels-1)], then panels of
-# _PANEL_WIDTH to X_MAX; _Q_FINE points per panel, and _Q_COARSE for the
-# error estimate, which may reach _GRAM_GAP_TOL
-_GEOM_RATIO, _GEOM_LEVELS, _PANEL_WIDTH = 0.15, 24, 0.5
+# The composite Gauss-Legendre rule of overlaps: panels _WIDTH_MAX / m wide,
+# m = max(1, ceil(k / _K_PER_SPLIT)) for the top state's wavenumber k, out
+# to _box + _GRAM_TAIL, at most _MAX_PANELS of them; the first split into
+# _GEOM_LEVELS geometric panels of ratio _GEOM_RATIO; _Q_FINE points per
+# panel, and _Q_COARSE for the error estimate, which may reach _GRAM_GAP_TOL
+_WIDTH_MAX, _K_PER_SPLIT, _GRAM_TAIL, _MAX_PANELS = 0.5, 9.0, 3.0, 10_000
+_GEOM_RATIO, _GEOM_LEVELS = 0.15, 24
 _Q_FINE, _Q_COARSE, _GRAM_GAP_TOL = 20, 10, 1e-8
 
 
@@ -67,7 +65,7 @@ class IntegrabilityClass(enum.Enum):
     NON_INTEGRABLE = "non_integrable"
 
 
-def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
+def _integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive quadrature of f on [a, b] (QAGS with endpoint extrapolation,
     QAGI on an infinite interval).
 
@@ -105,13 +103,13 @@ def cauchy_pv(f: Callable[[float], float], a: float, b: float, c: float) -> floa
     left, right = c - a, b - c
     d = min(left, right)
     try:
-        value = integrate_adaptive(lambda t: f(c + t) + f(c - t), 0.0, d)
+        value = _integrate_adaptive(lambda t: f(c + t) + f(c - t), 0.0, d)
     except DepthExceeded as exc:
         raise PVDivergent(f"principal value at x = {c} diverges: {exc}") from exc
     if left > d:
-        value += integrate_adaptive(f, a, c - d)
+        value += _integrate_adaptive(f, a, c - d)
     if right > d:
-        value += integrate_adaptive(f, c + d, b)
+        value += _integrate_adaptive(f, c + d, b)
     return value
 
 
@@ -129,17 +127,34 @@ def _check_compatible(s1: EigenState, s2: EigenState) -> None:
         raise DomainMismatch(f"alpha differs: {s1.alpha} vs {s2.alpha}")
 
 
-@functools.cache
-def _gram_rule() -> tuple[np.ndarray, np.ndarray, int]:
-    """Nodes and weights of the composite rule on [0, X_MAX]: the
+def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
+    """(m, panels) of the rule for these states: panels _WIDTH_MAX / m wide,
+    as many as reach _box + _GRAM_TAIL of the top energy.  Raises
+    DepthExceeded past _MAX_PANELS."""
+    top = max(s.energy_eps for s in states)
+    m = max(1, math.ceil(math.sqrt(2.0 * top) / _K_PER_SPLIT))
+    panels = math.ceil((_box(states[0].alpha, top) + _GRAM_TAIL) * m / _WIDTH_MAX)
+    if panels > _MAX_PANELS:
+        raise DepthExceeded(
+            f"the rule for eps = {top:.6g} needs {panels} panels > {_MAX_PANELS}"
+        )
+    return m, panels
+
+
+@functools.lru_cache(maxsize=64)
+def _gram_rule(m: int, panels: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only nodes and weights of the composite rule on panels of width
+    h = _WIDTH_MAX / m up to panels h, the first split geometrically: the
     20-point rule's, then the 10-point rule's, and where they split.
 
-    Built on first use: numpy.polynomial is not loaded with the package.
+    Keyed on two integers, so pairs of one batch share a few rules.  Built
+    on first use: numpy.polynomial is not loaded with the package.
     """
     from numpy.polynomial.legendre import leggauss
 
-    inner = _GEOM_RATIO ** np.arange(_GEOM_LEVELS - 1, -1, -1)
-    outer = np.arange(1.0 + _PANEL_WIDTH, X_MAX + _PANEL_WIDTH / 2, _PANEL_WIDTH)
+    h = _WIDTH_MAX / m
+    inner = h * _GEOM_RATIO ** np.arange(_GEOM_LEVELS - 1, -1, -1)
+    outer = h * np.arange(2, panels + 1)
     edges = np.concatenate(([0.0], inner, outer))
     lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2.0
     nodes, weights = [], []
@@ -158,17 +173,18 @@ def gram(
 ) -> np.ndarray:
     """Matrix G[i, j] = <states[i]| w |states[j]> of the multiplication
     operator w(x) (the Gram matrix when weight is None) on the composite
-    Gauss-Legendre rule.
+    Gauss-Legendre rule of the states' top energy.
 
     Each state is evaluated once, in one array call on the nodes of both
     rules; w is evaluated once, on the same positive nodes, and
     multiplies the rule's weights.  On the full line w must be even.
     Entry (i, j) sums psi_i psi_j w times the rule's weight over the
-    nodes in one fixed order, so it does not depend on the other states:
-    with no weight it equals overlap(states[i], states[j]) bit for bit,
-    and G is symmetric.  On the full line cross-parity entries are 0
-    exactly (odd integrand on a symmetric domain) and same-parity ones
-    are twice the positive half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
+    nodes in one fixed order, so the other states enter only through the
+    rule: with no weight an entry whose pair holds the top energy equals
+    overlap(states[i], states[j]) bit for bit, and G is symmetric.  On
+    the full line cross-parity entries are 0 exactly (odd integrand on a
+    symmetric domain) and same-parity ones are twice the positive
+    half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
     differ by more than 1e-8 in some entry, as for a w psi_i psi_j that
     is not integrable at the origin, or a value is not finite.
     """
@@ -176,21 +192,23 @@ def gram(
         raise ParameterError("a Gram matrix needs at least one state")
     for s in states[1:]:
         _check_compatible(states[0], s)
-    nodes, weights, split = _gram_rule()
+    nodes, weights, split = _gram_rule(*_rule_size(states))
     if weight is not None:
         weights = weights * weight(nodes)
     psi = np.array([s.psi(nodes) for s in states])
     fine, coarse = np.empty((2, len(states), len(states)))
-    for i, row in enumerate(psi):  # one row at a time: memory stays N x nodes
+    # one row at a time: memory stays N x nodes; the ndarray methods skip numpy's
+    # function wrappers, about 5% of an overlap-check benchmark op
+    for i, row in enumerate(psi):
         terms = row * psi * weights
-        fine[i] = np.sum(terms[:, :split], axis=-1)
-        coarse[i] = np.sum(terms[:, split:], axis=-1)
+        fine[i] = terms[:, :split].sum(axis=-1)
+        coarse[i] = terms[:, split:].sum(axis=-1)
     if states[0].domain is Domain.FULL_LINE:
         even = np.array([s.parity is Parity.EVEN for s in states])
         same = even[:, None] == even[None, :]
         fine = np.where(same, 2.0 * fine, 0.0)
         coarse = np.where(same, 2.0 * coarse, 0.0)
-    gap = float(np.max(np.abs(fine - coarse)))
+    gap = float(np.abs(fine - coarse).max())
     if not gap <= _GRAM_GAP_TOL:
         raise DepthExceeded(
             f"Gram matrix of {len(states)} states: the {_Q_FINE}- and {_Q_COARSE}-point "

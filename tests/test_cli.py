@@ -543,8 +543,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("alpha", ["1e4", "1e5"])
     def test_oracle_suite_passes_past_the_gram_box(self, alpha, capsys):
-        # both oracles take their box from their own window: past
-        # quad.X_MAX = 12, where finite differences failed before
+        # both oracles take their box from their own window: past x = 12,
+        # the former Gram box, where finite differences failed before
         assert main(["verify", "--suite", "oracle", "--alpha", alpha]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[1:3]] == ["PASS", "PASS"]
@@ -735,8 +735,8 @@ class TestLazyScipy:
         assert _loaded_after(_run_module("verify", "--suite", "perturbation")) == []
 
     def test_quadrature_loads_integrate_and_special_when_called(self):
-        # the Gauss-Legendre overlap needs no scipy; the Gauss-Laguerre
-        # route and adaptive integrals load what they use
+        # the Gauss-Legendre Gram matrix needs no scipy; the Gauss-Laguerre
+        # route and the principal value load what they use
         def after(call):
             return _loaded_after(
                 "from singosc import quad, spectrum\n"
@@ -745,9 +745,11 @@ class TestLazyScipy:
             )
 
         assert after("quad.overlap(s, s)") == []
+        assert after("quad.gram([s])[0, 0]") == []
         loaded = after("quad.overlap_halfline_gauss(s, s)")
         assert "scipy.special" in loaded and "scipy.integrate" not in loaded
-        assert "scipy.integrate" in after("quad.integrate_adaptive(lambda x: 2.0 * x, 0.0, 1.0)")
+        # PV of 1/x on [-1, 1] is 0
+        assert "scipy.integrate" in after("1.0 + quad.cauchy_pv(lambda x: 1.0 / x, -1.0, 1.0, 0.0)")
 
 
 class TestLazyQuadratureRule:

@@ -19,9 +19,8 @@ from singosc.errors import (
     SingOscError,
     SupercriticalError,
 )
-from singosc.model import Domain, admissible_beta
+from singosc.model import Domain, _box, admissible_beta
 from singosc.oracle import (
-    _box,
     _cosh_sinhc,
     _fd_result,
     _grid,
@@ -35,8 +34,9 @@ from singosc.oracle import (
     shoot_eigen,
     shoot_spectrum,
 )
-from singosc.quad import X_MAX
 from singosc.spectrum import N_MAX, spectrum_table
+
+FORMER_GRAM_BOX = 12.0  # the Gram rule's fixed box before it followed its states
 
 
 def record_passes(monkeypatch):
@@ -111,12 +111,12 @@ class TestFiniteDifference:
         [(1.2e4, 1), (1.5e4, 1), (1e4, 4), (1e5, 4), (1e6, 4), (0.0, 30), (45.96, 41)],
     )
     def test_levels_past_the_gram_box_lie_within_the_residual_estimate(self, alpha, k):
-        # the box follows the window's top, past quad.X_MAX = 12, and the
-        # step follows its wavenumber: at alpha = 1.5e4 the box at 12 left
+        # the box follows the window's top, past the former Gram box, and
+        # the step follows its wavenumber: at alpha = 1.5e4 the box at 12 left
         # the ground level 27 residuals high, and at k = 41 a step of 0.02
         # left a residual above the levels
         res = fd_eigen(alpha, k)
-        assert _box(alpha, max(res.eigenvalues)) > X_MAX
+        assert _box(alpha, max(res.eigenvalues)) > FORMER_GRAM_BOX
         assert max_error_over_residual(alpha, k - 1, res) <= 0.1
 
     @given(st.floats(-0.25, 1e6, exclude_min=True), st.integers(1, 20))
@@ -336,12 +336,13 @@ class TestShooting:
 
     @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 7.9])
     def test_node_counts_bracket_each_level(self, alpha):
-        # counted to X_MAX, not to the confirming pass's own box: each level
+        # counted to x = 12, not to the confirming pass's own box: each level
         # lies within the residual estimate of the returned eigenvalue
         res = shoot_spectrum(alpha, 8)
         eps = np.array(res.eigenvalues)
         r = res.residual_estimate
-        counts, *_ = _magnus_count_nodes(alpha, np.concatenate((eps - r, eps + r)), X_MAX)
+        edges = np.concatenate((eps - r, eps + r))
+        counts, *_ = _magnus_count_nodes(alpha, edges, FORMER_GRAM_BOX)
         np.testing.assert_array_equal(counts, [*range(9), *range(1, 10)])
 
     @pytest.mark.parametrize("alpha", [-0.2499, 0.0, 0.5, 2.0, 7.9, 100.0, 1000.0])
@@ -383,10 +384,10 @@ class TestShooting:
     )
     def test_levels_past_the_gram_box_lie_within_the_residual_estimate(self, alpha, n_max):
         # each pass integrates to its own top energy's turning point plus 3,
-        # past quad.X_MAX = 12: eps_72 = 145.5 turns at 17.1, and at
+        # past the former Gram box: eps_72 = 145.5 turns at 17.1, and at
         # alpha = 1e5 the well's bottom alpha^(1/4) = 17.8 lies past it
         res = shoot_spectrum(alpha, n_max)
-        assert _box(alpha, max(res.eigenvalues)) > X_MAX
+        assert _box(alpha, max(res.eigenvalues)) > FORMER_GRAM_BOX
         assert max_error_over_residual(alpha, n_max, res) <= 1.0
 
     @given(st.floats(-0.25, 3e5, exclude_min=True), st.integers(0, 8))
@@ -450,9 +451,9 @@ class TestNodeCounts:
         # scaling a member down rescales only its state: the node counts
         # and psi(x_max) e^(log_scale) stay the same
         eps = np.linspace(0.3, 20.0, 40)
-        counts, psi, log_scale, steps = _magnus_count_nodes(2.0, eps, X_MAX)
+        counts, psi, log_scale, steps = _magnus_count_nodes(2.0, eps, FORMER_GRAM_BOX)
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", 1e3)
-        counts_r, psi_r, log_scale_r, steps_r = _magnus_count_nodes(2.0, eps, X_MAX)
+        counts_r, psi_r, log_scale_r, steps_r = _magnus_count_nodes(2.0, eps, FORMER_GRAM_BOX)
         assert np.all(log_scale == 0.0) and np.all(log_scale_r > 0.0)
         assert steps_r == steps
         np.testing.assert_array_equal(counts_r, counts)
@@ -496,11 +497,11 @@ class TestNodeCounts:
         box = _box(2.0, 20.0)
         assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
         to_box, _, _, steps = _magnus_count_nodes(2.0, eps, box)
-        to_cap, _, _, steps_cap = _magnus_count_nodes(2.0, eps, X_MAX)
+        to_cap, _, _, steps_cap = _magnus_count_nodes(2.0, eps, FORMER_GRAM_BOX)
         np.testing.assert_array_equal(to_box, to_cap)
         assert steps < steps_cap
 
-    @pytest.mark.parametrize("alpha, x_max", [(2.0, 9.3), (0.0, X_MAX), (1000.0, 5.0)])
+    @pytest.mark.parametrize("alpha, x_max", [(2.0, 9.3), (0.0, FORMER_GRAM_BOX), (1000.0, 5.0)])
     def test_grid_is_graded_then_uniform(self, alpha, x_max):
         x0 = max(oracle._X0, oracle._X0_SCALE * math.sqrt(admissible_beta(alpha) + 1))
         x = _grid(x0, x_max)
@@ -510,7 +511,7 @@ class TestNodeCounts:
         np.testing.assert_allclose(h[:-1], np.minimum(oracle._GRADE * x[:-2], oracle._H), rtol=1e-9)
 
     def test_box_is_the_turning_point_plus_the_margin(self):
-        # with no cap: eps = 144 turns at sqrt(288) = 17.0, past quad.X_MAX
+        # with no cap: eps = 144 turns at sqrt(288) = 17.0, past x = 12
         assert _box(0.0, 144.0) == math.sqrt(288.0) + 3.0
         # below the well's bottom, eps < sqrt(alpha), the inner root counts as 0
         assert _box(400.0, 10.0) == pytest.approx(math.sqrt(10.0) + 3.0)

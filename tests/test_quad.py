@@ -1,4 +1,5 @@
-"""Quadrature layer: adaptive integrals, principal values, overlaps."""
+"""Quadrature layer: principal values, the adaptive integral behind them,
+Gram matrices and overlaps."""
 
 import math
 import warnings
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 from singosc import quad
 from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from singosc.quad import (
-    X_MAX,
     IntegrabilityClass,
+    _integrate_adaptive,
     cauchy_pv,
     gram,
     integrability_class,
-    integrate_adaptive,
     overlap,
     overlap_halfline_gauss,
 )
@@ -25,20 +25,20 @@ from singosc.spectrum import EigenState, fullline_states, halfline_state
 
 class TestIntegrateAdaptive:
     def test_integrable_endpoint_singularity(self):
-        val = integrate_adaptive(lambda x: x**-0.5, 0.0, 1.0)
+        val = _integrate_adaptive(lambda x: x**-0.5, 0.0, 1.0)
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_gaussian_over_line(self):
-        val = integrate_adaptive(lambda x: math.exp(-x * x), -np.inf, np.inf)
+        val = _integrate_adaptive(lambda x: math.exp(-x * x), -np.inf, np.inf)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_infinite_limits_go_to_quadpack(self):
-        # a slow 1/x^2 tail: truncating at X_MAX would give 2.975
-        val = integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), -np.inf, np.inf)
+        # a slow 1/x^2 tail: truncating at x = 12 would give 2.975
+        val = _integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), -np.inf, np.inf)
         assert val == pytest.approx(math.pi, rel=1e-9)
 
     def test_polynomial(self):
-        assert integrate_adaptive(lambda x: 3 * x * x, 0.0, 2.0) == pytest.approx(8.0)
+        assert _integrate_adaptive(lambda x: 3 * x * x, 0.0, 2.0) == pytest.approx(8.0)
 
     @pytest.mark.parametrize(
         "f",
@@ -55,7 +55,7 @@ class TestIntegrateAdaptive:
         # QUADPACK extrapolates x^-2 and x^-1.5 to the finite values -1 and
         # -2 with a small error estimate, but flags them divergent
         with pytest.raises(DepthExceeded):
-            integrate_adaptive(f, 0.0, 1.0)
+            _integrate_adaptive(f, 0.0, 1.0)
 
 
 class TestCauchyPV:
@@ -98,7 +98,7 @@ class TestCauchyPV:
 
     def test_divergent_infinite_tail_raises(self):
         # the fold over [-1, 1] is 0; the rest, int_{-inf}^{-1} dx/x, diverges
-        # (truncated at X_MAX it would return -ln 12)
+        # (truncated at x = 12 it would return -ln 12)
         with pytest.raises(DepthExceeded):
             cauchy_pv(lambda x: 1.0 / x, -np.inf, 1.0, 0.0)
 
@@ -200,6 +200,16 @@ def _counting_psi(monkeypatch):
 
 
 GRAM_ALPHAS = [-0.2499, -0.2, 0.0, 0.5, 7.9]
+REFERENCE_BOX = 12.0  # the references' own box: psi_11^2 past it is below 1e-28
+
+
+def _quadpack(f, a, b):
+    """An independent reference: one scipy QUADPACK integral at 1e-12."""
+    import scipy.integrate
+
+    value, error = scipy.integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+    assert error <= 1e-12
+    return value
 
 
 def _gram_families(alpha):
@@ -212,17 +222,22 @@ def _gram_families(alpha):
 
 class TestGram:
     """The composite Gauss-Legendre rule behind every overlap: one array
-    psi call per state, and entries that do not depend on the other
-    states of the matrix."""
+    psi call per state, and a box and panels that follow the top state."""
 
     @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
     def test_entries_equal_overlap_bit_for_bit(self, alpha):
+        # the batch's top energy sets the rule: a pair that holds it gets
+        # the same rule from overlap, any other pair a shorter one
         for states, _ in _gram_families(alpha):
             g = gram(states)
             np.testing.assert_array_equal(g, g.T)
+            top = max(s.energy_eps for s in states)
             for i, s1 in enumerate(states):
                 for j, s2 in enumerate(states):
-                    assert g[i, j] == overlap(s1, s2), (i, j)
+                    if top in (s1.energy_eps, s2.energy_eps):
+                        assert g[i, j] == overlap(s1, s2), (i, j)
+                    else:
+                        assert abs(g[i, j] - overlap(s1, s2)) <= 1e-15, (i, j)
 
     @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
     def test_entries_match_adaptive_quadrature(self, alpha):
@@ -234,7 +249,7 @@ class TestGram:
                     if s1.parity is not s2.parity:
                         assert g[i, j] == 0.0
                         continue
-                    ref = integrate_adaptive(lambda x: s1.psi(x) * s2.psi(x), 0.0, X_MAX)
+                    ref = _quadpack(lambda x: s1.psi(x) * s2.psi(x), 0.0, REFERENCE_BOX)
                     assert abs(g[i, j] - factor * ref) <= 1e-12, (i, j)
 
     def test_one_psi_call_per_state(self, monkeypatch):
@@ -246,17 +261,46 @@ class TestGram:
         overlap(states[4], states[4])
         assert len(seen) == 1
 
-    def test_gap_past_the_bound_raises(self):
-        # psi_40 oscillates too fast for 10 points per 0.5-wide panel: the
-        # two rules differ by 1.7e-6
-        s = halfline_state(0.5, 40)
-        with pytest.raises(DepthExceeded, match="differ by"):
-            overlap(s, s)
+    @pytest.mark.parametrize("n", [31, 40])
+    def test_high_state_resolves_to_one(self, n):
+        # with 0.5-wide panels to x = 12 psi_40 oscillated too fast for the
+        # 10-point rule (a gap of 1.7e-6), and psi_31 lost 1.9e-4 past
+        # x = 12 unseen: the panels are now 0.25 wide and end past x = 17
+        s = halfline_state(0.5, n)
+        assert abs(overlap(s, s) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 7.9])
     def test_twenty_states_pass_the_gap_check(self, alpha):
         g = gram([halfline_state(alpha, n) for n in range(20)])
         assert np.max(np.abs(g - np.eye(20))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "alpha, size",
+        [(a, size) for size in (21, 32, 64) for a in (-0.2499, 0.5, 7.9)] + [(0.5, 250)],
+    )
+    def test_many_states_are_orthonormal(self, alpha, size):
+        # a box and panels fixed at 12 and 0.5 raised DepthExceeded from
+        # 21 states at alpha = 0.5 and from 32 at -0.2499 and 7.9
+        g = gram([halfline_state(alpha, n) for n in range(size)])
+        assert np.max(np.abs(g - np.eye(size))) <= 1e-12
+
+    def test_rule_follows_the_top_state(self):
+        # eps <= 40.5 keeps 0.5-wide panels; eps_20 = 41.9 at alpha = 0.5
+        # halves them, and the rule ends at _box(alpha, eps_top) + 3 = 15.15,
+        # rounded up to 61 panels of 0.25
+        states = [halfline_state(0.5, n) for n in range(21)]
+        assert quad._rule_size(states[:20]) == (1, 30)
+        assert quad._rule_size(states) == (2, 61)
+        nodes, weights, split = quad._gram_rule(2, 61)
+        assert 0.0 < nodes.min() and nodes.max() < 15.25
+        assert math.fsum(weights[:split]) == pytest.approx(15.25, rel=1e-15)
+        assert math.fsum(weights[split:]) == pytest.approx(15.25, rel=1e-15)
+
+    def test_rule_past_its_panel_budget_raises(self):
+        # at alpha = 1e12 the ground state would need 318 000 panels of
+        # 1/316 before its box at x = 1007
+        with pytest.raises(DepthExceeded, match="panels"):
+            overlap(halfline_state(1e12, 0), halfline_state(1e12, 0))
 
     def test_needs_compatible_states(self):
         even, _ = fullline_states(0.5, 1)

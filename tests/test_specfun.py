@@ -160,6 +160,18 @@ class TestKummerAsymptotic:
         with pytest.raises(ParameterError):
             kummer_m_asymptotic(-1.0, 1.9, 10.0)
 
+    @pytest.mark.parametrize(
+        "a, b, y", [(0.35, 1.9, 1e4), (0.7, 0.7, 710.0), (0.5, 1.5, math.inf), (0.5, 1.5, math.nan)]
+    )
+    def test_overflow_raises(self, a, b, y):
+        # e^y overflows from y = 710: a bare OverflowError before
+        with pytest.raises(ParameterError):
+            kummer_m_asymptotic(a, b, y)
+
+    def test_largest_finite_values_return(self):
+        # e^709 y^(a - b) stays below the largest double
+        assert kummer_m_asymptotic(0.7, 0.7, 709.0) == math.exp(709.0)
+
 
 # a negative, fractional or non-finite polynomial degree
 BAD_DEGREES = (-1, 2.5, math.nan, math.inf, -math.inf)
@@ -195,6 +207,23 @@ class TestLaguerre:
     def test_rejects_negative_degree(self, n):
         with pytest.raises(ParameterError):
             laguerre(n, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "n, y", [(3, 1e200), (200, 1e4), (1, math.inf), (2, math.nan)]
+    )
+    def test_overflow_raises(self, n, y):
+        # the recurrence reaches inf (L_3(1e200) returned -inf before) or
+        # y is not finite: a typed error, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                laguerre(n, 0.5, y)
+            with pytest.raises(ParameterError, match="not finite"):
+                laguerre(n, 0.5, np.array([0.5, y]))
+
+    def test_largest_finite_values_return(self):
+        # L_3^(a)(y) = -y^3/6 + ..., -1.7e299 at y = 1e100
+        assert laguerre(3, 0.5, 1e100) == pytest.approx(-1e300 / 6.0, rel=1e-12)
 
 
 class TestHermite:

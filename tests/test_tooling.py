@@ -131,6 +131,27 @@ def modules_imported_from(tree):
 
 
 def test_oracle_imports_nothing_from_quad():
-    # both oracles take their box from their own window of levels;
-    # quad.X_MAX is only the Gram rule's box
+    # both oracles take their box from their own window of levels, and
+    # the Gram rule from its top state, through the one rule in model
     assert "quad" not in set(modules_imported_from(parse(PACKAGE / "oracle.py")))
+
+
+def test_box_rule_is_defined_once_in_model():
+    defining = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in parse(path).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_box"
+    ]
+    assert defining == ["model.py"]
+
+
+def test_no_fixed_integration_box_is_left():
+    # the box that ignored the states is gone, name and all
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "X_MAX" in line
+    ]
+    assert hits == []
