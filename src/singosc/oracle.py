@@ -21,11 +21,12 @@ extrapolation in the step removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
 of energies over one fixed grid with the 4th-order Magnus propagator of
-the linear ODE (Iserles & Norsett 1999), built for every step and energy
-in one array expression, with no step controller.  It counts sign
-changes of psi and keeps psi at the pass's end, the box-edge value: on
-the series' common normalization it is analytic in the energy and
-vanishes at the box levels (a miss-distance function, Pryce 1993).  One
+the linear ODE (Iserles & Norsett 1999), with no step controller; its
+serial loop advances a block of _BLOCK steps at a time, their
+propagators multiplied into one beforehand.  It counts sign changes of
+psi and keeps psi at the pass's end, the box-edge value: on the series'
+common normalization it is analytic in the energy and vanishes at the
+box levels (a miss-distance function, Pryce 1993).  One
 scan pass over a lattice _D_EPS apart brackets every level by the node
 count, which is monotone in the energy, over the window; the degree-7
 polynomial through the box-edge values of 8 neighbouring energies,
@@ -57,10 +58,11 @@ _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 _RENORM_LIMIT = 1e100
 # shooting's grid: steps of _GRADE x near the origin, _H from x = _H /
 # _GRADE on (over 68 sweep inputs the levels move by at most 0.11 of the
-# residual estimate against a grid 5 times finer); the steps one array
-# expression builds propagators for; the Taylor polynomial sinh(k)/k =
-# sum_j k^2j / (2j + 1)!, j <= 6, leaves out 1e-17 up to k^2 = _TAYLOR_MAX
-_GRADE, _H, _CHUNK, _TAYLOR_MAX = 0.02, 0.02, 32, 0.2
+# residual estimate against a grid 5 times finer); the Taylor polynomial
+# sinh(k)/k = sum_j k^2j / (2j + 1)!, j <= 6, leaves out 1e-17 up to k^2 =
+# _TAYLOR_MAX; a block's steps (a power of 2) and the steps x energies of
+# one span of blocks (three times as many ran slower, out of cache)
+_GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.02, 0.02, 0.2, 16, 16 * 1024
 _SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # as fractions of a step
 # shoot_spectrum: the energy step of its scan lattice (the degree-7
@@ -270,42 +272,59 @@ def _magnus_count_nodes(
     q_2 at its two Gauss points, is exp(Omega) = cosh(kappa) I +
     sinh(kappa)/kappa Omega, Omega = [[d, h], [c, -d]] with d = sqrt(3)/12
     h^2 (q_1 - q_2), c = h (q_1 + q_2)/2 and Omega^2 = kappa^2 I = (d^2 +
-    h c) I.  A member past _RENORM_LIMIT is scaled down; a state that is
-    not finite raises NonConvergence.
+    h c) I.  Steps of width 0 (propagator I) pad the grid to whole blocks
+    of _BLOCK steps, stepped a span of about _SPAN steps x energies at a
+    time.  Pairwise products give every block's propagator (a product of
+    Magnus exponentials propagates over their union; Blanes, Casas, Oteo
+    & Ros 2009); the one serial loop applies them, scales a member past
+    _RENORM_LIMIT down and raises NonConvergence on a state that is not
+    finite; the left halves' products then fill in the state before
+    every step.  With _BLOCK = 1 it steps one at a time.
     """
     x0 = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
-    start = _frobenius_series(alpha, eps_arr, x0)
+    y = _frobenius_series(alpha, eps_arr, x0)
     x = _grid(x0, x_max)
+    steps = x.size - 1
+    x = np.append(x, np.full(-steps % _BLOCK, x_max))
     h = np.diff(x)
     g = x[:-1, None] + h[:, None] * _GAUSS
     v = g * g + alpha / (g * g)
     d = math.sqrt(3.0) / 12.0 * h * h * (v[:, 0] - v[:, 1])
     hv = h * (v[:, 0] + v[:, 1]) / 2.0
-    ys = np.empty((_CHUNK + 1, 2, eps_arr.size))  # a chunk's states, after the one it starts from
-    ys[0] = start
+    span = _BLOCK * max(1, _SPAN // (_BLOCK * eps_arr.size))
     counts = np.zeros(eps_arr.size, dtype=np.intp)
     log_scale = np.zeros(eps_arr.size)
-    for k0 in range(0, h.size, _CHUNK):
-        rows = slice(k0, k0 + _CHUNK)
+    for k0 in range(0, h.size, span):
+        rows = slice(k0, k0 + span)
         c = hv[rows, None] - np.multiply.outer(2.0 * h[rows], eps_arr)
         with np.errstate(over="ignore", invalid="ignore"):  # the state check raises
             cosh, sinhc = _cosh_sinhc(c * h[rows, None] + (d[rows] ** 2)[:, None])
-        sd = sinhc * d[rows, None]
-        prop = np.stack((cosh + sd, sinhc * h[rows, None], sinhc * c, cosh - sd), axis=1)
-        for k, step in enumerate(prop.reshape(-1, 2, 2, c.shape[1]), 1):
-            y = np.einsum("ijm,jm->im", step, ys[k - 1], out=ys[k])
-            # the sum of squares is a cheap bound on every member's peak
-            if not np.vdot(y, y) <= _RENORM_LIMIT**2:
-                if not np.all(np.isfinite(y)):
-                    raise NonConvergence(f"integrator state is not finite at x = {x[k0 + k]:.6g}")
-                mag = np.abs(y).max(axis=0)
-                big = mag > _RENORM_LIMIT
-                y *= np.where(big, 1.0 / mag, 1.0)
-                log_scale += np.where(big, np.log(mag), 0.0)
-        sign = np.signbit(ys[: k + 1, 0])
+            sd = sinhc * d[rows, None]
+            prop = np.stack((cosh + sd, sinhc * h[rows, None], sinhc * c, cosh - sd), axis=1)
+            # tree[j][b, s]: the product over segment s, 2^j steps long, of block b
+            tree = [prop.reshape(-1, _BLOCK, 2, 2, eps_arr.size)]
+            while tree[-1].shape[1] > 1:
+                p = tree[-1]
+                tree.append(np.einsum("bsijm,bsjkm->bsikm", p[:, 1::2], p[:, 0::2]))
+            before = np.empty((len(tree[0]), _BLOCK, 2, eps_arr.size))  # the state before each step
+            for b, block in enumerate(tree[-1][:, 0]):
+                before[b, 0] = y
+                y = np.einsum("ijm,jm->im", block, y)
+                # the sum of squares is a cheap bound on every member's peak
+                if not np.vdot(y, y) <= _RENORM_LIMIT**2:
+                    if not np.all(np.isfinite(y)):
+                        at = x[k0 + (b + 1) * _BLOCK]
+                        raise NonConvergence(f"integrator state is not finite at x = {at:.6g}")
+                    mag = np.abs(y).max(axis=0)
+                    big = mag > _RENORM_LIMIT
+                    y *= np.where(big, 1.0 / mag, 1.0)
+                    log_scale += np.where(big, np.log(mag), 0.0)
+            for p in tree[-2::-1]:  # a right half starts at the left half's product times its start
+                seg = before.reshape(len(p), -1, 2, _BLOCK // p.shape[1], 2, eps_arr.size)
+                np.einsum("bsijm,bsjm->bsim", p[:, 0::2], seg[:, :, 0, 0], out=seg[:, :, 1, 0])
+        sign = np.signbit(np.concatenate((before[:, :, 0].reshape(-1, eps_arr.size), y[:1])))
         counts += np.count_nonzero(sign[1:] != sign[:-1], axis=0)
-        ys[0] = ys[k]
-    return counts, ys[0, 0].copy(), log_scale, h.size
+    return counts, y[0].copy(), log_scale, steps
 
 
 def _polynomial_roots(

@@ -472,6 +472,73 @@ class TestNodeCounts:
         assert steps == 1477 and counts[-1] == 150
         assert peak <= 16e6
 
+    @pytest.mark.parametrize("renorm_limit", [oracle._RENORM_LIMIT, 1e3])
+    @pytest.mark.parametrize(
+        "alpha, width, padded",
+        [(-0.2, 12.0, True), (2.0, 12.3, False), (7.9, 12.0, True), (3e5, 12.1, False)],
+    )
+    def test_blocks_step_like_single_steps(self, alpha, width, padded, renorm_limit, monkeypatch):
+        # a block of 1 steps one at a time; 16-step blocks give the same
+        # node counts and steps, and psi(x_max) e^(log_scale) to rounding
+        monkeypatch.setattr(oracle, "_RENORM_LIMIT", renorm_limit)
+        start = oracle._window(alpha, 0)[0]
+        eps = np.linspace(start + 0.3, start + width, 40)
+        box = _box(alpha, eps[-1])
+        counts, psi, log_scale, steps = _magnus_count_nodes(alpha, eps, box)
+        assert (steps % oracle._BLOCK != 0) == padded
+        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        counts_1, psi_1, log_scale_1, steps_1 = _magnus_count_nodes(alpha, eps, box)
+        assert steps_1 == steps
+        np.testing.assert_array_equal(counts_1, counts)
+        # compared in logs, as at alpha = 3e5 the product overflows: 1e-12
+        # relative, plus the rounding of a log_scale summed over up to
+        # hundreds of renormalizations (2.0e-12 at 3e5 with a limit of 1e3)
+        np.testing.assert_array_equal(np.sign(psi_1), np.sign(psi))
+        log_1 = np.log(np.abs(psi_1)) + log_scale_1
+        log_16 = np.log(np.abs(psi)) + log_scale
+        np.testing.assert_allclose(log_1, log_16, rtol=100 * np.finfo(float).eps, atol=1e-12)
+
+    @pytest.mark.parametrize("span, row", [(0, 7), (1, 23)])
+    def test_nan_propagator_inside_a_block_raises(self, span, row, monkeypatch):
+        # one NaN propagator in the middle of a block, in the first span or
+        # a later one, stops the pass at the state check with no warning:
+        # the sign of a NaN is never counted
+        cosh_sinhc = oracle._cosh_sinhc
+        spans = []
+
+        def one_nan(z):
+            cosh, sinhc = cosh_sinhc(z)
+            if len(spans) == span:
+                sinhc[row, 1] = math.nan
+            spans.append(len(z))
+            return cosh, sinhc
+
+        monkeypatch.setattr(oracle, "_cosh_sinhc", one_nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="not finite"):
+                _magnus_count_nodes(2.0, np.linspace(1.5, 19.0, 181), _box(2.0, 19.0))
+        assert len(spans) == span + 1
+
+    def test_einsum_calls_are_a_fraction_of_the_steps(self, monkeypatch):
+        # blocks of 16 steps: one serial product per block, not per step,
+        # and batched products over every block of a span
+        class NumpySpy:
+            einsum_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def einsum(self, *args, **kwargs):
+                self.einsum_calls += 1
+                return np.einsum(*args, **kwargs)
+
+        spy = NumpySpy()
+        monkeypatch.setattr(oracle, "np", spy)
+        res = shoot_spectrum(2.0, 8)
+        assert res.steps == 1084
+        assert spy.einsum_calls <= res.steps / 4
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
     def test_nonfinite_energy_raises(self, eps):
         # the series check at the start turns the energy away, silently

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from singosc import quad
 from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
+from singosc.model import Parity
 from singosc.quad import (
     IntegrabilityClass,
     _integrate_adaptive,
@@ -203,6 +204,18 @@ GRAM_ALPHAS = [-0.2499, -0.2, 0.0, 0.5, 7.9]
 REFERENCE_BOX = 12.0  # the references' own box: psi_11^2 past it is below 1e-28
 
 
+def _psi_closed_form(state, x):
+    """psi of a state at one x in plain floats, sharing no code with
+    EigenState.psi: N |x|^(beta+1) e^(-x^2/2) L_n^(beta+1/2)(x^2), times
+    sign(x) for an odd state, with L_n from its three-term recurrence."""
+    r, a = abs(x), state.beta + 0.5
+    lag_prev, lag = 0.0, 1.0
+    for k in range(state.n):
+        lag_prev, lag = lag, ((2 * k + 1 + a - r * r) * lag - (k + a) * lag_prev) / (k + 1)
+    sign = math.copysign(1.0, x) if state.parity is Parity.ODD else 1.0
+    return sign * state.norm_const * r ** (state.beta + 1.0) * math.exp(-0.5 * r * r) * lag
+
+
 def _quadpack(f, a, b):
     """An independent reference: one scipy QUADPACK integral at 1e-12."""
     import scipy.integrate
@@ -249,7 +262,9 @@ class TestGram:
                     if s1.parity is not s2.parity:
                         assert g[i, j] == 0.0
                         continue
-                    ref = _quadpack(lambda x: s1.psi(x) * s2.psi(x), 0.0, REFERENCE_BOX)
+                    ref = _quadpack(
+                        lambda x: _psi_closed_form(s1, x) * _psi_closed_form(s2, x), 0.0, REFERENCE_BOX
+                    )
                     assert abs(g[i, j] - factor * ref) <= 1e-12, (i, j)
 
     def test_one_psi_call_per_state(self, monkeypatch):
