@@ -34,7 +34,8 @@ class SingularPointError(SingOscError):
 
 
 class DepthExceeded(SingOscError):
-    """Adaptive quadrature exhausted its refinement budget without converging."""
+    """A quadrature rule cannot resolve its integral: its 20- and 10-point
+    values disagree or are not finite, or it would need too many panels."""
 
 
 class PVDivergent(SingOscError):

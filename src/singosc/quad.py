@@ -2,34 +2,26 @@
 integrability classification, Gram matrices, matrix elements and
 overlaps of states.
 
-A principal value is folded about its pole into one ordinary integral of
-f(c+t) + f(c-t); when that integral fails the singularity is not odd and
-PVDivergent is raised.  It and the one-sided rest are QUADPACK calls
-(_integrate_adaptive), always with epsabs = epsrel = 1e-10 and 200
-subintervals; an infinite limit goes to QUADPACK as such, and any failure
-it reports (or a non-finite value) raises DepthExceeded.  QUADPACK serves
-only cauchy_pv; no closed-form quantity goes through it.
+Every integral runs on one composite Gauss-Legendre rule (_rule): uniform
+panels, the first split geometrically toward 0, [h r^(j+1), h r^j] with
+r = 0.15 (the innermost one reaching 0), which resolves an endpoint power
+there at an exponential rate (hp grading, Schwab, p- and hp-Finite Element
+Methods, 1998).  Each panel carries 20 points, and a 10-point copy of the
+same panels checks them: a gap above 1e-8 max(1, |value|), or a value
+that is not finite, raises the caller's error.
 
 Overlaps and matrix elements <psi_i|w|psi_j> of bound states, with w an
-even multiplication operator such as 1/(2 x^2), use one composite
-Gauss-Legendre rule whose box and panels follow the batch's top state,
-the one of largest energy eps_top.  The rule ends at model._box(alpha,
-eps_top) + 3, the oracles' box and 3 more (natural units), rounded up to
-a whole panel.  Its panels are h = 0.5 / m wide, m = max(1, ceil(k / 9))
-with k = sqrt(2 eps_top) the top state's largest wavenumber, so no panel
-spans more than 4.5 radians of it; every eps_top <= 40.5 keeps h = 0.5.
-Toward the origin the first panel [0, h] is split geometrically,
-[h r^(j+1), h r^j] with r = 0.15 (the innermost one reaching 0), which
-resolves the endpoint power x^(2 beta + 2) of psi1 psi2 (x^(2 beta) with
-w = 1/x^2) at an exponential rate (hp grading, Schwab, p- and hp-Finite
-Element Methods, 1998).  Each panel carries 20 points, and a 10-point
-copy of the same panels estimates the error: a matrix whose two values
-differ by more than 1e-8 in some entry raises DepthExceeded, and so does
-a top state whose rule would need more than 10 000 panels.  A Gram
-matrix evaluates each state once, in one array call on all nodes of both
-rules.  Half-line inner products also ship a Gauss-Laguerre path in the
-y = x^2 variable, exact for the polynomial integrands of the bound
-states; it is the independent second route.
+even multiplication operator such as 1/(2 x^2), use the rule whose box and
+panels follow the batch's top state, of energy eps_top: it ends at
+model._box(alpha, eps_top) + 3, the oracles' box and 3 more, rounded up to
+a whole panel, on panels h = 0.5 / m wide, m = max(1, ceil(k / 9)) with
+k = sqrt(2 eps_top), so no panel spans more than 4.5 radians of the top
+state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
+DepthExceeded, and so does a rule that would need more than 10 000
+panels.  Half-line inner products also ship a Gauss-Laguerre path in
+y = x^2, exact for the bound states' polynomial integrands: the
+independent second route.  Principal values (cauchy_pv) run on the same
+rule; f must take arrays, and the limits must be finite.
 """
 
 from __future__ import annotations
@@ -47,17 +39,13 @@ from .model import Domain, Parity, _box
 if TYPE_CHECKING:
     from .spectrum import EigenState
 
-# QUADPACK's absolute and relative tolerance, and its subinterval budget
-_QUAD_TOL, _QUAD_LIMIT = 1e-10, 200
-
-# The composite Gauss-Legendre rule of overlaps: panels _WIDTH_MAX / m wide,
-# m = max(1, ceil(k / _K_PER_SPLIT)) for the top state's wavenumber k, out
-# to _box + _GRAM_TAIL, at most _MAX_PANELS of them; the first split into
-# _GEOM_LEVELS geometric panels of ratio _GEOM_RATIO; _Q_FINE points per
-# panel, and _Q_COARSE for the error estimate, which may reach _GRAM_GAP_TOL
+# The composite rule: panels at most _WIDTH_MAX wide (_WIDTH_MAX / m for overlaps,
+# m = max(1, ceil(k / _K_PER_SPLIT)) for the top wavenumber k, out to _box +
+# _GRAM_TAIL), at most _MAX_PANELS, the first split into _GEOM_LEVELS panels of
+# ratio _GEOM_RATIO; _Q_FINE points each, checked by _Q_COARSE to _GAP_TOL
 _WIDTH_MAX, _K_PER_SPLIT, _GRAM_TAIL, _MAX_PANELS = 0.5, 9.0, 3.0, 10_000
 _GEOM_RATIO, _GEOM_LEVELS = 0.15, 24
-_Q_FINE, _Q_COARSE, _GRAM_GAP_TOL = 20, 10, 1e-8
+_Q_FINE, _Q_COARSE, _GAP_TOL = 20, 10, 1e-8
 
 
 class IntegrabilityClass(enum.Enum):
@@ -65,51 +53,90 @@ class IntegrabilityClass(enum.Enum):
     NON_INTEGRABLE = "non_integrable"
 
 
-def _integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature of f on [a, b] (QAGS with endpoint extrapolation,
-    QAGI on an infinite interval).
+@functools.lru_cache(maxsize=64)
+def _rule(width: float, panels: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only nodes and weights of the composite rule on panels of the
+    given width up to panels x width, the first split geometrically: the
+    20-point rule's, then the 10-point rule's, and where they split.
 
-    Endpoint algebraic singularities are handled by the epsilon-algorithm
-    extrapolation of the underlying rule.  Raises DepthExceeded whenever
-    QUADPACK reports a failure (budget spent, roundoff, a divergent or
-    slowly convergent integral) or the value is not finite.
+    Cached, so the pairs of one batch share a few rules; built on first
+    use, as numpy.polynomial is not loaded with the package."""
+    from numpy.polynomial.legendre import leggauss
+
+    inner = width * _GEOM_RATIO ** np.arange(_GEOM_LEVELS - 1, -1, -1)
+    outer = width * np.arange(2, panels + 1)
+    edges = np.concatenate(([0.0], inner, outer))
+    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2.0
+    nodes, weights = [], []
+    for q in (_Q_FINE, _Q_COARSE):
+        t, w = leggauss(q)
+        nodes.append((lo + half * (t + 1.0)).ravel())
+        weights.append((half * w).ravel())
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights, _Q_FINE * len(lo)
+
+
+def _check_gap(fine, coarse, error: type, what: str) -> None:
+    """Raise error unless the 10-point values lie within _GAP_TOL max(1, |v|)
+    of the 20-point ones, v the largest of those, and both are finite."""
+    gap = float(np.abs(fine - coarse).max())
+    # a gap within _GAP_TOL passes at any scale >= 1: only a wider one needs v
+    scale = 1.0 if gap <= _GAP_TOL else float(np.abs(fine).max())
+    if not gap <= _GAP_TOL * scale < math.inf:
+        rules = f"the {_Q_FINE}- and {_Q_COARSE}-point rules"
+        raise error(f"{what}: {rules} differ by {gap:.2e} > {_GAP_TOL:.0e} x {max(scale, 1.0):.3g}")
+
+
+def _integral(g: Callable, length: float, anchor: float, error: type, what: str) -> float:
+    """int_0^length g(t) dt on _rule(1, P) scaled to [0, length], graded
+    toward t = 0, P = min(_MAX_PANELS, max(1, ceil(length / _WIDTH_MAX))).
+
+    Nodes are rounded to (anchor + t) - anchor, so anchor +- t are exact and
+    a fold about anchor stays symmetric; those that round to 0 are dropped,
+    so g never sees t = 0.  Returns the 20-point value; raises as _check_gap.
     """
-    import scipy.integrate  # loaded on first use, not with the package
-
-    out = scipy.integrate.quad(
-        f, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT, full_output=1
-    )
-    value = out[0]
-    if len(out) > 3 or not math.isfinite(value):
-        reason = out[3] if len(out) > 3 else "the value is not finite"
-        raise DepthExceeded(
-            f"quadrature on [{a}, {b}] failed: estimate {value}, error {out[1]}: {reason}"
-        )
-    return value
+    panels = min(_MAX_PANELS, max(1, math.ceil(length / _WIDTH_MAX)))
+    nodes, weights, split = _rule(1.0, panels)
+    scale = length / panels
+    t = (anchor + scale * nodes) - anchor
+    kept = t > 0.0
+    terms = scale * weights[kept] * g(t[kept])
+    cut = np.count_nonzero(kept[:split])
+    fine, coarse = terms[:cut].sum(), terms[cut:].sum()
+    _check_gap(fine, coarse, error, what)
+    return float(fine)
 
 
-def cauchy_pv(f: Callable[[float], float], a: float, b: float, c: float) -> float:
-    """Cauchy principal value of f over [a, b] with singular point c.
+def cauchy_pv(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, c: float) -> float:
+    """Cauchy principal value of f, which takes arrays, over the finite
+    interval [a, b] with singular point c.
 
     Folds the symmetric part about the pole: with d = min(c - a, b - c),
     PV int_{c-d}^{c+d} f = int_0^d [f(c+t) + f(c-t)] dt, an ordinary
     integral that cancels the odd part of the singularity (Davis &
-    Rabinowitz, Methods of Numerical Integration).  The one-sided rest of
-    [a, b] is added as a plain integral.  Raises PVDivergent when the
-    folded integral fails, as for an even singularity like 1/x^2.
+    Rabinowitz, Methods of Numerical Integration); PVDivergent when it
+    fails, as for an even 1/x^2.  The one-sided rest of [a, b] is added
+    as int_0^{ln(rest/d)} f(c +- d e^u) d e^u du, on panels that grow
+    geometrically in x; DepthExceeded when it fails, as for a singularity
+    at a or b or fast oscillation far from the pole (cos(x)/x on
+    [-1, 50]), which no caller needs.  An infinite limit raises
+    ParameterError.
     """
-    if not a < c < b:
-        raise ParameterError(f"need a < c < b, got a = {a}, c = {c}, b = {b}")
+    if not -math.inf < a < c < b < math.inf:
+        raise ParameterError(f"need finite a < c < b, got a = {a}, c = {c}, b = {b}")
     left, right = c - a, b - c
     d = min(left, right)
-    try:
-        value = _integrate_adaptive(lambda t: f(c + t) + f(c - t), 0.0, d)
-    except DepthExceeded as exc:
-        raise PVDivergent(f"principal value at x = {c} diverges: {exc}") from exc
-    if left > d:
-        value += _integrate_adaptive(f, a, c - d)
-    if right > d:
-        value += _integrate_adaptive(f, c + d, b)
+    value = _integral(lambda t: f(c + t) + f(c - t), d, c, PVDivergent, f"the PV at {c}")
+    if left != right:
+        sign = 1.0 if right > left else -1.0
+
+        def rest(u: np.ndarray) -> np.ndarray:
+            x = d * np.exp(u)
+            return f(c + sign * x) * x
+
+        length = math.log(max(left, right) / d)
+        value += _integral(rest, length, 0.0, DepthExceeded, f"the rest of [{a}, {b}]")
     return value
 
 
@@ -141,32 +168,6 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
     return m, panels
 
 
-@functools.lru_cache(maxsize=64)
-def _gram_rule(m: int, panels: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read-only nodes and weights of the composite rule on panels of width
-    h = _WIDTH_MAX / m up to panels h, the first split geometrically: the
-    20-point rule's, then the 10-point rule's, and where they split.
-
-    Keyed on two integers, so pairs of one batch share a few rules.  Built
-    on first use: numpy.polynomial is not loaded with the package.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    h = _WIDTH_MAX / m
-    inner = h * _GEOM_RATIO ** np.arange(_GEOM_LEVELS - 1, -1, -1)
-    outer = h * np.arange(2, panels + 1)
-    edges = np.concatenate(([0.0], inner, outer))
-    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2.0
-    nodes, weights = [], []
-    for q in (_Q_FINE, _Q_COARSE):
-        t, w = leggauss(q)
-        nodes.append((lo + half * (t + 1.0)).ravel())
-        weights.append((half * w).ravel())
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights, _Q_FINE * len(lo)
-
-
 def gram(
     states: Sequence[EigenState],
     weight: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -185,14 +186,15 @@ def gram(
     the full line cross-parity entries are 0 exactly (odd integrand on a
     symmetric domain) and same-parity ones are twice the positive
     half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
-    differ by more than 1e-8 in some entry, as for a w psi_i psi_j that
-    is not integrable at the origin, or a value is not finite.
+    differ by more than 1e-8 max(1, |G|) in some entry, as for a w psi_i
+    psi_j that is not integrable at the origin, or a value is not finite.
     """
     if not states:
         raise ParameterError("a Gram matrix needs at least one state")
     for s in states[1:]:
         _check_compatible(states[0], s)
-    nodes, weights, split = _gram_rule(*_rule_size(states))
+    m, panels = _rule_size(states)
+    nodes, weights, split = _rule(_WIDTH_MAX / m, panels)
     if weight is not None:
         weights = weights * weight(nodes)
     psi = np.array([s.psi(nodes) for s in states])
@@ -208,12 +210,7 @@ def gram(
         same = even[:, None] == even[None, :]
         fine = np.where(same, 2.0 * fine, 0.0)
         coarse = np.where(same, 2.0 * coarse, 0.0)
-    gap = float(np.abs(fine - coarse).max())
-    if not gap <= _GRAM_GAP_TOL:
-        raise DepthExceeded(
-            f"Gram matrix of {len(states)} states: the {_Q_FINE}- and {_Q_COARSE}-point "
-            f"rules differ by {gap:.2e} > {_GRAM_GAP_TOL:.0e}"
-        )
+    _check_gap(fine, coarse, DepthExceeded, f"Gram matrix of {len(states)} states")
     return fine
 
 

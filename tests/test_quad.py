@@ -1,5 +1,4 @@
-"""Quadrature layer: principal values, the adaptive integral behind them,
-Gram matrices and overlaps."""
+"""Quadrature layer: principal values, Gram matrices and overlaps."""
 
 import math
 import warnings
@@ -14,7 +13,6 @@ from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDive
 from singosc.model import Parity
 from singosc.quad import (
     IntegrabilityClass,
-    _integrate_adaptive,
     cauchy_pv,
     gram,
     integrability_class,
@@ -22,41 +20,6 @@ from singosc.quad import (
     overlap_halfline_gauss,
 )
 from singosc.spectrum import EigenState, fullline_states, halfline_state
-
-
-class TestIntegrateAdaptive:
-    def test_integrable_endpoint_singularity(self):
-        val = _integrate_adaptive(lambda x: x**-0.5, 0.0, 1.0)
-        assert val == pytest.approx(2.0, rel=1e-10)
-
-    def test_gaussian_over_line(self):
-        val = _integrate_adaptive(lambda x: math.exp(-x * x), -np.inf, np.inf)
-        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-
-    def test_infinite_limits_go_to_quadpack(self):
-        # a slow 1/x^2 tail: truncating at x = 12 would give 2.975
-        val = _integrate_adaptive(lambda x: 1.0 / (1.0 + x * x), -np.inf, np.inf)
-        assert val == pytest.approx(math.pi, rel=1e-9)
-
-    def test_polynomial(self):
-        assert _integrate_adaptive(lambda x: 3 * x * x, 0.0, 2.0) == pytest.approx(8.0)
-
-    @pytest.mark.parametrize(
-        "f",
-        [
-            lambda x: 1.0 / x,
-            lambda x: x**-2,
-            lambda x: x**-1.5,
-            lambda x: math.nan,
-            lambda x: math.inf,
-        ],
-        ids=["inv_x", "inv_x2", "x_pow_-1.5", "nan", "inf"],
-    )
-    def test_nonintegrable_raises(self, f):
-        # QUADPACK extrapolates x^-2 and x^-1.5 to the finite values -1 and
-        # -2 with a small error estimate, but flags them divergent
-        with pytest.raises(DepthExceeded):
-            _integrate_adaptive(f, 0.0, 1.0)
 
 
 class TestCauchyPV:
@@ -86,7 +49,7 @@ class TestCauchyPV:
         # PV int_{-1}^{2} e^x/x dx = Ei(2) - Ei(-1)
         import scipy.special
 
-        val = cauchy_pv(lambda x: math.exp(x) / x, -1.0, 2.0, 0.0)
+        val = cauchy_pv(lambda x: np.exp(x) / x, -1.0, 2.0, 0.0)
         expected = scipy.special.expi(2.0) - scipy.special.expi(-1.0)
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -98,10 +61,43 @@ class TestCauchyPV:
         assert val == pytest.approx(2 * half_width**3 / 3, rel=1e-9)
 
     def test_divergent_infinite_tail_raises(self):
-        # the fold over [-1, 1] is 0; the rest, int_{-inf}^{-1} dx/x, diverges
-        # (truncated at x = 12 it would return -ln 12)
-        with pytest.raises(DepthExceeded):
+        # the rest, int_{-inf}^{-1} dx/x, diverges: an infinite limit is
+        # refused, never truncated (at x = 12 it would return -ln 12)
+        with pytest.raises(ParameterError):
             cauchy_pv(lambda x: 1.0 / x, -np.inf, 1.0, 0.0)
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-3, 1e3, -7.3])
+    @pytest.mark.parametrize(
+        "below, above, expected",
+        [(1.0, 1.0, 0.0), (0.3, 2.0, math.log(2.0 / 0.3)), (2.0, 0.3, math.log(0.3 / 2.0))],
+        ids=["symmetric", "rest_above", "rest_below"],
+    )
+    def test_shifted_poles(self, c, below, above, expected):
+        # the fold samples c +- t with t down to 1e-20: rounded to the
+        # spacing of c, the two sides stay exact negatives of each other
+        val = cauchy_pv(lambda x: 1.0 / (x - c), c - below, c + above, c)
+        assert abs(val - expected) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-12])
+    def test_pole_near_one_end(self, delta):
+        # the rest [delta, 1] runs in u = ln(x / delta); on panels in x the
+        # 20- and 10-point rules disagree for every delta <= 0.01
+        val = cauchy_pv(lambda x: 1.0 / x, -delta, 1.0, 0.0)
+        assert abs(val - math.log(1.0 / delta)) <= 1e-12
+
+    def test_long_rest(self):
+        assert cauchy_pv(lambda x: 1.0 / x, -1.0, 1e6, 0.0) == pytest.approx(
+            math.log(1e6), rel=1e-15
+        )
+
+    def test_singularity_at_an_end_raises(self):
+        # |2 - x|^-1.5 is not integrable at b = 2
+        with pytest.raises(DepthExceeded):
+            cauchy_pv(lambda x: 1.0 / x + np.abs(2.0 - x) ** -1.5, -1.0, 2.0, 0.0)
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(PVDivergent):
+            cauchy_pv(lambda x: np.full_like(x, np.nan), -1.0, 1.0, 0.0)
 
     def test_requires_interior_pole(self):
         with pytest.raises(ParameterError):
@@ -306,7 +302,7 @@ class TestGram:
         states = [halfline_state(0.5, n) for n in range(21)]
         assert quad._rule_size(states[:20]) == (1, 30)
         assert quad._rule_size(states) == (2, 61)
-        nodes, weights, split = quad._gram_rule(2, 61)
+        nodes, weights, split = quad._rule(0.25, 61)
         assert 0.0 < nodes.min() and nodes.max() < 15.25
         assert math.fsum(weights[:split]) == pytest.approx(15.25, rel=1e-15)
         assert math.fsum(weights[split:]) == pytest.approx(15.25, rel=1e-15)

@@ -155,3 +155,19 @@ def test_no_fixed_integration_box_is_left():
         if "X_MAX" in line
     ]
     assert hits == []
+
+
+def test_no_module_imports_scipy_integrate():
+    # every integral in the package runs on quad's one Gauss-Legendre rule
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            if any((n + ".").startswith("scipy.integrate.") for n in names):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
