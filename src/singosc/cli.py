@@ -255,10 +255,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite not in ("oracle", "all") and (args.alpha, args.tol) != (None, None):
-        raise SingOscError("--alpha and --tol apply to --suite oracle and all only")
+    if args.suite not in ("oracle", "all") and args.alpha is not None:
+        raise SingOscError("--alpha applies to --suite oracle and all only")
     names = verify_mod.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = verify_mod.run_suites(names, alpha=args.alpha, tol=args.tol)
+    reports = verify_mod.run_suites(names, alpha=args.alpha)
     ok = all(r.passed for r in reports)
     if args.format == "json":
         _write_json({"passed": ok, "suites": [r.to_dict() for r in reports]}, args.out)
@@ -333,9 +333,6 @@ def build_parser() -> Parser:
     p.add_argument("--alpha", type=float, default=None,
                    help="suites oracle and all: the one alpha sampled by the "
                         "oracle suite (default 0.5 and 2)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="suites oracle and all: the oracle suite's shooting "
-                        "tolerance, finite and > 0 (default 1e-4)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -1,13 +1,16 @@
 """Named verification suites behind `singosc verify`.
 
-Each suite re-derives one analytic claim numerically and reports
-PASS/FAIL per check with the measured number and its bound, so the CLI
-(and the test suite) can render or serialize them uniformly.
+Each suite reports PASS/FAIL per check with the measured number and its
+bound, so the CLI can render or serialize them uniformly.  Every check
+re-derives an analytic claim numerically except six that restate a
+closed form, each the report's only line for its claim: "beta_minus
+rejected" and "even ground state" until the finite-difference oracle
+runs both indicial branches, and the three "even/odd degenerate" lines
+and "alpha=0 combined spectrum" until a whole-line oracle measures them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -15,6 +18,8 @@ import numpy as np
 from . import oracle, quad, spectrum
 from .errors import ParameterError, SupercriticalError
 from .model import ALPHA_CRITICAL, Domain, Parity, admissible_beta, indicial_roots
+
+ORACLE_TOL_SHOOT, ORACLE_TOL_FD = 1e-4, 5e-3  # bounds on the largest relative level error
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,6 @@ def suite_hermiticity() -> SuiteReport:
         f"min |2 beta_minus| = {worst:.3f} (all < -1 classed non-integrable)",
         "NonIntegrable everywhere",
     )
-    flags_ok = all(indicial_roots(a).supercritical for a in (ALPHA_CRITICAL, -0.26, -1.0, -5.0))
-    flags_ok &= not any(indicial_roots(a).supercritical for a in (-0.249, -0.1, 0.0, 1.0))
-    rep.add(
-        "supercritical flag boundary",
-        flags_ok,
-        "flag true exactly for alpha <= -1/4 on samples",
-        f"alpha <= {ALPHA_CRITICAL}",
-    )
     raised = 0
     probes = 0
     for alpha in (ALPHA_CRITICAL, -0.3):
@@ -94,13 +91,6 @@ def suite_hermiticity() -> SuiteReport:
         f"{raised}/{probes} raised",
         "all",
     )
-    betas = [indicial_roots(float(a)).beta_plus for a in np.linspace(-0.249, 10.0, 60)]
-    rep.add(
-        "beta_plus strictly increasing",
-        bool(np.all(np.diff(betas) > 0)),
-        f"min increment {np.min(np.diff(betas)):.2e}",
-        "> 0",
-    )
     return rep
 
 
@@ -122,43 +112,26 @@ def suite_orthonormality() -> SuiteReport:
     return rep
 
 
-def _check_tol_shoot(tol_shoot: float) -> None:
-    """The shooting check cannot pass a NaN bound and cannot fail an
-    infinite one: ParameterError unless tol_shoot is finite and > 0."""
-    if not 0 < tol_shoot < math.inf:
-        raise ParameterError(f"the shooting tolerance must be finite and > 0, got {tol_shoot}")
-
-
-def suite_oracle(
-    alphas: tuple[float, ...] = (0.5, 2.0),
-    n_max: int = 3,
-    tol_shoot: float = 1e-4,
-) -> SuiteReport:
-    """Shooting and finite-difference eigenvalues vs the closed form.
-
-    Raises ParameterError unless tol_shoot is finite and > 0
-    (_check_tol_shoot).
-    """
-    _check_tol_shoot(tol_shoot)
+def suite_oracle(alphas: tuple[float, ...] = (0.5, 2.0), n_max: int = 3) -> SuiteReport:
+    """Shooting and finite-difference eigenvalues vs the closed form."""
     rep = SuiteReport("oracle")
-    tol_fd = 5e-3
     for alpha in alphas:
         table = spectrum.spectrum_table(alpha, n_max, Domain.HALF_LINE)
         shoot = oracle.shoot_spectrum(alpha, n_max)
-        r1 = oracle.compare(table, shoot, tol_shoot)
+        r1 = oracle.compare(table, shoot, ORACLE_TOL_SHOOT)
         rep.add(
             f"shooting alpha={alpha}",
             r1.passed,
             f"max rel err {r1.max_rel_error:.2e}",
-            f"<= {tol_shoot:.0e}",
+            f"<= {ORACLE_TOL_SHOOT:.0e}",
         )
         fd = oracle.fd_eigen(alpha, n_max + 1)
-        r2 = oracle.compare(table, fd, tol_fd)
+        r2 = oracle.compare(table, fd, ORACLE_TOL_FD)
         rep.add(
             f"finite-difference alpha={alpha}",
             r2.passed,
             f"max rel err {r2.max_rel_error:.2e}",
-            f"<= {tol_fd:.0e}",
+            f"<= {ORACLE_TOL_FD:.0e}",
         )
     return rep
 
@@ -206,14 +179,6 @@ def suite_perturbation() -> SuiteReport:
         repr(even),
         "Divergent",
     )
-    delta = 1e-8
-    fd_slope = (indicial_roots(delta).beta_plus - indicial_roots(0.0).beta_plus) / delta
-    rep.add(
-        "exact slope d beta_plus / d alpha at 0",
-        abs(fd_slope - 1.0) <= 1e-6,
-        f"finite difference {fd_slope:.9f}",
-        "1.0 +- 1e-6",
-    )
     return rep
 
 
@@ -227,14 +192,9 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suites(
-    names: tuple[str, ...],
-    alpha: float | None = None,
-    tol: float | None = None,
-) -> list[SuiteReport]:
-    """Run the named suites; alpha/tol override the oracle suite only.
-    The names, alpha (admissible_beta) and tol (_check_tol_shoot) are
-    checked before any suite runs."""
+def run_suites(names: tuple[str, ...], alpha: float | None = None) -> list[SuiteReport]:
+    """Run the named suites, alpha overriding the oracle suite's; the names
+    and alpha (admissible_beta) are checked before any suite runs."""
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ParameterError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
@@ -242,11 +202,4 @@ def run_suites(
     if alpha is not None:
         admissible_beta(alpha)
         overrides["alphas"] = (alpha,)
-    if tol is not None:
-        _check_tol_shoot(tol)
-        overrides["tol_shoot"] = tol
-    reports = []
-    for name in names:
-        suite = SUITES[name]
-        reports.append(suite(**overrides) if name == "oracle" else suite())
-    return reports
+    return [SUITES[name](**overrides) if name == "oracle" else SUITES[name]() for name in names]

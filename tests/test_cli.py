@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singosc import oracle, verify
+from singosc import oracle, quad, spectrum, verify
 from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, build_parser, emit_rows, main
 from singosc.errors import ParameterError
 from singosc.model import Domain, OscillatorSpec, potential_value
@@ -562,21 +563,20 @@ class TestVerifyCommand:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
-        assert main(["verify", "--suite", "oracle", "--tol", tol]) == 1
+    def test_tolerance_is_not_an_option(self, capsys):
+        # the oracle suite's bounds are constants; --tol is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "oracle", "--tol", "1e-4"])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("singosc: error: the shooting tolerance")
         assert captured.out == ""
+        assert captured.err.startswith("usage: singosc ")
+        assert "unrecognized arguments: --tol 1e-4" in captured.err
 
-    @pytest.mark.parametrize(
-        "flags, code",
-        [(["--tol", "nan"], 1), (["--tol", "0"], 1), (["--alpha", "nan"], 1),
-         (["--alpha", "-1"], 2)],
-    )
+    @pytest.mark.parametrize("flags, code", [(["--alpha", "nan"], 1), (["--alpha", "-1"], 2)])
     def test_bad_oracle_flags_rejected_before_any_suite(self, monkeypatch, capsys, flags, code):
         # --suite all would run hermiticity and orthonormality before the
-        # oracle suite; a bad --tol or --alpha must stop it before them
+        # oracle suite; a bad --alpha must stop it before them
         called = []
         for name in verify.SUITE_NAMES:
             monkeypatch.setitem(verify.SUITES, name, lambda *a, name=name, **k: called.append(name))
@@ -597,16 +597,47 @@ class TestVerifyCommand:
             verify.run_suites(names)
         assert called == []
 
+    # verify checks that restate a closed form, each the report's only line
+    # for a paper claim, by the ROADMAP item whose measurement replaces it
+    RESTATED = {
+        "beta_minus rejected on (-1/4,0)u(0,3/4)": 1,
+        "even ground state": 1,
+        "even/odd degenerate alpha=0.2": 4,
+        "even/odd degenerate alpha=0.5": 4,
+        "even/odd degenerate alpha=2.0": 4,
+        "alpha=0 combined spectrum": 4,
+    }
+
+    def test_only_the_restated_checks_survive_wrong_numerics(self, monkeypatch):
+        # every oracle level and every quadrature entry 1% off: a check
+        # that still passes computes none of them
+        def off(fn, scale):
+            return lambda *a, **k: scale(fn(*a, **k))
+
+        def levels(res):
+            return dataclasses.replace(res, eigenvalues=tuple(1.01 * e for e in res.eigenvalues))
+
+        for owner, name, scale in (
+            (oracle, "shoot_spectrum", levels),
+            (oracle, "fd_eigen", levels),
+            (quad, "gram", lambda g: 1.01 * g),
+            (spectrum, "gram", lambda g: 1.01 * g),
+        ):
+            monkeypatch.setattr(owner, name, off(getattr(owner, name), scale))
+        checks = [c for rep in verify.run_suites(verify.SUITE_NAMES) for c in rep.checks]
+        passed = {c.name for c in checks if c.passed}
+        # the gate check drives the entry points with supercritical alpha
+        assert passed == {"entry points raise SupercriticalError", *self.RESTATED}
+        assert len(checks) - len(passed) == 9  # 4 Gram, 4 oracle, odd slope
+
     @pytest.mark.parametrize(
         "suite", ["hermiticity", "orthonormality", "degeneracy", "perturbation"]
     )
-    @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--tol", "1"]])
+    @pytest.mark.parametrize("flags", [["--alpha", "2"]])
     def test_oracle_flags_rejected_by_other_suites(self, capsys, suite, flags):
         assert main(["verify", "--suite", suite, *flags]) == 1
         captured = capsys.readouterr()
-        assert captured.err == (
-            "singosc: error: --alpha and --tol apply to --suite oracle and all only\n"
-        )
+        assert captured.err == "singosc: error: --alpha applies to --suite oracle and all only\n"
         assert captured.out == ""
 
     @given(st.floats())

@@ -5,6 +5,7 @@ must still run.  Two static checks catch what a deletion leaves behind: an
 import the module no longer uses, and a private module-level name that
 nothing references."""
 
+import argparse
 import ast
 import importlib.util
 import pathlib
@@ -13,6 +14,7 @@ import shlex
 
 import pytest
 
+from singosc.cli import build_parser
 from singosc.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -52,6 +54,29 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `--out` examples write here
     assert cli_main(shlex.split(line, comments=True)[1:]) == 0, capsys.readouterr().err
+
+
+# every option of every subcommand, 39 in all: numerical settings are
+# constants, not caller options, so a new knob edits this list in plain sight
+UNITS = ["format", "out", "mass", "omega", "hbar"]
+CLI_OPTIONS = {
+    "spectrum": ["alpha", "n_max", "domain", "beta_branch", *UNITS],
+    "wavefunction": ["alpha", "n", "domain", "parity", "beta_branch",
+                     "xi_min", "xi_max", "xi_points", *UNITS],
+    "figure": ["id", "alpha_points", "format", "out"],
+    "verify": ["suite", "alpha", "format", "out"],
+    "radial": ["alpha", "l", "n_max", "beta_branch", *UNITS],
+}
+
+
+def test_cli_option_budget():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        command: [a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        for command, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 39
 
 
 def parse(path):
