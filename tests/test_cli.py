@@ -573,7 +573,13 @@ class TestVerifyCommand:
         assert captured.err.startswith("usage: singosc ")
         assert "unrecognized arguments: --tol 1e-4" in captured.err
 
-    @pytest.mark.parametrize("flags, code", [(["--alpha", "nan"], 1), (["--alpha", "-1"], 2)])
+    # the ids are the ones these two cases ran under while two --tol cases
+    # came first in the list
+    @pytest.mark.parametrize(
+        "flags, code",
+        [(["--alpha", "nan"], 1), (["--alpha", "-1"], 2)],
+        ids=["flags2-1", "flags3-2"],
+    )
     def test_bad_oracle_flags_rejected_before_any_suite(self, monkeypatch, capsys, flags, code):
         # --suite all would run hermiticity and orthonormality before the
         # oracle suite; a bad --alpha must stop it before them
