@@ -16,8 +16,10 @@ grid runs to ln _box in steps of min(_H_LOG, _PHASE / kappa), where kappa
 Scaled by the square root of the mass weights on both sides this is a
 graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
 explicit absolute tolerance (bisection is accurate on graded matrices,
-Barlow & Demmel 1990; its default tolerance, eps |T|, is not); Richardson
-extrapolation in the step removes the h^2 error.
+Barlow & Demmel 1990; its default tolerance, eps |T|, is not) over the
+window's values, mu in (0, 2 top], not by index, which first brackets the
+levels in the Gershgorin interval, ~1e16 wide from row 0's e^(-2 s_min);
+Richardson extrapolation in the step removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
 of energies over one fixed grid with the 4th-order Magnus propagator of
@@ -124,13 +126,18 @@ def _fd_eigenvalues(alpha: float, s_min: float, s_max: float, n: int, k: int) ->
     diag[0] += 2.0 * nu / h * math.exp(-2.0 * s_min)
     off = -np.exp(-(s[:-1] + s[1:])) / h**2
     off[0] *= math.sqrt(2.0)
+    # by value over the window: by index, most Sturm sweeps go into bracketing the levels
+    # inside the Gershgorin bound; mu > 0 as 2 nu / h >= 0 and nu^2 + e^4s > 0 (SPD matrix)
+    top = _window(alpha, k - 1)[1]
     try:
         mu = scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz", tol=_STEBZ_TOL
+            diag, off, select="v", select_range=(0, 2 * top), lapack_driver="stebz", tol=_STEBZ_TOL
         )
     except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
         raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
-    return mu / 2.0
+    if mu.size < k:  # the grid's levels run out below the top: the box truncates it
+        raise ConvergenceError(f"finite-difference level {k - 1} lies above {top:.6g}")
+    return mu[:k] / 2.0  # a coarse grid's low levels may leave more than k
 
 
 def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, int, float]:
@@ -292,6 +299,13 @@ def _magnus_count_nodes(
     d = math.sqrt(3.0) / 12.0 * h * h * (v[:, 0] - v[:, 1])
     hv = h * (v[:, 0] + v[:, 1]) / 2.0
     span = _BLOCK * max(1, _SPAN // (_BLOCK * eps_arr.size))
+    # one buffer per call for the spans' propagators, products and states
+    blocks = min(span, h.size) // _BLOCK
+    prop = np.empty((blocks * _BLOCK, 4, eps_arr.size))
+    products = [
+        np.empty((blocks, _BLOCK >> j, 2, 2, eps_arr.size)) for j in range(1, _BLOCK.bit_length())
+    ]
+    states = np.empty((blocks, _BLOCK, 2, eps_arr.size))
     counts = np.zeros(eps_arr.size, dtype=np.intp)
     log_scale = np.zeros(eps_arr.size)
     for k0 in range(0, h.size, span):
@@ -300,13 +314,17 @@ def _magnus_count_nodes(
         with np.errstate(over="ignore", invalid="ignore"):  # the state check raises
             cosh, sinhc = _cosh_sinhc(c * h[rows, None] + (d[rows] ** 2)[:, None])
             sd = sinhc * d[rows, None]
-            prop = np.stack((cosh + sd, sinhc * h[rows, None], sinhc * c, cosh - sd), axis=1)
+            p = prop[:len(c)]
+            np.add(cosh, sd, out=p[:, 0])
+            np.multiply(sinhc, h[rows, None], out=p[:, 1])
+            np.multiply(sinhc, c, out=p[:, 2])
+            np.subtract(cosh, sd, out=p[:, 3])
             # tree[j][b, s]: the product over segment s, 2^j steps long, of block b
-            tree = [prop.reshape(-1, _BLOCK, 2, 2, eps_arr.size)]
-            while tree[-1].shape[1] > 1:
+            tree = [p.reshape(-1, _BLOCK, 2, 2, eps_arr.size)]
+            for q in products:
                 p = tree[-1]
-                tree.append(np.einsum("bsijm,bsjkm->bsikm", p[:, 1::2], p[:, 0::2]))
-            before = np.empty((len(tree[0]), _BLOCK, 2, eps_arr.size))  # the state before each step
+                tree.append(np.einsum("bsijm,bsjkm->bsikm", p[:, 1::2], p[:, 0::2], out=q[:len(p)]))
+            before = states[:len(tree[0])]  # the state before each step
             for b, block in enumerate(tree[-1][:, 0]):
                 before[b, 0] = y
                 y = np.einsum("ijm,jm->im", block, y)

@@ -131,10 +131,47 @@ class TestFiniteDifference:
         assert max_error_over_residual(alpha, k - 1, res) <= 1.0
 
     def test_residual_past_a_level_raises(self):
-        # the inner end at x = 1: its term 3 e^(2 s_min) max|eps| passes the
-        # ground level
+        # the inner end at x = e^-1: its term 3 e^(2 s_min) max|eps| = 2.66
+        # passes the ground level 2.50, while the levels stay in the window
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            _fd_result(*_richardson(2.0, 0.0, 3))
+            _fd_result(*_richardson(2.0, -1.0, 3))
+
+    def test_inner_end_past_the_window_raises(self):
+        # the inner end at x = 1 pushes level 2 above the window's top 7.414
+        with pytest.raises(ConvergenceError, match="lies above"):
+            _richardson(2.0, 0.0, 3)
+
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(a, k) for a in (-0.2499, -0.2, 0.0, 0.5, 2.0, 7.9, 157.3, 1e4, 1e5) for k in (1, 5, 9)]
+        + [(45.96, 41)],  # its coarse grid holds k + 1 levels below the top
+    )
+    def test_window_bisection_matches_index_bisection(self, alpha, k, monkeypatch):
+        # every matrix the oracle bisects over (0, 2 top] gives the lowest k
+        # levels that bisection by index gives, within twice the tolerance
+        import scipy.linalg
+
+        calls = []
+        solve = scipy.linalg.eigvalsh_tridiagonal
+
+        def spy(diag, off, **kwargs):
+            mu = solve(diag, off, **kwargs)
+            calls.append((diag, off, kwargs, mu))
+            return mu
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+        fd_eigen(alpha, k)
+        top = oracle._window(alpha, k - 1)[1]
+        assert len(calls) == 2
+        for diag, off, kwargs, mu in calls:
+            assert kwargs["select"] == "v" and kwargs["select_range"] == (0, 2 * top)
+            by_index = solve(
+                diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz",
+                tol=oracle._STEBZ_TOL,
+            )
+            assert np.max(np.abs(mu[:k] - by_index)) <= 2 * oracle._STEBZ_TOL
+        if (alpha, k) == (45.96, 41):  # the fine grid, then the coarse one
+            assert [mu.size for *_, mu in calls] == [k, k + 1]
 
     def test_step_follows_the_top_levels_wavenumber(self, monkeypatch):
         # the sweep's windows (kappa <= 21) keep the step _H_LOG; at k = 41
