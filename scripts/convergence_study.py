@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Study the inner end s_min of the finite-difference log grid.
 
-The log grid s = ln x starts at s_min, where the Frobenius condition
-u' = nu u, nu = beta_plus + 1/2, stands in for the regular solution
-u ~ e^(nu s).  What that condition misses moves the levels by about
-e^((2 + 2 nu) s_min) relative, e^(2 s_min) as nu -> 0.  This script
-tabulates the step-extrapolated ground level of the grid at each s_min,
-its error against the closed-form energy and the local slope
-ln(err_1 / err_2) / (s_1 - s_2) between neighbouring rows (about 2 near
-alpha = -1/4, until the step error of about 1e-8 takes over), then the
-level fd_eigen returns from s_min = _S_MIN.  This is the calibration
-behind its inner end; the outer end and the step follow the window of
-the requested levels, as shooting's box does.
+The log grid s = ln x starts at s_min, where the two-term Frobenius
+condition u'/u = kappa0 - mu e^(2 s_min) / (2 (1 + nu)), nu = beta_plus +
+1/2 and kappa0 the 3-point stencil's exact exponent for nu, stands in for
+the regular solution u ~ e^(nu s) (1 + a_1 e^(2s)).  What that condition
+misses moves a level eps by order e^(4 s_min) eps^2; the ground level's
+u = e^(nu s - e^(2s) / 2) meets it exactly.  This script tabulates the
+step-extrapolated ground level of the grid at each s_min, its error
+against the closed-form energy and the local slope ln(err_1 / err_2) /
+(s_1 - s_2) between neighbouring rows (about 0 from s_min = -3 on, where
+the step error of about 5e-9 near alpha = -1/4 is all that is left; the
+one-term condition u' = nu u gave slope 2 there down to s_min ~ -10),
+then the level fd_eigen returns from s_min = _S_MIN.  The outer end and
+the step follow the window of the requested levels, as shooting's box
+does.
 
 Usage: python scripts/convergence_study.py [--alpha -0.2] [--s-min -3 -4 ...]
 """

@@ -8,9 +8,11 @@ stop a few decay lengths past the outer turning point of its top
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
-mu e^(2s) u.  Near x = 0 the regular solution is u ~ e^(nu s), so the
-inner end s_min = _S_MIN carries the Frobenius condition u' = nu u, which
-moves the levels by about e^(2 s_min) relative (less as nu grows).  The
+mu e^(2s) u.  Near x = 0 the regular solution is u ~ e^(nu s) (1 + a_1
+e^(2s)), a_1 = -eps / (2 beta + 3), so the inner end s_min = _S_MIN
+carries the two-term Frobenius condition u'/u = kappa0 - mu c, c =
+e^(2 s_min) / (2 (1 + nu)), with kappa0 the 3-point stencil's exact
+exponent for nu; what it misses is of order e^(4 s_min) eps^2.  The
 grid runs to ln _box in steps of min(_H_LOG, _PHASE / kappa), where kappa
 = sqrt(top^2 - nu^2) is the top's largest wavenumber in s (Pryce 1993).
 Scaled by the square root of the mass weights on both sides this is a
@@ -18,8 +20,8 @@ graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
 explicit absolute tolerance (bisection is accurate on graded matrices,
 Barlow & Demmel 1990; its default tolerance, eps |T|, is not) over the
 window's values, mu in (0, 2 top], not by index, which first brackets the
-levels in the Gershgorin interval, ~1e16 wide from row 0's e^(-2 s_min);
-Richardson extrapolation in the step removes the h^2 error.
+levels in the Gershgorin interval, ~1e9 wide from the inner end's e^(-2
+s_min) / h^2; Richardson extrapolation in the step removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
 of energies over one fixed grid with the 4th-order Magnus propagator of
@@ -79,7 +81,7 @@ _POLYNOMIAL = np.linalg.inv(np.vander(np.arange(8.0), increasing=True))
 # top level's oscillation a step may span, the absolute bisection tolerance,
 # the inner end of the log grid (scripts/convergence_study.py tabulates the
 # levels against it) and the most rows of the fine grid
-_H_LOG, _PHASE, _STEBZ_TOL, _S_MIN, _MAX_ROWS = 0.02, 0.42, 1e-13, -15.0, 30_000
+_H_LOG, _PHASE, _STEBZ_TOL, _S_MIN, _MAX_ROWS = 0.02, 0.42, 1e-13, -6.0, 30_000
 
 
 class OracleMethod(enum.Enum):
@@ -115,19 +117,28 @@ def _fd_eigenvalues(alpha: float, s_min: float, s_max: float, n: int, k: int) ->
     import scipy.linalg
 
     # nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at s_max;
-    # the Frobenius condition u' = nu u at s_0 gives the ghost node
-    # u_-1 = u_1 - 2 h nu u_0, and halving row 0 keeps the matrix
-    # symmetric; -u'' + (nu^2 + e^4s) u = mu e^2s u is then scaled by the
-    # inverse square root of the mass weights (1/2, 1, ..., 1) e^2s
+    # -u'' + (nu^2 + e^4s) u = mu e^2s u is scaled by the inverse square
+    # root of the mass weights e^2s
     nu = admissible_beta(alpha) + 0.5
     h = (s_max - s_min) / (n + 1)
     s = s_min + h * np.arange(n + 1)
     diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
-    diag[0] += 2.0 * nu / h * math.exp(-2.0 * s_min)
     off = -np.exp(-(s[:-1] + s[1:])) / h**2
-    off[0] *= math.sqrt(2.0)
+    # row 0: the two-term Frobenius condition u'/u = kappa0 - mu c at s_0,
+    # from u = e^(nu s) (1 + a_1 e^2s), a_1 = -eps / (2 beta + 3), gives the
+    # ghost node u_-1 = u_1 - 2 h (kappa0 - mu c) u_0; halving row 0 keeps
+    # the matrix symmetric and moves the mu c term into node 0's mass.
+    # kappa0 = sinh(nu~ h) / h = nu sqrt(1 + h^2 nu^2 / 4), where cosh(nu~
+    # h) = 1 + h^2 nu^2 / 2, so e^(nu~ s) solves the rows exactly where
+    # e^4s is negligible; with c = 0 and kappa0 = nu this is the one-term
+    # condition u' = nu u
+    kappa0 = nu * math.sqrt(1.0 + (0.5 * h * nu) ** 2)
+    c = math.exp(2.0 * s_min) / (2.0 * (1.0 + nu))
+    m0 = 0.5 * math.exp(2.0 * s_min) + c / h
+    diag[0] = (1.0 / h**2 + kappa0 / h + 0.5 * (alpha + 0.25 + math.exp(4.0 * s_min))) / m0
+    off[0] = -1.0 / (h**2 * math.sqrt(m0 * math.exp(2.0 * s[1])))
     # by value over the window: by index, most Sturm sweeps go into bracketing the levels
-    # inside the Gershgorin bound; mu > 0 as 2 nu / h >= 0 and nu^2 + e^4s > 0 (SPD matrix)
+    # inside the Gershgorin bound; mu > 0 as kappa0 >= 0, m0 > 0 and nu^2 + e^4s > 0 (SPD)
     top = _window(alpha, k - 1)[1]
     try:
         mu = scipy.linalg.eigvalsh_tridiagonal(
@@ -144,7 +155,8 @@ def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, 
     """Levels of the log grid from s_min to ln _box(top) of the k levels'
     window and of the grid of twice its step, combined to cancel the h^2
     error; the residual estimate, the fine grid's error (which bounds the
-    combination's) plus 3 e^(2 s_min) max|eps| for the inner end; rows; top.
+    combination's) plus 3 e^(4 s_min) eps_top^2, eps_top the top level,
+    for what the two-term inner condition misses; rows; top.
     ParameterError unless k is an integer >= 1, the window's top passes nu
     and the grid fits _MAX_ROWS."""
     admissible_beta(alpha)
@@ -163,7 +175,7 @@ def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, 
     fine, coarse = (_fd_eigenvalues(alpha, s_min, s_max, j, int(k)) for j in (n, m))
     shift = (fine - coarse) / (((n + 1) / (m + 1)) ** 2 - 1)
     levels = fine + shift
-    inner = 3.0 * math.exp(2.0 * s_min) * float(np.max(np.abs(levels)))
+    inner = 3.0 * math.exp(4.0 * s_min) * float(np.max(np.abs(levels))) ** 2
     return levels, float(np.max(np.abs(shift))) + inner, n + m + 2, top
 
 
@@ -178,10 +190,10 @@ def _fd_result(levels: np.ndarray, residual: float, rows: int, top: float) -> Or
 
 def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     """Lowest k eigenvalues by finite differences on the log grid from
-    s_min = _S_MIN, with the Frobenius condition there, to _box of their
-    _window.  The residual estimate bounds the error (_richardson);
-    ConvergenceError when it reaches a level or the top level lies above
-    the window, where the box truncates it."""
+    s_min = _S_MIN, with the two-term Frobenius condition there, to _box
+    of their _window.  The residual estimate bounds the error
+    (_richardson); ConvergenceError when it reaches a level or the top
+    level lies above the window, where the box truncates it."""
     t0 = time.perf_counter()
     res = _fd_result(*_richardson(alpha, _S_MIN, k))
     return replace(res, seconds=time.perf_counter() - t0)

@@ -59,6 +59,16 @@ def max_error_over_residual(alpha, n_max, res):
     return np.max(np.abs(np.array(res.eigenvalues) - want)) / res.residual_estimate
 
 
+def shared_node_levels(alpha, k, s_min):
+    """FD levels at h = 0.02, no Richardson, from s_min to the first node
+    of the grid from -6 past ln _box of the window's top: the grids from
+    -6 and from -15 share their nodes."""
+    h = 0.02
+    top = oracle._window(alpha, k - 1)[1]
+    s_max = -6.0 + h * math.ceil((math.log(_box(alpha, top)) + 6.0) / h)
+    return oracle._fd_eigenvalues(alpha, s_min, s_max, round((s_max - s_min) / h) - 1, k)
+
+
 FD_ALPHAS = (-0.2499999, -0.24999975, -0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
 
 
@@ -131,15 +141,51 @@ class TestFiniteDifference:
         assert max_error_over_residual(alpha, k - 1, res) <= 1.0
 
     def test_residual_past_a_level_raises(self):
-        # the inner end at x = e^-1: its term 3 e^(2 s_min) max|eps| = 2.66
-        # passes the ground level 2.50, while the levels stay in the window
+        # the inner end at x = e^-0.75: its term 3 e^(4 s_min) eps_top^2 =
+        # 3 e^-3 6.509^2 = 6.33 passes the ground level 2.50, while the
+        # levels stay in the window (top 7.414)
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            _fd_result(*_richardson(2.0, -1.0, 3))
+            _fd_result(*_richardson(2.0, -0.75, 3))
 
     def test_inner_end_past_the_window_raises(self):
-        # the inner end at x = 1 pushes level 2 above the window's top 7.414
-        with pytest.raises(ConvergenceError, match="lies above"):
-            _richardson(2.0, 0.0, 3)
+        # the inner end at x = e^0.5 pushes level 2 of the fine grid's
+        # matrix above the window's top 7.414 (at x = 1 it is still 6.86)
+        with pytest.raises(ConvergenceError, match="level 2 lies above 7.41421"):
+            _richardson(2.0, 0.5, 3)
+
+    @pytest.mark.parametrize("k", [9, 41])
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.5, 2.0, 7.9])
+    def test_inner_end_error_lies_within_its_term(self, alpha, k):
+        # what the two-term condition at s_min = -6 misses, against the
+        # same rows from -15: at most 0.47 of 3 e^(4 s_min) eps_top^2
+        # (1.5e-8 at alpha = -0.2499, k = 9), round-off from alpha = 2 up
+        near = shared_node_levels(alpha, k, -6.0)
+        far = shared_node_levels(alpha, k, -15.0)
+        assert np.max(np.abs(near - far)) <= 3.0 * math.exp(-24.0) * np.max(near) ** 2
+
+    def test_inner_end_takes_the_stencils_exact_exponent(self, monkeypatch):
+        # with kappa0 = nu in place of the stencil's exponent, row 0 misses
+        # the grid's own e^(nu~ s) by order h^2, decaying only like
+        # e^(2 nu s_min): 6.3e-8 at (alpha, k) = (-0.2, 5), against 1.1e-9
+        import scipy.linalg
+
+        alpha, k, h = -0.2, 5, 0.02
+        far = shared_node_levels(alpha, k, -15.0)
+        exact = shared_node_levels(alpha, k, -6.0)
+        nu = math.sqrt(alpha + 0.25)
+        kappa0 = nu * math.sqrt(1.0 + (0.5 * h * nu) ** 2)
+        m0 = 0.5 * math.exp(-12.0) + math.exp(-12.0) / (2.0 * (1.0 + nu) * h)
+        solve = scipy.linalg.eigvalsh_tridiagonal
+
+        def nu_exponent(diag, off, **kwargs):
+            diag = diag.copy()
+            diag[0] -= (kappa0 - nu) / (h * m0)
+            return solve(diag, off, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", nu_exponent)
+        plain = shared_node_levels(alpha, k, -6.0)
+        assert np.max(np.abs(exact - far)) <= 2e-9
+        assert np.max(np.abs(plain - far)) >= 4e-8
 
     @pytest.mark.parametrize(
         "alpha, k",
@@ -195,9 +241,11 @@ class TestFiniteDifference:
     @pytest.mark.parametrize("e0", [1e-1, 1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("alpha", FD_ALPHAS)
     def test_residual_bounds_error_with_the_wall(self, alpha, e0, k):
-        # the grid's inner end at x = e0 instead of e^-15: the residual's
-        # term 3 e0^2 max|eps| bounds what the Frobenius condition there
-        # misses (at e0 = 0.1 the ground level is 1% high as nu -> 0)
+        # the grid's inner end at x = e0 instead of e^-6: the residual's
+        # term 3 e0^4 eps_top^2 bounds what the two-term Frobenius condition
+        # there misses (at e0 = 0.1 and k = 9, level 8 is 4e-4 high as nu ->
+        # 0; the ground level stays on the step-error floor, as the condition
+        # holds exactly for its u = e^(nu s - e^2s / 2))
         t = spectrum_table(alpha, k - 1, Domain.HALF_LINE)
         want = np.array(t.distinct_levels())
         res = _fd_result(*_richardson(alpha, math.log(e0), k))
@@ -270,7 +318,7 @@ class TestLevelCounts:
     )
     def test_fd_grid_out_of_reach_raises_before_any_matrix(self, alpha, k, monkeypatch):
         # past _MAX_ROWS, or a window whose top doubles round down to its
-        # bottom (from alpha ~ 1e32, where a matrix entry alpha e^30 may
+        # bottom (from alpha ~ 1e32, where a matrix entry alpha e^12 may
         # also overflow): a typed error, with no matrix built
         def no_matrix(*args):
             raise AssertionError("a matrix was built")
@@ -282,8 +330,8 @@ class TestLevelCounts:
                 fd_eigen(alpha, k)
 
     def test_fd_grid_up_to_the_cap_is_solved(self, monkeypatch):
-        # k = 300 at alpha = 2 fits (26 677 fine rows) and is solved; the
-        # solve is stubbed, at about 2 s it is too slow for the suite
+        # k = 630 at alpha = 2 fits (29 959 fine rows) and is solved, and
+        # k = 631 does not; the solve is stubbed, too slow for the suite
         rows = []
 
         def stub(alpha, s_min, s_max, n, k):
@@ -291,8 +339,10 @@ class TestLevelCounts:
             return np.arange(1.0, k + 1.0)
 
         monkeypatch.setattr(oracle, "_fd_eigenvalues", stub)
-        fd_eigen(2.0, 300)
+        fd_eigen(2.0, 630)
         assert max(rows) <= oracle._MAX_ROWS
+        with pytest.raises(ParameterError):
+            fd_eigen(2.0, 631)
 
     def test_integral_float_count_is_an_integer(self):
         assert shoot_spectrum(2.0, 2.0).eigenvalues == shoot_spectrum(2.0, 2).eigenvalues

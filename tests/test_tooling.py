@@ -161,6 +161,18 @@ def test_oracle_imports_nothing_from_quad():
     assert "quad" not in set(modules_imported_from(parse(PACKAGE / "oracle.py")))
 
 
+def test_one_finite_difference_builder():
+    # one builder for every inner condition: the tridiagonal solve has one
+    # call site, not one per variant of row 0
+    calls = [
+        node.lineno
+        for node in ast.walk(parse(PACKAGE / "oracle.py"))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigvalsh_tridiagonal"
+    ]
+    assert len(calls) == 1
+
+
 def test_box_rule_is_defined_once_in_model():
     defining = [
         path.name
