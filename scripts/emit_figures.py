@@ -7,7 +7,7 @@ Usage: python scripts/emit_figures.py [--outdir figures] [--alpha-points 200]
 import pathlib
 import sys
 
-from singosc.cli import Parser, main as cli_main
+from singosc.cli import MAX_POINTS, Parser, main as cli_main
 
 
 def main(argv=None) -> int:
@@ -15,6 +15,9 @@ def main(argv=None) -> int:
     ap.add_argument("--outdir", default="figures")
     ap.add_argument("--alpha-points", type=int, default=200)
     args = ap.parse_args(argv)
+    # figure 2 would reject it only after figure 1 is written
+    if not 0 <= args.alpha_points <= MAX_POINTS:
+        ap.error(f"--alpha-points must lie in [0, {MAX_POINTS}]")
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for fig in (1, 2, 3, 4):

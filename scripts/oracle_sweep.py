@@ -18,9 +18,11 @@ import sys
 import scipy.linalg  # noqa: F401
 
 from singosc.cli import Parser
+from singosc.errors import SingOscError, SupercriticalError
 from singosc.model import Domain, indicial_roots
 from singosc.oracle import compare, fd_eigen, shoot_spectrum
 from singosc.spectrum import spectrum_table
+from singosc.verify import ORACLE_TOL_FD, ORACLE_TOL_SHOOT
 
 
 def run(alphas: tuple[float, ...], n_max: int) -> None:
@@ -32,8 +34,8 @@ def run(alphas: tuple[float, ...], n_max: int) -> None:
         table = spectrum_table(alpha, n_max, Domain.HALF_LINE)
         shoot = shoot_spectrum(alpha, n_max)
         fd = fd_eigen(alpha, n_max + 1)
-        rs = compare(table, shoot, tol=1e-4)
-        rf = compare(table, fd, tol=5e-3)
+        rs = compare(table, shoot, tol=ORACLE_TOL_SHOOT)
+        rf = compare(table, fd, tol=ORACLE_TOL_FD)
         beta = indicial_roots(alpha).beta_plus
         print(
             f"{alpha:>8.3f}  {beta:>10.5f}  {rs.max_rel_error:>10.2e}  "
@@ -48,7 +50,10 @@ def main(argv=None) -> int:
                     default=[-0.24, -0.1, 0.5, 2.0])
     ap.add_argument("--n-max", type=int, default=4)
     args = ap.parse_args(argv)
-    run(tuple(args.alphas), args.n_max)
+    try:
+        run(tuple(args.alphas), args.n_max)
+    except SingOscError as exc:  # exit codes as in the singosc CLI
+        ap.exit(2 if isinstance(exc, SupercriticalError) else 1, f"{ap.prog}: error: {exc}\n")
     return 0
 
 

@@ -79,8 +79,9 @@ _D_EPS, _EPS_TOL, _NEWTON_STEPS = 0.1, 1e-6, 8
 _POLYNOMIAL = np.linalg.inv(np.vander(np.arange(8.0), increasing=True))
 # finite differences: the longest step in s = ln x, the radians of the
 # top level's oscillation a step may span, the absolute bisection tolerance,
-# the inner end of the log grid (scripts/convergence_study.py tabulates the
-# levels against it) and the most rows of the fine grid
+# the inner end of the log grid (test_inner_end_error_lies_within_its_term and
+# test_residual_bounds_error_with_the_wall measure what its condition misses
+# against the grid from -15) and the most rows of the fine grid
 _H_LOG, _PHASE, _STEBZ_TOL, _S_MIN, _MAX_ROWS = 0.02, 0.42, 1e-13, -6.0, 30_000
 
 
@@ -112,14 +113,15 @@ class CompareReport:
     note: str = ""
 
 
-def _fd_eigenvalues(alpha: float, s_min: float, s_max: float, n: int, k: int) -> np.ndarray:
+def _fd_eigenvalues(
+    alpha: float, nu: float, s_min: float, s_max: float, n: int, top: float
+) -> np.ndarray:
     # scipy.linalg loads here, not at import: the analytic CLI never needs it
     import scipy.linalg
 
     # nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at s_max;
     # -u'' + (nu^2 + e^4s) u = mu e^2s u is scaled by the inverse square
     # root of the mass weights e^2s
-    nu = admissible_beta(alpha) + 0.5
     h = (s_max - s_min) / (n + 1)
     s = s_min + h * np.arange(n + 1)
     diag = (2.0 / h**2 + alpha + 0.25) * np.exp(-2.0 * s) + np.exp(2.0 * s)
@@ -139,27 +141,26 @@ def _fd_eigenvalues(alpha: float, s_min: float, s_max: float, n: int, k: int) ->
     off[0] = -1.0 / (h**2 * math.sqrt(m0 * math.exp(2.0 * s[1])))
     # by value over the window: by index, most Sturm sweeps go into bracketing the levels
     # inside the Gershgorin bound; mu > 0 as kappa0 >= 0, m0 > 0 and nu^2 + e^4s > 0 (SPD)
-    top = _window(alpha, k - 1)[1]
     try:
         mu = scipy.linalg.eigvalsh_tridiagonal(
             diag, off, select="v", select_range=(0, 2 * top), lapack_driver="stebz", tol=_STEBZ_TOL
         )
     except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
         raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
-    if mu.size < k:  # the grid's levels run out below the top: the box truncates it
-        raise ConvergenceError(f"finite-difference level {k - 1} lies above {top:.6g}")
-    return mu[:k] / 2.0  # a coarse grid's low levels may leave more than k
+    return mu / 2.0  # every level of the grid up to top
 
 
-def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, int, float]:
-    """Levels of the log grid from s_min to ln _box(top) of the k levels'
-    window and of the grid of twice its step, combined to cancel the h^2
-    error; the residual estimate, the fine grid's error (which bounds the
-    combination's) plus 3 e^(4 s_min) eps_top^2, eps_top the top level,
-    for what the two-term inner condition misses; rows; top.
+def _richardson(alpha: float, s_min: float, k: int) -> OracleResult:
+    """The lowest k levels of the log grid from s_min to ln _box(top) of
+    their window and of the grid of twice its step, combined to cancel the
+    h^2 error.  The residual estimate is the fine grid's error (which
+    bounds the combination's) plus 3 e^(4 s_min) eps_top^2, eps_top the
+    top level, for what the two-term inner condition misses.
     ParameterError unless k is an integer >= 1, the window's top passes nu
-    and the grid fits _MAX_ROWS."""
-    admissible_beta(alpha)
+    and the grid fits _MAX_ROWS; ConvergenceError when the residual
+    reaches a level or a level lies above the window, where the box
+    truncates it."""
+    nu = admissible_beta(alpha) + 0.5
     if not 1 <= k <= _MAX_ROWS or k != int(k):  # also catches a NaN k
         raise ParameterError(f"k must be an integer in [1, {_MAX_ROWS}], got {k}")
     top = _window(alpha, int(k) - 1)[1]
@@ -172,20 +173,22 @@ def _richardson(alpha: float, s_min: float, k: int) -> tuple[np.ndarray, float, 
         raise ParameterError(f"{k} levels at alpha = {alpha:g} need over {_MAX_ROWS} grid rows")
     n = math.ceil(n)
     m = (n + 1) // 2 - 1
-    fine, coarse = (_fd_eigenvalues(alpha, s_min, s_max, j, int(k)) for j in (n, m))
+    grids = [_fd_eigenvalues(alpha, nu, s_min, s_max, j, top) for j in (n, m)]
+    # a grid's levels run out below the top: the box truncates it (a coarse
+    # grid's low levels may leave more than k)
+    if min(g.size for g in grids) < k:
+        raise ConvergenceError(f"finite-difference level {int(k) - 1} lies above {top:.6g}")
+    fine, coarse = (g[: int(k)] for g in grids)
     shift = (fine - coarse) / (((n + 1) / (m + 1)) ** 2 - 1)
     levels = fine + shift
     inner = 3.0 * math.exp(4.0 * s_min) * float(np.max(np.abs(levels))) ** 2
-    return levels, float(np.max(np.abs(shift))) + inner, n + m + 2, top
-
-
-def _fd_result(levels: np.ndarray, residual: float, rows: int, top: float) -> OracleResult:
+    residual = float(np.max(np.abs(shift))) + inner
     if not residual < np.min(np.abs(levels)):  # also catches a NaN residual
         raise ConvergenceError(f"finite-difference residual {residual:.3g} exceeds a level")
     if not np.max(levels) <= top:  # the box, built for the window, truncates it
         raise ConvergenceError(f"finite-difference level {np.max(levels):.6g} lies above {top:.6g}")
     levels = tuple(float(v) for v in levels)
-    return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, residual, rows=rows)
+    return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, residual, rows=n + m + 2)
 
 
 def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
@@ -195,7 +198,7 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     (_richardson); ConvergenceError when it reaches a level or the top
     level lies above the window, where the box truncates it."""
     t0 = time.perf_counter()
-    res = _fd_result(*_richardson(alpha, _S_MIN, k))
+    res = _richardson(alpha, _S_MIN, k)
     return replace(res, seconds=time.perf_counter() - t0)
 
 

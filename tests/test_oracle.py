@@ -22,7 +22,6 @@ from singosc.errors import (
 from singosc.model import Domain, _box, admissible_beta
 from singosc.oracle import (
     _cosh_sinhc,
-    _fd_result,
     _grid,
     _magnus_count_nodes,
     _richardson,
@@ -64,9 +63,10 @@ def shared_node_levels(alpha, k, s_min):
     of the grid from -6 past ln _box of the window's top: the grids from
     -6 and from -15 share their nodes."""
     h = 0.02
+    nu = admissible_beta(alpha) + 0.5
     top = oracle._window(alpha, k - 1)[1]
     s_max = -6.0 + h * math.ceil((math.log(_box(alpha, top)) + 6.0) / h)
-    return oracle._fd_eigenvalues(alpha, s_min, s_max, round((s_max - s_min) / h) - 1, k)
+    return oracle._fd_eigenvalues(alpha, nu, s_min, s_max, round((s_max - s_min) / h) - 1, top)[:k]
 
 
 FD_ALPHAS = (-0.2499999, -0.24999975, -0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
@@ -145,7 +145,7 @@ class TestFiniteDifference:
         # 3 e^-3 6.509^2 = 6.33 passes the ground level 2.50, while the
         # levels stay in the window (top 7.414)
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            _fd_result(*_richardson(2.0, -0.75, 3))
+            _richardson(2.0, -0.75, 3)
 
     def test_inner_end_past_the_window_raises(self):
         # the inner end at x = e^0.5 pushes level 2 of the fine grid's
@@ -225,9 +225,9 @@ class TestFiniteDifference:
         steps = []
         solve = oracle._fd_eigenvalues
 
-        def spy(alpha, s_min, s_max, n, k):
+        def spy(alpha, nu, s_min, s_max, n, top):
             steps.append((s_max - s_min) / (n + 1))
-            return solve(alpha, s_min, s_max, n, k)
+            return solve(alpha, nu, s_min, s_max, n, top)
 
         monkeypatch.setattr(oracle, "_fd_eigenvalues", spy)
         fd_eigen(2.0, 9)
@@ -236,6 +236,20 @@ class TestFiniteDifference:
         fd_eigen(2.0, 41)
         top = oracle._window(2.0, 40)[1]
         assert steps[0] * math.sqrt(top**2 - 2.25) <= oracle._PHASE
+
+    def test_one_window_per_call(self, monkeypatch):
+        # nu, the window's top, the box and the step are taken once for
+        # both grids of the Richardson pair
+        calls = []
+        window = oracle._window
+
+        def spy(alpha, n_max):
+            calls.append(n_max)
+            return window(alpha, n_max)
+
+        monkeypatch.setattr(oracle, "_window", spy)
+        fd_eigen(2.0, 5)
+        assert calls == [4]
 
     @pytest.mark.parametrize("k", [1, 5, 9])
     @pytest.mark.parametrize("e0", [1e-1, 1e-2, 1e-3, 1e-4])
@@ -248,7 +262,7 @@ class TestFiniteDifference:
         # holds exactly for its u = e^(nu s - e^2s / 2))
         t = spectrum_table(alpha, k - 1, Domain.HALF_LINE)
         want = np.array(t.distinct_levels())
-        res = _fd_result(*_richardson(alpha, math.log(e0), k))
+        res = _richardson(alpha, math.log(e0), k)
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
 
 
@@ -334,9 +348,9 @@ class TestLevelCounts:
         # k = 631 does not; the solve is stubbed, too slow for the suite
         rows = []
 
-        def stub(alpha, s_min, s_max, n, k):
+        def stub(alpha, nu, s_min, s_max, n, top):
             rows.append(n + 1)
-            return np.arange(1.0, k + 1.0)
+            return np.arange(1.0, top)
 
         monkeypatch.setattr(oracle, "_fd_eigenvalues", stub)
         fd_eigen(2.0, 630)

@@ -19,52 +19,6 @@ def load_script(name):
     return module
 
 
-class TestConvergenceStudy:
-    def test_two_cutoffs(self, capsys):
-        study = load_script("convergence_study")
-        argv = ["--s-min", "-3", "-4"]
-        assert study.main(["--alpha", "-0.2", *argv]) == 0
-        text = capsys.readouterr().out
-        lines = text.splitlines()
-        assert lines[0].startswith("alpha = -0.2, beta_plus = -0.276393")
-        # one row per inner cutoff s_min between the header and the one-grid line
-        assert [line.split()[0] for line in lines[3:5]] == ["-3.00", "-4.00"]
-        assert lines[-1].startswith("one grid (s_min = -6) eps0 = ")
-        # the exponent form of a negative value parses as the same alpha
-        assert study.main(["--alpha", "-2e-1", *argv]) == 0
-        assert capsys.readouterr().out == text
-
-    def test_near_critical_alpha_default_cutoffs(self, capsys):
-        # nu = 3.2e-4: the two-term Frobenius condition leaves the ground
-        # level on the step-error floor (4.8e-9) at every inner cutoff x =
-        # e^(s_min)
-        study = load_script("convergence_study")
-        assert study.main(["--alpha", "-0.2499999"]) == 0
-        rows = capsys.readouterr().out.splitlines()[3:8]
-        assert [row.split()[0] for row in rows] == ["-3.00", "-4.00", "-5.00", "-6.00", "-7.00"]
-        assert max(float(row.split()[2]) for row in rows) <= 1e-8
-
-    def test_repulsive_alpha(self, capsys):
-        study = load_script("convergence_study")
-        assert study.main(["--alpha", "0.5", "--s-min", "-4"]) == 0
-        assert capsys.readouterr().out.splitlines()[0].startswith("alpha = 0.5, beta_plus = 0.366025")
-
-    @pytest.mark.parametrize("alpha, code", [("-0.25", 2), ("nan", 1)])
-    def test_inadmissible_alpha_exit_code(self, alpha, code):
-        # the singosc CLI's codes: 2 for supercritical alpha, 1 otherwise
-        study = load_script("convergence_study")
-        with pytest.raises(SystemExit) as exc:
-            study.main(["--alpha", alpha])
-        assert exc.value.code == code
-
-    @pytest.mark.parametrize("s_min", ["1", "-200", "nan"])
-    def test_inner_end_out_of_range_is_usage_error(self, s_min):
-        study = load_script("convergence_study")
-        with pytest.raises(SystemExit) as exc:
-            study.main(["--s-min", s_min])
-        assert exc.value.code == 1
-
-
 class TestOracleSweep:
     def test_one_alpha(self, capsys):
         sweep = load_script("oracle_sweep")
@@ -76,6 +30,25 @@ class TestOracleSweep:
         assert float(fields[2]) < 1e-4  # shooting error
         assert float(fields[3]) < 5e-3  # finite-difference error
         assert int(fields[-1]) == sweep.shoot_spectrum(0.5, 1).steps  # over both passes
+
+    @pytest.mark.parametrize("alpha, code", [("-0.25", 2), ("nan", 1)])
+    def test_inadmissible_alpha_exit_code(self, alpha, code, capsys):
+        # the singosc CLI's codes: 2 for supercritical alpha, 1 otherwise,
+        # with one error line and no traceback
+        sweep = load_script("oracle_sweep")
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--alphas", alpha])
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: alpha" in err
+
+    def test_negative_level_count_exit_code(self, capsys):
+        sweep = load_script("oracle_sweep")
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--n-max", "-1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: quantum number n" in err
 
     def test_scipy_loaded_before_the_timed_loop(self):
         # an import inside the first `fd s` timing would charge it to one
@@ -108,3 +81,12 @@ class TestEmitFigures:
             assert cli_main(["figure", str(k), *sweep]) == 0
             want = capsys.readouterr().out.encode("utf-8")
             assert (tmp_path / f"figure{k}.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("points", ["-1", "100001"])
+    def test_bad_point_count_writes_no_file(self, points, tmp_path):
+        # figure 1 takes no sweep, so only a check before it keeps its file out
+        emit = load_script("emit_figures")
+        with pytest.raises(SystemExit) as exc:
+            emit.main(["--alpha-points", points, "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "out").exists()

@@ -144,6 +144,20 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def test_scripts_import_no_private_name():
+    # scripts drive the package by its public names, so a private seam can
+    # change without a script that breaks only when it runs
+    hits = [
+        f"{path.name}:{alias.name}"
+        for path in sorted((ROOT / "scripts").glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "singosc"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert hits == []
+
+
 def modules_imported_from(tree):
     """The package modules a module imports from, `from .quad import X` and
     `from . import quad` alike."""
