@@ -18,7 +18,10 @@ a whole panel, on panels h = 0.5 / m wide, m = max(1, ceil(k / 9)) with
 k = sqrt(2 eps_top), so no panel spans more than 4.5 radians of the top
 state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
 DepthExceeded, and so does a rule that would need more than 10 000
-panels.  Half-line inner products also ship a Gauss-Laguerre path in
+panels.  Each state's values on a rule are kept across calls in a
+32-entry cache keyed on the state and the rule, at most 2.4 MB an entry,
+so a pairwise loop of overlaps evaluates each (state, rule) pair once.
+Half-line inner products also ship a Gauss-Laguerre path in
 y = x^2, exact for the bound states' polynomial integrands: the
 independent second route.  Principal values (cauchy_pv) run on the same
 rule; f must take arrays, and the limits must be finite.
@@ -168,6 +171,19 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
     return m, panels
 
 
+@functools.lru_cache(maxsize=32)
+def _values(state: EigenState, m: int, panels: int) -> np.ndarray:
+    """Read-only psi of state on the nodes of _rule(_WIDTH_MAX / m, panels).
+
+    Cached on the frozen state and the rule: a pairwise loop of overlaps
+    takes the rule of each pair's top state, so it meets every (state,
+    rule) pair again for each lower state.  An entry holds at most
+    30 x (_MAX_PANELS + _GEOM_LEVELS - 1) doubles, 2.4 MB, so 77 MB in all."""
+    values = state.psi(_rule(_WIDTH_MAX / m, panels)[0])
+    values.flags.writeable = False
+    return values
+
+
 def gram(
     states: Sequence[EigenState],
     weight: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -176,12 +192,14 @@ def gram(
     operator w(x) (the Gram matrix when weight is None) on the composite
     Gauss-Legendre rule of the states' top energy.
 
-    Each state is evaluated once, in one array call on the nodes of both
-    rules; w is evaluated once, on the same positive nodes, and
-    multiplies the rule's weights.  On the full line w must be even.
-    Entry (i, j) sums psi_i psi_j w times the rule's weight over the
-    nodes in one fixed order, so the other states enter only through the
-    rule: with no weight an entry whose pair holds the top energy equals
+    Each state is evaluated in one array call on the nodes of both rules,
+    and its values are kept across calls in a 32-entry cache keyed on the
+    state and the rule (at most 2.4 MB an entry, 77 MB in all); w is
+    evaluated once, on the same positive nodes, and multiplies the rule's
+    weights.  On the full line w must be even.  Entry (i, j) sums
+    psi_i psi_j w times the rule's weight over the nodes in one fixed
+    order, so the other states enter only through the rule: with no
+    weight an entry whose pair holds the top energy equals
     overlap(states[i], states[j]) bit for bit, and G is symmetric.  On
     the full line cross-parity entries are 0 exactly (odd integrand on a
     symmetric domain) and same-parity ones are twice the positive
@@ -197,7 +215,7 @@ def gram(
     nodes, weights, split = _rule(_WIDTH_MAX / m, panels)
     if weight is not None:
         weights = weights * weight(nodes)
-    psi = np.array([s.psi(nodes) for s in states])
+    psi = np.array([_values(s, m, panels) for s in states])
     fine, coarse = np.empty((2, len(states), len(states)))
     # one row at a time: memory stays N x nodes; the ndarray methods skip numpy's
     # function wrappers, about 5% of an overlap-check benchmark op
@@ -218,14 +236,11 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     """Inner product <s1|s2>: the entry of the pair's Gram matrix, which
     raises as gram does.
 
-    Cross-parity full-line overlaps are 0 exactly and evaluate nothing;
-    an equal pair is evaluated once.
+    Cross-parity full-line overlaps are 0 exactly and evaluate nothing.
     """
     _check_compatible(s1, s2)
     if s1.domain is Domain.FULL_LINE and s1.parity is not s2.parity:
         return 0.0
-    if s1 == s2:
-        return float(gram((s1,))[0, 0])
     return float(gram((s1, s2))[0, 1])
 
 

@@ -184,7 +184,9 @@ class TestOverlap:
 
 def _counting_psi(monkeypatch):
     """Patch EigenState.psi on the class; returns the list of
-    (id(state), x) of every real evaluation."""
+    (id(state), x) of every real evaluation.  Empties quad's cache of
+    values first, so that the count does not depend on earlier tests."""
+    quad._values.cache_clear()
     seen = []
     inner = EigenState.psi
 
@@ -231,7 +233,8 @@ def _gram_families(alpha):
 
 class TestGram:
     """The composite Gauss-Legendre rule behind every overlap: one array
-    psi call per state, and a box and panels that follow the top state."""
+    psi call per state and rule, and a box and panels that follow the top
+    state."""
 
     @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
     def test_entries_equal_overlap_bit_for_bit(self, alpha):
@@ -271,6 +274,30 @@ class TestGram:
         seen.clear()
         overlap(states[4], states[4])
         assert len(seen) == 1
+
+    def test_pairwise_loop_evaluates_each_state_once_per_rule(self, monkeypatch):
+        # overlap(s_i, s_j) takes the rule of the top state s_j, so a pairwise
+        # loop meets (s_j, rule_j) again for every i <= j: 144 psi calls uncached
+        states = [halfline_state(3.3, n) for n in range(12)]
+        pairs = [(i, j) for i in range(12) for j in range(i, 12)]
+        cold = []
+        for i, j in pairs:
+            quad._values.cache_clear()
+            cold.append(overlap(states[i], states[j]))
+        seen = _counting_psi(monkeypatch)
+        assert [overlap(states[i], states[j]) for i, j in pairs] == cold
+        assert len(seen) <= 78
+
+    def test_cached_values_are_read_only(self):
+        states = [halfline_state(0.5, n) for n in range(4)]
+        g = gram(states)
+        m, panels = quad._rule_size(states)
+        values = quad._values(states[2], m, panels)
+        nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
+        np.testing.assert_array_equal(values, states[2].psi(nodes))
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        np.testing.assert_array_equal(gram(states), g)
 
     @pytest.mark.parametrize("n", [31, 40])
     def test_high_state_resolves_to_one(self, n):
