@@ -23,8 +23,12 @@ panels.  Each state's values on a rule are kept across calls in a
 so a pairwise loop of overlaps evaluates each (state, rule) pair once.
 Half-line inner products also ship a Gauss-Laguerre path in
 y = x^2, exact for the bound states' polynomial integrands: the
-independent second route.  Principal values (cauchy_pv) run on the same
-rule; f must take arrays, and the limits must be finite.
+independent second route.  A pair (n1, n2) takes the rule of the smallest
+multiple of 8 nodes >= n1 + n2 + 1, so the pairs of one Gram matrix share
+a few rules, and each L_n on a rule is kept in a 64-entry cache keyed on
+(n, a, count, w), so a pairwise loop evaluates it once per rule.
+Principal values (cauchy_pv) run on the same Gauss-Legendre rule; f must
+take arrays, and the limits must be finite.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ if TYPE_CHECKING:
 _WIDTH_MAX, _K_PER_SPLIT, _GRAM_TAIL, _MAX_PANELS = 0.5, 9.0, 3.0, 10_000
 _GEOM_RATIO, _GEOM_LEVELS = 0.15, 24
 _Q_FINE, _Q_COARSE, _GAP_TOL = 20, 10, 1e-8
+# Gauss-Laguerre rules have a multiple of _GL_STEP nodes, so overlaps share them
+_GL_STEP = 8
 
 
 class IntegrabilityClass(enum.Enum):
@@ -248,7 +254,8 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
 def _laguerre_rule(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the count-point generalized
     Gauss-Laguerre rule for y^w e^-y: every pair of one Gram matrix shares
-    w, so each count is computed once."""
+    w, and counts are multiples of _GL_STEP, so an N-state matrix needs
+    about N / 4 rules."""
     import scipy.special
 
     nodes, weights = scipy.special.roots_genlaguerre(count, w)
@@ -256,23 +263,46 @@ def _laguerre_rule(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=64)
+def _laguerre_values(n: int, a: float, count: int, w: float) -> np.ndarray:
+    """Read-only L_n^(a) on the nodes of _laguerre_rule(count, w), by the
+    checked specfun.laguerre, which raises ParameterError on an overflow.
+
+    Cached on all four: a = beta + 1/2 is the state's and w the pair's, and
+    at alpha = 0 a beta = -1 and a beta = 0 state share alpha but not a.  An
+    entry holds count doubles, no more than the rule's own nodes."""
+    from .specfun import laguerre
+
+    values = laguerre(n, a, _laguerre_rule(count, w)[0])
+    values.flags.writeable = False
+    return values
+
+
 def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     """Half-line inner product via y = x^2 and generalized Gauss-Laguerre.
 
     int_0^inf psi1 psi2 dx = (A1 A2 / 2) int_0^inf y^w e^-y L_n1 L_n2 dy
-    with w = (beta1 + beta2 + 1)/2, so n1+n2+1 nodes integrate the
-    polynomial part exactly.  Raises ParameterError when the weighted
-    sum overflows (L_n^2 at the outer nodes, from n = 124).
+    with w = (beta1 + beta2 + 1)/2.  An M-node rule is exact up to degree
+    2M - 1, so any M >= n1 + n2 + 1 integrates the polynomial part
+    exactly; M is the smallest multiple of 8 that is, so the pairs of one
+    Gram matrix share a few rules, and each L_n is evaluated once per rule
+    (cached on n, a = beta + 1/2, M and w).  Raises ParameterError when
+    the weighted sum overflows (L_n^2 at the outer nodes).  On the diagonal
+    that is from n = 124 at alpha = -0.2, 7.9 and 45.96, but from 123 at
+    alpha = 157.3 and 122 at alpha = 1000: there the rounded-up rule's
+    outer node lies past that of the exact n1 + n2 + 1 rule, which raised
+    from 124 and 123.
     """
-    from .specfun import laguerre
-
     _check_compatible(s1, s2)
     if s1.domain is not Domain.HALF_LINE:
         raise DomainMismatch("Gauss-Laguerre path is defined for half-line states")
-    nodes, weights = _laguerre_rule(s1.n + s2.n + 1, (s1.beta + s2.beta + 1.0) / 2.0)
+    w = (s1.beta + s2.beta + 1.0) / 2.0
+    count = _GL_STEP * math.ceil((s1.n + s2.n + 1) / _GL_STEP)
+    weights = _laguerre_rule(count, w)[1]
+    lag1 = _laguerre_values(s1.n, s1.beta + 0.5, count, w)
+    lag2 = _laguerre_values(s2.n, s2.beta + 0.5, count, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = laguerre(s1.n, s1.beta + 0.5, nodes) * laguerre(s2.n, s2.beta + 0.5, nodes)
-        total = float(np.dot(weights, vals))
+        total = float(np.dot(weights, lag1 * lag2))
     if not np.isfinite(total):
         raise ParameterError(
             f"Gauss-Laguerre sum for n = {s1.n}, {s2.n} is not finite: "

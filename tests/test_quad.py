@@ -154,18 +154,72 @@ class TestOverlap:
                 assert a == pytest.approx(g, abs=5e-11)
 
     def test_gauss_route_caches_its_rule_bit_for_bit(self):
+        # the pair (2, 3) takes the 8-node rule, the smallest multiple of 8
+        # >= 2 + 3 + 1; both caches start empty, so the counts do not depend
+        # on which earlier test filled them
         import scipy.special
 
         quad._laguerre_rule.cache_clear()
+        quad._laguerre_values.cache_clear()
         s1, s2 = halfline_state(0.5, 2), halfline_state(0.5, 3)
+        w = s1.beta + 0.5
         cold = overlap_halfline_gauss(s1, s2)
+        rule, values = quad._laguerre_rule.cache_info(), quad._laguerre_values.cache_info()
         assert overlap_halfline_gauss(s1, s2) == cold
-        assert quad._laguerre_rule.cache_info().hits == 1
-        nodes, weights = quad._laguerre_rule(6, s1.beta + 0.5)
-        fresh = scipy.special.roots_genlaguerre(6, s1.beta + 0.5)
+        assert quad._laguerre_rule.cache_info()[:2] == (rule.hits + 1, 1)
+        assert quad._laguerre_values.cache_info()[:2] == (values.hits + 2, 2)
+        nodes, weights = quad._laguerre_rule(8, w)
+        fresh = scipy.special.roots_genlaguerre(8, w)
         np.testing.assert_array_equal(nodes, fresh[0])
         np.testing.assert_array_equal(weights, fresh[1])
         assert not (nodes.flags.writeable or weights.flags.writeable)
+        for s in (s1, s2):
+            lag = quad._laguerre_values(s.n, s.beta + 0.5, 8, w)
+            np.testing.assert_array_equal(lag, _laguerre_ref(s.n, s.beta + 0.5, nodes))
+            with pytest.raises(ValueError):
+                lag[0] = 1.0
+
+    def test_gauss_pairwise_loop_evaluates_each_laguerre_once_per_rule(self, monkeypatch):
+        # 78 pairs share the 8-, 16- and 24-node rules: 27 (n, rule) pairs,
+        # where an exact n1 + n2 + 1 rule per pair needs 23 rules and 156 L_n
+        states = [halfline_state(3.3, n) for n in range(12)]
+        pairs = [(i, j) for i in range(12) for j in range(i, 12)]
+        cold = []
+        for i, j in pairs:
+            quad._laguerre_rule.cache_clear()
+            quad._laguerre_values.cache_clear()
+            cold.append(overlap_halfline_gauss(states[i], states[j]))
+        seen = _counting_gauss(monkeypatch)
+        assert [overlap_halfline_gauss(states[i], states[j]) for i, j in pairs] == cold
+        assert seen["laguerre"] <= 27
+        assert seen["roots_genlaguerre"] <= 3
+
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.0, 0.5, 3.0, 7.9, 157.3, "mixed"])
+    def test_gauss_route_matches_the_exact_rule(self, alpha):
+        # the reference takes the exact n1 + n2 + 1 node rule and its own
+        # recurrence; "mixed" pairs the alpha = 0 beta = -1 and beta = 0 branches
+        if alpha == "mixed":
+            firsts = [halfline_state(0.0, n, -1.0) for n in range(41)]
+            seconds = [halfline_state(0.0, n) for n in range(41)]
+            pairs = [(s1, s2) for s1 in firsts for s2 in seconds]
+        else:
+            states = [halfline_state(alpha, n) for n in range(41)]
+            pairs = [(s1, s2) for i, s1 in enumerate(states) for s2 in states[i:]]
+        worst = max(abs(overlap_halfline_gauss(s1, s2) - _exact_gauss(s1, s2)) for s1, s2 in pairs)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize(
+        "alpha, last", [(-0.2, 123), (7.9, 123), (45.96, 123), (157.3, 122), (1000.0, 121)]
+    )
+    def test_gauss_route_overflow_limit(self, alpha, last):
+        # the rounded-up rule reaches past the exact one's outer node: at
+        # alpha = 157.3 and 1000 the diagonal raises one level earlier than
+        # the exact n1 + n2 + 1 rule did (from 124 and 123)
+        s = halfline_state(alpha, last)
+        assert math.isfinite(overlap_halfline_gauss(s, s))
+        s = halfline_state(alpha, last + 1)
+        with pytest.raises(ParameterError, match="not finite"):
+            overlap_halfline_gauss(s, s)
 
     def test_gauss_route_raises_when_laguerre_overflows(self):
         # L_150^2 at the outer nodes (y ~ 1200) overflows to inf, and
@@ -196,6 +250,45 @@ def _counting_psi(monkeypatch):
 
     monkeypatch.setattr(EigenState, "psi", psi)
     return seen
+
+
+def _counting_gauss(monkeypatch):
+    """Empty the Gauss route's caches and count the specfun.laguerre and
+    scipy.special.roots_genlaguerre calls it makes from here on."""
+    import scipy.special
+
+    from singosc import specfun
+
+    quad._laguerre_rule.cache_clear()
+    quad._laguerre_values.cache_clear()
+    seen = {"laguerre": 0, "roots_genlaguerre": 0}
+    for module, name in ((specfun, "laguerre"), (scipy.special, "roots_genlaguerre")):
+
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            seen[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _laguerre_ref(n, a, y):
+    """L_n^(a)(y) on an array y by the three-term recurrence."""
+    prev, cur = np.zeros_like(y), np.ones_like(y)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + a - y) * cur - (k + a) * prev) / (k + 1)
+    return cur
+
+
+def _exact_gauss(s1, s2):
+    """The half-line overlap on the exact n1 + n2 + 1 node Gauss-Laguerre
+    rule for y^w e^-y, w = (beta1 + beta2 + 1) / 2."""
+    import scipy.special
+
+    nodes, weights = scipy.special.roots_genlaguerre(s1.n + s2.n + 1, (s1.beta + s2.beta + 1.0) / 2.0)
+    lag1 = _laguerre_ref(s1.n, s1.beta + 0.5, nodes)
+    lag2 = _laguerre_ref(s2.n, s2.beta + 0.5, nodes)
+    return 0.5 * s1.norm_const * s2.norm_const * float(np.dot(weights, lag1 * lag2))
 
 
 GRAM_ALPHAS = [-0.2499, -0.2, 0.0, 0.5, 7.9]
