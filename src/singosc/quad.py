@@ -19,8 +19,15 @@ k = sqrt(2 eps_top), so no panel spans more than 4.5 radians of the top
 state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
 DepthExceeded, and so does a rule that would need more than 10 000
 panels.  Each state's values on a rule are kept across calls in a
-32-entry cache keyed on the state and the rule, at most 2.4 MB an entry,
-so a pairwise loop of overlaps evaluates each (state, rule) pair once.
+32-entry cache keyed on (n, beta, norm_const) and the rule, at most 2.4 MB
+an entry, so a pairwise loop of overlaps evaluates each (state, rule)
+pair once, and the even and the odd full-line state of one n share an
+entry.  A miss takes x^(beta+1), e^(-x^2/2) and L_n^(beta+1/2)(x^2) from
+a 16-entry cache keyed on (beta, rule), which runs one Laguerre
+recurrence per beta and rule and keeps its latest rows, at most 300 000
+doubles of them (an entry is 2.4 MB at the rules of an N = 12 Gram
+matrix and at most 12 MB); psi's product of them is
+EigenState._profile, so the values equal EigenState.psi bit for bit.
 Half-line inner products also ship a Gauss-Laguerre path in
 y = x^2, exact for the bound states' polynomial integrands: the
 independent second route.  A pair (n1, n2) takes the rule of the smallest
@@ -33,15 +40,18 @@ take arrays, and the limits must be finite.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
+import threading
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from .model import Domain, Parity, _box
+from .specfun import _laguerre_rows
 
 if TYPE_CHECKING:
     from .spectrum import EigenState
@@ -53,6 +63,8 @@ if TYPE_CHECKING:
 _WIDTH_MAX, _K_PER_SPLIT, _GRAM_TAIL, _MAX_PANELS = 0.5, 9.0, 3.0, 10_000
 _GEOM_RATIO, _GEOM_LEVELS = 0.15, 24
 _Q_FINE, _Q_COARSE, _GAP_TOL = 20, 10, 1e-8
+# A _Branch keeps at most this many doubles of Laguerre rows (2.4 MB)
+_ROWS_MAX = 300_000
 # Gauss-Laguerre rules have a multiple of _GL_STEP nodes, so overlaps share them
 _GL_STEP = 8
 
@@ -177,15 +189,70 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
     return m, panels
 
 
-@functools.lru_cache(maxsize=32)
-def _values(state: EigenState, m: int, panels: int) -> np.ndarray:
-    """Read-only psi of state on the nodes of _rule(_WIDTH_MAX / m, panels).
+class _Branch:
+    """x^(beta+1), e^(-y/2) and the rows L_n^(beta+1/2)(y), y = x^2, on
+    the nodes x of one Gram rule: the factors of psi that every state of
+    one beta shares there.
 
-    Cached on the frozen state and the rule: a pairwise loop of overlaps
-    takes the rule of each pair's top state, so it meets every (state,
-    rule) pair again for each lower state.  An entry holds at most
-    30 x (_MAX_PANELS + _GEOM_LEVELS - 1) doubles, 2.4 MB, so 77 MB in all."""
-    values = state.psi(_rule(_WIDTH_MAX / m, panels)[0])
+    The rows come from one specfun._laguerre_rows pass, of which the latest
+    max(2, _ROWS_MAX // nodes) are kept; a request below them starts the
+    pass again from L_0.  A lock keeps the pass and its rows in step when
+    threads share the entry."""
+
+    def __init__(self, beta: float, nodes: np.ndarray) -> None:
+        self._y = nodes * nodes
+        self.power = np.power(nodes, beta + 1.0)
+        self.decay = np.exp(-0.5 * self._y)
+        self._a = beta + 0.5
+        self._kept = collections.deque(maxlen=max(2, _ROWS_MAX // len(nodes)))
+        self._lock = threading.Lock()
+        self._start()
+
+    def _start(self) -> None:
+        self._rows = _laguerre_rows(self._a, self._y)
+        self._kept.clear()
+        self._next = 0  # n of the row the pass yields next
+
+    def row(self, n: int) -> np.ndarray:
+        """L_n^(beta+1/2)(y), which the caller must not write to."""
+        with self._lock:
+            if n < self._next - len(self._kept):
+                self._start()
+            while self._next <= n:
+                self._kept.append(next(self._rows))
+                self._next += 1
+            return self._kept[n - self._next]
+
+
+@functools.lru_cache(maxsize=16)
+def _branch(beta: float, m: int, panels: int) -> _Branch:
+    """The _Branch of beta on the nodes of _rule(_WIDTH_MAX / m, panels).
+
+    An entry holds three arrays of the rule's N nodes and at most
+    max(_ROWS_MAX, 2 N) doubles of rows: 3 N + 300 000 doubles, 2.4 MB at
+    the 1 200-1 500 nodes of an N = 12 Gram matrix, and at most 5 N,
+    12 MB, at the 300 690 nodes of _MAX_PANELS, so 192 MB in all."""
+    return _Branch(beta, _rule(_WIDTH_MAX / m, panels)[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _values(n: int, beta: float, norm_const: float, m: int, panels: int) -> np.ndarray:
+    """Read-only psi of the state (n, beta, norm_const) on the nodes of
+    _rule(_WIDTH_MAX / m, panels), equal bit for bit to its EigenState.psi.
+
+    The factors and L_n come from _branch(beta, m, panels) and their
+    product from EigenState._profile, which psi also uses.  The nodes are all
+    positive, so sign(x) = 1 for an odd state: the even and the odd
+    full-line state of one n share an entry.  A half-line and a full-line
+    state differ in norm_const, and at alpha = 0 the two branches in beta.
+    Cached on all five: a pairwise loop of overlaps takes the rule of each
+    pair's top state, so it meets every (state, rule) pair again for each
+    lower state.  An entry holds at most 30 x (_MAX_PANELS + _GEOM_LEVELS
+    - 1) doubles, 2.4 MB, so 77 MB in all."""
+    from .spectrum import EigenState  # spectrum imports quad
+
+    branch = _branch(beta, m, panels)
+    values = EigenState._profile(norm_const, branch.power, branch.decay, branch.row(n))
     values.flags.writeable = False
     return values
 
@@ -198,9 +265,10 @@ def gram(
     operator w(x) (the Gram matrix when weight is None) on the composite
     Gauss-Legendre rule of the states' top energy.
 
-    Each state is evaluated in one array call on the nodes of both rules,
-    and its values are kept across calls in a 32-entry cache keyed on the
-    state and the rule (at most 2.4 MB an entry, 77 MB in all); w is
+    Each state is evaluated once on the nodes of both rules, from one
+    Laguerre recurrence per beta and rule, and its values are kept across
+    calls in a 32-entry cache keyed on its n, beta and norm_const and the
+    rule (at most 2.4 MB an entry, 77 MB in all); w is
     evaluated once, on the same positive nodes, and multiplies the rule's
     weights.  On the full line w must be even.  Entry (i, j) sums
     psi_i psi_j w times the rule's weight over the nodes in one fixed
@@ -221,7 +289,7 @@ def gram(
     nodes, weights, split = _rule(_WIDTH_MAX / m, panels)
     if weight is not None:
         weights = weights * weight(nodes)
-    psi = np.array([_values(s, m, panels) for s in states])
+    psi = np.array([_values(s.n, s.beta, s.norm_const, m, panels) for s in states])
     fine, coarse = np.empty((2, len(states), len(states)))
     # one row at a time: memory stays N x nodes; the ndarray methods skip numpy's
     # function wrappers, about 5% of an overlap-check benchmark op

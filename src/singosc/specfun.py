@@ -9,6 +9,7 @@ controlled up to n of order 50.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -136,19 +137,27 @@ def laguerre(n: int, a: float, y):
 
 
 def _laguerre(n: int, a: float, y):
-    """laguerre's recurrence with no checks, for EigenState.psi: a state's
-    n and a are valid by construction, and the package's callers of psi
-    that can meet an overflow refuse a value that is not finite themselves
-    (the Gram rule's gap check, the wavefunction command's row check).
-    The check would repeat that on every evaluation, at 8-10% of an
-    overlap-check benchmark op."""
+    """Row n of _laguerre_rows(a, y), with no checks; a 0-d y gives a Python
+    float.  For EigenState.psi: a state's n and a are valid by
+    construction, and the package's callers of psi that can meet an
+    overflow refuse a value that is not finite themselves (the Gram rule's
+    gap check, the wavefunction command's row check), so the check would
+    repeat theirs on every evaluation."""
+    out = next(itertools.islice(_laguerre_rows(a, y), n, None))
+    return float(out) if out.ndim == 0 else out
+
+
+def _laguerre_rows(a: float, y):
+    """L_0^(a)(y), L_1^(a)(y), ... without end, by laguerre's recurrence and
+    with no checks: the package's one Laguerre recurrence.  Each row is a
+    new array, so a caller may keep the rows it has been given; the
+    generator itself holds only the last two."""
     y = np.asarray(y, dtype=float)
-    if n == 0:
-        return 1.0 if y.ndim == 0 else np.ones_like(y)
+    yield np.ones_like(y)
     prev, cur = 1.0, 1.0 + a - y
-    for j in range(1, n):
+    for j in itertools.count(1):
+        yield cur
         prev, cur = cur, ((2 * j + 1 + a - y) * cur - (j + a) * prev) / (j + 1)
-    return float(cur) if cur.ndim == 0 else cur
 
 
 def hermite(n: int, xi):

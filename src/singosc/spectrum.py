@@ -99,17 +99,25 @@ class EigenState:
             raise ParameterError("half-line state evaluated at x < 0")
         else:
             r = x
-        # the half-line profile; norm_const carries the 1/sqrt(2) of full-line states
         y = r * r
-        out = (
-            self.norm_const
-            * np.power(r, self.beta + 1.0)
-            * np.exp(-0.5 * y)
-            * laguerre(self.n, self.beta + 0.5, y)
+        out = self._profile(
+            self.norm_const,
+            np.power(r, self.beta + 1.0),
+            np.exp(-0.5 * y),
+            laguerre(self.n, self.beta + 0.5, y),
         )
         if self.parity is Parity.ODD:
             out = np.sign(x) * out
         return float(out) if out.ndim == 0 else out
+
+    @staticmethod
+    def _profile(norm_const: float, power, decay, lag):
+        """The half-line profile A r^(beta+1) e^(-r^2/2) L_n^(beta+1/2)(r^2)
+        from its four factors, multiplied in this order; norm_const carries
+        the 1/sqrt(2) of full-line states.  psi and the Gram rule's cached
+        values (quad._values) both take it from here, so their values agree
+        bit for bit."""
+        return norm_const * power * decay * lag
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Quadrature layer: principal values, Gram matrices and overlaps."""
 
+import itertools
 import math
 import warnings
 
@@ -19,7 +20,7 @@ from singosc.quad import (
     overlap,
     overlap_halfline_gauss,
 )
-from singosc.spectrum import EigenState, fullline_states, halfline_state
+from singosc.spectrum import fullline_states, halfline_state
 
 
 class TestCauchyPV:
@@ -236,19 +237,23 @@ class TestOverlap:
             overlap_halfline_gauss(even, odd)
 
 
-def _counting_psi(monkeypatch):
-    """Patch EigenState.psi on the class; returns the list of
-    (id(state), x) of every real evaluation.  Empties quad's cache of
-    values first, so that the count does not depend on earlier tests."""
+def _counting_rows(monkeypatch):
+    """Empty quad's caches of values and branches and count, from here on,
+    the Laguerre recurrence passes the Gram route starts and the rows it
+    draws from them: {"passes": ..., "rows": ...}."""
+    from singosc import specfun
+
     quad._values.cache_clear()
-    seen = []
-    inner = EigenState.psi
+    quad._branch.cache_clear()
+    seen = {"passes": 0, "rows": 0}
 
-    def psi(self, x):
-        seen.append((id(self), x))
-        return inner(self, x)
+    def rows(a, y):
+        seen["passes"] += 1
+        for row in specfun._laguerre_rows(a, y):
+            seen["rows"] += 1
+            yield row
 
-    monkeypatch.setattr(EigenState, "psi", psi)
+    monkeypatch.setattr(quad, "_laguerre_rows", rows)
     return seen
 
 
@@ -325,9 +330,9 @@ def _gram_families(alpha):
 
 
 class TestGram:
-    """The composite Gauss-Legendre rule behind every overlap: one array
-    psi call per state and rule, and a box and panels that follow the top
-    state."""
+    """The composite Gauss-Legendre rule behind every overlap: each state
+    evaluated once per rule, from one Laguerre recurrence per beta and
+    rule, and a box and panels that follow the top state."""
 
     @pytest.mark.parametrize("alpha", GRAM_ALPHAS)
     def test_entries_equal_overlap_bit_for_bit(self, alpha):
@@ -360,37 +365,101 @@ class TestGram:
                     assert abs(g[i, j] - factor * ref) <= 1e-12, (i, j)
 
     def test_one_psi_call_per_state(self, monkeypatch):
-        seen = _counting_psi(monkeypatch)
+        # one recurrence pass on the rule serves all 12 states, one row each
+        seen = _counting_rows(monkeypatch)
         states = [halfline_state(3.3, n) for n in range(12)]
         gram(states)
-        assert [i for i, _ in seen] == [id(s) for s in states]
-        seen.clear()
+        assert seen == {"passes": 1, "rows": 12}
+        assert quad._values.cache_info().misses == 12
         overlap(states[4], states[4])
-        assert len(seen) == 1
+        assert quad._values.cache_info().misses == 13
+        assert seen["passes"] == 2
 
     def test_pairwise_loop_evaluates_each_state_once_per_rule(self, monkeypatch):
         # overlap(s_i, s_j) takes the rule of the top state s_j, so a pairwise
-        # loop meets (s_j, rule_j) again for every i <= j: 144 psi calls uncached
-        states = [halfline_state(3.3, n) for n in range(12)]
-        pairs = [(i, j) for i in range(12) for j in range(i, 12)]
+        # loop meets (s_j, rule_j) again for every i <= j.  The half-line and
+        # the full-line loop share one pass per (beta, rule): 10 passes and 63
+        # rows, where psi state by state restarted the recurrence 105 times
+        half = [halfline_state(3.3, n) for n in range(12)]
+        full = [s for n in range(6) for s in fullline_states(3.3, n)]
+        pairs = [(states, i, j) for states in (half, full) for i in range(12) for j in range(i, 12)]
         cold = []
-        for i, j in pairs:
+        for states, i, j in pairs:
             quad._values.cache_clear()
+            quad._branch.cache_clear()
             cold.append(overlap(states[i], states[j]))
-        seen = _counting_psi(monkeypatch)
-        assert [overlap(states[i], states[j]) for i, j in pairs] == cold
-        assert len(seen) <= 78
+        seen = _counting_rows(monkeypatch)
+        assert [overlap(states[i], states[j]) for states, i, j in pairs] == cold
+        assert seen["passes"] <= 10
+        assert seen["rows"] <= 63
 
     def test_cached_values_are_read_only(self):
         states = [halfline_state(0.5, n) for n in range(4)]
         g = gram(states)
         m, panels = quad._rule_size(states)
-        values = quad._values(states[2], m, panels)
+        s = states[2]
+        values = quad._values(s.n, s.beta, s.norm_const, m, panels)
         nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
-        np.testing.assert_array_equal(values, states[2].psi(nodes))
+        np.testing.assert_array_equal(values, s.psi(nodes))
         with pytest.raises(ValueError):
             values[0] = 1.0
         np.testing.assert_array_equal(gram(states), g)
+
+    @pytest.mark.parametrize("alpha", [-0.2499, 0.0, 0.5, 7.9, 157.3])
+    def test_cached_values_equal_psi_bit_for_bit(self, alpha):
+        # the requests of every pairwise overlap loop over n <= 40, for the
+        # half line (both branches at alpha = 0) and for the even and odd
+        # full-line states, first in loop order and then in reverse
+        branches = (-1.0, 0.0) if alpha == 0 else (None,)
+        families = [[halfline_state(alpha, n, b) for n in range(41)] for b in branches]
+        for k in range(2):
+            families.append([fullline_states(alpha, n)[k] for n in range(41)])
+        requests = []
+        for states in families:
+            for i, s1 in enumerate(states):
+                for s2 in states[i:]:
+                    rule = quad._rule_size((s1, s2))
+                    requests += [(s1, rule), (s2, rule)]
+        psi = {}
+        for order in (requests, requests[::-1]):
+            quad._values.cache_clear()
+            quad._branch.cache_clear()
+            for s, (m, panels) in order:
+                values = quad._values(s.n, s.beta, s.norm_const, m, panels)
+                if (s, m, panels) not in psi:
+                    psi[s, m, panels] = s.psi(quad._rule(quad._WIDTH_MAX / m, panels)[0])
+                assert np.array_equal(values, psi[s, m, panels]), (s, m, panels)
+
+    def test_request_below_the_kept_rows_restarts_the_pass(self, monkeypatch):
+        # the rule of n = 249 at alpha = 0.5 has 9 720 nodes, so its branch
+        # keeps 30 rows: after L_249, L_5 needs a second pass from L_0
+        s0, s5, s249 = (halfline_state(0.5, n) for n in (0, 5, 249))
+        m, panels = quad._rule_size((s249,))
+        nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
+        assert len(nodes) == 9720 and quad._ROWS_MAX // len(nodes) == 30
+        seen = _counting_rows(monkeypatch)
+        overlap(s0, s249)
+        assert seen == {"passes": 1, "rows": 250}
+        overlap(s5, s249)
+        assert seen == {"passes": 2, "rows": 256}
+        for s in (s0, s5, s249):
+            values = quad._values(s.n, s.beta, s.norm_const, m, panels)
+            np.testing.assert_array_equal(values, s.psi(nodes))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    def test_laguerre_rows_equal_laguerre_bit_for_bit(self, n):
+        from singosc import specfun
+
+        y = quad._rule(quad._WIDTH_MAX, 20)[0] ** 2
+        for a in (-0.7499, 0.5, 3.8):
+            row = next(itertools.islice(specfun._laguerre_rows(a, y), n, None))
+            np.testing.assert_array_equal(row, specfun._laguerre(n, a, y))
+            np.testing.assert_array_equal(row, _laguerre_ref(n, a, y))
+            one = specfun._laguerre(n, a, np.array([2.0]))[0]
+            for wrap in (float, np.float64, np.array):
+                assert type(specfun._laguerre(n, a, wrap(2.0))) is float
+                assert type(specfun.laguerre(n, a, wrap(2.0))) is float
+                assert specfun._laguerre(n, a, wrap(2.0)) == one
 
     @pytest.mark.parametrize("n", [31, 40])
     def test_high_state_resolves_to_one(self, n):
