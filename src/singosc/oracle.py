@@ -30,13 +30,15 @@ serial loop advances a block of _BLOCK steps at a time, their
 propagators multiplied into one beforehand.  It counts sign changes of
 psi and keeps psi at the pass's end, the box-edge value: on the series'
 common normalization it is analytic in the energy and vanishes at the
-box levels (a miss-distance function, Pryce 1993).  One
-scan pass over a lattice _D_EPS apart brackets every level by the node
-count, which is monotone in the energy, over the window; the degree-7
-polynomial through the box-edge values of 8 neighbouring energies,
-solved by Newton, places each level, and one confirming pass of the node
-count at the root -+ _EPS_TOL / 2 turns it into a guaranteed bracket.
-Each pass integrates to _box of the top energy in its batch.
+box levels (a miss-distance function, Pryce 1993).  One scan pass over
+a lattice _D_EPS = 0.18 apart brackets every level by the node count,
+which is monotone in the energy, over the window; the degree-11
+polynomial through the box-edge values of the 12 energies around each
+level, solved by Newton, places it (0.18 is the widest step at which the
+narrowest window, n_max = 0, 2 wide, still holds 12 energies), and one
+confirming pass of the node count at the root -+ _EPS_TOL / 2 turns it
+into a guaranteed bracket.  Each pass integrates to _box of the top
+energy in its batch.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -69,14 +71,16 @@ _RENORM_LIMIT = 1e100
 _GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.02, 0.02, 0.2, 16, 16 * 1024
 _SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # as fractions of a step
-# shoot_spectrum: the energy step of its scan lattice (the degree-7
-# polynomial through 8 box-edge values 0.1 apart places the levels within
-# 2e-8 of a lattice 0.01 apart; 0.15 apart fails the confirming pass at
-# alpha = 300, a cubic 0.05 apart at alpha = 2), the width of the bracket
-# its confirming pass checks, and Newton steps on each polynomial
-_D_EPS, _EPS_TOL, _NEWTON_STEPS = 0.1, 1e-6, 8
-# the monomial coefficients of the polynomial through values at t = 0 .. 7
-_POLYNOMIAL = np.linalg.inv(np.vander(np.arange(8.0), increasing=True))
+# shoot_spectrum: the energies of the stencil that places each level and
+# the energy step of its scan lattice (the degree-11 polynomial through 12
+# box-edge values 0.18 apart places the levels within 6e-9 of a lattice
+# 0.01 apart at sweep-like inputs, 7e-8 up to n_max = 40; the narrowest
+# window, n_max = 0, 2 wide, holds floor(2 / 0.18) + 1 = 12 energies, and
+# 0.2 apart only 11), the width of the bracket its confirming pass checks,
+# and Newton steps on each polynomial (8 and 30 agree within 3e-14)
+_STENCIL, _D_EPS, _EPS_TOL, _NEWTON_STEPS = 12, 0.18, 1e-6, 8
+# the monomial coefficients of the polynomial through values at t = 0 .. _STENCIL - 1
+_POLYNOMIAL = np.linalg.inv(np.vander(np.arange(float(_STENCIL)), increasing=True))
 # finite differences: the longest step in s = ln x, the radians of the
 # top level's oscillation a step may span, the absolute bisection tolerance,
 # the inner end of the log grid (test_inner_end_error_lies_within_its_term and
@@ -150,17 +154,17 @@ def _fd_eigenvalues(
     return mu / 2.0  # every level of the grid up to top
 
 
-def _richardson(alpha: float, s_min: float, k: int) -> OracleResult:
+def _richardson(alpha: float, nu: float, s_min: float, k: int) -> OracleResult:
     """The lowest k levels of the log grid from s_min to ln _box(top) of
     their window and of the grid of twice its step, combined to cancel the
-    h^2 error.  The residual estimate is the fine grid's error (which
-    bounds the combination's) plus 3 e^(4 s_min) eps_top^2, eps_top the
-    top level, for what the two-term inner condition misses.
+    h^2 error, for the exponent nu = beta + 1/2 the caller resolved.  The
+    residual estimate is the fine grid's error (which bounds the
+    combination's) plus 3 e^(4 s_min) eps_top^2, eps_top the top level,
+    for what the two-term inner condition misses.
     ParameterError unless k is an integer >= 1, the window's top passes nu
     and the grid fits _MAX_ROWS; ConvergenceError when the residual
     reaches a level or a level lies above the window, where the box
     truncates it."""
-    nu = admissible_beta(alpha) + 0.5
     if not 1 <= k <= _MAX_ROWS or k != int(k):  # also catches a NaN k
         raise ParameterError(f"k must be an integer in [1, {_MAX_ROWS}], got {k}")
     top = _window(alpha, int(k) - 1)[1]
@@ -198,7 +202,7 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     (_richardson); ConvergenceError when it reaches a level or the top
     level lies above the window, where the box truncates it."""
     t0 = time.perf_counter()
-    res = _richardson(alpha, _S_MIN, k)
+    res = _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, k)
     return replace(res, seconds=time.perf_counter() - t0)
 
 
@@ -206,13 +210,12 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
 fd_eigen_extrapolated = fd_eigen
 
 
-def _frobenius_series(alpha: float, eps_arr: np.ndarray, x0: float) -> np.ndarray:
+def _frobenius_series(beta: float, eps_arr: np.ndarray, x0: float) -> np.ndarray:
     """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), j < _N_TERMS,
     one column per energy.  ParameterError unless every value is finite and
     every last term within _RTOL of its sum (a NaN or huge energy, an x0 too far out)."""
     # substituting into the ODE gives
     # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1
-    beta = admissible_beta(alpha)
     a = np.zeros((_N_TERMS, eps_arr.shape[0]))
     a[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
@@ -239,10 +242,10 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
     where x0 is too large for the truncated series to converge, or where
     the energy or the series is not finite (_frobenius_series).
     """
-    admissible_beta(alpha)
+    beta = admissible_beta(alpha)
     if not x0 > 0:
         raise ParameterError("x0 must be positive")
-    psi, dpsi = _frobenius_series(alpha, np.array([eps_energy]), x0)[:, 0]
+    psi, dpsi = _frobenius_series(beta, np.array([eps_energy]), x0)[:, 0]
     return float(psi), float(dpsi)
 
 
@@ -282,7 +285,7 @@ def _cosh_sinhc(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _magnus_count_nodes(
-    alpha: float, eps_arr: np.ndarray, x_max: float
+    alpha: float, beta: float, eps_arr: np.ndarray, x_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step the batch on _grid out to x_max, counting sign changes of psi;
     also psi(x_max), the log of the factor each member was scaled down by
@@ -303,8 +306,8 @@ def _magnus_count_nodes(
     finite; the left halves' products then fill in the state before
     every step.  With _BLOCK = 1 it steps one at a time.
     """
-    x0 = max(_X0, _X0_SCALE * math.sqrt(admissible_beta(alpha) + 1.0))
-    y = _frobenius_series(alpha, eps_arr, x0)
+    x0 = max(_X0, _X0_SCALE * math.sqrt(beta + 1.0))
+    y = _frobenius_series(beta, eps_arr, x0)
     x = _grid(x0, x_max)
     steps = x.size - 1
     x = np.append(x, np.full(-steps % _BLOCK, x_max))
@@ -365,8 +368,8 @@ def _polynomial_roots(
 ) -> np.ndarray:
     """Zeros of the box-edge value F, one per row, each between eps[:, j - 1]
     and eps[:, j], where F changes sign: Newton on the polynomial through
-    the 8 equally spaced energies of each row (shape (levels, 8)), started
-    at the secant root and kept inside the bracket."""
+    the _STENCIL equally spaced energies of each row (shape (levels,
+    _STENCIL)), started at the secant root and kept inside the bracket."""
     # F = sign psi e^(ln|psi| + log_scale) on the members' common start
     # normalization a_0 = 1, scaled by its largest magnitude in each row
     with np.errstate(divide="ignore"):
@@ -393,38 +396,39 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     of the growing contamination) is the number of eigenvalues below eps,
     and the sign of psi(_box) is (-1)^count.  The scan pass integrates a
     lattice of energies _D_EPS apart over _window.  A level outside it raises
-    BracketError, as does a window of fewer than 8 energies (where doubles
-    merge the lattice), which is not integrated.  Level n lies where the
-    count first exceeds n; the degree-7 polynomial through the box-edge
-    values of the 8 lattice energies around it, solved by Newton, places
-    it.  The confirming pass counts nodes at each root -+ _EPS_TOL / 2:
+    BracketError, as does a window of fewer than _STENCIL energies (where
+    doubles merge the lattice), which is not integrated.  Level n lies where
+    the count first exceeds n; the degree-11 polynomial through the
+    box-edge values of the 12 lattice energies around it, solved by Newton,
+    places it.  The confirming pass counts nodes at each root -+ _EPS_TOL / 2:
     counts n and n + 1 make a guaranteed bracket, anything else raises
     NonConvergence.  Each pass integrates on _grid to _box of the top
     energy of its own batch; from alpha ~ 1e6 its start raises ParameterError.
     """
     t0 = time.perf_counter()
-    admissible_beta(alpha)
+    beta = admissible_beta(alpha)
     _check_n(n_max)
     n_max = int(n_max)
     targets = np.arange(n_max + 1)
 
     start, top = _window(alpha, n_max)
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
-    if eps.size < 8:
+    if eps.size < _STENCIL:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
-    counts, psi, log_scale, steps = _magnus_count_nodes(alpha, eps, _box(alpha, eps[-1]))
+    counts, psi, log_scale, steps = _magnus_count_nodes(alpha, beta, eps, _box(alpha, eps[-1]))
     above = counts > targets[:, None]
     j = above.argmax(axis=1)
     missing = targets[~above.any(axis=1) | (j == 0)]
     if missing.size:
         raise BracketError(f"no bracket for levels {missing.tolist()} in eps <= {top:.4g}")
-    # the 8 lattice energies around each level, as centred as the window allows
-    first = np.clip(j - 4, 0, eps.size - 8)
-    stencil = first[:, None] + np.arange(8)
+    # the _STENCIL lattice energies around each level, as centred as the window allows
+    first = np.clip(j - _STENCIL // 2, 0, eps.size - _STENCIL)
+    stencil = first[:, None] + np.arange(_STENCIL)
     roots = _polynomial_roots(eps[stencil], psi[stencil], log_scale[stencil], j - first)
     half = _EPS_TOL / 2.0
     edges = np.concatenate((roots - half, roots + half))
-    counts, _, _, confirm = _magnus_count_nodes(alpha, edges, _box(alpha, float(edges.max())))
+    box = _box(alpha, float(edges.max()))
+    counts, _, _, confirm = _magnus_count_nodes(alpha, beta, edges, box)
     below, over = counts.reshape(2, -1)
     wrong = targets[(below != targets) | (over != targets + 1)]
     if wrong.size:

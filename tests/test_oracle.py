@@ -43,9 +43,9 @@ def record_passes(monkeypatch):
     sizes = []
     count_nodes = oracle._magnus_count_nodes
 
-    def spy(alpha, eps_arr, x_max):
+    def spy(alpha, beta, eps_arr, x_max):
         sizes.append(eps_arr.size)
-        return count_nodes(alpha, eps_arr, x_max)
+        return count_nodes(alpha, beta, eps_arr, x_max)
 
     monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
     return sizes
@@ -145,13 +145,13 @@ class TestFiniteDifference:
         # 3 e^-3 6.509^2 = 6.33 passes the ground level 2.50, while the
         # levels stay in the window (top 7.414)
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            _richardson(2.0, -0.75, 3)
+            _richardson(2.0, 1.5, -0.75, 3)
 
     def test_inner_end_past_the_window_raises(self):
         # the inner end at x = e^0.5 pushes level 2 of the fine grid's
         # matrix above the window's top 7.414 (at x = 1 it is still 6.86)
         with pytest.raises(ConvergenceError, match="level 2 lies above 7.41421"):
-            _richardson(2.0, 0.5, 3)
+            _richardson(2.0, 1.5, 0.5, 3)
 
     @pytest.mark.parametrize("k", [9, 41])
     @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.5, 2.0, 7.9])
@@ -262,7 +262,7 @@ class TestFiniteDifference:
         # holds exactly for its u = e^(nu s - e^2s / 2))
         t = spectrum_table(alpha, k - 1, Domain.HALF_LINE)
         want = np.array(t.distinct_levels())
-        res = _richardson(alpha, math.log(e0), k)
+        res = _richardson(alpha, admissible_beta(alpha) + 0.5, math.log(e0), k)
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
 
 
@@ -362,6 +362,26 @@ class TestLevelCounts:
         assert shoot_spectrum(2.0, 2.0).eigenvalues == shoot_spectrum(2.0, 2).eigenvalues
 
 
+@pytest.mark.parametrize(
+    "entry, args",
+    [pytest.param(f, args, id=f.__name__) for f, args in (
+        (shoot_spectrum, (2.0, 8)), (shoot_eigen, (2.0, 3)), (fd_eigen, (2.0, 5)),
+        (frobenius_start, (2.0, 2.5, 1e-3)))],
+)
+def test_one_gate_call_per_public_call(entry, args, monkeypatch):
+    # beta is resolved once at the entry and passed down as data
+    calls = []
+    gate = oracle.admissible_beta
+
+    def spy(alpha, *rest):
+        calls.append(alpha)
+        return gate(alpha, *rest)
+
+    monkeypatch.setattr(oracle, "admissible_beta", spy)
+    entry(*args)
+    assert calls == [2.0]
+
+
 class TestFrobeniusStart:
     def test_leading_power(self):
         x0 = 1e-3
@@ -443,35 +463,60 @@ class TestShooting:
         eps = np.array(res.eigenvalues)
         r = res.residual_estimate
         edges = np.concatenate((eps - r, eps + r))
-        counts, *_ = _magnus_count_nodes(alpha, edges, FORMER_GRAM_BOX)
+        counts, *_ = _magnus_count_nodes(alpha, admissible_beta(alpha), edges, FORMER_GRAM_BOX)
         np.testing.assert_array_equal(counts, [*range(9), *range(1, 10)])
 
-    @pytest.mark.parametrize("alpha", [-0.2499, 0.0, 0.5, 2.0, 7.9, 100.0, 1000.0])
-    def test_interpolation_leaves_margin(self, alpha, monkeypatch):
-        # the polynomial through 8 box-edge values _D_EPS apart places the
-        # levels where a lattice 0.01 apart does, within 0.03 of the
-        # residual estimate: the confirming pass keeps a wide margin
-        res = shoot_spectrum(alpha, 8)
+    @pytest.mark.parametrize(
+        "alpha, n_max, bound",
+        [pytest.param(a, 8, 0.1, id=str(a)) for a in (-0.2499, 0.0, 0.5, 2.0, 7.9, 100.0, 1000.0)]
+        + [(0.0, 40, 0.2), (1e4, 40, 0.2)],
+    )
+    def test_interpolation_leaves_margin(self, alpha, n_max, bound, monkeypatch):
+        # the polynomial through 12 box-edge values _D_EPS apart places the
+        # levels where a lattice 0.01 apart does, within 0.012 of the
+        # residual estimate at n_max = 8 and 0.14 at n_max = 40: the
+        # confirming pass keeps a margin
+        res = shoot_spectrum(alpha, n_max)
         monkeypatch.setattr(oracle, "_D_EPS", 0.01)
-        fine = shoot_spectrum(alpha, 8)
+        fine = shoot_spectrum(alpha, n_max)
         gap = np.max(np.abs(np.array(res.eigenvalues) - fine.eigenvalues))
-        assert gap <= 0.1 * res.residual_estimate
+        assert gap <= bound * res.residual_estimate
 
     def test_scan_integrates_a_coarse_lattice(self, monkeypatch):
-        # the scan batch spans 2 n_max + 2 = 18 at _D_EPS = 0.1: 181
+        # the scan batch spans 2 n_max + 2 = 18 at _D_EPS = 0.18: 101
         # energies; the confirming batch is the 9 roots -+ _EPS_TOL / 2
         sizes = record_passes(monkeypatch)
         shoot_spectrum(2.0, 8)
-        assert len(sizes) == 2
-        assert sizes[0] <= 200 and sizes[1] == 18
+        assert sizes == [101, 18]
+
+    @pytest.mark.parametrize("alpha", [-0.2499, 0.5, 15231.232])
+    def test_narrowest_window_holds_one_stencil(self, alpha, monkeypatch):
+        # n_max = 0: the window, 2 wide, holds floor(2 / 0.18) + 1 = 12
+        # energies, just the one stencil (0.2 apart it held 11 and raised
+        # BracketError)
+        sizes = record_passes(monkeypatch)
+        res = shoot_spectrum(alpha, 0)
+        t = spectrum_table(alpha, 0, Domain.HALF_LINE)
+        assert sizes == [oracle._STENCIL, 2]
+        assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
 
     def test_coarse_lattice_fails_the_confirming_pass(self, monkeypatch):
-        # the 8-point polynomial through box-edge values 0.25 apart misses
-        # the levels by more than the confirmed bracket: an error, not a
-        # wrong level
-        monkeypatch.setattr(oracle, "_D_EPS", 0.25)
+        # the 12-point polynomial through box-edge values 0.4 apart misses
+        # most levels by more than the confirmed bracket: an error, not a
+        # wrong level (0.25 apart it still places them, 0.24 of it off)
+        monkeypatch.setattr(oracle, "_D_EPS", 0.4)
         with pytest.raises(NonConvergence, match="do not bracket levels"):
             shoot_spectrum(2.0, 8)
+
+    def test_two_hundred_levels_return(self):
+        # one box for all 201 levels, set by the top energy, makes F of
+        # the low levels vary steeply (an 8-point polynomial 0.1 apart put
+        # level 0 outside the bracket); level 200 lies 1.42 residuals off,
+        # as the step error is not in the residual, but within 5e-6
+        res = shoot_spectrum(0.0, 200)
+        t = spectrum_table(0.0, 200, Domain.HALF_LINE)
+        assert len(res.eigenvalues) == 201 and np.all(np.diff(res.eigenvalues) > 0)
+        assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
 
     def test_window_starts_at_the_well_bottom(self):
         # the window starts at the well's bottom, eps = 20, and holds
@@ -523,7 +568,7 @@ class TestShooting:
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [20000.0, 20736.0])
-    def test_window_of_fewer_than_eight_energies_is_not_integrated(self, alpha, monkeypatch):
+    def test_window_of_fewer_than_a_stencil_is_not_integrated(self, alpha, monkeypatch):
         # the well's bottom sqrt(alpha * 1e30) lies in [2^56, 2^57), where
         # doubles are 16 apart: the window's top, 2 above it, rounds to it,
         # leaving one energy
@@ -543,7 +588,8 @@ class TestNodeCounts:
         levels = np.array(t.distinct_levels())
         eps = np.linspace(0.3, 24.0, 200)
         eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
-        counts, psi, _, _ = _magnus_count_nodes(alpha, eps, _box(alpha, eps.max()))
+        beta = admissible_beta(alpha)
+        counts, psi, _, _ = _magnus_count_nodes(alpha, beta, eps, _box(alpha, eps.max()))
         np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
         # the box-edge value changes sign with every counted node
         np.testing.assert_array_equal(np.sign(psi), (-1.0) ** counts)
@@ -552,9 +598,9 @@ class TestNodeCounts:
         # scaling a member down rescales only its state: the node counts
         # and psi(x_max) e^(log_scale) stay the same
         eps = np.linspace(0.3, 20.0, 40)
-        counts, psi, log_scale, steps = _magnus_count_nodes(2.0, eps, FORMER_GRAM_BOX)
+        counts, psi, log_scale, steps = _magnus_count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", 1e3)
-        counts_r, psi_r, log_scale_r, steps_r = _magnus_count_nodes(2.0, eps, FORMER_GRAM_BOX)
+        counts_r, psi_r, log_scale_r, steps_r = _magnus_count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
         assert np.all(log_scale == 0.0) and np.all(log_scale_r > 0.0)
         assert steps_r == steps
         np.testing.assert_array_equal(counts_r, counts)
@@ -566,7 +612,7 @@ class TestNodeCounts:
         eps = np.linspace(0.3, 300.0, 3000)
         tracemalloc.start()
         try:
-            counts, _, _, steps = _magnus_count_nodes(0.0, eps, _box(0.0, 300.0))
+            counts, _, _, steps = _magnus_count_nodes(0.0, 0.0, eps, _box(0.0, 300.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -584,11 +630,11 @@ class TestNodeCounts:
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", renorm_limit)
         start = oracle._window(alpha, 0)[0]
         eps = np.linspace(start + 0.3, start + width, 40)
-        box = _box(alpha, eps[-1])
-        counts, psi, log_scale, steps = _magnus_count_nodes(alpha, eps, box)
+        beta, box = admissible_beta(alpha), _box(alpha, eps[-1])
+        counts, psi, log_scale, steps = _magnus_count_nodes(alpha, beta, eps, box)
         assert (steps % oracle._BLOCK != 0) == padded
         monkeypatch.setattr(oracle, "_BLOCK", 1)
-        counts_1, psi_1, log_scale_1, steps_1 = _magnus_count_nodes(alpha, eps, box)
+        counts_1, psi_1, log_scale_1, steps_1 = _magnus_count_nodes(alpha, beta, eps, box)
         assert steps_1 == steps
         np.testing.assert_array_equal(counts_1, counts)
         # compared in logs, as at alpha = 3e5 the product overflows: 1e-12
@@ -618,7 +664,7 @@ class TestNodeCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="not finite"):
-                _magnus_count_nodes(2.0, np.linspace(1.5, 19.0, 181), _box(2.0, 19.0))
+                _magnus_count_nodes(2.0, 1.0, np.linspace(1.5, 19.0, 181), _box(2.0, 19.0))
         assert len(spans) == span + 1
 
     def test_einsum_calls_are_a_fraction_of_the_steps(self, monkeypatch):
@@ -646,17 +692,17 @@ class TestNodeCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="Frobenius series"):
-                _magnus_count_nodes(2.0, np.array([1.0, eps]), 9.0)
+                _magnus_count_nodes(2.0, 1.0, np.array([1.0, eps]), 9.0)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_nonfinite_state_raises(self, monkeypatch):
         # every start the series check passes keeps the state finite; one
         # that is not finite still stops the pass at the state check
         monkeypatch.setattr(
-            oracle, "_frobenius_series", lambda alpha, eps_arr, x0: np.full((2, eps_arr.size), np.inf)
+            oracle, "_frobenius_series", lambda beta, eps_arr, x0: np.full((2, eps_arr.size), np.inf)
         )
         with pytest.raises(NonConvergence, match="not finite"):
-            _magnus_count_nodes(2.0, np.array([1.0, 3.0]), _box(2.0, 3.0))
+            _magnus_count_nodes(2.0, 1.0, np.array([1.0, 3.0]), _box(2.0, 3.0))
 
     def test_box_stops_before_x_max(self):
         # at alpha = 2 the top energy 20 turns at x = 6.3; the pass to 9.3
@@ -664,8 +710,8 @@ class TestNodeCounts:
         eps = np.arange(0.25, 20.0, 0.5)
         box = _box(2.0, 20.0)
         assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
-        to_box, _, _, steps = _magnus_count_nodes(2.0, eps, box)
-        to_cap, _, _, steps_cap = _magnus_count_nodes(2.0, eps, FORMER_GRAM_BOX)
+        to_box, _, _, steps = _magnus_count_nodes(2.0, 1.0, eps, box)
+        to_cap, _, _, steps_cap = _magnus_count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
         np.testing.assert_array_equal(to_box, to_cap)
         assert steps < steps_cap
 

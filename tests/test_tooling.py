@@ -197,6 +197,19 @@ def test_box_rule_is_defined_once_in_model():
     assert defining == ["model.py"]
 
 
+def test_only_public_oracle_entries_resolve_beta():
+    # each public entry resolves the branch exponent once and passes it
+    # down, so a private layer can take any beta the caller gives it
+    callers = [
+        node.name
+        for node in parse(PACKAGE / "oracle.py").body
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "admissible_beta"
+    ]
+    assert sorted(callers) == ["fd_eigen", "frobenius_start", "shoot_spectrum"]
+
+
 def test_no_fixed_integration_box_is_left():
     # the box that ignored the states is gone, name and all
     hits = [
