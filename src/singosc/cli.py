@@ -207,8 +207,8 @@ def _figure_levels_halfline(points: int) -> dict[str, list]:
         for state in spectrum_table(alpha, 4, Domain.HALF_LINE).states:
             rows.append(("curve", alpha, state.n, f"n={state.n}", state.energy_eps, 1))
     for branch, label in ((-1.0, "beta=-1"), (0.0, "beta=0")):
-        for n in range(5):
-            rows.append(("marker", 0.0, n, label, halfline_state(0.0, n, branch).energy_eps, 1))
+        for state in spectrum_table(0.0, 4, Domain.HALF_LINE, branch).states:
+            rows.append(("marker", 0.0, state.n, label, state.energy_eps, 1))
     return _level_columns(rows)
 
 
@@ -228,9 +228,10 @@ def _figure_levels_fullline(points: int) -> dict[str, list]:
     rows = []
     for alpha in _alpha_sweep(points).tolist():
         # sweep grid never hits alpha = 0 exactly, so every level is a
-        # degenerate even/odd pair drawn as one curve
-        for n in range(5):
-            rows.append(("curve", alpha, n, f"n={n}", fullline_states(alpha, n)[0].energy_eps, 2))
+        # degenerate even/odd pair, drawn as one curve from its even state
+        for state in spectrum_table(alpha, 4, Domain.FULL_LINE).states:
+            if state.parity is Parity.EVEN:
+                rows.append(("curve", alpha, state.n, f"n={state.n}", state.energy_eps, 2))
     for state in spectrum_table(0.0, 4, Domain.FULL_LINE).states:
         rows.append(("marker", 0.0, state.n, state.parity.value, state.energy_eps, 1))
     return _level_columns(rows)

@@ -7,8 +7,9 @@ beta > -1/2, plus beta = -1 in the regular case alpha = 0.  For
 alpha <= -1/4 the indicial roots are complex or marginal and the family
 of bound states disappears (fall to the center).  indicial_roots gives
 the roots and the admissible set in one record; admissible_beta is the
-one gate every state and oracle passes through, and the only place that
-picks a branch (beta_plus unless asked, so beta = 0 at alpha = 0).
+gate that each public state, table and oracle entry calls once per branch
+it builds, and the only place that picks a branch (beta_plus unless
+asked, so beta = 0 at alpha = 0).  The layers below take beta as data.
 _box is the one rule for how far out an integration runs: a margin past
 the outer turning point of its top energy.
 """

@@ -153,6 +153,29 @@ def _check_n(n: int) -> None:
         raise ParameterError(f"quantum number n must be an integer in [0, {N_MAX}], got {n}")
 
 
+def _state(alpha: float, n: int, beta: float, parity: Parity = Parity.NONE) -> EigenState:
+    """The one constructor of an EigenState.  beta is data here and passes
+    no gate: the public entries resolve it, once per branch, so any root,
+    beta_minus included, builds a state.  Parity NONE gives the half-line
+    state; EVEN or ODD its whole-line extension, normalized with an extra
+    1/sqrt(2)."""
+    eps = energy(n, beta)
+    norm_const = normalization_constant(n, beta)
+    if parity is Parity.NONE:
+        domain = Domain.HALF_LINE
+    else:
+        domain, norm_const = Domain.FULL_LINE, norm_const / math.sqrt(2.0)
+    return EigenState(
+        n=int(n),
+        beta=beta,
+        parity=parity,
+        energy_eps=eps,
+        norm_const=norm_const,
+        domain=domain,
+        alpha=alpha,
+    )
+
+
 def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> EigenState:
     """Normalized half-line bound state (alpha, n).
 
@@ -161,28 +184,21 @@ def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> Ei
     the regular, finite-at-origin family there.
     """
     _check_n(n)
-    beta = admissible_beta(alpha, beta_branch)
-    return EigenState(
-        n=int(n),
-        beta=beta,
-        parity=Parity.NONE,
-        energy_eps=energy(n, beta),
-        norm_const=normalization_constant(n, beta),
-        domain=Domain.HALF_LINE,
-        alpha=alpha,
-    )
+    return _state(alpha, n, admissible_beta(alpha, beta_branch))
 
 
-def _extend(state: EigenState, parity: Parity) -> EigenState:
-    return EigenState(
-        n=state.n,
-        beta=state.beta,
-        parity=parity,
-        energy_eps=state.energy_eps,
-        norm_const=state.norm_const / math.sqrt(2.0),
-        domain=Domain.FULL_LINE,
-        alpha=state.alpha,
-    )
+def _fullline_branches(alpha: float) -> tuple[tuple[float, float, Parity], ...]:
+    """(alpha, beta, parity) of the whole-line states at each n, one gate
+    call per branch: the (Even, Odd) pair on beta_plus for alpha != 0, and
+    at alpha = 0 the even beta = -1 and odd beta = 0 branches, whose states
+    record alpha as 0.0."""
+    if alpha == 0:
+        return (
+            (0.0, admissible_beta(0.0, -1.0), Parity.EVEN),
+            (0.0, admissible_beta(0.0, 0.0), Parity.ODD),
+        )
+    beta = admissible_beta(alpha)
+    return (alpha, beta, Parity.EVEN), (alpha, beta, Parity.ODD)
 
 
 def fullline_states(alpha: float, n: int) -> list[EigenState]:
@@ -193,12 +209,7 @@ def fullline_states(alpha: float, n: int) -> list[EigenState]:
     beta = 0 state at eps = 2n + 3/2 (distinct energies).
     """
     _check_n(n)
-    if alpha == 0:
-        even = _extend(halfline_state(0.0, n, beta_branch=-1.0), Parity.EVEN)
-        odd = _extend(halfline_state(0.0, n, beta_branch=0.0), Parity.ODD)
-        return [even, odd]
-    half = halfline_state(alpha, n)
-    return [_extend(half, Parity.EVEN), _extend(half, Parity.ODD)]
+    return [_state(a, n, beta, parity) for a, beta, parity in _fullline_branches(alpha)]
 
 
 def spectrum_table(
@@ -216,9 +227,13 @@ def spectrum_table(
     if domain is Domain.FULL_LINE and beta_branch is not None:
         raise ParameterError("a beta branch applies to half-line tables only")
     if domain is Domain.HALF_LINE:
-        states = [halfline_state(alpha, n, beta_branch) for n in range(n_max + 1)]
+        beta = admissible_beta(alpha, beta_branch)
+        states = [_state(alpha, n, beta) for n in range(n_max + 1)]
     else:
-        states = [s for n in range(n_max + 1) for s in fullline_states(alpha, n)]
+        branches = _fullline_branches(alpha)
+        states = [
+            _state(a, n, beta, parity) for n in range(n_max + 1) for a, beta, parity in branches
+        ]
     states.sort(key=lambda s: (s.energy_eps, s.parity.value))
     degeneracy = Counter(s.energy_eps for s in states).values()
     spacing = 1.0 if (domain is Domain.FULL_LINE and alpha == 0) else 2.0

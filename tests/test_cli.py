@@ -522,6 +522,21 @@ class TestFigureCommands:
         assert [m[0] for m in marks] == [0.5 + k for k in range(10)]
         assert [m[1] for m in marks[:4]] == ["even", "odd", "even", "odd"]
 
+    @pytest.mark.parametrize("fig", ["2", "4"])
+    def test_level_figures_gate_once_per_alpha(self, fig, tmp_path, monkeypatch):
+        # one table per sweep alpha, and one per alpha = 0 branch for the
+        # markers: 3 + 2 gate calls, not one per state (3 * 5 + 10)
+        calls = []
+        gate = spectrum.admissible_beta
+
+        def spy(*rest):
+            calls.append(rest)
+            return gate(*rest)
+
+        monkeypatch.setattr(spectrum, "admissible_beta", spy)
+        assert run_cli(["figure", fig, "--alpha-points", "3"], tmp_path)[0] == 0
+        assert len(calls) == 5
+
 
 class TestVerifyCommand:
     def test_quick_suite_json(self, tmp_path):

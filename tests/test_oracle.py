@@ -289,6 +289,7 @@ class TestFdSpectrum:
 
         monkeypatch.setattr(spectrum, "spectrum_table", closed_form)
         monkeypatch.setattr(spectrum, "halfline_state", closed_form)
+        monkeypatch.setattr(spectrum, "_state", closed_form)
         for alpha, levels in want.items():
             assert fd_eigen(alpha, 3).eigenvalues == pytest.approx(levels, rel=1e-4)
             assert shoot_spectrum(alpha, 2).eigenvalues == pytest.approx(levels, abs=5e-6)

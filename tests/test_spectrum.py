@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singosc import spectrum
 from singosc.cli import emit_rows
 from singosc.errors import InadmissibleError, ParameterError, SupercriticalError
 from singosc.model import Domain, Parity, indicial_roots
 from singosc.spectrum import (
     DIVERGENT,
+    _state,
     energy,
     fullline_states,
     halfline_state,
@@ -303,6 +305,39 @@ class TestPerturbation:
     def test_rejects_no_parity(self):
         with pytest.raises(ParameterError):
             perturbation_first_order(0, Parity.NONE)
+
+
+@pytest.mark.parametrize("entry, args, count", [
+    pytest.param(halfline_state, (2.0, 5), 1, id="halfline_state"),
+    pytest.param(fullline_states, (2.0, 3), 1, id="fullline_states"),
+    pytest.param(fullline_states, (0.0, 3), 2, id="fullline_states-alpha0"),
+    pytest.param(spectrum_table, (2.0, 8, Domain.HALF_LINE), 1, id="spectrum_table-half"),
+    pytest.param(spectrum_table, (2.0, 8, Domain.FULL_LINE), 1, id="spectrum_table-full"),
+    pytest.param(spectrum_table, (0.0, 4, Domain.FULL_LINE), 2, id="spectrum_table-full-alpha0"),
+    pytest.param(perturbation_first_order, (3, Parity.ODD), 1, id="perturbation_first_order"),
+])
+def test_one_gate_call_per_branch(entry, args, count, monkeypatch):
+    # beta is resolved once per branch at the entry, not once per state
+    calls = []
+    gate = spectrum.admissible_beta
+
+    def spy(*rest):
+        calls.append(rest)
+        return gate(*rest)
+
+    monkeypatch.setattr(spectrum, "admissible_beta", spy)
+    entry(*args)
+    assert len(calls) == count
+
+
+def test_state_takes_the_root_the_gate_rejects():
+    # beta_minus at 0 < alpha < 3/4 passes no gate in the one constructor
+    beta = indicial_roots(0.5).beta_minus
+    with pytest.raises(InadmissibleError):
+        halfline_state(0.5, 2, beta)
+    s = _state(0.5, 2, beta)
+    assert s.beta == beta and s.energy_eps == energy(2, beta)
+    assert s.domain is Domain.HALF_LINE and s.parity is Parity.NONE
 
 
 class TestEigenStateInvariants:

@@ -210,6 +210,24 @@ def test_only_public_oracle_entries_resolve_beta():
     assert sorted(callers) == ["fd_eigen", "frobenius_start", "shoot_spectrum"]
 
 
+def test_only_public_spectrum_entries_resolve_beta():
+    # the public entries gate once per branch and build every state through
+    # the one constructor _state, which takes beta as data and gates nothing
+    def callers(name):
+        return sorted(
+            node.name
+            for node in parse(PACKAGE / "spectrum.py").body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+        )
+
+    # _fullline_branches gates the beta_plus pair, or each alpha = 0 branch
+    want = ["_fullline_branches"] * 3 + ["halfline_state", "spectrum_table"]
+    assert callers("admissible_beta") == want
+    assert callers("EigenState") == ["_state"]
+
+
 def test_no_fixed_integration_box_is_left():
     # the box that ignored the states is gone, name and all
     hits = [
