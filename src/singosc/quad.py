@@ -17,41 +17,35 @@ model._box(alpha, eps_top) + 3, the oracles' box and 3 more, rounded up to
 a whole panel, on panels h = 0.5 / m wide, m = max(1, ceil(k / 9)) with
 k = sqrt(2 eps_top), so no panel spans more than 4.5 radians of the top
 state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
-DepthExceeded, and so does a rule that would need more than 10 000
-panels.  Each state's values on a rule are kept across calls in a
-32-entry cache keyed on (n, beta, norm_const) and the rule, at most 2.4 MB
-an entry, so a pairwise loop of overlaps evaluates each (state, rule)
-pair once, and the even and the odd full-line state of one n share an
-entry.  A miss takes x^(beta+1), e^(-x^2/2) and L_n^(beta+1/2)(x^2) from
-a 16-entry cache keyed on (beta, rule), which runs one Laguerre
-recurrence per beta and rule and keeps its latest rows, at most 300 000
-doubles of them (an entry is 2.4 MB at the rules of an N = 12 Gram
-matrix and at most 12 MB); psi's product of them is
-EigenState._profile, so the values equal EigenState.psi bit for bit.
-Half-line inner products also ship a Gauss-Laguerre path in
-y = x^2, exact for the bound states' polynomial integrands: the
-independent second route.  A pair (n1, n2) takes the rule of the smallest
-multiple of 8 nodes >= n1 + n2 + 1, so the pairs of one Gram matrix share
-a few rules, and each L_n on a rule is kept in a 64-entry cache keyed on
-(n, a, count, w), so a pairwise loop evaluates it once per rule.
+DepthExceeded, and so do a rule of more than 10 000 panels and a factor
+of psi that overflows, with no numpy warning.  A state's psi on a rule
+comes from a 32-entry cache keyed on (beta, rule), which holds the
+factors that every state of one beta shares there, the rows of one
+Laguerre recurrence and each state's psi, so a pairwise loop of overlaps
+evaluates each (state, rule) pair once (2 N + 300 000 doubles for N
+nodes at most: 2.4 MB at an N = 12 Gram matrix's rules, 7.2 MB at most);
+EigenState._profile multiplies them, as psi does, bit for bit.
+Half-line inner products also ship a Gauss-Laguerre path in y = x^2,
+exact for the bound states' polynomial integrands: the independent
+second route, whose rules of a multiple of 8 nodes each keep one table
+of rows L_0, L_1, ... per a.
 Principal values (cauchy_pv) run on the same Gauss-Legendre rule; f must
 take arrays, and the limits must be finite.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import functools
+import itertools
 import math
-import threading
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from .model import Domain, Parity, _box
-from .specfun import _laguerre_rows
+from .specfun import _laguerre, _laguerre_rows
 
 if TYPE_CHECKING:
     from .spectrum import EigenState
@@ -63,8 +57,9 @@ if TYPE_CHECKING:
 _WIDTH_MAX, _K_PER_SPLIT, _GRAM_TAIL, _MAX_PANELS = 0.5, 9.0, 3.0, 10_000
 _GEOM_RATIO, _GEOM_LEVELS = 0.15, 24
 _Q_FINE, _Q_COARSE, _GAP_TOL = 20, 10, 1e-8
-# A _Branch keeps at most this many doubles of Laguerre rows (2.4 MB)
-_ROWS_MAX = 300_000
+# A Gram rule's _Entry keeps at most this many doubles of Laguerre rows and
+# psi values, and a Gauss-Laguerre row table at most this many (2.4 MB)
+_KEEP_MAX = 300_000
 # Gauss-Laguerre rules have a multiple of _GL_STEP nodes, so overlaps share them
 _GL_STEP = 8
 
@@ -99,9 +94,11 @@ def _rule(width: float, panels: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _check_gap(fine, coarse, error: type, what: str) -> None:
-    """Raise error unless the 10-point values lie within _GAP_TOL max(1, |v|)
-    of the 20-point ones, v the largest of those, and both are finite."""
+    """Raise error unless all values are finite and the 10-point ones lie
+    within _GAP_TOL max(1, |v|) of the 20-point ones, v the largest of those."""
     gap = float(np.abs(fine - coarse).max())
+    if not math.isfinite(gap):
+        raise error(f"{what}: a value is not finite")
     # a gap within _GAP_TOL passes at any scale >= 1: only a wider one needs v
     scale = 1.0 if gap <= _GAP_TOL else float(np.abs(fine).max())
     if not gap <= _GAP_TOL * scale < math.inf:
@@ -122,10 +119,11 @@ def _integral(g: Callable, length: float, anchor: float, error: type, what: str)
     scale = length / panels
     t = (anchor + scale * nodes) - anchor
     kept = t > 0.0
-    terms = scale * weights[kept] * g(t[kept])
     cut = np.count_nonzero(kept[:split])
-    fine, coarse = terms[:cut].sum(), terms[cut:].sum()
-    _check_gap(fine, coarse, error, what)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_gap raises
+        terms = scale * weights[kept] * g(t[kept])
+        fine, coarse = terms[:cut].sum(), terms[cut:].sum()
+        _check_gap(fine, coarse, error, what)
     return float(fine)
 
 
@@ -189,72 +187,67 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
     return m, panels
 
 
-class _Branch:
-    """x^(beta+1), e^(-y/2) and the rows L_n^(beta+1/2)(y), y = x^2, on
-    the nodes x of one Gram rule: the factors of psi that every state of
-    one beta shares there.
-
-    The rows come from one specfun._laguerre_rows pass, of which the latest
-    max(2, _ROWS_MAX // nodes) are kept; a request below them starts the
-    pass again from L_0.  A lock keeps the pass and its rows in step when
-    threads share the entry."""
+class _Entry:
+    """x^(beta+1) and e^(-x^2/2) on the nodes x of one Gram rule, shared by
+    every state of one beta, the rows L_0 .. L_k of specfun._laguerre_rows
+    in y = x^2 for a = beta + 1/2, which a longer tuple replaces, and each
+    state's read-only psi, kept by (n, norm_const).  Threads may each run
+    a pass and compute a value; all get the same values, and the last rows
+    kept win.  Factors and passes run under np.errstate, and one that is
+    not finite raises DepthExceeded, so psi multiplies finite factors only."""
 
     def __init__(self, beta: float, nodes: np.ndarray) -> None:
-        self._y = nodes * nodes
-        self.power = np.power(nodes, beta + 1.0)
-        self.decay = np.exp(-0.5 * self._y)
-        self._a = beta + 0.5
-        self._kept = collections.deque(maxlen=max(2, _ROWS_MAX // len(nodes)))
-        self._lock = threading.Lock()
-        self._start()
+        from .spectrum import EigenState  # spectrum imports quad
 
-    def _start(self) -> None:
-        self._rows = _laguerre_rows(self._a, self._y)
-        self._kept.clear()
-        self._next = 0  # n of the row the pass yields next
+        self.beta, self.rows, self.kept = beta, (), {}
+        self.profile = EigenState._profile  # psi's own product of its factors
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.power = np.power(nodes, beta + 1.0)
+            self.decay = np.exp(-0.5 * (nodes * nodes))
+        if not np.isfinite(self.power).all():
+            raise DepthExceeded(f"x^(beta+1) at beta = {beta:.6g} overflows on the Gram rule")
 
-    def row(self, n: int) -> np.ndarray:
-        """L_n^(beta+1/2)(y), which the caller must not write to."""
-        with self._lock:
-            if n < self._next - len(self._kept):
-                self._start()
-            while self._next <= n:
-                self._kept.append(next(self._rows))
-                self._next += 1
-            return self._kept[n - self._next]
-
-
-@functools.lru_cache(maxsize=16)
-def _branch(beta: float, m: int, panels: int) -> _Branch:
-    """The _Branch of beta on the nodes of _rule(_WIDTH_MAX / m, panels).
-
-    An entry holds three arrays of the rule's N nodes and at most
-    max(_ROWS_MAX, 2 N) doubles of rows: 3 N + 300 000 doubles, 2.4 MB at
-    the 1 200-1 500 nodes of an N = 12 Gram matrix, and at most 5 N,
-    12 MB, at the 300 690 nodes of _MAX_PANELS, so 192 MB in all."""
-    return _Branch(beta, _rule(_WIDTH_MAX / m, panels)[0])
+    def psi(self, states: Sequence[EigenState], nodes: np.ndarray) -> dict:
+        """{(n, norm_const): psi on the nodes} for the states of the entry's
+        beta, new ones from rows that go on from the kept ones.  Rows and psi
+        stay while they fit _KEEP_MAX doubles (racing threads may pass it by
+        a request each); past it each state runs a pass of its own, and the
+        request keeps nothing."""
+        kept = self.kept
+        new = {(s.n, s.norm_const) for s in states if s.beta == self.beta}.difference(kept)
+        if not new:
+            return kept
+        rows, top, size = self.rows, max(new)[0], len(nodes)
+        lag = rows
+        if top >= len(rows):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                if (top + 1) * size <= _KEEP_MAX:  # the pass goes on from the kept rows
+                    more = _laguerre_rows(self.beta + 0.5, nodes * nodes, rows)
+                    rows = lag = rows + tuple(itertools.islice(more, top + 1 - len(rows)))
+                else:  # past the budget: a pass of its own for each state
+                    lag = {n: _laguerre(n, self.beta + 0.5, nodes * nodes) for n, _ in new}
+            # a row that overflows at a node stays inf or NaN there in every later row
+            if not np.isfinite(lag[top]).all():
+                raise DepthExceeded(f"L_{top}^({self.beta + 0.5:.6g}) overflows on the Gram rule")
+        keep = top < len(rows) and (len(rows) + len(kept) + len(new)) * size <= _KEEP_MAX
+        out = kept if keep else dict(kept)
+        for n, norm_const in new:
+            out[n, norm_const] = values = self.profile(norm_const, self.power, self.decay, lag[n])
+            values.flags.writeable = False
+        if keep:
+            self.rows = rows
+        return out
 
 
 @functools.lru_cache(maxsize=32)
-def _values(n: int, beta: float, norm_const: float, m: int, panels: int) -> np.ndarray:
-    """Read-only psi of the state (n, beta, norm_const) on the nodes of
-    _rule(_WIDTH_MAX / m, panels), equal bit for bit to its EigenState.psi.
+def _entry(beta: float, m: int, panels: int) -> _Entry:
+    """The _Entry of beta on the nodes of _rule(_WIDTH_MAX / m, panels).
 
-    The factors and L_n come from _branch(beta, m, panels) and their
-    product from EigenState._profile, which psi also uses.  The nodes are all
-    positive, so sign(x) = 1 for an odd state: the even and the odd
-    full-line state of one n share an entry.  A half-line and a full-line
-    state differ in norm_const, and at alpha = 0 the two branches in beta.
-    Cached on all five: a pairwise loop of overlaps takes the rule of each
-    pair's top state, so it meets every (state, rule) pair again for each
-    lower state.  An entry holds at most 30 x (_MAX_PANELS + _GEOM_LEVELS
-    - 1) doubles, 2.4 MB, so 77 MB in all."""
-    from .spectrum import EigenState  # spectrum imports quad
-
-    branch = _branch(beta, m, panels)
-    values = EigenState._profile(norm_const, branch.power, branch.decay, branch.row(n))
-    values.flags.writeable = False
-    return values
+    An entry holds 2 N doubles of factors for the rule's N nodes and at
+    most _KEEP_MAX doubles of rows and values: 2.4 MB at the 1 200-1 500
+    nodes of an N = 12 Gram matrix, and at most 7.2 MB at the 300 690
+    nodes of _MAX_PANELS, so 231 MB in all."""
+    return _Entry(beta, _rule(_WIDTH_MAX / m, panels)[0])
 
 
 def gram(
@@ -267,8 +260,8 @@ def gram(
 
     Each state is evaluated once on the nodes of both rules, from one
     Laguerre recurrence per beta and rule, and its values are kept across
-    calls in a 32-entry cache keyed on its n, beta and norm_const and the
-    rule (at most 2.4 MB an entry, 77 MB in all); w is
+    calls in the 32-entry cache of its beta and the rule (_entry: at most
+    2 N + 300 000 doubles for N nodes, 7.2 MB, 231 MB in all); w is
     evaluated once, on the same positive nodes, and multiplies the rule's
     weights.  On the full line w must be even.  Entry (i, j) sums
     psi_i psi_j w times the rule's weight over the nodes in one fixed
@@ -289,7 +282,10 @@ def gram(
     nodes, weights, split = _rule(_WIDTH_MAX / m, panels)
     if weight is not None:
         weights = weights * weight(nodes)
-    psi = np.array([_values(s.n, s.beta, s.norm_const, m, panels) for s in states])
+        if not np.isfinite(weights).all():
+            raise DepthExceeded("the weight is not finite on the nodes of the Gram rule")
+    kept = {b: _entry(b, m, panels).psi(states, nodes) for b in {s.beta for s in states}}
+    psi = np.array([kept[s.beta][s.n, s.norm_const] for s in states])
     fine, coarse = np.empty((2, len(states), len(states)))
     # one row at a time: memory stays N x nodes; the ndarray methods skip numpy's
     # function wrappers, about 5% of an overlap-check benchmark op
@@ -323,27 +319,26 @@ def _laguerre_rule(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the count-point generalized
     Gauss-Laguerre rule for y^w e^-y: every pair of one Gram matrix shares
     w, and counts are multiples of _GL_STEP, so an N-state matrix needs
-    about N / 4 rules."""
+    about N / 4 rules.  Silent where scipy's root polish overflows, from
+    count = 384: the L_n of every pair there overflow too, and the route raises."""
     import scipy.special
 
-    nodes, weights = scipy.special.roots_genlaguerre(count, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes, weights = scipy.special.roots_genlaguerre(count, w)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=64)
-def _laguerre_values(n: int, a: float, count: int, w: float) -> np.ndarray:
-    """Read-only L_n^(a) on the nodes of _laguerre_rule(count, w), by the
-    checked specfun.laguerre, which raises ParameterError on an overflow.
-
-    Cached on all four: a = beta + 1/2 is the state's and w the pair's, and
-    at alpha = 0 a beta = -1 and a beta = 0 state share alpha but not a.  An
-    entry holds count doubles, no more than the rule's own nodes."""
-    from .specfun import laguerre
-
-    values = laguerre(n, a, _laguerre_rule(count, w)[0])
-    values.flags.writeable = False
-    return values
+@functools.lru_cache(maxsize=32)
+def _laguerre_table(a: float, count: int, w: float) -> np.ndarray:
+    """Read-only rows L_0^(a) .. L_(count-1)^(a), every degree a pair on
+    _laguerre_rule(count, w) takes, on its nodes, from one _laguerre_rows
+    pass; a = beta + 1/2, so the alpha = 0 branches differ in it.  Built
+    under the route's np.errstate, and kept up to _KEEP_MAX doubles (count
+    <= 544): 2.4 MB an entry, 77 MB in all."""
+    table = np.array(list(itertools.islice(_laguerre_rows(a, _laguerre_rule(count, w)[0]), count)))
+    table.flags.writeable = False
+    return table
 
 
 def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
@@ -353,23 +348,25 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     with w = (beta1 + beta2 + 1)/2.  An M-node rule is exact up to degree
     2M - 1, so any M >= n1 + n2 + 1 integrates the polynomial part
     exactly; M is the smallest multiple of 8 that is, so the pairs of one
-    Gram matrix share a few rules, and each L_n is evaluated once per rule
-    (cached on n, a = beta + 1/2, M and w).  Raises ParameterError when
-    the weighted sum overflows (L_n^2 at the outer nodes).  On the diagonal
-    that is from n = 124 at alpha = -0.2, 7.9 and 45.96, but from 123 at
-    alpha = 157.3 and 122 at alpha = 1000: there the rounded-up rule's
-    outer node lies past that of the exact n1 + n2 + 1 rule, which raised
-    from 124 and 123.
+    Gram matrix share a few rules, each with one table of L_n per a = beta
+    + 1/2 (_laguerre_table; past M = 544 a state runs its own recurrence).
+    Raises ParameterError when the weighted sum is not finite (L_n^2
+    overflows at the outer nodes).  On the diagonal that is from n = 124
+    at alpha = -0.2, 7.9 and 45.96, but from 123 at alpha = 157.3 and 122
+    at alpha = 1000: there the rounded-up rule's outer node lies past that
+    of the exact n1 + n2 + 1 rule, which raised from 124 and 123.
     """
     _check_compatible(s1, s2)
     if s1.domain is not Domain.HALF_LINE:
         raise DomainMismatch("Gauss-Laguerre path is defined for half-line states")
     w = (s1.beta + s2.beta + 1.0) / 2.0
     count = _GL_STEP * math.ceil((s1.n + s2.n + 1) / _GL_STEP)
-    weights = _laguerre_rule(count, w)[1]
-    lag1 = _laguerre_values(s1.n, s1.beta + 0.5, count, w)
-    lag2 = _laguerre_values(s2.n, s2.beta + 0.5, count, w)
-    with np.errstate(over="ignore", invalid="ignore"):
+    nodes, weights = _laguerre_rule(count, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        if count * count <= _KEEP_MAX:
+            lag1, lag2 = (_laguerre_table(s.beta + 0.5, count, w)[s.n] for s in (s1, s2))
+        else:
+            lag1, lag2 = (_laguerre(s.n, s.beta + 0.5, nodes) for s in (s1, s2))
         total = float(np.dot(weights, lag1 * lag2))
     if not np.isfinite(total):
         raise ParameterError(

@@ -112,9 +112,17 @@ def kummer_m_asymptotic(a: float, b: float, y: float) -> float:
     return value
 
 
-def _check_degree(n: int) -> int:
-    if not 0 <= n < math.inf or n != int(n):  # also catches a NaN or infinite n
-        raise ParameterError(f"n must be a non-negative integer, got {n}")
+# Largest degree or quantum number accepted: `singosc spectrum --domain full`
+# up to it takes about 2 s, and far beyond it a table or a Laguerre or Hermite
+# recurrence would run without end (L_n at n = 10^6 already takes 0.5 s).
+N_MAX = 100_000
+
+
+def _check_n(n: int) -> int:
+    """n as an int: the one check of a quantum number or a degree, which
+    raises ParameterError unless n is an integer in [0, N_MAX]."""
+    if not 0 <= n <= N_MAX or n != int(n):  # also catches a NaN or infinite n
+        raise ParameterError(f"quantum number n must be an integer in [0, {N_MAX}], got {n}")
     return int(n)
 
 
@@ -126,7 +134,7 @@ def laguerre(n: int, a: float, y):
     ParameterError where a value is not finite: the recurrence overflows,
     or y is not finite.
     """
-    n = _check_degree(n)
+    n = _check_n(n)
     if not a > -1:
         raise ParameterError("Laguerre order parameter must satisfy a > -1")
     with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
@@ -141,23 +149,30 @@ def _laguerre(n: int, a: float, y):
     float.  For EigenState.psi: a state's n and a are valid by
     construction, and the package's callers of psi that can meet an
     overflow refuse a value that is not finite themselves (the Gram rule's
-    gap check, the wavefunction command's row check), so the check would
-    repeat theirs on every evaluation."""
+    row check, the Gauss-Laguerre route's sum check, the wavefunction
+    command's row check), so the check would repeat theirs on every
+    evaluation."""
     out = next(itertools.islice(_laguerre_rows(a, y), n, None))
     return float(out) if out.ndim == 0 else out
 
 
-def _laguerre_rows(a: float, y):
-    """L_0^(a)(y), L_1^(a)(y), ... without end, by laguerre's recurrence and
-    with no checks: the package's one Laguerre recurrence.  Each row is a
-    new array, so a caller may keep the rows it has been given; the
-    generator itself holds only the last two."""
+def _laguerre_rows(a: float, y, rows=()):
+    """L_k^(a)(y), L_(k+1)^(a)(y), ... without end, k = len(rows), by
+    laguerre's recurrence and with no checks: the package's one Laguerre
+    recurrence.  Given rows L_0 .. L_(k-1) of an earlier pass on the same a
+    and y, the pass goes on from them, bit for bit as that pass would have
+    (L_(-1) = 0 starts it from L_0 alone).  Each row is a new array, so a
+    caller may keep the rows it has been given; the generator itself holds
+    only the last two."""
     y = np.asarray(y, dtype=float)
-    yield np.ones_like(y)
-    prev, cur = 1.0, 1.0 + a - y
-    for j in itertools.count(1):
-        yield cur
+    if not rows:
+        yield np.ones_like(y)
+        rows = (1.0, 1.0 + a - y)
+        yield rows[1]
+    prev, cur = rows[-2] if len(rows) > 1 else 0.0, rows[-1]
+    for j in itertools.count(len(rows) - 1):
         prev, cur = cur, ((2 * j + 1 + a - y) * cur - (j + a) * prev) / (j + 1)
+        yield cur
 
 
 def hermite(n: int, xi):
@@ -167,7 +182,7 @@ def hermite(n: int, xi):
     Satisfies H_n(-xi) = (-1)^n H_n(xi).  Raises ParameterError where a
     value is not finite: the recurrence overflows, or xi is not finite.
     """
-    n = _check_degree(n)
+    n = _check_n(n)
     xi = np.asarray(xi, dtype=float)
     if n == 0:
         return 1.0 if xi.ndim == 0 else np.ones_like(xi)

@@ -21,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
 from .quad import gram
+# specfun holds the one check of a quantum number or a degree
+from .specfun import _check_n
 # psi runs laguerre's recurrence without its finiteness check (see
 # specfun._laguerre); the name stays laguerre, which the benchmark's tracer wraps
 from .specfun import _laguerre as laguerre
@@ -45,10 +48,8 @@ class _Divergent:
 
 DIVERGENT = _Divergent()
 
-# Largest quantum number accepted: `singosc spectrum --domain full` up to
-# it takes about 2 s, and far beyond it a table or a Laguerre recurrence
-# would run without end.
-N_MAX = 100_000
+# Largest quantum number accepted, the bound of specfun._check_n
+N_MAX = specfun.N_MAX
 
 
 def energy(n: int, beta: float) -> float:
@@ -114,9 +115,9 @@ class EigenState:
     def _profile(norm_const: float, power, decay, lag):
         """The half-line profile A r^(beta+1) e^(-r^2/2) L_n^(beta+1/2)(r^2)
         from its four factors, multiplied in this order; norm_const carries
-        the 1/sqrt(2) of full-line states.  psi and the Gram rule's cached
-        values (quad._values) both take it from here, so their values agree
-        bit for bit."""
+        the 1/sqrt(2) of full-line states.  psi and the Gram rule's cache
+        of psi per (beta, rule) (quad._entry) both take it from here, so
+        their values agree bit for bit."""
         return norm_const * power * decay * lag
 
 
@@ -146,11 +147,6 @@ class SpectrumTable:
             "eps": [s.energy_eps for s in states],
             "degeneracy": [mult[s.energy_eps] for s in states],
         }
-
-
-def _check_n(n: int) -> None:
-    if not 0 <= n <= N_MAX or n != int(n):  # also catches a NaN or infinite n
-        raise ParameterError(f"quantum number n must be an integer in [0, {N_MAX}], got {n}")
 
 
 def _state(alpha: float, n: int, beta: float, parity: Parity = Parity.NONE) -> EigenState:

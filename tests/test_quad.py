@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singosc import quad
+from singosc import quad, specfun
 from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from singosc.model import Parity
 from singosc.quad import (
@@ -60,6 +61,13 @@ class TestCauchyPV:
         val = cauchy_pv(lambda x: x**3 / x, -half_width, half_width, 0.0)
         # x^3/x = x^2 is regular; PV must agree with the plain integral
         assert val == pytest.approx(2 * half_width**3 / 3, rel=1e-9)
+
+    def test_value_that_is_not_finite_raises_with_no_warning(self):
+        # the gap of two NaN sums is NaN: a typed error that says so
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PVDivergent, match="a value is not finite"):
+                cauchy_pv(lambda x: np.full_like(x, np.nan), -1.0, 1.0, 0.0)
 
     def test_divergent_infinite_tail_raises(self):
         # the rest, int_{-inf}^{-1} dx/x, diverges: an infinite limit is
@@ -161,39 +169,57 @@ class TestOverlap:
         import scipy.special
 
         quad._laguerre_rule.cache_clear()
-        quad._laguerre_values.cache_clear()
+        quad._laguerre_table.cache_clear()
         s1, s2 = halfline_state(0.5, 2), halfline_state(0.5, 3)
-        w = s1.beta + 0.5
+        w = a = s1.beta + 0.5
         cold = overlap_halfline_gauss(s1, s2)
-        rule, values = quad._laguerre_rule.cache_info(), quad._laguerre_values.cache_info()
+        rule, table = quad._laguerre_rule.cache_info(), quad._laguerre_table.cache_info()
+        assert table[:2] == (1, 1)  # both states share a, so one table
         assert overlap_halfline_gauss(s1, s2) == cold
         assert quad._laguerre_rule.cache_info()[:2] == (rule.hits + 1, 1)
-        assert quad._laguerre_values.cache_info()[:2] == (values.hits + 2, 2)
+        assert quad._laguerre_table.cache_info()[:2] == (table.hits + 2, 1)
         nodes, weights = quad._laguerre_rule(8, w)
         fresh = scipy.special.roots_genlaguerre(8, w)
         np.testing.assert_array_equal(nodes, fresh[0])
         np.testing.assert_array_equal(weights, fresh[1])
         assert not (nodes.flags.writeable or weights.flags.writeable)
-        for s in (s1, s2):
-            lag = quad._laguerre_values(s.n, s.beta + 0.5, 8, w)
-            np.testing.assert_array_equal(lag, _laguerre_ref(s.n, s.beta + 0.5, nodes))
-            with pytest.raises(ValueError):
-                lag[0] = 1.0
+        rows = quad._laguerre_table(a, 8, w)
+        assert rows.shape == (8, 8)
+        for n, row in enumerate(rows):
+            np.testing.assert_array_equal(row, _laguerre_ref(n, a, nodes))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
 
     def test_gauss_pairwise_loop_evaluates_each_laguerre_once_per_rule(self, monkeypatch):
-        # 78 pairs share the 8-, 16- and 24-node rules: 27 (n, rule) pairs,
-        # where an exact n1 + n2 + 1 rule per pair needs 23 rules and 156 L_n
+        # 78 pairs share the 8-, 16- and 24-node rules, one table of 8, 16
+        # and 24 rows each, where an exact n1 + n2 + 1 rule per pair needs 23
+        # rules and 156 L_n; the checked specfun.laguerre is not called
         states = [halfline_state(3.3, n) for n in range(12)]
         pairs = [(i, j) for i in range(12) for j in range(i, 12)]
         cold = []
         for i, j in pairs:
             quad._laguerre_rule.cache_clear()
-            quad._laguerre_values.cache_clear()
+            quad._laguerre_table.cache_clear()
             cold.append(overlap_halfline_gauss(states[i], states[j]))
-        seen = _counting_gauss(monkeypatch)
+        seen = _counting(monkeypatch)
         assert [overlap_halfline_gauss(states[i], states[j]) for i, j in pairs] == cold
-        assert seen["laguerre"] <= 27
-        assert seen["roots_genlaguerre"] <= 3
+        assert seen == {"passes": 3, "rows": 48, "laguerre": 0, "roots_genlaguerre": 3}
+
+    def test_gauss_route_past_the_budget_keeps_no_table(self, monkeypatch):
+        # the pair (300, 300) takes the 608-node rule, whose 608^2 doubles of
+        # rows pass _KEEP_MAX: each state runs its own recurrence, no table
+        # is built, and the overflow there raises with no numpy warning
+        assert 544**2 <= quad._KEEP_MAX < 552**2
+        seen = _counting(monkeypatch)
+        own = []
+        monkeypatch.setattr(quad, "_laguerre", lambda n, a, y: own.append(n) or specfun._laguerre(n, a, y))
+        s = halfline_state(0.3, 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                overlap_halfline_gauss(s, s)
+        assert own == [300, 300] and seen["roots_genlaguerre"] == 1
+        assert quad._laguerre_table.cache_info()[:2] == (0, 0)
 
     @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.0, 0.5, 3.0, 7.9, 157.3, "mixed"])
     def test_gauss_route_matches_the_exact_rule(self, alpha):
@@ -237,36 +263,24 @@ class TestOverlap:
             overlap_halfline_gauss(even, odd)
 
 
-def _counting_rows(monkeypatch):
-    """Empty quad's caches of values and branches and count, from here on,
-    the Laguerre recurrence passes the Gram route starts and the rows it
-    draws from them: {"passes": ..., "rows": ...}."""
-    from singosc import specfun
+def _counting(monkeypatch):
+    """Empty quad's caches of Gram entries and Gauss-Laguerre rules and
+    tables, and count from here on the Laguerre recurrence passes quad
+    starts and the rows it draws from them, and its calls of the checked
+    specfun.laguerre and of scipy.special.roots_genlaguerre."""
+    import scipy.special
 
-    quad._values.cache_clear()
-    quad._branch.cache_clear()
-    seen = {"passes": 0, "rows": 0}
+    for cache in (quad._entry, quad._laguerre_rule, quad._laguerre_table):
+        cache.cache_clear()
+    seen = {"passes": 0, "rows": 0, "laguerre": 0, "roots_genlaguerre": 0}
 
-    def rows(a, y):
+    def rows(a, y, kept=()):
         seen["passes"] += 1
-        for row in specfun._laguerre_rows(a, y):
+        for row in specfun._laguerre_rows(a, y, kept):
             seen["rows"] += 1
             yield row
 
     monkeypatch.setattr(quad, "_laguerre_rows", rows)
-    return seen
-
-
-def _counting_gauss(monkeypatch):
-    """Empty the Gauss route's caches and count the specfun.laguerre and
-    scipy.special.roots_genlaguerre calls it makes from here on."""
-    import scipy.special
-
-    from singosc import specfun
-
-    quad._laguerre_rule.cache_clear()
-    quad._laguerre_values.cache_clear()
-    seen = {"laguerre": 0, "roots_genlaguerre": 0}
     for module, name in ((specfun, "laguerre"), (scipy.special, "roots_genlaguerre")):
 
         def counted(*args, _inner=getattr(module, name), _name=name):
@@ -366,43 +380,67 @@ class TestGram:
 
     def test_one_psi_call_per_state(self, monkeypatch):
         # one recurrence pass on the rule serves all 12 states, one row each
-        seen = _counting_rows(monkeypatch)
+        seen = _counting(monkeypatch)
         states = [halfline_state(3.3, n) for n in range(12)]
         gram(states)
-        assert seen == {"passes": 1, "rows": 12}
-        assert quad._values.cache_info().misses == 12
+        assert (seen["passes"], seen["rows"]) == (1, 12)
+        assert quad._entry.cache_info()[:2] == (0, 1)
+        overlap(states[4], states[4])  # a shorter rule: its own entry and pass
+        assert (seen["passes"], seen["rows"]) == (2, 17)
+        gram(states)
         overlap(states[4], states[4])
-        assert quad._values.cache_info().misses == 13
-        assert seen["passes"] == 2
+        assert (seen["passes"], seen["rows"]) == (2, 17)
+        assert quad._entry.cache_info()[:2] == (2, 2)
 
     def test_pairwise_loop_evaluates_each_state_once_per_rule(self, monkeypatch):
         # overlap(s_i, s_j) takes the rule of the top state s_j, so a pairwise
         # loop meets (s_j, rule_j) again for every i <= j.  The half-line and
-        # the full-line loop share one pass per (beta, rule): 10 passes and 63
-        # rows, where psi state by state restarted the recurrence 105 times
+        # the full-line loop share one entry per (beta, rule), 10 of them; a
+        # request above an entry's rows goes on from them, so the loops make
+        # 12 passes and 63 rows, where psi state by state restarted the
+        # recurrence 105 times
         half = [halfline_state(3.3, n) for n in range(12)]
         full = [s for n in range(6) for s in fullline_states(3.3, n)]
         pairs = [(states, i, j) for states in (half, full) for i in range(12) for j in range(i, 12)]
         cold = []
         for states, i, j in pairs:
-            quad._values.cache_clear()
-            quad._branch.cache_clear()
+            quad._entry.cache_clear()
             cold.append(overlap(states[i], states[j]))
-        seen = _counting_rows(monkeypatch)
+        seen = _counting(monkeypatch)
         assert [overlap(states[i], states[j]) for states, i, j in pairs] == cold
-        assert seen["passes"] <= 10
-        assert seen["rows"] <= 63
+        assert (seen["passes"], seen["rows"]) == (12, 63)
+        assert quad._entry.cache_info().misses == 10
+
+    def test_many_rules_build_each_entry_once(self, monkeypatch):
+        # at alpha = 0.5 the pairwise loops over n <= 40 (half line, and the
+        # even and the odd full-line states) take 30 rules, one beta: each
+        # (beta, rule) entry is built once, and each pass goes on from the
+        # rows before it, where a 16-entry cache of rows and a 32-entry
+        # cache of values rebuilt rows 1 341 times (34 503 rows)
+        families = [[halfline_state(0.5, n) for n in range(41)]]
+        families += [[fullline_states(0.5, n)[k] for n in range(41)] for k in range(2)]
+        seen = _counting(monkeypatch)
+        for states in families:
+            for i, s1 in enumerate(states):
+                for s2 in states[i:]:
+                    overlap(s1, s2)
+        assert quad._entry.cache_info().misses == quad._entry.cache_info().currsize == 30
+        assert (seen["passes"], seen["rows"]) == (41, 620)
 
     def test_cached_values_are_read_only(self):
+        quad._entry.cache_clear()
         states = [halfline_state(0.5, n) for n in range(4)]
         g = gram(states)
         m, panels = quad._rule_size(states)
-        s = states[2]
-        values = quad._values(s.n, s.beta, s.norm_const, m, panels)
         nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
-        np.testing.assert_array_equal(values, s.psi(nodes))
-        with pytest.raises(ValueError):
-            values[0] = 1.0
+        entry = quad._entry(states[0].beta, m, panels)
+        rows, psi = entry.rows, entry.kept
+        assert len(rows) == 4 and len(psi) == 4
+        for s in states:
+            values = psi[s.n, s.norm_const]
+            np.testing.assert_array_equal(values, s.psi(nodes))
+            with pytest.raises(ValueError):
+                values[0] = 1.0
         np.testing.assert_array_equal(gram(states), g)
 
     @pytest.mark.parametrize("alpha", [-0.2499, 0.0, 0.5, 7.9, 157.3])
@@ -414,45 +452,89 @@ class TestGram:
         families = [[halfline_state(alpha, n, b) for n in range(41)] for b in branches]
         for k in range(2):
             families.append([fullline_states(alpha, n)[k] for n in range(41)])
-        requests = []
-        for states in families:
-            for i, s1 in enumerate(states):
-                for s2 in states[i:]:
-                    rule = quad._rule_size((s1, s2))
-                    requests += [(s1, rule), (s2, rule)]
+        requests = [
+            (pair, quad._rule_size(pair))
+            for states in families
+            for i, s1 in enumerate(states)
+            for pair in ((s1, s2) for s2 in states[i:])
+        ]
         psi = {}
         for order in (requests, requests[::-1]):
-            quad._values.cache_clear()
-            quad._branch.cache_clear()
-            for s, (m, panels) in order:
-                values = quad._values(s.n, s.beta, s.norm_const, m, panels)
-                if (s, m, panels) not in psi:
-                    psi[s, m, panels] = s.psi(quad._rule(quad._WIDTH_MAX / m, panels)[0])
-                assert np.array_equal(values, psi[s, m, panels]), (s, m, panels)
+            quad._entry.cache_clear()
+            for pair, (m, panels) in order:
+                nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
+                for s in pair:
+                    values = quad._entry(s.beta, m, panels).psi(pair, nodes)[s.n, s.norm_const]
+                    if (s, m, panels) not in psi:
+                        psi[s, m, panels] = s.psi(nodes)
+                    assert np.array_equal(values, psi[s, m, panels]), (s, m, panels)
 
     def test_request_below_the_kept_rows_restarts_the_pass(self, monkeypatch):
-        # the rule of n = 249 at alpha = 0.5 has 9 720 nodes, so its branch
-        # keeps 30 rows: after L_249, L_5 needs a second pass from L_0
+        # the rule of n = 249 at alpha = 0.5 has 9 720 nodes, so its entry
+        # keeps at most 30 arrays of rows and values: L_0 .. L_249 pass that
+        # budget, so each state of a request runs its own pass from L_0 and
+        # the request keeps nothing
         s0, s5, s249 = (halfline_state(0.5, n) for n in (0, 5, 249))
         m, panels = quad._rule_size((s249,))
         nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
-        assert len(nodes) == 9720 and quad._ROWS_MAX // len(nodes) == 30
-        seen = _counting_rows(monkeypatch)
+        assert len(nodes) == 9720 and quad._KEEP_MAX // len(nodes) == 30
+        seen, own = _counting(monkeypatch), []
+        monkeypatch.setattr(quad, "_laguerre", lambda n, a, y: own.append(n) or specfun._laguerre(n, a, y))
         overlap(s0, s249)
-        assert seen == {"passes": 1, "rows": 250}
         overlap(s5, s249)
-        assert seen == {"passes": 2, "rows": 256}
+        assert sorted(own) == [0, 5, 249, 249] and seen["passes"] == 0
+        entry = quad._entry(s249.beta, m, panels)
+        assert (entry.rows, entry.kept) == ((), {})
         for s in (s0, s5, s249):
-            values = quad._values(s.n, s.beta, s.norm_const, m, panels)
-            np.testing.assert_array_equal(values, s.psi(nodes))
+            np.testing.assert_array_equal(entry.psi((s,), nodes)[s.n, s.norm_const], s.psi(nodes))
+        # requests within the budget keep their rows and psi: L_0 .. L_5
+        assert (len(entry.rows), len(entry.kept)) == (6, 2)
+
+    def test_threads_share_a_cold_entry(self):
+        # four threads that meet one cold entry may each run a pass; every
+        # matrix equals the one of a single thread bit for bit
+        states = [halfline_state(0.5, n) for n in range(30)]
+        quad._entry.cache_clear()
+        want = gram(states)
+        barrier, got = threading.Barrier(4), [None] * 4
+
+        def run(k):
+            barrier.wait()
+            got[k] = gram(states)
+
+        for _ in range(3):
+            quad._entry.cache_clear()
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for g in got:
+                assert g.tobytes() == want.tobytes()
+
+    def test_overflow_raises_a_typed_error_with_no_warning(self):
+        # L_300 overflows on the rule's outer nodes, and at alpha = 1e6
+        # x^(beta+1) overflows while norm_const underflows to 0
+        big = halfline_state(1e6, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DepthExceeded, match=r"L_300\^\(0\.866025\) overflows on the Gram rule"):
+                gram((halfline_state(0.5, 300),))
+            with pytest.raises(DepthExceeded, match=r"x\^\(beta\+1\) at beta = 999\.5 overflows"):
+                overlap(big, big)
+        s = halfline_state(0.5, 300)
+        entry = quad._entry(s.beta, *quad._rule_size((s,)))
+        assert (entry.rows, entry.kept) == ((), {})  # nothing kept
 
     @pytest.mark.parametrize("n", [0, 1, 2, 50])
     def test_laguerre_rows_equal_laguerre_bit_for_bit(self, n):
-        from singosc import specfun
-
         y = quad._rule(quad._WIDTH_MAX, 20)[0] ** 2
         for a in (-0.7499, 0.5, 3.8):
             row = next(itertools.islice(specfun._laguerre_rows(a, y), n, None))
+            for k in range(1, min(n, 3) + 1):
+                # a pass that goes on from the first k rows of another
+                rows = tuple(itertools.islice(specfun._laguerre_rows(a, y), k))
+                np.testing.assert_array_equal(next(itertools.islice(specfun._laguerre_rows(a, y, rows), n - k, None)), row)
             np.testing.assert_array_equal(row, specfun._laguerre(n, a, y))
             np.testing.assert_array_equal(row, _laguerre_ref(n, a, y))
             one = specfun._laguerre(n, a, np.array([2.0]))[0]
@@ -541,6 +623,13 @@ class TestWeightedGram:
         # the diagonal is twice the half-axis of the 1/sqrt(2)-scaled state
         half = gram((halfline_state(0.5, 0),), _inverse_square)[0, 0]
         assert g[0, 0] == pytest.approx(half, rel=1e-13)
+
+    def test_weight_that_is_not_finite_raises_with_no_warning(self):
+        states = [halfline_state(0.5, n) for n in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DepthExceeded, match="weight is not finite"):
+                gram(states, lambda x: np.where(x > 1.0, np.inf, 1.0))
 
     def test_unit_weight_is_the_gram_matrix(self):
         states = [halfline_state(0.5, n) for n in range(6)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from singosc.errors import NonConvergence, ParameterError, PoleError
 from singosc.specfun import (
+    N_MAX,
     gamma_fn,
     hermite,
     kummer_m,
@@ -175,6 +176,17 @@ class TestKummerAsymptotic:
 
 # a negative, fractional or non-finite polynomial degree
 BAD_DEGREES = (-1, 2.5, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda n: laguerre(n, 0.5, 1.0), lambda n: hermite(n, 0.0)], ids=["laguerre", "hermite"]
+)
+def test_degree_past_n_max_raises_at_once(call):
+    # the degree shares the quantum number's bound: with none, L_n at
+    # n = 10^6 took 0.5 s, so n = 10^12 would run for days
+    for n in (N_MAX + 1, 10**12):
+        with pytest.raises(ParameterError, match=f"quantum number n must be an integer in \\[0, {N_MAX}\\]"):
+            call(n)
 
 
 class TestLaguerre:
