@@ -24,10 +24,11 @@ levels in the Gershgorin interval, ~1e9 wide from the inner end's e^(-2
 s_min) / h^2; Richardson extrapolation in the step removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
-of energies over one fixed grid with the 4th-order Magnus propagator of
-the linear ODE (Iserles & Norsett 1999), with no step controller; its
-serial loop advances a block of _BLOCK steps at a time, their
-propagators multiplied into one beforehand.  It counts sign changes of
+of energies over one fixed grid with the 6th-order, 3-point Magnus
+propagator of the linear ODE (Iserles & Norsett 1999; Blanes, Casas,
+Oteo & Ros 2009), with no step controller; its serial loop advances a
+block of _BLOCK steps at a time, their propagators multiplied into one
+beforehand.  It counts sign changes of
 psi and keeps psi at the pass's end, the box-edge value: on the series'
 common normalization it is analytic in the energy and vanishes at the
 box levels (a miss-distance function, Pryce 1993).  One scan pass over
@@ -63,14 +64,15 @@ from .spectrum import SpectrumTable, _check_n
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 _RENORM_LIMIT = 1e100
 # shooting's grid: steps of _GRADE x near the origin, _H from x = _H /
-# _GRADE on (over 68 sweep inputs the levels move by at most 0.11 of the
+# _GRADE on (over 68 sweep inputs the levels move by at most 0.0015 of the
 # residual estimate against a grid 5 times finer); the Taylor polynomial
 # sinh(k)/k = sum_j k^2j / (2j + 1)!, j <= 6, leaves out 1e-17 up to k^2 =
 # _TAYLOR_MAX; a block's steps (a power of 2) and the steps x energies of
 # one span of blocks (three times as many ran slower, out of cache)
-_GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.02, 0.02, 0.2, 16, 16 * 1024
+_GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.04, 0.04, 0.2, 16, 16 * 1024
 _SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
-_GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # as fractions of a step
+# the 3 Gauss-Legendre nodes of a step, as fractions of it
+_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # shoot_spectrum: the energies of the stencil that places each level and
 # the energy step of its scan lattice (the degree-11 polynomial through 12
 # box-edge values 0.18 apart places the levels within 6e-9 of a lattice
@@ -292,19 +294,29 @@ def _magnus_count_nodes(
     on the way, and the grid steps.  The series at the Frobenius start
     x0 = max(_X0, _X0_SCALE sqrt(beta + 1)) is checked before _grid runs.
 
-    y = (psi, psi') obeys y' = [[0, 1], [q, 0]] y, q = x^2 + alpha/x^2 -
-    2 eps.  The 4th-order Magnus step (Iserles & Norsett 1999), q_1 and
-    q_2 at its two Gauss points, is exp(Omega) = cosh(kappa) I +
-    sinh(kappa)/kappa Omega, Omega = [[d, h], [c, -d]] with d = sqrt(3)/12
-    h^2 (q_1 - q_2), c = h (q_1 + q_2)/2 and Omega^2 = kappa^2 I = (d^2 +
-    h c) I.  Steps of width 0 (propagator I) pad the grid to whole blocks
-    of _BLOCK steps, stepped a span of about _SPAN steps x energies at a
-    time.  Pairwise products give every block's propagator (a product of
-    Magnus exponentials propagates over their union; Blanes, Casas, Oteo
-    & Ros 2009); the one serial loop applies them, scales a member past
-    _RENORM_LIMIT down and raises NonConvergence on a state that is not
-    finite; the left halves' products then fill in the state before
-    every step.  With _BLOCK = 1 it steps one at a time.
+    y = (psi, psi') obeys y' = A y, A = [[0, 1], [q, 0]], q = x^2 +
+    alpha/x^2 - 2 eps.  The 6th-order Magnus step of width h (Iserles &
+    Norsett 1999; Blanes, Casas, Oteo & Ros 2009), A_i = A at its three
+    Gauss points (_NODES), takes W_1 = h A_2, W_2 = sqrt(15) h / 3
+    (A_3 - A_1), W_3 = 10 h / 3 (A_3 - 2 A_2 + A_1), C_1 = [W_1, W_2], C_2 =
+    -[W_1, 2 W_3 + C_1] / 60 and Omega = W_1 + W_3 / 12 + [-20 W_1 - W_3 +
+    C_1, W_2 + C_2] / 240.  For these traceless 2x2 matrices, with s_2 =
+    sqrt(15) h / 3 (q_3 - q_1) and s_3 = 10 h / 3 (q_3 - 2 q_2 + q_1),
+    Omega = [[a, b], [c, -a]]:
+        a = h s_2 / 240 (4 h^2 q_2 / 3 + h s_3 / 30 - 20),
+        b = h - h^2 (20 s_3 - h s_2^2) / 3600,
+        c = k q_2 + s_3 / 12 + h (s_3^2 - 30 s_2^2) / 3600,
+        k = h + h^2 (20 s_3 + h s_2^2) / 3600;
+    s_2, s_3, b and k do not depend on eps, and a and c are affine in it
+    through q_2.  exp(Omega) = cosh(kappa) I + sinh(kappa)/kappa Omega, as
+    Omega^2 = kappa^2 I = (a^2 + b c) I.  Steps of width 0 (propagator I)
+    pad the grid to whole blocks of _BLOCK steps, stepped a span of about
+    _SPAN steps x energies at a time.  Pairwise products give every
+    block's propagator (a product of Magnus exponentials propagates over
+    their union; Blanes, Casas, Oteo & Ros 2009); the one serial loop
+    applies them, scales a member past _RENORM_LIMIT down and raises
+    NonConvergence on a state that is not finite; the left halves'
+    products then fill in the state before every step.  With _BLOCK = 1 it steps one at a time.
     """
     x0 = max(_X0, _X0_SCALE * math.sqrt(beta + 1.0))
     y = _frobenius_series(beta, eps_arr, x0)
@@ -312,10 +324,18 @@ def _magnus_count_nodes(
     steps = x.size - 1
     x = np.append(x, np.full(-steps % _BLOCK, x_max))
     h = np.diff(x)
-    g = x[:-1, None] + h[:, None] * _GAUSS
+    g = x[:-1, None] + h[:, None] * _NODES
     v = g * g + alpha / (g * g)
-    d = math.sqrt(3.0) / 12.0 * h * h * (v[:, 0] - v[:, 1])
-    hv = h * (v[:, 0] + v[:, 1]) / 2.0
+    # Omega's entries in powers of eps, through q_2 = v_2 - 2 eps: a = a_0 +
+    # a_1 eps, b = b_0 and c = c_0 + c_1 eps
+    s2 = math.sqrt(15.0) / 3.0 * h * (v[:, 2] - v[:, 0])
+    s3 = 10.0 / 3.0 * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])
+    b_0 = h - h * h * (20.0 * s3 - h * s2 * s2) / 3600.0
+    k = h + h * h * (20.0 * s3 + h * s2 * s2) / 3600.0
+    a_0 = h * s2 / 240.0 * (4.0 / 3.0 * h * h * v[:, 1] + h * s3 / 30.0 - 20.0)
+    a_1 = -(h**3) * s2 / 90.0
+    c_0 = k * v[:, 1] + s3 / 12.0 + h * (s3 * s3 - 30.0 * s2 * s2) / 3600.0
+    c_1 = -2.0 * k
     span = _BLOCK * max(1, _SPAN // (_BLOCK * eps_arr.size))
     # one buffer per call for the spans' propagators, products and states
     blocks = min(span, h.size) // _BLOCK
@@ -328,15 +348,18 @@ def _magnus_count_nodes(
     log_scale = np.zeros(eps_arr.size)
     for k0 in range(0, h.size, span):
         rows = slice(k0, k0 + span)
-        c = hv[rows, None] - np.multiply.outer(2.0 * h[rows], eps_arr)
+        a = np.multiply.outer(a_1[rows], eps_arr)
+        a += a_0[rows, None]
+        c = np.multiply.outer(c_1[rows], eps_arr)
+        c += c_0[rows, None]
         with np.errstate(over="ignore", invalid="ignore"):  # the state check raises
-            cosh, sinhc = _cosh_sinhc(c * h[rows, None] + (d[rows] ** 2)[:, None])
-            sd = sinhc * d[rows, None]
+            cosh, sinhc = _cosh_sinhc(a * a + b_0[rows, None] * c)
+            sa = sinhc * a
             p = prop[:len(c)]
-            np.add(cosh, sd, out=p[:, 0])
-            np.multiply(sinhc, h[rows, None], out=p[:, 1])
+            np.add(cosh, sa, out=p[:, 0])
+            np.multiply(sinhc, b_0[rows, None], out=p[:, 1])
             np.multiply(sinhc, c, out=p[:, 2])
-            np.subtract(cosh, sd, out=p[:, 3])
+            np.subtract(cosh, sa, out=p[:, 3])
             # tree[j][b, s]: the product over segment s, 2^j steps long, of block b
             tree = [p.reshape(-1, _BLOCK, 2, 2, eps_arr.size)]
             for q in products:
