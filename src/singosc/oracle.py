@@ -28,18 +28,19 @@ of energies over one fixed grid with the 6th-order, 3-point Magnus
 propagator of the linear ODE (Iserles & Norsett 1999; Blanes, Casas,
 Oteo & Ros 2009), with no step controller; its serial loop advances a
 block of _BLOCK steps at a time, their propagators multiplied into one
-beforehand.  It counts sign changes of
-psi and keeps psi at the pass's end, the box-edge value: on the series'
-common normalization it is analytic in the energy and vanishes at the
-box levels (a miss-distance function, Pryce 1993).  One scan pass over
-a lattice _D_EPS = 0.18 apart brackets every level by the node count,
-which is monotone in the energy, over the window; the degree-11
-polynomial through the box-edge values of the 12 energies around each
-level, solved by Newton, places it (0.18 is the widest step at which the
-narrowest window, n_max = 0, 2 wide, still holds 12 energies), and one
-confirming pass of the node count at the root -+ _EPS_TOL / 2 turns it
-into a guaranteed bracket.  Each pass integrates to _box of the top
-energy in its batch.
+beforehand.  It keeps psi at the grid's end, the box-edge value F: on
+the series' common normalization F is analytic in the energy and
+vanishes at the box levels (a miss-distance function, Pryce 1993), and
+its sign is (-1)^N, N the node count.  One scan pass over a lattice
+_D_EPS = 0.18 apart brackets every level by the sign changes of F over
+the window, keeping no state along the grid (levels lie about 2 apart,
+so no two share a lattice step); the degree-11 polynomial through the
+box-edge values of the 12 energies around each level, solved by Newton,
+places it (0.18 is the widest step at which the narrowest window, n_max
+= 0, 2 wide, still holds 12 energies), and one confirming pass, which
+counts the sign changes of psi at every grid point, at the root -+
+_EPS_TOL / 2 turns it into a guaranteed bracket.  Both passes step one
+grid, built once per call, to _box of the lattice's top energy.
 
 The matrix eigenvalue mu equals 2 eps, because the dimensionless ODE is
 psi'' + (2 eps - x^2 - alpha/x^2) psi = 0; asserted by the alpha = 0
@@ -52,6 +53,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,15 @@ _RENORM_LIMIT = 1e100
 # residual estimate against a grid 5 times finer); the Taylor polynomial
 # sinh(k)/k = sum_j k^2j / (2j + 1)!, j <= 6, leaves out 1e-17 up to k^2 =
 # _TAYLOR_MAX; a block's steps (a power of 2) and the steps x energies of
-# one span of blocks (three times as many ran slower, out of cache)
-_GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.04, 0.04, 0.2, 16, 16 * 1024
+# one span of blocks, sized to a core's 1 MB L2 cache: a span's
+# propagators, product tree and states take about 10 doubles per
+# step-energy (8 in a pass that keeps no states), 640 KB at 8k and 1.3 MB
+# at 16k.  shoot_spectrum over 80 sweep inputs took, in us per call on a
+# 2-core AMD EPYC (medians of 15 rounds, spans interleaved in one
+# process): 2k 940, 4k 740, 5k 700, 6k 670, 8k 640, 12k 625, 16k 725, 24k
+# 725; 12k is as fast, but its buffers, about 950 KB, leave the cache
+# no room.  A span is whole blocks, so it changes no result.
+_GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.04, 0.04, 0.2, 16, 8 * 1024
 _SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
 # the 3 Gauss-Legendre nodes of a step, as fractions of it
 _NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
@@ -81,8 +90,10 @@ _NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # 0.2 apart only 11), the width of the bracket its confirming pass checks,
 # and Newton steps on each polynomial (8 and 30 agree within 3e-14)
 _STENCIL, _D_EPS, _EPS_TOL, _NEWTON_STEPS = 12, 0.18, 1e-6, 8
-# the monomial coefficients of the polynomial through values at t = 0 .. _STENCIL - 1
-_POLYNOMIAL = np.linalg.inv(np.vander(np.arange(float(_STENCIL)), increasing=True))
+# the stencil's points t = 0 .. _STENCIL - 1, also the powers of t its
+# polynomial sums, and the monomial coefficients of the polynomial through values there
+_POWERS = np.arange(float(_STENCIL))
+_POLYNOMIAL = np.linalg.inv(np.vander(_POWERS, increasing=True))
 # finite differences: the longest step in s = ln x, the radians of the
 # top level's oscillation a step may span, the absolute bisection tolerance,
 # the inner end of the log grid (test_inner_end_error_lies_within_its_term and
@@ -286,13 +297,27 @@ def _cosh_sinhc(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _magnus_count_nodes(
-    alpha: float, beta: float, eps_arr: np.ndarray, x_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Step the batch on _grid out to x_max, counting sign changes of psi;
-    also psi(x_max), the log of the factor each member was scaled down by
-    on the way, and the grid steps.  The series at the Frobenius start
-    x0 = max(_X0, _X0_SCALE sqrt(beta + 1)) is checked before _grid runs.
+class _MagnusGrid(NamedTuple):
+    """_grid padded to whole blocks, its steps before the padding and each
+    step's Omega coefficients: a = a_0 + a_1 eps, b = b_0, c = c_0 + c_1 eps."""
+
+    x: np.ndarray
+    steps: int
+    a_0: np.ndarray
+    a_1: np.ndarray
+    b_0: np.ndarray
+    c_0: np.ndarray
+    c_1: np.ndarray
+
+
+def _x0(beta: float) -> float:
+    """Shooting's Frobenius start point."""
+    return max(_X0, _X0_SCALE * math.sqrt(beta + 1.0))
+
+
+def _magnus_grid(alpha: float, x0: float, x_max: float) -> _MagnusGrid:
+    """_grid from x0 to x_max, padded with steps of width 0 (propagator I)
+    to whole blocks of _BLOCK steps, with each step's Omega in powers of eps.
 
     y = (psi, psi') obeys y' = A y, A = [[0, 1], [q, 0]], q = x^2 +
     alpha/x^2 - 2 eps.  The 6th-order Magnus step of width h (Iserles &
@@ -308,26 +333,14 @@ def _magnus_count_nodes(
         c = k q_2 + s_3 / 12 + h (s_3^2 - 30 s_2^2) / 3600,
         k = h + h^2 (20 s_3 + h s_2^2) / 3600;
     s_2, s_3, b and k do not depend on eps, and a and c are affine in it
-    through q_2.  exp(Omega) = cosh(kappa) I + sinh(kappa)/kappa Omega, as
-    Omega^2 = kappa^2 I = (a^2 + b c) I.  Steps of width 0 (propagator I)
-    pad the grid to whole blocks of _BLOCK steps, stepped a span of about
-    _SPAN steps x energies at a time.  Pairwise products give every
-    block's propagator (a product of Magnus exponentials propagates over
-    their union; Blanes, Casas, Oteo & Ros 2009); the one serial loop
-    applies them, scales a member past _RENORM_LIMIT down and raises
-    NonConvergence on a state that is not finite; the left halves'
-    products then fill in the state before every step.  With _BLOCK = 1 it steps one at a time.
+    through q_2 = v_2 - 2 eps.
     """
-    x0 = max(_X0, _X0_SCALE * math.sqrt(beta + 1.0))
-    y = _frobenius_series(beta, eps_arr, x0)
     x = _grid(x0, x_max)
     steps = x.size - 1
     x = np.append(x, np.full(-steps % _BLOCK, x_max))
     h = np.diff(x)
     g = x[:-1, None] + h[:, None] * _NODES
     v = g * g + alpha / (g * g)
-    # Omega's entries in powers of eps, through q_2 = v_2 - 2 eps: a = a_0 +
-    # a_1 eps, b = b_0 and c = c_0 + c_1 eps
     s2 = math.sqrt(15.0) / 3.0 * h * (v[:, 2] - v[:, 0])
     s3 = 10.0 / 3.0 * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])
     b_0 = h - h * h * (20.0 * s3 - h * s2 * s2) / 3600.0
@@ -335,18 +348,41 @@ def _magnus_count_nodes(
     a_0 = h * s2 / 240.0 * (4.0 / 3.0 * h * h * v[:, 1] + h * s3 / 30.0 - 20.0)
     a_1 = -(h**3) * s2 / 90.0
     c_0 = k * v[:, 1] + s3 / 12.0 + h * (s3 * s3 - 30.0 * s2 * s2) / 3600.0
-    c_1 = -2.0 * k
-    span = _BLOCK * max(1, _SPAN // (_BLOCK * eps_arr.size))
+    return _MagnusGrid(x, steps, a_0, a_1, b_0, c_0, -2.0 * k)
+
+
+def _magnus_count_nodes(
+    grid: _MagnusGrid, y: np.ndarray, eps_arr: np.ndarray, count: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Step the batch eps_arr over the grid from its Frobenius start y (its
+    stacked psi and psi' at grid.x[0]): the sign changes of psi at every
+    grid point (None unless count), psi at the grid's end and the log of
+    the factor each member was scaled down by on the way.
+
+    Each step's propagator is exp(Omega) = cosh(kappa) I + sinh(kappa)/kappa
+    Omega, as Omega^2 = kappa^2 I = (a^2 + b c) I (_magnus_grid), built a
+    span of about _SPAN steps x energies at a time.  Pairwise products
+    give every block's propagator (a product of Magnus exponentials
+    propagates over their union; Blanes, Casas, Oteo & Ros 2009); the one
+    serial loop applies them, scales a member past _RENORM_LIMIT down and
+    raises NonConvergence on a state that is not finite.  To count, the
+    state before every block is kept and the left halves' products fill in
+    the state before every step.  shoot_spectrum's scan pass does not
+    count: it brackets the levels by the sign of psi at the end alone, and
+    its confirming pass, which counts, steps the same grid.  With _BLOCK = 1
+    it steps one at a time.
+    """
+    x, _, a_0, a_1, b_0, c_0, c_1 = grid
+    m = eps_arr.size
+    span = _BLOCK * max(1, _SPAN // (_BLOCK * m))
     # one buffer per call for the spans' propagators, products and states
-    blocks = min(span, h.size) // _BLOCK
-    prop = np.empty((blocks * _BLOCK, 4, eps_arr.size))
-    products = [
-        np.empty((blocks, _BLOCK >> j, 2, 2, eps_arr.size)) for j in range(1, _BLOCK.bit_length())
-    ]
-    states = np.empty((blocks, _BLOCK, 2, eps_arr.size))
-    counts = np.zeros(eps_arr.size, dtype=np.intp)
-    log_scale = np.zeros(eps_arr.size)
-    for k0 in range(0, h.size, span):
+    blocks = min(span, b_0.size) // _BLOCK
+    prop = np.empty((blocks * _BLOCK, 4, m))
+    products = [np.empty((blocks, _BLOCK >> j, 2, 2, m)) for j in range(1, _BLOCK.bit_length())]
+    states = np.empty((blocks, _BLOCK, 2, m)) if count else None
+    counts = np.zeros(m, dtype=np.intp) if count else None
+    log_scale = np.zeros(m)
+    for k0 in range(0, b_0.size, span):
         rows = slice(k0, k0 + span)
         a = np.multiply.outer(a_1[rows], eps_arr)
         a += a_0[rows, None]
@@ -361,13 +397,15 @@ def _magnus_count_nodes(
             np.multiply(sinhc, c, out=p[:, 2])
             np.subtract(cosh, sa, out=p[:, 3])
             # tree[j][b, s]: the product over segment s, 2^j steps long, of block b
-            tree = [p.reshape(-1, _BLOCK, 2, 2, eps_arr.size)]
+            tree = [p.reshape(-1, _BLOCK, 2, 2, m)]
             for q in products:
                 p = tree[-1]
                 tree.append(np.einsum("bsijm,bsjkm->bsikm", p[:, 1::2], p[:, 0::2], out=q[:len(p)]))
-            before = states[:len(tree[0])]  # the state before each step
+            if count:
+                before = states[:len(tree[0])]  # the state before each step
             for b, block in enumerate(tree[-1][:, 0]):
-                before[b, 0] = y
+                if count:
+                    before[b, 0] = y
                 y = np.einsum("ijm,jm->im", block, y)
                 # the sum of squares is a cheap bound on every member's peak
                 if not np.vdot(y, y) <= _RENORM_LIMIT**2:
@@ -378,12 +416,21 @@ def _magnus_count_nodes(
                     big = mag > _RENORM_LIMIT
                     y *= np.where(big, 1.0 / mag, 1.0)
                     log_scale += np.where(big, np.log(mag), 0.0)
-            for p in tree[-2::-1]:  # a right half starts at the left half's product times its start
-                seg = before.reshape(len(p), -1, 2, _BLOCK // p.shape[1], 2, eps_arr.size)
-                np.einsum("bsijm,bsjm->bsim", p[:, 0::2], seg[:, :, 0, 0], out=seg[:, :, 1, 0])
-        sign = np.signbit(np.concatenate((before[:, :, 0].reshape(-1, eps_arr.size), y[:1])))
-        counts += np.count_nonzero(sign[1:] != sign[:-1], axis=0)
-    return counts, y[0].copy(), log_scale, steps
+            if count:
+                for p in tree[-2::-1]:  # a right half starts at the left half's product times its start
+                    seg = before.reshape(len(p), -1, 2, _BLOCK // p.shape[1], 2, m)
+                    np.einsum("bsijm,bsjm->bsim", p[:, 0::2], seg[:, :, 0, 0], out=seg[:, :, 1, 0])
+                sign = np.signbit(np.concatenate((before[:, :, 0].reshape(-1, m), y[:1])))
+                counts += np.count_nonzero(sign[1:] != sign[:-1], axis=0)
+    return counts, y[0].copy(), log_scale
+
+
+def _sign_counts(psi: np.ndarray) -> np.ndarray:
+    """Levels below each energy of an ascending lattice whose neighbours
+    never have two levels between them, from the box-edge values psi alone:
+    psi < 0 at the first energy (an odd count, so one level below it) plus
+    the sign changes of psi up to each energy, as sign psi = (-1)^count."""
+    return np.cumsum(np.diff(np.signbit(psi), prepend=False))
 
 
 def _polynomial_roots(
@@ -399,34 +446,36 @@ def _polynomial_roots(
         log_f = np.log(np.abs(psi)) + log_scale
     f = np.sign(psi) * np.exp(log_f - log_f.max(axis=1, keepdims=True))
     coef = f @ _POLYNOMIAL.T  # sum_k c_k t^k, eps = eps[:, 0] + _D_EPS t
+    slope = coef[:, 1:] * _POWERS[1:]  # sum_k k c_k t^(k - 1)
     rows = np.arange(j.size)
     fa, fb = f[rows, j - 1], f[rows, j]
     t = j - 1 + fa / (fa - fb)
     for _ in range(_NEWTON_STEPS):
-        p, dp = coef[:, -1], 0.0
-        for c in coef[:, -2::-1].T:  # Horner for p and its derivative
-            dp = dp * t + p
-            p = p * t + c
+        powers = t[:, None] ** _POWERS
+        p, dp = np.vecdot(coef, powers), np.vecdot(slope, powers[:, :-1])
         t = np.clip(t - p / dp, j - 1, j)
     return eps[:, 0] + _D_EPS * t
 
 
 def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     """Shooting eigenvalues for n = 0 .. n_max: the zeros of the box-edge
-    value psi(_box), bracketed by the node count and confirmed by it.
+    value F = psi(_box), bracketed by its sign and confirmed by the node count.
 
     The total sign-change count along [x0, _box] (including the tail flip
     of the growing contamination) is the number of eigenvalues below eps,
-    and the sign of psi(_box) is (-1)^count.  The scan pass integrates a
-    lattice of energies _D_EPS apart over _window.  A level outside it raises
-    BracketError, as does a window of fewer than _STENCIL energies (where
-    doubles merge the lattice), which is not integrated.  Level n lies where
-    the count first exceeds n; the degree-11 polynomial through the
-    box-edge values of the 12 lattice energies around it, solved by Newton,
-    places it.  The confirming pass counts nodes at each root -+ _EPS_TOL / 2:
-    counts n and n + 1 make a guaranteed bracket, anything else raises
-    NonConvergence.  Each pass integrates on _grid to _box of the top
-    energy of its own batch; from alpha ~ 1e6 its start raises ParameterError.
+    and the sign of F is (-1)^count.  The scan pass integrates a lattice of
+    energies _D_EPS apart over _window, and counts at each the sign
+    changes of F below it (_sign_counts): levels lie about 2 apart, many
+    lattice steps.  A level outside the window raises BracketError, as
+    does a window of fewer than _STENCIL energies (where doubles merge the
+    lattice), which is not integrated.  Level n lies where the count first
+    exceeds n; the degree-11 polynomial through the box-edge values of the
+    12 lattice energies around it, solved by Newton, places it.  The
+    confirming pass counts nodes at each root -+ _EPS_TOL / 2: counts n and
+    n + 1 make a guaranteed bracket, anything else (a level the scan
+    misnumbered, too) raises NonConvergence.  Both passes step one grid,
+    to _box of the lattice's top energy; from alpha ~ 1e6 the start raises
+    ParameterError before it is built.
     """
     t0 = time.perf_counter()
     beta = admissible_beta(alpha)
@@ -438,8 +487,11 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
     if eps.size < _STENCIL:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
-    counts, psi, log_scale, steps = _magnus_count_nodes(alpha, beta, eps, _box(alpha, eps[-1]))
-    above = counts > targets[:, None]
+    x0 = _x0(beta)
+    y = _frobenius_series(beta, eps, x0)  # checked before the grid is built
+    grid = _magnus_grid(alpha, x0, _box(alpha, eps[-1]))
+    _, psi, log_scale = _magnus_count_nodes(grid, y, eps, count=False)
+    above = _sign_counts(psi) > targets[:, None]
     j = above.argmax(axis=1)
     missing = targets[~above.any(axis=1) | (j == 0)]
     if missing.size:
@@ -450,8 +502,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     roots = _polynomial_roots(eps[stencil], psi[stencil], log_scale[stencil], j - first)
     half = _EPS_TOL / 2.0
     edges = np.concatenate((roots - half, roots + half))
-    box = _box(alpha, float(edges.max()))
-    counts, _, _, confirm = _magnus_count_nodes(alpha, beta, edges, box)
+    counts, _, _ = _magnus_count_nodes(grid, _frobenius_series(beta, edges, x0), edges)
     below, over = counts.reshape(2, -1)
     wrong = targets[(below != targets) | (over != targets + 1)]
     if wrong.size:
@@ -459,7 +510,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
         raise NonConvergence(msg)
     levels = tuple(float(v) for v in roots)
     seconds = time.perf_counter() - t0
-    return OracleResult(levels, OracleMethod.SHOOTING, half, steps + confirm, seconds=seconds)
+    return OracleResult(levels, OracleMethod.SHOOTING, half, 2 * grid.steps, seconds=seconds)
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:

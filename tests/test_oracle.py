@@ -41,14 +41,23 @@ FORMER_GRAM_BOX = 12.0  # the Gram rule's fixed box before it followed its state
 def record_passes(monkeypatch):
     """The batch size of every pass shoot_spectrum integrates, in order."""
     sizes = []
-    count_nodes = oracle._magnus_count_nodes
+    magnus_count_nodes = oracle._magnus_count_nodes
 
-    def spy(alpha, beta, eps_arr, x_max):
+    def spy(grid, y, eps_arr, count=True):
         sizes.append(eps_arr.size)
-        return count_nodes(alpha, beta, eps_arr, x_max)
+        return magnus_count_nodes(grid, y, eps_arr, count)
 
     monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
     return sizes
+
+
+def count_nodes(alpha, beta, eps, x_max):
+    """Node counts, psi(x_max) and log_scale of a counting pass over the
+    grid from the Frobenius start to x_max, and the grid's steps."""
+    x0 = oracle._x0(beta)
+    y = oracle._frobenius_series(beta, eps, x0)
+    grid = oracle._magnus_grid(alpha, x0, x_max)
+    return (*_magnus_count_nodes(grid, y, eps), grid.steps)
 
 
 def max_error_over_residual(alpha, n_max, res):
@@ -68,6 +77,18 @@ def shared_node_levels(alpha, k, s_min):
     s_max = -6.0 + h * math.ceil((math.log(_box(alpha, top)) + 6.0) / h)
     return oracle._fd_eigenvalues(alpha, nu, s_min, s_max, round((s_max - s_min) / h) - 1, top)[:k]
 
+
+# (alpha, eps range width, whether the grid is padded to whole blocks)
+BLOCK_CASES = [
+    (-0.2, 12.0, True), (-0.2, 12.3, False), (2.0, 12.3, True), (2.0, 13.9, False),
+    (7.9, 12.0, True), (7.9, 14.0, False), (3e5, 12.1, True), (3e5, 15.0, False),
+]
+
+# 20 inputs like the oracle sweep's: alpha half from (-1/4, 0), half from (0, 8], n_max 4 or 8
+SWEEP_LIKE = [
+    (float(-0.25 * u if i % 2 else 8.0 * u), 4 + 4 * (i // 2 % 2))
+    for i, u in enumerate(np.random.default_rng(1).uniform(1e-3, 1.0, 20))
+]
 
 FD_ALPHAS = (-0.2499999, -0.24999975, -0.2499, -0.249, -0.2435, -0.2, -0.1, 0.0, 0.5, 2.0, 7.5)
 
@@ -464,7 +485,7 @@ class TestShooting:
         eps = np.array(res.eigenvalues)
         r = res.residual_estimate
         edges = np.concatenate((eps - r, eps + r))
-        counts, *_ = _magnus_count_nodes(alpha, admissible_beta(alpha), edges, FORMER_GRAM_BOX)
+        counts, *_ = count_nodes(alpha, admissible_beta(alpha), edges, FORMER_GRAM_BOX)
         np.testing.assert_array_equal(counts, [*range(9), *range(1, 10)])
 
     @pytest.mark.parametrize(
@@ -588,6 +609,81 @@ class TestShooting:
         assert len(passes) == 2
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), rel=1e-6)
 
+    @pytest.mark.parametrize("n_max", [0, 4, 8, 40])
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.1, 0.0, 0.5, 2.72, 7.9])
+    def test_scan_sign_counts_are_node_counts(self, alpha, n_max, monkeypatch):
+        # the scan counts levels by the sign changes of psi(box) over its
+        # lattice alone; a counting pass over the same grid and batch gives
+        # the same counts, and the same psi and log_scale bit for bit
+        passes = []
+        magnus_count_nodes = oracle._magnus_count_nodes
+
+        def spy(grid, y, eps_arr, count=True):
+            out = magnus_count_nodes(grid, y, eps_arr, count)
+            passes.append((grid, y, eps_arr, out))
+            return out
+
+        monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
+        shoot_spectrum(alpha, n_max)
+        grid, y, eps, (scan_counts, psi, log_scale) = passes[0]
+        assert scan_counts is None
+        counts, psi_c, log_scale_c = magnus_count_nodes(grid, y, eps)
+        np.testing.assert_array_equal(oracle._sign_counts(psi), counts)
+        np.testing.assert_array_equal(psi_c, psi)
+        np.testing.assert_array_equal(log_scale_c, log_scale)
+        assert counts[-1] == n_max + 1  # the window holds every level
+
+    def test_extra_sign_change_in_the_scan_raises(self, monkeypatch):
+        # psi(box) flipped above eps = 9.5, between levels 3 (8.5) and 4
+        # (10.5) at alpha = 2: one sign change the node count does not see,
+        # so the scan numbers levels 4 .. 8 one too high, and level 3's
+        # stencil straddles the flip; the confirming pass, which counts
+        # nodes, refuses them all rather than return a level
+        magnus_count_nodes = oracle._magnus_count_nodes
+
+        def flip(grid, y, eps_arr, count=True):
+            counts, psi, log_scale = magnus_count_nodes(grid, y, eps_arr, count)
+            if not count:
+                psi = np.where(eps_arr > 9.5, -psi, psi)
+            return counts, psi, log_scale
+
+        monkeypatch.setattr(oracle, "_magnus_count_nodes", flip)
+        with pytest.raises(NonConvergence, match=r"do not bracket levels \[3, 4, 5, 6, 7, 8\]$"):
+            shoot_spectrum(2.0, 8)
+
+    def test_newton_on_powers_matches_horner(self, monkeypatch):
+        # p and p' from one table of powers t^k per step against Horner's
+        # rule, the reference, on every stencil of 20 sweep-like inputs
+        def horner_roots(eps, psi, log_scale, j):
+            with np.errstate(divide="ignore"):
+                log_f = np.log(np.abs(psi)) + log_scale
+            f = np.sign(psi) * np.exp(log_f - log_f.max(axis=1, keepdims=True))
+            coef = f @ oracle._POLYNOMIAL.T
+            rows = np.arange(j.size)
+            fa, fb = f[rows, j - 1], f[rows, j]
+            t = j - 1 + fa / (fa - fb)
+            for _ in range(oracle._NEWTON_STEPS):
+                p, dp = coef[:, -1], 0.0
+                for c in coef[:, -2::-1].T:
+                    dp = dp * t + p
+                    p = p * t + c
+                t = np.clip(t - p / dp, j - 1, j)
+            return eps[:, 0] + oracle._D_EPS * t
+
+        calls = []
+        polynomial_roots = oracle._polynomial_roots
+
+        def spy(*args):
+            calls.append((args, polynomial_roots(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(oracle, "_polynomial_roots", spy)
+        for alpha, n_max in SWEEP_LIKE:
+            shoot_spectrum(alpha, n_max)
+        assert len(calls) == len(SWEEP_LIKE)
+        for args, roots in calls:
+            np.testing.assert_allclose(roots, horner_roots(*args), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("alpha", [20000.0, 20736.0])
     def test_window_of_fewer_than_a_stencil_is_not_integrated(self, alpha, monkeypatch):
         # the well's bottom sqrt(alpha * 1e30) lies in [2^56, 2^57), where
@@ -610,7 +706,7 @@ class TestNodeCounts:
         eps = np.linspace(0.3, 24.0, 200)
         eps = eps[np.min(np.abs(eps[:, None] - levels), axis=1) > 0.05]
         beta = admissible_beta(alpha)
-        counts, psi, _, _ = _magnus_count_nodes(alpha, beta, eps, _box(alpha, eps.max()))
+        counts, psi, _, _ = count_nodes(alpha, beta, eps, _box(alpha, eps.max()))
         np.testing.assert_array_equal(counts, np.searchsorted(levels, eps))
         # the box-edge value changes sign with every counted node
         np.testing.assert_array_equal(np.sign(psi), (-1.0) ** counts)
@@ -619,22 +715,21 @@ class TestNodeCounts:
         # scaling a member down rescales only its state: the node counts
         # and psi(x_max) e^(log_scale) stay the same
         eps = np.linspace(0.3, 20.0, 40)
-        counts, psi, log_scale, steps = _magnus_count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
+        counts, psi, log_scale, steps = count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", 1e3)
-        counts_r, psi_r, log_scale_r, steps_r = _magnus_count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
+        counts_r, psi_r, log_scale_r, steps_r = count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
         assert np.all(log_scale == 0.0) and np.all(log_scale_r > 0.0)
         assert steps_r == steps
         np.testing.assert_array_equal(counts_r, counts)
         np.testing.assert_allclose(psi_r * np.exp(log_scale_r), psi, rtol=1e-12)
 
     def test_sign_changes_are_counted_chunk_by_chunk(self):
-        # only one chunk of states is kept: 3 000 energies over 1 477 steps
-        # (steps of 0.02) peaked at 83 MB while the state after every step
-        # was kept
+        # only one chunk of states is kept: the states of 3 000 energies
+        # after each of 739 steps (of 0.04) would take 35 MB
         eps = np.linspace(0.3, 300.0, 3000)
         tracemalloc.start()
         try:
-            counts, _, _, steps = _magnus_count_nodes(0.0, 0.0, eps, _box(0.0, 300.0))
+            counts, _, _, steps = count_nodes(0.0, 0.0, eps, _box(0.0, 300.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -642,11 +737,7 @@ class TestNodeCounts:
         assert peak <= 16e6
 
     @pytest.mark.parametrize("renorm_limit", [oracle._RENORM_LIMIT, 1e3])
-    @pytest.mark.parametrize(
-        "alpha, width, padded",
-        [(-0.2, 12.0, True), (-0.2, 12.3, False), (2.0, 12.3, True), (2.0, 13.9, False),
-         (7.9, 12.0, True), (7.9, 14.0, False), (3e5, 12.1, True), (3e5, 15.0, False)],
-    )
+    @pytest.mark.parametrize("alpha, width, padded", BLOCK_CASES)
     def test_blocks_step_like_single_steps(self, alpha, width, padded, renorm_limit, monkeypatch):
         # a block of 1 steps one at a time; 16-step blocks give the same
         # node counts and steps, and psi(x_max) e^(log_scale) to rounding
@@ -654,10 +745,10 @@ class TestNodeCounts:
         start = oracle._window(alpha, 0)[0]
         eps = np.linspace(start + 0.3, start + width, 40)
         beta, box = admissible_beta(alpha), _box(alpha, eps[-1])
-        counts, psi, log_scale, steps = _magnus_count_nodes(alpha, beta, eps, box)
+        counts, psi, log_scale, steps = count_nodes(alpha, beta, eps, box)
         assert (steps % oracle._BLOCK != 0) == padded
         monkeypatch.setattr(oracle, "_BLOCK", 1)
-        counts_1, psi_1, log_scale_1, steps_1 = _magnus_count_nodes(alpha, beta, eps, box)
+        counts_1, psi_1, log_scale_1, steps_1 = count_nodes(alpha, beta, eps, box)
         assert steps_1 == steps
         np.testing.assert_array_equal(counts_1, counts)
         # compared in logs, as at alpha = 3e5 the product overflows: 1e-12
@@ -667,6 +758,23 @@ class TestNodeCounts:
         log_1 = np.log(np.abs(psi_1)) + log_scale_1
         log_16 = np.log(np.abs(psi)) + log_scale
         np.testing.assert_allclose(log_1, log_16, rtol=100 * np.finfo(float).eps, atol=1e-12)
+
+    @pytest.mark.parametrize("renorm_limit", [oracle._RENORM_LIMIT, 1e3])
+    @pytest.mark.parametrize("alpha, width, padded", BLOCK_CASES)
+    def test_span_changes_no_bit(self, alpha, width, padded, renorm_limit, monkeypatch):
+        # spans are whole blocks, and the serial loop applies the same
+        # products in the same order: one block per span and the default
+        # span give the same counts, psi, log_scale and steps, bit for bit
+        monkeypatch.setattr(oracle, "_RENORM_LIMIT", renorm_limit)
+        start = oracle._window(alpha, 0)[0]
+        eps = np.linspace(start + 0.3, start + width, 40)
+        beta, box = admissible_beta(alpha), _box(alpha, eps[-1])
+        default = count_nodes(alpha, beta, eps, box)
+        # the default takes several spans
+        assert default[3] > oracle._BLOCK * (oracle._SPAN // (oracle._BLOCK * eps.size))
+        monkeypatch.setattr(oracle, "_SPAN", oracle._BLOCK * eps.size)
+        for one_block, got in zip(count_nodes(alpha, beta, eps, box), default):
+            np.testing.assert_array_equal(one_block, got)
 
     @pytest.mark.parametrize("span, row", [(0, 7), (1, 23)])
     def test_nan_propagator_inside_a_block_raises(self, span, row, monkeypatch):
@@ -687,7 +795,7 @@ class TestNodeCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="not finite"):
-                _magnus_count_nodes(2.0, 1.0, np.linspace(1.5, 19.0, 181), _box(2.0, 19.0))
+                count_nodes(2.0, 1.0, np.linspace(1.5, 19.0, 181), _box(2.0, 19.0))
         assert len(spans) == span + 1
 
     def test_einsum_calls_are_a_fraction_of_the_steps(self, monkeypatch):
@@ -706,7 +814,9 @@ class TestNodeCounts:
         spy = NumpySpy()
         monkeypatch.setattr(oracle, "np", spy)
         res = shoot_spectrum(2.0, 8)
-        assert res.steps == 544
+        # both passes step the one grid of 274 steps out to _box(2, 19.41),
+        # that of the scan lattice's top energy
+        assert res.steps == 548
         assert spy.einsum_calls <= res.steps / 4
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
@@ -715,7 +825,7 @@ class TestNodeCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="Frobenius series"):
-                _magnus_count_nodes(2.0, 1.0, np.array([1.0, eps]), 9.0)
+                count_nodes(2.0, 1.0, np.array([1.0, eps]), 9.0)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_nonfinite_state_raises(self, monkeypatch):
@@ -725,7 +835,7 @@ class TestNodeCounts:
             oracle, "_frobenius_series", lambda beta, eps_arr, x0: np.full((2, eps_arr.size), np.inf)
         )
         with pytest.raises(NonConvergence, match="not finite"):
-            _magnus_count_nodes(2.0, 1.0, np.array([1.0, 3.0]), _box(2.0, 3.0))
+            count_nodes(2.0, 1.0, np.array([1.0, 3.0]), _box(2.0, 3.0))
 
     def test_box_stops_before_x_max(self):
         # at alpha = 2 the top energy 20 turns at x = 6.3; the pass to 9.3
@@ -733,14 +843,14 @@ class TestNodeCounts:
         eps = np.arange(0.25, 20.0, 0.5)
         box = _box(2.0, 20.0)
         assert box == pytest.approx(math.sqrt(20.0 + math.sqrt(398.0)) + 3.0)
-        to_box, _, _, steps = _magnus_count_nodes(2.0, 1.0, eps, box)
-        to_cap, _, _, steps_cap = _magnus_count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
+        to_box, _, _, steps = count_nodes(2.0, 1.0, eps, box)
+        to_cap, _, _, steps_cap = count_nodes(2.0, 1.0, eps, FORMER_GRAM_BOX)
         np.testing.assert_array_equal(to_box, to_cap)
         assert steps < steps_cap
 
     @pytest.mark.parametrize("alpha, x_max", [(2.0, 9.3), (0.0, FORMER_GRAM_BOX), (1000.0, 5.0)])
     def test_grid_is_graded_then_uniform(self, alpha, x_max):
-        x0 = max(oracle._X0, oracle._X0_SCALE * math.sqrt(admissible_beta(alpha) + 1))
+        x0 = oracle._x0(admissible_beta(alpha))
         x = _grid(x0, x_max)
         h = np.diff(x)
         assert x[0] == x0
