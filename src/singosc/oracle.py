@@ -24,9 +24,12 @@ levels in the Gershgorin interval, ~1e9 wide from the inner end's e^(-2
 s_min) / h^2; Richardson extrapolation in the step removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
-of energies over one fixed grid with the 6th-order, 3-point Magnus
-propagator of the linear ODE (Iserles & Norsett 1999; Blanes, Casas,
-Oteo & Ros 2009), with no step controller; its serial loop advances a
+of energies with the 6th-order, 3-point Magnus propagator of the linear
+ODE (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), with no
+step controller, over one grid whose step, like FD's, follows the
+largest wavenumber of the batch's top energy (_steps; Ledoux, Van Daele
+& Vanden Berghe 2009 tie the step of high-index Sturm-Liouville levels
+to it the same way), graded near the origin; its serial loop advances a
 block of _BLOCK steps at a time, their propagators multiplied into one
 beforehand.  It keeps psi at the grid's end, the box-edge value F: on
 the series' common normalization F is analytic in the energy and
@@ -65,12 +68,15 @@ from .spectrum import SpectrumTable, _check_n
 # terms, and the relative size the series' last term may reach:
 _X0, _X0_SCALE, _N_TERMS, _RTOL = 1e-3, 0.05, 12, 1e-7
 _RENORM_LIMIT = 1e100
-# shooting's grid: steps of _GRADE x near the origin, _H from x = _H /
-# _GRADE on (over 68 sweep inputs the levels move by at most 0.0015 of the
-# residual estimate against a grid 5 times finer); the Taylor polynomial
-# sinh(k)/k = sum_j k^2j / (2j + 1)!, j <= 6, leaves out 1e-17 up to k^2 =
-# _TAYLOR_MAX; a block's steps (a power of 2) and the steps x energies of
-# one span of blocks, sized to a core's 1 MB L2 cache: a span's
+# shooting's grid (_steps): the longest step, the radians of the top
+# energy's oscillation a step may span and the e-folds of x^(beta + 1) a
+# graded step may span (sweep inputs, k <= 6.04, all take the longest
+# step; over 80 of them the levels move by at most 0.043 of the residual
+# estimate against a grid 5 times finer, and 0.5 rad keeps the levels up
+# to n_max = 150 within 0.8 of it, where a fixed 0.04 left 2.46); the Taylor
+# polynomial sinh(k)/k = sum_j k^2j / (2j + 1)!, j <= 8, leaves out 2e-20
+# up to k^2 = _TAYLOR_MAX; a block's steps (a power of 2) and the steps x
+# energies of one span of blocks, sized to a core's 1 MB L2 cache: a span's
 # propagators, product tree and states take about 10 doubles per
 # step-energy (8 in a pass that keeps no states), 640 KB at 8k and 1.3 MB
 # at 16k.  shoot_spectrum over 80 sweep inputs took, in us per call on a
@@ -78,8 +84,9 @@ _RENORM_LIMIT = 1e100
 # process): 2k 940, 4k 740, 5k 700, 6k 670, 8k 640, 12k 625, 16k 725, 24k
 # 725; 12k is as fast, but its buffers, about 950 KB, leave the cache
 # no room.  A span is whole blocks, so it changes no result.
-_GRADE, _H, _TAYLOR_MAX, _BLOCK, _SPAN = 0.04, 0.04, 0.2, 16, 8 * 1024
-_SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(6, -1, -1))
+_H_MAX, _STEP_PHASE, _E_FOLDS = 0.07, 0.5, 10.0
+_TAYLOR_MAX, _BLOCK, _SPAN = 0.5, 16, 8 * 1024
+_SINHC = tuple(1.0 / math.factorial(2 * j + 1) for j in range(8, -1, -1))
 # the 3 Gauss-Legendre nodes of a step, as fractions of it
 _NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # shoot_spectrum: the energies of the stencil that places each level and
@@ -269,12 +276,24 @@ def _window(alpha: float, n_max: int) -> tuple[float, float]:
     return start, start + 2.0 * n_max + 2.0
 
 
-def _grid(x0: float, x_max: float) -> np.ndarray:
-    """Shooting's grid from the Frobenius start x0 to x_max: steps of
-    _GRADE x until that reaches _H, then steps of _H."""
-    graded = math.ceil(math.log(_H / (_GRADE * x0)) / math.log1p(_GRADE))
-    x = x0 * (1.0 + _GRADE) ** np.arange(max(graded, 0) + 1)
-    x = np.concatenate((x, x[-1] + _H * np.arange(1.0, math.ceil((x_max - x[-1]) / _H))))
+def _steps(alpha: float, beta: float, top: float) -> tuple[float, float]:
+    """Shooting's uniform step h and graded fraction g for a batch up to
+    the energy top: h = min(_H_MAX, _STEP_PHASE / k), k = sqrt(2 top - 2
+    sqrt(max(alpha, 0))) the largest wavenumber of top, so no step spans
+    more than _STEP_PHASE radians of its oscillation, and g = min(h,
+    _E_FOLDS / nu), nu = beta + 1/2, so no graded step spans more than
+    _E_FOLDS e-folds of the start's x^(beta + 1) growth."""
+    k = math.sqrt(2.0 * top - 2.0 * math.sqrt(max(alpha, 0.0)))
+    h = min(_H_MAX, _STEP_PHASE / k)
+    return h, min(h, _E_FOLDS / (beta + 0.5))
+
+
+def _grid(x0: float, x_max: float, h: float, g: float) -> np.ndarray:
+    """Shooting's grid from the Frobenius start x0 to x_max: steps of g x
+    until that reaches h, then steps of h."""
+    graded = math.ceil(math.log(h / (g * x0)) / math.log1p(g))
+    x = x0 * (1.0 + g) ** np.arange(max(graded, 0) + 1)
+    x = np.concatenate((x, x[-1] + h * np.arange(1.0, math.ceil((x_max - x[-1]) / h))))
     return np.append(x[x < x_max], x_max)
 
 
@@ -315,9 +334,10 @@ def _x0(beta: float) -> float:
     return max(_X0, _X0_SCALE * math.sqrt(beta + 1.0))
 
 
-def _magnus_grid(alpha: float, x0: float, x_max: float) -> _MagnusGrid:
-    """_grid from x0 to x_max, padded with steps of width 0 (propagator I)
-    to whole blocks of _BLOCK steps, with each step's Omega in powers of eps.
+def _magnus_grid(alpha: float, x0: float, x_max: float, h: float, g: float) -> _MagnusGrid:
+    """_grid from x0 to x_max with the steps (h, g) of _steps, padded with
+    steps of width 0 (propagator I) to whole blocks of _BLOCK steps, with
+    each step's Omega in powers of eps.
 
     y = (psi, psi') obeys y' = A y, A = [[0, 1], [q, 0]], q = x^2 +
     alpha/x^2 - 2 eps.  The 6th-order Magnus step of width h (Iserles &
@@ -335,12 +355,12 @@ def _magnus_grid(alpha: float, x0: float, x_max: float) -> _MagnusGrid:
     s_2, s_3, b and k do not depend on eps, and a and c are affine in it
     through q_2 = v_2 - 2 eps.
     """
-    x = _grid(x0, x_max)
+    x = _grid(x0, x_max, h, g)
     steps = x.size - 1
     x = np.append(x, np.full(-steps % _BLOCK, x_max))
-    h = np.diff(x)
-    g = x[:-1, None] + h[:, None] * _NODES
-    v = g * g + alpha / (g * g)
+    h = np.diff(x)  # each step's width, 0 in the padding
+    xg = x[:-1, None] + h[:, None] * _NODES
+    v = xg * xg + alpha / (xg * xg)
     s2 = math.sqrt(15.0) / 3.0 * h * (v[:, 2] - v[:, 0])
     s3 = 10.0 / 3.0 * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])
     b_0 = h - h * h * (20.0 * s3 - h * s2 * s2) / 3600.0
@@ -489,7 +509,7 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
     x0 = _x0(beta)
     y = _frobenius_series(beta, eps, x0)  # checked before the grid is built
-    grid = _magnus_grid(alpha, x0, _box(alpha, eps[-1]))
+    grid = _magnus_grid(alpha, x0, _box(alpha, eps[-1]), *_steps(alpha, beta, eps[-1]))
     _, psi, log_scale = _magnus_count_nodes(grid, y, eps, count=False)
     above = _sign_counts(psi) > targets[:, None]
     j = above.argmax(axis=1)

@@ -58,10 +58,12 @@ _WIDTH_MAX, _K_PER_SPLIT, _GRAM_TAIL, _MAX_PANELS = 0.5, 9.0, 3.0, 10_000
 _GEOM_RATIO, _GEOM_LEVELS = 0.15, 24
 _Q_FINE, _Q_COARSE, _GAP_TOL = 20, 10, 1e-8
 # A Gram rule's _Entry keeps at most this many doubles of Laguerre rows and
-# psi values, and a Gauss-Laguerre row table at most this many (2.4 MB)
+# psi values (2.4 MB)
 _KEEP_MAX = 300_000
-# Gauss-Laguerre rules have a multiple of _GL_STEP nodes, so overlaps share them
-_GL_STEP = 8
+# Gauss-Laguerre rules have a multiple of _GL_STEP nodes, so overlaps share
+# them, and at most _GL_MAX: from 384 nodes L_n overflows at the outer nodes
+# for every pair, so the route refuses such pairs before it builds a rule
+_GL_STEP, _GL_MAX = 8, 376
 
 
 class IntegrabilityClass(enum.Enum):
@@ -320,7 +322,7 @@ def _laguerre_rule(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Laguerre rule for y^w e^-y: every pair of one Gram matrix shares
     w, and counts are multiples of _GL_STEP, so an N-state matrix needs
     about N / 4 rules.  Silent where scipy's root polish overflows, from
-    count = 384: the L_n of every pair there overflow too, and the route raises."""
+    count = 368 at some w."""
     import scipy.special
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,8 +336,8 @@ def _laguerre_table(a: float, count: int, w: float) -> np.ndarray:
     """Read-only rows L_0^(a) .. L_(count-1)^(a), every degree a pair on
     _laguerre_rule(count, w) takes, on its nodes, from one _laguerre_rows
     pass; a = beta + 1/2, so the alpha = 0 branches differ in it.  Built
-    under the route's np.errstate, and kept up to _KEEP_MAX doubles (count
-    <= 544): 2.4 MB an entry, 77 MB in all."""
+    under the route's np.errstate; at most _GL_MAX^2 doubles (1.1 MB) an
+    entry, 36 MB in all."""
     table = np.array(list(itertools.islice(_laguerre_rows(a, _laguerre_rule(count, w)[0]), count)))
     table.flags.writeable = False
     return table
@@ -349,25 +351,26 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     2M - 1, so any M >= n1 + n2 + 1 integrates the polynomial part
     exactly; M is the smallest multiple of 8 that is, so the pairs of one
     Gram matrix share a few rules, each with one table of L_n per a = beta
-    + 1/2 (_laguerre_table; past M = 544 a state runs its own recurrence).
-    Raises ParameterError when the weighted sum is not finite (L_n^2
-    overflows at the outer nodes).  On the diagonal that is from n = 124
-    at alpha = -0.2, 7.9 and 45.96, but from 123 at alpha = 157.3 and 122
-    at alpha = 1000: there the rounded-up rule's outer node lies past that
-    of the exact n1 + n2 + 1 rule, which raised from 124 and 123.
+    + 1/2 (_laguerre_table).  Raises ParameterError when the weighted sum
+    is not finite (L_n^2 overflows at the outer nodes), and before any
+    rule is built for M > _GL_MAX, where it is never finite.  On the
+    diagonal that is from n = 124 at alpha = -0.2, 7.9 and 45.96, but from
+    123 at alpha = 157.3 and 122 at alpha = 1000: there the rounded-up
+    rule's outer node lies past that of the exact n1 + n2 + 1 rule, which
+    raised from 124 and 123.
     """
     _check_compatible(s1, s2)
     if s1.domain is not Domain.HALF_LINE:
         raise DomainMismatch("Gauss-Laguerre path is defined for half-line states")
     w = (s1.beta + s2.beta + 1.0) / 2.0
     count = _GL_STEP * math.ceil((s1.n + s2.n + 1) / _GL_STEP)
-    nodes, weights = _laguerre_rule(count, w)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
-        if count * count <= _KEEP_MAX:
+    if count > _GL_MAX:  # the sum of every such pair overflows: build no rule
+        total = math.inf
+    else:
+        weights = _laguerre_rule(count, w)[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
             lag1, lag2 = (_laguerre_table(s.beta + 0.5, count, w)[s.n] for s in (s1, s2))
-        else:
-            lag1, lag2 = (_laguerre(s.n, s.beta + 0.5, nodes) for s in (s1, s2))
-        total = float(np.dot(weights, lag1 * lag2))
+            total = float(np.dot(weights, lag1 * lag2))
     if not np.isfinite(total):
         raise ParameterError(
             f"Gauss-Laguerre sum for n = {s1.n}, {s2.n} is not finite: "

@@ -53,10 +53,11 @@ def record_passes(monkeypatch):
 
 def count_nodes(alpha, beta, eps, x_max):
     """Node counts, psi(x_max) and log_scale of a counting pass over the
-    grid from the Frobenius start to x_max, and the grid's steps."""
+    grid from the Frobenius start to x_max, with the steps shoot_spectrum
+    takes for the batch's top energy, and the grid's steps."""
     x0 = oracle._x0(beta)
     y = oracle._frobenius_series(beta, eps, x0)
-    grid = oracle._magnus_grid(alpha, x0, x_max)
+    grid = oracle._magnus_grid(alpha, x0, x_max, *oracle._steps(alpha, beta, np.max(eps)))
     return (*_magnus_count_nodes(grid, y, eps), grid.steps)
 
 
@@ -78,11 +79,25 @@ def shared_node_levels(alpha, k, s_min):
     return oracle._fd_eigenvalues(alpha, nu, s_min, s_max, round((s_max - s_min) / h) - 1, top)[:k]
 
 
-# (alpha, eps range width, whether the grid is padded to whole blocks)
+# (alpha, eps range width, whether the grid is padded to whole blocks; see block_case)
 BLOCK_CASES = [
     (-0.2, 12.0, True), (-0.2, 12.3, False), (2.0, 12.3, True), (2.0, 13.9, False),
     (7.9, 12.0, True), (7.9, 14.0, False), (3e5, 12.1, True), (3e5, 15.0, False),
 ]
+
+
+def block_case(alpha, width, padded, size=40):
+    """size energies from 0.3 to width above the well's bottom, their beta
+    and the box of their top energy; unless padded, the box moves back to
+    the end of the grid's last whole block."""
+    start = oracle._window(alpha, 0)[0]
+    eps = np.linspace(start + 0.3, start + width, size)
+    beta, box = admissible_beta(alpha), _box(alpha, eps[-1])
+    if not padded:
+        x = _grid(oracle._x0(beta), box, *oracle._steps(alpha, beta, eps[-1]))
+        box = x[(x.size - 1) // oracle._BLOCK * oracle._BLOCK]
+    return eps, beta, box
+
 
 # 20 inputs like the oracle sweep's: alpha half from (-1/4, 0), half from (0, 8], n_max 4 or 8
 SWEEP_LIKE = [
@@ -472,8 +487,8 @@ class TestShooting:
     @pytest.mark.parametrize("n_max", [4, 8])
     @pytest.mark.parametrize("alpha", [-0.2499, -0.1, 0.0, 1e-4, 2.72, 6.08, 7.9])
     def test_error_is_well_inside_the_residual_estimate(self, alpha, n_max):
-        # with no step controller the fixed grid must leave margin: the
-        # worst over 68 sweep inputs was 0.007 of the confirmed bracket
+        # with no step controller the grid must leave margin: the worst
+        # over 80 sweep inputs was 0.040 of the confirmed bracket
         res = shoot_spectrum(alpha, n_max)
         assert max_error_over_residual(alpha, n_max, res) <= 0.6
 
@@ -533,19 +548,63 @@ class TestShooting:
     def test_two_hundred_levels_return(self):
         # one box for all 201 levels, set by the top energy, makes F of
         # the low levels vary steeply (an 8-point polynomial 0.1 apart put
-        # level 0 outside the bracket); level 200 lies 0.32 residuals off
+        # level 0 outside the bracket); level 0 lies 0.24 residuals off
         res = shoot_spectrum(0.0, 200)
         t = spectrum_table(0.0, 200, Domain.HALF_LINE)
         assert len(res.eigenvalues) == 201 and np.all(np.diff(res.eigenvalues) > 0)
         assert res.eigenvalues == pytest.approx(list(t.distinct_levels()), abs=5e-6)
         assert max_error_over_residual(0.0, 200, res) <= 1.0
 
-    @pytest.mark.parametrize("alpha, n_max", [(157.3, 40), (1e4, 40), (0.0, 180)])
+    @pytest.mark.parametrize(
+        "alpha, n_max",
+        [(157.3, 40), (1e4, 40), (0.0, 180), (157.3, 150), (1000.0, 150), (1e4, 150)],
+    )
     def test_high_levels_lie_within_the_residual_estimate(self, alpha, n_max):
-        # the step error stays inside the confirmed bracket: 0.098, 0.138
-        # and 0.265 of it
+        # the step error stays inside the confirmed bracket: 0.085, 0.138,
+        # 0.198, 0.632, 0.676 and 0.798 of it, the worst at level 0 or 1
+        # from n_max = 150 on; a fixed step of 0.04 leaves the top levels
+        # of the last three 1.20, 2.46 and 1.27 of it off
         res = shoot_spectrum(alpha, n_max)
         assert max_error_over_residual(alpha, n_max, res) <= 1.0
+
+    def test_step_follows_the_top_levels_wavenumber(self, monkeypatch):
+        # h = min(_H_MAX, _STEP_PHASE / k), k the largest wavenumber of the
+        # scan lattice's top energy, and graded steps of g x, g = min(h,
+        # _E_FOLDS / nu): each pass's grid, with the scan's top energy
+        scans = []
+        magnus_count_nodes = oracle._magnus_count_nodes
+
+        def spy(grid, y, eps_arr, count=True):
+            if not count:
+                scans.append((grid, eps_arr[-1]))
+            return magnus_count_nodes(grid, y, eps_arr, count)
+
+        def widths(alpha, n_max):
+            scans.clear()
+            shoot_spectrum(alpha, n_max)
+            (grid, top), = scans
+            x = grid.x[: grid.steps + 1]
+            k = math.sqrt(2.0 * top - 2.0 * math.sqrt(max(alpha, 0.0)))
+            return x[:-1], np.diff(x), k
+
+        monkeypatch.setattr(oracle, "_magnus_count_nodes", spy)
+        # sweep windows (k <= 6.04) take the longest step
+        for alpha, n_max in SWEEP_LIKE:
+            _, h, k = widths(alpha, n_max)
+            assert k * oracle._H_MAX < oracle._STEP_PHASE
+            assert np.max(h) == pytest.approx(oracle._H_MAX, rel=1e-12)
+        # at n_max = 150 no step spans more than _STEP_PHASE radians of the
+        # top level's oscillation, so psi cannot change sign twice in one
+        # (a step of 0.04 would span 2.5 rad at n = 1000)
+        _, h, k = widths(0.0, 150)
+        assert np.max(h) < oracle._H_MAX
+        assert np.max(h) * k <= oracle._STEP_PHASE * (1.0 + 1e-12) < math.pi
+        # at alpha = 1e5 no graded step spans more than _E_FOLDS e-folds of
+        # x^(beta + 1); without the cap the state overflows
+        nu = admissible_beta(1e5) + 0.5
+        x, h, _ = widths(1e5, 3)
+        assert oracle._E_FOLDS / nu < np.max(h)
+        assert np.max(h / x) * nu <= oracle._E_FOLDS * (1.0 + 1e-12)
 
     def test_window_starts_at_the_well_bottom(self):
         # the window starts at the well's bottom, eps = 20, and holds
@@ -576,7 +635,7 @@ class TestShooting:
         assert max_error_over_residual(alpha, n_max, res) <= 1.0
 
     @given(st.floats(-0.25, 2e4, exclude_min=True), st.integers(0, 40))
-    @settings(max_examples=100, deadline=None)  # 400 random draws kept within 0.155
+    @settings(max_examples=100, deadline=None)  # 403 random draws kept within 0.18
     @seed(1)
     @example(157.3, 40)
     @example(2e4, 40)
@@ -725,7 +784,7 @@ class TestNodeCounts:
 
     def test_sign_changes_are_counted_chunk_by_chunk(self):
         # only one chunk of states is kept: the states of 3 000 energies
-        # after each of 739 steps (of 0.04) would take 35 MB
+        # after each of 1 447 steps (of 0.0204) would take 69 MB
         eps = np.linspace(0.3, 300.0, 3000)
         tracemalloc.start()
         try:
@@ -733,7 +792,7 @@ class TestNodeCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert steps == 739 and counts[-1] == 150
+        assert steps == 1447 and counts[-1] == 150
         assert peak <= 16e6
 
     @pytest.mark.parametrize("renorm_limit", [oracle._RENORM_LIMIT, 1e3])
@@ -742,9 +801,7 @@ class TestNodeCounts:
         # a block of 1 steps one at a time; 16-step blocks give the same
         # node counts and steps, and psi(x_max) e^(log_scale) to rounding
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", renorm_limit)
-        start = oracle._window(alpha, 0)[0]
-        eps = np.linspace(start + 0.3, start + width, 40)
-        beta, box = admissible_beta(alpha), _box(alpha, eps[-1])
+        eps, beta, box = block_case(alpha, width, padded)
         counts, psi, log_scale, steps = count_nodes(alpha, beta, eps, box)
         assert (steps % oracle._BLOCK != 0) == padded
         monkeypatch.setattr(oracle, "_BLOCK", 1)
@@ -766,9 +823,7 @@ class TestNodeCounts:
         # products in the same order: one block per span and the default
         # span give the same counts, psi, log_scale and steps, bit for bit
         monkeypatch.setattr(oracle, "_RENORM_LIMIT", renorm_limit)
-        start = oracle._window(alpha, 0)[0]
-        eps = np.linspace(start + 0.3, start + width, 40)
-        beta, box = admissible_beta(alpha), _box(alpha, eps[-1])
+        eps, beta, box = block_case(alpha, width, padded, size=100)
         default = count_nodes(alpha, beta, eps, box)
         # the default takes several spans
         assert default[3] > oracle._BLOCK * (oracle._SPAN // (oracle._BLOCK * eps.size))
@@ -814,9 +869,9 @@ class TestNodeCounts:
         spy = NumpySpy()
         monkeypatch.setattr(oracle, "np", spy)
         res = shoot_spectrum(2.0, 8)
-        # both passes step the one grid of 274 steps out to _box(2, 19.41),
+        # both passes step the one grid of 157 steps out to _box(2, 19.41),
         # that of the scan lattice's top energy
-        assert res.steps == 548
+        assert res.steps == 314
         assert spy.einsum_calls <= res.steps / 4
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e300])
@@ -848,14 +903,20 @@ class TestNodeCounts:
         np.testing.assert_array_equal(to_box, to_cap)
         assert steps < steps_cap
 
-    @pytest.mark.parametrize("alpha, x_max", [(2.0, 9.3), (0.0, FORMER_GRAM_BOX), (1000.0, 5.0)])
+    @pytest.mark.parametrize(
+        "alpha, x_max", [(2.0, 9.3), (0.0, FORMER_GRAM_BOX), (1000.0, 5.0), (1e5, 23.0)]
+    )
     def test_grid_is_graded_then_uniform(self, alpha, x_max):
-        x0 = oracle._x0(admissible_beta(alpha))
-        x = _grid(x0, x_max)
+        # steps of g x, then of h, for the window of 9 levels: g = h = 0.07
+        # up to alpha = 1000, and g = 10 / nu = 0.032 at alpha = 1e5
+        beta = admissible_beta(alpha)
+        x0 = oracle._x0(beta)
+        step, grade = oracle._steps(alpha, beta, oracle._window(alpha, 8)[1])
+        x = _grid(x0, x_max, step, grade)
         h = np.diff(x)
         assert x[0] == x0
         assert x[-1] == x_max and np.all(h > 0)
-        np.testing.assert_allclose(h[:-1], np.minimum(oracle._GRADE * x[:-2], oracle._H), rtol=1e-9)
+        np.testing.assert_allclose(h[:-1], np.minimum(grade * x[:-2], step), rtol=1e-9)
 
     def test_box_is_the_turning_point_plus_the_margin(self):
         # with no cap: eps = 144 turns at sqrt(288) = 17.0, past x = 12
@@ -871,11 +932,12 @@ class TestMagnusPropagator:
     def test_levels_converge_as_h_to_the_sixth(self, alpha, n_max, monkeypatch):
         # on grids of twice, once and half the step; levels from n = 5 on,
         # whose differences lie well above the polynomial placement's floor
-        # (about 1e-10 at the low levels); 62.1-65.7 measured
-        levels, grade, h = [], oracle._GRADE, oracle._H
+        # (about 1e-10 at the low levels); 61.8-66.0 measured
+        levels, constants = [], ("_H_MAX", "_STEP_PHASE", "_E_FOLDS")
+        defaults = [getattr(oracle, name) for name in constants]
         for refine in (0.5, 1, 2):
-            monkeypatch.setattr(oracle, "_GRADE", grade / refine)
-            monkeypatch.setattr(oracle, "_H", h / refine)
+            for name, value in zip(constants, defaults):
+                monkeypatch.setattr(oracle, name, value / refine)
             levels.append(np.array(shoot_spectrum(alpha, n_max).eigenvalues[5:]))
         coarse, fine = levels[0] - levels[1], levels[1] - levels[2]
         assert np.min(np.abs(coarse)) > 1e-8  # well above rounding
@@ -890,8 +952,8 @@ class TestMagnusPropagator:
         assert closed[0][0] == math.cos(math.sqrt(-z[0]))
 
     def test_large_alpha_takes_the_closed_form(self, monkeypatch):
-        # the graded steps near the origin reach kappa^2 ~ _GRADE^2 alpha
-        # = 1.6 at alpha = 1000, whose levels test_one_window_at_large_alpha
+        # the graded steps near the origin reach kappa^2 ~ g^2 alpha = 4.9
+        # at alpha = 1000 (g = 0.07), whose levels test_one_window_at_large_alpha
         # pins at rel 1e-6
         largest = []
 

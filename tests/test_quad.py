@@ -205,21 +205,30 @@ class TestOverlap:
         assert [overlap_halfline_gauss(states[i], states[j]) for i, j in pairs] == cold
         assert seen == {"passes": 3, "rows": 48, "laguerre": 0, "roots_genlaguerre": 3}
 
-    def test_gauss_route_past_the_budget_keeps_no_table(self, monkeypatch):
-        # the pair (300, 300) takes the 608-node rule, whose 608^2 doubles of
-        # rows pass _KEEP_MAX: each state runs its own recurrence, no table
-        # is built, and the overflow there raises with no numpy warning
-        assert 544**2 <= quad._KEEP_MAX < 552**2
+    @pytest.mark.parametrize("n1, n2", [(0, 383), (188, 188), (300, 300), (2000, 2000)])
+    def test_gauss_route_refuses_pairs_past_its_largest_rule(self, n1, n2, monkeypatch):
+        # from 384 nodes the sum of every pair overflows (361 of 361 sampled
+        # pairs at nine alpha raised), and the 4 008-node rule of (2000,
+        # 2000) took 0.5-0.7 s to build: such a pair raises with no rule,
+        # table or recurrence built, and no numpy warning
+        assert quad._GL_MAX == 376
         seen = _counting(monkeypatch)
-        own = []
-        monkeypatch.setattr(quad, "_laguerre", lambda n, a, y: own.append(n) or specfun._laguerre(n, a, y))
-        s = halfline_state(0.3, 300)
+        s1, s2 = halfline_state(0.3, n1), halfline_state(0.3, n2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="not finite"):
-                overlap_halfline_gauss(s, s)
-        assert own == [300, 300] and seen["roots_genlaguerre"] == 1
-        assert quad._laguerre_table.cache_info()[:2] == (0, 0)
+            with pytest.raises(ParameterError, match=f"n = {n1}, {n2} is not finite"):
+                overlap_halfline_gauss(s1, s2)
+        assert seen == {"passes": 0, "rows": 0, "laguerre": 0, "roots_genlaguerre": 0}
+        assert quad._laguerre_rule.cache_info()[:2] == (0, 0)
+
+    def test_gauss_route_builds_its_largest_rule(self, monkeypatch):
+        # (0, 375) takes the 376-node rule, the largest one built; its sum
+        # still overflows and raises after one rule and one table
+        seen = _counting(monkeypatch)
+        s1, s2 = halfline_state(0.3, 0), halfline_state(0.3, 375)
+        with pytest.raises(ParameterError, match="not finite"):
+            overlap_halfline_gauss(s1, s2)
+        assert seen["roots_genlaguerre"] == 1 and seen["passes"] == 1
 
     @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.0, 0.5, 3.0, 7.9, 157.3, "mixed"])
     def test_gauss_route_matches_the_exact_rule(self, alpha):
