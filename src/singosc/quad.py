@@ -21,10 +21,12 @@ DepthExceeded, and so do a rule of more than 10 000 panels and a factor
 of psi that overflows, with no numpy warning.  A state's psi on a rule
 comes from a 32-entry cache keyed on (beta, rule), which holds the
 factors that every state of one beta shares there, the rows of one
-Laguerre recurrence and each state's psi, so a pairwise loop of overlaps
-evaluates each (state, rule) pair once (2 N + 300 000 doubles for N
-nodes at most: 2.4 MB at an N = 12 Gram matrix's rules, 7.2 MB at most);
-EigenState._profile multiplies them, as psi does, bit for bit.
+Laguerre recurrence, each state's psi and the sums of its psi^2 (2 N +
+300 000 doubles for N nodes at most: 2.4 MB at an N = 12 Gram matrix's
+rules, 7.2 MB at most); EigenState._profile multiplies them, as psi
+does, bit for bit.  overlap reads its pair from there and sums one
+product, so a pairwise loop of overlaps evaluates each (state, rule)
+pair and sums its psi^2 once.
 Half-line inner products also ship a Gauss-Laguerre path in y = x^2,
 exact for the bound states' polynomial integrands: the independent
 second route, whose rules of a multiple of 8 nodes each keep one table
@@ -192,16 +194,17 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
 class _Entry:
     """x^(beta+1) and e^(-x^2/2) on the nodes x of one Gram rule, shared by
     every state of one beta, the rows L_0 .. L_k of specfun._laguerre_rows
-    in y = x^2 for a = beta + 1/2, which a longer tuple replaces, and each
-    state's read-only psi, kept by (n, norm_const).  Threads may each run
-    a pass and compute a value; all get the same values, and the last rows
-    kept win.  Factors and passes run under np.errstate, and one that is
+    in y = x^2 for a = beta + 1/2, which a longer tuple replaces, each
+    state's read-only psi, kept by (n, norm_const), and the 20- and
+    10-point sums of its psi^2 that overlap reads (norm), kept while its
+    psi is.  Threads may each run a pass and compute a value; all get the
+    same values, and the last rows kept win.  Factors and passes run under np.errstate, and one that is
     not finite raises DepthExceeded, so psi multiplies finite factors only."""
 
     def __init__(self, beta: float, nodes: np.ndarray) -> None:
         from .spectrum import EigenState  # spectrum imports quad
 
-        self.beta, self.rows, self.kept = beta, (), {}
+        self.beta, self.rows, self.kept, self.norms = beta, (), {}, {}
         self.profile = EigenState._profile  # psi's own product of its factors
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             self.power = np.power(nodes, beta + 1.0)
@@ -240,6 +243,17 @@ class _Entry:
             self.rows = rows
         return out
 
+    def norm(self, key: tuple, values: np.ndarray, weights: np.ndarray, split: int) -> tuple:
+        """The 20- and the 10-point sums of psi^2 on the entry's rule for the
+        state kept under key (n, norm_const), whose psi on the nodes is
+        values: summed on first request and kept while its psi is."""
+        sums = self.norms.get(key)
+        if sums is None:
+            sums = _sums(values, values, weights, split)
+            if key in self.kept:
+                self.norms[key] = sums
+        return sums
+
 
 @functools.lru_cache(maxsize=32)
 def _entry(beta: float, m: int, panels: int) -> _Entry:
@@ -250,6 +264,16 @@ def _entry(beta: float, m: int, panels: int) -> _Entry:
     nodes of an N = 12 Gram matrix, and at most 7.2 MB at the 300 690
     nodes of _MAX_PANELS, so 231 MB in all."""
     return _Entry(beta, _rule(_WIDTH_MAX / m, panels)[0])
+
+
+def _sums(a: np.ndarray, b: np.ndarray, weights: np.ndarray, split: int) -> tuple:
+    """The 20- and the 10-point sums of (a b) w over the rule's nodes: two
+    numbers for one array b, two rows for a stack of them.  gram and
+    overlap both sum here, so their entries are one expression."""
+    # the ndarray methods skip numpy's function wrappers, about 5% of an
+    # overlap-check benchmark op
+    terms = a * b * weights
+    return terms[..., :split].sum(axis=-1), terms[..., split:].sum(axis=-1)
 
 
 def gram(
@@ -267,9 +291,10 @@ def gram(
     evaluated once, on the same positive nodes, and multiplies the rule's
     weights.  On the full line w must be even.  Entry (i, j) sums
     psi_i psi_j w times the rule's weight over the nodes in one fixed
-    order, so the other states enter only through the rule: with no
-    weight an entry whose pair holds the top energy equals
-    overlap(states[i], states[j]) bit for bit, and G is symmetric.  On
+    order (_sums, which overlap shares), so the other states enter only
+    through the rule: with no weight an entry whose pair holds the top
+    energy equals overlap(states[i], states[j]) bit for bit, and G is
+    symmetric.  On
     the full line cross-parity entries are 0 exactly (odd integrand on a
     symmetric domain) and same-parity ones are twice the positive
     half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
@@ -289,12 +314,8 @@ def gram(
     kept = {b: _entry(b, m, panels).psi(states, nodes) for b in {s.beta for s in states}}
     psi = np.array([kept[s.beta][s.n, s.norm_const] for s in states])
     fine, coarse = np.empty((2, len(states), len(states)))
-    # one row at a time: memory stays N x nodes; the ndarray methods skip numpy's
-    # function wrappers, about 5% of an overlap-check benchmark op
-    for i, row in enumerate(psi):
-        terms = row * psi * weights
-        fine[i] = terms[:, :split].sum(axis=-1)
-        coarse[i] = terms[:, split:].sum(axis=-1)
+    for i, row in enumerate(psi):  # one row at a time: memory stays N x nodes
+        fine[i], coarse[i] = _sums(row, psi, weights, split)
     if states[0].domain is Domain.FULL_LINE:
         even = np.array([s.parity is Parity.EVEN for s in states])
         same = even[:, None] == even[None, :]
@@ -305,15 +326,40 @@ def gram(
 
 
 def overlap(s1: EigenState, s2: EigenState) -> float:
-    """Inner product <s1|s2>: the entry of the pair's Gram matrix, which
-    raises as gram does.
+    """Inner product <s1|s2>, equal to gram((s1, s2))[0, 1] bit for bit,
+    and raising as that does, with the same type and text.
 
-    Cross-parity full-line overlaps are 0 exactly and evaluate nothing.
+    It takes each state's psi from the cache of the pair's Gram rule
+    (_entry) and integrates one product, psi1 psi2, on the 20- and the
+    10-point rule.  The gap check also covers each state's own <s|s>,
+    whose sums its entry keeps beside its psi: summed on a state's first
+    request on a rule, so a pairwise loop sums each (state, rule) pair
+    once, and checked on every call.  Cross-parity full-line overlaps are
+    0 exactly and evaluate nothing.
     """
     _check_compatible(s1, s2)
     if s1.domain is Domain.FULL_LINE and s1.parity is not s2.parity:
         return 0.0
-    return float(gram((s1, s2))[0, 1])
+    pair = (s1, s2)
+    m, panels = _rule_size(pair)
+    nodes, weights, split = _rule(_WIDTH_MAX / m, panels)
+    kept = {}
+    for b in {s.beta for s in pair}:  # as gram asks them: the same hits, passes and errors
+        entry = _entry(b, m, panels)
+        kept[b] = entry, entry.psi(pair, nodes)
+    psi, norms = [], []
+    for s in pair:
+        entry, values = kept[s.beta]
+        key = s.n, s.norm_const
+        psi.append(values[key])
+        norms.append(entry.norm(key, values[key], weights, split))
+    fine, coarse = np.array((norms[0], _sums(*psi, weights, split), norms[1])).T
+    if s1.domain is Domain.FULL_LINE:
+        fine, coarse = 2.0 * fine, 2.0 * coarse
+    # entries (1, 1), (1, 2) and (2, 2): gram((s1, s2)) checks these and (2, 1),
+    # which equals (1, 2) bit for bit
+    _check_gap(fine, coarse, DepthExceeded, "Gram matrix of 2 states")
+    return float(fine[1])
 
 
 @functools.lru_cache(maxsize=64)

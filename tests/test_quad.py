@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singosc import quad, specfun
-from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
+from singosc import quad, specfun, spectrum
+from singosc.errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent, SingOscError
 from singosc.model import Parity
 from singosc.quad import (
     IntegrabilityClass,
@@ -420,6 +420,57 @@ class TestGram:
         assert (seen["passes"], seen["rows"]) == (12, 63)
         assert quad._entry.cache_info().misses == 10
 
+    def test_pairwise_loop_sums_each_diagonal_once_per_rule(self, monkeypatch):
+        # overlap sums one product, psi_i psi_j w, per same-parity pair, and
+        # reads each state's own sums from its entry, summed once per rule;
+        # the entries' passes, rows and misses are those of the loops above
+        half = [halfline_state(3.3, n) for n in range(12)]
+        full = [s for n in range(6) for s in fullline_states(3.3, n)]
+        pairs = [(states[i], states[j]) for states in (half, full) for i in range(12) for j in range(i, 12)]
+        same = [pair for pair in pairs if pair[0].parity is pair[1].parity]
+        diagonals = {(s.beta, s.n, s.norm_const, quad._rule_size(pair)) for pair in same for s in pair}
+        assert (len(pairs), len(same), len(diagonals)) == (156, 120, 84)
+        seen, sums, calls = _counting(monkeypatch), quad._sums, []
+        monkeypatch.setattr(quad, "_sums", lambda *args: calls.append(args) or sums(*args))
+        cold = [overlap(*pair) for pair in pairs]
+        assert (seen["passes"], seen["rows"]) == (12, 63)
+        assert quad._entry.cache_info().misses == 10
+        assert len(calls) == len(same) + len(diagonals)
+        calls.clear()
+        assert [overlap(*pair) for pair in pairs] == cold
+        assert len(calls) == len(same)  # a cross product each, no diagonal again
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            # psi_-^2 ~ x^(1 - 2 nu) at the origin: the 20- and the 10-point
+            # rule differ on the beta_- diagonal
+            lambda: (halfline_state(0.5, 0), spectrum._state(0.5, 0, -0.5 - math.sqrt(0.75))),
+            lambda: (halfline_state(0.5, 0), halfline_state(0.5, 300)),  # L_300 overflows
+            lambda: (halfline_state(1e6, 10),) * 2,  # x^(beta+1) overflows
+            lambda: (halfline_state(0.5, 0), fullline_states(0.5, 0)[0]),
+            lambda: (halfline_state(0.5, 0), halfline_state(0.7, 0)),
+        ],
+        ids=["beta_minus", "laguerre", "power", "domain", "alpha"],
+    )
+    def test_overlap_raises_as_gram_does(self, pair):
+        # the same type and text on a cold entry, one gram has warmed, and a
+        # second call, which reads the sums kept on the first
+        def raised(call, *args):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingOscError) as info:
+                    call(*args)
+            return type(info.value), str(info.value)
+
+        pair = pair()
+        quad._entry.cache_clear()
+        cold = raised(overlap, *pair)
+        quad._entry.cache_clear()
+        want = raised(gram, pair)
+        assert cold == want
+        assert raised(overlap, *pair) == raised(overlap, *pair) == want
+
     def test_many_rules_build_each_entry_once(self, monkeypatch):
         # at alpha = 0.5 the pairwise loops over n <= 40 (half line, and the
         # even and the odd full-line states) take 30 rules, one beta: each
@@ -500,16 +551,22 @@ class TestGram:
         assert (len(entry.rows), len(entry.kept)) == (6, 2)
 
     def test_threads_share_a_cold_entry(self):
-        # four threads that meet one cold entry may each run a pass; every
-        # matrix equals the one of a single thread bit for bit
+        # four threads that meet one cold entry may each run a pass and sum a
+        # diagonal; every matrix and every pairwise overlap loop equals the
+        # one of a single thread bit for bit
         states = [halfline_state(0.5, n) for n in range(30)]
+        pairs = [(s1, s2) for i, s1 in enumerate(states) for s2 in states[i:]]
+
+        def both():
+            return gram(states).tobytes(), np.array([overlap(*pair) for pair in pairs]).tobytes()
+
         quad._entry.cache_clear()
-        want = gram(states)
+        want = both()
         barrier, got = threading.Barrier(4), [None] * 4
 
         def run(k):
             barrier.wait()
-            got[k] = gram(states)
+            got[k] = both()
 
         for _ in range(3):
             quad._entry.cache_clear()
@@ -517,9 +574,9 @@ class TestGram:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
-            for g in got:
-                assert g.tobytes() == want.tobytes()
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == [want] * 4
 
     def test_overflow_raises_a_typed_error_with_no_warning(self):
         # L_300 overflows on the rule's outer nodes, and at alpha = 1e6

@@ -228,6 +228,26 @@ def test_only_public_spectrum_entries_resolve_beta():
     assert callers("EigenState") == ["_state"]
 
 
+def test_overlap_and_gram_sum_through_one_helper():
+    # overlap integrates its own pair, not its pair's Gram matrix, and the
+    # Gram sums of psi_i psi_j w are one expression, quad._sums
+    defined = {
+        node.name: node for node in ast.walk(parse(PACKAGE / "quad.py")) if isinstance(node, ast.FunctionDef)
+    }
+
+    def called(name):
+        return {
+            getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(defined[name])
+            if isinstance(call, ast.Call)
+        }
+
+    assert "gram" not in called("overlap")
+    for name in ("gram", "overlap", "norm"):
+        assert "_sums" in called(name) and "sum" not in called(name), name
+    assert "sum" in called("_sums")
+
+
 def test_no_fixed_integration_box_is_left():
     # the box that ignored the states is gone, name and all
     hits = [
