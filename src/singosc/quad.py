@@ -19,14 +19,17 @@ k = sqrt(2 eps_top), so no panel spans more than 4.5 radians of the top
 state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
 DepthExceeded, and so do a rule of more than 10 000 panels and a factor
 of psi that overflows, with no numpy warning.  A state's psi on a rule
-comes from a 32-entry cache keyed on (beta, rule), which holds the
-factors that every state of one beta shares there, the rows of one
-Laguerre recurrence, each state's psi and the sums of its psi^2 (2 N +
-300 000 doubles for N nodes at most: 2.4 MB at an N = 12 Gram matrix's
-rules, 7.2 MB at most); EigenState._profile multiplies them, as psi
-does, bit for bit.  overlap reads its pair from there and sums one
-product, so a pairwise loop of overlaps evaluates each (state, rule)
-pair and sums its psi^2 once.
+comes from a 32-entry cache keyed on (beta, rule), whose entry owns its
+rule and holds the factors that every state of one beta shares there, the
+rows of one Laguerre recurrence and each state's record: its psi and the
+sums of its psi^2, made together (at most 300 000 doubles of rows and
+records an entry: 2.4 MB with the factors at an N = 12 Gram matrix's
+rules, 12 MB at most).  Each request runs at most one recurrence pass,
+which goes on from the kept rows; past that budget it holds only the rows
+it asks for and keeps nothing.  EigenState._profile multiplies the
+factors, as psi does, bit for bit.  gram and overlap take their records
+through one lookup (_on_rule), and overlap sums one product, so a pairwise
+loop of overlaps evaluates each (state, rule) pair and sums its psi^2 once.
 Half-line inner products also ship a Gauss-Laguerre path in y = x^2,
 exact for the bound states' polynomial integrands: the independent
 second route, whose rules of a multiple of 8 nodes each keep one table
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from .model import Domain, Parity, _box
-from .specfun import _laguerre, _laguerre_rows
+from .specfun import _laguerre_rows
 
 if TYPE_CHECKING:
     from .spectrum import EigenState
@@ -192,78 +195,82 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
 
 
 class _Entry:
-    """x^(beta+1) and e^(-x^2/2) on the nodes x of one Gram rule, shared by
-    every state of one beta, the rows L_0 .. L_k of specfun._laguerre_rows
-    in y = x^2 for a = beta + 1/2, which a longer tuple replaces, each
-    state's read-only psi, kept by (n, norm_const), and the 20- and
-    10-point sums of its psi^2 that overlap reads (norm), kept while its
-    psi is.  Threads may each run a pass and compute a value; all get the
-    same values, and the last rows kept win.  Factors and passes run under np.errstate, and one that is
-    not finite raises DepthExceeded, so psi multiplies finite factors only."""
+    """One beta on one Gram rule: the rule's nodes, weights and split,
+    x^(beta+1) and e^(-x^2/2) on its nodes x, shared by every state of the
+    beta, the rows L_0 .. L_k of specfun._laguerre_rows in y = x^2 for
+    a = beta + 1/2, which a longer tuple replaces, and each state's record
+    (psi, fine, coarse), kept by (n, norm_const): its read-only psi and the
+    20- and 10-point sums of its psi^2.  Threads may each run a pass and
+    compute a record; all get the same values, and the last rows kept win.
+    Factors and passes run under np.errstate, and one that is not finite
+    raises DepthExceeded, so psi multiplies finite factors only."""
 
-    def __init__(self, beta: float, nodes: np.ndarray) -> None:
+    def __init__(self, beta: float, m: int, panels: int) -> None:
         from .spectrum import EigenState  # spectrum imports quad
 
-        self.beta, self.rows, self.kept, self.norms = beta, (), {}, {}
+        self.nodes, self.weights, self.split = _rule(_WIDTH_MAX / m, panels)
+        self.beta, self.rows, self.kept = beta, (), {}
         self.profile = EigenState._profile  # psi's own product of its factors
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            self.power = np.power(nodes, beta + 1.0)
-            self.decay = np.exp(-0.5 * (nodes * nodes))
+            self.power = np.power(self.nodes, beta + 1.0)
+            self.decay = np.exp(-0.5 * (self.nodes * self.nodes))
         if not np.isfinite(self.power).all():
             raise DepthExceeded(f"x^(beta+1) at beta = {beta:.6g} overflows on the Gram rule")
 
-    def psi(self, states: Sequence[EigenState], nodes: np.ndarray) -> dict:
-        """{(n, norm_const): psi on the nodes} for the states of the entry's
-        beta, new ones from rows that go on from the kept ones.  Rows and psi
-        stay while they fit _KEEP_MAX doubles (racing threads may pass it by
-        a request each); past it each state runs a pass of its own, and the
-        request keeps nothing."""
+    def psi(self, states: Sequence[EigenState]) -> dict:
+        """{(n, norm_const): (psi, fine, coarse)} for the states of the
+        entry's beta, new ones from one pass that goes on from the kept
+        rows, each psi^2 summed once (_sums).  Rows and records stay while
+        they fit _KEEP_MAX doubles (racing threads may pass it by a request
+        each); past it the pass holds only the rows the request asks for,
+        and the request keeps nothing."""
         kept = self.kept
         new = {(s.n, s.norm_const) for s in states if s.beta == self.beta}.difference(kept)
         if not new:
             return kept
-        rows, top, size = self.rows, max(new)[0], len(nodes)
+        rows, top, size = self.rows, max(new)[0], len(self.nodes)
         lag = rows
         if top >= len(rows):
+            y = self.nodes * self.nodes
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                if (top + 1) * size <= _KEEP_MAX:  # the pass goes on from the kept rows
-                    more = _laguerre_rows(self.beta + 0.5, nodes * nodes, rows)
-                    rows = lag = rows + tuple(itertools.islice(more, top + 1 - len(rows)))
-                else:  # past the budget: a pass of its own for each state
-                    lag = {n: _laguerre(n, self.beta + 0.5, nodes * nodes) for n, _ in new}
+                more = itertools.islice(_laguerre_rows(self.beta + 0.5, y, rows), top + 1 - len(rows))
+                if (top + 1) * size <= _KEEP_MAX:  # the rows fit: keep them
+                    rows = lag = rows + tuple(more)
+                else:  # past the budget: hold only the rows asked for
+                    wanted = {n for n, _ in new}
+                    lag = {n: row for n, row in enumerate(itertools.chain(rows, more)) if n in wanted}
             # a row that overflows at a node stays inf or NaN there in every later row
             if not np.isfinite(lag[top]).all():
                 raise DepthExceeded(f"L_{top}^({self.beta + 0.5:.6g}) overflows on the Gram rule")
         keep = top < len(rows) and (len(rows) + len(kept) + len(new)) * size <= _KEEP_MAX
         out = kept if keep else dict(kept)
         for n, norm_const in new:
-            out[n, norm_const] = values = self.profile(norm_const, self.power, self.decay, lag[n])
+            values = self.profile(norm_const, self.power, self.decay, lag[n])
             values.flags.writeable = False
+            out[n, norm_const] = (values, *_sums(values, values, self.weights, self.split))
         if keep:
             self.rows = rows
         return out
 
-    def norm(self, key: tuple, values: np.ndarray, weights: np.ndarray, split: int) -> tuple:
-        """The 20- and the 10-point sums of psi^2 on the entry's rule for the
-        state kept under key (n, norm_const), whose psi on the nodes is
-        values: summed on first request and kept while its psi is."""
-        sums = self.norms.get(key)
-        if sums is None:
-            sums = _sums(values, values, weights, split)
-            if key in self.kept:
-                self.norms[key] = sums
-        return sums
-
 
 @functools.lru_cache(maxsize=32)
 def _entry(beta: float, m: int, panels: int) -> _Entry:
-    """The _Entry of beta on the nodes of _rule(_WIDTH_MAX / m, panels).
+    """The _Entry of beta on _rule(_WIDTH_MAX / m, panels).
 
-    An entry holds 2 N doubles of factors for the rule's N nodes and at
-    most _KEEP_MAX doubles of rows and values: 2.4 MB at the 1 200-1 500
-    nodes of an N = 12 Gram matrix, and at most 7.2 MB at the 300 690
-    nodes of _MAX_PANELS, so 231 MB in all."""
-    return _Entry(beta, _rule(_WIDTH_MAX / m, panels)[0])
+    An entry holds 2 N doubles of factors for the rule's N nodes, the
+    rule's nodes and weights (2 N more once _rule's cache has let them go)
+    and at most _KEEP_MAX doubles of rows and records: 2.4 MB at the
+    1 200-1 500 nodes of an N = 12 Gram matrix, and at most 12 MB at the
+    300 690 nodes of _MAX_PANELS, so 385 MB in all."""
+    return _Entry(beta, m, panels)
+
+
+def _on_rule(states: Sequence[EigenState], m: int, panels: int) -> list:
+    """Each state's (psi, fine, coarse) on _rule(_WIDTH_MAX / m, panels),
+    asking each beta's _entry once: gram and overlap meet the same hits,
+    passes and errors."""
+    kept = {b: _entry(b, m, panels).psi(states) for b in {s.beta for s in states}}
+    return [kept[s.beta][s.n, s.norm_const] for s in states]
 
 
 def _sums(a: np.ndarray, b: np.ndarray, weights: np.ndarray, split: int) -> tuple:
@@ -285,17 +292,16 @@ def gram(
     Gauss-Legendre rule of the states' top energy.
 
     Each state is evaluated once on the nodes of both rules, from one
-    Laguerre recurrence per beta and rule, and its values are kept across
-    calls in the 32-entry cache of its beta and the rule (_entry: at most
-    2 N + 300 000 doubles for N nodes, 7.2 MB, 231 MB in all); w is
-    evaluated once, on the same positive nodes, and multiplies the rule's
-    weights.  On the full line w must be even.  Entry (i, j) sums
-    psi_i psi_j w times the rule's weight over the nodes in one fixed
-    order (_sums, which overlap shares), so the other states enter only
-    through the rule: with no weight an entry whose pair holds the top
-    energy equals overlap(states[i], states[j]) bit for bit, and G is
-    symmetric.  On
-    the full line cross-parity entries are 0 exactly (odd integrand on a
+    Laguerre recurrence pass per beta and rule, and its psi is kept across
+    calls in the 32-entry cache of its beta and the rule (_entry, at most
+    12 MB an entry), which _on_rule asks once per beta; w is evaluated
+    once, on the same positive nodes, and multiplies the rule's weights.
+    On the full line w must be even.  Entry (i, j) sums psi_i psi_j w
+    times the rule's weight over the nodes in one fixed order (_sums,
+    which overlap shares), so the other states enter only through the
+    rule: with no weight an entry whose pair holds the top energy equals
+    overlap(states[i], states[j]) bit for bit, and G is symmetric.  On the
+    full line cross-parity entries are 0 exactly (odd integrand on a
     symmetric domain) and same-parity ones are twice the positive
     half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
     differ by more than 1e-8 max(1, |G|) in some entry, as for a w psi_i
@@ -311,8 +317,7 @@ def gram(
         weights = weights * weight(nodes)
         if not np.isfinite(weights).all():
             raise DepthExceeded("the weight is not finite on the nodes of the Gram rule")
-    kept = {b: _entry(b, m, panels).psi(states, nodes) for b in {s.beta for s in states}}
-    psi = np.array([kept[s.beta][s.n, s.norm_const] for s in states])
+    psi = np.array([record[0] for record in _on_rule(states, m, panels)])
     fine, coarse = np.empty((2, len(states), len(states)))
     for i, row in enumerate(psi):  # one row at a time: memory stays N x nodes
         fine[i], coarse[i] = _sums(row, psi, weights, split)
@@ -329,11 +334,11 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     """Inner product <s1|s2>, equal to gram((s1, s2))[0, 1] bit for bit,
     and raising as that does, with the same type and text.
 
-    It takes each state's psi from the cache of the pair's Gram rule
-    (_entry) and integrates one product, psi1 psi2, on the 20- and the
-    10-point rule.  The gap check also covers each state's own <s|s>,
-    whose sums its entry keeps beside its psi: summed on a state's first
-    request on a rule, so a pairwise loop sums each (state, rule) pair
+    It takes each state's record from the cache of the pair's Gram rule
+    through _on_rule, as gram does, and integrates one product, psi1 psi2,
+    on the 20- and the 10-point rule.  The gap check also covers each
+    state's own <s|s>, whose sums its record holds beside its psi: summed
+    when the psi is made, so a pairwise loop sums each (state, rule) pair
     once, and checked on every call.  Cross-parity full-line overlaps are
     0 exactly and evaluate nothing.
     """
@@ -342,18 +347,9 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
         return 0.0
     pair = (s1, s2)
     m, panels = _rule_size(pair)
-    nodes, weights, split = _rule(_WIDTH_MAX / m, panels)
-    kept = {}
-    for b in {s.beta for s in pair}:  # as gram asks them: the same hits, passes and errors
-        entry = _entry(b, m, panels)
-        kept[b] = entry, entry.psi(pair, nodes)
-    psi, norms = [], []
-    for s in pair:
-        entry, values = kept[s.beta]
-        key = s.n, s.norm_const
-        psi.append(values[key])
-        norms.append(entry.norm(key, values[key], weights, split))
-    fine, coarse = np.array((norms[0], _sums(*psi, weights, split), norms[1])).T
+    _, weights, split = _rule(_WIDTH_MAX / m, panels)
+    (psi1, *own1), (psi2, *own2) = _on_rule(pair, m, panels)
+    fine, coarse = np.array((own1, _sums(psi1, psi2, weights, split), own2)).T
     if s1.domain is Domain.FULL_LINE:
         fine, coarse = 2.0 * fine, 2.0 * coarse
     # entries (1, 1), (1, 2) and (2, 2): gram((s1, s2)) checks these and (2, 1),

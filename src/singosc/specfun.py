@@ -146,12 +146,12 @@ def laguerre(n: int, a: float, y):
 
 def _laguerre(n: int, a: float, y):
     """Row n of _laguerre_rows(a, y), with no checks; a 0-d y gives a Python
-    float.  For EigenState.psi: a state's n and a are valid by
-    construction, and the package's callers of psi that can meet an
-    overflow refuse a value that is not finite themselves (the Gram rule's
-    row check, the Gauss-Laguerre route's sum check, the wavefunction
-    command's row check), so the check would repeat theirs on every
-    evaluation."""
+    float.  For laguerre, which checks what it returns, and for
+    EigenState.psi: a state's n and a are valid by construction, and the
+    package's one caller of psi that can meet an overflow, the wavefunction
+    command, refuses a value that is not finite itself (its row check), so
+    the check would repeat that one on every evaluation.  The Gram rule
+    and the Gauss-Laguerre route run _laguerre_rows and call neither."""
     out = next(itertools.islice(_laguerre_rows(a, y), n, None))
     return float(out) if out.ndim == 0 else out
 

@@ -33,14 +33,8 @@ from .specfun import _laguerre as laguerre
 
 
 class _Divergent:
-    """Sentinel value: a first-order matrix element that does not exist."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel value: a first-order matrix element that does not exist.
+    DIVERGENT below is its one instance; callers test it with `is`."""
 
     def __repr__(self) -> str:
         return "Divergent"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -492,13 +493,14 @@ class TestGram:
         states = [halfline_state(0.5, n) for n in range(4)]
         g = gram(states)
         m, panels = quad._rule_size(states)
-        nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
+        nodes, weights, split = quad._rule(quad._WIDTH_MAX / m, panels)
         entry = quad._entry(states[0].beta, m, panels)
-        rows, psi = entry.rows, entry.kept
-        assert len(rows) == 4 and len(psi) == 4
+        rows, records = entry.rows, entry.kept
+        assert len(rows) == 4 and len(records) == 4
         for s in states:
-            values = psi[s.n, s.norm_const]
+            values, *own = records[s.n, s.norm_const]
             np.testing.assert_array_equal(values, s.psi(nodes))
+            assert own == list(quad._sums(values, values, weights, split))
             with pytest.raises(ValueError):
                 values[0] = 1.0
         np.testing.assert_array_equal(gram(states), g)
@@ -522,31 +524,40 @@ class TestGram:
         for order in (requests, requests[::-1]):
             quad._entry.cache_clear()
             for pair, (m, panels) in order:
-                nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
+                nodes, weights, split = quad._rule(quad._WIDTH_MAX / m, panels)
                 for s in pair:
-                    values = quad._entry(s.beta, m, panels).psi(pair, nodes)[s.n, s.norm_const]
+                    values, *own = quad._entry(s.beta, m, panels).psi(pair)[s.n, s.norm_const]
                     if (s, m, panels) not in psi:
                         psi[s, m, panels] = s.psi(nodes)
                     assert np.array_equal(values, psi[s, m, panels]), (s, m, panels)
+                    assert own == list(quad._sums(values, values, weights, split)), (s, m, panels)
 
     def test_request_below_the_kept_rows_restarts_the_pass(self, monkeypatch):
         # the rule of n = 249 at alpha = 0.5 has 9 720 nodes, so its entry
         # keeps at most 30 arrays of rows and values: L_0 .. L_249 pass that
-        # budget, so each state of a request runs its own pass from L_0 and
-        # the request keeps nothing
+        # budget, so a request's one pass from L_0 holds only the rows it
+        # asks for, and the request keeps nothing
         s0, s5, s249 = (halfline_state(0.5, n) for n in (0, 5, 249))
         m, panels = quad._rule_size((s249,))
         nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
         assert len(nodes) == 9720 and quad._KEEP_MAX // len(nodes) == 30
-        seen, own = _counting(monkeypatch), []
-        monkeypatch.setattr(quad, "_laguerre", lambda n, a, y: own.append(n) or specfun._laguerre(n, a, y))
+        # a row is 76 KB: holding L_0 .. L_249 would take 19 MB
+        quad._entry.cache_clear()
+        tracemalloc.start()
+        try:
+            overlap(s0, s249)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        seen = _counting(monkeypatch)
         overlap(s0, s249)
         overlap(s5, s249)
-        assert sorted(own) == [0, 5, 249, 249] and seen["passes"] == 0
+        assert (seen["passes"], seen["rows"]) == (2, 500)
         entry = quad._entry(s249.beta, m, panels)
         assert (entry.rows, entry.kept) == ((), {})
         for s in (s0, s5, s249):
-            np.testing.assert_array_equal(entry.psi((s,), nodes)[s.n, s.norm_const], s.psi(nodes))
+            np.testing.assert_array_equal(entry.psi((s,))[s.n, s.norm_const][0], s.psi(nodes))
         # requests within the budget keep their rows and psi: L_0 .. L_5
         assert (len(entry.rows), len(entry.kept)) == (6, 2)
 

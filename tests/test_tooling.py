@@ -231,9 +231,8 @@ def test_only_public_spectrum_entries_resolve_beta():
 def test_overlap_and_gram_sum_through_one_helper():
     # overlap integrates its own pair, not its pair's Gram matrix, and the
     # Gram sums of psi_i psi_j w are one expression, quad._sums
-    defined = {
-        node.name: node for node in ast.walk(parse(PACKAGE / "quad.py")) if isinstance(node, ast.FunctionDef)
-    }
+    tree = parse(PACKAGE / "quad.py")
+    defined = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
     def called(name):
         return {
@@ -243,9 +242,14 @@ def test_overlap_and_gram_sum_through_one_helper():
         }
 
     assert "gram" not in called("overlap")
-    for name in ("gram", "overlap", "norm"):
+    for name in ("gram", "overlap", "psi"):
         assert "_sums" in called(name) and "sum" not in called(name), name
     assert "sum" in called("_sums")
+    # one Laguerre recurrence pass per request: _Entry.psi is the Gram
+    # route's one caller of _laguerre_rows, and no per-state pass is left
+    assert {name for name in defined if "_laguerre_rows" in called(name)} == {"psi", "_laguerre_table"}
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "_laguerre_rows" in imported and "_laguerre" not in imported
 
 
 def test_no_fixed_integration_box_is_left():
