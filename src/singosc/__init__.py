@@ -2,6 +2,8 @@
 V(x) = (1/2) m w^2 x^2 + hbar^2 alpha/(2 m x^2), on the half-line and the
 whole line, with independent numerical verification."""
 
+import importlib
+
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -31,25 +33,6 @@ from .model import (
     map_radial,
     potential_value,
 )
-from .oracle import (
-    CompareReport,
-    OracleMethod,
-    OracleResult,
-    compare,
-    fd_eigen,
-    fd_eigen_extrapolated,
-    frobenius_start,
-    shoot_eigen,
-    shoot_spectrum,
-)
-from .quad import (
-    IntegrabilityClass,
-    cauchy_pv,
-    gram,
-    integrability_class,
-    overlap,
-    overlap_halfline_gauss,
-)
 from .specfun import (
     gamma_fn,
     hermite,
@@ -70,3 +53,40 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# The oracles and the quadrature load on first use of their module or one
+# of its names (PEP 562), so an analytic command never compiles them.
+_LAZY = {
+    "oracle": (
+        "CompareReport",
+        "OracleMethod",
+        "OracleResult",
+        "compare",
+        "fd_eigen",
+        "fd_eigen_extrapolated",
+        "frobenius_start",
+        "shoot_eigen",
+        "shoot_spectrum",
+    ),
+    "quad": (
+        "IntegrabilityClass",
+        "cauchy_pv",
+        "gram",
+        "integrability_class",
+        "overlap",
+        "overlap_halfline_gauss",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    owner = name if name in _LAZY else _LAZY_OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{owner}", __name__)
+    return module if owner == name else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -55,12 +56,42 @@ def _fmt(value: object) -> object:
     return value
 
 
+# every character that may make csv.writer quote a field or refuse it, in
+# any Python version; a text free of them is written as it is
+_MAY_NEED_QUOTES = re.compile('[,"\r\n\0]').search
+
+
+def _csv_cell(value: object) -> str:
+    """One cell as csv.writer writes it among other fields."""
+    text = "" if value is None else str(_fmt(value))
+    if not _MAY_NEED_QUOTES(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # drop the empty field's "," and the line end
+
+
+def _csv_column(column: list, lone: bool) -> tuple[str, list]:
+    """A column's %-spec and the cells it formats: a column of exact
+    floats formats itself with %.17g, any other is encoded here.  A lone
+    field that is empty is written "", as csv.writer writes it."""
+    if {*map(type, column)} == {float}:
+        return "%.17g", column
+    cells = list(map(_csv_cell, column))
+    if lone:
+        cells = [cell or '""' for cell in cells]
+    return "%s", cells
+
+
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SingOscError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 def emit_rows(
@@ -73,14 +104,16 @@ def emit_rows(
     """Serialize named, equally long columns to stdout or to path.
 
     fmt "csv": the columns in `fields` order under a header, '\\n' endings,
-    floats to 17 significant digits (the bytes csv.DictWriter would write).
+    floats to 17 significant digits (the bytes csv.DictWriter would write),
+    each row one % format of a template built per column.
     fmt "json": {"rows": [...], **meta}, each row keyed in the order of
     `columns`."""
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(zip(*(map(_fmt, columns[f]) for f in fields)))
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        encoded = [_csv_column(columns[f], len(fields) == 1) for f in fields]
+        template = ",".join(spec for spec, _ in encoded) + "\n"
+        buf.write("".join(map(template.__mod__, zip(*(cells for _, cells in encoded)))))
         _write_text(buf.getvalue(), path)
     else:
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]

@@ -24,7 +24,6 @@ import numpy as np
 from . import specfun
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
-from .quad import gram
 # specfun holds the one check of a quantum number or a degree
 from .specfun import _check_n
 # psi runs laguerre's recurrence without its finiteness check (see
@@ -251,5 +250,7 @@ def perturbation_first_order(n: int, parity: Parity):
         return DIVERGENT
     if parity is not Parity.ODD:
         raise ParameterError("perturbation diagnostic needs parity Even or Odd")
+    from . import quad  # the analytic surface never loads the quadrature
+
     state = halfline_state(0.0, n, beta_branch=0.0)
-    return float(gram((state,), lambda x: 0.5 / (x * x))[0, 0])
+    return float(quad.gram((state,), lambda x: 0.5 / (x * x))[0, 0])

@@ -7,6 +7,9 @@ closed form, each the report's only line for its claim: "beta_minus
 rejected" and "even ground state" until the finite-difference oracle
 runs both indicial branches, and the three "even/odd degenerate" lines
 and "alpha=0 combined spectrum" until a whole-line oracle measures them.
+
+The oracles and the quadrature are imported inside the suites that call
+them, so the CLI reads SUITE_NAMES without loading either.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import oracle, quad, spectrum
+from . import spectrum
 from .errors import ParameterError, SupercriticalError
 from .model import ALPHA_CRITICAL, Domain, Parity, admissible_beta, indicial_roots
 
@@ -52,6 +55,8 @@ class SuiteReport:
 
 def suite_hermiticity() -> SuiteReport:
     """Admissibility: beta_minus rejection and the supercritical wall."""
+    from . import oracle, quad
+
     rep = SuiteReport("hermiticity")
     grid = np.concatenate(
         [np.linspace(-0.249, -0.001, 40), np.linspace(0.001, 0.749, 40)]
@@ -97,6 +102,8 @@ def suite_hermiticity() -> SuiteReport:
 def suite_orthonormality() -> SuiteReport:
     """Gram matrices of the first 6 half-line states: |G - I| bounds the
     closed-form norm constants' error |1/sqrt(G_nn) - 1| too."""
+    from . import quad
+
     rep = SuiteReport("orthonormality")
     tol = 1e-8
     for alpha in (-0.2, 0.0, 0.5, 2.0):
@@ -114,6 +121,8 @@ def suite_orthonormality() -> SuiteReport:
 
 def suite_oracle(alphas: tuple[float, ...] = (0.5, 2.0), n_max: int = 3) -> SuiteReport:
     """Shooting and finite-difference eigenvalues vs the closed form."""
+    from . import oracle
+
     rep = SuiteReport("oracle")
     for alpha in alphas:
         table = spectrum.spectrum_table(alpha, n_max, Domain.HALF_LINE)

@@ -186,6 +186,20 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "alpha <= -1/4" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/x.csv", "No such file or directory"), (".", "Is a directory")],
+    )
+    @pytest.mark.parametrize(
+        "command", [["spectrum", "--alpha", "0.5"], ["verify", "--suite", "degeneracy"]]
+    )
+    def test_unwritable_out_path_is_exit_1(self, tmp_path, capsys, command, where, reason):
+        path = tmp_path / where
+        assert main([*command, "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"singosc: error: cannot write --out {path}: {reason}\n"
+        assert captured.out == ""
+
 
 _UNIT_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]),
@@ -641,8 +655,8 @@ class TestVerifyCommand:
         for owner, name, scale in (
             (oracle, "shoot_spectrum", levels),
             (oracle, "fd_eigen", levels),
+            # spectrum's slope reads quad.gram when called, so this reaches it too
             (quad, "gram", lambda g: 1.01 * g),
-            (spectrum, "gram", lambda g: 1.01 * g),
         ):
             monkeypatch.setattr(owner, name, off(getattr(owner, name), scale))
         checks = [c for rep in verify.run_suites(verify.SUITE_NAMES) for c in rep.checks]
@@ -756,21 +770,21 @@ def _run_module(*argv):
     )
 
 
+_ANALYTIC_ARGV = [
+    ("spectrum", "--alpha", "0.5"),
+    ("radial", "--alpha", "0.5", "--l", "1"),
+    ("wavefunction", "--alpha", "-0.2", "--domain", "full", "--parity", "odd"),
+    ("figure", "4", "--alpha-points", "5"),
+]
+
+
 class TestLazyScipy:
     """scipy loads only inside the oracle and quadrature calls that use it."""
 
     def test_import_loads_no_scipy(self):
         assert _loaded_after("import singosc") == []
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("spectrum", "--alpha", "0.5"),
-            ("radial", "--alpha", "0.5", "--l", "1"),
-            ("wavefunction", "--alpha", "-0.2", "--domain", "full", "--parity", "odd"),
-            ("figure", "4", "--alpha-points", "5"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", _ANALYTIC_ARGV)
     def test_analytic_commands_load_no_scipy(self, argv):
         assert _loaded_after(_run_module(*argv)) == []
 
@@ -802,6 +816,58 @@ class TestLazyScipy:
         assert "scipy.special" in loaded and "scipy.integrate" not in loaded
         # PV of 1/x on [-1, 1] is 0; no scipy, so no scipy.integrate
         assert after("1.0 + quad.cauchy_pv(lambda x: 1.0 / x, -1.0, 1.0, 0.0)") == []
+
+
+class TestLazyOracleAndQuadrature:
+    """singosc.oracle and singosc.quad load on first use, never on import
+    or in an analytic command."""
+
+    _DEFERRED = {"singosc.oracle", "singosc.quad"}
+
+    def _deferred_after(self, code):
+        return self._DEFERRED.intersection(_loaded_after(code, package="singosc"))
+
+    def test_import_loads_neither(self):
+        assert self._deferred_after("import singosc") == set()
+
+    @pytest.mark.parametrize("argv", _ANALYTIC_ARGV)
+    def test_analytic_commands_load_neither(self, argv):
+        assert self._deferred_after(_run_module(*argv)) == set()
+
+    @pytest.mark.parametrize(
+        "suite, loaded",
+        [
+            ("oracle", {"singosc.oracle"}),
+            ("perturbation", {"singosc.quad"}),
+            ("degeneracy", set()),
+            ("all", {"singosc.oracle", "singosc.quad"}),
+        ],
+    )
+    def test_verify_loads_what_its_suites_call(self, suite, loaded):
+        argv = ("verify", "--suite", suite, *(("--alpha", "2") if suite == "oracle" else ()))
+        assert self._deferred_after(_run_module(*argv)) == loaded
+
+    def test_lazy_names_are_the_modules_own(self):
+        code = (
+            "import singosc, sys\n"
+            "o = singosc.oracle\n"
+            "from singosc import shoot_spectrum, gram, cauchy_pv\n"
+            "import singosc.quad as q\n"
+            "assert o is sys.modules['singosc.oracle'] and shoot_spectrum is o.shoot_spectrum\n"
+            "assert gram is q.gram and cauchy_pv is q.cauchy_pv\n"
+            "for name in singosc._LAZY['oracle']:\n"
+            "    assert getattr(singosc, name) is getattr(o, name), name\n"
+            "for name in singosc._LAZY['quad']:\n"
+            "    assert getattr(singosc, name) is getattr(q, name), name\n"
+            "assert {'oracle', 'quad', 'gram', 'compare'} <= set(dir(singosc))\n"
+            "try:\n"
+            "    singosc.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n"
+        )
+        assert self._deferred_after(code) == self._DEFERRED
 
 
 class TestLazyQuadratureRule:
