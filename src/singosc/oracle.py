@@ -62,7 +62,8 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
 from .model import Domain, _box, admissible_beta
-from .spectrum import SpectrumTable, _check_n
+from .specfun import _check_n
+from .spectrum import SpectrumTable
 
 # Shooting's Frobenius start point floor and its scale in sqrt(beta + 1),
 # terms, and the relative size the series' last term may reach:

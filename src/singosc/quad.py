@@ -19,21 +19,14 @@ k = sqrt(2 eps_top), so no panel spans more than 4.5 radians of the top
 state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
 DepthExceeded, and so do a rule of more than 10 000 panels and a factor
 of psi that overflows, with no numpy warning.  A state's psi on a rule
-comes from a 32-entry cache keyed on (beta, rule), whose entry owns its
-rule and holds the factors that every state of one beta shares there, the
-rows of one Laguerre recurrence and each state's record: its psi and the
-sums of its psi^2, made together (at most 300 000 doubles of rows and
-records an entry: 2.4 MB with the factors at an N = 12 Gram matrix's
-rules, 12 MB at most).  Each request runs at most one recurrence pass,
-which goes on from the kept rows; past that budget it holds only the rows
-it asks for and keeps nothing.  EigenState._profile multiplies the
-factors, as psi does, bit for bit.  gram and overlap take their records
-through one lookup (_on_rule), and overlap sums one product, so a pairwise
-loop of overlaps evaluates each (state, rule) pair and sums its psi^2 once.
+comes from the cached _Entry of its beta and the rule, which says what it
+keeps.  gram and overlap take their records through one lookup
+(_on_rule), and overlap sums one product, so a pairwise loop of overlaps
+evaluates each (state, rule) pair and sums its psi^2 once.
 Half-line inner products also ship a Gauss-Laguerre path in y = x^2,
 exact for the bound states' polynomial integrands: the independent
-second route, whose rules of a multiple of 8 nodes each keep one table
-of rows L_0, L_1, ... per a.
+second route, whose rules have a multiple of 8 nodes; one cache entry
+holds a rule's weights and the rows L_0, L_1, ... of one a on its nodes.
 Principal values (cauchy_pv) run on the same Gauss-Legendre rule; f must
 take arrays, and the limits must be finite.
 """
@@ -44,16 +37,14 @@ import enum
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DepthExceeded, DomainMismatch, ParameterError, PVDivergent
 from .model import Domain, Parity, _box
 from .specfun import _laguerre_rows
-
-if TYPE_CHECKING:
-    from .spectrum import EigenState
+from .spectrum import EigenState
 
 # The composite rule: panels at most _WIDTH_MAX wide (_WIDTH_MAX / m for overlaps,
 # m = max(1, ceil(k / _K_PER_SPLIT)) for the top wavenumber k, out to _box +
@@ -200,17 +191,22 @@ class _Entry:
     beta, the rows L_0 .. L_k of specfun._laguerre_rows in y = x^2 for
     a = beta + 1/2, which a longer tuple replaces, and each state's record
     (psi, fine, coarse), kept by (n, norm_const): its read-only psi and the
-    20- and 10-point sums of its psi^2.  Threads may each run a pass and
-    compute a record; all get the same values, and the last rows kept win.
-    Factors and passes run under np.errstate, and one that is not finite
-    raises DepthExceeded, so psi multiplies finite factors only."""
+    20- and 10-point sums of its psi^2, made together.  EigenState._profile
+    multiplies the factors, as psi does, bit for bit.  Threads may each run
+    a pass and compute a record; all get the same values, and the last rows
+    kept win.  Factors and passes run under np.errstate, and one that is
+    not finite raises DepthExceeded, so psi multiplies finite factors only.
+
+    _entry caches 32 entries, keyed on (beta, m, panels).  An entry holds
+    2 N doubles of factors for the rule's N nodes, the rule's nodes and
+    weights (2 N more once _rule's cache has let them go) and at most
+    _KEEP_MAX doubles of rows and records: 2.4 MB at the 1 200-1 500 nodes
+    of an N = 12 Gram matrix, and at most 12 MB at the 300 690 nodes of
+    _MAX_PANELS, so 385 MB in all."""
 
     def __init__(self, beta: float, m: int, panels: int) -> None:
-        from .spectrum import EigenState  # spectrum imports quad
-
         self.nodes, self.weights, self.split = _rule(_WIDTH_MAX / m, panels)
         self.beta, self.rows, self.kept = beta, (), {}
-        self.profile = EigenState._profile  # psi's own product of its factors
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             self.power = np.power(self.nodes, beta + 1.0)
             self.decay = np.exp(-0.5 * (self.nodes * self.nodes))
@@ -220,32 +216,31 @@ class _Entry:
     def psi(self, states: Sequence[EigenState]) -> dict:
         """{(n, norm_const): (psi, fine, coarse)} for the states of the
         entry's beta, new ones from one pass that goes on from the kept
-        rows, each psi^2 summed once (_sums).  Rows and records stay while
-        they fit _KEEP_MAX doubles (racing threads may pass it by a request
-        each); past it the pass holds only the rows the request asks for,
-        and the request keeps nothing."""
+        rows, each psi^2 summed once (_sums).  A request whose rows and
+        records fit _KEEP_MAX doubles keeps them (racing threads may pass
+        it by a request each); any other holds only the rows it asks for
+        and keeps nothing."""
         kept = self.kept
         new = {(s.n, s.norm_const) for s in states if s.beta == self.beta}.difference(kept)
         if not new:
             return kept
         rows, top, size = self.rows, max(new)[0], len(self.nodes)
-        lag = rows
+        keep = (max(top + 1, len(rows)) + len(kept) + len(new)) * size <= _KEEP_MAX
         if top >= len(rows):
             y = self.nodes * self.nodes
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 more = itertools.islice(_laguerre_rows(self.beta + 0.5, y, rows), top + 1 - len(rows))
-                if (top + 1) * size <= _KEEP_MAX:  # the rows fit: keep them
-                    rows = lag = rows + tuple(more)
-                else:  # past the budget: hold only the rows asked for
+                if keep:
+                    rows = rows + tuple(more)
+                else:
                     wanted = {n for n, _ in new}
-                    lag = {n: row for n, row in enumerate(itertools.chain(rows, more)) if n in wanted}
+                    rows = {n: row for n, row in enumerate(itertools.chain(rows, more)) if n in wanted}
             # a row that overflows at a node stays inf or NaN there in every later row
-            if not np.isfinite(lag[top]).all():
+            if not np.isfinite(rows[top]).all():
                 raise DepthExceeded(f"L_{top}^({self.beta + 0.5:.6g}) overflows on the Gram rule")
-        keep = top < len(rows) and (len(rows) + len(kept) + len(new)) * size <= _KEEP_MAX
         out = kept if keep else dict(kept)
         for n, norm_const in new:
-            values = self.profile(norm_const, self.power, self.decay, lag[n])
+            values = EigenState._profile(norm_const, self.power, self.decay, rows[n])
             values.flags.writeable = False
             out[n, norm_const] = (values, *_sums(values, values, self.weights, self.split))
         if keep:
@@ -253,16 +248,7 @@ class _Entry:
         return out
 
 
-@functools.lru_cache(maxsize=32)
-def _entry(beta: float, m: int, panels: int) -> _Entry:
-    """The _Entry of beta on _rule(_WIDTH_MAX / m, panels).
-
-    An entry holds 2 N doubles of factors for the rule's N nodes, the
-    rule's nodes and weights (2 N more once _rule's cache has let them go)
-    and at most _KEEP_MAX doubles of rows and records: 2.4 MB at the
-    1 200-1 500 nodes of an N = 12 Gram matrix, and at most 12 MB at the
-    300 690 nodes of _MAX_PANELS, so 385 MB in all."""
-    return _Entry(beta, m, panels)
+_entry = functools.lru_cache(maxsize=32)(_Entry)
 
 
 def _on_rule(states: Sequence[EigenState], m: int, panels: int) -> list:
@@ -293,19 +279,19 @@ def gram(
 
     Each state is evaluated once on the nodes of both rules, from one
     Laguerre recurrence pass per beta and rule, and its psi is kept across
-    calls in the 32-entry cache of its beta and the rule (_entry, at most
-    12 MB an entry), which _on_rule asks once per beta; w is evaluated
-    once, on the same positive nodes, and multiplies the rule's weights.
-    On the full line w must be even.  Entry (i, j) sums psi_i psi_j w
-    times the rule's weight over the nodes in one fixed order (_sums,
-    which overlap shares), so the other states enter only through the
-    rule: with no weight an entry whose pair holds the top energy equals
-    overlap(states[i], states[j]) bit for bit, and G is symmetric.  On the
-    full line cross-parity entries are 0 exactly (odd integrand on a
-    symmetric domain) and same-parity ones are twice the positive
-    half-axis.  Raises DepthExceeded when the 20- and the 10-point rule
-    differ by more than 1e-8 max(1, |G|) in some entry, as for a w psi_i
-    psi_j that is not integrable at the origin, or a value is not finite.
+    calls in the cached _Entry of its beta and the rule, which _on_rule asks
+    once per beta; w is evaluated once, on the same positive nodes, and
+    multiplies the rule's weights.  On the full line w must be even.  Entry
+    (i, j) sums psi_i psi_j w times the rule's weight over the nodes in one
+    fixed order (_sums, which overlap shares), so the other states enter
+    only through the rule: with no weight an entry whose pair holds the top
+    energy equals overlap(states[i], states[j]) bit for bit, and G is
+    symmetric.  On the full line cross-parity entries are 0 exactly (odd
+    integrand on a symmetric domain) and same-parity ones are twice the
+    positive half-axis.  Raises DepthExceeded when the 20- and the 10-point
+    rule differ by more than 1e-8 max(1, |G|) in some entry, as for a w
+    psi_i psi_j that is not integrable at the origin, or a value is not
+    finite.
     """
     if not states:
         raise ParameterError("a Gram matrix needs at least one state")
@@ -358,31 +344,24 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     return float(fine[1])
 
 
-@functools.lru_cache(maxsize=64)
-def _laguerre_rule(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the count-point generalized
-    Gauss-Laguerre rule for y^w e^-y: every pair of one Gram matrix shares
-    w, and counts are multiples of _GL_STEP, so an N-state matrix needs
-    about N / 4 rules.  Silent where scipy's root polish overflows, from
-    count = 368 at some w."""
+@functools.lru_cache(maxsize=32)
+def _laguerre_table(a: float, count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of the count-point generalized Gauss-Laguerre rule
+    for y^w e^-y and rows L_0^(a) .. L_(count-1)^(a) on its nodes, every
+    degree a pair on the rule takes, from one _laguerre_rows pass.  Every
+    pair of one Gram matrix shares w, and counts are multiples of
+    _GL_STEP, so an N-state matrix needs about N / 4 entries; a = beta +
+    1/2, so the alpha = 0 branches differ in it, and each builds its own
+    rule.  Silent where scipy's root polish or a row overflows (the caller
+    checks its sum); at most _GL_MAX^2 doubles (1.1 MB) an entry, 36 MB in
+    all."""
     import scipy.special
 
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = scipy.special.roots_genlaguerre(count, w)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-@functools.lru_cache(maxsize=32)
-def _laguerre_table(a: float, count: int, w: float) -> np.ndarray:
-    """Read-only rows L_0^(a) .. L_(count-1)^(a), every degree a pair on
-    _laguerre_rule(count, w) takes, on its nodes, from one _laguerre_rows
-    pass; a = beta + 1/2, so the alpha = 0 branches differ in it.  Built
-    under the route's np.errstate; at most _GL_MAX^2 doubles (1.1 MB) an
-    entry, 36 MB in all."""
-    table = np.array(list(itertools.islice(_laguerre_rows(a, _laguerre_rule(count, w)[0]), count)))
-    table.flags.writeable = False
-    return table
+        rows = np.array(list(itertools.islice(_laguerre_rows(a, nodes), count)))
+    weights.flags.writeable = rows.flags.writeable = False
+    return weights, rows
 
 
 def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
@@ -392,14 +371,14 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     with w = (beta1 + beta2 + 1)/2.  An M-node rule is exact up to degree
     2M - 1, so any M >= n1 + n2 + 1 integrates the polynomial part
     exactly; M is the smallest multiple of 8 that is, so the pairs of one
-    Gram matrix share a few rules, each with one table of L_n per a = beta
-    + 1/2 (_laguerre_table).  Raises ParameterError when the weighted sum
-    is not finite (L_n^2 overflows at the outer nodes), and before any
-    rule is built for M > _GL_MAX, where it is never finite.  On the
-    diagonal that is from n = 124 at alpha = -0.2, 7.9 and 45.96, but from
-    123 at alpha = 157.3 and 122 at alpha = 1000: there the rounded-up
-    rule's outer node lies past that of the exact n1 + n2 + 1 rule, which
-    raised from 124 and 123.
+    Gram matrix share a few rules, each cached with the rows of L_n for one
+    a = beta + 1/2 (_laguerre_table).  Raises ParameterError when the
+    weighted sum is not finite (L_n^2 overflows at the outer nodes), and
+    before any rule is built for M > _GL_MAX, where it is never finite.
+    On the diagonal that is from n = 124 at alpha = -0.2, 7.9 and 45.96,
+    but from 123 at alpha = 157.3 and 122 at alpha = 1000, where the
+    rounded-up rule's outer node lies past that of the exact n1 + n2 + 1
+    rule.
     """
     _check_compatible(s1, s2)
     if s1.domain is not Domain.HALF_LINE:
@@ -409,10 +388,9 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     if count > _GL_MAX:  # the sum of every such pair overflows: build no rule
         total = math.inf
     else:
-        weights = _laguerre_rule(count, w)[1]
+        (weights, rows1), (_, rows2) = (_laguerre_table(s.beta + 0.5, count, w) for s in (s1, s2))
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
-            lag1, lag2 = (_laguerre_table(s.beta + 0.5, count, w)[s.n] for s in (s1, s2))
-            total = float(np.dot(weights, lag1 * lag2))
+            total = float(np.dot(weights, rows1[s1.n] * rows2[s2.n]))
     if not np.isfinite(total):
         raise ParameterError(
             f"Gauss-Laguerre sum for n = {s1.n}, {s2.n} is not finite: "

@@ -165,46 +165,58 @@ class TestOverlap:
 
     def test_gauss_route_caches_its_rule_bit_for_bit(self):
         # the pair (2, 3) takes the 8-node rule, the smallest multiple of 8
-        # >= 2 + 3 + 1; both caches start empty, so the counts do not depend
-        # on which earlier test filled them
+        # >= 2 + 3 + 1; the cache starts empty, so the counts do not depend
+        # on which earlier test filled it
         import scipy.special
 
-        quad._laguerre_rule.cache_clear()
         quad._laguerre_table.cache_clear()
         s1, s2 = halfline_state(0.5, 2), halfline_state(0.5, 3)
         w = a = s1.beta + 0.5
         cold = overlap_halfline_gauss(s1, s2)
-        rule, table = quad._laguerre_rule.cache_info(), quad._laguerre_table.cache_info()
-        assert table[:2] == (1, 1)  # both states share a, so one table
+        table = quad._laguerre_table.cache_info()
+        assert table[:2] == (1, 1)  # both states share a, so one entry
         assert overlap_halfline_gauss(s1, s2) == cold
-        assert quad._laguerre_rule.cache_info()[:2] == (rule.hits + 1, 1)
         assert quad._laguerre_table.cache_info()[:2] == (table.hits + 2, 1)
-        nodes, weights = quad._laguerre_rule(8, w)
-        fresh = scipy.special.roots_genlaguerre(8, w)
-        np.testing.assert_array_equal(nodes, fresh[0])
-        np.testing.assert_array_equal(weights, fresh[1])
-        assert not (nodes.flags.writeable or weights.flags.writeable)
-        rows = quad._laguerre_table(a, 8, w)
+        weights, rows = quad._laguerre_table(a, 8, w)
+        nodes, fresh = scipy.special.roots_genlaguerre(8, w)
+        np.testing.assert_array_equal(weights, fresh)
         assert rows.shape == (8, 8)
         for n, row in enumerate(rows):
             np.testing.assert_array_equal(row, _laguerre_ref(n, a, nodes))
+        assert not (weights.flags.writeable or rows.flags.writeable)
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
 
     def test_gauss_pairwise_loop_evaluates_each_laguerre_once_per_rule(self, monkeypatch):
-        # 78 pairs share the 8-, 16- and 24-node rules, one table of 8, 16
+        # 78 pairs share the 8-, 16- and 24-node rules, one entry of 8, 16
         # and 24 rows each, where an exact n1 + n2 + 1 rule per pair needs 23
         # rules and 156 L_n; the checked specfun.laguerre is not called
         states = [halfline_state(3.3, n) for n in range(12)]
         pairs = [(i, j) for i in range(12) for j in range(i, 12)]
         cold = []
         for i, j in pairs:
-            quad._laguerre_rule.cache_clear()
             quad._laguerre_table.cache_clear()
             cold.append(overlap_halfline_gauss(states[i], states[j]))
         seen = _counting(monkeypatch)
         assert [overlap_halfline_gauss(states[i], states[j]) for i, j in pairs] == cold
         assert seen == {"passes": 3, "rows": 48, "laguerre": 0, "roots_genlaguerre": 3}
+
+    def test_gauss_mixed_branch_pair_builds_its_rule_once_per_a(self, monkeypatch):
+        # the alpha = 0 branches beta = -1 and beta = 0 differ in a = beta +
+        # 1/2 but share w: each a's entry builds the 8-node rule, and both
+        # get the same weights bit for bit
+        import scipy.special
+
+        quad._laguerre_table.cache_clear()
+        calls, roots = [], scipy.special.roots_genlaguerre
+        monkeypatch.setattr(scipy.special, "roots_genlaguerre", lambda *args: calls.append(args) or roots(*args))
+        s1, s2 = halfline_state(0.0, 2, -1.0), halfline_state(0.0, 3)
+        value = overlap_halfline_gauss(s1, s2)
+        assert calls == [(8, 0.0), (8, 0.0)]
+        assert quad._laguerre_table.cache_info()[:2] == (0, 2)
+        (w1, _), (w2, _) = (quad._laguerre_table(s.beta + 0.5, 8, 0.0) for s in (s1, s2))
+        np.testing.assert_array_equal(w1, w2)
+        assert abs(value - _exact_gauss(s1, s2)) <= 1e-13
 
     @pytest.mark.parametrize("n1, n2", [(0, 383), (188, 188), (300, 300), (2000, 2000)])
     def test_gauss_route_refuses_pairs_past_its_largest_rule(self, n1, n2, monkeypatch):
@@ -220,7 +232,7 @@ class TestOverlap:
             with pytest.raises(ParameterError, match=f"n = {n1}, {n2} is not finite"):
                 overlap_halfline_gauss(s1, s2)
         assert seen == {"passes": 0, "rows": 0, "laguerre": 0, "roots_genlaguerre": 0}
-        assert quad._laguerre_rule.cache_info()[:2] == (0, 0)
+        assert quad._laguerre_table.cache_info()[:2] == (0, 0)
 
     def test_gauss_route_builds_its_largest_rule(self, monkeypatch):
         # (0, 375) takes the 376-node rule, the largest one built; its sum
@@ -274,13 +286,13 @@ class TestOverlap:
 
 
 def _counting(monkeypatch):
-    """Empty quad's caches of Gram entries and Gauss-Laguerre rules and
-    tables, and count from here on the Laguerre recurrence passes quad
+    """Empty quad's caches of Gram entries and of Gauss-Laguerre rules with
+    their rows, and count from here on the Laguerre recurrence passes quad
     starts and the rows it draws from them, and its calls of the checked
     specfun.laguerre and of scipy.special.roots_genlaguerre."""
     import scipy.special
 
-    for cache in (quad._entry, quad._laguerre_rule, quad._laguerre_table):
+    for cache in (quad._entry, quad._laguerre_table):
         cache.cache_clear()
     seen = {"passes": 0, "rows": 0, "laguerre": 0, "roots_genlaguerre": 0}
 

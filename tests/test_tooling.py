@@ -252,6 +252,40 @@ def test_overlap_and_gram_sum_through_one_helper():
     assert "_laguerre_rows" in imported and "_laguerre" not in imported
 
 
+def test_quad_caches_each_reused_object_once():
+    # one lru cache per reused object: the Gram rule, the (beta, rule) entry
+    # and the Gauss-Laguerre rule with its rows; and no quad function imports
+    # a package module, as one that works round an import cycle would
+    from singosc import quad
+
+    caches = {name for name, value in vars(quad).items() if hasattr(value, "cache_info")}
+    assert caches == {"_rule", "_entry", "_laguerre_table"}
+    hits = [
+        f"{function.name}:{node.lineno}"
+        for function in ast.walk(parse(PACKAGE / "quad.py"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "singosc")
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "singosc" for a in node.names)
+    ]
+    assert hits == []
+
+
+def test_private_names_come_from_their_own_module():
+    # a private name imported through another module's re-export ties the
+    # importer to that module's imports, not to the definition
+    defined = {path.stem: set(private_definitions(parse(path))) for path in PACKAGE.glob("*.py")}
+    hits = [
+        f"{path.name}:{alias.name} from {node.module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.module and (node.level or node.module.startswith("singosc."))
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in defined[node.module.rpartition(".")[2]]
+    ]
+    assert hits == []
+
+
 def test_no_fixed_integration_box_is_left():
     # the box that ignored the states is gone, name and all
     hits = [
