@@ -19,7 +19,10 @@ def main(argv=None) -> int:
     if not 0 <= args.alpha_points <= MAX_POINTS:
         ap.error(f"--alpha-points must lie in [0, {MAX_POINTS}]")
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or on the way to it
+        ap.exit(1, f"{ap.prog}: error: cannot create --outdir {outdir}: {exc.strerror or exc}\n")
     for fig in (1, 2, 3, 4):
         out = outdir / f"figure{fig}.csv"
         # only the level diagrams 2 and 4 sweep alpha

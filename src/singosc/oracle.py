@@ -2,9 +2,12 @@
 
 Two routes that share nothing with the closed-form solution beyond the
 local indicial exponent nu = beta_plus + 1/2 = sqrt(alpha + 1/4).  Both
-take one window of energies the requested levels lie in (_window) and
-stop a few decay lengths past the outer turning point of its top
-(model._box, the box quad's Gram rule takes too).
+take one window of energies the requested levels lie in and stop a few
+decay lengths past the outer turning point of its top (model._box, the
+box quad's Gram rule takes too).  Only the public entries choose: fd_eigen
+and shoot_spectrum take the branch from the gate (admissible_beta) and the
+window from _window, and shoot_spectrum its start from _x0.  The private
+cores, _richardson and _shoot, take what they are given.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -175,20 +178,21 @@ def _fd_eigenvalues(
     return mu / 2.0  # every level of the grid up to top
 
 
-def _richardson(alpha: float, nu: float, s_min: float, k: int) -> OracleResult:
-    """The lowest k levels of the log grid from s_min to ln _box(top) of
-    their window and of the grid of twice its step, combined to cancel the
-    h^2 error, for the exponent nu = beta + 1/2 the caller resolved.  The
-    residual estimate is the fine grid's error (which bounds the
-    combination's) plus 3 e^(4 s_min) eps_top^2, eps_top the top level,
-    for what the two-term inner condition misses.
-    ParameterError unless k is an integer >= 1, the window's top passes nu
-    and the grid fits _MAX_ROWS; ConvergenceError when the residual
-    reaches a level or a level lies above the window, where the box
-    truncates it."""
+def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> OracleResult:
+    """The lowest k levels of the log grid from s_min to ln _box(top) and
+    of the grid of twice its step, combined to cancel the h^2 error, for
+    the signed exponent nu = beta + 1/2 of the branch beta and the window's
+    top the caller chose.  nu may be negative: with nu = beta_minus + 1/2
+    row 0 holds beta_minus's two-term condition (kappa0 < 0), and the
+    returned levels are its ladder.  The residual estimate is the fine
+    grid's error (which bounds the combination's) plus 3 e^(4 s_min)
+    eps_top^2, eps_top the top level, for what the two-term inner
+    condition misses.
+    ParameterError unless k is an integer >= 1, top passes |nu| and the
+    grid fits _MAX_ROWS; ConvergenceError when the residual reaches a
+    level or a level lies above top, where the box truncates it."""
     if not 1 <= k <= _MAX_ROWS or k != int(k):  # also catches a NaN k
         raise ParameterError(f"k must be an integer in [1, {_MAX_ROWS}], got {k}")
-    top = _window(alpha, int(k) - 1)[1]
     s_max = math.log(_box(alpha, top))
     kappa = math.sqrt(max(top * top - alpha - 0.25, 0.0))
     if not kappa > 0:  # from alpha ~ 1e32, where doubles merge the window's ends
@@ -223,7 +227,7 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     (_richardson); ConvergenceError when it reaches a level or the top
     level lies above the window, where the box truncates it."""
     t0 = time.perf_counter()
-    res = _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, k)
+    res = _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, _window(alpha, k - 1)[1], k)
     return replace(res, seconds=time.perf_counter() - t0)
 
 
@@ -272,7 +276,11 @@ def frobenius_start(alpha: float, eps_energy: float, x0: float) -> tuple[float, 
 
 def _window(alpha: float, n_max: int) -> tuple[float, float]:
     """Energies from the well's bottom, max(0.25, sqrt(alpha)), to 2 n_max +
-    2 above it: level n lies at most 2n + 1.31 above it."""
+    2 above it: level n lies at most 2n + 1.31 above it.  That bound is the
+    closed-form beta_plus ladder's, 2n + 1 + nu minus the bottom, which
+    peaks at 2n + 1.309 at alpha = 1/16.  The window only places the scan:
+    a wrong one raises BracketError or ConvergenceError and never returns a
+    wrong level.  A caller with another branch passes its own window."""
     start = max(0.25, math.sqrt(max(alpha, 0.0)))
     return start, start + 2.0 * n_max + 2.0
 
@@ -478,14 +486,17 @@ def _polynomial_roots(
     return eps[:, 0] + _D_EPS * t
 
 
-def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
-    """Shooting eigenvalues for n = 0 .. n_max: the zeros of the box-edge
-    value F = psi(_box), bracketed by its sign and confirmed by the node count.
+def _shoot(alpha: float, beta: float, x0: float, start: float, top: float, n_max: int) -> OracleResult:
+    """Shooting levels 0 .. n_max of the branch beta from the Frobenius
+    start x0, scanned over the lattice from start to top: the zeros of the
+    box-edge value F = psi(_box), bracketed by its sign and confirmed by
+    the node count, for the branch, start and window the caller chose.
+    beta + 1/2 must be positive, as _steps grades by _E_FOLDS / (beta + 1/2).
 
     The total sign-change count along [x0, _box] (including the tail flip
     of the growing contamination) is the number of eigenvalues below eps,
     and the sign of F is (-1)^count.  The scan pass integrates a lattice of
-    energies _D_EPS apart over _window, and counts at each the sign
+    energies _D_EPS apart over the window, and counts at each the sign
     changes of F below it (_sign_counts): levels lie about 2 apart, many
     lattice steps.  A level outside the window raises BracketError, as
     does a window of fewer than _STENCIL energies (where doubles merge the
@@ -495,20 +506,13 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     confirming pass counts nodes at each root -+ _EPS_TOL / 2: counts n and
     n + 1 make a guaranteed bracket, anything else (a level the scan
     misnumbered, too) raises NonConvergence.  Both passes step one grid,
-    to _box of the lattice's top energy; from alpha ~ 1e6 the start raises
-    ParameterError before it is built.
+    to _box of the lattice's top energy; a start where the series does not
+    converge raises ParameterError before it is built.
     """
-    t0 = time.perf_counter()
-    beta = admissible_beta(alpha)
-    _check_n(n_max)
-    n_max = int(n_max)
     targets = np.arange(n_max + 1)
-
-    start, top = _window(alpha, n_max)
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
     if eps.size < _STENCIL:
         raise BracketError(f"no bracket for levels {targets.tolist()} in eps <= {top:.4g}")
-    x0 = _x0(beta)
     y = _frobenius_series(beta, eps, x0)  # checked before the grid is built
     grid = _magnus_grid(alpha, x0, _box(alpha, eps[-1]), *_steps(alpha, beta, eps[-1]))
     _, psi, log_scale = _magnus_count_nodes(grid, y, eps, count=False)
@@ -530,8 +534,18 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
         msg = f"node counts at eps -+ {half:g} do not bracket levels {wrong.tolist()}"
         raise NonConvergence(msg)
     levels = tuple(float(v) for v in roots)
-    seconds = time.perf_counter() - t0
-    return OracleResult(levels, OracleMethod.SHOOTING, half, 2 * grid.steps, seconds=seconds)
+    return OracleResult(levels, OracleMethod.SHOOTING, half, 2 * grid.steps)
+
+
+def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
+    """Shooting eigenvalues for n = 0 .. n_max (_shoot) of the admissible
+    branch, from its start _x0 and over _window; from alpha ~ 1e6 the start
+    raises ParameterError before any grid is built."""
+    t0 = time.perf_counter()
+    beta = admissible_beta(alpha)
+    n_max = _check_n(n_max)
+    res = _shoot(alpha, beta, _x0(beta), *_window(alpha, n_max), n_max)
+    return replace(res, seconds=time.perf_counter() - t0)
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:

@@ -19,7 +19,7 @@ from singosc.errors import (
     SingOscError,
     SupercriticalError,
 )
-from singosc.model import Domain, _box, admissible_beta
+from singosc.model import Domain, _box, admissible_beta, indicial_roots
 from singosc.oracle import (
     _cosh_sinhc,
     _grid,
@@ -181,13 +181,13 @@ class TestFiniteDifference:
         # 3 e^-3 6.509^2 = 6.33 passes the ground level 2.50, while the
         # levels stay in the window (top 7.414)
         with pytest.raises(ConvergenceError, match="exceeds a level"):
-            _richardson(2.0, 1.5, -0.75, 3)
+            _richardson(2.0, 1.5, -0.75, oracle._window(2.0, 2)[1], 3)
 
     def test_inner_end_past_the_window_raises(self):
         # the inner end at x = e^0.5 pushes level 2 of the fine grid's
         # matrix above the window's top 7.414 (at x = 1 it is still 6.86)
         with pytest.raises(ConvergenceError, match="level 2 lies above 7.41421"):
-            _richardson(2.0, 1.5, 0.5, 3)
+            _richardson(2.0, 1.5, 0.5, oracle._window(2.0, 2)[1], 3)
 
     @pytest.mark.parametrize("k", [9, 41])
     @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.5, 2.0, 7.9])
@@ -298,7 +298,26 @@ class TestFiniteDifference:
         # holds exactly for its u = e^(nu s - e^2s / 2))
         t = spectrum_table(alpha, k - 1, Domain.HALF_LINE)
         want = np.array(t.distinct_levels())
-        res = _richardson(alpha, admissible_beta(alpha) + 0.5, math.log(e0), k)
+        top = oracle._window(alpha, k - 1)[1]
+        res = _richardson(alpha, admissible_beta(alpha) + 0.5, math.log(e0), top, k)
+        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, -0.1, 0.0, 0.05, 0.3, 0.5, 0.7])
+    def test_core_runs_the_minus_branch_from_its_signed_exponent(self, alpha, k):
+        # nu = beta_minus + 1/2 < 0 puts beta_minus's two-term condition in
+        # row 0 (kappa0 < 0), and the core returns its ladder 2n + beta_minus
+        # + 3/2, the even ladder 2n + 1/2 at alpha = 0; the closed form is the
+        # reference only (at most 0.017 of the residual, relative 2.6e-5, 618
+        # rows); at (0.7, 9) the one residual, 0.0345, passes the ground level 0.025
+        beta = indicial_roots(alpha).beta_minus
+        top = oracle._window(alpha, k - 1)[1]
+        if (alpha, k) == (0.7, 9):
+            with pytest.raises(ConvergenceError, match="exceeds a level"):
+                _richardson(alpha, beta + 0.5, oracle._S_MIN, top, k)
+            return
+        res = _richardson(alpha, beta + 0.5, oracle._S_MIN, top, k)
+        want = 2.0 * np.arange(k) + beta + 1.5
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
 
 

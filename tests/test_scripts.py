@@ -90,3 +90,17 @@ class TestEmitFigures:
             emit.main(["--alpha-points", points, "--outdir", str(tmp_path / "out")])
         assert exc.value.code == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_outdir_naming_a_file_is_one_error_line(self, under, tmp_path, capsys):
+        # an existing file, or a path under one, cannot be made a directory
+        (tmp_path / "taken").write_text("")
+        outdir = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
+        emit = load_script("emit_figures")
+        with pytest.raises(SystemExit) as exc:
+            emit.main(["--alpha-points", "5", "--outdir", str(outdir)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f": error: cannot create --outdir {outdir}: " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_text() == ""

@@ -198,16 +198,21 @@ def test_box_rule_is_defined_once_in_model():
 
 
 def test_only_public_oracle_entries_resolve_beta():
-    # each public entry resolves the branch exponent once and passes it
-    # down, so a private layer can take any beta the caller gives it
-    callers = [
-        node.name
-        for node in parse(PACKAGE / "oracle.py").body
-        if isinstance(node, ast.FunctionDef)
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "admissible_beta"
-    ]
-    assert sorted(callers) == ["fd_eigen", "frobenius_start", "shoot_spectrum"]
+    # each public entry resolves the branch exponent, the shooting start and
+    # the window once and passes them down, so a private core can take any
+    # branch, start and window the caller gives it
+    def callers(name):
+        return sorted(
+            node.name
+            for node in parse(PACKAGE / "oracle.py").body
+            if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+        )
+
+    assert callers("admissible_beta") == ["fd_eigen", "frobenius_start", "shoot_spectrum"]
+    assert callers("_window") == ["fd_eigen", "shoot_spectrum"]
+    assert callers("_x0") == ["shoot_spectrum"]
 
 
 def test_only_public_spectrum_entries_resolve_beta():
