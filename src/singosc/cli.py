@@ -11,11 +11,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import verify as verify_mod
 from .errors import SingOscError, SupercriticalError
@@ -83,6 +82,15 @@ def _csv_column(column: list, lone: bool) -> tuple[str, list]:
     return "%s", cells
 
 
+def _json_column(column: list) -> tuple[str, list]:
+    """A column's %-spec and the cells it formats: a column of exact,
+    finite floats formats itself with %r (float.__repr__, as json writes
+    a float), any other is encoded here by json.dumps."""
+    if {*map(type, column)} == {float} and all(map(math.isfinite, column)):
+        return "%r", column
+    return "%s", list(map(json.dumps, column))
+
+
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -107,7 +115,8 @@ def emit_rows(
     floats to 17 significant digits (the bytes csv.DictWriter would write),
     each row one % format of a template built per column.
     fmt "json": {"rows": [...], **meta}, each row keyed in the order of
-    `columns`."""
+    `columns`: the bytes json.dumps(..., indent=2) writes, each row one %
+    format of a template whose keys are encoded once."""
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(fields)
@@ -116,21 +125,31 @@ def emit_rows(
         buf.write("".join(map(template.__mod__, zip(*(cells for _, cells in encoded)))))
         _write_text(buf.getvalue(), path)
     else:
-        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-        _write_json({"rows": rows, **(meta or {})}, path)
+        encoded = [(json.dumps(key).replace("%", "%%"), *_json_column(cells))
+                   for key, cells in columns.items()]
+        template = "    {\n" + ",\n".join(f"      {key}: {spec}" for key, spec, _ in encoded) + "\n    }"
+        rows = ",\n".join(map(template.__mod__, zip(*(cells for _, _, cells in encoded))))
+        head = f'{{\n  "rows": [\n{rows}\n  ]' if rows else '{\n  "rows": []'
+        tail = "," + json.dumps(meta, indent=2)[1:] if meta else "\n}"
+        _write_text(head + tail + "\n", path)
 
 
 def _write_json(payload: dict, path: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
-def _alpha_sweep(points: int) -> np.ndarray:
+def _alpha_sweep(points: int) -> list[float]:
+    """points alphas uniform on (lo, hi], the open left endpoint dropped:
+    np.linspace(lo, hi, points + 1)[1:] bit for bit, by its arithmetic
+    (i * step + lo, the last point set to hi), with no numpy."""
     if points < 0:
         raise SingOscError("--alpha-points must be >= 0")
     if points > MAX_POINTS:
         raise SingOscError(f"--alpha-points must be at most {MAX_POINTS}")
-    # uniform on (lo, hi]: drop the open left endpoint
-    return np.linspace(ALPHA_SWEEP_LO, ALPHA_SWEEP_HI, points + 1)[1:]
+    if points == 0:
+        return []
+    step = (ALPHA_SWEEP_HI - ALPHA_SWEEP_LO) / points
+    return [i * step + ALPHA_SWEEP_LO for i in range(1, points)] + [ALPHA_SWEEP_HI]
 
 
 def _spec_from(args: argparse.Namespace, alpha: float) -> OscillatorSpec:
@@ -162,7 +181,9 @@ def _emit_levels(
     return 0
 
 
-def _xi_grid(args: argparse.Namespace, domain: Domain) -> np.ndarray:
+def _xi_grid(args: argparse.Namespace, domain: Domain):
+    import numpy as np
+
     lo = args.xi_min if args.xi_min is not None else (-6.0 if domain is Domain.FULL_LINE else 0.0)
     hi = args.xi_max if args.xi_max is not None else 6.0
     n = args.xi_points if args.xi_points is not None else 601
@@ -178,6 +199,8 @@ def _xi_grid(args: argparse.Namespace, domain: Domain) -> np.ndarray:
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
+    import numpy as np
+
     domain = Domain(args.domain)
     if domain is Domain.HALF_LINE:
         if args.parity is not None:
@@ -225,6 +248,8 @@ def _level_columns(rows: list[tuple]) -> dict[str, list]:
 
 
 def _figure_potential() -> dict[str, list]:
+    import numpy as np
+
     x = np.linspace(0.02, 3.0, 150)
     columns = {"alpha": [], "x": [], "V": []}
     for alpha in (-0.2, 0.0, 0.2):
@@ -236,7 +261,7 @@ def _figure_potential() -> dict[str, list]:
 
 def _figure_levels_halfline(points: int) -> dict[str, list]:
     rows = []
-    for alpha in _alpha_sweep(points).tolist():
+    for alpha in _alpha_sweep(points):
         for state in spectrum_table(alpha, 4, Domain.HALF_LINE).states:
             rows.append(("curve", alpha, state.n, f"n={state.n}", state.energy_eps, 1))
     for branch, label in ((-1.0, "beta=-1"), (0.0, "beta=0")):
@@ -246,6 +271,8 @@ def _figure_levels_halfline(points: int) -> dict[str, list]:
 
 
 def _figure_ground_states() -> dict[str, list]:
+    import numpy as np
+
     xi = np.linspace(0.0, 4.0, 401)
     columns = {"alpha": [], "xi": [], "psi": [], "rho": []}
     for alpha in (-0.249, -0.2, 0.2, 3.0):
@@ -259,7 +286,7 @@ def _figure_ground_states() -> dict[str, list]:
 
 def _figure_levels_fullline(points: int) -> dict[str, list]:
     rows = []
-    for alpha in _alpha_sweep(points).tolist():
+    for alpha in _alpha_sweep(points):
         # sweep grid never hits alpha = 0 exactly, so every level is a
         # degenerate even/odd pair, drawn as one curve from its even state
         for state in spectrum_table(alpha, 4, Domain.FULL_LINE).states:

@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InadmissibleError, ParameterError, SingularPointError, SupercriticalError
 
 # Strict admissibility bound: alpha must exceed this for any bound state.
@@ -198,6 +196,8 @@ def potential_value(spec: OscillatorSpec, x):
     Accepts scalar or ndarray x.  x = 0 is a genuine singularity whenever
     alpha != 0.
     """
+    import numpy as np
+
     x_arr = np.asarray(x, dtype=float)
     harmonic = 0.5 * spec.mass * spec.omega**2 * x_arr**2
     if spec.alpha == 0:

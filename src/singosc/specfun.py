@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .errors import NonConvergence, ParameterError, PoleError
 
 # Tolerance inside which an argument counts as sitting on a pole of Gamma.
@@ -134,6 +132,8 @@ def laguerre(n: int, a: float, y):
     ParameterError where a value is not finite: the recurrence overflows,
     or y is not finite.
     """
+    import numpy as np
+
     n = _check_n(n)
     if not a > -1:
         raise ParameterError("Laguerre order parameter must satisfy a > -1")
@@ -164,6 +164,8 @@ def _laguerre_rows(a: float, y, rows=()):
     (L_(-1) = 0 starts it from L_0 alone).  Each row is a new array, so a
     caller may keep the rows it has been given; the generator itself holds
     only the last two."""
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     if not rows:
         yield np.ones_like(y)
@@ -182,6 +184,8 @@ def hermite(n: int, xi):
     Satisfies H_n(-xi) = (-1)^n H_n(xi).  Raises ParameterError where a
     value is not finite: the recurrence overflows, or xi is not finite.
     """
+    import numpy as np
+
     n = _check_n(n)
     xi = np.asarray(xi, dtype=float)
     if n == 0:

@@ -19,8 +19,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import specfun
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
@@ -86,6 +84,8 @@ class EigenState:
     def psi(self, x):
         """Wavefunction value, one array expression for any x; a 0-d x gives
         a Python float, equal bit for bit to the ndarray element."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if self.domain is Domain.FULL_LINE:
             r = np.abs(x)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import spectrum
 from .errors import ParameterError, SupercriticalError
 from .model import ALPHA_CRITICAL, Domain, Parity, admissible_beta, indicial_roots
@@ -55,6 +53,8 @@ class SuiteReport:
 
 def suite_hermiticity() -> SuiteReport:
     """Admissibility: beta_minus rejection and the supercritical wall."""
+    import numpy as np
+
     from . import oracle, quad
 
     rep = SuiteReport("hermiticity")
@@ -102,6 +102,8 @@ def suite_hermiticity() -> SuiteReport:
 def suite_orthonormality() -> SuiteReport:
     """Gram matrices of the first 6 half-line states: |G - I| bounds the
     closed-form norm constants' error |1/sqrt(G_nn) - 1| too."""
+    import numpy as np
+
     from . import quad
 
     rep = SuiteReport("orthonormality")

@@ -10,12 +10,22 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singosc import oracle, quad, spectrum, verify
-from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, build_parser, emit_rows, main
+from singosc.cli import (
+    ALPHA_SWEEP_HI,
+    ALPHA_SWEEP_LO,
+    ALPHA_SWEEP_POINTS,
+    MAX_POINTS,
+    _alpha_sweep,
+    build_parser,
+    emit_rows,
+    main,
+)
 from singosc.errors import ParameterError
 from singosc.model import Domain, OscillatorSpec, potential_value
 from singosc.spectrum import N_MAX, spectrum_table
@@ -115,6 +125,8 @@ class TestExitCodes:
             ("wavefunction --alpha 1 --xi-points 100000000000000000000",
              f"--xi-points must be at most {MAX_POINTS}"),
             ("figure 2 --alpha-points 100000000000000000000",
+             f"--alpha-points must be at most {MAX_POINTS}"),
+            (f"figure 4 --alpha-points {MAX_POINTS + 1}",
              f"--alpha-points must be at most {MAX_POINTS}"),
             ("radial --alpha 1 --l 1" + "0" * 160, "l(l+1) overflows a float"),
         ],
@@ -526,6 +538,11 @@ class TestFigureCommands:
         curves = [r for r in parse_csv(text) if r["kind"] == "curve"]
         assert rc == 0 and len(curves) == ALPHA_SWEEP_POINTS * 5
 
+    @pytest.mark.parametrize("points", [0, 1, 2, 3, 7, 200, 99_999, 100_000])
+    def test_alpha_sweep_is_linspace_bit_for_bit(self, points):
+        want = np.linspace(ALPHA_SWEEP_LO, ALPHA_SWEEP_HI, points + 1)[1:].tolist()
+        assert list(map(float.hex, _alpha_sweep(points))) == list(map(float.hex, want))
+
     def test_figure4_degenerate_curves_and_markers(self, tmp_path):
         rc, text = run_cli(["figure", "4", "--alpha-points", "12"], tmp_path)
         rows = parse_csv(text)
@@ -890,6 +907,44 @@ class TestLazyQuadratureRule:
         assert "numpy.polynomial.legendre" in _loaded_after(code, "numpy.polynomial")
 
 
+class TestLazyNumpy:
+    """numpy loads only in the calls that build arrays: the closed-form
+    ladder of a level table needs only math."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import singosc",
+            "import singosc.cli",
+            _run_module("spectrum", "--alpha", "0.5"),
+            _run_module("spectrum", "--alpha", "0.3", "--domain", "full"),
+            _run_module("spectrum", "--alpha", "0.5", "--format", "json"),
+            _run_module("spectrum", "--alpha", "0.5", "--mass", "2"),
+            _run_module("radial", "--alpha", "0.5", "--l", "1"),
+            _run_module("figure", "2"),
+            _run_module("figure", "4"),
+            _run_module("verify", "--suite", "degeneracy"),
+        ],
+        ids=["import", "import-cli", "spectrum-half", "spectrum-full", "spectrum-json",
+             "spectrum-mass", "radial", "figure-2", "figure-4", "verify-degeneracy"],
+    )
+    def test_level_tables_load_no_numpy(self, code):
+        assert _loaded_after(code, "numpy") == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("wavefunction", "--alpha", "0.5", "--xi-points", "5"),
+            ("figure", "1"),
+            ("figure", "3"),
+            ("verify", "--suite", "hermiticity"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_array_calls_load_numpy(self, argv):
+        assert "numpy" in _loaded_after(_run_module(*argv), "numpy")
+
+
 def _dictwriter_csv(rows, fields):
     """Reference CSV: one formatted dict and one csv.DictWriter call per row."""
     buf = io.StringIO()
@@ -927,6 +982,38 @@ def _tables(draw):
     return rows, fields
 
 
+_JSON_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-300, math.inf, -math.inf, math.nan]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(['say "hi"', "caf\u00e9", "\u2603", "back\\slash", "50%", "%s", "%r"]),
+)
+_JSON_KEYS = st.one_of(
+    st.sampled_from(["alpha", "eps", "n", 'a"b', "\u00e9", "%r", "100%", "%%"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _json_tables(draw):
+    """Equally long columns, each all finite floats, as most are, or any
+    cells, and the meta that follows the rows (never a "rows" key)."""
+    keys = draw(st.lists(_JSON_KEYS, max_size=5, unique=True))
+    count = draw(st.integers(0, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    columns = {
+        key: draw(st.lists(st.one_of(finite, _JSON_CELLS) if draw(st.booleans()) else finite,
+                           min_size=count, max_size=count))
+        for key in keys
+    }
+    meta = draw(st.none() | st.dictionaries(_JSON_KEYS.filter(lambda k: k != "rows"),
+                                            _JSON_CELLS, max_size=3))
+    return columns, meta
+
+
 class TestEmitRowsBytes:
     @settings(max_examples=200)
     @given(_tables())
@@ -934,6 +1021,19 @@ class TestEmitRowsBytes:
     def test_csv_equals_dictwriter(self, table):
         rows, fields = table
         assert _emit_csv(rows, fields) == _dictwriter_csv(rows, fields)
+
+    @settings(max_examples=300)
+    @given(_json_tables())
+    @example(({}, None))
+    @example(({"eps": [], "n": []}, {"spacing": 2.0}))
+    @example(({"eps": [-0.0, 1e-300, math.nan], "%r": [math.inf, -math.inf, 5e-324]}, {"a": 1}))
+    def test_json_equals_json_dumps(self, table):
+        columns, meta = table
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        want = json.dumps({"rows": rows, **(meta or {})}, indent=2) + "\n"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            emit_rows(columns, list(columns), "json", None, meta)
+        assert out.getvalue() == want
 
     @pytest.mark.parametrize("fields", [["label"], ["label", "eps"]])
     @pytest.mark.parametrize(

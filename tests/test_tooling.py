@@ -316,3 +316,21 @@ def test_no_module_imports_scipy_integrate():
             if any((n + ".").startswith("scipy.integrate.") for n in names):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def test_only_oracle_and_quad_import_numpy_at_module_level():
+    # a level table is the closed-form ladder and needs only math: every
+    # other module imports numpy inside the functions that build arrays
+    def top_level_imports(tree):
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                yield node.module
+
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(name.split(".")[0] == "numpy" for name in top_level_imports(parse(path)))
+    ]
+    assert importers == ["oracle.py", "quad.py"]
