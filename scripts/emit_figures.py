@@ -7,13 +7,13 @@ Usage: python scripts/emit_figures.py [--outdir figures] [--alpha-points 200]
 import pathlib
 import sys
 
-from singosc.cli import MAX_POINTS, Parser, main as cli_main
+from singosc.cli import ALPHA_SWEEP_POINTS, MAX_POINTS, Parser, main as cli_main
 
 
 def main(argv=None) -> int:
     ap = Parser(description=__doc__)
     ap.add_argument("--outdir", default="figures")
-    ap.add_argument("--alpha-points", type=int, default=200)
+    ap.add_argument("--alpha-points", type=int, default=ALPHA_SWEEP_POINTS)
     args = ap.parse_args(argv)
     # figure 2 would reject it only after figure 1 is written
     if not 0 <= args.alpha_points <= MAX_POINTS:

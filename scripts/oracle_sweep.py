@@ -31,11 +31,11 @@ def run(alphas: tuple[float, ...], n_max: int) -> None:
         f"{'fd resid':>10}  {'shoot s':>7}  {'fd s':>6}  {'fd rows':>7}  {'steps':>6}"
     )
     for alpha in alphas:
-        table = spectrum_table(alpha, n_max, Domain.HALF_LINE)
+        levels = spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels()
         shoot = shoot_spectrum(alpha, n_max)
         fd = fd_eigen(alpha, n_max + 1)
-        rs = compare(table, shoot, tol=ORACLE_TOL_SHOOT)
-        rf = compare(table, fd, tol=ORACLE_TOL_FD)
+        rs = compare(levels, shoot, tol=ORACLE_TOL_SHOOT)
+        rf = compare(levels, fd, tol=ORACLE_TOL_FD)
         beta = indicial_roots(alpha).beta_plus
         print(
             f"{alpha:>8.3f}  {beta:>10.5f}  {rs.max_rel_error:>10.2e}  "

@@ -59,14 +59,13 @@ import enum
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, NonConvergence, ParameterError, ShapeMismatch
-from .model import Domain, _box, admissible_beta
+from .model import _box, admissible_beta
 from .specfun import _check_n
-from .spectrum import SpectrumTable
 
 # Shooting's Frobenius start point floor and its scale in sqrt(beta + 1),
 # terms, and the relative size the series' last term may reach:
@@ -130,15 +129,12 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class CompareReport:
-    """Per-level relative errors of an oracle against an analytic table."""
+    """An oracle's levels graded against analytic ones by relative error."""
 
     analytic_levels: tuple[float, ...]
     oracle_levels: tuple[float, ...]
-    rel_errors: tuple[float, ...]
     max_rel_error: float
-    tol: float
     passed: bool
-    note: str = ""
 
 
 def _fd_eigenvalues(
@@ -554,31 +550,13 @@ def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
     return replace(full, eigenvalues=(full.eigenvalues[n_target],))
 
 
-def compare(analytic: SpectrumTable, oracle: OracleResult, tol: float) -> CompareReport:
-    """Pair analytic distinct levels with oracle eigenvalues and grade."""
-    a_levels = analytic.distinct_levels()
-    o_levels = oracle.eigenvalues
-    if len(a_levels) == 0 or len(o_levels) == 0:
+def compare(analytic_levels: Sequence[float], oracle: OracleResult, tol: float) -> CompareReport:
+    """Pair ascending analytic levels with the oracle's eigenvalues and
+    grade: passed when the counts agree and every relative error is <= tol;
+    ShapeMismatch when either list is empty."""
+    a_levels, o_levels = tuple(analytic_levels), oracle.eigenvalues
+    if not a_levels or not o_levels:
         raise ShapeMismatch("cannot compare empty level lists")
-    k = min(len(a_levels), len(o_levels))
-    rel = tuple(abs(o - a) / abs(a) for a, o in zip(a_levels[:k], o_levels[:k]))
-    max_rel = max(rel)
+    max_rel = max(abs(o - a) / abs(a) for a, o in zip(a_levels, o_levels))
     passed = len(a_levels) == len(o_levels) and max_rel <= tol
-    note = ""
-    if len(a_levels) != len(o_levels):
-        note = f"level counts differ: analytic {len(a_levels)}, oracle {len(o_levels)}; "
-    if not passed and analytic.alpha == 0 and analytic.domain is Domain.FULL_LINE:
-        note += (
-            "oracle takes the branch beta = 0, psi(0) = 0, so the even-parity "
-            "alpha = 0 levels are invisible to it"
-        )
-    return CompareReport(
-        analytic_levels=a_levels,
-        oracle_levels=o_levels,
-        rel_errors=rel,
-        max_rel_error=max_rel,
-        tol=tol,
-        passed=passed,
-        note=note.strip(),
-    )
-
+    return CompareReport(a_levels, o_levels, max_rel, passed)

@@ -127,23 +127,18 @@ def suite_oracle(alphas: tuple[float, ...] = (0.5, 2.0), n_max: int = 3) -> Suit
 
     rep = SuiteReport("oracle")
     for alpha in alphas:
-        table = spectrum.spectrum_table(alpha, n_max, Domain.HALF_LINE)
-        shoot = oracle.shoot_spectrum(alpha, n_max)
-        r1 = oracle.compare(table, shoot, ORACLE_TOL_SHOOT)
-        rep.add(
-            f"shooting alpha={alpha}",
-            r1.passed,
-            f"max rel err {r1.max_rel_error:.2e}",
-            f"<= {ORACLE_TOL_SHOOT:.0e}",
-        )
-        fd = oracle.fd_eigen(alpha, n_max + 1)
-        r2 = oracle.compare(table, fd, ORACLE_TOL_FD)
-        rep.add(
-            f"finite-difference alpha={alpha}",
-            r2.passed,
-            f"max rel err {r2.max_rel_error:.2e}",
-            f"<= {ORACLE_TOL_FD:.0e}",
-        )
+        levels = spectrum.spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels()
+        for name, result, tol in (
+            ("shooting", oracle.shoot_spectrum(alpha, n_max), ORACLE_TOL_SHOOT),
+            ("finite-difference", oracle.fd_eigen(alpha, n_max + 1), ORACLE_TOL_FD),
+        ):
+            r = oracle.compare(levels, result, tol)
+            rep.add(
+                f"{name} alpha={alpha}",
+                r.passed,
+                f"max rel err {r.max_rel_error:.2e}",
+                f"<= {tol:.0e}",
+            )
     return rep
 
 

@@ -597,6 +597,26 @@ class TestVerifyCommand:
         assert [line.split()[0] for line in lines[1:3]] == ["PASS", "PASS"]
         assert lines[-1] == "overall: PASS"
 
+    def test_oracle_suite_grades_shooting_then_fd_through_compare(self, monkeypatch):
+        # the benchmark's checker reads every oracle.compare call the suite
+        # makes, the oracle's result as its second positional argument
+        calls = []
+        inner = oracle.compare
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(oracle, "compare", spy)
+        verify.suite_oracle(alphas=(0.5,), n_max=4)
+        assert [(args[1].method, args[2]) for args in calls] == [
+            (oracle.OracleMethod.SHOOTING, verify.ORACLE_TOL_SHOOT),
+            (oracle.OracleMethod.FINITE_DIFFERENCE, verify.ORACLE_TOL_FD),
+        ]
+        beta = math.sqrt(0.75) - 0.5
+        ladder = [2 * n + beta + 1.5 for n in range(5)]
+        assert [list(args[0]) for args in calls] == [pytest.approx(ladder, rel=1e-15)] * 2
+
     def test_oracle_suite_at_huge_alpha_exits_1(self, capsys):
         # shooting's Frobenius series does not converge at x0 = 1.6e6
         assert main(["verify", "--suite", "oracle", "--alpha", "1e30"]) == 1

@@ -989,28 +989,26 @@ class TestCompare:
     def test_pass_report(self):
         t = spectrum_table(0.5, 2, Domain.HALF_LINE)
         res = shoot_spectrum(0.5, 2)
-        rep = compare(t, res, tol=1e-4)
+        rep = compare(t.distinct_levels(), res, tol=1e-4)
         assert rep.passed
         assert rep.max_rel_error < 1e-4
-        assert len(rep.rel_errors) == 3
+        assert len(rep.oracle_levels) == 3
 
     def test_tight_tolerance_fails(self):
         t = spectrum_table(0.5, 1, Domain.HALF_LINE)
         res = shoot_spectrum(0.5, 1)
-        rep = compare(t, res, tol=1e-12)
+        rep = compare(t.distinct_levels(), res, tol=1e-12)
         assert not rep.passed
 
-    def test_fullline_free_case_notes_dirichlet_blindness(self):
-        t = spectrum_table(0.0, 1, Domain.FULL_LINE)
-        res = shoot_spectrum(0.0, 1)
-        rep = compare(t, res, tol=1e-3)
-        assert "even" in rep.note
-
-    def test_empty_oracle_rejected(self):
+    @pytest.mark.parametrize("empty", ["analytic", "oracle"])
+    def test_empty_oracle_rejected(self, empty):
         import dataclasses
 
-        t = spectrum_table(0.5, 1, Domain.HALF_LINE)
+        levels = spectrum_table(0.5, 1, Domain.HALF_LINE).distinct_levels()
         res = shoot_spectrum(0.5, 0)
-        empty = dataclasses.replace(res, eigenvalues=())
+        if empty == "analytic":
+            levels = ()
+        else:
+            res = dataclasses.replace(res, eigenvalues=())
         with pytest.raises(ShapeMismatch):
-            compare(t, empty, tol=1e-4)
+            compare(levels, res, tol=1e-4)

@@ -82,6 +82,16 @@ class TestEmitFigures:
             want = capsys.readouterr().out.encode("utf-8")
             assert (tmp_path / f"figure{k}.csv").read_bytes() == want
 
+    def test_default_sweep_is_the_cli_default(self, tmp_path, capsys):
+        # with no --alpha-points, figures 2 and 4 sweep as `singosc figure` does
+        emit = load_script("emit_figures")
+        assert emit.main(["--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for k in (2, 4):
+            assert cli_main(["figure", str(k)]) == 0
+            want = capsys.readouterr().out.encode("utf-8")
+            assert (tmp_path / f"figure{k}.csv").read_bytes() == want
+
     @pytest.mark.parametrize("points", ["-1", "100001"])
     def test_bad_point_count_writes_no_file(self, points, tmp_path):
         # figure 1 takes no sweep, so only a check before it keeps its file out

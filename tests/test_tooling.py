@@ -175,6 +175,12 @@ def test_oracle_imports_nothing_from_quad():
     assert "quad" not in set(modules_imported_from(parse(PACKAGE / "oracle.py")))
 
 
+def test_oracle_imports_nothing_from_spectrum():
+    # an oracle is never seeded from the closed form: compare grades the
+    # analytic levels its caller passes, so oracle needs no spectrum
+    assert "spectrum" not in set(modules_imported_from(parse(PACKAGE / "oracle.py")))
+
+
 def test_one_finite_difference_builder():
     # one builder for every inner condition: the tridiagonal solve has one
     # call site, not one per variant of row 0
