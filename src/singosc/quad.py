@@ -25,7 +25,8 @@ keeps.  gram and overlap take their records through one lookup
 evaluates each (state, rule) pair and sums its psi^2 once.
 Half-line inner products also ship a Gauss-Laguerre path in y = x^2,
 exact for the bound states' polynomial integrands: the independent
-second route, whose rules have a multiple of 8 nodes; one cache entry
+second route, whose rules have a multiple of 8 nodes, built in numpy by
+Golub-Welsch (_gauss_laguerre), so quad loads no scipy; one cache entry
 holds a rule's weights and the rows L_0, L_1, ... of one a on its nodes.
 Principal values (cauchy_pv) run on the same Gauss-Legendre rule; f must
 take arrays, and the limits must be finite.
@@ -344,21 +345,54 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     return float(fine[1])
 
 
+def _gauss_laguerre(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the count-point Gauss rule for y^w e^-y on
+    (0, inf), w > -1, in numpy, in place of scipy.special.roots_genlaguerre
+    (Golub & Welsch, Math. Comp. 23 (1969) 221).
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix, diagonal
+    2k + w + 1 and off-diagonal -sqrt(k (k + w)), polished by one Newton
+    step.  The step evaluates L_M^(w) by the normalized difference
+    recurrence of scipy's eval_genlaguerre, not by specfun._laguerre_rows:
+    p_k = L_k^(w) / C(k + w, k) and d_k = p_k - p_(k-1), so p_k(0) = 1,
+    (k + w + 1) d_(k+1) = k d_k - y p_k and y L_M' / L_M = M d_M / p_M;
+    the plain recurrence leaves nodes up to 4e-13 off.  The weights are
+    1 / (y L_M'^2), L_M' carried to the polished node by the Laguerre
+    equation at a root, L'' / L' = (y - w - 1) / y, and scaled to sum to
+    Gamma(w + 1).  Warns where L_M or the sum overflows; the caller
+    silences that and checks its sum."""
+    try:
+        total = math.gamma(w + 1.0)
+    except OverflowError:  # every weight is inf, and the caller's sum too
+        total = math.inf
+    k = np.arange(1, count)
+    jacobi = np.diag(2.0 * np.arange(count) + w + 1.0)
+    jacobi[k, k - 1] = -np.sqrt(k * (k + w))  # eigvalsh reads the lower triangle
+    y = np.linalg.eigvalsh(jacobi)
+    d = -y / (w + 1.0)
+    p = 1.0 + d
+    for j in range(1, count):
+        d = (j * d - y * p) / (j + w + 1.0)
+        p += d
+    step = y * p / (count * d)
+    slope = d / y * (1.0 - step * (y - w - 1.0) / y)  # L_M' at the polished node / (M C(M + w, M))
+    weights = 1.0 / ((y - step) * slope * slope)
+    return y - step, weights * (total / weights.sum())
+
+
 @functools.lru_cache(maxsize=32)
 def _laguerre_table(a: float, count: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only weights of the count-point generalized Gauss-Laguerre rule
-    for y^w e^-y and rows L_0^(a) .. L_(count-1)^(a) on its nodes, every
-    degree a pair on the rule takes, from one _laguerre_rows pass.  Every
-    pair of one Gram matrix shares w, and counts are multiples of
-    _GL_STEP, so an N-state matrix needs about N / 4 entries; a = beta +
-    1/2, so the alpha = 0 branches differ in it, and each builds its own
-    rule.  Silent where scipy's root polish or a row overflows (the caller
-    checks its sum); at most _GL_MAX^2 doubles (1.1 MB) an entry, 36 MB in
-    all."""
-    import scipy.special
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes, weights = scipy.special.roots_genlaguerre(count, w)
+    for y^w e^-y (_gauss_laguerre) and rows L_0^(a) .. L_(count-1)^(a) on
+    its nodes, every degree a pair on the rule takes, from one
+    _laguerre_rows pass.  Every pair of one Gram matrix shares w, and
+    counts are multiples of _GL_STEP, so an N-state matrix needs about
+    N / 4 entries; a = beta + 1/2, so the alpha = 0 branches differ in it,
+    and each builds its own rule.  Silent where the rule's polish or a row
+    overflows (the caller checks its sum); at most _GL_MAX^2 doubles
+    (1.1 MB) an entry, 36 MB in all."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nodes, weights = _gauss_laguerre(count, w)
         rows = np.array(list(itertools.islice(_laguerre_rows(a, nodes), count)))
     weights.flags.writeable = rows.flags.writeable = False
     return weights, rows

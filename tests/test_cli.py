@@ -816,7 +816,7 @@ _ANALYTIC_ARGV = [
 
 
 class TestLazyScipy:
-    """scipy loads only inside the oracle and quadrature calls that use it."""
+    """scipy loads only inside the oracle calls that use it."""
 
     def test_import_loads_no_scipy(self):
         assert _loaded_after("import singosc") == []
@@ -837,9 +837,9 @@ class TestLazyScipy:
     def test_perturbation_suite_loads_no_scipy(self):
         assert _loaded_after(_run_module("verify", "--suite", "perturbation")) == []
 
-    def test_quadrature_loads_special_only_for_the_gauss_route(self):
+    def test_quadrature_loads_no_scipy(self):
         # the Gauss-Legendre rule behind Gram matrices and principal values
-        # needs no scipy; the Gauss-Laguerre route loads scipy.special
+        # and the Gauss-Laguerre rule of the second route are built in numpy
         def after(call):
             return _loaded_after(
                 "from singosc import quad, spectrum\n"
@@ -849,9 +849,8 @@ class TestLazyScipy:
 
         assert after("quad.overlap(s, s)") == []
         assert after("quad.gram([s])[0, 0]") == []
-        loaded = after("quad.overlap_halfline_gauss(s, s)")
-        assert "scipy.special" in loaded and "scipy.integrate" not in loaded
-        # PV of 1/x on [-1, 1] is 0; no scipy, so no scipy.integrate
+        assert after("quad.overlap_halfline_gauss(s, s)") == []
+        # PV of 1/x on [-1, 1] is 0
         assert after("1.0 + quad.cauchy_pv(lambda x: 1.0 / x, -1.0, 1.0, 0.0)") == []
 
 

@@ -167,8 +167,6 @@ class TestOverlap:
         # the pair (2, 3) takes the 8-node rule, the smallest multiple of 8
         # >= 2 + 3 + 1; the cache starts empty, so the counts do not depend
         # on which earlier test filled it
-        import scipy.special
-
         quad._laguerre_table.cache_clear()
         s1, s2 = halfline_state(0.5, 2), halfline_state(0.5, 3)
         w = a = s1.beta + 0.5
@@ -178,7 +176,7 @@ class TestOverlap:
         assert overlap_halfline_gauss(s1, s2) == cold
         assert quad._laguerre_table.cache_info()[:2] == (table.hits + 2, 1)
         weights, rows = quad._laguerre_table(a, 8, w)
-        nodes, fresh = scipy.special.roots_genlaguerre(8, w)
+        nodes, fresh = quad._gauss_laguerre(8, w)
         np.testing.assert_array_equal(weights, fresh)
         assert rows.shape == (8, 8)
         for n, row in enumerate(rows):
@@ -199,17 +197,15 @@ class TestOverlap:
             cold.append(overlap_halfline_gauss(states[i], states[j]))
         seen = _counting(monkeypatch)
         assert [overlap_halfline_gauss(states[i], states[j]) for i, j in pairs] == cold
-        assert seen == {"passes": 3, "rows": 48, "laguerre": 0, "roots_genlaguerre": 3}
+        assert seen == {"passes": 3, "rows": 48, "laguerre": 0, "rules": 3}
 
     def test_gauss_mixed_branch_pair_builds_its_rule_once_per_a(self, monkeypatch):
         # the alpha = 0 branches beta = -1 and beta = 0 differ in a = beta +
         # 1/2 but share w: each a's entry builds the 8-node rule, and both
         # get the same weights bit for bit
-        import scipy.special
-
         quad._laguerre_table.cache_clear()
-        calls, roots = [], scipy.special.roots_genlaguerre
-        monkeypatch.setattr(scipy.special, "roots_genlaguerre", lambda *args: calls.append(args) or roots(*args))
+        calls, build = [], quad._gauss_laguerre
+        monkeypatch.setattr(quad, "_gauss_laguerre", lambda *args: calls.append(args) or build(*args))
         s1, s2 = halfline_state(0.0, 2, -1.0), halfline_state(0.0, 3)
         value = overlap_halfline_gauss(s1, s2)
         assert calls == [(8, 0.0), (8, 0.0)]
@@ -231,7 +227,7 @@ class TestOverlap:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=f"n = {n1}, {n2} is not finite"):
                 overlap_halfline_gauss(s1, s2)
-        assert seen == {"passes": 0, "rows": 0, "laguerre": 0, "roots_genlaguerre": 0}
+        assert seen == {"passes": 0, "rows": 0, "laguerre": 0, "rules": 0}
         assert quad._laguerre_table.cache_info()[:2] == (0, 0)
 
     def test_gauss_route_builds_its_largest_rule(self, monkeypatch):
@@ -241,7 +237,7 @@ class TestOverlap:
         s1, s2 = halfline_state(0.3, 0), halfline_state(0.3, 375)
         with pytest.raises(ParameterError, match="not finite"):
             overlap_halfline_gauss(s1, s2)
-        assert seen["roots_genlaguerre"] == 1 and seen["passes"] == 1
+        assert seen["rules"] == 1 and seen["passes"] == 1
 
     @pytest.mark.parametrize("alpha", [-0.2499, -0.2, 0.0, 0.5, 3.0, 7.9, 157.3, "mixed"])
     def test_gauss_route_matches_the_exact_rule(self, alpha):
@@ -285,16 +281,103 @@ class TestOverlap:
             overlap_halfline_gauss(even, odd)
 
 
+_RULE_WS = [-0.99, -0.5, 0.0, 0.7416, 3.3, 12.0]
+
+
+class TestGaussLaguerreRule:
+    """quad._gauss_laguerre against scipy.special.roots_genlaguerre, which
+    it replaces, and against the moments of y^w e^-y."""
+
+    @pytest.mark.parametrize("w", _RULE_WS)
+    def test_matches_scipys_rule(self, w):
+        # weights below 1e-290 are left out: where L_M'^2 overflows this
+        # builder flushes 1/(y L_M'^2) to 0 and scipy's rescaled product
+        # does not; near 368 nodes the two differ in which rules overflow
+        import scipy.special
+
+        compared = 0
+        for count in range(8, quad._GL_MAX + 1, 8):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                nodes, weights = quad._gauss_laguerre(count, w)
+                ref_nodes, ref_weights = scipy.special.roots_genlaguerre(count, w)
+            rules = (nodes, weights, ref_nodes, ref_weights)
+            if not all(np.isfinite(v).all() for v in rules):
+                continue
+            compared += 1
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=4e-15, atol=0.0)
+            kept = ref_weights > 1e-290
+            np.testing.assert_allclose(weights[kept], ref_weights[kept], rtol=2e-11, atol=0.0)
+        assert compared >= 44
+
+    @pytest.mark.parametrize("w", [-0.5, 3.3])
+    def test_weights_match_a_40_digit_rule(self, w):
+        # carrying L_M' to the polished node puts the weights within 3e-14
+        # at 64 nodes; without it they lie 4e-13 off, and scipy's 2e-13;
+        # the smallest node is 8e-15 off at w = 3.3, as scipy's is
+        import mpmath
+
+        nodes, weights = quad._gauss_laguerre(64, w)
+        with mpmath.workdps(40):
+            ref_nodes, ref_weights = [], []
+            for y in map(mpmath.mpf, nodes):
+                for _ in range(3):
+                    value, slope = _laguerre_and_slope(64, w, y)
+                    y -= value / slope
+                ref_nodes.append(float(y))
+                ref_weights.append(float(mpmath.gamma(64 + w + 1) / (mpmath.factorial(64) * y * slope**2)))
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-14, atol=0.0)
+        kept = np.array(ref_weights) > 1e-290
+        np.testing.assert_allclose(weights[kept], np.array(ref_weights)[kept], rtol=5e-14, atol=0.0)
+
+    @pytest.mark.parametrize("w", _RULE_WS)
+    def test_integrates_the_moments(self, w):
+        # an M-node rule is exact to degree 2M - 1: sum w_i y_i^j = Gamma(w + j + 1)
+        worst = 0.0
+        for count in range(1, 49):
+            nodes, weights = quad._gauss_laguerre(count, w)
+            for j in range(2 * count):
+                exact = math.gamma(w + j + 1.0)
+                worst = max(worst, abs(float(np.dot(weights, nodes**j)) - exact) / exact)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("w", _RULE_WS)
+    def test_one_node_rule(self, w):
+        # the mean of y^w e^-y, with all of its mass
+        nodes, weights = quad._gauss_laguerre(1, w)
+        assert nodes.tolist() == [w + 1.0]
+        assert weights.tolist() == [pytest.approx(math.gamma(w + 1.0), rel=1e-15)]
+
+    @pytest.mark.parametrize("w", [-0.5, 0.7416, 12.0, 200.0])
+    def test_table_is_silent_up_to_the_largest_rule(self, w):
+        # the polish and the rows overflow at the outer nodes of the largest
+        # rules, and Gamma(w + 1) past w = 170.6, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for count in range(8, quad._GL_MAX + 1, 8):
+                quad._laguerre_table.__wrapped__(w, count, w)
+
+    def test_a_rule_that_overflows_raises(self):
+        # (0, 360) at alpha = 0.3 takes the 368-node rule, whose polish
+        # overflows at w = beta + 1/2 = 0.74; and at alpha = 3e4 Gamma(w + 1)
+        # overflows; both raise as any sum that is not finite does
+        s1, s2 = halfline_state(0.3, 0), halfline_state(0.3, 360)
+        weights, _ = quad._laguerre_table(s1.beta + 0.5, 368, s1.beta + 0.5)
+        assert not np.isfinite(weights).all()
+        for pair in ((s1, s2), (halfline_state(3e4, 0),) * 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match="not finite"):
+                    overlap_halfline_gauss(*pair)
+
+
 def _counting(monkeypatch):
     """Empty quad's caches of Gram entries and of Gauss-Laguerre rules with
     their rows, and count from here on the Laguerre recurrence passes quad
-    starts and the rows it draws from them, and its calls of the checked
-    specfun.laguerre and of scipy.special.roots_genlaguerre."""
-    import scipy.special
-
+    starts and the rows it draws from them, its calls of the checked
+    specfun.laguerre and the Gauss-Laguerre rules it builds."""
     for cache in (quad._entry, quad._laguerre_table):
         cache.cache_clear()
-    seen = {"passes": 0, "rows": 0, "laguerre": 0, "roots_genlaguerre": 0}
+    seen = {"passes": 0, "rows": 0, "laguerre": 0, "rules": 0}
 
     def rows(a, y, kept=()):
         seen["passes"] += 1
@@ -303,10 +386,10 @@ def _counting(monkeypatch):
             yield row
 
     monkeypatch.setattr(quad, "_laguerre_rows", rows)
-    for module, name in ((specfun, "laguerre"), (scipy.special, "roots_genlaguerre")):
+    for module, name, key in ((specfun, "laguerre", "laguerre"), (quad, "_gauss_laguerre", "rules")):
 
-        def counted(*args, _inner=getattr(module, name), _name=name):
-            seen[_name] += 1
+        def counted(*args, _inner=getattr(module, name), _key=key):
+            seen[_key] += 1
             return _inner(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -321,9 +404,19 @@ def _laguerre_ref(n, a, y):
     return cur
 
 
+def _laguerre_and_slope(m, w, y):
+    """L_m^(w)(y) and its derivative, (m L_m - (m + w) L_(m-1)) / y, by
+    the three-term recurrence in the arithmetic of y."""
+    prev, cur = 0, 1
+    for k in range(m):
+        prev, cur = cur, ((2 * k + 1 + w - y) * cur - (k + w) * prev) / (k + 1)
+    return cur, (m * cur - (m + w) * prev) / y
+
+
 def _exact_gauss(s1, s2):
     """The half-line overlap on the exact n1 + n2 + 1 node Gauss-Laguerre
-    rule for y^w e^-y, w = (beta1 + beta2 + 1) / 2."""
+    rule for y^w e^-y, w = (beta1 + beta2 + 1) / 2: scipy's rule, built
+    apart from quad's, and the reference's own recurrence."""
     import scipy.special
 
     nodes, weights = scipy.special.roots_genlaguerre(s1.n + s2.n + 1, (s1.beta + s2.beta + 1.0) / 2.0)

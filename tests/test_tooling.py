@@ -324,6 +324,26 @@ def test_no_module_imports_scipy_integrate():
     assert hits == []
 
 
+
+def test_only_the_fd_oracle_imports_scipy():
+    # numpy builds every rule the package integrates on, Gauss-Laguerre
+    # included: scipy is the FD oracle's Sturm bisection (LAPACK stebz) only
+    def importers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                yield owner
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from importers(child, f"{owner.split('.')[0]}.{child.name}" if inner else owner)
+
+    hits = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in importers(parse(path), path.stem)]
+    assert hits == ["oracle._fd_eigenvalues"]
+
 def test_only_oracle_and_quad_import_numpy_at_module_level():
     # a level table is the closed-form ladder and needs only math: every
     # other module imports numpy inside the functions that build arrays
