@@ -199,8 +199,6 @@ def _xi_grid(args: argparse.Namespace, domain: Domain):
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
-    import numpy as np
-
     domain = Domain(args.domain)
     if domain is Domain.HALF_LINE:
         if args.parity is not None:
@@ -215,12 +213,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         even, odd = fullline_states(args.alpha, args.n)
         state = even if want is Parity.EVEN else odd
     xi = _xi_grid(args, domain)
-    with np.errstate(all="ignore"):  # a cell that is not finite raises below
-        psi = state.psi(xi)
-        rho = psi * psi
-    bad = ~np.isfinite(rho)  # wherever psi is not finite, nor is rho
-    if bad.any():
-        raise SingOscError(f"psi is not finite at xi = {xi[bad][0]:.6g}: a factor of it overflows")
+    psi = state.psi(xi)
+    rho = psi * psi
     columns = {"xi": xi.tolist(), "psi": psi.tolist(), "rho": rho.tolist()}
     if _has_units(args):
         columns["x"] = (xi * _spec_from(args, args.alpha).length_scale).tolist()
@@ -240,13 +234,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     return 0
 
 
-def _level_columns(rows: list[tuple]) -> dict[str, list]:
-    """Level-diagram columns from rows of cells in the order of `fields`;
-    every diagram has its alpha = 0 markers, so rows is not empty."""
-    fields = ("kind", "alpha", "n", "label", "eps", "degeneracy")
-    return dict(zip(fields, map(list, zip(*rows))))
-
-
 def _figure_potential() -> dict[str, list]:
     import numpy as np
 
@@ -257,17 +244,6 @@ def _figure_potential() -> dict[str, list]:
         columns["x"] += x.tolist()
         columns["V"] += potential_value(OscillatorSpec(alpha=alpha), x).tolist()
     return columns
-
-
-def _figure_levels_halfline(points: int) -> dict[str, list]:
-    rows = []
-    for alpha in _alpha_sweep(points):
-        for state in spectrum_table(alpha, 4, Domain.HALF_LINE).states:
-            rows.append(("curve", alpha, state.n, f"n={state.n}", state.energy_eps, 1))
-    for branch, label in ((-1.0, "beta=-1"), (0.0, "beta=0")):
-        for state in spectrum_table(0.0, 4, Domain.HALF_LINE, branch).states:
-            rows.append(("marker", 0.0, state.n, label, state.energy_eps, 1))
-    return _level_columns(rows)
 
 
 def _figure_ground_states() -> dict[str, list]:
@@ -284,17 +260,28 @@ def _figure_ground_states() -> dict[str, list]:
     return columns
 
 
-def _figure_levels_fullline(points: int) -> dict[str, list]:
+def _figure_levels(domain: Domain, points: int) -> dict[str, list]:
+    """Level-diagram columns of figures 2 and 4, every value from the
+    level table's columns.  Curves: per sweep alpha, one row per level on
+    the table's largest beta, beta_plus (at alpha = 0 on the whole line,
+    the odd ladder), with its degeneracy.  Markers: every alpha = 0
+    state, labelled by its branch on the half line and by its parity on
+    the whole line."""
     rows = []
     for alpha in _alpha_sweep(points):
-        # sweep grid never hits alpha = 0 exactly, so every level is a
-        # degenerate even/odd pair, drawn as one curve from its even state
-        for state in spectrum_table(alpha, 4, Domain.FULL_LINE).states:
-            if state.parity is Parity.EVEN:
-                rows.append(("curve", alpha, state.n, f"n={state.n}", state.energy_eps, 2))
-    for state in spectrum_table(0.0, 4, Domain.FULL_LINE).states:
-        rows.append(("marker", 0.0, state.n, state.parity.value, state.energy_eps, 1))
-    return _level_columns(rows)
+        c = spectrum_table(alpha, 4, domain).columns()
+        top, levels = max(c["beta"]), {}
+        for a, n, beta, eps, deg in zip(c["alpha"], c["n"], c["beta"], c["eps"], c["degeneracy"]):
+            if beta == top and eps not in levels:
+                levels[eps] = ("curve", a, n, f"n={n}", eps, deg)
+        rows += levels.values()
+    half = domain is Domain.HALF_LINE
+    for branch in (-1.0, 0.0) if half else (None,):
+        c = spectrum_table(0.0, 4, domain, branch).columns()
+        labels = [f"beta={beta:g}" for beta in c["beta"]] if half else c["parity"]
+        rows += zip(["marker"] * len(labels), c["alpha"], c["n"], labels, c["eps"], c["degeneracy"])
+    fields = ("kind", "alpha", "n", "label", "eps", "degeneracy")
+    return dict(zip(fields, map(list, zip(*rows))))
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -305,12 +292,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         points = ALPHA_SWEEP_POINTS
     if args.id == 1:
         columns = _figure_potential()
-    elif args.id == 2:
-        columns = _figure_levels_halfline(points)
     elif args.id == 3:
         columns = _figure_ground_states()
     else:
-        columns = _figure_levels_fullline(points)
+        columns = _figure_levels(Domain.HALF_LINE if args.id == 2 else Domain.FULL_LINE, points)
     emit_rows(columns, list(columns), args.format, args.out, {"figure": args.id})
     return 0
 

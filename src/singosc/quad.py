@@ -407,9 +407,12 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
     exactly; M is the smallest multiple of 8 that is, so the pairs of one
     Gram matrix share a few rules, each cached with the rows of L_n for one
     a = beta + 1/2 (_laguerre_table).  Raises ParameterError when the
-    weighted sum is not finite (L_n^2 overflows at the outer nodes), and
-    before any rule is built for M > _GL_MAX, where it is never finite.
-    On the diagonal that is from n = 124 at alpha = -0.2, 7.9 and 45.96,
+    weighted sum is not finite, and before any rule is built for
+    M > _GL_MAX, where it never is.  The text names the cause: weights
+    that are not finite (Gamma(w + 1) overflows past w = 170.6, from
+    alpha of about 29 241, and so does the polish of the 368-node rule at
+    w = 0.74), or else L_n^2 overflowing at the outer nodes.  On the
+    diagonal L_n^2 overflows from n = 124 at alpha = -0.2, 7.9 and 45.96,
     but from 123 at alpha = 157.3 and 122 at alpha = 1000, where the
     rounded-up rule's outer node lies past that of the exact n1 + n2 + 1
     rule.
@@ -426,8 +429,10 @@ def overlap_halfline_gauss(s1: EigenState, s2: EigenState) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
             total = float(np.dot(weights, rows1[s1.n] * rows2[s2.n]))
     if not np.isfinite(total):
-        raise ParameterError(
-            f"Gauss-Laguerre sum for n = {s1.n}, {s2.n} is not finite: "
-            "L_n overflows at the outer nodes"
-        )
+        if count <= _GL_MAX and not np.isfinite(weights).all():
+            cause = (f"the weights of the {count}-node rule for w = {w:.6g} are not "
+                     "(Gamma(w + 1) or the polish overflows)")
+        else:
+            cause = "L_n overflows at the outer nodes"
+        raise ParameterError(f"Gauss-Laguerre sum for n = {s1.n}, {s2.n} is not finite: {cause}")
     return 0.5 * s1.norm_const * s2.norm_const * total

@@ -128,9 +128,9 @@ def laguerre(n: int, a: float, y):
     """Generalized Laguerre polynomial L_n^(a)(y), a > -1.
 
     Three-term recurrence (j+1) L_{j+1} = (2j+1+a-y) L_j - (j+a) L_{j-1},
-    one array expression for any y; a 0-d y gives a Python float.  Raises
-    ParameterError where a value is not finite: the recurrence overflows,
-    or y is not finite.
+    row n of _laguerre_rows, one array expression for any y; a 0-d y gives
+    a Python float.  Raises ParameterError where a value is not finite:
+    the recurrence overflows, or y is not finite.
     """
     import numpy as np
 
@@ -138,21 +138,9 @@ def laguerre(n: int, a: float, y):
     if not a > -1:
         raise ParameterError("Laguerre order parameter must satisfy a > -1")
     with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
-        out = _laguerre(n, float(a), y)
+        out = next(itertools.islice(_laguerre_rows(float(a), y), n, None))
     if not np.isfinite(out).all():
         raise ParameterError(f"L_{n}(y) is not finite: y is not, or the recurrence overflows")
-    return out
-
-
-def _laguerre(n: int, a: float, y):
-    """Row n of _laguerre_rows(a, y), with no checks; a 0-d y gives a Python
-    float.  For laguerre, which checks what it returns, and for
-    EigenState.psi: a state's n and a are valid by construction, and the
-    package's one caller of psi that can meet an overflow, the wavefunction
-    command, refuses a value that is not finite itself (its row check), so
-    the check would repeat that one on every evaluation.  The Gram rule
-    and the Gauss-Laguerre route run _laguerre_rows and call neither."""
-    out = next(itertools.islice(_laguerre_rows(a, y), n, None))
     return float(out) if out.ndim == 0 else out
 
 

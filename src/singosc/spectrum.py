@@ -23,10 +23,7 @@ from . import specfun
 from .errors import ParameterError
 from .model import Domain, Parity, admissible_beta
 # specfun holds the one check of a quantum number or a degree
-from .specfun import _check_n
-# psi runs laguerre's recurrence without its finiteness check (see
-# specfun._laguerre); the name stays laguerre, which the benchmark's tracer wraps
-from .specfun import _laguerre as laguerre
+from .specfun import _check_n, laguerre
 
 
 class _Divergent:
@@ -83,7 +80,10 @@ class EigenState:
 
     def psi(self, x):
         """Wavefunction value, one array expression for any x; a 0-d x gives
-        a Python float, equal bit for bit to the ndarray element."""
+        a Python float, equal bit for bit to the ndarray element.  Raises
+        ParameterError where a value is not finite, with no numpy warning:
+        L_n overflows (laguerre's text), or another factor does, as
+        x^(beta+1) before e^(-x^2/2) brings it back."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
@@ -93,13 +93,17 @@ class EigenState:
             raise ParameterError("half-line state evaluated at x < 0")
         else:
             r = x
-        y = r * r
-        out = self._profile(
-            self.norm_const,
-            np.power(r, self.beta + 1.0),
-            np.exp(-0.5 * y),
-            laguerre(self.n, self.beta + 0.5, y),
-        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            y = r * r
+            out = self._profile(
+                self.norm_const,
+                np.power(r, self.beta + 1.0),
+                np.exp(-0.5 * y),
+                laguerre(self.n, self.beta + 0.5, y),
+            )
+        if not np.isfinite(out).all():
+            at = x[~np.isfinite(out)][0]
+            raise ParameterError(f"psi is not finite at xi = {at:.6g}: a factor of it overflows")
         if self.parity is Parity.ODD:
             out = np.sign(x) * out
         return float(out) if out.ndim == 0 else out

@@ -414,18 +414,20 @@ class TestWavefunctionCommand:
         assert rc == 1
 
     @pytest.mark.parametrize(
-        "argv, xi",
-        [("--alpha 1e6 --xi-points 5 --xi-max 40", "10"),
-         ("--alpha 1 --xi-points 3 --xi-max 1e200", "5e+199")],
+        "argv, cause",
+        [("--alpha 1e6 --xi-points 5 --xi-max 40", "psi is not finite at xi = 10: a factor of it overflows"),
+         ("--alpha 1 --xi-points 3 --xi-max 1e200", "psi is not finite at xi = 5e+199: a factor of it overflows"),
+         ("--alpha 0.5 --n 300 --xi-min 0.01 --xi-max 50 --xi-points 4001",
+          "L_300(y) is not finite: y is not, or the recurrence overflows")],
     )
-    def test_psi_that_is_not_finite_is_exit_1(self, argv, xi, capsys):
-        # x^(beta+1) overflows before e^(-x^2/2) brings it back: no NaN row
-        # is printed, and no numpy warning
+    def test_psi_that_is_not_finite_is_exit_1(self, argv, cause, capsys):
+        # x^(beta+1) overflows before e^(-x^2/2) brings it back, or L_n
+        # overflows: no NaN row is printed, and no numpy warning, only the
+        # library's own text
         assert main(["wavefunction", *argv.split()]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        want = f"singosc: error: psi is not finite at xi = {xi}: a factor of it overflows\n"
-        assert captured.err == want
+        assert captured.err == f"singosc: error: {cause}\n"
 
     @pytest.mark.parametrize(
         "grid",
@@ -552,6 +554,33 @@ class TestFigureCommands:
         marks = sorted((float(r["eps"]), r["label"]) for r in markers)
         assert [m[0] for m in marks] == [0.5 + k for k in range(10)]
         assert [m[1] for m in marks[:4]] == ["even", "odd", "even", "odd"]
+
+    @pytest.mark.parametrize("points", [499, 998])
+    def test_sweep_through_alpha_zero(self, points, tmp_path):
+        # these sweeps hold alpha = 0.0 exactly (i = 249 of 499): there the
+        # whole-line curves are the odd ladder, each level simple, and the
+        # beta = -1 intruders appear as markers only
+        assert 0.0 in _alpha_sweep(points)
+        text = run_cli(["figure", "4", "--alpha-points", str(points)], tmp_path)[1]
+        curves = [r for r in parse_csv(text) if r["kind"] == "curve"]
+        at_zero = [(float(r["eps"]), int(r["degeneracy"])) for r in curves if float(r["alpha"]) == 0.0]
+        assert at_zero == [(2 * n + 1.5, 1) for n in range(5)]
+        assert {int(r["degeneracy"]) for r in curves if float(r["alpha"]) != 0.0} == {2}
+        for n in range(5):
+            # criterion 10's check: each curve rises with alpha, with no jump
+            pts = sorted((float(r["alpha"]), float(r["eps"])) for r in curves if int(r["n"]) == n)
+            steps = np.diff([eps for _, eps in pts])
+            assert len(pts) == points and np.all(steps > 0) and np.max(steps) <= 0.06
+        # the half-line diagram is each state of each sweep table, then the
+        # states of both alpha = 0 branches, as it was written before
+        text = run_cli(["figure", "2", "--alpha-points", str(points)], tmp_path)[1]
+        rows = [list(r.values()) for r in parse_csv(text)]
+        want = [["curve", a, s.n, f"n={s.n}", s.energy_eps, 1]
+                for a in _alpha_sweep(points) for s in spectrum_table(a, 4, Domain.HALF_LINE).states]
+        want += [["marker", 0.0, s.n, label, s.energy_eps, 1]
+                 for branch, label in ((-1.0, "beta=-1"), (0.0, "beta=0"))
+                 for s in spectrum_table(0.0, 4, Domain.HALF_LINE, branch).states]
+        assert rows == [[format(v, ".17g") if isinstance(v, float) else str(v) for v in row] for row in want]
 
     @pytest.mark.parametrize("fig", ["2", "4"])
     def test_level_figures_gate_once_per_alpha(self, fig, tmp_path, monkeypatch):

@@ -369,6 +369,16 @@ class TestGaussLaguerreRule:
                 with pytest.raises(ParameterError, match="not finite"):
                     overlap_halfline_gauss(*pair)
 
+    @pytest.mark.parametrize("alpha", [3e4, 1e5])
+    def test_weights_that_overflow_are_named(self, alpha):
+        # Gamma(w + 1) overflows past w = 170.6, so every weight is inf:
+        # the error names the weights, not L_0 = 1
+        s = halfline_state(alpha, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"n = 0, 0 is not finite: the weights of the 8-node rule"):
+                overlap_halfline_gauss(s, s)
+
 
 def _counting(monkeypatch):
     """Empty quad's caches of Gram entries and of Gauss-Laguerre rules with
@@ -717,13 +727,12 @@ class TestGram:
                 # a pass that goes on from the first k rows of another
                 rows = tuple(itertools.islice(specfun._laguerre_rows(a, y), k))
                 np.testing.assert_array_equal(next(itertools.islice(specfun._laguerre_rows(a, y, rows), n - k, None)), row)
-            np.testing.assert_array_equal(row, specfun._laguerre(n, a, y))
+            np.testing.assert_array_equal(row, specfun.laguerre(n, a, y))
             np.testing.assert_array_equal(row, _laguerre_ref(n, a, y))
-            one = specfun._laguerre(n, a, np.array([2.0]))[0]
+            one = specfun.laguerre(n, a, np.array([2.0]))[0]
             for wrap in (float, np.float64, np.array):
-                assert type(specfun._laguerre(n, a, wrap(2.0))) is float
                 assert type(specfun.laguerre(n, a, wrap(2.0))) is float
-                assert specfun._laguerre(n, a, wrap(2.0)) == one
+                assert specfun.laguerre(n, a, wrap(2.0)) == one
 
     @pytest.mark.parametrize("n", [31, 40])
     def test_high_state_resolves_to_one(self, n):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,34 @@ class TestScalarPath:
         s = halfline_state(0.7, 2)
         with pytest.raises(ParameterError):
             s.psi(x)
+
+
+class TestPsiIsFiniteOrRaises:
+    """psi returns finite values or raises ParameterError, with no numpy
+    warning: a factor that overflows is never multiplied into a NaN."""
+
+    @pytest.mark.parametrize(
+        "state, x, match",
+        [
+            # x^(beta+1) overflows where e^(-x^2/2) underflows to 0
+            (halfline_state(1.0, 0), np.array([0.0, 5e199, 1e200]), r"psi is not finite at xi = 5e\+199: "),
+            # x^(beta+1) with beta near 1000 overflows inside the printed grid
+            (halfline_state(1e6, 0), np.array([10.0, 20.0, 30.0, 40.0]), "psi is not finite at xi = 10: "),
+            (fullline_states(1e6, 0)[1], np.array([1.0, -10.0]), "psi is not finite at xi = -10: "),
+            # L_n overflows first and raises with laguerre's own text
+            (halfline_state(0.5, 300), 40.0, r"L_300\(y\) is not finite"),
+        ],
+    )
+    def test_overflow_raises(self, state, x, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=match):
+                state.psi(x)
+
+    def test_finite_values_are_returned(self):
+        # the check keeps the values it passes: psi far out is 0, not NaN
+        s = halfline_state(1.0, 0)
+        assert s.psi(np.array([0.0, 40.0])).tolist() == [0.0, 0.0]
 
 
 class TestFulllineStates:

@@ -263,6 +263,31 @@ def test_overlap_and_gram_sum_through_one_helper():
     assert "_laguerre_rows" in imported and "_laguerre" not in imported
 
 
+def test_one_laguerre_entry():
+    # specfun's one checked Laguerre entry takes its row from the one
+    # recurrence, and psi calls that entry, which spectrum binds by name
+    from singosc import specfun, spectrum
+
+    assert {name for name in vars(specfun) if "laguerre" in name} == {"laguerre", "_laguerre_rows"}
+    psi = next(node for node in ast.walk(parse(PACKAGE / "spectrum.py"))
+               if isinstance(node, ast.FunctionDef) and node.name == "psi")
+    assert "laguerre" in {getattr(call.func, "id", None) for call in ast.walk(psi) if isinstance(call, ast.Call)}
+    assert spectrum.laguerre is specfun.laguerre
+
+
+def test_cli_enters_no_errstate():
+    # the library raises typed errors for values that overflow, so no
+    # command silences numpy to check a value itself
+    hits = [
+        f"{function.name}:{node.lineno}"
+        for function in ast.walk(parse(PACKAGE / "cli.py"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "errstate"
+    ]
+    assert hits == []
+
+
 def test_quad_caches_each_reused_object_once():
     # one lru cache per reused object: the Gram rule, the (beta, rule) entry
     # and the Gauss-Laguerre rule with its rows; and no quad function imports
