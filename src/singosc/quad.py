@@ -20,9 +20,9 @@ state; every eps_top <= 40.5 keeps h = 0.5.  A failed check raises
 DepthExceeded, and so do a rule of more than 10 000 panels and a factor
 of psi that overflows, with no numpy warning.  A state's psi on a rule
 comes from the cached _Entry of its beta and the rule, which says what it
-keeps.  gram and overlap take their records through one lookup
-(_on_rule), and overlap sums one product, so a pairwise loop of overlaps
-evaluates each (state, rule) pair and sums its psi^2 once.
+keeps.  gram and overlap take their psi through one lookup (_on_rule), so
+a pairwise loop of overlaps evaluates each (state, rule) pair once; gram
+checks every entry it returns, overlap the one product psi1 psi2 it sums.
 Half-line inner products also ship a Gauss-Laguerre path in y = x^2,
 exact for the bound states' polynomial integrands: the independent
 second route, whose rules have a multiple of 8 nodes, built in numpy by
@@ -187,26 +187,24 @@ def _rule_size(states: Sequence[EigenState]) -> tuple[int, int]:
 
 
 class _Entry:
-    """One beta on one Gram rule: the rule's nodes, weights and split,
-    x^(beta+1) and e^(-x^2/2) on its nodes x, shared by every state of the
-    beta, the rows L_0 .. L_k of specfun._laguerre_rows in y = x^2 for
-    a = beta + 1/2, which a longer tuple replaces, and each state's record
-    (psi, fine, coarse), kept by (n, norm_const): its read-only psi and the
-    20- and 10-point sums of its psi^2, made together.  EigenState._profile
-    multiplies the factors, as psi does, bit for bit.  Threads may each run
-    a pass and compute a record; all get the same values, and the last rows
-    kept win.  Factors and passes run under np.errstate, and one that is
-    not finite raises DepthExceeded, so psi multiplies finite factors only.
+    """One beta on one Gram rule: the rule's nodes, x^(beta+1) and
+    e^(-x^2/2) on them, shared by every state of the beta, the rows
+    L_0 .. L_k of specfun._laguerre_rows in y = x^2 for a = beta + 1/2,
+    which a longer tuple replaces, and each state's read-only psi, kept by
+    (n, norm_const).  EigenState._profile multiplies the factors, as psi
+    does, bit for bit.  Threads may each run a pass and make a psi; all get
+    the same values, and the last rows kept win.  Factors and passes run
+    under np.errstate, and one that is not finite raises DepthExceeded, so
+    psi multiplies finite factors only.
 
     _entry caches 32 entries, keyed on (beta, m, panels).  An entry holds
-    2 N doubles of factors for the rule's N nodes, the rule's nodes and
-    weights (2 N more once _rule's cache has let them go) and at most
-    _KEEP_MAX doubles of rows and records: 2.4 MB at the 1 200-1 500 nodes
-    of an N = 12 Gram matrix, and at most 12 MB at the 300 690 nodes of
-    _MAX_PANELS, so 385 MB in all."""
+    2 N doubles of factors for the rule's N nodes, the nodes (N more once
+    _rule's cache has let them go) and at most _KEEP_MAX doubles of rows
+    and psi: 2.4 MB at the 1 200-1 500 nodes of an N = 12 Gram matrix, and
+    at most 9.6 MB at the 300 690 nodes of _MAX_PANELS, so 308 MB in all."""
 
     def __init__(self, beta: float, m: int, panels: int) -> None:
-        self.nodes, self.weights, self.split = _rule(_WIDTH_MAX / m, panels)
+        self.nodes = _rule(_WIDTH_MAX / m, panels)[0]
         self.beta, self.rows, self.kept = beta, (), {}
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             self.power = np.power(self.nodes, beta + 1.0)
@@ -215,12 +213,11 @@ class _Entry:
             raise DepthExceeded(f"x^(beta+1) at beta = {beta:.6g} overflows on the Gram rule")
 
     def psi(self, states: Sequence[EigenState]) -> dict:
-        """{(n, norm_const): (psi, fine, coarse)} for the states of the
-        entry's beta, new ones from one pass that goes on from the kept
-        rows, each psi^2 summed once (_sums).  A request whose rows and
-        records fit _KEEP_MAX doubles keeps them (racing threads may pass
-        it by a request each); any other holds only the rows it asks for
-        and keeps nothing."""
+        """{(n, norm_const): psi} for the states of the entry's beta, new
+        ones from one pass that goes on from the kept rows.  A request whose
+        rows and psi fit _KEEP_MAX doubles keeps them (racing threads may
+        pass it by a request each); any other holds only the rows it asks
+        for and keeps nothing."""
         kept = self.kept
         new = {(s.n, s.norm_const) for s in states if s.beta == self.beta}.difference(kept)
         if not new:
@@ -243,7 +240,7 @@ class _Entry:
         for n, norm_const in new:
             values = EigenState._profile(norm_const, self.power, self.decay, rows[n])
             values.flags.writeable = False
-            out[n, norm_const] = (values, *_sums(values, values, self.weights, self.split))
+            out[n, norm_const] = values
         if keep:
             self.rows = rows
         return out
@@ -253,9 +250,9 @@ _entry = functools.lru_cache(maxsize=32)(_Entry)
 
 
 def _on_rule(states: Sequence[EigenState], m: int, panels: int) -> list:
-    """Each state's (psi, fine, coarse) on _rule(_WIDTH_MAX / m, panels),
-    asking each beta's _entry once: gram and overlap meet the same hits,
-    passes and errors."""
+    """Each state's read-only psi on _rule(_WIDTH_MAX / m, panels), asking
+    each beta's _entry once: gram and overlap meet the same hits, passes
+    and errors."""
     kept = {b: _entry(b, m, panels).psi(states) for b in {s.beta for s in states}}
     return [kept[s.beta][s.n, s.norm_const] for s in states]
 
@@ -289,10 +286,11 @@ def gram(
     energy equals overlap(states[i], states[j]) bit for bit, and G is
     symmetric.  On the full line cross-parity entries are 0 exactly (odd
     integrand on a symmetric domain) and same-parity ones are twice the
-    positive half-axis.  Raises DepthExceeded when the 20- and the 10-point
-    rule differ by more than 1e-8 max(1, |G|) in some entry, as for a w
-    psi_i psi_j that is not integrable at the origin, or a value is not
-    finite.
+    positive half-axis.  Every entry returned is checked, the diagonal
+    included: raises DepthExceeded when the 20- and the 10-point rule
+    differ by more than 1e-8 max(1, |G|) in some entry, as for a w
+    psi_i psi_j that is not integrable at the origin (the diagonal of a
+    beta_minus state from alpha = 0.35 on), or a value is not finite.
     """
     if not states:
         raise ParameterError("a Gram matrix needs at least one state")
@@ -304,7 +302,7 @@ def gram(
         weights = weights * weight(nodes)
         if not np.isfinite(weights).all():
             raise DepthExceeded("the weight is not finite on the nodes of the Gram rule")
-    psi = np.array([record[0] for record in _on_rule(states, m, panels)])
+    psi = np.array(_on_rule(states, m, panels))
     fine, coarse = np.empty((2, len(states), len(states)))
     for i, row in enumerate(psi):  # one row at a time: memory stays N x nodes
         fine[i], coarse[i] = _sums(row, psi, weights, split)
@@ -318,16 +316,18 @@ def gram(
 
 
 def overlap(s1: EigenState, s2: EigenState) -> float:
-    """Inner product <s1|s2>, equal to gram((s1, s2))[0, 1] bit for bit,
-    and raising as that does, with the same type and text.
+    """Inner product <s1|s2>, equal to gram((s1, s2))[0, 1] bit for bit
+    wherever that does not raise.
 
-    It takes each state's record from the cache of the pair's Gram rule
-    through _on_rule, as gram does, and integrates one product, psi1 psi2,
-    on the 20- and the 10-point rule.  The gap check also covers each
-    state's own <s|s>, whose sums its record holds beside its psi: summed
-    when the psi is made, so a pairwise loop sums each (state, rule) pair
-    once, and checked on every call.  Cross-parity full-line overlaps are
-    0 exactly and evaluate nothing.
+    It takes each state's psi from the cache of the pair's Gram rule
+    through _on_rule, as gram does, and sums one product, psi1 psi2, on
+    the 20- and the 10-point rule (_sums); the gap check covers that sum,
+    the integral it returns.  So it raises where its own integral or a
+    factor of psi fails, with gram's type and text for a factor, a domain
+    or an alpha, but unlike gram it never integrates either state's psi^2:
+    a beta_plus/beta_minus pair, whose product goes as x at the origin,
+    returns where gram raises on the beta_minus diagonal.  Cross-parity
+    full-line overlaps are 0 exactly and evaluate nothing.
     """
     _check_compatible(s1, s2)
     if s1.domain is Domain.FULL_LINE and s1.parity is not s2.parity:
@@ -335,14 +335,11 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     pair = (s1, s2)
     m, panels = _rule_size(pair)
     _, weights, split = _rule(_WIDTH_MAX / m, panels)
-    (psi1, *own1), (psi2, *own2) = _on_rule(pair, m, panels)
-    fine, coarse = np.array((own1, _sums(psi1, psi2, weights, split), own2)).T
+    fine, coarse = _sums(*_on_rule(pair, m, panels), weights, split)
     if s1.domain is Domain.FULL_LINE:
         fine, coarse = 2.0 * fine, 2.0 * coarse
-    # entries (1, 1), (1, 2) and (2, 2): gram((s1, s2)) checks these and (2, 1),
-    # which equals (1, 2) bit for bit
     _check_gap(fine, coarse, DepthExceeded, "Gram matrix of 2 states")
-    return float(fine[1])
+    return float(fine)
 
 
 def _gauss_laguerre(count: int, w: float) -> tuple[np.ndarray, np.ndarray]:

@@ -81,12 +81,15 @@ class EigenState:
     def psi(self, x):
         """Wavefunction value, one array expression for any x; a 0-d x gives
         a Python float, equal bit for bit to the ndarray element.  Raises
-        ParameterError where a value is not finite, with no numpy warning:
-        L_n overflows (laguerre's text), or another factor does, as
+        ParameterError, with no numpy warning, naming the first x that is
+        not finite before any factor is computed, and where a value is not
+        finite: L_n overflows (laguerre's text), or another factor does, as
         x^(beta+1) before e^(-x^2/2) brings it back."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ParameterError(f"psi needs a finite xi, got xi = {x[~np.isfinite(x)][0]}")
         if self.domain is Domain.FULL_LINE:
             r = np.abs(x)
         elif (x < 0).any():

@@ -536,42 +536,38 @@ class TestGram:
         assert (seen["passes"], seen["rows"]) == (12, 63)
         assert quad._entry.cache_info().misses == 10
 
-    def test_pairwise_loop_sums_each_diagonal_once_per_rule(self, monkeypatch):
-        # overlap sums one product, psi_i psi_j w, per same-parity pair, and
-        # reads each state's own sums from its entry, summed once per rule;
-        # the entries' passes, rows and misses are those of the loops above
+    def test_pairwise_loop_sums_one_product_per_pair(self, monkeypatch):
+        # overlap sums one product, psi_i psi_j w, per same-parity pair, cold
+        # or warm, and no state's psi^2; the entries' passes, rows and misses
+        # are those of the loops above
         half = [halfline_state(3.3, n) for n in range(12)]
         full = [s for n in range(6) for s in fullline_states(3.3, n)]
         pairs = [(states[i], states[j]) for states in (half, full) for i in range(12) for j in range(i, 12)]
         same = [pair for pair in pairs if pair[0].parity is pair[1].parity]
-        diagonals = {(s.beta, s.n, s.norm_const, quad._rule_size(pair)) for pair in same for s in pair}
-        assert (len(pairs), len(same), len(diagonals)) == (156, 120, 84)
+        assert (len(pairs), len(same)) == (156, 120)
         seen, sums, calls = _counting(monkeypatch), quad._sums, []
         monkeypatch.setattr(quad, "_sums", lambda *args: calls.append(args) or sums(*args))
         cold = [overlap(*pair) for pair in pairs]
         assert (seen["passes"], seen["rows"]) == (12, 63)
         assert quad._entry.cache_info().misses == 10
-        assert len(calls) == len(same) + len(diagonals)
+        assert len(calls) == len(same)
         calls.clear()
         assert [overlap(*pair) for pair in pairs] == cold
-        assert len(calls) == len(same)  # a cross product each, no diagonal again
+        assert len(calls) == len(same)
 
     @pytest.mark.parametrize(
         "pair",
         [
-            # psi_-^2 ~ x^(1 - 2 nu) at the origin: the 20- and the 10-point
-            # rule differ on the beta_- diagonal
-            lambda: (halfline_state(0.5, 0), spectrum._state(0.5, 0, -0.5 - math.sqrt(0.75))),
             lambda: (halfline_state(0.5, 0), halfline_state(0.5, 300)),  # L_300 overflows
             lambda: (halfline_state(1e6, 10),) * 2,  # x^(beta+1) overflows
             lambda: (halfline_state(0.5, 0), fullline_states(0.5, 0)[0]),
             lambda: (halfline_state(0.5, 0), halfline_state(0.7, 0)),
         ],
-        ids=["beta_minus", "laguerre", "power", "domain", "alpha"],
+        ids=["laguerre", "power", "domain", "alpha"],
     )
     def test_overlap_raises_as_gram_does(self, pair):
         # the same type and text on a cold entry, one gram has warmed, and a
-        # second call, which reads the sums kept on the first
+        # second call on the entry the first left
         def raised(call, *args):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -586,6 +582,32 @@ class TestGram:
         want = raised(gram, pair)
         assert cold == want
         assert raised(overlap, *pair) == raised(overlap, *pair) == want
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.3, 0.5])
+    def test_overlap_across_branches_meets_the_boundary_term(self, alpha):
+        # (eps_-n - eps_+m) <psi_+m|psi_-n> = -nu c_+m c_-n with
+        # c = A_n C(n + beta + 1/2, n): the cross integrand goes as x at the
+        # origin, while the beta_- diagonal, psi_-^2 ~ x^(1 - 2 nu), fails
+        # gram's gap check from alpha = 0.35 on
+        nu = math.sqrt(alpha + 0.25)
+
+        def c(s):
+            return s.norm_const * math.prod((s.beta + 0.5 + k) / k for k in range(1, s.n + 1))
+
+        for m, n in itertools.product(range(6), repeat=2):
+            plus, minus = halfline_state(alpha, m), spectrum._state(alpha, n, -0.5 - nu)
+            value = overlap(plus, minus)
+            boundary = -nu * c(plus) * c(minus)
+            assert abs((minus.energy_eps - plus.energy_eps) * value / boundary - 1.0) <= 1e-12, (m, n)
+            assert abs(value - overlap_halfline_gauss(plus, minus)) <= 1e-13, (m, n)
+            if alpha < 0.35:
+                assert gram((plus, minus))[0, 1] == value, (m, n)
+                continue
+            # gram checks the beta_- diagonal too; overlap checks psi_-^2
+            # only when it returns that integral
+            for call, args in ((gram, ((plus, minus),)), (overlap, (minus, minus))):
+                with pytest.raises(DepthExceeded, match="Gram matrix of 2 states: the 20- and 10-point rules differ"):
+                    call(*args)
 
     def test_many_rules_build_each_entry_once(self, monkeypatch):
         # at alpha = 0.5 the pairwise loops over n <= 40 (half line, and the
@@ -608,14 +630,13 @@ class TestGram:
         states = [halfline_state(0.5, n) for n in range(4)]
         g = gram(states)
         m, panels = quad._rule_size(states)
-        nodes, weights, split = quad._rule(quad._WIDTH_MAX / m, panels)
+        nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
         entry = quad._entry(states[0].beta, m, panels)
-        rows, records = entry.rows, entry.kept
-        assert len(rows) == 4 and len(records) == 4
+        rows, kept = entry.rows, entry.kept
+        assert len(rows) == 4 and len(kept) == 4
         for s in states:
-            values, *own = records[s.n, s.norm_const]
+            values = kept[s.n, s.norm_const]
             np.testing.assert_array_equal(values, s.psi(nodes))
-            assert own == list(quad._sums(values, values, weights, split))
             with pytest.raises(ValueError):
                 values[0] = 1.0
         np.testing.assert_array_equal(gram(states), g)
@@ -639,13 +660,13 @@ class TestGram:
         for order in (requests, requests[::-1]):
             quad._entry.cache_clear()
             for pair, (m, panels) in order:
-                nodes, weights, split = quad._rule(quad._WIDTH_MAX / m, panels)
+                nodes = quad._rule(quad._WIDTH_MAX / m, panels)[0]
                 for s in pair:
-                    values, *own = quad._entry(s.beta, m, panels).psi(pair)[s.n, s.norm_const]
+                    values = quad._entry(s.beta, m, panels).psi(pair)[s.n, s.norm_const]
                     if (s, m, panels) not in psi:
                         psi[s, m, panels] = s.psi(nodes)
                     assert np.array_equal(values, psi[s, m, panels]), (s, m, panels)
-                    assert own == list(quad._sums(values, values, weights, split)), (s, m, panels)
+                    assert not values.flags.writeable, (s, m, panels)
 
     def test_request_below_the_kept_rows_restarts_the_pass(self, monkeypatch):
         # the rule of n = 249 at alpha = 0.5 has 9 720 nodes, so its entry
@@ -672,13 +693,15 @@ class TestGram:
         entry = quad._entry(s249.beta, m, panels)
         assert (entry.rows, entry.kept) == ((), {})
         for s in (s0, s5, s249):
-            np.testing.assert_array_equal(entry.psi((s,))[s.n, s.norm_const][0], s.psi(nodes))
+            values = entry.psi((s,))[s.n, s.norm_const]
+            np.testing.assert_array_equal(values, s.psi(nodes))
+            assert not values.flags.writeable
         # requests within the budget keep their rows and psi: L_0 .. L_5
         assert (len(entry.rows), len(entry.kept)) == (6, 2)
 
     def test_threads_share_a_cold_entry(self):
-        # four threads that meet one cold entry may each run a pass and sum a
-        # diagonal; every matrix and every pairwise overlap loop equals the
+        # four threads that meet one cold entry may each run a pass and make
+        # a psi; every matrix and every pairwise overlap loop equals the
         # one of a single thread bit for bit
         states = [halfline_state(0.5, n) for n in range(30)]
         pairs = [(s1, s2) for i, s1 in enumerate(states) for s2 in states[i:]]

@@ -211,6 +211,27 @@ class TestPsiIsFiniteOrRaises:
             with pytest.raises(ParameterError, match=match):
                 state.psi(x)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize(
+        "x, named",
+        [
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (np.array([0.5, math.nan, math.inf]), "nan"),
+            (np.array([[0.5, -math.inf], [math.nan, 1.0]]), "-inf"),
+        ],
+    )
+    def test_x_that_is_not_finite_is_named(self, n, x, named):
+        # checked before any factor: at n = 0 a NaN x read "a factor of it
+        # overflows", and from n = 1 laguerre's "y is not" text
+        for s in [halfline_state(0.5, n), *fullline_states(0.5, n)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError) as info:
+                    s.psi(x)
+            assert str(info.value) == f"psi needs a finite xi, got xi = {named}", s
+
     def test_finite_values_are_returned(self):
         # the check keeps the values it passes: psi far out is 0, not NaN
         s = halfline_state(1.0, 0)

@@ -253,8 +253,11 @@ def test_overlap_and_gram_sum_through_one_helper():
         }
 
     assert "gram" not in called("overlap")
+    # gram and overlap sum only what they return; the Gram rule's cache
+    # makes psi and sums nothing
+    assert {name for name in defined if "_sums" in called(name)} == {"gram", "overlap"}
     for name in ("gram", "overlap", "psi"):
-        assert "_sums" in called(name) and "sum" not in called(name), name
+        assert "sum" not in called(name), name
     assert "sum" in called("_sums")
     # one Laguerre recurrence pass per request: _Entry.psi is the Gram
     # route's one caller of _laguerre_rows, and no per-state pass is left
