@@ -67,6 +67,8 @@ class OscillatorSpec:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ParameterError("alpha must be finite")
         for name in ("mass", "omega", "hbar"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and positive")
@@ -194,18 +196,24 @@ def potential_value(spec: OscillatorSpec, x):
     """V(x) = (1/2) m w^2 x^2 + hbar^2 alpha / (2 m x^2) in physical units.
 
     Accepts scalar or ndarray x.  x = 0 is a genuine singularity whenever
-    alpha != 0.
+    alpha != 0 (SingularPointError).  Raises ParameterError, with no numpy
+    warning, naming the first x where x or V is not finite: x^2 overflows
+    from |x| ~ 1e154 on, and for alpha != 0 underflows to 0 near the origin.
     """
     import numpy as np
 
     x_arr = np.asarray(x, dtype=float)
-    harmonic = 0.5 * spec.mass * spec.omega**2 * x_arr**2
-    if spec.alpha == 0:
-        out = harmonic
-    else:
-        if np.any(x_arr == 0.0):
-            raise SingularPointError("V(0) undefined for alpha != 0")
-        out = harmonic + spec.hbar**2 * spec.alpha / (2.0 * spec.mass * x_arr**2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        harmonic = 0.5 * spec.mass * spec.omega**2 * x_arr**2
+        if spec.alpha == 0:
+            out = harmonic
+        else:
+            if np.any(x_arr == 0.0):
+                raise SingularPointError("V(0) undefined for alpha != 0")
+            out = harmonic + spec.hbar**2 * spec.alpha / (2.0 * spec.mass * x_arr**2)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ParameterError(f"V is not finite at x = {x_arr[bad][0]:.6g}")
     return float(out) if np.ndim(x) == 0 else out
 
 

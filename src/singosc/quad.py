@@ -322,7 +322,8 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     It takes each state's psi from the cache of the pair's Gram rule
     through _on_rule, as gram does, and sums one product, psi1 psi2, on
     the 20- and the 10-point rule (_sums); the gap check covers that sum,
-    the integral it returns.  So it raises where its own integral or a
+    the integral it returns, and its text names the pair ("overlap of
+    n = 0 and n = 0: ...").  So it raises where its own integral or a
     factor of psi fails, with gram's type and text for a factor, a domain
     or an alpha, but unlike gram it never integrates either state's psi^2:
     a beta_plus/beta_minus pair, whose product goes as x at the origin,
@@ -338,7 +339,7 @@ def overlap(s1: EigenState, s2: EigenState) -> float:
     fine, coarse = _sums(*_on_rule(pair, m, panels), weights, split)
     if s1.domain is Domain.FULL_LINE:
         fine, coarse = 2.0 * fine, 2.0 * coarse
-    _check_gap(fine, coarse, DepthExceeded, "Gram matrix of 2 states")
+    _check_gap(fine, coarse, DepthExceeded, f"overlap of n = {s1.n} and n = {s2.n}")
     return float(fine)
 
 

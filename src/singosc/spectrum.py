@@ -151,10 +151,10 @@ class SpectrumTable:
 
 def _state(alpha: float, n: int, beta: float, parity: Parity = Parity.NONE) -> EigenState:
     """The one constructor of an EigenState.  beta is data here and passes
-    no gate: the public entries resolve it, once per branch, so any root,
-    beta_minus included, builds a state.  Parity NONE gives the half-line
-    state; EVEN or ODD its whole-line extension, normalized with an extra
-    1/sqrt(2)."""
+    no gate: _branches resolves it for the public entries, once per branch,
+    so any root, beta_minus included, builds a state.  Parity NONE gives
+    the half-line state; EVEN or ODD its whole-line extension, normalized
+    with an extra 1/sqrt(2)."""
     eps = energy(n, beta)
     norm_const = normalization_constant(n, beta)
     if parity is Parity.NONE:
@@ -172,6 +172,27 @@ def _state(alpha: float, n: int, beta: float, parity: Parity = Parity.NONE) -> E
     )
 
 
+def _branches(
+    alpha: float, domain: Domain, beta_branch: float | None = None
+) -> tuple[tuple[float, Parity], ...]:
+    """(beta, parity) of each family of states that domain holds at alpha,
+    one gate call per branch: on the half line the requested branch with
+    parity NONE; on the whole line the (Even, Odd) pair on beta_plus, or at
+    alpha = 0 the even beta = -1 and the odd beta = 0 branches.  The one
+    place in this module that picks a branch; raises ParameterError for a
+    beta_branch on the whole line and for a domain that is not a Domain."""
+    if domain is Domain.HALF_LINE:
+        return ((admissible_beta(alpha, beta_branch), Parity.NONE),)
+    if domain is not Domain.FULL_LINE:
+        raise ParameterError(f"domain must be a Domain, got {domain!r}")
+    if beta_branch is not None:
+        raise ParameterError("a beta branch applies to half-line tables only")
+    if alpha != 0:
+        beta = admissible_beta(alpha)
+        return (beta, Parity.EVEN), (beta, Parity.ODD)
+    return (admissible_beta(alpha, -1.0), Parity.EVEN), (admissible_beta(alpha, 0.0), Parity.ODD)
+
+
 def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> EigenState:
     """Normalized half-line bound state (alpha, n).
 
@@ -180,21 +201,8 @@ def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> Ei
     the regular, finite-at-origin family there.
     """
     _check_n(n)
-    return _state(alpha, n, admissible_beta(alpha, beta_branch))
-
-
-def _fullline_branches(alpha: float) -> tuple[tuple[float, float, Parity], ...]:
-    """(alpha, beta, parity) of the whole-line states at each n, one gate
-    call per branch: the (Even, Odd) pair on beta_plus for alpha != 0, and
-    at alpha = 0 the even beta = -1 and odd beta = 0 branches, whose states
-    record alpha as 0.0."""
-    if alpha == 0:
-        return (
-            (0.0, admissible_beta(0.0, -1.0), Parity.EVEN),
-            (0.0, admissible_beta(0.0, 0.0), Parity.ODD),
-        )
-    beta = admissible_beta(alpha)
-    return (alpha, beta, Parity.EVEN), (alpha, beta, Parity.ODD)
+    ((beta, parity),) = _branches(alpha, Domain.HALF_LINE, beta_branch)
+    return _state(alpha, n, beta, parity)
 
 
 def fullline_states(alpha: float, n: int) -> list[EigenState]:
@@ -205,7 +213,7 @@ def fullline_states(alpha: float, n: int) -> list[EigenState]:
     beta = 0 state at eps = 2n + 3/2 (distinct energies).
     """
     _check_n(n)
-    return [_state(a, n, beta, parity) for a, beta, parity in _fullline_branches(alpha)]
+    return [_state(alpha, n, beta, parity) for beta, parity in _branches(alpha, Domain.FULL_LINE)]
 
 
 def spectrum_table(
@@ -220,16 +228,8 @@ def spectrum_table(
     full-line table holds both branches at alpha = 0 and takes none.
     """
     _check_n(n_max)
-    if domain is Domain.FULL_LINE and beta_branch is not None:
-        raise ParameterError("a beta branch applies to half-line tables only")
-    if domain is Domain.HALF_LINE:
-        beta = admissible_beta(alpha, beta_branch)
-        states = [_state(alpha, n, beta) for n in range(n_max + 1)]
-    else:
-        branches = _fullline_branches(alpha)
-        states = [
-            _state(a, n, beta, parity) for n in range(n_max + 1) for a, beta, parity in branches
-        ]
+    branches = _branches(alpha, domain, beta_branch)
+    states = [_state(alpha, n, beta, parity) for n in range(n_max + 1) for beta, parity in branches]
     states.sort(key=lambda s: (s.energy_eps, s.parity.value))
     degeneracy = Counter(s.energy_eps for s in states).values()
     spacing = 1.0 if (domain is Domain.FULL_LINE and alpha == 0) else 2.0

@@ -1,7 +1,9 @@
 """Indicial algebra, admissibility, boundary classes, units, radial map."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +209,11 @@ class TestOscillatorSpec:
             OscillatorSpec(alpha=0.0, hbar=bad)
 
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_alpha(self, bad):
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            OscillatorSpec(alpha=bad)
+
     @pytest.mark.parametrize(
         "units",
         [
@@ -246,6 +253,33 @@ class TestPotential:
     def test_even_in_x(self):
         spec = OscillatorSpec(alpha=0.7)
         assert potential_value(spec, -1.3) == potential_value(spec, 1.3)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("x, at", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (1e200, "1e+200"),
+    ])
+    def test_scalar_not_finite_raises(self, alpha, x, at):
+        # x or V not finite (x^2 overflows at 1e200) raises, with no numpy
+        # warning, where V was inf or nan
+        with pytest.raises(ParameterError, match=f"V is not finite at x = {re.escape(at)}$"):
+            potential_value(OscillatorSpec(alpha=alpha), x)
+
+    def test_underflowing_singular_term_raises(self):
+        # alpha / x^2 at x = 1e-200: x^2 underflows to 0 and V to inf
+        with pytest.raises(ParameterError, match="x = 1e-200$"):
+            potential_value(OscillatorSpec(alpha=1.0), 1e-200)
+        assert potential_value(OscillatorSpec(alpha=0.0), 1e-200) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.0])
+    def test_array_names_the_first_bad_x(self, alpha):
+        spec = OscillatorSpec(alpha=alpha)
+        x = np.array([0.5, 2.0, math.nan, 1e200, 3.0])
+        with pytest.raises(ParameterError, match="x = nan$"):
+            potential_value(spec, x)
+        with pytest.raises(ParameterError, match="x = 1e\\+200$"):
+            potential_value(spec, x[[0, 3, 2]])
+        good = potential_value(spec, x[[0, 1, 4]])
+        assert good.tolist() == [potential_value(spec, float(v)) for v in x[[0, 1, 4]]]
 
 
 class TestRadialMap:

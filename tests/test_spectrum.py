@@ -329,6 +329,31 @@ class TestSpectrumTable:
         with pytest.raises(ParameterError):
             spectrum_table(0.5, -1, Domain.HALF_LINE)
 
+    @pytest.mark.parametrize("domain", ["half", "full", None])
+    def test_rejects_a_domain_that_is_not_a_domain(self, domain):
+        # a string or None is no Domain: it raises, and is not read as the
+        # whole line
+        with pytest.raises(ParameterError, match="domain must be a Domain"):
+            spectrum_table(0.5, 1, domain)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, 0.5, -0.2])
+    def test_entries_build_the_table_states(self, alpha):
+        # one resolver picks the (beta, parity) families for the entries
+        # and the tables: each state equals the table's state at (n, parity)
+        # and records the alpha its caller passed, sign of zero included
+        branches = [None, -1.0] if alpha == 0 else [None]
+        for branch in branches:
+            half = spectrum_table(alpha, 4, Domain.HALF_LINE, branch).states
+            assert list(half) == [halfline_state(alpha, n, branch) for n in range(5)]
+        full = spectrum_table(alpha, 4, Domain.FULL_LINE).states
+        by_label = {(s.n, s.parity): s for s in full}
+        assert len(by_label) == len(full) == 10
+        for n in range(5):
+            for s in fullline_states(alpha, n):
+                assert s == by_label[s.n, s.parity]
+        for s in half + full:
+            assert math.copysign(1.0, s.alpha) == math.copysign(1.0, alpha)
+
     @given(subcritical_nonzero)
     @settings(max_examples=100)
     def test_distinct_level_gaps(self, alpha):

@@ -222,7 +222,8 @@ def test_only_public_oracle_entries_resolve_beta():
 
 
 def test_only_public_spectrum_entries_resolve_beta():
-    # the public entries gate once per branch and build every state through
+    # the public entries take their branches from the one resolver
+    # _branches, which gates once per branch, and build every state through
     # the one constructor _state, which takes beta as data and gates nothing
     def callers(name):
         return sorted(
@@ -233,9 +234,9 @@ def test_only_public_spectrum_entries_resolve_beta():
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
         )
 
-    # _fullline_branches gates the beta_plus pair, or each alpha = 0 branch
-    want = ["_fullline_branches"] * 3 + ["halfline_state", "spectrum_table"]
-    assert callers("admissible_beta") == want
+    # _branches gates the half-line branch, the whole-line beta_plus pair,
+    # or each alpha = 0 branch
+    assert callers("admissible_beta") == ["_branches"] * 4
     assert callers("EigenState") == ["_state"]
 
 
