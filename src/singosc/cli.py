@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import re
@@ -72,10 +71,17 @@ def _csv_cell(value: object) -> str:
 
 def _csv_column(column: list, lone: bool) -> tuple[str, list]:
     """A column's %-spec and the cells it formats: a column of exact
-    floats formats itself with %.17g, any other is encoded here.  A lone
-    field that is empty is written "", as csv.writer writes it."""
-    if {*map(type, column)} == {float}:
+    floats formats itself with %.17g, of exact ints with %d, and of exact
+    strs that csv.writer would not quote with %s; any other (bools among
+    them) is encoded here.  A lone field that is empty is written "", as
+    csv.writer writes it."""
+    types = {*map(type, column)}
+    if types == {float}:
         return "%.17g", column
+    if types == {int}:
+        return "%d", column
+    if types == {str} and not any(map(_MAY_NEED_QUOTES, column)) and (all(column) or not lone):
+        return "%s", column
     cells = list(map(_csv_cell, column))
     if lone:
         cells = [cell or '""' for cell in cells]
@@ -86,6 +92,8 @@ def _json_column(column: list) -> tuple[str, list]:
     """A column's %-spec and the cells it formats: a column of exact,
     finite floats formats itself with %r (float.__repr__, as json writes
     a float), any other is encoded here by json.dumps."""
+    import json
+
     if {*map(type, column)} == {float} and all(map(math.isfinite, column)):
         return "%r", column
     return "%s", list(map(json.dumps, column))
@@ -125,6 +133,8 @@ def emit_rows(
         buf.write("".join(map(template.__mod__, zip(*(cells for _, cells in encoded)))))
         _write_text(buf.getvalue(), path)
     else:
+        import json
+
         encoded = [(json.dumps(key).replace("%", "%%"), *_json_column(cells))
                    for key, cells in columns.items()]
         template = "    {\n" + ",\n".join(f"      {key}: {spec}" for key, spec, _ in encoded) + "\n    }"
@@ -135,6 +145,8 @@ def emit_rows(
 
 
 def _write_json(payload: dict, path: str | None) -> None:
+    import json
+
     _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 

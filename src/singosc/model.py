@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InadmissibleError, ParameterError, SingularPointError, SupercriticalError
 
@@ -52,22 +52,27 @@ class OriginBehavior(enum.Enum):
     INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class OscillatorSpec:
-    """Physical parameters; computation happens in natural units.
-
-    Internally everything uses hbar = m = w = 1 (lambda = 1, energies in
-    units of hbar*w, xi = sqrt(lambda) x); this object only scales values
-    at input/output boundaries.
-    """
-
+class _SpecFields(NamedTuple):
     alpha: float = 0.0
     mass: float = 1.0
     omega: float = 1.0
     hbar: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
+
+class OscillatorSpec(_SpecFields):
+    """Physical parameters; computation happens in natural units.
+
+    Internally everything uses hbar = m = w = 1 (lambda = 1, energies in
+    units of hbar*w, xi = sqrt(lambda) x); this object only scales values
+    at input/output boundaries.  An immutable record: every instance,
+    _replace's included, passes the checks of __new__.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float = 0.0, mass: float = 1.0, omega: float = 1.0, hbar: float = 1.0):
+        self = super().__new__(cls, alpha, mass, omega, hbar)
+        if not math.isfinite(alpha):
             raise ParameterError("alpha must be finite")
         for name in ("mass", "omega", "hbar"):
             if not 0 < getattr(self, name) < math.inf:
@@ -80,6 +85,11 @@ class OscillatorSpec:
             )
         if not 0 < self.energy_scale < math.inf:
             raise ParameterError(f"hbar omega = {self.energy_scale} must be finite and positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> OscillatorSpec:
+        return cls(*iterable)
 
     @property
     def lam(self) -> float:
@@ -103,8 +113,7 @@ class OscillatorSpec:
         return energy
 
 
-@dataclass(frozen=True)
-class IndicialRoots:
+class IndicialRoots(NamedTuple):
     """Roots of beta(beta+1) = alpha (their real part -1/2 when the pair
     is complex, alpha < -1/4) and the admissible ones: none when
     supercritical (alpha <= -1/4), both branches (-1, 0) at alpha = 0,
@@ -119,8 +128,7 @@ class IndicialRoots:
         return not self.admissible
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
+class BoundaryClass(NamedTuple):
     """Limiting behavior of (psi, psi') at x -> 0+ for an admissible pair."""
 
     psi_at_origin: OriginBehavior
@@ -198,19 +206,22 @@ def potential_value(spec: OscillatorSpec, x):
     Accepts scalar or ndarray x.  x = 0 is a genuine singularity whenever
     alpha != 0 (SingularPointError).  Raises ParameterError, with no numpy
     warning, naming the first x where x or V is not finite: x^2 overflows
-    from |x| ~ 1e154 on, and for alpha != 0 underflows to 0 near the origin.
+    from |x| ~ 1e154 on, and for alpha != 0 underflows to 0 near the origin;
+    w^2 and hbar^2 overflow from about 1.3e154 on.  They are squared as
+    numpy doubles, by the C pow that Python's ** calls, so they overflow to
+    inf where a Python float would raise OverflowError.
     """
     import numpy as np
 
     x_arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        harmonic = 0.5 * spec.mass * spec.omega**2 * x_arr**2
+        harmonic = 0.5 * spec.mass * np.float64(spec.omega) ** 2 * x_arr**2
         if spec.alpha == 0:
             out = harmonic
         else:
             if np.any(x_arr == 0.0):
                 raise SingularPointError("V(0) undefined for alpha != 0")
-            out = harmonic + spec.hbar**2 * spec.alpha / (2.0 * spec.mass * x_arr**2)
+            out = harmonic + np.float64(spec.hbar) ** 2 * spec.alpha / (2.0 * spec.mass * x_arr**2)
     bad = ~np.isfinite(out)
     if bad.any():
         raise ParameterError(f"V is not finite at x = {x_arr[bad][0]:.6g}")

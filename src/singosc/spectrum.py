@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import specfun
 from .errors import ParameterError
@@ -66,9 +66,9 @@ def normalization_constant(n: int, beta: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class EigenState:
-    """One normalized bound state with closed-form evaluators."""
+class EigenState(NamedTuple):
+    """One normalized bound state with closed-form evaluators; an immutable
+    record."""
 
     n: int
     beta: float
@@ -121,9 +121,9 @@ class EigenState:
         return norm_const * power * decay * lag
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Energy-ordered states with per-level multiplicities and spacing."""
+class SpectrumTable(NamedTuple):
+    """Energy-ordered states with per-level multiplicities and spacing; an
+    immutable record."""
 
     alpha: float
     domain: Domain
@@ -150,7 +150,8 @@ class SpectrumTable:
 
 
 def _state(alpha: float, n: int, beta: float, parity: Parity = Parity.NONE) -> EigenState:
-    """The one constructor of an EigenState.  beta is data here and passes
+    """The one constructor of an EigenState (_level copies a whole-line
+    even state to its odd twin by _replace).  beta is data here and passes
     no gate: _branches resolves it for the public entries, once per branch,
     so any root, beta_minus included, builds a state.  Parity NONE gives
     the half-line state; EVEN or ODD its whole-line extension, normalized
@@ -193,6 +194,19 @@ def _branches(
     return (admissible_beta(alpha, -1.0), Parity.EVEN), (admissible_beta(alpha, 0.0), Parity.ODD)
 
 
+def _level(alpha: float, n: int, branches: tuple[tuple[float, Parity], ...]) -> list[EigenState]:
+    """The states of quantum number n on each (beta, parity) of branches,
+    each (n, beta) built once: a whole-line pair on one beta shares eps and
+    norm_const, so its odd state is the even one with parity Odd."""
+    states = []
+    for beta, parity in branches:
+        if states and states[-1].beta == beta:
+            states.append(states[-1]._replace(parity=parity))
+        else:
+            states.append(_state(alpha, n, beta, parity))
+    return states
+
+
 def halfline_state(alpha: float, n: int, beta_branch: float | None = None) -> EigenState:
     """Normalized half-line bound state (alpha, n).
 
@@ -213,7 +227,7 @@ def fullline_states(alpha: float, n: int) -> list[EigenState]:
     beta = 0 state at eps = 2n + 3/2 (distinct energies).
     """
     _check_n(n)
-    return [_state(alpha, n, beta, parity) for beta, parity in _branches(alpha, Domain.FULL_LINE)]
+    return _level(alpha, n, _branches(alpha, Domain.FULL_LINE))
 
 
 def spectrum_table(
@@ -226,11 +240,12 @@ def spectrum_table(
 
     beta_branch picks the half-line branch as in halfline_state; the
     full-line table holds both branches at alpha = 0 and takes none.
+    The states come out in (eps, parity) order as _level builds them, n
+    by n and even before odd, so no sort runs.
     """
     _check_n(n_max)
     branches = _branches(alpha, domain, beta_branch)
-    states = [_state(alpha, n, beta, parity) for n in range(n_max + 1) for beta, parity in branches]
-    states.sort(key=lambda s: (s.energy_eps, s.parity.value))
+    states = [s for n in range(n_max + 1) for s in _level(alpha, n, branches)]
     degeneracy = Counter(s.energy_eps for s in states).values()
     spacing = 1.0 if (domain is Domain.FULL_LINE and alpha == 0) else 2.0
     return SpectrumTable(

@@ -14,7 +14,7 @@ them, so the CLI reads SUITE_NAMES without loading either.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import spectrum
 from .errors import ParameterError, SupercriticalError
@@ -23,18 +23,27 @@ from .model import ALPHA_CRITICAL, Domain, Parity, admissible_beta, indicial_roo
 ORACLE_TOL_SHOOT, ORACLE_TOL_FD = 1e-4, 5e-3  # bounds on the largest relative level error
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     measured: str
     bound: str
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    """A suite's name and the checks it adds, in order."""
+
+    def __init__(self, suite: str, checks: list[Check] | None = None) -> None:
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"SuiteReport(suite={self.suite!r}, checks={self.checks!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.checks) == (other.suite, other.checks)
 
     @property
     def passed(self) -> bool:
@@ -47,7 +56,7 @@ class SuiteReport:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 

@@ -22,6 +22,7 @@ from singosc.cli import (
     ALPHA_SWEEP_POINTS,
     MAX_POINTS,
     _alpha_sweep,
+    _csv_column,
     build_parser,
     emit_rows,
     main,
@@ -993,6 +994,39 @@ class TestLazyNumpy:
         assert "numpy" in _loaded_after(_run_module(*argv), "numpy")
 
 
+def _loaded_of(code, names):
+    """Run code in a fresh interpreter and return which of the modules
+    names it loaded."""
+    probe = f"{code}\nimport sys\nprint('loaded:', *sorted(m for m in {names!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()[1:]
+
+
+class TestLazyStdlib:
+    """The analytic records are named tuples, so a level table loads no
+    dataclasses (which loads inspect), and the CSV writer loads no json."""
+
+    CSV_CALLS = {
+        "import": "import singosc",
+        "import-cli": "import singosc.cli",
+        "spectrum-half": _run_module("spectrum", "--alpha", "0.5"),
+        "spectrum-full": _run_module("spectrum", "--alpha", "0.3", "--domain", "full"),
+        "spectrum-mass": _run_module("spectrum", "--alpha", "0.5", "--mass", "2"),
+        "radial": _run_module("radial", "--alpha", "0.5", "--l", "1"),
+        "figure-2": _run_module("figure", "2"),
+        "figure-4": _run_module("figure", "4"),
+    }
+
+    @pytest.mark.parametrize("code", CSV_CALLS.values(), ids=CSV_CALLS)
+    def test_csv_level_tables_load_no_dataclasses_inspect_or_json(self, code):
+        assert _loaded_of(code, ["dataclasses", "inspect", "json"]) == []
+
+    def test_json_output_loads_json(self):
+        code = _run_module("spectrum", "--alpha", "0.5", "--format", "json")
+        assert _loaded_of(code, ["dataclasses", "inspect", "json"]) == ["json"]
+
+
 def _dictwriter_csv(rows, fields):
     """Reference CSV: one formatted dict and one csv.DictWriter call per row."""
     buf = io.StringIO()
@@ -1082,6 +1116,26 @@ class TestEmitRowsBytes:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             emit_rows(columns, list(columns), "json", None, meta)
         assert out.getvalue() == want
+
+    @pytest.mark.parametrize("fields", [["cell"], ["cell", "eps"], ["eps", "cell"]])
+    @pytest.mark.parametrize(
+        "cells, spec",
+        [
+            ([0, -3, 10**20], "%d"),  # exact ints
+            ([True, False, True], "%s"),  # bools go cell by cell
+            ([1, True, 2.5, None], "%s"),
+            (["even", "odd", "n=3", " lead"], "%s"),  # strs csv.writer leaves bare
+            (["even", "a,b"], "%s"),
+            (['say "hi"', "x"], "%s"),
+            (["two\nlines", "y"], "%s"),
+            (["", "odd"], "%s"),
+            ([""], "%s"),  # a lone empty field is written ""
+        ],
+    )
+    def test_typed_columns(self, cells, spec, fields):
+        rows = [{f: {"cell": cell, "eps": 1.5}[f] for f in fields} for cell in cells]
+        assert _emit_csv(rows, fields) == _dictwriter_csv(rows, fields)
+        assert _csv_column(cells, len(fields) == 1)[0] == spec
 
     @pytest.mark.parametrize("fields", [["label"], ["label", "eps"]])
     @pytest.mark.parametrize(

@@ -233,6 +233,18 @@ class TestOscillatorSpec:
         with pytest.raises(ParameterError, match="overflows"):
             spec.energy_from_eps(2.5)
 
+    def test_repr_names_every_field(self):
+        spec = OscillatorSpec(alpha=0.5, mass=2.0)
+        assert repr(spec) == "OscillatorSpec(alpha=0.5, mass=2.0, omega=1.0, hbar=1.0)"
+
+    def test_replace_runs_the_checks(self):
+        spec = OscillatorSpec(alpha=0.5)
+        assert spec._replace(mass=2.0) == OscillatorSpec(alpha=0.5, mass=2.0)
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            spec._replace(alpha=math.nan)
+        with pytest.raises(ParameterError, match="omega must be finite and positive"):
+            spec._replace(omega=-1.0)
+
 
 class TestPotential:
     def test_pure_oscillator_at_unit_point(self):
@@ -269,6 +281,28 @@ class TestPotential:
         with pytest.raises(ParameterError, match="x = 1e-200$"):
             potential_value(OscillatorSpec(alpha=1.0), 1e-200)
         assert potential_value(OscillatorSpec(alpha=0.0), 1e-200) == 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, units",
+        [
+            (0.0, {"mass": 1e-200, "omega": 1e200}),  # omega^2 overflows, lambda = 1
+            (0.5, {"mass": 1e-200, "omega": 1e200}),
+            (0.5, {"mass": 1e200, "hbar": 1e200}),  # hbar^2 overflows, lambda = 1
+        ],
+    )
+    def test_squared_units_that_overflow_raise(self, alpha, units):
+        # OscillatorSpec accepts these; w^2 or hbar^2 is past the float
+        # range, which raised a bare OverflowError
+        spec = OscillatorSpec(alpha=alpha, **units)
+        with pytest.raises(ParameterError, match="V is not finite at x = 1.5$"):
+            potential_value(spec, 1.5)
+        with pytest.raises(ParameterError, match="V is not finite at x = 0.5$"):
+            potential_value(spec, np.array([0.5, 2.0]))
+
+    def test_large_hbar_without_the_singular_term(self):
+        # at alpha = 0 hbar^2 is not needed: V = m w^2 x^2 / 2
+        spec = OscillatorSpec(alpha=0.0, mass=1e200, hbar=1e200)
+        assert potential_value(spec, 1.0) == 0.5 * 1e200
 
     @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.0])
     def test_array_names_the_first_bad_x(self, alpha):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from singosc import spectrum
 from singosc.cli import emit_rows
 from singosc.errors import InadmissibleError, ParameterError, SupercriticalError
-from singosc.model import Domain, Parity, indicial_roots
+from singosc.model import Domain, OscillatorSpec, Parity, indicial_roots
 from singosc.spectrum import (
     DIVERGENT,
     _state,
@@ -354,12 +354,80 @@ class TestSpectrumTable:
         for s in half + full:
             assert math.copysign(1.0, s.alpha) == math.copysign(1.0, alpha)
 
+    # a sweep of (-1/4, 8] with alpha = 0 of either sign in it
+    SWEEP = [*np.linspace(-0.2499, 8.0, 23).tolist(), -1e-12, -0.0, 0.0, 1e-12]
+
+    @pytest.mark.parametrize("alpha", SWEEP)
+    def test_states_are_built_in_eps_parity_order(self, alpha):
+        # n by n, even before odd, is the (eps, parity) order: a stable sort
+        # moves no state, on both domains and both half-line branches
+        tables = [spectrum_table(alpha, 30, domain) for domain in Domain]
+        if alpha == 0:
+            tables.append(spectrum_table(alpha, 30, Domain.HALF_LINE, -1.0))
+        for t in tables:
+            key = lambda s: (s.energy_eps, s.parity.value)  # noqa: E731
+            assert list(t.states) == sorted(t.states, key=key)
+            assert [key(s) for s in t.states] == sorted({key(s) for s in t.states})
+
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, -1e-12, 1e-12, 0.5, 2.0, 8.0])
+    def test_odd_state_is_the_even_one_with_parity_odd(self, alpha):
+        # each (n, beta) level is built once: the odd state has the even
+        # one's eps and norm_const bit for bit, as a state built afresh has
+        full = spectrum_table(alpha, 12, Domain.FULL_LINE).states
+        pairs = [*zip(full[::2], full[1::2]), *(fullline_states(alpha, n) for n in range(13))]
+        for even, odd in pairs:
+            assert even.parity is Parity.EVEN
+            assert odd == even._replace(parity=Parity.ODD)
+            assert odd == _state(alpha, odd.n, odd.beta, Parity.ODD)
+
+    def test_alpha_zero_pairs_two_branches(self):
+        full = spectrum_table(0.0, 6, Domain.FULL_LINE).states
+        for even, odd in zip(full[::2], full[1::2]):
+            assert (even.beta, odd.beta) == (-1.0, 0.0)
+            assert odd == _state(0.0, odd.n, 0.0, Parity.ODD)
+
     @given(subcritical_nonzero)
     @settings(max_examples=100)
     def test_distinct_level_gaps(self, alpha):
         t = spectrum_table(alpha, 5, Domain.HALF_LINE)
         gaps = np.diff(t.distinct_levels())
         assert np.all(np.abs(gaps - 2.0) < 1e-12)
+
+
+class TestRecords:
+    """States, tables and specs are immutable records, equal and hash-equal
+    when built from equal inputs."""
+
+    MAKERS = {
+        "halfline_state": lambda: halfline_state(0.5, 3),
+        "fullline_states": lambda: fullline_states(0.0, 2)[1],
+        "spectrum_table-full": lambda: spectrum_table(0.3, 4, Domain.FULL_LINE),
+        "spectrum_table-minus1": lambda: spectrum_table(0.0, 4, Domain.HALF_LINE, -1.0),
+        "OscillatorSpec": lambda: OscillatorSpec(alpha=0.5, mass=2.0),
+    }
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    def test_equal_inputs_give_equal_hash_equal_records(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    def test_fields_cannot_be_set(self, make):
+        record = make()
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+        assert record == make()
+
+    def test_repr_names_every_field(self):
+        assert repr(spectrum_table(0.0, 0, Domain.FULL_LINE)) == (
+            "SpectrumTable(alpha=0.0, domain=<Domain.FULL_LINE: 'full'>, states=("
+            "EigenState(n=0, beta=-1.0, parity=<Parity.EVEN: 'even'>, energy_eps=0.5, "
+            "norm_const=0.7511255444649424, domain=<Domain.FULL_LINE: 'full'>, alpha=0.0), "
+            "EigenState(n=0, beta=0.0, parity=<Parity.ODD: 'odd'>, energy_eps=1.5, "
+            "norm_const=1.0622519320271968, domain=<Domain.FULL_LINE: 'full'>, alpha=0.0)), "
+            "degeneracy=(1, 1), spacing=1.0)"
+        )
 
 
 class TestPerturbation:

@@ -373,6 +373,25 @@ def test_only_the_fd_oracle_imports_scipy():
     hits = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in importers(parse(path), path.stem)]
     assert hits == ["oracle._fd_eigenvalues"]
 
+def test_only_oracle_imports_dataclasses():
+    # the analytic records are named tuples, so a level table never loads
+    # dataclasses (nor the inspect module it imports); the oracle's results
+    # stay dataclasses, for dataclasses.replace
+    def imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                yield node.module
+
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(name.split(".")[0] == "dataclasses" for name in imports(parse(path)))
+    ]
+    assert importers == ["oracle.py"]
+
+
 def test_only_oracle_and_quad_import_numpy_at_module_level():
     # a level table is the closed-form ladder and needs only math: every
     # other module imports numpy inside the functions that build arrays
