@@ -71,17 +71,10 @@ def _csv_cell(value: object) -> str:
 
 def _csv_column(column: list, lone: bool) -> tuple[str, list]:
     """A column's %-spec and the cells it formats: a column of exact
-    floats formats itself with %.17g, of exact ints with %d, and of exact
-    strs that csv.writer would not quote with %s; any other (bools among
-    them) is encoded here.  A lone field that is empty is written "", as
-    csv.writer writes it."""
-    types = {*map(type, column)}
-    if types == {float}:
+    floats formats itself with %.17g, any other is encoded here.  A lone
+    field that is empty is written "", as csv.writer writes it."""
+    if {*map(type, column)} == {float}:
         return "%.17g", column
-    if types == {int}:
-        return "%d", column
-    if types == {str} and not any(map(_MAY_NEED_QUOTES, column)) and (all(column) or not lone):
-        return "%s", column
     cells = list(map(_csv_cell, column))
     if lone:
         cells = [cell or '""' for cell in cells]

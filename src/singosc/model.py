@@ -53,10 +53,10 @@ class OriginBehavior(enum.Enum):
 
 
 class _SpecFields(NamedTuple):
-    alpha: float = 0.0
-    mass: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
+    alpha: float
+    mass: float
+    omega: float
+    hbar: float
 
 
 class OscillatorSpec(_SpecFields):

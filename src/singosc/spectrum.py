@@ -150,7 +150,7 @@ class SpectrumTable(NamedTuple):
 
 
 def _state(alpha: float, n: int, beta: float, parity: Parity = Parity.NONE) -> EigenState:
-    """The one constructor of an EigenState (_level copies a whole-line
+    """An EigenState computed from scratch (_level copies a whole-line
     even state to its odd twin by _replace).  beta is data here and passes
     no gate: _branches resolves it for the public entries, once per branch,
     so any root, beta_minus included, builds a state.  Parity NONE gives

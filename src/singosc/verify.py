@@ -33,17 +33,9 @@ class Check(NamedTuple):
 class SuiteReport:
     """A suite's name and the checks it adds, in order."""
 
-    def __init__(self, suite: str, checks: list[Check] | None = None) -> None:
+    def __init__(self, suite: str) -> None:
         self.suite = suite
-        self.checks = [] if checks is None else checks
-
-    def __repr__(self) -> str:
-        return f"SuiteReport(suite={self.suite!r}, checks={self.checks!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.checks) == (other.suite, other.checks)
+        self.checks: list[Check] = []
 
     @property
     def passed(self) -> bool:

@@ -25,6 +25,7 @@ from singosc.spectrum import (
     perturbation_first_order,
     spectrum_table,
 )
+from singosc.verify import Check
 
 subcritical_nonzero = st.floats(min_value=-0.249, max_value=20.0).filter(
     lambda a: a != 0.0
@@ -418,6 +419,17 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 setattr(record, name, 1.0)
         assert record == make()
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    def test_records_compare_as_tuples(self, make):
+        # NamedTuples: equality and hash are those of the plain tuple of
+        # the fields, so a record equals that tuple
+        record = make()
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert type(fields) is tuple and record == fields and hash(record) == hash(fields)
+
+    def test_check_compares_as_a_tuple(self):
+        assert Check("a", True, "m", "b") == ("a", True, "m", "b")
 
     def test_repr_names_every_field(self):
         assert repr(spectrum_table(0.0, 0, Domain.FULL_LINE)) == (
