@@ -535,6 +535,23 @@ class TestFigureCommands:
         assert captured.err == "singosc: error: --alpha-points applies to figures 2 and 4 only\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", ["1", "2", "2 --alpha-points 5", "3", "4", "4 --alpha-points 5"])
+    def test_out_file_equals_stdout(self, argv, tmp_path, capsys):
+        # `figure k --out` is the one writer of the figure files
+        assert main(["figure", *argv.split()]) == 0
+        want = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "f.csv"
+        assert main(["figure", *argv.split(), "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("fig", ["2", "4"])
+    @pytest.mark.parametrize("points", ["-1", str(MAX_POINTS + 1)])
+    def test_bad_point_count_writes_no_file(self, fig, points, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["figure", fig, "--alpha-points", points, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("singosc: error: --alpha-points must be ")
+        assert not out.exists()
+
     def test_default_sweep_points(self, tmp_path):
         rc, text = run_cli(["figure", "4"], tmp_path)
         curves = [r for r in parse_csv(text) if r["kind"] == "curve"]

@@ -7,8 +7,6 @@ import sys
 
 import pytest
 
-from singosc.cli import main as cli_main
-
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -68,49 +66,3 @@ class TestOracleSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[True, True]"
 
-
-class TestEmitFigures:
-    def test_files_equal_figure_command_output(self, tmp_path, capsys):
-        emit = load_script("emit_figures")
-        assert emit.main(["--alpha-points", "5", "--outdir", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            f"wrote {tmp_path / f'figure{k}.csv'}" for k in (1, 2, 3, 4)
-        ]
-        for k in (1, 2, 3, 4):
-            sweep = ["--alpha-points", "5"] if k in (2, 4) else []
-            assert cli_main(["figure", str(k), *sweep]) == 0
-            want = capsys.readouterr().out.encode("utf-8")
-            assert (tmp_path / f"figure{k}.csv").read_bytes() == want
-
-    def test_default_sweep_is_the_cli_default(self, tmp_path, capsys):
-        # with no --alpha-points, figures 2 and 4 sweep as `singosc figure` does
-        emit = load_script("emit_figures")
-        assert emit.main(["--outdir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        for k in (2, 4):
-            assert cli_main(["figure", str(k)]) == 0
-            want = capsys.readouterr().out.encode("utf-8")
-            assert (tmp_path / f"figure{k}.csv").read_bytes() == want
-
-    @pytest.mark.parametrize("points", ["-1", "100001"])
-    def test_bad_point_count_writes_no_file(self, points, tmp_path):
-        # figure 1 takes no sweep, so only a check before it keeps its file out
-        emit = load_script("emit_figures")
-        with pytest.raises(SystemExit) as exc:
-            emit.main(["--alpha-points", points, "--outdir", str(tmp_path / "out")])
-        assert exc.value.code == 1
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("under", [False, True])
-    def test_outdir_naming_a_file_is_one_error_line(self, under, tmp_path, capsys):
-        # an existing file, or a path under one, cannot be made a directory
-        (tmp_path / "taken").write_text("")
-        outdir = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
-        emit = load_script("emit_figures")
-        with pytest.raises(SystemExit) as exc:
-            emit.main(["--alpha-points", "5", "--outdir", str(outdir)])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f": error: cannot create --outdir {outdir}: " in err
-        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-        assert (tmp_path / "taken").read_text() == ""

@@ -1,7 +1,8 @@
 """Names and examples that live outside the package: the benchmark's tracer
 names package functions by attribute, and every one must still exist, or a
 traced benchmark run fails only when it starts; every README CLI example
-must still run.  Two static checks catch what a deletion leaves behind: an
+must still run, every script it names exist, and the declared numpy floor
+provide what the package calls.  Two static checks catch what a deletion leaves behind: an
 import the module no longer uses, and a private module-level name that
 nothing references."""
 
@@ -38,12 +39,12 @@ def test_traced_boundary_resolves(owner, attr):
     assert callable(getattr(owner, attr, None))
 
 
-def readme_cli_lines():
+def readme_sh_lines():
     blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
-    return [line for block in blocks for line in block.splitlines() if line.startswith("singosc ")]
+    return [line for block in blocks for line in block.splitlines()]
 
 
-README_CLI_LINES = readme_cli_lines()
+README_CLI_LINES = [line for line in readme_sh_lines() if line.startswith("singosc ")]
 
 
 def test_readme_has_cli_examples():
@@ -54,6 +55,25 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `--out` examples write here
     assert cli_main(shlex.split(line, comments=True)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_scripts_exist():
+    # a deleted script leaves no example behind that points at it
+    scripts = [m for line in readme_sh_lines() for m in re.findall(r"^python3? (scripts/\S+\.py)", line)]
+    assert scripts
+    assert [s for s in scripts if not (ROOT / s).is_file()] == []
+
+
+def test_numpy_floor_has_what_the_package_calls():
+    # np.vecdot is new in numpy 2.0: on an older numpy that satisfies the
+    # declared floor, every shooting call would raise AttributeError
+    (floor,) = re.findall(r'^\s*"numpy>=([\d.]+)",?$', (ROOT / "pyproject.toml").read_text(), re.M)
+    uses_vecdot = any(
+        isinstance(node, ast.Attribute) and node.attr == "vecdot"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(parse(path))
+    )
+    assert not uses_vecdot or int(floor.split(".")[0]) >= 2, f"numpy>={floor}"
 
 
 # every option of every subcommand, 39 in all: numerical settings are
