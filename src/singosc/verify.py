@@ -8,8 +8,10 @@ rejected" and "even ground state" until the finite-difference oracle
 runs both indicial branches, and the three "even/odd degenerate" lines
 and "alpha=0 combined spectrum" until a whole-line oracle measures them.
 
-The oracles and the quadrature are imported inside the suites that call
-them, so the CLI reads SUITE_NAMES without loading either.
+`run_suites` is the one judge of a request: it checks the suite names and
+alpha before any suite runs.  The oracles and the quadrature are imported
+inside the suites that call them, and the CLI imports this module only
+for `singosc verify`.
 """
 
 from __future__ import annotations
@@ -200,13 +202,16 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names: tuple[str, ...], alpha: float | None = None) -> list[SuiteReport]:
-    """Run the named suites, alpha overriding the oracle suite's; the names
-    and alpha (admissible_beta) are checked before any suite runs."""
+    """Run the named suites, alpha overriding the oracle suite's.  Before
+    any suite runs, in this order: every name must be a suite, alpha needs
+    the oracle suite among the names, and alpha must pass admissible_beta."""
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ParameterError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
     overrides = {}
     if alpha is not None:
+        if "oracle" not in names:
+            raise ParameterError(f"alpha applies to the oracle suite only, not to {list(names)}")
         admissible_beta(alpha)
         overrides["alphas"] = (alpha,)
     return [SUITES[name](**overrides) if name == "oracle" else SUITES[name]() for name in names]

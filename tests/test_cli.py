@@ -616,6 +616,14 @@ class TestFigureCommands:
 
 
 class TestVerifyCommand:
+    @pytest.fixture
+    def called(self, monkeypatch):
+        """The names of the suites run, each suite a stub that records it."""
+        called = []
+        for name in verify.SUITE_NAMES:
+            monkeypatch.setitem(verify.SUITES, name, lambda *a, name=name, **k: called.append(name))
+        return called
+
     def test_quick_suite_json(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["verify", "--suite", "perturbation", "--format", "json",
@@ -663,6 +671,21 @@ class TestVerifyCommand:
         ladder = [2 * n + beta + 1.5 for n in range(5)]
         assert [list(args[0]) for args in calls] == [pytest.approx(ladder, rel=1e-15)] * 2
 
+    def test_oracle_suite_one_level_pair_within_bounds(self):
+        # the smallest ladder both oracles grade: n_max = 1 at alpha = 1/2
+        rep = verify.suite_oracle(alphas=(0.5,), n_max=1)
+        assert [(c.name, c.passed) for c in rep.checks] == [
+            ("shooting alpha=0.5", True), ("finite-difference alpha=0.5", True)
+        ]
+
+    def test_oracle_suite_rejects_a_negative_level_count(self, monkeypatch):
+        # the closed form checks n_max before either oracle runs
+        called = []
+        monkeypatch.setattr(oracle, "shoot_spectrum", lambda *a, **k: called.append(a))
+        with pytest.raises(ParameterError, match="quantum number n must be an integer"):
+            verify.suite_oracle(alphas=(0.5,), n_max=-1)
+        assert called == []
+
     def test_oracle_suite_at_huge_alpha_exits_1(self, capsys):
         # shooting's Frobenius series does not converge at x0 = 1.6e6
         assert main(["verify", "--suite", "oracle", "--alpha", "1e30"]) == 1
@@ -689,15 +712,12 @@ class TestVerifyCommand:
     # came first in the list
     @pytest.mark.parametrize(
         "flags, code",
-        [(["--alpha", "nan"], 1), (["--alpha", "-1"], 2)],
-        ids=["flags2-1", "flags3-2"],
+        [(["--alpha", "nan"], 1), (["--alpha", "-1"], 2), (["--alpha", "-0.25"], 2)],
+        ids=["flags2-1", "flags3-2", "quarter-2"],
     )
-    def test_bad_oracle_flags_rejected_before_any_suite(self, monkeypatch, capsys, flags, code):
+    def test_bad_oracle_flags_rejected_before_any_suite(self, called, capsys, flags, code):
         # --suite all would run hermiticity and orthonormality before the
         # oracle suite; a bad --alpha must stop it before them
-        called = []
-        for name in verify.SUITE_NAMES:
-            monkeypatch.setitem(verify.SUITES, name, lambda *a, name=name, **k: called.append(name))
         assert main(["verify", "--suite", "all", *flags]) == code
         assert called == []
         captured = capsys.readouterr()
@@ -706,13 +726,28 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "names", [("nope",), ("oracle", "nope")], ids=["alone", "after-oracle"]
     )
-    def test_unknown_suite_rejected_before_any_suite(self, monkeypatch, names):
-        # argparse keeps --suite to its choices; only a library caller can
-        # name an unknown suite, and the oracle suite must not run first
-        called = []
-        monkeypatch.setattr(oracle, "shoot_spectrum", lambda *a, **k: called.append(a))
+    def test_unknown_suite_rejected_before_any_suite(self, called, names):
+        # run_suites checks every name first, so the oracle suite named
+        # before an unknown one must not run
         with pytest.raises(ParameterError, match="nope"):
             verify.run_suites(names)
+        assert called == []
+
+    def test_unknown_suite_from_the_cli_rejected_before_any_suite(self, called, capsys):
+        # the CLI leaves --suite to run_suites, so its error is the one line
+        assert main(["verify", "--suite", "nope"]) == 1
+        assert called == []
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"singosc: error: unknown suites \['nope'\][^\n]*\n", captured.err)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "names", [("degeneracy",), ("hermiticity", "perturbation")], ids=["one", "two"]
+    )
+    def test_alpha_without_the_oracle_suite_rejected_before_any_suite(self, called, names):
+        # an alpha only the oracle suite reads is an error, not dropped
+        with pytest.raises(ParameterError, match="oracle suite only"):
+            verify.run_suites(names, alpha=2.0)
         assert called == []
 
     # verify checks that restate a closed form, each the report's only line
@@ -755,7 +790,9 @@ class TestVerifyCommand:
     def test_oracle_flags_rejected_by_other_suites(self, capsys, suite, flags):
         assert main(["verify", "--suite", suite, *flags]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "singosc: error: --alpha applies to --suite oracle and all only\n"
+        assert captured.err == (
+            f"singosc: error: alpha applies to the oracle suite only, not to {[suite]}\n"
+        )
         assert captured.out == ""
 
     @given(st.floats())
@@ -901,16 +938,20 @@ class TestLazyScipy:
 
 
 class TestLazyOracleAndQuadrature:
-    """singosc.oracle and singosc.quad load on first use, never on import
-    or in an analytic command."""
+    """singosc.oracle and singosc.quad load on first use, and singosc.verify
+    for `singosc verify` only, never on import or in an analytic command."""
 
-    _DEFERRED = {"singosc.oracle", "singosc.quad"}
+    _DEFERRED = {"singosc.oracle", "singosc.quad", "singosc.verify"}
 
     def _deferred_after(self, code):
         return self._DEFERRED.intersection(_loaded_after(code, package="singosc"))
 
     def test_import_loads_neither(self):
         assert self._deferred_after("import singosc") == set()
+
+    def test_cli_import_loads_none(self):
+        # the CLI imports verify inside `singosc verify` alone
+        assert self._deferred_after("import singosc.cli") == set()
 
     @pytest.mark.parametrize("argv", _ANALYTIC_ARGV)
     def test_analytic_commands_load_neither(self, argv):
@@ -927,7 +968,7 @@ class TestLazyOracleAndQuadrature:
     )
     def test_verify_loads_what_its_suites_call(self, suite, loaded):
         argv = ("verify", "--suite", suite, *(("--alpha", "2") if suite == "oracle" else ()))
-        assert self._deferred_after(_run_module(*argv)) == loaded
+        assert self._deferred_after(_run_module(*argv)) == {"singosc.verify", *loaded}
 
     def test_lazy_names_are_the_modules_own(self):
         code = (
@@ -949,7 +990,7 @@ class TestLazyOracleAndQuadrature:
             "else:\n"
             "    raise AssertionError('no AttributeError')\n"
         )
-        assert self._deferred_after(code) == self._DEFERRED
+        assert self._deferred_after(code) == {"singosc.oracle", "singosc.quad"}
 
 
 class TestLazyQuadratureRule:

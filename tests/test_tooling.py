@@ -1,10 +1,10 @@
 """Names and examples that live outside the package: the benchmark's tracer
 names package functions by attribute, and every one must still exist, or a
 traced benchmark run fails only when it starts; every README CLI example
-must still run, every script it names exist, and the declared numpy floor
-provide what the package calls.  Two static checks catch what a deletion leaves behind: an
-import the module no longer uses, and a private module-level name that
-nothing references."""
+must still run, and the declared numpy floor provide what the package
+calls.  Two static checks catch what a deletion leaves behind: an import
+the module no longer uses, and a private module-level name that nothing
+references."""
 
 import argparse
 import ast
@@ -55,13 +55,6 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `--out` examples write here
     assert cli_main(shlex.split(line, comments=True)[1:]) == 0, capsys.readouterr().err
-
-
-def test_readme_scripts_exist():
-    # a deleted script leaves no example behind that points at it
-    scripts = [m for line in readme_sh_lines() for m in re.findall(r"^python3? (scripts/\S+\.py)", line)]
-    assert scripts
-    assert [s for s in scripts if not (ROOT / s).is_file()] == []
 
 
 def test_numpy_floor_has_what_the_package_calls():
@@ -154,7 +147,7 @@ def test_no_unused_import(path):
 
 
 def test_every_private_name_is_referenced():
-    refs = references(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    refs = references(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
     unreferenced = [
         f"{path.name}:{name}"
         for path in PACKAGE.glob("*.py")
@@ -162,20 +155,6 @@ def test_every_private_name_is_referenced():
         if name not in refs
     ]
     assert unreferenced == []
-
-
-def test_scripts_import_no_private_name():
-    # scripts drive the package by its public names, so a private seam can
-    # change without a script that breaks only when it runs
-    hits = [
-        f"{path.name}:{alias.name}"
-        for path in sorted((ROOT / "scripts").glob("*.py"))
-        for node in ast.walk(parse(path))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "singosc"
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    assert hits == []
 
 
 def modules_imported_from(tree):
