@@ -19,12 +19,13 @@ exponent for nu; what it misses is of order e^(4 s_min) eps^2.  The
 grid runs to ln _box in steps of min(_H_LOG, _PHASE / kappa), where kappa
 = sqrt(top^2 - nu^2) is the top's largest wavenumber in s (Pryce 1993).
 Scaled by the square root of the mass weights on both sides this is a
-graded tridiagonal matrix, solved by LAPACK Sturm bisection to an
-explicit absolute tolerance (bisection is accurate on graded matrices,
-Barlow & Demmel 1990; its default tolerance, eps |T|, is not) over the
-window's values, mu in (0, 2 top], not by index, which first brackets the
-levels in the Gershgorin interval, ~1e9 wide from the inner end's e^(-2
-s_min) / h^2; Richardson extrapolation in the step removes the h^2 error.
+graded tridiagonal matrix (_log_grid), solved by LAPACK Sturm bisection
+(_sturm, the package's one scipy call) to an explicit absolute tolerance
+(bisection is accurate on graded matrices, Barlow & Demmel 1990; its
+default tolerance, eps |T|, is not) over the window's values, mu in (0, 2
+top], not by index, which first brackets the levels in the Gershgorin
+interval, ~1e9 wide from the inner end's e^(-2 s_min) / h^2; Richardson
+extrapolation in the step (_richardson) removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
 of energies with the 6th-order, 3-point Magnus propagator of the linear
@@ -137,13 +138,13 @@ class CompareReport:
     passed: bool
 
 
-def _fd_eigenvalues(
-    alpha: float, nu: float, s_min: float, s_max: float, n: int, top: float
-) -> np.ndarray:
-    # scipy.linalg loads here, not at import: the analytic CLI never needs it
-    import scipy.linalg
-
-    # nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at s_max;
+def _log_grid(
+    alpha: float, nu: float, s_min: float, s_max: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric tridiagonal matrix (diag, off) whose eigenvalues are
+    the mu of the nodes s_0 = s_min .. s_n of a uniform grid with u = 0 at
+    s_max, row 0 holding the two-term Frobenius condition of the signed
+    exponent nu; _sturm solves it."""
     # -u'' + (nu^2 + e^4s) u = mu e^2s u is scaled by the inverse square
     # root of the mass weights e^2s
     h = (s_max - s_min) / (n + 1)
@@ -163,15 +164,23 @@ def _fd_eigenvalues(
     m0 = 0.5 * math.exp(2.0 * s_min) + c / h
     diag[0] = (1.0 / h**2 + kappa0 / h + 0.5 * (alpha + 0.25 + math.exp(4.0 * s_min))) / m0
     off[0] = -1.0 / (h**2 * math.sqrt(m0 * math.exp(2.0 * s[1])))
-    # by value over the window: by index, most Sturm sweeps go into bracketing the levels
-    # inside the Gershgorin bound; mu > 0 as kappa0 >= 0, m0 > 0 and nu^2 + e^4s > 0 (SPD)
+    return diag, off
+
+
+def _sturm(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Eigenvalues in (lo, hi] of the symmetric tridiagonal matrix (diag,
+    off), ascending, by LAPACK Sturm bisection to _STEBZ_TOL; ConvergenceError
+    where LAPACK reports a failure."""
+    # scipy.linalg loads on first use, not at import: the analytic CLI never needs it
+    import scipy.linalg
+
+    # by value over the window: by index, most Sturm sweeps go into bracketing
+    # the levels inside the Gershgorin bound
     try:
-        mu = scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select="v", select_range=(0, 2 * top), lapack_driver="stebz", tol=_STEBZ_TOL
-        )
+        return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                                                 lapack_driver="stebz", tol=_STEBZ_TOL)
     except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
         raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
-    return mu / 2.0  # every level of the grid up to top
 
 
 def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> OracleResult:
@@ -198,9 +207,10 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
         raise ParameterError(f"{k} levels at alpha = {alpha:g} need over {_MAX_ROWS} grid rows")
     n = math.ceil(n)
     m = (n + 1) // 2 - 1
-    grids = [_fd_eigenvalues(alpha, nu, s_min, s_max, j, top) for j in (n, m)]
-    # a grid's levels run out below the top: the box truncates it (a coarse
-    # grid's low levels may leave more than k)
+    # every level of each grid up to top, mu = 2 eps; mu > 0 as kappa0 >= 0,
+    # m0 > 0 and nu^2 + e^4s > 0 (SPD).  A grid's levels run out below the
+    # top: the box truncates it (a coarse grid's low levels may leave more than k)
+    grids = [_sturm(*_log_grid(alpha, nu, s_min, s_max, j), 0.0, 2.0 * top) / 2.0 for j in (n, m)]
     if min(g.size for g in grids) < k:
         raise ConvergenceError(f"finite-difference level {int(k) - 1} lies above {top:.6g}")
     fine, coarse = (g[: int(k)] for g in grids)
@@ -222,8 +232,13 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     of their _window.  The residual estimate bounds the error
     (_richardson); ConvergenceError when it reaches a level or the top
     level lies above the window, where the box truncates it."""
+    nu = admissible_beta(alpha) + 0.5
+    # scipy.linalg loads after the gate, so an inadmissible alpha raises
+    # without it, and before the clock, so a first call does not time it
+    import scipy.linalg
+
     t0 = time.perf_counter()
-    res = _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, _window(alpha, k - 1)[1], k)
+    res = _richardson(alpha, nu, _S_MIN, _window(alpha, k - 1)[1], k)
     return replace(res, seconds=time.perf_counter() - t0)
 
 

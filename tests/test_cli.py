@@ -920,6 +920,22 @@ class TestLazyScipy:
     def test_perturbation_suite_loads_no_scipy(self):
         assert _loaded_after(_run_module("verify", "--suite", "perturbation")) == []
 
+    def test_hermiticity_suite_loads_no_scipy(self):
+        # its supercritical fd_eigen calls raise at the gate, before the import
+        assert _loaded_after(_run_module("verify", "--suite", "hermiticity")) == []
+
+    def test_first_fd_call_does_not_time_the_import(self):
+        # a process's first fd_eigen loads scipy.linalg, which takes far longer
+        # than the run itself, off its clock
+        code = (
+            "import sys\n"
+            "from singosc import oracle\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "seconds = oracle.fd_eigen(0.5, 2).seconds\n"
+            "assert seconds < 0.05, seconds\n"
+        )
+        assert "scipy.linalg" in _loaded_after(code)
+
     def test_quadrature_loads_no_scipy(self):
         # the Gauss-Legendre rule behind Gram matrices and principal values
         # and the Gauss-Laguerre rule of the second route are built in numpy

@@ -68,15 +68,26 @@ def max_error_over_residual(alpha, n_max, res):
     return np.max(np.abs(np.array(res.eigenvalues) - want)) / res.residual_estimate
 
 
-def shared_node_levels(alpha, k, s_min):
-    """FD levels at h = 0.02, no Richardson, from s_min to the first node
-    of the grid from -6 past ln _box of the window's top: the grids from
-    -6 and from -15 share their nodes."""
+def shared_node_grid(alpha, k, s_min):
+    """The log grid's matrix (diag, off) at h = 0.02 from s_min to the first
+    node of the grid from -6 past ln _box of the window's top, and that top:
+    the grids from -6 and from -15 share their nodes."""
     h = 0.02
     nu = admissible_beta(alpha) + 0.5
     top = oracle._window(alpha, k - 1)[1]
     s_max = -6.0 + h * math.ceil((math.log(_box(alpha, top)) + 6.0) / h)
-    return oracle._fd_eigenvalues(alpha, nu, s_min, s_max, round((s_max - s_min) / h) - 1, top)[:k]
+    return oracle._log_grid(alpha, nu, s_min, s_max, round((s_max - s_min) / h) - 1), top
+
+
+def grid_levels(matrix, top, k):
+    """The lowest k levels of a log grid's matrix, solved as _richardson
+    solves each grid, with no Richardson."""
+    return oracle._sturm(*matrix, 0.0, 2.0 * top)[:k] / 2.0
+
+
+def shared_node_levels(alpha, k, s_min):
+    """FD levels of shared_node_grid, no Richardson."""
+    return grid_levels(*shared_node_grid(alpha, k, s_min), k)
 
 
 # (alpha, eps range width, whether the grid is padded to whole blocks; see block_case)
@@ -199,27 +210,19 @@ class TestFiniteDifference:
         far = shared_node_levels(alpha, k, -15.0)
         assert np.max(np.abs(near - far)) <= 3.0 * math.exp(-24.0) * np.max(near) ** 2
 
-    def test_inner_end_takes_the_stencils_exact_exponent(self, monkeypatch):
+    def test_inner_end_takes_the_stencils_exact_exponent(self):
         # with kappa0 = nu in place of the stencil's exponent, row 0 misses
         # the grid's own e^(nu~ s) by order h^2, decaying only like
         # e^(2 nu s_min): 6.3e-8 at (alpha, k) = (-0.2, 5), against 1.1e-9
-        import scipy.linalg
-
         alpha, k, h = -0.2, 5, 0.02
         far = shared_node_levels(alpha, k, -15.0)
         exact = shared_node_levels(alpha, k, -6.0)
         nu = math.sqrt(alpha + 0.25)
         kappa0 = nu * math.sqrt(1.0 + (0.5 * h * nu) ** 2)
         m0 = 0.5 * math.exp(-12.0) + math.exp(-12.0) / (2.0 * (1.0 + nu) * h)
-        solve = scipy.linalg.eigvalsh_tridiagonal
-
-        def nu_exponent(diag, off, **kwargs):
-            diag = diag.copy()
-            diag[0] -= (kappa0 - nu) / (h * m0)
-            return solve(diag, off, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", nu_exponent)
-        plain = shared_node_levels(alpha, k, -6.0)
+        (diag, off), top = shared_node_grid(alpha, k, -6.0)
+        diag[0] -= (kappa0 - nu) / (h * m0)
+        plain = grid_levels((diag, off), top, k)
         assert np.max(np.abs(exact - far)) <= 2e-9
         assert np.max(np.abs(plain - far)) >= 4e-8
 
@@ -259,13 +262,13 @@ class TestFiniteDifference:
         # the sweep's windows (kappa <= 21) keep the step _H_LOG; at k = 41
         # no step spans more than _PHASE radians of the top level
         steps = []
-        solve = oracle._fd_eigenvalues
+        log_grid = oracle._log_grid
 
-        def spy(alpha, nu, s_min, s_max, n, top):
+        def spy(alpha, nu, s_min, s_max, n):
             steps.append((s_max - s_min) / (n + 1))
-            return solve(alpha, nu, s_min, s_max, n, top)
+            return log_grid(alpha, nu, s_min, s_max, n)
 
-        monkeypatch.setattr(oracle, "_fd_eigenvalues", spy)
+        monkeypatch.setattr(oracle, "_log_grid", spy)
         fd_eigen(2.0, 9)
         assert 0.99 * oracle._H_LOG < steps[0] <= oracle._H_LOG
         steps.clear()
@@ -393,24 +396,26 @@ class TestLevelCounts:
         def no_matrix(*args):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(oracle, "_fd_eigenvalues", no_matrix)
+        monkeypatch.setattr(oracle, "_log_grid", no_matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError):
                 fd_eigen(alpha, k)
 
     def test_fd_grid_up_to_the_cap_is_solved(self, monkeypatch):
-        # k = 630 at alpha = 2 fits (29 959 fine rows) and is solved, and
-        # k = 631 does not; the solve is stubbed, too slow for the suite
+        # k = 630 at alpha = 2 fits (29 959 fine rows): both matrices are
+        # built and solved, and k = 631 does not fit; the Sturm solve alone
+        # is stubbed, too slow for the suite
         rows = []
 
-        def stub(alpha, nu, s_min, s_max, n, top):
-            rows.append(n + 1)
-            return np.arange(1.0, top)
+        def stub(diag, off, lo, hi):
+            rows.append(diag.size)
+            assert off.size == diag.size - 1 and np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+            return np.arange(2.0, hi, 2.0)
 
-        monkeypatch.setattr(oracle, "_fd_eigenvalues", stub)
+        monkeypatch.setattr(oracle, "_sturm", stub)
         fd_eigen(2.0, 630)
-        assert max(rows) <= oracle._MAX_ROWS
+        assert rows == [29_959, 14_979]
         with pytest.raises(ParameterError):
             fd_eigen(2.0, 631)
 

@@ -15,6 +15,7 @@ import shlex
 
 import pytest
 
+from singosc import oracle
 from singosc.cli import build_parser
 from singosc.cli import main as cli_main
 
@@ -182,14 +183,29 @@ def test_oracle_imports_nothing_from_spectrum():
 
 def test_one_finite_difference_builder():
     # one builder for every inner condition: the tridiagonal solve has one
-    # call site, not one per variant of row 0
-    calls = [
-        node.lineno
-        for node in ast.walk(parse(PACKAGE / "oracle.py"))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigvalsh_tridiagonal"
-    ]
-    assert len(calls) == 1
+    # call site, in _sturm, not one per variant of row 0 or per matrix
+    def calls(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigvalsh_tridiagonal"
+        ]
+
+    module = parse(PACKAGE / "oracle.py")
+    assert len(calls(module)) == 1
+    owners = [f.name for f in module.body if isinstance(f, ast.FunctionDef) for _ in calls(f)]
+    assert owners == ["_sturm"]
+
+
+def test_traced_fd_counts_its_rows():
+    # the tracer wraps scipy.linalg.eigvalsh_tridiagonal and counts the
+    # rows of its first positional argument: _sturm must pass diag by position
+    tracer = load_tracing().Tracer()
+    with tracer:
+        res = oracle.fd_eigen(2.0, 5)
+    assert tracer.summary()["calls"]["oracle.stebz"] == 2
+    assert tracer.counts["oracle.stebz.rows"] == res.rows == 606
 
 
 def test_box_rule_is_defined_once_in_model():
@@ -370,7 +386,7 @@ def test_only_the_fd_oracle_imports_scipy():
             yield from importers(child, f"{owner.split('.')[0]}.{child.name}" if inner else owner)
 
     hits = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in importers(parse(path), path.stem)]
-    assert hits == ["oracle._fd_eigenvalues"]
+    assert hits == ["oracle._sturm", "oracle.fd_eigen"]
 
 def test_only_oracle_imports_dataclasses():
     # the analytic records are named tuples, so a level table never loads
