@@ -7,7 +7,10 @@ decay lengths past the outer turning point of its top (model._box, the
 box quad's Gram rule takes too).  Only the public entries choose: fd_eigen
 and shoot_spectrum take the branch from the gate (admissible_beta) and the
 window from _window, and shoot_spectrum its start from _x0.  The private
-cores, _richardson and _shoot, take what they are given.
+cores, _richardson and _shoot, take what they are given, and each is one
+whole run: it checks the request, loads what it needs (_richardson imports
+scipy.linalg, only after its checks) and times itself, so a direct call,
+on the beta_minus branch say, reports its seconds too.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -192,7 +195,8 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
     returned levels are its ladder.  The residual estimate is the fine
     grid's error (which bounds the combination's) plus 3 e^(4 s_min)
     eps_top^2, eps_top the top level, for what the two-term inner
-    condition misses.
+    condition misses; seconds times the solve, not the checks or the
+    scipy.linalg import.
     ParameterError unless k is an integer >= 1, top passes |nu| and the
     grid fits _MAX_ROWS; ConvergenceError when the residual reaches a
     level or a level lies above top, where the box truncates it."""
@@ -207,6 +211,11 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
         raise ParameterError(f"{k} levels at alpha = {alpha:g} need over {_MAX_ROWS} grid rows")
     n = math.ceil(n)
     m = (n + 1) // 2 - 1
+    # scipy.linalg loads after the checks, so a rejected request raises
+    # without it, and before the clock, so a first call does not time it
+    import scipy.linalg
+
+    t0 = time.perf_counter()
     # every level of each grid up to top, mu = 2 eps; mu > 0 as kappa0 >= 0,
     # m0 > 0 and nu^2 + e^4s > 0 (SPD).  A grid's levels run out below the
     # top: the box truncates it (a coarse grid's low levels may leave more than k)
@@ -222,24 +231,18 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
         raise ConvergenceError(f"finite-difference residual {residual:.3g} exceeds a level")
     if not np.max(levels) <= top:  # the box, built for the window, truncates it
         raise ConvergenceError(f"finite-difference level {np.max(levels):.6g} lies above {top:.6g}")
-    levels = tuple(float(v) for v in levels)
-    return OracleResult(levels, OracleMethod.FINITE_DIFFERENCE, residual, rows=n + m + 2)
+    return OracleResult(tuple(levels.tolist()), OracleMethod.FINITE_DIFFERENCE, residual,
+                        rows=n + m + 2, seconds=time.perf_counter() - t0)
 
 
 def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     """Lowest k eigenvalues by finite differences on the log grid from
     s_min = _S_MIN, with the two-term Frobenius condition there, to _box
     of their _window.  The residual estimate bounds the error
-    (_richardson); ConvergenceError when it reaches a level or the top
-    level lies above the window, where the box truncates it."""
-    nu = admissible_beta(alpha) + 0.5
-    # scipy.linalg loads after the gate, so an inadmissible alpha raises
-    # without it, and before the clock, so a first call does not time it
-    import scipy.linalg
-
-    t0 = time.perf_counter()
-    res = _richardson(alpha, nu, _S_MIN, _window(alpha, k - 1)[1], k)
-    return replace(res, seconds=time.perf_counter() - t0)
+    (_richardson, which also checks k, loads scipy.linalg and times the
+    run); ConvergenceError when it reaches a level or the top level lies
+    above the window, where the box truncates it."""
+    return _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, _window(alpha, k - 1)[1], k)
 
 
 # a second name: perfbench/tracing.py and acceptance criterion 7 look it up
@@ -251,13 +254,13 @@ def _frobenius_series(beta: float, eps_arr: np.ndarray, x0: float) -> np.ndarray
     one column per energy.  ParameterError unless every value is finite and
     every last term within _RTOL of its sum (a NaN or huge energy, an x0 too far out)."""
     # substituting into the ODE gives
-    # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1
+    # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1, a_-1 = 0:
+    # at j = 1, a[j - 2] is the last row, still 0
     a = np.zeros((_N_TERMS, eps_arr.shape[0]))
     a[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
         for j in range(1, _N_TERMS):
-            prev2 = a[j - 2] if j >= 2 else 0.0
-            a[j] = (prev2 - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
+            a[j] = (a[j - 2] - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
         exps = beta + 1.0 + 2.0 * np.arange(_N_TERMS)
         powers = (x0**exps, exps * x0 ** (exps - 1.0))
         series = np.stack([p @ a for p in powers])
@@ -518,8 +521,10 @@ def _shoot(alpha: float, beta: float, x0: float, start: float, top: float, n_max
     n + 1 make a guaranteed bracket, anything else (a level the scan
     misnumbered, too) raises NonConvergence.  Both passes step one grid,
     to _box of the lattice's top energy; a start where the series does not
-    converge raises ParameterError before it is built.
+    converge raises ParameterError before it is built.  seconds times the
+    whole call.
     """
+    t0 = time.perf_counter()
     targets = np.arange(n_max + 1)
     eps = start + _D_EPS * np.arange(math.floor((top - start) / _D_EPS) + 1)
     if eps.size < _STENCIL:
@@ -542,21 +547,18 @@ def _shoot(alpha: float, beta: float, x0: float, start: float, top: float, n_max
     below, over = counts.reshape(2, -1)
     wrong = targets[(below != targets) | (over != targets + 1)]
     if wrong.size:
-        msg = f"node counts at eps -+ {half:g} do not bracket levels {wrong.tolist()}"
-        raise NonConvergence(msg)
-    levels = tuple(float(v) for v in roots)
-    return OracleResult(levels, OracleMethod.SHOOTING, half, 2 * grid.steps)
+        raise NonConvergence(f"node counts at eps -+ {half:g} do not bracket levels {wrong.tolist()}")
+    return OracleResult(tuple(roots.tolist()), OracleMethod.SHOOTING, half, 2 * grid.steps,
+                        seconds=time.perf_counter() - t0)
 
 
 def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
     """Shooting eigenvalues for n = 0 .. n_max (_shoot) of the admissible
     branch, from its start _x0 and over _window; from alpha ~ 1e6 the start
-    raises ParameterError before any grid is built."""
-    t0 = time.perf_counter()
+    raises ParameterError before any grid is built.  seconds is _shoot's."""
     beta = admissible_beta(alpha)
     n_max = _check_n(n_max)
-    res = _shoot(alpha, beta, _x0(beta), *_window(alpha, n_max), n_max)
-    return replace(res, seconds=time.perf_counter() - t0)
+    return _shoot(alpha, beta, _x0(beta), *_window(alpha, n_max), n_max)
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
@@ -568,10 +570,15 @@ def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
 def compare(analytic_levels: Sequence[float], oracle: OracleResult, tol: float) -> CompareReport:
     """Pair ascending analytic levels with the oracle's eigenvalues and
     grade: passed when the counts agree and every relative error is <= tol;
-    ShapeMismatch when either list is empty."""
+    a NaN on either side fails, with a NaN max_rel_error.  ShapeMismatch
+    when either list is empty, ParameterError for a zero analytic level."""
     a_levels, o_levels = tuple(analytic_levels), oracle.eigenvalues
     if not a_levels or not o_levels:
         raise ShapeMismatch("cannot compare empty level lists")
-    max_rel = max(abs(o - a) / abs(a) for a, o in zip(a_levels, o_levels))
+    if 0.0 in a_levels:
+        raise ParameterError("a zero analytic level has no relative error")
+    rel = (abs(o - a) / abs(a) for a, o in zip(a_levels, o_levels))
+    # the key ranks a NaN error above every number: max alone drops one that is not first
+    max_rel = max(rel, key=lambda r: (math.isnan(r), r))
     passed = len(a_levels) == len(o_levels) and max_rel <= tol
     return CompareReport(a_levels, o_levels, max_rel, passed)

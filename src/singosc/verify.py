@@ -41,7 +41,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every check passed, and there is at least one."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def add(self, name: str, passed: bool, measured: str, bound: str) -> None:
         self.checks.append(Check(name, bool(passed), measured, bound))

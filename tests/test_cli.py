@@ -678,6 +678,12 @@ class TestVerifyCommand:
             ("shooting alpha=0.5", True), ("finite-difference alpha=0.5", True)
         ]
 
+    def test_suite_with_no_checks_does_not_pass(self):
+        # all([]) is True: a suite that checked nothing must not report PASS
+        rep = verify.suite_oracle(alphas=())
+        assert rep.checks == [] and not rep.passed
+        assert rep.to_dict()["passed"] is False
+
     def test_oracle_suite_rejects_a_negative_level_count(self, monkeypatch):
         # the closed form checks n_max before either oracle runs
         called = []
@@ -923,6 +929,21 @@ class TestLazyScipy:
     def test_hermiticity_suite_loads_no_scipy(self):
         # its supercritical fd_eigen calls raise at the gate, before the import
         assert _loaded_after(_run_module("verify", "--suite", "hermiticity")) == []
+
+    @pytest.mark.parametrize("k", ["0", "1.5", "631"])
+    def test_rejected_fd_request_loads_no_scipy(self, k):
+        # _richardson checks k and the row cap before it imports scipy.linalg
+        code = (
+            "from singosc import oracle\n"
+            "from singosc.errors import ParameterError\n"
+            "try:\n"
+            f"    oracle.fd_eigen(2.0, {k})\n"
+            "except ParameterError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no ParameterError')\n"
+        )
+        assert _loaded_after(code) == []
 
     def test_first_fd_call_does_not_time_the_import(self):
         # a process's first fd_eigen loads scipy.linalg, which takes far longer

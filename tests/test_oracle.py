@@ -323,6 +323,14 @@ class TestFiniteDifference:
         want = 2.0 * np.arange(k) + beta + 1.5
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
 
+    def test_direct_core_calls_time_their_run(self):
+        # each core owns its clock: a call that skips fd_eigen and
+        # shoot_spectrum, as on the beta_minus branch, still reports seconds
+        beta_minus = indicial_roots(0.5).beta_minus
+        assert _richardson(0.5, beta_minus + 0.5, -6.0, 6.0, 3).seconds > 0
+        beta = admissible_beta(0.5)
+        assert oracle._shoot(0.5, beta, oracle._x0(beta), *oracle._window(0.5, 2), 2).seconds > 0
+
 
 class TestFdSpectrum:
     @pytest.mark.parametrize("k", [1, 5, 9])
@@ -1004,6 +1012,28 @@ class TestCompare:
         res = shoot_spectrum(0.5, 1)
         rep = compare(t.distinct_levels(), res, tol=1e-12)
         assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "analytic, levels",
+        [([1.5, 3.5], (1.5, math.nan)), ([1.5, math.nan], (1.5, 3.5)), ([1.5, 3.5], (math.nan, 3.5))],
+    )
+    def test_nan_level_fails(self, analytic, levels):
+        # max alone drops a NaN that is not first: the report must show it
+        res = oracle.OracleResult(levels, OracleMethod.SHOOTING, 1e-7)
+        rep = compare(analytic, res, 1e-4)
+        assert not rep.passed and math.isnan(rep.max_rel_error)
+
+    def test_zero_analytic_level_rejected(self):
+        res = oracle.OracleResult((0.1, 2.0), OracleMethod.SHOOTING, 1e-7)
+        with pytest.raises(ParameterError, match="zero analytic level"):
+            compare([0.0, 2.0], res, 1e-4)
+
+    def test_finite_max_rel_error_is_the_largest_error(self):
+        # three errors of about 2e-5: the report keeps the largest, bit for bit
+        res = oracle.OracleResult((1.5 + 3e-5, 3.5 + 7e-5, 5.5 - 11e-5), OracleMethod.SHOOTING, 1e-7)
+        rep = compare([1.5, 3.5, 5.5], res, 1e-4)
+        assert rep.max_rel_error == max(abs(o - a) / a for a, o in zip([1.5, 3.5, 5.5], res.eigenvalues))
+        assert rep.passed
 
     @pytest.mark.parametrize("empty", ["analytic", "oracle"])
     def test_empty_oracle_rejected(self, empty):

@@ -386,7 +386,25 @@ def test_only_the_fd_oracle_imports_scipy():
             yield from importers(child, f"{owner.split('.')[0]}.{child.name}" if inner else owner)
 
     hits = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in importers(parse(path), path.stem)]
-    assert hits == ["oracle._sturm", "oracle.fd_eigen"]
+    assert hits == ["oracle._sturm", "oracle._richardson"]
+
+
+def test_only_the_oracle_cores_read_the_clock():
+    # each core times its own run, once at its start and once at its
+    # result, so a direct call on any branch reports its seconds and no
+    # public entry wraps a core in a clock of its own
+    def reads(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "perf_counter"
+        ]
+
+    module = parse(PACKAGE / "oracle.py")
+    owners = [f.name for f in module.body if isinstance(f, ast.FunctionDef) for _ in reads(f)]
+    assert len(reads(module)) == len(owners)
+    assert owners == ["_richardson", "_richardson", "_shoot", "_shoot"]
+
 
 def test_only_oracle_imports_dataclasses():
     # the analytic records are named tuples, so a level table never loads
