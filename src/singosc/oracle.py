@@ -8,9 +8,9 @@ box quad's Gram rule takes too).  Only the public entries choose: fd_eigen
 and shoot_spectrum take the branch from the gate (admissible_beta) and the
 window from _window, and shoot_spectrum its start from _x0.  The private
 cores, _richardson and _shoot, take what they are given, and each is one
-whole run: it checks the request, loads what it needs (_richardson imports
-scipy.linalg, only after its checks) and times itself, so a direct call,
-on the beta_minus branch say, reports its seconds too.
+whole run: it checks the request, loads what it needs (_richardson
+resolves its solver, only after its checks) and times itself, so a direct
+call, on the beta_minus branch say, reports its seconds too.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -23,7 +23,9 @@ grid runs to ln _box in steps of min(_H_LOG, _PHASE / kappa), where kappa
 = sqrt(top^2 - nu^2) is the top's largest wavenumber in s (Pryce 1993).
 Scaled by the square root of the mass weights on both sides this is a
 graded tridiagonal matrix (_log_grid), solved by LAPACK Sturm bisection
-(_sturm, the package's one scipy call) to an explicit absolute tolerance
+(_sturm: dstebz from numpy's own OpenBLAS through ctypes, or
+scipy.linalg's, the package's one scipy call, where numpy's LAPACK lacks
+that symbol) to an explicit absolute tolerance
 (bisection is accurate on graded matrices, Barlow & Demmel 1990; its
 default tolerance, eps |T|, is not) over the window's values, mu in (0, 2
 top], not by index, which first brackets the levels in the Gershgorin
@@ -59,7 +61,9 @@ ground state eps = 1.5 in the test suite.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -170,20 +174,81 @@ def _log_grid(
     return diag, off
 
 
+# LAPACK dstebz's arguments in order, for the message of a rejected one
+_STEBZ_ARGS = ("RANGE", "ORDER", "N", "VL", "VU", "IL", "IU", "ABSTOL", "D", "E", "M",
+               "NSPLIT", "W", "IBLOCK", "ISPLIT", "WORK", "IWORK", "INFO")
+
+
+@functools.cache
+def _dstebz():
+    """LAPACK dstebz from the OpenBLAS numpy's linalg extension loaded, its
+    argument types declared, or None where that library lacks the exact
+    symbol scipy_dstebz_64_ (64-bit integers; scipy-openblas64, which numpy
+    wheels ship): MKL, Accelerate or a distro's numpy, where _sturm calls
+    scipy.linalg instead.  No other name or integer width is tried."""
+    from numpy.ctypeslib import ndpointer
+    from numpy.linalg import _umath_linalg
+
+    try:  # the extension's handle also finds the symbols of its dependencies
+        stebz = ctypes.CDLL(_umath_linalg.__file__).scipy_dstebz_64_
+    except (OSError, AttributeError):
+        return None
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    ints, floats = (ndpointer(t, ndim=1, flags="C_CONTIGUOUS") for t in (np.int64, np.float64))
+    # in _STEBZ_ARGS's order, then the hidden lengths of the two strings
+    stebz.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, f64, f64, i64, i64, f64, floats,
+                      floats, i64, i64, floats, ints, ints, floats, ints, i64,
+                      ctypes.c_size_t, ctypes.c_size_t]
+    stebz.restype = None
+    return stebz
+
+
 def _sturm(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Eigenvalues in (lo, hi] of the symmetric tridiagonal matrix (diag,
-    off), ascending, by LAPACK Sturm bisection to _STEBZ_TOL; ConvergenceError
-    where LAPACK reports a failure."""
-    # scipy.linalg loads on first use, not at import: the analytic CLI never needs it
-    import scipy.linalg
-
+    off), ascending, by LAPACK Sturm bisection (dstebz) to _STEBZ_TOL:
+    numpy's own OpenBLAS through ctypes (_dstebz), else
+    scipy.linalg.eigvalsh_tridiagonal, the package's one scipy call.
+    ParameterError unless diag and off are 1-D, float64, C-contiguous and
+    finite, off is one shorter than a non-empty diag and lo < hi, on either
+    path; ConvergenceError where LAPACK reports a failure."""
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64
+               and a.flags.c_contiguous for a in (diag, off)):
+        raise ParameterError("a tridiagonal matrix takes 1-D, C-contiguous float64 arrays")
+    if not off.size == diag.size - 1 >= 0:
+        raise ParameterError(f"a diagonal of {diag.size} takes {diag.size - 1} "
+                             f"off-diagonals, got {off.size}")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ParameterError("the tridiagonal matrix is not finite")
+    if not lo < hi:  # also catches a NaN end
+        raise ParameterError(f"the window ({lo:g}, {hi:g}] is empty")
+    stebz = _dstebz()
     # by value over the window: by index, most Sturm sweeps go into bracketing
     # the levels inside the Gershgorin bound
-    try:
-        return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
-                                                 lapack_driver="stebz", tol=_STEBZ_TOL)
-    except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
-        raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
+    if stebz is None:
+        # scipy.linalg loads on first use, not at import: the analytic CLI never needs it
+        import scipy.linalg
+
+        try:
+            return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                                                     lapack_driver="stebz", tol=_STEBZ_TOL)
+        except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
+            raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
+    n = diag.size
+    # every buffer the routine reads or writes stays bound here across the call
+    # (IL = IU = 1 stand in for the index range, which RANGE = 'V' never reads)
+    size, vl, vu, index, tol = (ctypes.c_int64(n), ctypes.c_double(lo), ctypes.c_double(hi),
+                                ctypes.c_int64(1), ctypes.c_double(_STEBZ_TOL))
+    m, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(3 * n, np.int64)
+    stebz(b"V", b"E", size, vl, vu, index, index, tol, diag, off, m, nsplit,
+          w, iblock, isplit, work, iwork, info, 1, 1)
+    if info.value < 0:  # the checks above leave none
+        raise ParameterError(f"LAPACK dstebz rejected its argument {_STEBZ_ARGS[-info.value - 1]}")
+    if info.value > 0:
+        raise ConvergenceError(f"Sturm bisection failed: dstebz did not converge "
+                               f"(LAPACK info={info.value})")
+    return w[:m.value]
 
 
 def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> OracleResult:
@@ -196,7 +261,8 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
     grid's error (which bounds the combination's) plus 3 e^(4 s_min)
     eps_top^2, eps_top the top level, for what the two-term inner
     condition misses; seconds times the solve, not the checks or the
-    scipy.linalg import.
+    solver's first-call resolution (_dstebz, or the scipy.linalg import
+    where that finds nothing).
     ParameterError unless k is an integer >= 1, top passes |nu| and the
     grid fits _MAX_ROWS; ConvergenceError when the residual reaches a
     level or a level lies above top, where the box truncates it."""
@@ -211,9 +277,11 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
         raise ParameterError(f"{k} levels at alpha = {alpha:g} need over {_MAX_ROWS} grid rows")
     n = math.ceil(n)
     m = (n + 1) // 2 - 1
-    # scipy.linalg loads after the checks, so a rejected request raises
-    # without it, and before the clock, so a first call does not time it
-    import scipy.linalg
+    # the solver loads after the checks, so a rejected request raises without
+    # it, and before the clock, so a first call does not time it: dstebz is
+    # resolved once, and scipy.linalg loads only where it does not resolve
+    if _dstebz() is None:
+        import scipy.linalg
 
     t0 = time.perf_counter()
     # every level of each grid up to top, mu = 2 eps; mu > 0 as kappa0 >= 0,
@@ -239,7 +307,7 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     """Lowest k eigenvalues by finite differences on the log grid from
     s_min = _S_MIN, with the two-term Frobenius condition there, to _box
     of their _window.  The residual estimate bounds the error
-    (_richardson, which also checks k, loads scipy.linalg and times the
+    (_richardson, which also checks k, loads its solver and times the
     run); ConvergenceError when it reaches a level or the top level lies
     above the window, where the box truncates it."""
     return _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, _window(alpha, k - 1)[1], k)

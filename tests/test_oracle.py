@@ -51,6 +51,20 @@ def record_passes(monkeypatch):
     return sizes
 
 
+def record_sturm(monkeypatch):
+    """(diag, off, lo, hi, levels) of every _sturm call, in order."""
+    calls = []
+    sturm = oracle._sturm
+
+    def spy(diag, off, lo, hi):
+        mu = sturm(diag, off, lo, hi)
+        calls.append((diag, off, lo, hi, mu))
+        return mu
+
+    monkeypatch.setattr(oracle, "_sturm", spy)
+    return calls
+
+
 def count_nodes(alpha, beta, eps, x_max):
     """Node counts, psi(x_max) and log_scale of a counting pass over the
     grid from the Frobenius start to x_max, with the steps shoot_spectrum
@@ -233,24 +247,16 @@ class TestFiniteDifference:
     )
     def test_window_bisection_matches_index_bisection(self, alpha, k, monkeypatch):
         # every matrix the oracle bisects over (0, 2 top] gives the lowest k
-        # levels that bisection by index gives, within twice the tolerance
+        # levels that scipy's bisection by index gives, within twice the tolerance
         import scipy.linalg
 
-        calls = []
-        solve = scipy.linalg.eigvalsh_tridiagonal
-
-        def spy(diag, off, **kwargs):
-            mu = solve(diag, off, **kwargs)
-            calls.append((diag, off, kwargs, mu))
-            return mu
-
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+        calls = record_sturm(monkeypatch)
         fd_eigen(alpha, k)
         top = oracle._window(alpha, k - 1)[1]
         assert len(calls) == 2
-        for diag, off, kwargs, mu in calls:
-            assert kwargs["select"] == "v" and kwargs["select_range"] == (0, 2 * top)
-            by_index = solve(
+        for diag, off, lo, hi, mu in calls:
+            assert (lo, hi) == (0, 2 * top)
+            by_index = scipy.linalg.eigvalsh_tridiagonal(
                 diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz",
                 tol=oracle._STEBZ_TOL,
             )
@@ -359,6 +365,110 @@ class TestFdSpectrum:
         for alpha, levels in want.items():
             assert fd_eigen(alpha, 3).eigenvalues == pytest.approx(levels, rel=1e-4)
             assert shoot_spectrum(alpha, 2).eigenvalues == pytest.approx(levels, abs=5e-6)
+
+
+# the two doors to LAPACK dstebz: numpy's own OpenBLAS through ctypes, and
+# scipy.linalg where numpy's LAPACK lacks the symbol (MKL, Accelerate)
+RESOLVED = oracle._dstebz() is not None
+NEEDS_SYMBOL = pytest.mark.skipif(not RESOLVED, reason="numpy's LAPACK has no scipy_dstebz_64_")
+STURM_PATHS = [pytest.param("ctypes", marks=NEEDS_SYMBOL), "scipy"]
+
+
+def take_path(path, monkeypatch):
+    """Make _sturm take path: "scipy" forces the fallback."""
+    if path == "scipy":
+        monkeypatch.setattr(oracle, "_dstebz", lambda: None)
+
+
+def failing_stebz(info):
+    """A stand-in dstebz that leaves the matrix alone and reports info."""
+    def stebz(*args):
+        args[17].value = info  # INFO is dstebz's 18th argument
+
+    return stebz
+
+
+class TestSturm:
+    @pytest.mark.parametrize("path", STURM_PATHS)
+    def test_solves_by_value_over_the_window(self, path, monkeypatch):
+        # the second difference matrix tridiag(-1, 2, -1) of 5 rows has the
+        # levels 2 - 2 cos(j pi / 6); a 1-row matrix, with no off-diagonal,
+        # has its one entry, inside the window or not
+        take_path(path, monkeypatch)
+        want = 2.0 - 2.0 * np.cos(np.arange(1, 6) * np.pi / 6.0)
+        diag, off = np.full(5, 2.0), np.full(4, -1.0)
+        assert np.max(np.abs(oracle._sturm(diag, off, 0.0, 4.0) - want)) <= 1e-12
+        assert np.max(np.abs(oracle._sturm(diag, off, 1.0, 4.0) - want[2:])) <= 1e-12
+        assert oracle._sturm(np.array([2.0]), np.empty(0), 0.0, 4.0).tolist() == [2.0]
+        assert oracle._sturm(np.array([2.0]), np.empty(0), 2.0, 4.0).size == 0
+
+    @pytest.mark.parametrize("path", STURM_PATHS)
+    @pytest.mark.parametrize(
+        "diag, off, lo, hi",
+        [
+            pytest.param(np.array([1.0, math.nan, 3.0]), np.ones(2), 0.0, 4.0, id="nan-diag"),
+            pytest.param(np.ones(3), np.array([1.0, math.inf]), 0.0, 4.0, id="inf-off"),
+            pytest.param(np.ones(3), np.ones(3), 0.0, 4.0, id="long-off"),
+            pytest.param(np.ones(3), np.ones(1), 0.0, 4.0, id="short-off"),
+            pytest.param(np.empty(0), np.empty(0), 0.0, 4.0, id="empty"),
+            pytest.param(np.ones((2, 2)), np.ones(1), 0.0, 4.0, id="2-d"),
+            pytest.param(np.ones(3, np.float32), np.ones(2), 0.0, 4.0, id="float32"),
+            pytest.param(np.arange(3), np.ones(2), 0.0, 4.0, id="int"),
+            pytest.param([1.0, 2.0, 3.0], np.ones(2), 0.0, 4.0, id="list"),
+            pytest.param(np.ones(6)[::2], np.ones(2), 0.0, 4.0, id="strided"),
+            pytest.param(np.ones(3), np.ones(2), 4.0, 4.0, id="empty-window"),
+            pytest.param(np.ones(3), np.ones(2), math.nan, 4.0, id="nan-window"),
+        ],
+    )
+    def test_rejects_what_lapack_cannot_take(self, path, diag, off, lo, hi, monkeypatch):
+        # checked before any pointer is passed, the same on either path
+        take_path(path, monkeypatch)
+        with pytest.raises(ParameterError):
+            oracle._sturm(diag, off, lo, hi)
+
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_dstebz", lambda: failing_stebz(2))
+        with pytest.raises(ConvergenceError, match=r"Sturm bisection failed: .*info=2"):
+            oracle._sturm(np.full(3, 2.0), np.full(2, -1.0), 0.0, 4.0)
+
+    def test_rejected_argument_is_named(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_dstebz", lambda: failing_stebz(-3))
+        with pytest.raises(ParameterError, match="argument N$"):
+            oracle._sturm(np.full(3, 2.0), np.full(2, -1.0), 0.0, 4.0)
+
+    def test_scipy_failure_raises_convergence_error(self, monkeypatch):
+        import scipy.linalg
+
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=2)")
+
+        take_path("scipy", monkeypatch)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", failing)
+        with pytest.raises(ConvergenceError, match=r"Sturm bisection failed: .*info=2"):
+            oracle._sturm(np.full(3, 2.0), np.full(2, -1.0), 0.0, 4.0)
+
+    @NEEDS_SYMBOL
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(a, n_max + 1) for a, n_max in SWEEP_LIKE]
+        + [(a, k) for a in (-0.2499, -0.2, 0.0, 0.5, 2.0, 7.9, 157.3, 1e4, 1e5) for k in (1, 5, 9, 41)],
+    )
+    def test_both_paths_agree_bit_for_bit(self, alpha, k, monkeypatch):
+        # scipy's stebz, the reference, gives every grid's levels bit for bit,
+        # and fd_eigen on the fallback returns the same run
+        import scipy.linalg
+
+        calls = record_sturm(monkeypatch)
+        res = fd_eigen(alpha, k)
+        assert len(calls) == 2
+        for diag, off, lo, hi, mu in calls:
+            ref = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                                                    lapack_driver="stebz", tol=oracle._STEBZ_TOL)
+            assert mu.dtype == ref.dtype and mu.tobytes() == ref.tobytes()
+        take_path("scipy", monkeypatch)
+        fell = fd_eigen(alpha, k)
+        assert repr((fell.eigenvalues, fell.residual_estimate, fell.rows)) == repr(
+            (res.eigenvalues, res.residual_estimate, res.rows))
 
 
 class TestWallExtrapolation:

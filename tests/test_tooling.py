@@ -183,7 +183,8 @@ def test_oracle_imports_nothing_from_spectrum():
 
 def test_one_finite_difference_builder():
     # one builder for every inner condition: the tridiagonal solve has one
-    # call site, in _sturm, not one per variant of row 0 or per matrix
+    # call site, in _sturm, not one per variant of row 0 or per matrix; the
+    # scipy call it finds is the fallback where numpy's LAPACK lacks dstebz
     def calls(tree):
         return [
             node
@@ -198,12 +199,13 @@ def test_one_finite_difference_builder():
     assert owners == ["_sturm"]
 
 
-def test_traced_fd_counts_its_rows():
-    # the tracer wraps scipy.linalg.eigvalsh_tridiagonal and counts the
-    # rows of its first positional argument: _sturm must pass diag by position
-    tracer = load_tracing().Tracer()
-    with tracer:
-        res = oracle.fd_eigen(2.0, 5)
+def test_traced_fd_counts_its_rows(monkeypatch):
+    # the tracer's stebz counter reads the rows of its call's first positional
+    # argument: _richardson must pass _sturm its diag by position
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    monkeypatch.setattr(oracle, "_sturm", tracer.wrap(oracle._sturm, "oracle.stebz", tracing._stebz_rows))
+    res = oracle.fd_eigen(2.0, 5)
     assert tracer.summary()["calls"]["oracle.stebz"] == 2
     assert tracer.counts["oracle.stebz.rows"] == res.rows == 606
 
@@ -371,7 +373,9 @@ def test_no_module_imports_scipy_integrate():
 
 def test_only_the_fd_oracle_imports_scipy():
     # numpy builds every rule the package integrates on, Gauss-Laguerre
-    # included: scipy is the FD oracle's Sturm bisection (LAPACK stebz) only
+    # included: scipy is only the FD oracle's Sturm bisection (LAPACK stebz)
+    # where numpy's own LAPACK lacks it, loaded by _richardson before its
+    # clock and called by _sturm
     def importers(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
