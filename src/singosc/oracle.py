@@ -9,8 +9,8 @@ and shoot_spectrum take the branch from the gate (admissible_beta) and the
 window from _window, and shoot_spectrum its start from _x0.  The private
 cores, _richardson and _shoot, take what they are given, and each is one
 whole run: it checks the request, loads what it needs (_richardson
-resolves its solver, only after its checks) and times itself, so a direct
-call, on the beta_minus branch say, reports its seconds too.
+resolves its dstebz binding, only after its checks) and times itself, so
+a direct call, on the beta_minus branch say, reports its seconds too.
 
 (a) Finite differences on a log grid: x = e^s and psi = x^(1/2) u turn
 -psi'' + (x^2 + alpha/x^2) psi = mu psi into -u'' + (nu^2 + e^(4s)) u =
@@ -23,14 +23,14 @@ grid runs to ln _box in steps of min(_H_LOG, _PHASE / kappa), where kappa
 = sqrt(top^2 - nu^2) is the top's largest wavenumber in s (Pryce 1993).
 Scaled by the square root of the mass weights on both sides this is a
 graded tridiagonal matrix (_log_grid), solved by LAPACK Sturm bisection
-(_sturm: dstebz from numpy's own OpenBLAS through ctypes, or
-scipy.linalg's, the package's one scipy call, where numpy's LAPACK lacks
-that symbol) to an explicit absolute tolerance
-(bisection is accurate on graded matrices, Barlow & Demmel 1990; its
-default tolerance, eps |T|, is not) over the window's values, mu in (0, 2
-top], not by index, which first brackets the levels in the Gershgorin
-interval, ~1e9 wide from the inner end's e^(-2 s_min) / h^2; Richardson
-extrapolation in the step (_richardson) removes the h^2 error.
+(_sturm, through the one dstebz binding _stebz resolves: numpy's own
+OpenBLAS through ctypes, or scipy.linalg's, the package's one scipy
+import, where numpy's LAPACK lacks that symbol) to an explicit absolute
+tolerance (bisection is accurate on graded matrices, Barlow & Demmel
+1990; its default tolerance, eps |T|, is not) over the window's values,
+mu in (0, 2 top], not by index, which first brackets the levels in the
+Gershgorin interval, ~1e9 wide from the inner end's e^(-2 s_min) / h^2;
+Richardson extrapolation in the step (_richardson) removes the h^2 error.
 
 (b) Shooting seeded by a Frobenius series near the origin steps a batch
 of energies with the 6th-order, 3-point Magnus propagator of the linear
@@ -180,19 +180,32 @@ _STEBZ_ARGS = ("RANGE", "ORDER", "N", "VL", "VU", "IL", "IU", "ABSTOL", "D", "E"
 
 
 @functools.cache
-def _dstebz():
-    """LAPACK dstebz from the OpenBLAS numpy's linalg extension loaded, its
-    argument types declared, or None where that library lacks the exact
+def _stebz():
+    """LAPACK dstebz by value over a window, as (diag, off, lo, hi) -> (m,
+    w, info), w[:m] the eigenvalues in (lo, hi]: RANGE = 'V', ORDER = 'E',
+    ABSTOL = _STEBZ_TOL.  The one place that knows the binding: the exact
     symbol scipy_dstebz_64_ (64-bit integers; scipy-openblas64, which numpy
-    wheels ship): MKL, Accelerate or a distro's numpy, where _sturm calls
-    scipy.linalg instead.  No other name or integer width is tried."""
+    wheels ship) of the OpenBLAS numpy's linalg extension loaded, through
+    ctypes, or, where that library lacks it (MKL, Accelerate, a distro's
+    numpy), scipy.linalg's binding of the same routine, the package's one
+    scipy import.  No other name or integer width is tried."""
     from numpy.ctypeslib import ndpointer
     from numpy.linalg import _umath_linalg
 
     try:  # the extension's handle also finds the symbols of its dependencies
         stebz = ctypes.CDLL(_umath_linalg.__file__).scipy_dstebz_64_
     except (OSError, AttributeError):
-        return None
+        # scipy.linalg loads on first use, not at import: the analytic CLI never needs it
+        from scipy.linalg.lapack import dstebz
+
+        def by_scipy(diag, off, lo, hi):
+            # RANGE 1 is 'V'; f2py sizes E as max(N - 1, 1), so a 1-row
+            # matrix passes a dummy E, which LAPACK never reads
+            m, w, _, _, info = dstebz(diag, off if off.size else np.zeros(1), 1, lo, hi, 1, 1,
+                                      _STEBZ_TOL, "E")
+            return m, w, info
+
+        return by_scipy
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     ints, floats = (ndpointer(t, ndim=1, flags="C_CONTIGUOUS") for t in (np.int64, np.float64))
     # in _STEBZ_ARGS's order, then the hidden lengths of the two strings
@@ -200,17 +213,31 @@ def _dstebz():
                       floats, i64, i64, floats, ints, ints, floats, ints, i64,
                       ctypes.c_size_t, ctypes.c_size_t]
     stebz.restype = None
-    return stebz
+
+    def by_ctypes(diag, off, lo, hi):
+        n = diag.size
+        # every buffer the routine reads or writes stays bound here across the call
+        # (IL = IU = 1 stand in for the index range, which RANGE = 'V' never reads)
+        size, vl, vu, index, tol = (ctypes.c_int64(n), ctypes.c_double(lo), ctypes.c_double(hi),
+                                    ctypes.c_int64(1), ctypes.c_double(_STEBZ_TOL))
+        m, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+        w, work = np.empty(n), np.empty(4 * n)
+        iblock, isplit, iwork = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(3 * n, np.int64)
+        stebz(b"V", b"E", size, vl, vu, index, index, tol, diag, off, m, nsplit,
+              w, iblock, isplit, work, iwork, info, 1, 1)
+        return m.value, w, info.value
+
+    return by_ctypes
 
 
 def _sturm(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Eigenvalues in (lo, hi] of the symmetric tridiagonal matrix (diag,
-    off), ascending, by LAPACK Sturm bisection (dstebz) to _STEBZ_TOL:
-    numpy's own OpenBLAS through ctypes (_dstebz), else
-    scipy.linalg.eigvalsh_tridiagonal, the package's one scipy call.
-    ParameterError unless diag and off are 1-D, float64, C-contiguous and
-    finite, off is one shorter than a non-empty diag and lo < hi, on either
-    path; ConvergenceError where LAPACK reports a failure."""
+    off), ascending, by LAPACK Sturm bisection (dstebz, through the binding
+    _stebz resolves) to _STEBZ_TOL.  ParameterError unless diag and off are
+    1-D, float64, C-contiguous and finite, off is one shorter than a
+    non-empty diag and lo < hi; ConvergenceError where LAPACK reports a
+    failure.  The same checks and the same mapping of LAPACK's INFO serve
+    either binding."""
     if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64
                and a.flags.c_contiguous for a in (diag, off)):
         raise ParameterError("a tridiagonal matrix takes 1-D, C-contiguous float64 arrays")
@@ -221,34 +248,14 @@ def _sturm(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> np.ndarra
         raise ParameterError("the tridiagonal matrix is not finite")
     if not lo < hi:  # also catches a NaN end
         raise ParameterError(f"the window ({lo:g}, {hi:g}] is empty")
-    stebz = _dstebz()
     # by value over the window: by index, most Sturm sweeps go into bracketing
     # the levels inside the Gershgorin bound
-    if stebz is None:
-        # scipy.linalg loads on first use, not at import: the analytic CLI never needs it
-        import scipy.linalg
-
-        try:
-            return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
-                                                     lapack_driver="stebz", tol=_STEBZ_TOL)
-        except scipy.linalg.LinAlgError as exc:  # LAPACK info != 0
-            raise ConvergenceError(f"Sturm bisection failed: {exc}") from exc
-    n = diag.size
-    # every buffer the routine reads or writes stays bound here across the call
-    # (IL = IU = 1 stand in for the index range, which RANGE = 'V' never reads)
-    size, vl, vu, index, tol = (ctypes.c_int64(n), ctypes.c_double(lo), ctypes.c_double(hi),
-                                ctypes.c_int64(1), ctypes.c_double(_STEBZ_TOL))
-    m, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
-    w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(3 * n, np.int64)
-    stebz(b"V", b"E", size, vl, vu, index, index, tol, diag, off, m, nsplit,
-          w, iblock, isplit, work, iwork, info, 1, 1)
-    if info.value < 0:  # the checks above leave none
-        raise ParameterError(f"LAPACK dstebz rejected its argument {_STEBZ_ARGS[-info.value - 1]}")
-    if info.value > 0:
-        raise ConvergenceError(f"Sturm bisection failed: dstebz did not converge "
-                               f"(LAPACK info={info.value})")
-    return w[:m.value]
+    m, w, info = _stebz()(diag, off, lo, hi)
+    if info < 0:  # the checks above leave none
+        raise ParameterError(f"LAPACK dstebz rejected its argument {_STEBZ_ARGS[-info - 1]}")
+    if info > 0:
+        raise ConvergenceError(f"Sturm bisection failed: dstebz did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> OracleResult:
@@ -261,8 +268,8 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
     grid's error (which bounds the combination's) plus 3 e^(4 s_min)
     eps_top^2, eps_top the top level, for what the two-term inner
     condition misses; seconds times the solve, not the checks or the
-    solver's first-call resolution (_dstebz, or the scipy.linalg import
-    where that finds nothing).
+    first call's resolution of the dstebz binding (_stebz, which imports
+    scipy.linalg where numpy's LAPACK lacks the routine).
     ParameterError unless k is an integer >= 1, top passes |nu| and the
     grid fits _MAX_ROWS; ConvergenceError when the residual reaches a
     level or a level lies above top, where the box truncates it."""
@@ -277,12 +284,9 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
         raise ParameterError(f"{k} levels at alpha = {alpha:g} need over {_MAX_ROWS} grid rows")
     n = math.ceil(n)
     m = (n + 1) // 2 - 1
-    # the solver loads after the checks, so a rejected request raises without
-    # it, and before the clock, so a first call does not time it: dstebz is
-    # resolved once, and scipy.linalg loads only where it does not resolve
-    if _dstebz() is None:
-        import scipy.linalg
-
+    # the binding resolves after the checks, so a rejected request raises
+    # without it, and before the clock, so a first call does not time it
+    _stebz()
     t0 = time.perf_counter()
     # every level of each grid up to top, mu = 2 eps; mu > 0 as kappa0 >= 0,
     # m0 > 0 and nu^2 + e^4s > 0 (SPD).  A grid's levels run out below the
@@ -307,9 +311,9 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     """Lowest k eigenvalues by finite differences on the log grid from
     s_min = _S_MIN, with the two-term Frobenius condition there, to _box
     of their _window.  The residual estimate bounds the error
-    (_richardson, which also checks k, loads its solver and times the
-    run); ConvergenceError when it reaches a level or the top level lies
-    above the window, where the box truncates it."""
+    (_richardson, which also checks k, resolves the dstebz binding and
+    times the run); ConvergenceError when it reaches a level or the top
+    level lies above the window, where the box truncates it."""
     return _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, _window(alpha, k - 1)[1], k)
 
 
@@ -630,9 +634,10 @@ def shoot_spectrum(alpha: float, n_max: int) -> OracleResult:
 
 
 def shoot_eigen(alpha: float, n_target: int) -> OracleResult:
-    """Single shooting eigenvalue with n_target interior nodes."""
+    """Single shooting eigenvalue with n_target interior nodes: the last
+    of shoot_spectrum's levels, which end at n_target."""
     full = shoot_spectrum(alpha, n_target)
-    return replace(full, eigenvalues=(full.eigenvalues[n_target],))
+    return replace(full, eigenvalues=full.eigenvalues[-1:])
 
 
 def compare(analytic_levels: Sequence[float], oracle: OracleResult, tol: float) -> CompareReport:

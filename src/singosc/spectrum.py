@@ -243,7 +243,7 @@ def spectrum_table(
     The states come out in (eps, parity) order as _level builds them, n
     by n and even before odd, so no sort runs.
     """
-    _check_n(n_max)
+    n_max = _check_n(n_max)
     branches = _branches(alpha, domain, beta_branch)
     states = [s for n in range(n_max + 1) for s in _level(alpha, n, branches)]
     degeneracy = Counter(s.energy_eps for s in states).values()

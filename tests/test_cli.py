@@ -1,6 +1,7 @@
 """CLI surface: exit codes, CSV/JSON contracts, figure data shapes."""
 
 import contextlib
+import ctypes
 import csv
 import dataclasses
 import io
@@ -904,13 +905,20 @@ _ANALYTIC_ARGV = [
 ]
 
 
+# whether numpy's own LAPACK exports the dstebz symbol oracle._stebz binds
+_NUMPY_HAS_DSTEBZ = hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_dstebz_64_")
+
+
+def _linalg_only(loaded):
+    """Whether the scipy modules a process loaded are scipy.linalg and no
+    other subpackage the package could use."""
+    return "scipy.linalg" in loaded and "scipy.integrate" not in loaded and "scipy.special" not in loaded
+
+
 def _fd_loaded(loaded):
     """Whether the scipy modules a process loaded are those its FD oracle
-    needs: none where numpy's LAPACK has dstebz (oracle._dstebz), else
-    scipy.linalg and no other subpackage."""
-    if oracle._dstebz() is not None:
-        return loaded == []
-    return "scipy.linalg" in loaded and "scipy.integrate" not in loaded and "scipy.special" not in loaded
+    needs: none where numpy's LAPACK has dstebz, else scipy.linalg alone."""
+    return loaded == [] if _NUMPY_HAS_DSTEBZ else _linalg_only(loaded)
 
 
 class TestLazyScipy:
@@ -963,6 +971,23 @@ class TestLazyScipy:
             "assert seconds < 0.05, seconds\n"
         )
         assert _fd_loaded(_loaded_after(code))
+
+    def test_fallback_binding_loads_linalg_off_the_clock(self):
+        # where numpy's library cannot be opened, the first fd_eigen binds
+        # scipy.linalg's dstebz before its clock and returns the levels the
+        # ctypes binding gives
+        want = repr(oracle.fd_eigen(0.5, 2).eigenvalues)
+        code = (
+            "import ctypes\n"
+            "from singosc import oracle\n"
+            "def no_library(name):\n"
+            "    raise OSError(name)\n"
+            "ctypes.CDLL = no_library\n"
+            "res = oracle.fd_eigen(0.5, 2)\n"
+            "assert res.seconds < 0.05, res.seconds\n"
+            f"assert repr(res.eigenvalues) == {want!r}, res.eigenvalues\n"
+        )
+        assert _linalg_only(_loaded_after(code))
 
     def test_quadrature_loads_no_scipy(self):
         # the Gauss-Legendre rule behind Gram matrices and principal values

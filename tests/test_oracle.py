@@ -1,8 +1,10 @@
 """Independent eigenvalue routes: finite differences, shooting, node counts."""
 
+import ctypes
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,25 +369,45 @@ class TestFdSpectrum:
             assert shoot_spectrum(alpha, 2).eigenvalues == pytest.approx(levels, abs=5e-6)
 
 
-# the two doors to LAPACK dstebz: numpy's own OpenBLAS through ctypes, and
-# scipy.linalg where numpy's LAPACK lacks the symbol (MKL, Accelerate)
-RESOLVED = oracle._dstebz() is not None
+# the two bindings of LAPACK dstebz: numpy's own OpenBLAS through ctypes, and
+# scipy.linalg where numpy's LAPACK lacks the symbol (MKL, Accelerate); which
+# one this numpy resolves is read from its library itself
+RESOLVED = hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_dstebz_64_")
 NEEDS_SYMBOL = pytest.mark.skipif(not RESOLVED, reason="numpy's LAPACK has no scipy_dstebz_64_")
 STURM_PATHS = [pytest.param("ctypes", marks=NEEDS_SYMBOL), "scipy"]
 
 
-def take_path(path, monkeypatch):
-    """Make _sturm take path: "scipy" forces the fallback."""
-    if path == "scipy":
-        monkeypatch.setattr(oracle, "_dstebz", lambda: None)
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
 
 
-def failing_stebz(info):
-    """A stand-in dstebz that leaves the matrix alone and reports info."""
-    def stebz(*args):
-        args[17].value = info  # INFO is dstebz's 18th argument
+def take_path(path, monkeypatch, routine=None):
+    """Make _sturm take path through a binding _stebz builds here: "scipy"
+    the fallback, ctypes.CDLL raising OSError, "ctypes" numpy's library.
+    routine, when given, stands in for path's dstebz: the library's symbol,
+    or scipy.linalg.lapack.dstebz."""
+    import scipy.linalg.lapack
 
-    return stebz
+    with monkeypatch.context() as patch:
+        if path == "scipy":
+            patch.setattr(ctypes, "CDLL", no_library)
+            if routine is not None:
+                patch.setattr(scipy.linalg.lapack, "dstebz", routine)
+        elif routine is not None:
+            patch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(scipy_dstebz_64_=routine))
+        binding = oracle._stebz.__wrapped__()
+    monkeypatch.setattr(oracle, "_stebz", lambda: binding)
+
+
+def failing_dstebz(path, info):
+    """A stand-in for path's dstebz that leaves the matrix alone and reports info."""
+    if path == "ctypes":
+        def routine(*args):
+            args[17].value = info  # INFO is dstebz's 18th argument
+    else:
+        def routine(d, *args):
+            return 0, np.empty(d.size), None, None, info  # m, w, iblock, isplit, info
+    return routine
 
 
 class TestSturm:
@@ -421,54 +443,46 @@ class TestSturm:
         ],
     )
     def test_rejects_what_lapack_cannot_take(self, path, diag, off, lo, hi, monkeypatch):
-        # checked before any pointer is passed, the same on either path
+        # checked before any pointer is passed, the same on either binding
         take_path(path, monkeypatch)
         with pytest.raises(ParameterError):
             oracle._sturm(diag, off, lo, hi)
 
-    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_dstebz", lambda: failing_stebz(2))
-        with pytest.raises(ConvergenceError, match=r"Sturm bisection failed: .*info=2"):
+    @pytest.mark.parametrize("path", ["ctypes", "scipy"])
+    def test_lapack_failure_raises_convergence_error(self, path, monkeypatch):
+        take_path(path, monkeypatch, failing_dstebz(path, 2))
+        with pytest.raises(ConvergenceError, match=r"Sturm bisection failed: .*info=2\)$"):
             oracle._sturm(np.full(3, 2.0), np.full(2, -1.0), 0.0, 4.0)
 
-    def test_rejected_argument_is_named(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_dstebz", lambda: failing_stebz(-3))
+    @pytest.mark.parametrize("path", ["ctypes", "scipy"])
+    def test_rejected_argument_is_named(self, path, monkeypatch):
+        take_path(path, monkeypatch, failing_dstebz(path, -3))
         with pytest.raises(ParameterError, match="argument N$"):
-            oracle._sturm(np.full(3, 2.0), np.full(2, -1.0), 0.0, 4.0)
-
-    def test_scipy_failure_raises_convergence_error(self, monkeypatch):
-        import scipy.linalg
-
-        def failing(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=2)")
-
-        take_path("scipy", monkeypatch)
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", failing)
-        with pytest.raises(ConvergenceError, match=r"Sturm bisection failed: .*info=2"):
             oracle._sturm(np.full(3, 2.0), np.full(2, -1.0), 0.0, 4.0)
 
     @NEEDS_SYMBOL
     @pytest.mark.parametrize(
         "alpha, k",
         [(a, n_max + 1) for a, n_max in SWEEP_LIKE]
-        + [(a, k) for a in (-0.2499, -0.2, 0.0, 0.5, 2.0, 7.9, 157.3, 1e4, 1e5) for k in (1, 5, 9, 41)],
+        + [(a, k) for a in (-0.2499, -0.2, 0.0, 0.5, 2.0, 7.9, 157.3, 1e3, 1e4, 1e5) for k in (1, 5, 9, 41)],
     )
     def test_both_paths_agree_bit_for_bit(self, alpha, k, monkeypatch):
-        # scipy's stebz, the reference, gives every grid's levels bit for bit,
-        # and fd_eigen on the fallback returns the same run
+        # scipy's stebz, the reference, gives every grid's levels bit for bit
+        # on either binding, and fd_eigen on the fallback returns the same run
         import scipy.linalg
 
-        calls = record_sturm(monkeypatch)
-        res = fd_eigen(alpha, k)
-        assert len(calls) == 2
-        for diag, off, lo, hi, mu in calls:
-            ref = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
-                                                    lapack_driver="stebz", tol=oracle._STEBZ_TOL)
-            assert mu.dtype == ref.dtype and mu.tobytes() == ref.tobytes()
-        take_path("scipy", monkeypatch)
-        fell = fd_eigen(alpha, k)
-        assert repr((fell.eigenvalues, fell.residual_estimate, fell.rows)) == repr(
-            (res.eigenvalues, res.residual_estimate, res.rows))
+        runs = []
+        for path in ("ctypes", "scipy"):
+            take_path(path, monkeypatch)
+            calls = record_sturm(monkeypatch)
+            runs.append(fd_eigen(alpha, k))
+            assert len(calls) == 2
+            for diag, off, lo, hi, mu in calls:
+                ref = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                                                        lapack_driver="stebz", tol=oracle._STEBZ_TOL)
+                assert mu.dtype == ref.dtype and mu.tobytes() == ref.tobytes()
+            monkeypatch.undo()
+        assert len({repr((r.eigenvalues, r.residual_estimate, r.rows)) for r in runs}) == 1
 
 
 class TestWallExtrapolation:
@@ -539,6 +553,11 @@ class TestLevelCounts:
 
     def test_integral_float_count_is_an_integer(self):
         assert shoot_spectrum(2.0, 2.0).eigenvalues == shoot_spectrum(2.0, 2).eigenvalues
+
+    @pytest.mark.parametrize("n", [2.0, np.float64(2.0), np.int64(2)], ids=repr)
+    def test_integral_target_is_an_integer(self, n):
+        # the level is the last of its spectrum's, never looked up by n
+        assert shoot_eigen(2.0, n).eigenvalues == shoot_eigen(2.0, 2).eigenvalues
 
 
 @pytest.mark.parametrize(

@@ -330,6 +330,11 @@ class TestSpectrumTable:
         with pytest.raises(ParameterError):
             spectrum_table(0.5, -1, Domain.HALF_LINE)
 
+    @pytest.mark.parametrize("n_max", [2.0, np.float64(2.0), np.int64(2)], ids=repr)
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_integral_n_max_is_an_integer(self, n_max, domain):
+        assert spectrum_table(0.5, n_max, domain) == spectrum_table(0.5, 2, domain)
+
     @pytest.mark.parametrize("domain", ["half", "full", None])
     def test_rejects_a_domain_that_is_not_a_domain(self, domain):
         # a string or None is no Domain: it raises, and is not read as the

@@ -182,21 +182,25 @@ def test_oracle_imports_nothing_from_spectrum():
 
 
 def test_one_finite_difference_builder():
-    # one builder for every inner condition: the tridiagonal solve has one
-    # call site, in _sturm, not one per variant of row 0 or per matrix; the
-    # scipy call it finds is the fallback where numpy's LAPACK lacks dstebz
-    def calls(tree):
+    # one builder for every inner condition and one solve: no scipy
+    # eigvalsh_tridiagonal call is left, _sturm alone calls the dstebz
+    # binding _stebz resolves, and every matrix it solves comes from
+    # _log_grid, not one builder per variant of row 0 or per matrix
+    module = parse(PACKAGE / "oracle.py")
+
+    def calls(name):
         return [
             node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigvalsh_tridiagonal"
+            for node in ast.walk(module)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
         ]
 
-    module = parse(PACKAGE / "oracle.py")
-    assert len(calls(module)) == 1
-    owners = [f.name for f in module.body if isinstance(f, ast.FunctionDef) for _ in calls(f)]
-    assert owners == ["_sturm"]
+    assert calls("eigvalsh_tridiagonal") == []
+    bindings = calls("_stebz")  # a call of one is the solve
+    solvers = [f.name for f in module.body if isinstance(f, ast.FunctionDef)
+               for call in ast.walk(f) if isinstance(call, ast.Call) and call.func in bindings]
+    assert solvers == ["_sturm"]
+    assert [ast.unparse(call.args[0]).partition("(")[0] for call in calls("_sturm")] == ["*_log_grid"]
 
 
 def test_traced_fd_counts_its_rows(monkeypatch):
@@ -373,9 +377,9 @@ def test_no_module_imports_scipy_integrate():
 
 def test_only_the_fd_oracle_imports_scipy():
     # numpy builds every rule the package integrates on, Gauss-Laguerre
-    # included: scipy is only the FD oracle's Sturm bisection (LAPACK stebz)
-    # where numpy's own LAPACK lacks it, loaded by _richardson before its
-    # clock and called by _sturm
+    # included: scipy is only the FD oracle's Sturm bisection (LAPACK
+    # dstebz) where numpy's own LAPACK lacks it, bound by _stebz, the one
+    # place that resolves the binding
     def importers(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
@@ -390,7 +394,7 @@ def test_only_the_fd_oracle_imports_scipy():
             yield from importers(child, f"{owner.split('.')[0]}.{child.name}" if inner else owner)
 
     hits = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in importers(parse(path), path.stem)]
-    assert hits == ["oracle._sturm", "oracle._richardson"]
+    assert hits == ["oracle._stebz"]
 
 
 def test_only_the_oracle_cores_read_the_clock():
