@@ -136,12 +136,6 @@ def emit_rows(
         _write_text(head + tail + "\n", path)
 
 
-def _write_json(payload: dict, path: str | None) -> None:
-    import json
-
-    _write_text(json.dumps(payload, indent=2) + "\n", path)
-
-
 def _alpha_sweep(points: int) -> list[float]:
     """points alphas uniform on (lo, hi], the open left endpoint dropped:
     np.linspace(lo, hi, points + 1)[1:] bit for bit, by its arithmetic
@@ -305,13 +299,15 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     from . import verify  # loaded for this command only; run_suites checks the request
 
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = verify.run_suites(names, alpha=args.alpha)
     ok = all(r.passed for r in reports)
     if args.format == "json":
-        _write_json({"passed": ok, "suites": [r.to_dict() for r in reports]}, args.out)
+        text = json.dumps({"passed": ok, "suites": [r.to_dict() for r in reports]}, indent=2)
     else:
         lines = []
         for rep in reports:
@@ -319,8 +315,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for c in rep.checks:
                 status = "PASS" if c.passed else "FAIL"
                 lines.append(f"  {status} {c.name}: {c.measured} [want {c.bound}]")
-        lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-        _write_text("\n".join(lines) + "\n", args.out)
+        text = "\n".join([*lines, f"overall: {'PASS' if ok else 'FAIL'}"])
+    _write_text(text + "\n", args.out)
     return 0 if ok else 1
 
 

@@ -270,11 +270,15 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
     condition misses; seconds times the solve, not the checks or the
     first call's resolution of the dstebz binding (_stebz, which imports
     scipy.linalg where numpy's LAPACK lacks the routine).
-    ParameterError unless k is an integer >= 1, top passes |nu| and the
-    grid fits _MAX_ROWS; ConvergenceError when the residual reaches a
-    level or a level lies above top, where the box truncates it."""
+    ParameterError unless k is an integer >= 1, nu > -1 (row 0's
+    condition divides by 1 + nu), top passes |nu| and the grid fits
+    _MAX_ROWS; ConvergenceError when a level's own error, its shift plus
+    the inner term, reaches it or a level lies above top, where the box
+    truncates it."""
     if not 1 <= k <= _MAX_ROWS or k != int(k):  # also catches a NaN k
         raise ParameterError(f"k must be an integer in [1, {_MAX_ROWS}], got {k}")
+    if not nu > -1.0:  # row 0's c and node 0's mass need 1 + nu > 0
+        raise ParameterError(f"the log grid's inner condition needs nu > -1, got {nu:g}")
     s_max = math.log(_box(alpha, top))
     kappa = math.sqrt(max(top * top - alpha - 0.25, 0.0))
     if not kappa > 0:  # from alpha ~ 1e32, where doubles merge the window's ends
@@ -299,7 +303,7 @@ def _richardson(alpha: float, nu: float, s_min: float, top: float, k: int) -> Or
     levels = fine + shift
     inner = 3.0 * math.exp(4.0 * s_min) * float(np.max(np.abs(levels))) ** 2
     residual = float(np.max(np.abs(shift))) + inner
-    if not residual < np.min(np.abs(levels)):  # also catches a NaN residual
+    if not (np.abs(shift) + inner < np.abs(levels)).all():  # also catches a NaN level
         raise ConvergenceError(f"finite-difference residual {residual:.3g} exceeds a level")
     if not np.max(levels) <= top:  # the box, built for the window, truncates it
         raise ConvergenceError(f"finite-difference level {np.max(levels):.6g} lies above {top:.6g}")
@@ -312,8 +316,8 @@ def fd_eigen(alpha: float, k: int = 1) -> OracleResult:
     s_min = _S_MIN, with the two-term Frobenius condition there, to _box
     of their _window.  The residual estimate bounds the error
     (_richardson, which also checks k, resolves the dstebz binding and
-    times the run); ConvergenceError when it reaches a level or the top
-    level lies above the window, where the box truncates it."""
+    times the run); ConvergenceError when a level's own error reaches it
+    or the top level lies above the window, where the box truncates it."""
     return _richardson(alpha, admissible_beta(alpha) + 0.5, _S_MIN, _window(alpha, k - 1)[1], k)
 
 
@@ -324,13 +328,14 @@ fd_eigen_extrapolated = fd_eigen
 def _frobenius_series(beta: float, eps_arr: np.ndarray, x0: float) -> np.ndarray:
     """Stacked (psi, psi') at x0 of psi = sum_j a_j x^(beta+1+2j), j < _N_TERMS,
     one column per energy.  ParameterError unless every value is finite and
-    every last term within _RTOL of its sum (a NaN or huge energy, an x0 too far out)."""
+    every last term within _RTOL of its sum (a NaN or huge energy, an x0 too
+    far out, a beta whose recurrence meets a zero denominator)."""
     # substituting into the ODE gives
     # 2j(2 beta + 2j + 1) a_j = a_{j-2} - 2 eps a_{j-1}, a_0 = 1, a_-1 = 0:
     # at j = 1, a[j - 2] is the last row, still 0
     a = np.zeros((_N_TERMS, eps_arr.shape[0]))
     a[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the check below raises
         for j in range(1, _N_TERMS):
             a[j] = (a[j - 2] - 2.0 * eps_arr * a[j - 1]) / (2.0 * j * (2.0 * beta + 2.0 * j + 1.0))
         exps = beta + 1.0 + 2.0 * np.arange(_N_TERMS)
@@ -376,11 +381,11 @@ def _steps(alpha: float, beta: float, top: float) -> tuple[float, float]:
     the energy top: h = min(_H_MAX, _STEP_PHASE / k), k = sqrt(2 top - 2
     sqrt(max(alpha, 0))) the largest wavenumber of top, so no step spans
     more than _STEP_PHASE radians of its oscillation, and g = min(h,
-    _E_FOLDS / nu), nu = beta + 1/2, so no graded step spans more than
-    _E_FOLDS e-folds of the start's x^(beta + 1) growth."""
+    _E_FOLDS / |nu|), nu = beta + 1/2 of either branch, so no graded step
+    spans more than _E_FOLDS e-folds of the start's x^(beta + 1) growth."""
     k = math.sqrt(2.0 * top - 2.0 * math.sqrt(max(alpha, 0.0)))
     h = min(_H_MAX, _STEP_PHASE / k)
-    return h, min(h, _E_FOLDS / (beta + 0.5))
+    return h, min(h, _E_FOLDS / abs(beta + 0.5))
 
 
 def _grid(x0: float, x_max: float, h: float, g: float) -> np.ndarray:
@@ -577,7 +582,6 @@ def _shoot(alpha: float, beta: float, x0: float, start: float, top: float, n_max
     start x0, scanned over the lattice from start to top: the zeros of the
     box-edge value F = psi(_box), bracketed by its sign and confirmed by
     the node count, for the branch, start and window the caller chose.
-    beta + 1/2 must be positive, as _steps grades by _E_FOLDS / (beta + 1/2).
 
     The total sign-change count along [x0, _box] (including the tail flip
     of the growing contamination) is the number of eigenvalues below eps,

@@ -32,27 +32,20 @@ class Check(NamedTuple):
     bound: str
 
 
-class SuiteReport:
-    """A suite's name and the checks it adds, in order."""
+class SuiteReport(NamedTuple):
+    """A suite's name and its checks, in order."""
 
-    def __init__(self, suite: str) -> None:
-        self.suite = suite
-        self.checks: list[Check] = []
+    suite: str
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
         """Every check passed, and there is at least one."""
         return bool(self.checks) and all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, measured: str, bound: str) -> None:
-        self.checks.append(Check(name, bool(passed), measured, bound))
-
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [c._asdict() for c in self.checks],
-        }
+        checks = [c._asdict() for c in self.checks]
+        return {"suite": self.suite, "passed": self.passed, "checks": checks}
 
 
 def suite_hermiticity() -> SuiteReport:
@@ -61,7 +54,7 @@ def suite_hermiticity() -> SuiteReport:
 
     from . import oracle, quad
 
-    rep = SuiteReport("hermiticity")
+    checks = []
     grid = np.concatenate(
         [np.linspace(-0.249, -0.001, 40), np.linspace(0.001, 0.749, 40)]
     )
@@ -72,12 +65,12 @@ def suite_hermiticity() -> SuiteReport:
         cls = quad.integrability_class(2.0 * bm)
         ok &= cls is quad.IntegrabilityClass.NON_INTEGRABLE
         worst = min(worst, -(2.0 * bm))
-    rep.add(
+    checks.append(Check(
         "beta_minus rejected on (-1/4,0)u(0,3/4)",
         ok,
         f"min |2 beta_minus| = {worst:.3f} (all < -1 classed non-integrable)",
         "NonIntegrable everywhere",
-    )
+    ))
     raised = 0
     probes = 0
     for alpha in (ALPHA_CRITICAL, -0.3):
@@ -94,13 +87,13 @@ def suite_hermiticity() -> SuiteReport:
                 entry(alpha)
             except SupercriticalError:
                 raised += 1
-    rep.add(
+    checks.append(Check(
         "entry points raise SupercriticalError",
         raised == probes,
         f"{raised}/{probes} raised",
         "all",
-    )
-    return rep
+    ))
+    return SuiteReport("hermiticity", tuple(checks))
 
 
 def suite_orthonormality() -> SuiteReport:
@@ -110,26 +103,26 @@ def suite_orthonormality() -> SuiteReport:
 
     from . import quad
 
-    rep = SuiteReport("orthonormality")
+    checks = []
     tol = 1e-8
     for alpha in (-0.2, 0.0, 0.5, 2.0):
         states = [spectrum.halfline_state(alpha, n) for n in range(6)]
         gram = quad.gram(states)
         worst = float(np.max(np.abs(gram - np.eye(6))))
-        rep.add(
+        checks.append(Check(
             f"gram 6x6 alpha={alpha}",
             worst <= tol,
             f"max |G - I| = {worst:.2e}",
             f"<= {tol:.0e}",
-        )
-    return rep
+        ))
+    return SuiteReport("orthonormality", tuple(checks))
 
 
 def suite_oracle(alphas: tuple[float, ...] = (0.5, 2.0), n_max: int = 3) -> SuiteReport:
     """Shooting and finite-difference eigenvalues vs the closed form."""
     from . import oracle
 
-    rep = SuiteReport("oracle")
+    checks = []
     for alpha in alphas:
         levels = spectrum.spectrum_table(alpha, n_max, Domain.HALF_LINE).distinct_levels()
         for name, result, tol in (
@@ -137,59 +130,59 @@ def suite_oracle(alphas: tuple[float, ...] = (0.5, 2.0), n_max: int = 3) -> Suit
             ("finite-difference", oracle.fd_eigen(alpha, n_max + 1), ORACLE_TOL_FD),
         ):
             r = oracle.compare(levels, result, tol)
-            rep.add(
+            checks.append(Check(
                 f"{name} alpha={alpha}",
                 r.passed,
                 f"max rel err {r.max_rel_error:.2e}",
                 f"<= {tol:.0e}",
-            )
-    return rep
+            ))
+    return SuiteReport("oracle", tuple(checks))
 
 
 def suite_degeneracy() -> SuiteReport:
     """Exact double degeneracy for alpha != 0; simple levels at alpha = 0."""
-    rep = SuiteReport("degeneracy")
+    checks = []
     for alpha in (0.2, 0.5, 2.0):
         gaps = []
         for n in range(5):
             even, odd = spectrum.fullline_states(alpha, n)
             gaps.append(abs(even.energy_eps - odd.energy_eps))
-        rep.add(
+        checks.append(Check(
             f"even/odd degenerate alpha={alpha}",
             max(gaps) == 0.0,
             f"max |eps_even - eps_odd| = {max(gaps):.1e}",
             "= 0 (machine exact)",
-        )
+        ))
     table = spectrum.spectrum_table(0.0, 4, Domain.FULL_LINE)
     levels = table.distinct_levels()
     expected = tuple(n + 0.5 for n in range(10))
-    rep.add(
+    checks.append(Check(
         "alpha=0 combined spectrum",
         levels == expected and all(d == 1 for d in table.degeneracy),
         f"levels {levels[:4]}... all simple",
         "{n + 1/2 : n <= 9}, multiplicity 1",
-    )
-    return rep
+    ))
+    return SuiteReport("degeneracy", tuple(checks))
 
 
 def suite_perturbation() -> SuiteReport:
     """First-order slope at alpha = 0: odd finite (1.0), even divergent."""
-    rep = SuiteReport("perturbation")
+    checks = []
     slope = spectrum.perturbation_first_order(0, Parity.ODD)
-    rep.add(
+    checks.append(Check(
         "odd ground-state slope",
         abs(slope - 1.0) <= 1e-6,
         f"slope {slope:.9f}",
         "1.0 +- 1e-6",
-    )
+    ))
     even = spectrum.perturbation_first_order(0, Parity.EVEN)
-    rep.add(
+    checks.append(Check(
         "even ground state",
         even is spectrum.DIVERGENT,
         repr(even),
         "Divergent",
-    )
-    return rep
+    ))
+    return SuiteReport("perturbation", tuple(checks))
 
 
 SUITES = {
@@ -209,10 +202,9 @@ def run_suites(names: tuple[str, ...], alpha: float | None = None) -> list[Suite
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ParameterError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
-    overrides = {}
     if alpha is not None:
         if "oracle" not in names:
             raise ParameterError(f"alpha applies to the oracle suite only, not to {list(names)}")
         admissible_beta(alpha)
-        overrides["alphas"] = (alpha,)
-    return [SUITES[name](**overrides) if name == "oracle" else SUITES[name]() for name in names]
+    return [SUITES[name](alphas=(alpha,)) if name == "oracle" and alpha is not None
+            else SUITES[name]() for name in names]

@@ -682,7 +682,7 @@ class TestVerifyCommand:
     def test_suite_with_no_checks_does_not_pass(self):
         # all([]) is True: a suite that checked nothing must not report PASS
         rep = verify.suite_oracle(alphas=())
-        assert rep.checks == [] and not rep.passed
+        assert rep.checks == () and not rep.passed
         assert rep.to_dict()["passed"] is False
 
     def test_oracle_suite_rejects_a_negative_level_count(self, monkeypatch):
@@ -785,6 +785,8 @@ class TestVerifyCommand:
         ):
             monkeypatch.setattr(owner, name, off(getattr(owner, name), scale))
         checks = [c for rep in verify.run_suites(verify.SUITE_NAMES) for c in rep.checks]
+        # json writes a bool, not numpy's bool_: every verdict is built a bool
+        assert {type(c.passed) for c in checks} == {bool}
         passed = {c.name for c in checks if c.passed}
         # the gate check drives the entry points with supercritical alpha
         assert passed == {"entry points raise SupercriticalError", *self.RESTATED}

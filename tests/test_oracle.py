@@ -210,6 +210,35 @@ class TestFiniteDifference:
         with pytest.raises(ConvergenceError, match="exceeds a level"):
             _richardson(2.0, 1.5, -0.75, oracle._window(2.0, 2)[1], 3)
 
+    def test_each_level_is_gated_on_its_own_error(self):
+        # at k = 205 the residual, 1.53 from the top level's shift, passes
+        # the ground level 1.5, whose own error lies far below it: 13 855 rows
+        res = fd_eigen(0.0, 205)
+        assert res.rows == 13_855 and res.residual_estimate > res.eigenvalues[0]
+        assert max_error_over_residual(0.0, 204, res) <= 1.0
+
+    def test_extrapolated_level_past_the_window_raises(self, monkeypatch):
+        # the fine grid's level just under the top and the coarse one 1
+        # lower: the shift, positive for every level measured, carries the
+        # extrapolated level past the top, which the grids' own levels pass
+        top = oracle._window(2.0, 0)[1]
+        mu = iter([2.0 * top - 1e-9, 2.0 * top - 2.0])  # the fine grid, then the coarse
+        monkeypatch.setattr(oracle, "_sturm", lambda diag, off, lo, hi: np.array([next(mu)]))
+        with pytest.raises(ConvergenceError, match=rf"level 3\.7\d* lies above {top:.6g}"):
+            _richardson(2.0, 1.5, oracle._S_MIN, top, 1)
+
+    @pytest.mark.parametrize("alpha, nu", [(0.75, -1.0), (2.0, -1.5), (2.0, math.nan)])
+    def test_exponent_at_or_below_minus_one_raises_before_any_grid(self, alpha, nu, monkeypatch):
+        # row 0's c = e^(2 s_min) / (2 (1 + nu)) divides by zero at nu = -1
+        # (beta_minus at alpha = 3/4), and node 0's mass is negative below it
+        def unused(*args):
+            raise AssertionError("a grid was built or the binding resolved")
+
+        monkeypatch.setattr(oracle, "_log_grid", unused)
+        monkeypatch.setattr(oracle, "_stebz", unused)
+        with pytest.raises(ParameterError, match="needs nu > -1"):
+            _richardson(alpha, nu, oracle._S_MIN, oracle._window(alpha, 2)[1], 3)
+
     def test_inner_end_past_the_window_raises(self):
         # the inner end at x = e^0.5 pushes level 2 of the fine grid's
         # matrix above the window's top 7.414 (at x = 1 it is still 6.86)
@@ -320,13 +349,10 @@ class TestFiniteDifference:
         # row 0 (kappa0 < 0), and the core returns its ladder 2n + beta_minus
         # + 3/2, the even ladder 2n + 1/2 at alpha = 0; the closed form is the
         # reference only (at most 0.017 of the residual, relative 2.6e-5, 618
-        # rows); at (0.7, 9) the one residual, 0.0345, passes the ground level 0.025
+        # rows); at (0.7, 9) the one residual, 0.0345, passes the ground level
+        # 0.025, whose own error, 1.2e-9 from the ladder, does not
         beta = indicial_roots(alpha).beta_minus
         top = oracle._window(alpha, k - 1)[1]
-        if (alpha, k) == (0.7, 9):
-            with pytest.raises(ConvergenceError, match="exceeds a level"):
-                _richardson(alpha, beta + 0.5, oracle._S_MIN, top, k)
-            return
         res = _richardson(alpha, beta + 0.5, oracle._S_MIN, top, k)
         want = 2.0 * np.arange(k) + beta + 1.5
         assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= res.residual_estimate
@@ -600,6 +626,11 @@ class TestFrobeniusStart:
         for x0 in (2.0, 5.0):
             with pytest.raises(ParameterError, match="Frobenius series"):
                 frobenius_start(0.5, 1.8660254037844386, x0)
+
+    @pytest.mark.parametrize("x0", [0.0, -1e-3, math.nan])
+    def test_nonpositive_start_rejected(self, x0):
+        with pytest.raises(ParameterError, match="x0 must be positive"):
+            frobenius_start(2.0, 2.5, x0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 1e300])
     def test_nonfinite_energy_rejected(self, eps):
@@ -914,6 +945,43 @@ class TestShooting:
         with pytest.raises(BracketError, match=r"levels \[0\]"):
             shoot_spectrum(alpha * 1e30, 0)
         assert calls == []
+
+
+    def test_window_below_the_top_level_raises_after_the_scan(self, monkeypatch):
+        # 14 energies from the well's bottom sqrt(2) to 3.914 hold level 0
+        # (2.5) but not level 1 (4.5): the scan pass runs and brackets level 0 alone
+        passes = record_passes(monkeypatch)
+        start = oracle._window(2.0, 0)[0]
+        with pytest.raises(BracketError, match=r"no bracket for levels \[1\] in eps <= 3\.914"):
+            oracle._shoot(2.0, 1.0, oracle._x0(1.0), start, start + 2.5, 1)
+        assert passes == [14]
+
+    @pytest.mark.parametrize("n_max", [0, 8])
+    @pytest.mark.parametrize("alpha", [-0.2499, -0.2, -0.1, 0.0, 0.3, 0.5, 0.7])
+    def test_core_runs_the_minus_branch(self, alpha, n_max):
+        # _steps grades by |beta + 1/2|, so the core steps beta_minus's start
+        # from x0 = 0.05 over a window from -1 and returns its ladder 2n +
+        # beta_minus + 3/2 (at most 0.029 of the residual, 190 to 316 steps);
+        # the closed form is the reference only
+        beta = indicial_roots(alpha).beta_minus
+        res = oracle._shoot(alpha, beta, 0.05, -1.0, -1.0 + 2.0 * n_max + 2.5, n_max)
+        want = 2.0 * np.arange(n_max + 1) + beta + 1.5
+        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= 0.05 * res.residual_estimate
+
+    def test_minus_branch_near_three_quarters_fails_typed(self):
+        # at alpha = 0.74, beta_minus = -1.495 lies near the resonant -3/2:
+        # the node counts do not bracket levels 3 to 8, a typed failure
+        beta = indicial_roots(0.74).beta_minus
+        with pytest.raises(NonConvergence, match=r"levels \[3, 4, 5, 6, 7, 8\]"):
+            oracle._shoot(0.74, beta, 0.05, -1.0, 17.5, 8)
+
+    def test_resonant_start_raises_typed(self):
+        # beta = -3/2 (beta_minus at alpha = 3/4) zeroes the series'
+        # denominator 2j (2 beta + 2j + 1) at j = 1: a ParameterError, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="Frobenius series"):
+                oracle._shoot(0.75, -1.5, 0.05, -1.0, 3.5, 0)
 
 
 class TestNodeCounts:

@@ -220,6 +220,12 @@ class TestLaguerre:
         with pytest.raises(ParameterError):
             laguerre(n, 0.5, 1.0)
 
+    @pytest.mark.parametrize("a", [-1.0, -1.5, -math.inf, math.nan])
+    def test_rejects_order_at_or_below_minus_one(self, a):
+        # L_n^(a) is orthogonal on (0, inf) only for a > -1; NaN is rejected too
+        with pytest.raises(ParameterError, match="a > -1"):
+            laguerre(2, a, 1.0)
+
     @pytest.mark.parametrize(
         "n, y", [(3, 1e200), (200, 1e4), (1, math.inf), (2, math.nan)]
     )
